@@ -9,9 +9,21 @@ proportionally more rounds, with correctness unaffected.
 import networkx as nx
 import pytest
 
+from repro.api import ModelBudgets, Problem, run
 from repro.graphgen import gnm_graph
 from repro.mapreduce.accounting import message_size_budget
-from repro.mapreduce.clique_sim import clique_spanning_forest
+
+
+def clique_forest(g, message_budget, seed):
+    """The ``congested_clique`` backend's forest and its simulator."""
+    problem = Problem(
+        g,
+        task="spanning_forest",
+        budgets=ModelBudgets(clique_message_words=message_budget),
+        options={"seed": seed},
+    )
+    result = run(problem, backend="congested_clique")
+    return result.forest, result.extras["clique"]
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -20,7 +32,7 @@ def test_e14_message_budget_tradeoff(benchmark, experiment_table, p):
     budget = int(message_size_budget(g.n, p, polylog_power=3))
 
     def run():
-        return clique_spanning_forest(g, message_budget=budget, seed=2)
+        return clique_forest(g, message_budget=budget, seed=2)
 
     forest, clique = benchmark.pedantic(run, rounds=1, iterations=1)
     ncc = nx.number_connected_components(g.to_networkx())
@@ -50,7 +62,7 @@ def test_e14_rounds_grow_as_budget_shrinks(benchmark, experiment_table):
     def sweep():
         out = []
         for budget in (10_000, 1_000, 200):
-            forest, clique = clique_spanning_forest(
+            forest, clique = clique_forest(
                 g, message_budget=budget, seed=4
             )
             out.append((budget, clique.rounds, clique.max_vertex_words, len(forest)))

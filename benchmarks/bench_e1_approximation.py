@@ -8,7 +8,7 @@ from the dual certificate alongside.  The paper's claim is the
 
 import pytest
 
-from repro.core.matching_solver import solve_matching
+from repro.core.matching_solver import DualPrimalMatchingSolver
 from repro.graphgen import (
     gnm_graph,
     odd_cycle_chain,
@@ -35,7 +35,7 @@ def test_e1_ratio(benchmark, experiment_table, family, eps):
     opt = max_weight_matching_exact(g).weight()
 
     def run():
-        return solve_matching(g, eps=eps, seed=7, inner_steps=300)
+        return DualPrimalMatchingSolver(eps=eps, seed=7, inner_steps=300).solve(g)
 
     res = benchmark.pedantic(run, rounds=1, iterations=1)
     ratio = res.weight / opt

@@ -9,12 +9,16 @@ dominate; filtering is (much) faster.
 
 import pytest
 
-from repro.baselines.lattanzi_filtering import lattanzi_weighted
-from repro.baselines.mcgregor import mcgregor_matching
-from repro.core.matching_solver import solve_matching
+from repro.api import Problem, run
+from repro.core.matching_solver import DualPrimalMatchingSolver
 from repro.graphgen import gnm_graph, with_uniform_weights
 from repro.matching.exact import max_weight_matching_exact
 from repro.util.instrumentation import ResourceLedger
+
+
+def baseline(backend, g, **options):
+    """A baseline backend's matching (options: p/eps, seed, ledger)."""
+    return run(Problem(g, options=options), backend=backend).matching
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +31,7 @@ def instance():
 def test_e4_dual_primal(benchmark, experiment_table, instance):
     g, opt = instance
     res = benchmark.pedantic(
-        lambda: solve_matching(g, eps=0.2, seed=2, inner_steps=300),
+        lambda: DualPrimalMatchingSolver(eps=0.2, seed=2, inner_steps=300).solve(g),
         rounds=1,
         iterations=1,
     )
@@ -45,7 +49,7 @@ def test_e4_lattanzi(benchmark, experiment_table, instance):
 
     def run():
         led = ResourceLedger()
-        m = lattanzi_weighted(g, p=2.0, seed=3, ledger=led)
+        m = baseline("baseline:lattanzi", g, p=2.0, seed=3, ledger=led)
         return m, led
 
     m, led = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -68,7 +72,7 @@ def test_e4_mcgregor_unweighted(benchmark, experiment_table):
 
     def run():
         led = ResourceLedger()
-        m = mcgregor_matching(g, eps=0.2, seed=5, ledger=led)
+        m = baseline("baseline:mcgregor", g, eps=0.2, seed=5, ledger=led)
         return m, led
 
     m, led = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -84,8 +88,8 @@ def test_e4_mcgregor_unweighted(benchmark, experiment_table):
 def test_e4_quality_ordering(experiment_table, instance):
     """The headline row: dual-primal >= filtering on the same instance."""
     g, opt = instance
-    dp = solve_matching(g, eps=0.2, seed=6, inner_steps=200).weight
-    lt = lattanzi_weighted(g, p=2.0, seed=7).weight()
+    dp = DualPrimalMatchingSolver(eps=0.2, seed=6, inner_steps=200).solve(g).weight
+    lt = baseline("baseline:lattanzi", g, p=2.0, seed=7).weight()
     experiment_table(
         "E4 who wins",
         ["dual-primal", "filtering", "dp/filter"],

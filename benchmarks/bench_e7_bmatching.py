@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.levels import discretize
-from repro.core.matching_solver import solve_matching
+from repro.core.matching_solver import DualPrimalMatchingSolver
 from repro.graphgen import gnm_graph, with_random_capacities, with_uniform_weights
 from repro.matching.exact import max_weight_bmatching_exact
 
@@ -22,7 +22,7 @@ def test_e7_ratio_vs_b(benchmark, experiment_table, bmax):
     opt = max_weight_bmatching_exact(g).weight()
 
     def run():
-        return solve_matching(g, eps=0.25, seed=9, inner_steps=250)
+        return DualPrimalMatchingSolver(eps=0.25, seed=9, inner_steps=250).solve(g)
 
     res = benchmark.pedantic(run, rounds=1, iterations=1)
     ratio = res.weight / opt

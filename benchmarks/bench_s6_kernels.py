@@ -48,13 +48,13 @@ SMOKE_CFG = {
 }
 
 _WORKER = r"""
-import hashlib, json, sys, time, warnings
+import hashlib, json, sys, time
 import numpy as np
 
 cfg = json.loads(sys.argv[1])
 from repro.graphgen import gnm_graph, with_uniform_weights
 from repro.sketch.graph_sketch import VertexIncidenceSketch
-from repro.core.matching_solver import solve_many
+from repro.core.matching_solver import DualPrimalMatchingSolver
 import repro.kernels as K
 
 h = hashlib.sha256()
@@ -82,14 +82,15 @@ if cfg["workload"] in ("solver", "both"):
     ]
     kw = dict(eps=cfg["eps"], inner_steps=cfg["inner_steps"],
               round_cap_factor=0.3, target_gap=0.0001, offline="local")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        solve_many(graphs[:2], seeds=[0, 1], **{**kw, "inner_steps": 60})  # warm
-        best = float("inf")
-        for _ in range(cfg["repeats"]):
-            t0 = time.perf_counter()
-            results = solve_many(graphs, seeds=list(range(batch)), **kw)
-            best = min(best, time.perf_counter() - t0)
+    warm = DualPrimalMatchingSolver(**{**kw, "inner_steps": 60})
+    warm.solve_many(graphs[:2], seeds=[0, 1])
+    best = float("inf")
+    for _ in range(cfg["repeats"]):
+        t0 = time.perf_counter()
+        results = DualPrimalMatchingSolver(**kw).solve_many(
+            graphs, seeds=list(range(batch))
+        )
+        best = min(best, time.perf_counter() - t0)
     for res in results:
         h.update(repr((res.weight, res.matching.edge_ids.tolist())).encode())
         h.update(repr((res.certificate.upper_bound, res.history)).encode())

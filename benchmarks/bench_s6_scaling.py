@@ -34,13 +34,13 @@ SOLVE_KW = {"eps": 0.3, "inner_steps": 120, "round_cap_factor": 0.3,
             "target_gap": 0.001, "offline": "local"}
 
 _WORKER = r"""
-import hashlib, json, sys, time, warnings
+import hashlib, json, sys, time
 import numpy as np
 
 cfg = json.loads(sys.argv[1])
 from repro.graphgen import gnm_graph, with_uniform_weights
 from repro.sketch.graph_sketch import VertexIncidenceSketch
-from repro.core.matching_solver import solve_matching
+from repro.core.matching_solver import DualPrimalMatchingSolver
 import repro.kernels as K
 
 h = hashlib.sha256()
@@ -59,13 +59,11 @@ if cfg["workload"] == "sketch":
 
 if cfg["workload"] == "solve":
     g = with_uniform_weights(gnm_graph(n, 4 * n, seed=23), 1.0, 50.0, seed=29)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        warm = with_uniform_weights(gnm_graph(32, 64, seed=5), 1.0, 5.0, seed=6)
-        solve_matching(warm, seed=1, **{**cfg["kw"], "inner_steps": 40})  # warm
-        t0 = time.perf_counter()
-        res = solve_matching(g, seed=3, **cfg["kw"])
-        out["solve_s"] = time.perf_counter() - t0
+    warm = with_uniform_weights(gnm_graph(32, 64, seed=5), 1.0, 5.0, seed=6)
+    DualPrimalMatchingSolver(seed=1, **{**cfg["kw"], "inner_steps": 40}).solve(warm)
+    t0 = time.perf_counter()
+    res = DualPrimalMatchingSolver(seed=3, **cfg["kw"]).solve(g)
+    out["solve_s"] = time.perf_counter() - t0
     h.update(repr((res.weight, res.matching.edge_ids.tolist())).encode())
     h.update(repr((res.certificate.upper_bound, res.history)).encode())
 

@@ -32,7 +32,9 @@ Public entry points
     previous query's verified duals (docs/dynamic.md).  The ``dynamic``
     backend runs update-log problems through the facade.
 ``DualPrimalMatchingSolver`` / ``SolverConfig``
-    The configurable solver (rounds/space/offline-oracle knobs).
+    The configurable solver (rounds/space/offline-oracle knobs);
+    ``solve`` and the batched ``solve_many`` run the same lockstep
+    engine.
 ``Graph``
     The numpy edge-array graph type everything operates on.
 ``Problem.from_edge_file`` / ``FileBackedGraph`` (``repro.ingest``)
@@ -41,21 +43,15 @@ Public entry points
     against them in O(chunk + sketch-block) memory, bit-identical to
     the in-RAM path (docs/ingest.md).
 
-``solve_matching`` / ``solve_many`` remain importable as deprecation
-shims pinned bit-identical to the facade (migration table in
-docs/api.md).
+The pre-facade entry points (``solve_matching``, ``solve_many``, the
+baseline and forest-protocol functions) were removed in 1.5.0; see the
+removal note in docs/api.md.
 
 See README.md for a guided tour and docs/architecture.md for the map
 from paper sections to modules.
 """
 
-from repro.core import (
-    DualPrimalMatchingSolver,
-    MatchingResult,
-    SolverConfig,
-    solve_many,
-    solve_matching,
-)
+from repro.core import DualPrimalMatchingSolver, MatchingResult, SolverConfig
 from repro.matching import BMatching
 from repro.util import Graph
 from repro.api import (
@@ -78,7 +74,7 @@ from repro.dynamic import DynamicGraphSession
 from repro.ingest import FileBackedGraph
 from repro.service import MatchingService, ServiceStats
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = [
     "Graph",
@@ -101,8 +97,6 @@ __all__ = [
     "ServiceStats",
     "DynamicGraphSession",
     "FileBackedGraph",
-    "solve_matching",
-    "solve_many",
     "DualPrimalMatchingSolver",
     "SolverConfig",
     "MatchingResult",

@@ -3,11 +3,8 @@
 The paper frames a *single* dual-primal algorithm as instantiable
 across models of computation -- offline resource-constrained access,
 semi-streaming passes, MapReduce rounds, congested-clique messages --
-and positions it against a family of baselines.  Historically this repo
-mirrored that diversity with bespoke entry points (``solve_matching``,
-``streaming_solve_matching``, ``clique_spanning_forest`` +
-``MapReduceEngine`` plumbing, four baseline functions returning bare
-matchings).  This module is the one stable surface over all of them:
+and positions it against a family of baselines.  This module is the
+one stable surface over all of them:
 
 * :class:`Problem` -- declarative spec: the graph, a
   :class:`~repro.core.matching_solver.SolverConfig`, the task
@@ -17,9 +14,10 @@ matchings).  This module is the one stable surface over all of them:
   registry; each model of computation is a backend exposing
   ``run(problem) -> RunResult`` (and a batched ``run_many``).
 * :func:`run` / :func:`run_many` -- top-level dispatch.  ``run_many``
-  routes homogeneous offline batches through the lockstep batch engine
-  (:meth:`~repro.core.matching_solver.DualPrimalMatchingSolver.
-  solve_many`), with results pinned equal to looped :func:`run`.
+  routes homogeneous offline batches through one call of the solver's
+  lockstep engine (:meth:`~repro.core.matching_solver.
+  DualPrimalMatchingSolver.solve_many`), with results pinned equal to
+  looped :func:`run`.
 * :class:`RunResult` -- the unified result: matching, certificate when
   the backend produces one, spanning forest for the forest protocols,
   and a normalized :class:`RunLedger` with per-model resource fields
@@ -28,10 +26,10 @@ matchings).  This module is the one stable surface over all of them:
   a ranked weight/certified-ratio/resources table (the shape of the
   paper's comparison tables; experiment E4 in three lines).
 
-Every backend is pinned exact-equal to its legacy entry point by
-``tests/test_api.py``; the legacy entry points themselves are now thin
-deprecation shims over this facade (see the migration table in
-``docs/api.md``).
+Every backend is pinned exact-equal to the implementation it wraps by
+``tests/test_api.py``, and to checked-in golden digests by
+``tests/test_golden.py``.  The pre-facade entry points were removed in
+1.5.0 (see the removal note in ``docs/api.md``).
 """
 
 from __future__ import annotations
@@ -45,6 +43,7 @@ from repro.baselines.auction import auction_backend_run, bipartite_sides
 from repro.baselines.lattanzi_filtering import lattanzi_backend_run
 from repro.baselines.mcgregor import mcgregor_backend_run
 from repro.baselines.streaming_weighted import one_pass_backend_run
+from repro.core.batch import SolveRequest
 from repro.core.certificates import Certificate, MatchingResult
 from repro.core.matching_solver import DualPrimalMatchingSolver, SolverConfig
 from repro.matching.structures import BMatching
@@ -203,8 +202,8 @@ class Problem:
     # Convenience accessors used by several backends -------------------
     @property
     def seed(self):
-        """Effective seed: ``options['seed']`` (shim plumbing for legacy
-        Generator seeds) falling back to ``config.seed``."""
+        """Effective seed: ``options['seed']`` (an int or a
+        ``numpy.random.Generator``) falling back to ``config.seed``."""
         return self.options.get("seed", self.config.seed)
 
     def external_ledger(self) -> ResourceLedger | None:
@@ -388,10 +387,9 @@ class RunResult:
     ledger:
         Normalized per-model resources (:class:`RunLedger`).
     raw:
-        The legacy result object (e.g.
+        The implementation's own result object (e.g.
         :class:`~repro.core.certificates.MatchingResult`) for callers
-        that need per-round ``history`` -- also what the deprecation
-        shims hand back, which pins them bit-identical to the facade.
+        that need per-round ``history``.
     extras:
         Backend-specific artifacts (the
         :class:`~repro.mapreduce.engine.MapReduceEngine`, the
@@ -735,12 +733,12 @@ def _config_key(cfg: SolverConfig) -> SolverConfig:
 class OfflineBackend(Backend):
     """Theorem 15 dual-primal solver under offline sampled access.
 
-    Legacy entry points: ``solve_matching`` (single) and ``solve_many``
-    (batched).  ``run_many`` groups its input by :meth:`batch_key` into
-    homogeneous sub-batches (same config up to the per-problem seed,
-    default budgets, no options) and dispatches every sub-batch of two
-    or more to the lockstep engine, which PR 2 pinned bit-identical to
-    looped solves; the remainder loops.  Input order is preserved.
+    ``run`` is :meth:`DualPrimalMatchingSolver.solve`.  ``run_many``
+    groups its input by :meth:`batch_key` into homogeneous sub-batches
+    (same config up to the per-problem seed, default budgets, no
+    options) and hands each sub-batch to one call of the lockstep
+    engine; the unbatchable remainder loops over ``run``.  Input order
+    is preserved.
     """
 
     tasks = ("matching",)
@@ -750,9 +748,9 @@ class OfflineBackend(Backend):
         if problem.budgets != ModelBudgets() or problem.options:
             return None
         if getattr(problem.graph, "is_materialized", True) is False:
-            # unmaterialized file-backed problems go through the
-            # streaming chain one at a time (the lockstep engine's
-            # concatenated buffers are inherently O(sum m) resident)
+            # unmaterialized file-backed problems run one at a time on
+            # the streaming chain (see run): the offline chain would
+            # materialize them
             return None
         # SolverConfig is flat scalars, so the seed-neutralized field
         # tuple is a hashable stand-in for the config itself
@@ -790,11 +788,6 @@ class OfflineBackend(Backend):
                 groups.setdefault(key, []).append(i)
         results: list[RunResult | None] = [None] * len(problems)
         for indices in groups.values():
-            if len(indices) == 1:
-                singles.extend(indices)
-                continue
-            from repro.core.batch import SolveRequest
-
             solver = DualPrimalMatchingSolver(
                 _config_key(problems[indices[0]].config)
             )
@@ -817,8 +810,7 @@ class OfflineBackend(Backend):
 class SemiStreamingBackend(Backend):
     """The same solver with chain construction bound to stream passes.
 
-    Legacy entry point: ``streaming_solve_matching``.  The normalized
-    ledger's ``passes`` field counts actual passes over the edge stream
+    The normalized ledger's ``passes`` field counts actual passes over the edge stream
     (audited by the stream itself).
 
     ``task="spanning_forest"`` runs the sketch-Boruvka forest as a
@@ -884,11 +876,10 @@ class SemiStreamingBackend(Backend):
 class MapReduceBackend(Backend):
     """Section 4.2 two-round sketch pipeline + central Boruvka.
 
-    Legacy entry point: ``mapreduce_spanning_forest`` over a hand-built
-    :class:`~repro.mapreduce.engine.MapReduceEngine`.  The engine is
-    constructed from ``budgets.reducer_memory_words`` (or passed
-    pre-built via ``options['engine']``, which the deprecation shim
-    uses) and returned in ``extras['engine']``.
+    Runs :func:`~repro.mapreduce.jobs.mapreduce_spanning_forest_impl`
+    on a :class:`~repro.mapreduce.engine.MapReduceEngine` constructed
+    from ``budgets.reducer_memory_words`` (or passed pre-built via
+    ``options['engine']``) and returned in ``extras['engine']``.
     """
 
     tasks = ("spanning_forest",)
@@ -924,8 +915,7 @@ class MapReduceBackend(Backend):
 class CongestedCliqueBackend(Backend):
     """Sketch-shipping spanning forest on the congested-clique simulator.
 
-    Legacy entry point: ``clique_spanning_forest``.  The per-vertex
-    outgoing budget comes from ``budgets.clique_message_words``; the
+    The per-vertex outgoing budget comes from ``budgets.clique_message_words``; the
     simulator (rounds / word counters) is returned in
     ``extras['clique']``.  ``options['leader']`` overrides the
     collecting vertex (default 0).

@@ -30,7 +30,7 @@ from repro.matching.structures import BMatching
 from repro.util.graph import Graph
 from repro.util.instrumentation import ResourceLedger
 
-__all__ = ["bipartite_sides", "auction_matching", "auction_backend_run"]
+__all__ = ["bipartite_sides", "auction_backend_run"]
 
 
 def bipartite_sides(graph: Graph) -> tuple[np.ndarray, np.ndarray] | None:
@@ -55,34 +55,6 @@ def bipartite_sides(graph: Graph) -> tuple[np.ndarray, np.ndarray] | None:
                 elif color[u] == color[v]:
                     return None
     return color == 0, color == 1
-
-
-def auction_matching(
-    graph: Graph,
-    eps: float = 0.1,
-    ledger: ResourceLedger | None = None,
-    max_rounds: int | None = None,
-) -> BMatching:
-    """Bipartite maximum-weight matching by auction (``b = 1``).
-
-    .. deprecated::
-        Thin shim over ``repro.api.run(problem,
-        backend="baseline:auction")``; results are pinned bit-identical
-        (the backend runs the same implementation).
-    """
-    from repro.api import ModelBudgets, Problem, run
-    from repro.util.deprecation import warn_legacy
-
-    warn_legacy(
-        "repro.baselines.auction_matching",
-        'repro.api.run(problem, backend="baseline:auction")',
-    )
-    problem = Problem(
-        graph,
-        budgets=ModelBudgets(max_rounds=max_rounds),
-        options={"eps": eps, "ledger": ledger},
-    )
-    return run(problem, backend="baseline:auction").matching
 
 
 def auction_backend_run(
@@ -113,7 +85,7 @@ def auction_backend_run(
     if sides is None:
         sides = bipartite_sides(graph)
     if sides is None:
-        raise ValueError("auction_matching requires a bipartite graph")
+        raise ValueError("the auction baseline requires a bipartite graph")
     left_mask, _right_mask = sides
     if graph.m == 0:
         return BMatching.empty(graph)

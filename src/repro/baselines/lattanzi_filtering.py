@@ -28,67 +28,7 @@ from repro.util.graph import Graph
 from repro.util.instrumentation import ResourceLedger
 from repro.util.rng import make_rng, spawn
 
-__all__ = ["lattanzi_unweighted", "lattanzi_weighted", "lattanzi_backend_run"]
-
-
-def lattanzi_unweighted(
-    graph: Graph,
-    p: float = 2.0,
-    seed: int | np.random.Generator | None = None,
-    ledger: ResourceLedger | None = None,
-) -> BMatching:
-    """Filtering maximal (b-)matching: O(p) rounds, n^{1+1/p} memory.
-
-    .. deprecated::
-        Thin shim over ``repro.api.run(problem,
-        backend="baseline:lattanzi")`` with
-        ``options={"weighted": False}``; results pinned bit-identical.
-    """
-    from repro.api import Problem, run
-    from repro.util.deprecation import warn_legacy
-
-    warn_legacy(
-        "repro.baselines.lattanzi_unweighted",
-        'repro.api.run(problem, backend="baseline:lattanzi")',
-    )
-    # p travels in options, not SolverConfig: the legacy surface accepts
-    # any p the sampling core does (incl. p <= 1), while SolverConfig
-    # validates the solver's own p > 1 domain
-    problem = Problem(
-        graph,
-        options={"p": p, "seed": seed, "ledger": ledger, "weighted": False},
-    )
-    return run(problem, backend="baseline:lattanzi").matching
-
-
-def lattanzi_weighted(
-    graph: Graph,
-    p: float = 2.0,
-    seed: int | np.random.Generator | None = None,
-    ledger: ResourceLedger | None = None,
-    base: float = 2.0,
-) -> BMatching:
-    """Weight-class filtering: O(1)-approximate weighted (b-)matching.
-
-    .. deprecated::
-        Thin shim over ``repro.api.run(problem,
-        backend="baseline:lattanzi")``; results pinned bit-identical
-        (the backend runs the same implementation).
-    """
-    from repro.api import Problem, run
-    from repro.util.deprecation import warn_legacy
-
-    warn_legacy(
-        "repro.baselines.lattanzi_weighted",
-        'repro.api.run(problem, backend="baseline:lattanzi")',
-    )
-    # p travels in options (see lattanzi_unweighted): legacy callers may
-    # use p values outside SolverConfig's p > 1 solver domain
-    problem = Problem(
-        graph,
-        options={"p": p, "seed": seed, "ledger": ledger, "base": base},
-    )
-    return run(problem, backend="baseline:lattanzi").matching
+__all__ = ["lattanzi_backend_run"]
 
 
 def lattanzi_backend_run(

@@ -24,7 +24,7 @@ from repro.streaming.stream import EdgeStream
 from repro.util.graph import Graph
 from repro.util.instrumentation import ResourceLedger
 
-__all__ = ["mcgregor_matching", "mcgregor_backend_run"]
+__all__ = ["mcgregor_backend_run"]
 
 
 def _augment_length3(
@@ -70,35 +70,6 @@ def _augment_length3(
                 matched_at[int(dst[edge])] = edge
             gains += 1
     return gains
-
-
-def mcgregor_matching(
-    graph: Graph,
-    eps: float = 0.2,
-    seed: int | np.random.Generator | None = None,
-    ledger: ResourceLedger | None = None,
-    max_epochs: int | None = None,
-) -> BMatching:
-    """Streaming (1-eps)-style cardinality matching via augmentation epochs.
-
-    .. deprecated::
-        Thin shim over ``repro.api.run(problem,
-        backend="baseline:mcgregor")``; results are pinned
-        bit-identical (the backend runs the same implementation).
-    """
-    from repro.api import ModelBudgets, Problem, run
-    from repro.util.deprecation import warn_legacy
-
-    warn_legacy(
-        "repro.baselines.mcgregor_matching",
-        'repro.api.run(problem, backend="baseline:mcgregor")',
-    )
-    problem = Problem(
-        graph,
-        budgets=ModelBudgets(max_epochs=max_epochs),
-        options={"eps": eps, "seed": seed, "ledger": ledger},
-    )
-    return run(problem, backend="baseline:mcgregor").matching
 
 
 def mcgregor_backend_run(

@@ -23,11 +23,7 @@ from repro.streaming.stream import EdgeStream
 from repro.util.graph import Graph
 from repro.util.instrumentation import ResourceLedger
 
-__all__ = [
-    "one_pass_weighted_matching",
-    "one_pass_backend_run",
-    "charging_approximation_bound",
-]
+__all__ = ["one_pass_backend_run", "charging_approximation_bound"]
 
 
 def charging_approximation_bound(gamma: float) -> float:
@@ -42,33 +38,6 @@ def charging_approximation_bound(gamma: float) -> float:
         raise ValueError("gamma must be positive")
     g = float(gamma)
     return g * (1.0 + g) / (1.0 + 3.0 * g + g * g + g * g * g)
-
-
-def one_pass_weighted_matching(
-    stream: EdgeStream | Graph,
-    gamma: float = 2.0**-0.5,
-    ledger: ResourceLedger | None = None,
-) -> BMatching:
-    """Single-pass gamma-charging weighted matching (``b = 1``).
-
-    .. deprecated::
-        Thin shim over ``repro.api.run(problem,
-        backend="baseline:one_pass")``; results are pinned
-        bit-identical (the backend runs the same implementation).
-    """
-    from repro.api import Problem, run
-    from repro.util.deprecation import warn_legacy
-
-    warn_legacy(
-        "repro.baselines.one_pass_weighted_matching",
-        'repro.api.run(problem, backend="baseline:one_pass")',
-    )
-    graph = stream if isinstance(stream, Graph) else stream.graph
-    options: dict = {"gamma": gamma, "ledger": ledger}
-    if not isinstance(stream, Graph):
-        options["stream"] = stream
-    problem = Problem(graph, options=options)
-    return run(problem, backend="baseline:one_pass").matching
 
 
 def one_pass_backend_run(

@@ -24,12 +24,7 @@ from repro.core.lp_library import (
     solve_lp3,
     solve_lp4,
 )
-from repro.core.matching_solver import (
-    DualPrimalMatchingSolver,
-    SolverConfig,
-    solve_many,
-    solve_matching,
-)
+from repro.core.matching_solver import DualPrimalMatchingSolver, SolverConfig
 from repro.core.micro_oracle import (
     OracleDualStep,
     OracleWitness,
@@ -86,8 +81,6 @@ __all__ = [
     "theorem1_driver",
     "DualPrimalMatchingSolver",
     "SolverConfig",
-    "solve_matching",
-    "solve_many",
     "is_laminar",
     "uncross_to_laminar",
     "layered_from_flat",

@@ -1,14 +1,17 @@
-"""Ragged batch representation for the batched dual-primal solver.
+"""Ragged batch representation for the lockstep dual-primal solver engine.
 
-``solve_many`` runs the inner multiplicative-weights loop of
+The solver's round loop runs the inner multiplicative-weights steps of
 :class:`~repro.core.matching_solver.DualPrimalMatchingSolver` in
-*lockstep* over a batch of independent instances: each instance keeps
-its own control flow (rounds, Lagrangian searches, witness aborts), but
-the elementwise array math of every concurrent inner step executes on
-concatenated buffers, amortizing numpy dispatch overhead across the
-batch.  This module holds the shared layout those buffers use, plus the
-segment reductions that make the lockstep path *bit-identical* to the
-single-instance reference path.
+*lockstep* over a batch of independent instances (``solve`` is a batch
+of one): each instance keeps its own control flow (rounds, Lagrangian
+searches, witness aborts), but the elementwise array math of every
+concurrent inner step executes on concatenated buffers, amortizing
+numpy dispatch overhead across the batch.  This module holds the shared
+layout those buffers use, plus the segment reductions that make every
+instance's results *bit-identical* whatever else shares its batch --
+and identical to the standalone-array semantics of
+:class:`~repro.core.relaxations.LayeredDual` and
+:func:`~repro.core.micro_oracle.micro_oracle`.
 
 Layout: four concatenated index spaces
 --------------------------------------
@@ -29,9 +32,9 @@ nothing is padded; instead every per-instance array is a contiguous
 Bit-parity discipline
 ---------------------
 
-The acceptance contract of the batched engine is *exact* equality with
-the scalar reference, so every operation falls into one of three
-classes:
+The acceptance contract of the engine is *exact* equality with the
+standalone single-instance computation, so every operation falls into
+one of three classes:
 
 1. **Elementwise ops** (``exp``, ``clip``, multiply, compare, ...) act
    on concatenated buffers in one call -- elementwise results do not
@@ -126,9 +129,9 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
 class GraphBatch:
     """Concatenated layout of a batch of (graph, level decomposition) pairs.
 
-    Built once per :meth:`~repro.core.matching_solver.
-    DualPrimalMatchingSolver.solve_many` call; every buffer the batched
-    engine touches is addressed through the offset tables here.  All
+    Built by the solver's lockstep engine whenever its set of running
+    instances changes; every buffer the engine touches is addressed
+    through the offset tables here.  All
     per-edge index arrays use *local* edge/vertex ids except the
     ``*_vl`` gather arrays, which point into the flat VL space.
     """
@@ -158,7 +161,8 @@ class GraphBatch:
     b_vl: np.ndarray = field(init=False)  # float b_i per VL entry
     col_vl: np.ndarray = field(init=False)  # level index per VL entry
 
-    # live-edge gather arrays (concatenated per instance)
+    # live-edge gather arrays (concatenated per instance; empty segments
+    # for unmaterialized file-backed graphs)
     live_off: np.ndarray = field(init=False)
     live_ids: np.ndarray = field(init=False)  # local edge id
     live_src_vl: np.ndarray = field(init=False)
@@ -228,9 +232,16 @@ class GraphBatch:
             )
             i = j + 1
 
+        # An unmaterialized file-backed member gets an empty live segment:
+        # these gathers are O(live edges) resident, so the engine reads
+        # that member's lambda and step widths from the chunked
+        # LayeredDual scans instead.
         live_ids, live_src, live_dst, live_wk = [], [], [], []
         for i, (g, lv) in enumerate(zip(self.graphs, self.levels)):
-            ids = lv.live_edges()
+            if getattr(g, "is_materialized", True) is False:
+                ids = np.empty(0, dtype=np.int64)
+            else:
+                ids = lv.live_edges()
             k = lv.level[ids]
             live_ids.append(ids)
             base = self.vl_off[i]

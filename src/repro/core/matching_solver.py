@@ -21,6 +21,14 @@ One outer round = one *adaptive sampling round* (the O(p/eps) resource):
    target, when ``lambda >= 1 - 3 eps`` (dual converged), or at the
    O(p/eps) round cap.
 
+Execution: every solve runs on one lockstep engine (:class:`_BatchEngine`).
+Each instance is a small state machine stepping through the rounds
+above; what the engine batches is the elementwise array math of
+concurrent inner steps (see :mod:`repro.core.batch` for the parity
+rules).  :meth:`DualPrimalMatchingSolver.solve` is the engine at batch
+size one, so ``solve_many`` results equal looped ``solve`` value for
+value.
+
 Fidelity note: the width/step constants (``alpha``, ``sigma``) follow
 Theorem 5/Corollary 6; ``step_scale`` (default > 1) accelerates the
 blend beyond the worst-case-safe constant, which DESIGN.md records as a
@@ -30,23 +38,30 @@ used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro import obs
+from repro.core.batch import DualBatch, GraphBatch, StoredBatchLayout
 from repro.core.certificates import Certificate, MatchingResult, certify
 from repro.core.initial import build_initial_solution
-from repro.core.lagrangian import LagrangianSearch
+from repro.core.lagrangian import LagrangianState
 from repro.core.levels import LevelDecomposition, discretize
 from repro.core.micro_oracle import (
+    BatchMicroContext,
     OracleDualStep,
     OracleWitness,
-    SupportVector,
+    # unused here: perfbench's LayerTracer wraps the Algorithm 5
+    # reference under this module's name and needs it importable
     micro_oracle,
 )
-from repro.core.packing import packing_multipliers
-from repro.core.relaxations import PENALTY_WIDTH_BOUND, LayeredDual, blend_z_dicts
+from repro.core.relaxations import (
+    PENALTY_WIDTH_BOUND,
+    LayeredDual,
+    blend_z_dicts,
+    z_cover_add,
+)
 from repro.kernels import blend as _k_blend
 from repro.kernels import gather_add2 as _k_gather_add2
 from repro.kernels import seg_ratio_max as _k_seg_ratio_max
@@ -59,26 +74,16 @@ from repro.matching.augmenting import local_search_matching
 from repro.matching.exact import max_weight_bmatching_exact
 from repro.matching.structures import BMatching
 from repro.sparsify.deferred import DeferredSparsifierChain
-from repro.util.deprecation import warn_legacy
 from repro.util.graph import Graph, edge_key
 from repro.util.instrumentation import ResourceLedger
-from repro.util.rng import make_rng, spawn
+from repro.util.rng import make_rng
 from repro.util.validation import check_epsilon
 
 __all__ = [
     "SolverConfig",
     "WarmStart",
     "DualPrimalMatchingSolver",
-    "solve_matching",
-    "solve_many",
 ]
-
-
-class _WitnessFound(Exception):
-    """Internal control flow: the MicroOracle returned an LP7 witness."""
-
-    def __init__(self, witness: OracleWitness):
-        self.witness = witness
 
 
 def _empty_result(graph: Graph, ledger: ResourceLedger) -> MatchingResult:
@@ -276,53 +281,6 @@ class WarmStart:
         return BMatching(graph, ids, mult)
 
 
-class _PoBox:
-    """Precomputed layout of the live Po rows ``{(i, k) : has_ik}``.
-
-    The inner step evaluates ``(2 x_i(k) + z-load) / (3 ŵ_k)`` on the
-    live rows once per tick.  The dense formulation materializes three
-    ``(n, L)`` temporaries per call; this layout walks the dual one
-    level block at a time and scatters each block's values into their
-    *row-major* flat positions, so the arrays handed to
-    ``packing_multipliers`` and the budget/po_of reductions are
-    bit-identical to ``ratios[has_ik]`` / ``po_rhs[has_ik]`` of the
-    dense path while the per-tick working set drops to
-    ``O(n + live rows)``.
-    """
-
-    def __init__(self, has_ik: np.ndarray, wk: np.ndarray, eps: float):
-        n, L = has_ik.shape
-        self.has_ik = has_ik
-        self.shape = (n, L)
-        idx = np.flatnonzero(has_ik.ravel())
-        self.count = int(idx.size)
-        rows = idx // L
-        cols = idx % L
-        rhs3 = 3.0 * np.asarray(wk, dtype=np.float64)
-        self.rhs_flat = rhs3[cols]
-        self._rhs3 = rhs3
-        self._rows_by_level = [rows[cols == k] for k in range(L)]
-        self._pos_by_level = [np.flatnonzero(cols == k) for k in range(L)]
-        delta = eps / 6.0
-        self.alpha_p = 2.0 * np.log(max(self.count, 2) / delta) / delta
-
-    def flat_lhs(self, dual: LayeredDual) -> np.ndarray:
-        """Row-major ``(2 x + z-load)[has_ik]``, one level block at a time."""
-        out = np.empty(self.count, dtype=np.float64)
-        for k, rows in enumerate(self._rows_by_level):
-            if rows.size == 0:
-                continue
-            lhs = 2.0 * dual.x_block(k)[rows] + dual.z_load_block(k)[rows]
-            out[self._pos_by_level[k]] = lhs
-        return out
-
-    def flat_ratios(self, dual: LayeredDual) -> np.ndarray:
-        """Row-major Po ratios ``(2 x + z-load)[has_ik] / (3 ŵ_k)``."""
-        out = self.flat_lhs(dual)
-        out /= self.rhs_flat
-        return out
-
-
 class DualPrimalMatchingSolver:
     """Resource-constrained (1 - O(eps))-approximate b-matching solver."""
 
@@ -373,244 +331,12 @@ class DualPrimalMatchingSolver:
 
         Notes
         -----
-        Deterministic given ``config.seed``.  This scalar path is the
-        executable specification of the solver: :meth:`solve_many` is
-        pinned bit-for-bit against it (``tests/test_solver_batch.py``).
+        Deterministic given ``config.seed``.  Runs the lockstep engine
+        at batch size one, so :meth:`solve_many` results equal looped
+        ``solve`` value for value (``tests/test_solver_batch.py``).
         """
-        cfg = self.config
-        rng = make_rng(cfg.seed)
-        ledger = ResourceLedger()
-        eps = cfg.eps
-
-        if graph.m == 0:
-            return _empty_result(graph, ledger)
-
-        levels = discretize(graph, eps)
-        live_count = int(np.count_nonzero(levels.level >= 0))
-        gamma = max(np.e, graph.n ** (1.0 / (2.0 * cfg.p)))
-        chain_count = cfg.chain_count
-        if chain_count is None:
-            chain_count = max(2, int(np.ceil(np.log(gamma))))
-        round_cap = max(2, int(np.ceil(cfg.round_cap_factor * cfg.p / eps)))
-        use_odd = (
-            graph.n >= 3 if cfg.odd_sets == "auto" else bool(cfg.odd_sets)
-        )
-        target_gap = cfg.target_gap if cfg.target_gap is not None else eps
-
-        # --- initial solution (Lemmas 12/20/21): one O(p)-round block ---
-        init = build_initial_solution(
-            levels, p=cfg.p, seed=rng, ledger=ledger, sampled=False
-        )
-        ledger.tick_sampling_round("initial per-level maximal matchings")
-        dual = init.dual
-        best = init.merged
-        beta = max(init.beta0, self._rescaled_value(levels, best), 1e-12)
-
-        if warm_start is not None:
-            # Fast path: lift the previous duals into a *copy* of the
-            # initial dual and certify -- as-is and with the cover patch
-            # (edges the edit burst left uncovered get both endpoints
-            # raised to 0.5 ŵ_k; box-feasible, so the patched point is
-            # admissible and its verified bound only pays the handful of
-            # touched vertices).  If either certificate proves the
-            # folded-and-greedily-completed incumbent within the target,
-            # the burst was absorbed with zero sampling rounds.  On a
-            # miss the solve proceeds from the *cold* initial dual (the
-            # saturated warm point is a dead end for the covering
-            # dynamics) keeping only the stronger primal incumbent.
-            folded = self._greedy_complete(graph, warm_start.fold_matching(graph))
-            # 2-opt repair (b = 1 only -- for general b the local search
-            # ignores its seed and would just redo the greedy sweep): an
-            # edit burst's heavy inserts land on saturated vertices,
-            # where completion cannot reach them but a swap can --
-            # exactly the weight the patched bound charges
-            if bool(np.all(graph.b == 1)):
-                swapped = local_search_matching(graph, rounds=2, seed_matching=folded)
-                if swapped.weight() > folded.weight():
-                    folded = swapped
-            if folded.weight() > best.weight():
-                best = folded
-            beta = max(beta, self._rescaled_value(levels, best))
-            gap = (
-                warm_start.accept_gap
-                if warm_start.accept_gap is not None
-                else target_gap
-            )
-            warm_dual = dual.copy()
-            self._apply_warm_start(levels, warm_dual, warm_start)
-            cert0 = certify(warm_dual)
-            patched = warm_dual.copy()
-            self._cover_patch(levels, patched)
-            cert1 = certify(patched)
-            chosen = patched if cert1.upper_bound < cert0.upper_bound else warm_dual
-            cert = cert1 if cert1.upper_bound < cert0.upper_bound else cert0
-            if cert.certified_ratio(best.weight()) >= 1.0 - gap:
-                # carry the UNPATCHED point forward (certify(warm_dual)
-                # already collapsed it into cert0): the patch is a
-                # per-query shim for whatever is currently uncovered;
-                # folding it into the next generation's warm state would
-                # accrete residue for long-deleted edges and sink every
-                # descendant's certified ratio
-                cert = replace(cert, dual_x=cert0.dual_x, dual_z=cert0.dual_z)
-                return MatchingResult(
-                    matching=best,
-                    certificate=cert,
-                    rounds=0,
-                    lambda_min=chosen.lambda_min(),
-                    beta_final=beta,
-                    history=[],
-                    resources=ledger.snapshot(),
-                )
-
-        # Po rows that exist: (i, k) with a live level-k edge at i
-        has_ik = self._incidence_mask(levels)
-        wk = levels.level_weight(np.arange(levels.num_levels))
-        pobox = _PoBox(has_ik, wk, eps)
-
-        history: list[dict] = []
-        lam = dual.lambda_min()
-        m_live = max(2, live_count)
-        rounds = 0
-
-        inner_budget = cfg.inner_steps
-        if inner_budget is None:
-            inner_budget = min(
-                cfg.inner_step_cap,
-                int(np.ceil(2.0 * np.log(m_live / eps) / eps**2)),
-            )
-
-        while rounds < round_cap:
-            rounds += 1
-            # ---- multipliers u on all live edges (Corollary 6) ----
-            lam = dual.lambda_min()
-            lam_t = max(lam, eps / 512.0)
-            alpha = 2.0 * np.log(m_live / eps) / (lam_t * eps)
-            promise = self._round_promise(levels, dual, alpha, lam)
-            ledger.tick_sampling_round("deferred sparsifier chain")
-
-            # ---- deferred chain: one data access ----
-            chain = self._build_chain(
-                graph,
-                promise,
-                gamma=gamma,
-                xi=max(eps, 0.2),
-                count=chain_count,
-                rng=rng,
-                ledger=ledger,
-            )
-
-            # ---- primal harvest (Algorithm 2, step 5) ----
-            pool = np.union1d(chain.union_edge_ids(), best.edge_ids)
-            candidate = self._offline_match(graph, pool)
-            if candidate.weight() > best.weight():
-                best = candidate
-            beta_prime = self._rescaled_value(levels, best)
-            if beta_prime > beta / (1.0 + eps):
-                beta = beta_prime * (1.0 + eps)
-
-            # ---- dual steps over the refined chain (use-time adaptivity):
-            # each inner step re-refines the stored edges against the
-            # *current* multipliers (a local computation -- the deferral),
-            # runs the Lagrangian-wrapped MicroOracle, and blends with the
-            # effective-width covering step.
-            witness_seen = False
-            routes = {"vertex": 0, "oddset": 0, "zero": 0}
-            per_sparsifier = max(1, inner_budget // max(1, len(chain)))
-            for q in range(len(chain)):
-                sp = chain[q]
-                stored = sp.stored_edge_ids
-                probs = sp.stored_probs
-                stored_live = levels.level[stored] >= 0
-                stored = stored[stored_live]
-                probs = probs[stored_live]
-                if len(stored) == 0:
-                    continue
-                for _ in range(per_sparsifier):
-                    u_stored = self._multipliers(levels, dual, stored, alpha)
-                    support = SupportVector(stored, u_stored / probs)
-                    ledger.tick_refinement()
-                    step = self._inner_step(
-                        levels, dual, support, pobox, wk, beta, eps, use_odd, ledger
-                    )
-                    if step is None or isinstance(step, OracleWitness):
-                        witness_seen = True
-                        if isinstance(step, OracleWitness):
-                            # Lemma 13: the support provably holds a large
-                            # matching -- extract it and fold into the primal
-                            harvested, _report = extract_witness_matching(
-                                levels,
-                                step,
-                                beta,
-                                eps=eps,
-                                offline=self.config.offline,
-                                strict=False,
-                            )
-                            if harvested.weight() > best.weight():
-                                best = harvested
-                        break
-                    routes[step.route] += 1
-                    if step.route == "zero":
-                        break
-                    # effective width of this particular step (Theorem 5
-                    # only needs 0 <= A x̃ <= rho c for the step taken)
-                    rho_step = max(
-                        PENALTY_WIDTH_BOUND,
-                        step.dual.live_ratio_max(),
-                    )
-                    sigma = min(
-                        0.5, cfg.step_scale * eps / (4.0 * alpha * rho_step)
-                    )
-                    dual.blend(step.dual, sigma)
-                    lam = dual.lambda_min()
-                    if lam >= 2.0 * lam_t and lam < 1.0 - 3.0 * eps:
-                        # phase boundary (Theorem 5): refresh alpha
-                        lam_t = max(lam, eps / 512.0)
-                        alpha = 2.0 * np.log(m_live / eps) / (lam_t * eps)
-                    if lam >= 1.0 - 3.0 * eps:
-                        break
-                if witness_seen or lam >= 1.0 - 3.0 * eps:
-                    break
-            lam = dual.lambda_min()
-            cert = certify(dual)
-            history.append(
-                {
-                    "round": rounds,
-                    "primal": best.weight(),
-                    "beta_rescaled": beta,
-                    "lambda": lam,
-                    "upper_bound": cert.upper_bound,
-                    "witness": witness_seen,
-                    **routes,
-                }
-            )
-            ratio = cert.certified_ratio(best.weight())
-            # guarded: field evaluation (weight sums) costs nothing
-            # when no trace is active
-            if obs.current_span() is not None:
-                obs.span_event(
-                    "solver.round",
-                    round=rounds,
-                    gap=max(0.0, 1.0 - ratio),
-                    lam=lam,
-                    primal=best.weight(),
-                    oracle_calls=ledger.oracle_calls,
-                    witness=witness_seen,
-                )
-            if ratio >= 1.0 - target_gap:
-                break
-            if lam >= 1.0 - 3.0 * eps:
-                break
-
-        cert = certify(dual)
-        return MatchingResult(
-            matching=best,
-            certificate=cert,
-            rounds=rounds,
-            lambda_min=lam,
-            beta_final=beta,
-            history=history,
-            resources=ledger.snapshot(),
-        )
+        engine = _BatchEngine(self, [graph], None, warm_starts=[warm_start])
+        return engine.run()[0]
 
     # ------------------------------------------------------------------
     def _build_chain(
@@ -794,12 +520,6 @@ class DualPrimalMatchingSolver:
         np.clip(shifted, 0.0, 60.0, out=shifted)
         return np.exp(-shifted) / levels.level_weight(levels.level[live])
 
-    @staticmethod
-    def _full_vector(m: int, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
-        out = np.zeros(m)
-        out[ids] = values
-        return out
-
     def _offline_match(self, graph: Graph, pool: np.ndarray) -> BMatching:
         """Offline subroutine on the sampled union (Algorithm 2, step 5)."""
         sub = graph.edge_subgraph(pool)
@@ -808,63 +528,6 @@ class DualPrimalMatchingSolver:
         else:
             sub_match = local_search_matching(sub)
         return BMatching(graph, pool[sub_match.edge_ids], sub_match.multiplicity)
-
-    def _inner_step(
-        self,
-        levels: LevelDecomposition,
-        dual: LayeredDual,
-        support: SupportVector,
-        pobox: "_PoBox",
-        wk: np.ndarray,
-        beta: float,
-        eps: float,
-        use_odd: bool,
-        ledger: ResourceLedger,
-    ) -> OracleDualStep | None:
-        """One packing-guided dual step; None when a witness fires.
-
-        Builds the packing multipliers over the Po box (one level block
-        at a time via the precomputed :class:`_PoBox` layout -- no
-        per-tick ``(n, L)`` temporaries), runs Lemma 10's Lagrangian
-        search around the MicroOracle, and returns the Inner solution.
-        """
-        n, L = pobox.shape
-        flat = pobox.flat_ratios(dual)
-        zmul = packing_multipliers(flat, pobox.rhs_flat, pobox.alpha_p)
-        zeta = np.zeros((n, L))
-        zeta[pobox.has_ik] = zmul
-
-        usc = float((support.values * wk[levels.level[support.edge_ids]]).sum())
-        qo_budget = float((zmul * pobox.rhs_flat).sum())
-        if usc <= 0 or qo_budget <= 0:
-            return OracleDualStep(dual=LayeredDual(levels), route="zero", gamma=0.0)
-
-        def micro(rho: float):
-            ledger.tick_oracle()
-            out = micro_oracle(
-                levels, support, zeta, beta, rho, eps=eps, odd_sets=use_odd
-            )
-            if isinstance(out, OracleWitness):
-                raise _WitnessFound(out)
-            return out
-
-        def po_of(step: OracleDualStep) -> float:
-            return float((zmul * pobox.flat_lhs(step.dual)).sum())
-
-        search = LagrangianSearch(
-            micro_oracle=micro,
-            po_of=po_of,
-            combine=_combine_steps,
-            qo_budget=qo_budget,
-            usc=usc,
-            eps=eps,
-        )
-        try:
-            outcome = search.run()
-        except _WitnessFound as wf:
-            return wf.witness
-        return outcome.x
-
 
     # ------------------------------------------------------------------
     # Batched solving
@@ -876,12 +539,11 @@ class DualPrimalMatchingSolver:
     ) -> list[MatchingResult]:
         """Solve a batch of instances in lockstep (see :mod:`repro.core.batch`).
 
-        Runs the same algorithm as :meth:`solve` for every instance --
-        same RNG streams, same control flow, pinned bit-identical
-        results -- but executes the elementwise array math of concurrent
-        inner steps on concatenated buffers, amortizing numpy dispatch
-        overhead across the batch.  See ``benchmarks/BENCH_solver.json``
-        for the measured per-instance speedup.
+        The same engine as :meth:`solve`, with every instance on its own
+        RNG stream and control flow; the elementwise array math of
+        concurrent inner steps executes on concatenated buffers,
+        amortizing numpy dispatch overhead across the batch (measured
+        per-instance speedup: ``benchmarks/BENCH_solver.json``).
 
         Parameters
         ----------
@@ -909,12 +571,7 @@ class DualPrimalMatchingSolver:
         Serving-layer callers (the :mod:`repro.service` micro-batcher,
         the facade's grouped ``run_many``) coalesce independent
         concurrent requests sharing this solver's config into a list of
-        :class:`~repro.core.batch.SolveRequest` and hand it here.  A
-        singleton group skips batch-layout assembly entirely and runs
-        the scalar reference path -- a request coalesced alone in a
-        quiet serving window must not pay concatenated-buffer setup --
-        which is safe because the engine is pinned bit-identical to
-        :meth:`solve`.
+        :class:`~repro.core.batch.SolveRequest` and hand it here.
 
         Returns
         -------
@@ -924,106 +581,14 @@ class DualPrimalMatchingSolver:
             value for value.
         """
         requests = list(requests)
-        if not requests:
-            return []
-        if len(requests) == 1:
-            req = requests[0]
-            cfg = (
-                self.config
-                if req.seed is None
-                else replace(self.config, seed=req.seed)
-            )
-            return [DualPrimalMatchingSolver(cfg).solve(req.graph)]
         return self.solve_many(
             [req.graph for req in requests],
             seeds=[req.seed for req in requests],
         )
 
 
-def solve_matching(graph: Graph, eps: float = 0.1, **kwargs) -> MatchingResult:
-    """One-call (1 - O(eps))-approximate weighted b-matching (Theorem 15).
-
-    Parameters
-    ----------
-    graph:
-        Weighted undirected instance (``repro.util.graph.Graph``);
-        ``graph.b`` holds the per-vertex capacities.
-    eps:
-        Target approximation parameter in ``(0, 1/2)``; the paper's
-        guarantee is ``1 - O(eps)`` at ``O(p / eps)`` sampling rounds
-        and ``O(n^{1+1/p})`` central space.
-    **kwargs:
-        Remaining :class:`SolverConfig` fields (``p``, ``seed``,
-        ``offline``, ``inner_steps``, ``faithful``, ...).
-
-    Returns
-    -------
-    MatchingResult
-        See :meth:`DualPrimalMatchingSolver.solve`; ``result.weight`` is
-        the matched weight and ``result.certified_ratio`` its verified
-        approximation guarantee.
-
-    Examples
-    --------
-    >>> import warnings
-    >>> from repro.util.graph import Graph
-    >>> g = Graph.from_edges(2, [(0, 1)], [7.0])
-    >>> with warnings.catch_warnings():
-    ...     warnings.simplefilter("ignore", DeprecationWarning)
-    ...     solve_matching(g, eps=0.2, seed=0).weight
-    7.0
-
-    .. deprecated::
-        Thin shim over ``repro.api.run(Problem(graph, config=...),
-        backend="offline")``; results are pinned bit-identical.  New
-        code should call the facade directly.
-    """
-    from repro.api import Problem, run
-
-    warn_legacy(
-        "repro.solve_matching",
-        'repro.api.run(Problem(graph, config=SolverConfig(...)), backend="offline")',
-    )
-    problem = Problem(graph, config=SolverConfig(eps=eps, **kwargs))
-    return run(problem, backend="offline").raw
-
-
-def solve_many(
-    graphs: list[Graph],
-    eps: float = 0.1,
-    seeds: list[int | None] | None = None,
-    **kwargs,
-) -> list[MatchingResult]:
-    """One-call batched solving: ``solve_matching`` over many instances.
-
-    Equivalent to ``[solve_matching(g, eps=eps, seed=seeds[i], **kwargs)
-    for i, g in enumerate(graphs)]`` but executed by the lockstep batch
-    engine -- identical results, much higher per-instance throughput at
-    batch sizes >= 8 (see ``docs/performance.md``).
-
-    .. deprecated::
-        Thin shim over ``repro.api.run_many``; the facade routes
-        homogeneous offline batches through the same lockstep engine.
-    """
-    from repro.api import Problem, run_many
-
-    warn_legacy(
-        "repro.solve_many",
-        'repro.api.run_many([Problem(g, config=...) for g in graphs], '
-        'backend="offline")',
-    )
-    if seeds is not None and len(seeds) != len(graphs):
-        raise ValueError("seeds must have one entry per graph")
-    base = SolverConfig(eps=eps, **kwargs)
-    problems = []
-    for i, g in enumerate(graphs):
-        seed = seeds[i] if seeds is not None and seeds[i] is not None else base.seed
-        problems.append(Problem(g, config=replace(base, seed=seed)))
-    return [r.raw for r in run_many(problems, backend="offline")]
-
-
 # ======================================================================
-# The lockstep batch engine
+# The lockstep engine
 # ======================================================================
 _PHASE_ROUND_START = "round_start"
 _PHASE_INNER = "inner"
@@ -1031,109 +596,17 @@ _PHASE_ROUND_END = "round_end"
 _PHASE_DONE = "done"
 
 
-class _LagState:
-    """Per-instance mirror of :class:`LagrangianSearch`'s control flow.
-
-    Stages: ``init`` (evaluating the Lemma 10 starting multiplier),
-    ``double`` (growing ``rho_hi`` until the Po budget holds),
-    ``bisect`` (narrowing ``[rho_lo, rho_hi]``), then done.  The engine
-    advances every searching instance one oracle evaluation per batched
-    call, so per-instance evaluation sequences match the reference.
-    """
-
-    __slots__ = (
-        "stage",
-        "cap",
-        "rho0",
-        "tol",
-        "rho_lo",
-        "rho_hi",
-        "rho_mid",
-        "x_lo",
-        "x_hi",
-        "po_lo",
-        "po_hi",
-        "pending_rho",
-        "invocations",
-        "outcome",
-    )
-
-    def __init__(self, usc: float, qo_budget: float, eps: float):
-        self.cap = (13.0 / 12.0) * qo_budget
-        self.rho0 = 12.0 * usc / (13.0 * qo_budget)
-        self.tol = self.rho0 * eps / 16.0
-        self.rho_lo = usc / (16.0 * qo_budget)
-        self.rho_hi = 0.0
-        self.rho_mid = 0.0
-        self.x_lo = None
-        self.x_hi = None
-        self.po_lo = 0.0
-        self.po_hi = 0.0
-        self.invocations = 0
-        self.outcome = None
-        self.stage = "init"
-        self.pending_rho = self.rho_lo
-
-    def advance(self, step: OracleDualStep, po: float, max_invocations: int = 80):
-        """Feed one oracle result; sets ``pending_rho`` or ``outcome``."""
-        self.invocations += 1
-        self.pending_rho = None
-        if self.stage == "init":
-            self.x_lo, self.po_lo = step, po
-            if po <= self.cap:
-                self.outcome = step
-                return
-            self.rho_hi = max(self.rho0, self.rho_lo * 2.0)
-            self.stage = "double"
-            self.pending_rho = self.rho_hi
-            return
-        if self.stage == "double":
-            self.x_hi, self.po_hi = step, po
-            if po > self.cap:
-                if self.invocations < max_invocations:
-                    self.rho_hi *= 2.0
-                    self.pending_rho = self.rho_hi
-                else:
-                    # degenerate; return the budget-respecting zero-equivalent
-                    self.outcome = step
-                return
-            self.stage = "bisect"
-            self._next_bisection(max_invocations)
-            return
-        # bisect
-        if po > self.cap:
-            self.rho_lo, self.x_lo, self.po_lo = self.rho_mid, step, po
-        else:
-            self.rho_hi, self.x_hi, self.po_hi = self.rho_mid, step, po
-        self._next_bisection(max_invocations)
-
-    def _next_bisection(self, max_invocations: int):
-        if self.rho_hi - self.rho_lo > self.tol and self.invocations < max_invocations:
-            self.rho_mid = 0.5 * (self.rho_lo + self.rho_hi)
-            self.pending_rho = self.rho_mid
-            return
-        up1, up2 = self.po_lo, self.po_hi
-        denom = up1 - up2
-        if denom <= 1e-15:
-            s1 = 0.0
-        else:
-            s1 = (self.cap - up2) / denom
-        s1 = min(max(s1, 0.0), 1.0)
-        s2 = 1.0 - s1
-        self.outcome = _combine_steps(self.x_lo, self.x_hi, s1, s2)
-
-
 class _InstanceState:
     """Everything one instance carries between lockstep ticks."""
 
     __slots__ = (
-        "i",
+        "pos",
         "slot",
         "graph",
         "levels",
+        "chunked",
         "rng",
         "ledger",
-        "live",
         "m_live",
         "gamma_chain",
         "chain_count",
@@ -1143,7 +616,6 @@ class _InstanceState:
         "inner_budget",
         "alpha_p",
         "hik_local",
-        "hik_count",
         "dual",
         "best",
         "beta",
@@ -1168,15 +640,21 @@ class _InstanceState:
 
 
 class _BatchEngine:
-    """Lockstep executor behind :meth:`DualPrimalMatchingSolver.solve_many`.
+    """The solver's round loop, run in lockstep over one or more instances.
 
-    Every instance is an independent little state machine replaying the
-    reference :meth:`~DualPrimalMatchingSolver.solve` loop (round setup,
-    offline harvest and certification stay per-instance -- they carry
-    the RNG stream and the networkx subroutines); what is batched is the
-    hot inner path: stored-edge multipliers, packing multipliers,
-    Algorithm 5 evaluations (via :class:`~repro.core.micro_oracle.
+    Every instance is an independent little state machine stepping
+    through the loop of the module docstring (round setup, offline
+    harvest and certification stay per-instance -- they carry the RNG
+    stream and the networkx subroutines); what is batched is the hot
+    inner path: stored-edge multipliers, packing multipliers, Algorithm
+    5 evaluations (via :class:`~repro.core.micro_oracle.
     BatchMicroContext`), the covering blend and the ``lambda`` scans.
+
+    An unmaterialized file-backed graph (``graph.is_materialized`` is
+    False) keeps no edge-length array in the engine: its ``lambda`` and
+    step widths come from the chunked :meth:`LayeredDual.lambda_min` /
+    :meth:`LayeredDual.live_ratio_max` scans instead of the batch's
+    live-edge gathers.
     """
 
     def __init__(
@@ -1184,37 +662,21 @@ class _BatchEngine:
         solver: DualPrimalMatchingSolver,
         graphs: list[Graph],
         seeds: list[int | None] | None,
+        warm_starts: list[WarmStart | None] | None = None,
     ):
-        from repro.core.batch import GraphBatch
-
         self.solver = solver
         cfg = solver.config
         self.eps = cfg.eps
         self.results: list[MatchingResult | None] = [None] * len(graphs)
-        self.index_map: list[int] = []  # batch position -> caller position
-        nonempty: list[Graph] = []
+        self.states: list[_InstanceState] = []
         for pos, g in enumerate(graphs):
             if g.m == 0:
                 self.results[pos] = _empty_result(g, ResourceLedger())
-            else:
-                self.index_map.append(pos)
-                nonempty.append(g)
-        if not nonempty:
-            self.states = []
-            return
-        levels = [discretize(g, cfg.eps) for g in nonempty]
-
-        def seed_of(pos: int):
-            # a None entry (or no seeds list) falls back to config.seed,
-            # matching what solve() would use for that instance
-            if seeds is not None and seeds[pos] is not None:
-                return seeds[pos]
-            return cfg.seed
-
-        self.states = [
-            self._init_state(i, nonempty[i], levels[i], seed_of(self.index_map[i]))
-            for i in range(len(nonempty))
-        ]
+                continue
+            # a None entry (or no seeds list) falls back to config.seed
+            seed = seeds[pos] if seeds is not None and seeds[pos] is not None else cfg.seed
+            warm = warm_starts[pos] if warm_starts is not None else None
+            self.states.append(self._init_state(pos, g, seed, warm))
         self.batch = None  # the *active* sub-batch, rebuilt on membership change
         self.dualb = None
         self.members: list[_InstanceState] = []
@@ -1235,8 +697,6 @@ class _BatchEngine:
         to noise.  Values are untouched: the plane contents are copied
         verbatim and every view keeps its (n_i, L_i) contiguous layout.
         """
-        from repro.core.batch import DualBatch, GraphBatch
-
         self.members = [st for st in self.states if st.phase != _PHASE_DONE]
         self._members_stale = False
         self._layout_stale = True
@@ -1278,19 +738,21 @@ class _BatchEngine:
         self._active_flags = np.zeros(b.size, dtype=np.uint8)
 
     # ------------------------------------------------------------------
-    def _init_state(self, i: int, graph: Graph, levels, seed) -> _InstanceState:
-        """Replicates the pre-loop section of :meth:`solve` for instance i."""
+    def _init_state(
+        self, pos: int, graph: Graph, seed, warm: WarmStart | None
+    ) -> _InstanceState:
+        """The pre-loop section of a solve for the instance at ``pos``."""
         cfg = self.solver.config
         eps = self.eps
         st = _InstanceState()
-        st.i = i
+        st.pos = pos
         st.slot = -1
         st.graph = graph
-        st.levels = levels
+        st.levels = levels = discretize(graph, eps)
+        st.chunked = getattr(graph, "is_materialized", True) is False
         st.rng = make_rng(seed)
         st.ledger = ResourceLedger()
 
-        st.live = levels.live_edges()
         st.gamma_chain = max(np.e, graph.n ** (1.0 / (2.0 * cfg.p)))
         chain_count = cfg.chain_count
         if chain_count is None:
@@ -1302,6 +764,7 @@ class _BatchEngine:
         )
         st.target_gap = cfg.target_gap if cfg.target_gap is not None else eps
 
+        # --- initial solution (Lemmas 12/20/21): one O(p)-round block ---
         init = build_initial_solution(
             levels, p=cfg.p, seed=st.rng, ledger=st.ledger, sampled=False
         )
@@ -1313,15 +776,21 @@ class _BatchEngine:
             DualPrimalMatchingSolver._rescaled_value(levels, st.best),
             1e-12,
         )
+        st.history = []
+        st.rounds = 0
+        st.chain = None
+        st.result = None
+        st.phase = _PHASE_ROUND_START
+        if warm is not None and self._warm_fast_path(st, warm):
+            return st
 
+        # Po rows that exist: (i, k) with a live level-k edge at i
         has_ik = DualPrimalMatchingSolver._incidence_mask(levels)
         st.hik_local = np.flatnonzero(has_ik.ravel())
-        st.hik_count = int(has_ik.sum())
         delta = eps / 6.0
-        st.alpha_p = 2.0 * np.log(max(st.hik_count, 2) / delta) / delta
+        st.alpha_p = 2.0 * np.log(max(st.hik_local.size, 2) / delta) / delta
 
-        st.m_live = max(2, len(st.live))
-        st.rounds = 0
+        st.m_live = max(2, int(np.count_nonzero(levels.level >= 0)))
         st.lam = 0.0
         st.lam_t = 0.0
         st.alpha = 0.0
@@ -1332,11 +801,65 @@ class _BatchEngine:
                 int(np.ceil(2.0 * np.log(st.m_live / eps) / eps**2)),
             )
         st.inner_budget = inner_budget
-        st.history = []
-        st.phase = _PHASE_ROUND_START
-        st.chain = None
-        st.result = None
         return st
+
+    def _warm_fast_path(self, st: _InstanceState, warm: WarmStart) -> bool:
+        """Fold a :class:`WarmStart` into the instance; finish it if it certifies.
+
+        Lifts the previous duals into a *copy* of the initial dual and
+        certifies -- as-is and with the cover patch (edges the edit burst
+        left uncovered get both endpoints raised to 0.5 ŵ_k;
+        box-feasible, so the patched point is admissible and its
+        verified bound only pays the handful of touched vertices).  If
+        either certificate proves the folded-and-greedily-completed
+        incumbent within the target, the burst was absorbed with zero
+        sampling rounds: the instance is finished and True returned.  On
+        a miss the solve proceeds from the *cold* initial dual (the
+        saturated warm point is a dead end for the covering dynamics)
+        keeping only the stronger primal incumbent.
+        """
+        solver = DualPrimalMatchingSolver
+        graph, levels = st.graph, st.levels
+        folded = solver._greedy_complete(graph, warm.fold_matching(graph))
+        # 2-opt repair (b = 1 only -- for general b the local search
+        # ignores its seed and would just redo the greedy sweep): an
+        # edit burst's heavy inserts land on saturated vertices, where
+        # completion cannot reach them but a swap can -- exactly the
+        # weight the patched bound charges
+        if bool(np.all(graph.b == 1)):
+            swapped = local_search_matching(graph, rounds=2, seed_matching=folded)
+            if swapped.weight() > folded.weight():
+                folded = swapped
+        if folded.weight() > st.best.weight():
+            st.best = folded
+        st.beta = max(st.beta, solver._rescaled_value(levels, st.best))
+        gap = warm.accept_gap if warm.accept_gap is not None else st.target_gap
+        warm_dual = st.dual.copy()
+        solver._apply_warm_start(levels, warm_dual, warm)
+        cert0 = certify(warm_dual)
+        patched = warm_dual.copy()
+        solver._cover_patch(levels, patched)
+        cert1 = certify(patched)
+        chosen = patched if cert1.upper_bound < cert0.upper_bound else warm_dual
+        cert = cert1 if cert1.upper_bound < cert0.upper_bound else cert0
+        if cert.certified_ratio(st.best.weight()) < 1.0 - gap:
+            return False
+        # carry the UNPATCHED point forward (certify(warm_dual) already
+        # collapsed it into cert0): the patch is a per-query shim for
+        # whatever is currently uncovered; folding it into the next
+        # generation's warm state would accrete residue for long-deleted
+        # edges and sink every descendant's certified ratio
+        st.result = MatchingResult(
+            matching=st.best,
+            certificate=replace(cert, dual_x=cert0.dual_x, dual_z=cert0.dual_z),
+            rounds=0,
+            lambda_min=chosen.lambda_min(),
+            beta_final=st.beta,
+            history=[],
+            resources=st.ledger.snapshot(),
+        )
+        st.phase = _PHASE_DONE
+        return True
 
     # ------------------------------------------------------------------
     def run(self) -> list[MatchingResult]:
@@ -1358,25 +881,24 @@ class _BatchEngine:
                 self._rebuild_members()
             self._inner_tick(active)
         for st in self.states:
-            self.results[self.index_map[st.i]] = st.result
+            self.results[st.pos] = st.result
         return self.results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     def _round_start(self, st: _InstanceState) -> None:
-        cfg = self.solver.config
         eps = self.eps
         if st.rounds >= st.round_cap:
             self._finalize(st)
             return
         st.rounds += 1
+        # ---- multipliers u on all live edges (Corollary 6) ----
         st.lam = st.dual.lambda_min()
         st.lam_t = max(st.lam, eps / 512.0)
         st.alpha = 2.0 * np.log(st.m_live / eps) / (st.lam_t * eps)
-        u = DualPrimalMatchingSolver._multipliers(st.levels, st.dual, st.live, st.alpha)
+        promise = self.solver._round_promise(st.levels, st.dual, st.alpha, st.lam)
         st.ledger.tick_sampling_round("deferred sparsifier chain")
 
-        promise = np.zeros(st.graph.m)
-        promise[st.live] = u
+        # ---- deferred chain: one data access ----
         st.chain = self.solver._build_chain(
             st.graph,
             promise,
@@ -1387,6 +909,7 @@ class _BatchEngine:
             ledger=st.ledger,
         )
 
+        # ---- primal harvest (Algorithm 2, step 5) ----
         pool = np.union1d(st.chain.union_edge_ids(), st.best.edge_ids)
         candidate = self.solver._offline_match(st.graph, pool)
         if candidate.weight() > st.best.weight():
@@ -1482,9 +1005,6 @@ class _BatchEngine:
         range(per_sparsifier)`` loop for each instance, with the array
         math batched (see :mod:`repro.core.batch` for the parity rules).
         """
-        from repro.core.batch import StoredBatchLayout, z_cover_add
-        from repro.core.micro_oracle import BatchMicroContext
-
         cfg = self.solver.config
         eps = self.eps
         b = self.batch
@@ -1563,7 +1083,7 @@ class _BatchEngine:
                     dual=LayeredDual(st.levels), route="zero", gamma=0.0
                 )
             else:
-                st.lag = _LagState(usc, qo, eps)
+                st.lag = LagrangianState(_combine_steps, qo, usc, eps)
                 searchers.append(st)
 
         # ---- Lemma 10 searches in lockstep, batched Algorithm 5 ----
@@ -1632,18 +1152,24 @@ class _BatchEngine:
             return
 
         # ---- effective width, covering blend, lambda (batched) ----
+        # Theorem 5 only needs 0 <= A x̃ <= rho c for the step taken, so
+        # each step's own live-ratio max sets its width
         other = b.zeros_vl()
         for st, step in blended:
             b.vl_view(other, st.slot)[:] = step.dual.x
-        part_idx = [st.slot for st, _ in blended]
-        step_z = {st.slot: step.dual.z for st, step in blended}
-        cov_s = self.dualb.cover_live(
-            part_idx, x_buf=other, z_of=lambda s: step_z.get(s, {})
-        )
-        rho_max = _k_seg_ratio_max(cov_s, b.live_wk, b.live_off, part_idx)
+        gathered = [st.slot for st, _ in blended if not st.chunked]
+        rho_max = {}
+        if gathered:
+            step_z = {st.slot: step.dual.z for st, step in blended}
+            cov_s = self.dualb.cover_live(
+                gathered, x_buf=other, z_of=lambda s: step_z.get(s, {})
+            )
+            seg_max = _k_seg_ratio_max(cov_s, b.live_wk, b.live_off, gathered)
+            rho_max = dict(zip(gathered, seg_max))
 
         sigmas = np.zeros(B)
-        for (st, step), rmx in zip(blended, rho_max):
+        for st, step in blended:
+            rmx = step.dual.live_ratio_max() if st.chunked else rho_max[st.slot]
             rho_step = max(PENALTY_WIDTH_BOUND, float(rmx))
             sigmas[st.slot] = min(
                 0.5, cfg.step_scale * eps / (4.0 * st.alpha * rho_step)
@@ -1653,9 +1179,9 @@ class _BatchEngine:
             if st.dual.z or step.dual.z:
                 self._blend_z(st, step.dual.z, float(sigmas[st.slot]))
 
-        lams = self.dualb.lambda_min(part_idx)
-        for (st, step), lam in zip(blended, lams):
-            st.lam = float(lam)
+        lams = dict(zip(gathered, self.dualb.lambda_min(gathered))) if gathered else {}
+        for st, step in blended:
+            st.lam = st.dual.lambda_min() if st.chunked else float(lams[st.slot])
             if st.lam >= 2.0 * st.lam_t and st.lam < 1.0 - 3.0 * eps:
                 # phase boundary (Theorem 5): refresh alpha
                 st.lam_t = max(st.lam, eps / 512.0)

@@ -91,27 +91,14 @@ class OracleWitness:
     lp7_value: float
 
 
-def _vertex_level_mass(
-    levels: LevelDecomposition, support: SupportVector
-) -> np.ndarray:
-    """``s[i, k] = sum_{j : (i,j) in support, level k} us_ij`` (n x L)."""
-    g = levels.graph
-    n, L = g.n, levels.num_levels
-    ids = support.edge_ids
-    k = levels.level[ids] % L  # negative (dropped) levels wrap as add.at did
-    vals = np.ascontiguousarray(support.values, dtype=np.float64)
-    flat = _k_dual_scatter(g.src[ids] * L + k, g.dst[ids] * L + k, vals, n * L)
-    return flat.reshape(n, L)
-
-
 class _ScalarOracleLayout:
     """One-instance batch layout driving the fused Algorithm 5 kernel.
 
     :func:`micro_oracle` and :meth:`BatchMicroContext.evaluate` share
-    one dispatched ``oracle_eval`` kernel; the scalar path wraps its
-    ``(n, L)`` instance as a batch of size one.  Cached on the
-    ``LevelDecomposition`` (rebuilt if the shape changes) since every
-    inner step of a solve reuses it, scratch included.
+    one dispatched ``oracle_eval`` kernel; the single-instance reference
+    wraps its ``(n, L)`` instance as a batch of size one.  Cached on the
+    ``LevelDecomposition`` (rebuilt if the shape changes) so repeated
+    calls on one instance reuse it, scratch included.
     """
 
     def __init__(self, levels: LevelDecomposition):
@@ -262,7 +249,8 @@ def _oddset_witness_stage(
 ) -> OracleDualStep | OracleWitness:
     """Steps 11-21 of Algorithm 5: odd-set route, else LP7 witness.
 
-    Shared tail of the scalar and batched oracles: the batched engine
+    Shared tail of :func:`micro_oracle` and :class:`BatchMicroContext`:
+    the engine
     reaches this stage rarely (most evaluations resolve through the
     vertex or zero route), so it runs per instance on views of the
     batch buffers -- the same code, hence bit-identical outcomes.
@@ -361,9 +349,8 @@ def _oddset_witness_stage(
 class BatchMicroContext:
     """Per-inner-step context for batched Algorithm 5 evaluations.
 
-    One context is built per lockstep inner step of
-    :meth:`~repro.core.matching_solver.DualPrimalMatchingSolver.
-    solve_many`: the quantities that are constant across a Lagrangian
+    One context is built per lockstep inner step of the solver engine
+    (every ``solve`` and ``solve_many``): the quantities that are constant across a Lagrangian
     search -- the support scatter ``s``, the per-level support mass and
     ``zeta``'s column sums -- are computed once, and each
     :meth:`evaluate` call runs the per-``rho`` remainder of Algorithm 5
@@ -380,8 +367,9 @@ class BatchMicroContext:
     same-``L`` instances, whose stacked ``(rows, L)`` views scan each
     row independently and identically.  The odd-set and witness stages
     (rarely reached) call the *same* :func:`_oddset_witness_stage`
-    helper as the scalar oracle, per instance, on views of the batch
-    buffers.
+    helper as :func:`micro_oracle`, per instance, on views of the batch
+    buffers.  ``tests/test_core_micro_oracle.py`` pins a batch of one
+    against :func:`micro_oracle` on every route.
     """
 
     def __init__(
@@ -413,7 +401,7 @@ class BatchMicroContext:
         self.eps = eps
 
         # s[i, k] scatter: all src contributions first, then all dst, as
-        # in _vertex_level_mass (the dispatched kernel keeps that order).
+        # in micro_oracle (the dispatched kernel keeps that order).
         # The VL-sized scratch is cached on the batch: the previous
         # tick's context (the only holder of the returned buffer) is
         # dead by the time the next one is built.

@@ -89,8 +89,8 @@ class LayeredDual:
     a level -- to a nonnegative penalty.
 
     Storage is *level-blocked*: internally the table lives transposed as
-    ``_xb`` with shape ``(L, n)`` so that :meth:`x_block` hands out the
-    level-``k`` slice as one row and the blockwise reductions
+    ``_xb`` with shape ``(L, n)`` so that the level-``k`` slice is one
+    contiguous row and the blockwise reductions
     (:meth:`lambda_min`, :meth:`vertex_costs`, :meth:`po_ratio`, ...)
     touch one ``O(n)`` block at a time instead of materializing
     ``(n, L)`` or ``O(m)`` temporaries.  The :attr:`x` property exposes
@@ -134,10 +134,6 @@ class LayeredDual:
         if xa.shape != (n, L):
             raise ValueError(f"x must be shape {(n, L)}")
         self._xb = xa.T
-
-    def x_block(self, k: int) -> np.ndarray:
-        """Level-``k`` block ``x_.(k)`` as an ``(n,)`` view (writes through)."""
-        return self._xb[k]
 
     @classmethod
     def _wrap(cls, levels: LevelDecomposition, x: np.ndarray) -> "LayeredDual":

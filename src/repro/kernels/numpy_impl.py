@@ -275,8 +275,8 @@ def dual_scatter(src: np.ndarray, dst: np.ndarray, vals: np.ndarray, size: int,
     """Scatter-add ``vals`` at ``src`` then at ``dst`` into a fresh buffer.
 
     All src contributions accumulate first, then all dst, sequentially
-    in element order -- the accumulation order of both ``np.add.at`` in
-    ``_vertex_level_mass`` and ``np.bincount`` over the concatenation.
+    in element order -- the accumulation order of two sequential
+    ``np.add.at`` calls and of ``np.bincount`` over the concatenation.
 
     ``out`` is an optional reusable scratch buffer of ``size`` float64
     entries; backends *may* write the result there instead of

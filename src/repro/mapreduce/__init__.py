@@ -7,11 +7,7 @@ from repro.mapreduce.accounting import (
     message_size_budget,
     rounds_budget,
 )
-from repro.mapreduce.clique_sim import (
-    CongestedClique,
-    MessageBudgetExceeded,
-    clique_spanning_forest,
-)
+from repro.mapreduce.clique_sim import CongestedClique, MessageBudgetExceeded
 from repro.mapreduce.congested_clique import CongestedCliqueReport, congested_clique_view
 from repro.mapreduce.engine import (
     MapReduceEngine,
@@ -19,7 +15,7 @@ from repro.mapreduce.engine import (
     ReducerMemoryExceeded,
     value_words,
 )
-from repro.mapreduce.jobs import mapreduce_spanning_forest, mapreduce_vertex_sketches
+from repro.mapreduce.jobs import mapreduce_vertex_sketches
 
 __all__ = [
     "MapReduceEngine",
@@ -27,7 +23,6 @@ __all__ = [
     "ReducerMemoryExceeded",
     "value_words",
     "mapreduce_vertex_sketches",
-    "mapreduce_spanning_forest",
     "CongestedCliqueReport",
     "congested_clique_view",
     "ResourceModel",
@@ -37,5 +32,4 @@ __all__ = [
     "rounds_budget",
     "CongestedClique",
     "MessageBudgetExceeded",
-    "clique_spanning_forest",
 ]

@@ -12,7 +12,7 @@ protocol that claims to fit in ``O(n^{1/p})``-word messages is held to
 a concrete number, exactly like the MapReduce engine holds reducers to
 their memory budget.
 
-:func:`clique_spanning_forest` is the canonical protocol: every vertex
+:func:`clique_spanning_forest_impl` is the canonical protocol: every vertex
 sketches its own incidence list locally (vertices know their incident
 edges in this model), ships the ``O(polylog)``-word sketches to a
 leader across ``ceil(sketch_words / budget)`` rounds, and the leader
@@ -37,7 +37,6 @@ from repro.util.rng import make_rng, spawn
 __all__ = [
     "CongestedClique",
     "MessageBudgetExceeded",
-    "clique_spanning_forest",
     "clique_spanning_forest_impl",
 ]
 
@@ -108,38 +107,6 @@ class CongestedClique:
     def inbox(self, v: int) -> list[Any]:
         """Peek at a vertex's pending inbox (for protocol epilogues)."""
         return self._inboxes[v]
-
-
-def clique_spanning_forest(
-    graph: Graph,
-    message_budget: int | None = None,
-    seed: int | np.random.Generator | None = None,
-    leader: int = 0,
-) -> tuple[list[tuple[int, int]], CongestedClique]:
-    """Spanning forest in the congested clique via sketch shipping.
-
-    .. deprecated::
-        Thin shim over ``repro.api.run(problem,
-        backend="congested_clique")``; results are pinned bit-identical
-        (the simulator is returned in ``RunResult.extras['clique']``).
-    """
-    from repro.api import ModelBudgets, Problem, run
-    from repro.util.deprecation import warn_legacy
-
-    warn_legacy(
-        "repro.mapreduce.clique_spanning_forest",
-        'repro.api.run(Problem(graph, task="spanning_forest", '
-        'budgets=ModelBudgets(clique_message_words=...)), '
-        'backend="congested_clique")',
-    )
-    problem = Problem(
-        graph,
-        task="spanning_forest",
-        budgets=ModelBudgets(clique_message_words=message_budget),
-        options={"seed": seed, "leader": leader},
-    )
-    result = run(problem, backend="congested_clique")
-    return result.forest, result.extras["clique"]
 
 
 def clique_spanning_forest_impl(

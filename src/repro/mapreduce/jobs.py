@@ -12,7 +12,7 @@ The two-round sketch pipeline:
 
 :func:`mapreduce_vertex_sketches` wires this into
 :class:`~repro.mapreduce.engine.MapReduceEngine`;
-:func:`mapreduce_spanning_forest` finishes with Boruvka over the merged
+:func:`mapreduce_spanning_forest_impl` finishes with Boruvka over the merged
 sketches, demonstrating the "compute in 1 round, use in O(log n) steps"
 deferral the paper highlights.
 """
@@ -30,7 +30,6 @@ from repro.util.rng import make_rng, spawn
 
 __all__ = [
     "mapreduce_vertex_sketches",
-    "mapreduce_spanning_forest",
     "mapreduce_spanning_forest_impl",
 ]
 
@@ -84,34 +83,6 @@ def mapreduce_vertex_sketches(
     round2 = MapReduceJob(mapper=mapper2, reducer=reducer2, name="sketch-collect")
     (central,) = engine.run_round(round2, vertex_sketches)
     return central
-
-
-def mapreduce_spanning_forest(
-    engine: MapReduceEngine,
-    graph: Graph,
-    seed: int | np.random.Generator | None = None,
-) -> list[tuple[int, int]]:
-    """Spanning forest: 2 MR rounds of sketching + central Boruvka.
-
-    .. deprecated::
-        Thin shim over ``repro.api.run(problem, backend="mapreduce")``
-        (the engine travels via ``options['engine']``); results are
-        pinned bit-identical.
-    """
-    from repro.api import Problem, run
-    from repro.util.deprecation import warn_legacy
-
-    warn_legacy(
-        "repro.mapreduce.mapreduce_spanning_forest",
-        'repro.api.run(Problem(graph, task="spanning_forest", '
-        'budgets=ModelBudgets(reducer_memory_words=...)), backend="mapreduce")',
-    )
-    problem = Problem(
-        graph,
-        task="spanning_forest",
-        options={"engine": engine, "seed": seed},
-    )
-    return run(problem, backend="mapreduce").forest
 
 
 def mapreduce_spanning_forest_impl(

@@ -5,7 +5,6 @@ from repro.matching.bmatching import (
     bmatching_local_search,
     capacitated_bmatching_greedy,
     round_fractional_bmatching,
-    solve_bmatching_many,
 )
 from repro.matching.exact import (
     enumerate_odd_sets,
@@ -38,7 +37,6 @@ __all__ = [
     "bmatching_local_search",
     "capacitated_bmatching_greedy",
     "round_fractional_bmatching",
-    "solve_bmatching_many",
     "max_weight_matching_exact",
     "max_weight_bmatching_exact",
     "fractional_matching_lp",

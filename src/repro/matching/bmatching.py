@@ -14,10 +14,6 @@ three more tools are needed across the experiments and the offline step:
   greedy seed, then profitable single-edge reallocation moves (shift one
   unit of multiplicity from a lighter edge to a heavier conflicting
   edge) until fixpoint.  The b-generalisation of the 2-opt pass.
-* :func:`solve_bmatching_many` -- batched (1-eps)-approximate solving of
-  many independent b-matching instances through the lockstep engine of
-  :mod:`repro.core.batch`; the matching-layer entry point for services
-  that pull instances off a queue.
 """
 
 from __future__ import annotations
@@ -32,47 +28,7 @@ __all__ = [
     "capacitated_bmatching_greedy",
     "round_fractional_bmatching",
     "bmatching_local_search",
-    "solve_bmatching_many",
 ]
-
-
-def solve_bmatching_many(
-    graphs: list[Graph],
-    eps: float = 0.1,
-    seeds: list[int | None] | None = None,
-    **solver_kwargs,
-) -> list[BMatching]:
-    """Solve many independent b-matching instances in one batched run.
-
-    Thin matching-layer wrapper over :func:`repro.core.matching_solver.
-    solve_many` that returns just the integral matchings (use the core
-    entry point when the dual certificates or resource ledgers are
-    needed).  Results are identical to solving each instance alone with
-    the same seed; per-instance throughput at batch >= 32 is several
-    times higher (``benchmarks/BENCH_solver.json``).
-
-    Parameters
-    ----------
-    graphs:
-        Instances to solve; heterogeneous sizes/weights/capacities are
-        fine (the engine keeps a ragged layout).
-    eps:
-        Target approximation parameter (Theorem 15: ``1 - O(eps)``).
-    seeds:
-        Optional per-instance seed overrides.
-    solver_kwargs:
-        Forwarded to :class:`~repro.core.matching_solver.SolverConfig`.
-
-    Returns
-    -------
-    list[BMatching]
-        ``out[i]`` is the matching for ``graphs[i]``.
-    """
-    from repro.core.matching_solver import DualPrimalMatchingSolver, SolverConfig
-
-    solver = DualPrimalMatchingSolver(SolverConfig(eps=eps, **solver_kwargs))
-    results = solver.solve_many(graphs, seeds=seeds)
-    return [r.matching for r in results]
 
 
 def capacitated_bmatching_greedy(graph: Graph) -> BMatching:

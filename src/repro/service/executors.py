@@ -20,9 +20,8 @@ GIL for CPU-bound solves.
 The contract every implementation must honor (pinned by the parity
 batteries in ``tests/test_service.py`` / ``tests/test_server_procpool.
 py``): ``run_group(backend, problems)`` returns exactly what
-``get_backend(backend).run_many(problems)`` (or ``.run`` for a
-singleton) would return in process -- same matchings, certificates,
-ledgers, digests.
+``get_backend(backend).run_many(problems)`` would return in process --
+same matchings, certificates, ledgers, digests.
 """
 
 from __future__ import annotations
@@ -59,6 +58,4 @@ class LocalExecutor(GroupExecutor):
     def run_group(self, backend: str, problems: list) -> list[RunResult]:
         be = get_backend(backend)
         with obs.span("worker_compute", backend=backend, problems=len(problems)):
-            if len(problems) == 1:
-                return [be.run(problems[0])]
             return be.run_many(problems)

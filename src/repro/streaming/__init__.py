@@ -10,7 +10,6 @@ from repro.streaming.streaming_matching import (
     SemiStreamingMatchingSolver,
     StreamingDeferredChain,
     StreamingDeferredSparsifier,
-    streaming_solve_matching,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "SemiStreamingMatchingSolver",
     "StreamingDeferredChain",
     "StreamingDeferredSparsifier",
-    "streaming_solve_matching",
 ]

@@ -37,7 +37,6 @@ __all__ = [
     "StreamingDeferredSparsifier",
     "StreamingDeferredChain",
     "SemiStreamingMatchingSolver",
-    "streaming_solve_matching",
 ]
 
 
@@ -385,22 +384,3 @@ class SemiStreamingMatchingSolver(DualPrimalMatchingSolver):
         if getattr(levels.graph, "is_materialized", True) is False:
             return _ChunkPromise(levels, dual, alpha, lam)
         return super()._round_promise(levels, dual, alpha, lam)
-
-
-def streaming_solve_matching(graph: Graph, eps: float = 0.1, **kwargs):
-    """One-call semi-streaming (1-eps)-approximate b-matching.
-
-    .. deprecated::
-        Thin shim over ``repro.api.run(Problem(graph, config=...),
-        backend="semi_streaming")``; results are pinned bit-identical.
-    """
-    from repro.api import Problem, run
-    from repro.util.deprecation import warn_legacy
-
-    warn_legacy(
-        "repro.streaming.streaming_solve_matching",
-        'repro.api.run(Problem(graph, config=SolverConfig(...)), '
-        'backend="semi_streaming")',
-    )
-    problem = Problem(graph, config=SolverConfig(eps=eps, **kwargs))
-    return run(problem, backend="semi_streaming").raw

@@ -1,10 +1,9 @@
 """Facade parity battery + registry error paths (``repro.api``).
 
 The contract under test: ``run(problem, backend=...)`` is *exact-equal*
-to the corresponding legacy entry point for every model and every
+to the implementation each backend wraps, for every model and every
 baseline -- same seeds give the same matchings, certificates and
-ledgers -- and the legacy entry points themselves are deprecation shims
-that stay warning-clean except for their own notice.
+ledgers -- and the facade stays warning-clean.
 """
 
 from __future__ import annotations
@@ -214,144 +213,24 @@ class TestBaselineParity:
         assert facade.ledger.edges_streamed == instance.m
         assert facade.ledger.peak_central_space == ledger.central_space.peak > 0
 
-
-# ======================================================================
-# Legacy shims: bit-identical, warning-clean but for their own notice
-# ======================================================================
-class TestLegacyShims:
-    def test_shims_importable_without_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            import importlib
-
-            import repro
-            import repro.baselines as b
-            import repro.mapreduce as mr
-            import repro.streaming as strm
-
-            importlib.reload(b)
-            assert callable(repro.solve_matching)
-            assert callable(strm.streaming_solve_matching)
-            assert callable(mr.clique_spanning_forest)
-            assert callable(b.auction_matching)
-
-    def test_solve_matching_shim(self, instance):
-        from repro import solve_matching
-
-        with pytest.deprecated_call():
-            legacy = solve_matching(instance, seed=7, **FAST)
-        facade = run(
-            Problem(instance, config=SolverConfig(seed=7, **FAST)),
-            backend="offline",
-        )
-        assert_results_equal(legacy, facade.raw)
-
-    def test_solve_many_shim(self, instance):
-        from repro import solve_many
-
-        graphs = [instance, gnm_graph(10, 20, seed=3)]
-        with pytest.deprecated_call():
-            legacy = solve_many(graphs, seeds=[1, 2], **FAST)
-        problems = [
-            Problem(g, config=SolverConfig(seed=s, **FAST))
-            for g, s in zip(graphs, [1, 2])
-        ]
-        facade = run_many(problems, backend="offline")
-        for lres, fres in zip(legacy, facade):
-            assert_results_equal(lres, fres.raw)
-
-    def test_streaming_shim(self, instance):
-        from repro.streaming import streaming_solve_matching
-
-        with pytest.deprecated_call():
-            legacy = streaming_solve_matching(instance, seed=8, **FAST)
-        facade = run(
-            Problem(instance, config=SolverConfig(seed=8, **FAST)),
-            backend="semi_streaming",
-        )
-        assert_results_equal(legacy, facade.raw)
-
-    def test_forest_shims(self, instance):
-        from repro.mapreduce import clique_spanning_forest, mapreduce_spanning_forest
-
-        with pytest.deprecated_call():
-            forest, clique = clique_spanning_forest(instance, seed=4)
-        ref = run(
-            Problem(instance, task="spanning_forest", config=SolverConfig(seed=4)),
-            backend="congested_clique",
-        )
-        assert forest == ref.forest and clique.rounds == ref.ledger.rounds
-
-        engine = MapReduceEngine()
-        with pytest.deprecated_call():
-            forest = mapreduce_spanning_forest(engine, instance, seed=4)
-        ref = run(
-            Problem(instance, task="spanning_forest", config=SolverConfig(seed=4)),
-            backend="mapreduce",
-        )
-        assert forest == ref.forest
-
-    def test_baseline_shims(self, instance, bipartite_instance):
-        from repro.baselines import (
-            auction_matching,
-            lattanzi_weighted,
-            mcgregor_matching,
-            one_pass_weighted_matching,
-        )
-
-        pairs = [
-            (
-                lambda: auction_matching(bipartite_instance, eps=0.2),
-                run(
-                    Problem(bipartite_instance, options={"eps": 0.2}),
-                    backend="baseline:auction",
-                ),
-            ),
-            (
-                lambda: mcgregor_matching(instance, eps=0.25, seed=5),
-                run(
-                    Problem(
-                        instance,
-                        config=SolverConfig(seed=5),
-                        options={"eps": 0.25},
-                    ),
-                    backend="baseline:mcgregor",
-                ),
-            ),
-            (
-                lambda: lattanzi_weighted(instance, p=2.0, seed=6),
-                run(
-                    Problem(instance, config=SolverConfig(p=2.0, seed=6)),
-                    backend="baseline:lattanzi",
-                ),
-            ),
-            (
-                lambda: one_pass_weighted_matching(instance, gamma=0.5),
-                run(
-                    Problem(instance, options={"gamma": 0.5}),
-                    backend="baseline:one_pass",
-                ),
-            ),
-        ]
-        for legacy_call, facade in pairs:
-            with pytest.deprecated_call():
-                legacy = legacy_call()
-            assert_matchings_equal(legacy, facade.matching)
-
-    def test_lattanzi_shim_accepts_legacy_p_domain(self, instance):
-        """The legacy surface accepted any p the sampling core does
-        (incl. p <= 1); the shim must not funnel p through
-        SolverConfig's stricter p > 1 solver validation."""
-        from repro.baselines import lattanzi_unweighted, lattanzi_weighted
+    def test_lattanzi_options_p_outside_solver_domain(self, instance):
+        """``options['p']`` reaches the sampling core unvalidated, so
+        p <= 1 (outside SolverConfig's p > 1 solver domain) still runs."""
         from repro.matching.maximal import maximal_bmatching_sampled
 
-        with pytest.deprecated_call():
-            got = lattanzi_unweighted(instance, p=1.0, seed=6)
+        got = run(
+            Problem(instance, options={"p": 1.0, "seed": 6, "weighted": False}),
+            backend="baseline:lattanzi",
+        )
         ref = maximal_bmatching_sampled(instance, p=1.0, seed=6)
-        assert_matchings_equal(got, ref)
-        with pytest.deprecated_call():
-            lattanzi_weighted(instance, p=1.0, seed=6)  # must not raise
+        assert_matchings_equal(got.matching, ref)
+        run(Problem(instance, options={"p": 1.0, "seed": 6}), backend="baseline:lattanzi")
 
+
+# ======================================================================
+# Ledger and warning behaviours the pre-facade entry points relied on
+# ======================================================================
+class TestLegacyShims:
     def test_one_pass_does_not_keep_callers_stream_ledger(self, instance):
         """Repeated runs over the same pre-built stream must report
         per-run ledgers and leave the stream object untouched."""
@@ -773,9 +652,9 @@ class TestRunManyGrouping:
         with pytest.raises(ValueError, match="one name per problem"):
             run_many([Problem(instance)], backend=["offline", "offline"])
 
-    def test_solve_requests_singleton_skips_batch_layout(self, instance):
+    def test_solve_requests_singleton_equals_solve(self, instance):
         """The engine entry for externally assembled groups: a singleton
-        group runs the scalar reference path, same result either way."""
+        group with a seed override equals ``solve`` under that seed."""
         from repro.core.batch import SolveRequest
 
         cfg = SolverConfig(**FAST)

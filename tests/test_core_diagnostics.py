@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.diagnostics import active_odd_sets, odd_set_budget
 from repro.core.levels import discretize
-from repro.core.matching_solver import solve_matching
+from repro.core.matching_solver import DualPrimalMatchingSolver
 from repro.core.relaxations import LayeredDual
 from repro.graphgen import gnm_graph, odd_cycle_chain, with_uniform_weights
 from repro.util.graph import Graph
@@ -59,7 +59,7 @@ class TestBudget:
 class TestSolverStaysInsideBudget:
     def test_solver_odd_set_support_sparse(self):
         g = odd_cycle_chain(4, 5)
-        res = solve_matching(g, eps=0.2, seed=1, inner_steps=150)
+        res = DualPrimalMatchingSolver(eps=0.2, seed=1, inner_steps=150).solve(g)
         # inventory the final certificate's z (original-units view)
         count = len(res.certificate.z)
         budget = odd_set_budget(g.n, g.total_capacity, 0.2)
@@ -69,5 +69,5 @@ class TestSolverStaysInsideBudget:
 
     def test_random_graph_support_sparse(self):
         g = with_uniform_weights(gnm_graph(24, 100, seed=2), 1, 20, seed=3)
-        res = solve_matching(g, eps=0.25, seed=4, inner_steps=100)
+        res = DualPrimalMatchingSolver(eps=0.25, seed=4, inner_steps=100).solve(g)
         assert len(res.certificate.z) <= odd_set_budget(g.n, g.n, 0.25)

@@ -148,3 +148,91 @@ class TestMicroOracle:
                     if (g.src[e] in members) != (g.dst[e] in members)
                 )
                 assert internal >= cut - 1e-9
+
+
+# ----------------------------------------------------------------------
+# The reference: the solver's batched evaluator at batch size one must
+# equal micro_oracle on every route
+# ----------------------------------------------------------------------
+def _triangles():
+    edges = []
+    for base in (0, 3):
+        edges += [(base, base + 1), (base + 1, base + 2), (base, base + 2)]
+    g = Graph.from_edges(6, np.asarray(edges), np.ones(6))
+    lv = discretize(g, eps=0.25)
+    live = lv.live_edges()
+    return lv, SupportVector(live, np.full(len(live), 1.0))
+
+
+def _triangle_pendant():
+    g = Graph.from_edges(4, np.asarray([(0, 1), (1, 2), (0, 2), (2, 3)]), np.ones(4))
+    lv = discretize(g, eps=0.25)
+    return lv, SupportVector(lv.live_edges(), np.array([1.0, 1.0, 1.0, 0.05]))
+
+
+def _random_instance():
+    g = with_uniform_weights(gnm_graph(20, 80, seed=0), 1.0, 20.0, seed=1)
+    lv = discretize(g, eps=0.25)
+    live = lv.live_edges()
+    return lv, SupportVector(live, np.ones(len(live)))
+
+
+# (instance, zeta offset, beta, odd_sets, the route micro_oracle takes);
+# the odd-set instances are the ones above, at budgets where the odd
+# sets (not the vertices, not the witness) absorb the mass
+REFERENCE_CASES = {
+    "zero": (_random_instance, 100.0, 10.0, True, "zero"),
+    "vertex": (_random_instance, 0.0, 1e9, True, "vertex"),
+    "witness": (_random_instance, 0.0, 1e-3, True, "witness"),
+    "oddset_triangles": (_triangles, 0.0, 50.0, True, "oddset"),
+    "oddset_pendant": (_triangle_pendant, 0.0, 16.0, True, "oddset"),
+    "witness_triangles": (_triangles, 0.0, 8.0, True, "witness"),
+    "bipartite_oracle": (_random_instance, 0.0, 8.0, False, "witness"),
+}
+
+
+def _route(out) -> str:
+    return "witness" if isinstance(out, OracleWitness) else out.route
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_batch_of_one_equals_micro_oracle(case):
+    from repro.core.batch import GraphBatch, StoredBatchLayout
+    from repro.core.micro_oracle import BatchMicroContext
+
+    make, offset, beta, odd_sets, route = REFERENCE_CASES[case]
+    lv, support = make()
+    zeta = np.zeros((lv.graph.n, lv.num_levels)) + offset
+    ref = micro_oracle(lv, support, zeta, beta=beta, rho=1.0, odd_sets=odd_sets)
+    assert _route(ref) == route  # the case exercises what it names
+
+    batch = GraphBatch(graphs=[lv.graph], levels=[lv])
+    stored = StoredBatchLayout.build(
+        batch, {0: (support.edge_ids, np.ones(len(support.edge_ids)))}
+    )
+    flat_zeta = np.ascontiguousarray(zeta).ravel()
+    hik_idx = np.flatnonzero(flat_zeta != 0.0)
+    zmul = flat_zeta[hik_idx]
+    ctx = BatchMicroContext(
+        batch, [0], stored, support.values, flat_zeta, zmul, hik_idx,
+        np.array([0, hik_idx.size], dtype=np.int64),
+        beta={0: beta}, use_odd={0: odd_sets}, eps=lv.eps,
+    )
+    results, po = ctx.evaluate([0], {0: 1.0})
+    got = results[0]
+
+    assert _route(got) == _route(ref)
+    assert got.gamma == ref.gamma
+    if isinstance(ref, OracleWitness):
+        assert got.y == ref.y
+        assert np.array_equal(got.mu, ref.mu)
+        assert got.lp7_value == ref.lp7_value
+        assert 0 not in po
+        return
+    assert got.gamma_prime == ref.gamma_prime
+    assert np.array_equal(got.dual.x, ref.dual.x)
+    assert got.dual.z == ref.dual.z
+    # the packing load the Lagrangian search reads: z^T Po x at the
+    # nonzero zeta cells
+    lhs = 2.0 * ref.dual.x + ref.dual.z_load()
+    assert po[0] == float((zmul * lhs.ravel()[hik_idx]).sum())

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.levels import discretize
-from repro.core.matching_solver import solve_matching
+from repro.core.matching_solver import DualPrimalMatchingSolver
 from repro.mapreduce.engine import (
     MapReduceEngine,
     MapReduceJob,
@@ -66,13 +66,13 @@ class TestDeletionStorms:
 
 class TestDegenerateGraphs:
     def test_solver_on_empty_graph(self):
-        res = solve_matching(Graph.empty(10), eps=0.2, seed=0)
+        res = DualPrimalMatchingSolver(eps=0.2, seed=0).solve(Graph.empty(10))
         assert res.weight == 0.0
         assert res.certificate.upper_bound == 0.0
 
     def test_solver_on_single_edge(self):
         g = Graph.from_edges(2, [(0, 1)], [7.0])
-        res = solve_matching(g, eps=0.2, seed=0)
+        res = DualPrimalMatchingSolver(eps=0.2, seed=0).solve(g)
         assert res.weight == pytest.approx(7.0)
         assert res.matching.is_valid()
 
@@ -80,13 +80,13 @@ class TestDegenerateGraphs:
         g = Graph.from_edges(
             8, [(0, 1), (2, 3), (4, 5), (6, 7)], [1.0, 2.0, 3.0, 4.0]
         )
-        res = solve_matching(g, eps=0.2, seed=0)
+        res = DualPrimalMatchingSolver(eps=0.2, seed=0).solve(g)
         assert res.weight == pytest.approx(10.0)
 
     def test_solver_on_star(self):
         # a star can match exactly one edge; the dual must certify that
         g = Graph.from_edges(6, [(0, j) for j in range(1, 6)], [1.0] * 5)
-        res = solve_matching(g, eps=0.15, seed=1)
+        res = DualPrimalMatchingSolver(eps=0.15, seed=1).solve(g)
         assert res.weight == pytest.approx(1.0)
         assert res.certificate.upper_bound < 2.0
 
@@ -95,7 +95,7 @@ class TestDegenerateGraphs:
         g = Graph.from_edges(
             6, [(0, 1), (2, 3), (4, 5)], [1e6, 1.0, 1e-6 * 1e6]
         )
-        res = solve_matching(g, eps=0.2, seed=2)
+        res = DualPrimalMatchingSolver(eps=0.2, seed=2).solve(g)
         # the heavy edge dominates; solution must be near 1e6 regardless
         assert res.weight >= 1e6
 
@@ -177,6 +177,6 @@ class TestBudgetStarvation:
         from repro.graphgen import gnm_graph, with_uniform_weights
 
         g = with_uniform_weights(gnm_graph(20, 80, seed=11), 1, 20, seed=12)
-        res = solve_matching(g, eps=0.3, seed=13, inner_steps=1)
+        res = DualPrimalMatchingSolver(eps=0.3, seed=13, inner_steps=1).solve(g)
         assert res.matching.is_valid()
         assert res.certificate.upper_bound >= res.weight - 1e-9

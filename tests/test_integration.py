@@ -4,11 +4,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core.matching_solver import SolverConfig, DualPrimalMatchingSolver, solve_matching
-from repro.baselines.lattanzi_filtering import lattanzi_weighted
+from repro.api import Problem, run
+from repro.core.matching_solver import SolverConfig, DualPrimalMatchingSolver
 from repro.graphgen import gnm_graph, with_uniform_weights
 from repro.mapreduce.engine import MapReduceEngine
-from repro.mapreduce.jobs import mapreduce_spanning_forest
 from repro.matching.exact import max_weight_matching_exact
 from repro.sparsify.deferred import DeferredSparsifierChain
 from repro.streaming.semi_streaming import streaming_sparsify
@@ -45,9 +44,11 @@ class TestSolverVsBaseline:
     def test_dual_primal_beats_filtering_quality(self):
         """E4's headline: (1-eps) beats the O(1)-approx baseline."""
         g = with_uniform_weights(gnm_graph(35, 250, seed=6), 1, 100, seed=7)
-        res = solve_matching(g, eps=0.2, seed=8, inner_steps=200)
-        base = lattanzi_weighted(g, p=2.0, seed=9)
-        assert res.weight >= base.weight() - 1e-9
+        res = DualPrimalMatchingSolver(eps=0.2, seed=8, inner_steps=200).solve(g)
+        base = run(
+            Problem(g, config=SolverConfig(p=2.0, seed=9)), backend="baseline:lattanzi"
+        )
+        assert res.weight >= base.weight - 1e-9
 
     def test_solver_space_sublinear_on_dense_graph(self):
         """Peak stored sample stays well under m on a dense instance."""
@@ -68,7 +69,8 @@ class TestMapReduceIntegration:
         # generous budget: sketches are polylog per vertex
         budget = 16 * 16 * 400
         eng = MapReduceEngine(reducer_memory_budget=budget)
-        forest = mapreduce_spanning_forest(eng, g, seed=14)
+        problem = Problem(g, task="spanning_forest", options={"engine": eng, "seed": 14})
+        forest = run(problem, backend="mapreduce").forest
         ncc = nx.number_connected_components(g.to_networkx())
         assert len(forest) == g.n - ncc
 
@@ -76,7 +78,7 @@ class TestMapReduceIntegration:
 class TestLedgerConsistency:
     def test_solver_ledger_matches_history(self):
         g = with_uniform_weights(gnm_graph(20, 80, seed=15), seed=16)
-        res = solve_matching(g, eps=0.3, seed=17, inner_steps=100)
+        res = DualPrimalMatchingSolver(eps=0.3, seed=17, inner_steps=100).solve(g)
         # every outer round charges >= 1 sampling round (chain build),
         # plus one for the initial solution
         assert res.resources["sampling_rounds"] >= res.rounds

@@ -8,12 +8,11 @@ these tests pin the layers to each other and to the exact optimum.
 import numpy as np
 import pytest
 
+from repro.api import Problem, run
 from repro.core.matching_solver import DualPrimalMatchingSolver, SolverConfig
 from repro.graphgen import gnm_graph, with_uniform_weights
 from repro.mapreduce.accounting import ResourceModel
-from repro.mapreduce.clique_sim import clique_spanning_forest
 from repro.mapreduce.engine import MapReduceEngine
-from repro.mapreduce.jobs import mapreduce_spanning_forest
 from repro.matching.exact import max_weight_matching_exact
 from repro.streaming.streaming_matching import SemiStreamingMatchingSolver
 from repro.util.graph import Graph
@@ -44,8 +43,14 @@ class TestBindingsAgree:
         g = gnm_graph(18, 60, seed=3)
         expected = g.n - nx.number_connected_components(g.to_networkx())
         engine = MapReduceEngine()
-        mr = mapreduce_spanning_forest(engine, g, seed=4)
-        clique, _sim = clique_spanning_forest(g, seed=5)
+        mr = run(
+            Problem(g, task="spanning_forest", options={"engine": engine, "seed": 4}),
+            backend="mapreduce",
+        ).forest
+        clique = run(
+            Problem(g, task="spanning_forest", config=SolverConfig(seed=5)),
+            backend="congested_clique",
+        ).forest
         assert len(mr) == expected
         assert len(clique) == expected
 

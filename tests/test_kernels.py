@@ -602,11 +602,11 @@ def test_dispatch_auto_falls_back_cleanly(tmp_path):
 # End-to-end digest equality across backends
 # ----------------------------------------------------------------------
 _E2E_CODE = """
-import hashlib, json, warnings
+import hashlib, json
 import numpy as np
 from repro.graphgen import gnm_graph, with_uniform_weights
 from repro.sketch.graph_sketch import VertexIncidenceSketch
-from repro.core.matching_solver import solve_many
+from repro.core.matching_solver import DualPrimalMatchingSolver
 import repro.kernels as K
 
 h = hashlib.sha256()
@@ -617,12 +617,9 @@ for r in range(3):
         comp = np.array([v, (v + 1) % 48, (v + 2) % 48])
         h.update(repr(sk.sample_cut_edge(comp, r)).encode())
 graphs = [g, with_uniform_weights(gnm_graph(24, 60, seed=9), 1.0, 8.0, seed=10)]
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", DeprecationWarning)
-    results = solve_many(
-        graphs, seeds=[5, 6], eps=0.3, inner_steps=60,
-        round_cap_factor=0.3, target_gap=0.0001, offline="local",
-    )
+results = DualPrimalMatchingSolver(
+    eps=0.3, inner_steps=60, round_cap_factor=0.3, target_gap=0.0001, offline="local",
+).solve_many(graphs, seeds=[5, 6])
 for res in results:
     h.update(repr((res.weight, res.matching.edge_ids.tolist())).encode())
     h.update(repr((res.certificate.upper_bound, res.history)).encode())

@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.api import Problem, run
 from repro.graphgen import gnm_graph
 from repro.mapreduce.congested_clique import congested_clique_view
 from repro.mapreduce.engine import (
@@ -12,7 +13,13 @@ from repro.mapreduce.engine import (
     ReducerMemoryExceeded,
     value_words,
 )
-from repro.mapreduce.jobs import mapreduce_spanning_forest, mapreduce_vertex_sketches
+from repro.mapreduce.jobs import mapreduce_vertex_sketches
+
+
+def mapreduce_forest(engine, g, seed):
+    """The ``mapreduce`` backend's forest, run on a caller-built engine."""
+    problem = Problem(g, task="spanning_forest", options={"engine": engine, "seed": seed})
+    return run(problem, backend="mapreduce").forest
 
 
 def word_count_job():
@@ -113,7 +120,7 @@ class TestSketchJobs:
     def test_spanning_forest_correct(self):
         g = gnm_graph(14, 30, seed=4)
         eng = MapReduceEngine()
-        forest = mapreduce_spanning_forest(eng, g, seed=5)
+        forest = mapreduce_forest(eng, g, seed=5)
         ncc = nx.number_connected_components(g.to_networkx())
         assert len(forest) == g.n - ncc
         assert nx.is_forest(nx.Graph(forest))
@@ -122,7 +129,7 @@ class TestSketchJobs:
         """Sketching needs exactly 2 MR rounds regardless of n."""
         for n, m in ((10, 20), (20, 60)):
             eng = MapReduceEngine()
-            mapreduce_spanning_forest(eng, gnm_graph(n, m, seed=n), seed=6)
+            mapreduce_forest(eng, gnm_graph(n, m, seed=n), seed=6)
             assert eng.ledger.sampling_rounds == 2
 
 
@@ -130,7 +137,7 @@ class TestCongestedClique:
     def test_view_translates_ledger(self):
         g = gnm_graph(12, 24, seed=7)
         eng = MapReduceEngine()
-        mapreduce_spanning_forest(eng, g, seed=8)
+        mapreduce_forest(eng, g, seed=8)
         report = congested_clique_view(eng.ledger, g.n)
         assert report.rounds == 2
         assert report.per_vertex_message_words > 0
@@ -138,7 +145,7 @@ class TestCongestedClique:
     def test_within_budget_generous(self):
         g = gnm_graph(12, 24, seed=9)
         eng = MapReduceEngine()
-        mapreduce_spanning_forest(eng, g, seed=10)
+        mapreduce_forest(eng, g, seed=10)
         report = congested_clique_view(eng.ledger, g.n)
         # sketch sizes are polylog per vertex; p = 1.01 budget ~ n
         assert report.within_budget(p=1.01)

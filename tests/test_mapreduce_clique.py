@@ -4,13 +4,22 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.api import ModelBudgets, Problem, run
 from repro.graphgen.random_graphs import gnm_graph
-from repro.mapreduce.clique_sim import (
-    CongestedClique,
-    MessageBudgetExceeded,
-    clique_spanning_forest,
-)
+from repro.mapreduce.clique_sim import CongestedClique, MessageBudgetExceeded
 from repro.util.graph import Graph
+
+
+def clique_forest(g, message_budget=None, seed=None):
+    """The ``congested_clique`` backend's forest and its simulator."""
+    problem = Problem(
+        g,
+        task="spanning_forest",
+        budgets=ModelBudgets(clique_message_words=message_budget),
+        options={"seed": seed},
+    )
+    result = run(problem, backend="congested_clique")
+    return result.forest, result.extras["clique"]
 
 
 class TestSimulator:
@@ -76,20 +85,20 @@ class TestCliqueSpanningForest:
 
     def test_connected_graph(self):
         g = gnm_graph(20, 80, seed=1)
-        forest, clique = clique_spanning_forest(g, seed=2)
+        forest, clique = clique_forest(g, seed=2)
         self._check_forest(g, forest)
 
     def test_disconnected_graph(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
-        forest, _ = clique_spanning_forest(g, seed=3)
+        forest, _ = clique_forest(g, seed=3)
         self._check_forest(g, forest)
 
     def test_budget_splits_into_more_rounds(self):
         g = gnm_graph(12, 40, seed=4)
-        _, free = clique_spanning_forest(g, message_budget=None, seed=5)
+        _, free = clique_forest(g, message_budget=None, seed=5)
         # a tight budget forces chunked shipping = more rounds
         words = free.max_vertex_words or 1
-        _, tight = clique_spanning_forest(
+        _, tight = clique_forest(
             g, message_budget=max(1, words // 4) or 1, seed=5
         )
         assert tight.rounds >= free.rounds
@@ -99,10 +108,10 @@ class TestCliqueSpanningForest:
         # chunking keeps per-round words under the cap, so even budget 1
         # succeeds -- but the round count blows up linearly
         g = gnm_graph(8, 20, seed=6)
-        forest, clique = clique_spanning_forest(g, message_budget=50, seed=7)
+        forest, clique = clique_forest(g, message_budget=50, seed=7)
         self._check_forest(g, forest)
         assert clique.max_vertex_words <= 50
 
     def test_empty_graph(self):
-        forest, clique = clique_spanning_forest(Graph.empty(0))
+        forest, clique = clique_forest(Graph.empty(0))
         assert forest == []

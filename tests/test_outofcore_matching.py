@@ -116,6 +116,26 @@ class TestZeroMaterializationMatching:
         assert not problem.graph.is_materialized
         assert _digest(facade.raw) == ram_digest
 
+    def test_engine_builds_no_live_edge_array(self, edge_file, graph, monkeypatch):
+        """The solver engine reads an unmaterialized graph's lambda and
+        step widths from chunked scans, so no O(m) live-edge id array is
+        built during the solve (the in-RAM solve does build them)."""
+        from repro.core.levels import LevelDecomposition
+
+        calls = []
+        original = LevelDecomposition.live_edges
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(LevelDecomposition, "live_edges", counting)
+        fg = FileBackedGraph(edge_file, materialize_policy="forbid")
+        SemiStreamingMatchingSolver(_cfg()).solve(fg)
+        assert calls == []
+        SemiStreamingMatchingSolver(_cfg()).solve(graph)
+        assert calls  # the spy sees the gathered path
+
     def test_forbid_policy_blocks_explicit_materialize(self, edge_file):
         fg = FileBackedGraph(edge_file, materialize_policy="forbid")
         with pytest.raises(MaterializationForbidden):

@@ -591,13 +591,14 @@ class TestWorkerResilience:
             problems = [fast_problem(s) for s in range(3)]
             with pytest.raises(RuntimeError, match="returned 2 results for 3"):
                 run_many(problems, backend="test:short")
-            # through the service: futures resolve with the error, no hang
+            # through the service: every dispatch group, singletons
+            # included, runs through run_many, so each future resolves
+            # with the attributable error instead of hanging
             with MatchingService(workers=1, max_delay_s=0.0) as svc:
                 futs = [svc.submit(p, "test:short") for p in problems]
-                # non-batchable backend -> singleton dispatch via run();
-                # force the grouped path through run_many directly
                 for f in futs:
-                    f.result(30)
+                    with pytest.raises(RuntimeError, match="run_many returned"):
+                        f.result(30)
         finally:
             del _REGISTRY["test:short"]
 

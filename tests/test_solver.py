@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.certificates import certify
-from repro.core.matching_solver import (
-    DualPrimalMatchingSolver,
-    SolverConfig,
-    solve_matching,
-)
+from repro.core.matching_solver import DualPrimalMatchingSolver, SolverConfig
 from repro.graphgen import (
     barbell_odd,
     crown_graph,
@@ -30,13 +26,13 @@ FAST = dict(inner_steps=300, round_cap_factor=2.0)
 
 class TestSolverBasics:
     def test_empty_graph(self):
-        res = solve_matching(Graph.empty(5), eps=0.2)
+        res = DualPrimalMatchingSolver(eps=0.2).solve(Graph.empty(5))
         assert res.weight == 0.0
         assert res.rounds == 0
 
     def test_single_edge(self):
         g = Graph.from_edges(2, [(0, 1)], [7.0])
-        res = solve_matching(g, eps=0.2, seed=0, **FAST)
+        res = DualPrimalMatchingSolver(eps=0.2, seed=0, **FAST).solve(g)
         assert res.weight == pytest.approx(7.0)
         assert res.matching.is_valid()
 
@@ -61,37 +57,37 @@ class TestApproximationQuality:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_weighted_graphs(self, seed):
         g = with_uniform_weights(gnm_graph(40, 200, seed=seed), 1, 50, seed=seed + 10)
-        res = solve_matching(g, eps=0.2, seed=seed, **FAST)
+        res = DualPrimalMatchingSolver(eps=0.2, seed=seed, **FAST).solve(g)
         opt = max_weight_matching_exact(g).weight()
         assert res.matching.is_valid()
         assert res.weight >= (1 - 0.2) * opt
 
     def test_bipartite(self):
         g = random_bipartite(15, 15, 80, seed=3)
-        res = solve_matching(g, eps=0.2, seed=4, **FAST)
+        res = DualPrimalMatchingSolver(eps=0.2, seed=4, **FAST).solve(g)
         opt = max_weight_matching_exact(g).weight()
         assert res.weight >= (1 - 0.2) * opt
 
     def test_odd_cycle_chain(self):
         g = odd_cycle_chain(3, 5)
-        res = solve_matching(g, eps=0.25, seed=5, **FAST)
+        res = DualPrimalMatchingSolver(eps=0.25, seed=5, **FAST).solve(g)
         opt = max_weight_matching_exact(g).weight()
         assert res.weight >= (1 - 0.25) * opt
 
     def test_triangle_gadget(self):
         g = triangle_gadget(0.1)
-        res = solve_matching(g, eps=0.15, seed=6, **FAST)
+        res = DualPrimalMatchingSolver(eps=0.15, seed=6, **FAST).solve(g)
         opt = max_weight_matching_exact(g).weight()
         assert res.weight >= (1 - 0.15) * opt
 
     def test_crown(self):
         g = crown_graph(8)
-        res = solve_matching(g, eps=0.2, seed=7, **FAST)
+        res = DualPrimalMatchingSolver(eps=0.2, seed=7, **FAST).solve(g)
         assert res.weight >= (1 - 0.2) * 8.0
 
     def test_barbell(self):
         g = barbell_odd(5)
-        res = solve_matching(g, eps=0.2, seed=8, **FAST)
+        res = DualPrimalMatchingSolver(eps=0.2, seed=8, **FAST).solve(g)
         opt = max_weight_matching_exact(g).weight()
         assert res.weight >= (1 - 0.2) * opt
 
@@ -99,14 +95,14 @@ class TestApproximationQuality:
         g = with_random_capacities(
             with_uniform_weights(gnm_graph(20, 80, seed=9), 1, 20, seed=10), 1, 3, seed=11
         )
-        res = solve_matching(g, eps=0.25, seed=12, **FAST)
+        res = DualPrimalMatchingSolver(eps=0.25, seed=12, **FAST).solve(g)
         opt = max_weight_bmatching_exact(g).weight()
         assert res.matching.is_valid()
         assert res.weight >= (1 - 0.25) * opt
 
     def test_local_offline_mode(self):
         g = with_uniform_weights(gnm_graph(30, 150, seed=13), seed=14)
-        res = solve_matching(g, eps=0.3, seed=15, offline="local", **FAST)
+        res = DualPrimalMatchingSolver(eps=0.3, seed=15, offline="local", **FAST).solve(g)
         opt = max_weight_matching_exact(g).weight()
         assert res.weight >= 0.6 * opt  # local search is weaker but valid
         assert res.matching.is_valid()
@@ -115,13 +111,13 @@ class TestApproximationQuality:
 class TestCertificates:
     def test_certificate_upper_bounds_optimum(self):
         g = with_uniform_weights(gnm_graph(25, 100, seed=16), seed=17)
-        res = solve_matching(g, eps=0.25, seed=18, **FAST)
+        res = DualPrimalMatchingSolver(eps=0.25, seed=18, **FAST).solve(g)
         opt = max_weight_matching_exact(g).weight()
         assert res.certificate.upper_bound >= opt - 1e-6
 
     def test_certified_ratio_consistent(self):
         g = with_uniform_weights(gnm_graph(25, 100, seed=19), seed=20)
-        res = solve_matching(g, eps=0.25, seed=21, **FAST)
+        res = DualPrimalMatchingSolver(eps=0.25, seed=21, **FAST).solve(g)
         assert res.certified_ratio == pytest.approx(
             res.weight / res.certificate.upper_bound
         )
@@ -129,7 +125,7 @@ class TestCertificates:
 
     def test_history_records_progress(self):
         g = with_uniform_weights(gnm_graph(20, 80, seed=22), seed=23)
-        res = solve_matching(g, eps=0.25, seed=24, **FAST)
+        res = DualPrimalMatchingSolver(eps=0.25, seed=24, **FAST).solve(g)
         assert len(res.history) == res.rounds
         ubs = [h["upper_bound"] for h in res.history]
         assert ubs[-1] <= ubs[0] + 1e-9  # certificate never degrades much
@@ -144,13 +140,13 @@ class TestResourceAccounting:
 
     def test_ledger_snapshot_present(self):
         g = gnm_graph(15, 40, seed=28)
-        res = solve_matching(g, eps=0.3, seed=29, **FAST)
+        res = DualPrimalMatchingSolver(eps=0.3, seed=29, **FAST).solve(g)
         assert res.resources["sampling_rounds"] >= 1
         assert res.resources["oracle_calls"] >= 0
 
     def test_deterministic_given_seed(self):
         g = with_uniform_weights(gnm_graph(20, 70, seed=30), seed=31)
-        r1 = solve_matching(g, eps=0.3, seed=42, **FAST)
-        r2 = solve_matching(g, eps=0.3, seed=42, **FAST)
+        r1 = DualPrimalMatchingSolver(eps=0.3, seed=42, **FAST).solve(g)
+        r2 = DualPrimalMatchingSolver(eps=0.3, seed=42, **FAST).solve(g)
         assert r1.weight == r2.weight
         assert r1.rounds == r2.rounds

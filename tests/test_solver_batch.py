@@ -1,10 +1,12 @@
-"""Pinned parity of the batched solver engine against the reference path.
+"""Batch-of-N against batch-of-1 parity of the lockstep solver engine.
 
-``solve_many`` must reproduce ``[solve(g) for g in graphs]`` *exactly*
--- same matchings, same certificates, same per-round history, same
-resource ledgers -- because the batched engine claims bit-identical
-lockstep execution (see ``repro/core/batch.py`` for the parity rules).
-Every assertion here is equality, not approximate closeness.
+``solve`` is the engine at batch size one; ``solve_many`` must reproduce
+``[solve(g) for g in graphs]`` *exactly* -- same matchings, same
+certificates, same per-round history, same resource ledgers -- because
+the engine claims bit-identical lockstep execution whatever else shares
+the batch (see ``repro/core/batch.py`` for the parity rules).  Every
+assertion here is equality, not approximate closeness; absolute values
+are pinned by ``tests/test_golden.py``.
 """
 
 import numpy as np
@@ -14,12 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.batch import GraphBatch, seg_max, seg_min, seg_sum
 from repro.core.levels import discretize
-from repro.core.matching_solver import (
-    DualPrimalMatchingSolver,
-    SolverConfig,
-    solve_matching,
-    solve_many,
-)
+from repro.core.matching_solver import DualPrimalMatchingSolver, SolverConfig
 from repro.graphgen import (
     gnm_graph,
     odd_cycle_chain,
@@ -62,37 +59,37 @@ class TestBatchParity:
         graphs = _mixed_graphs()
         seeds = [10, 11, 12, 13]
         ref = [
-            solve_matching(g, eps=0.25, seed=s, **FAST)
+            DualPrimalMatchingSolver(eps=0.25, seed=s, **FAST).solve(g)
             for g, s in zip(graphs, seeds)
         ]
-        got = solve_many(graphs, eps=0.25, seeds=seeds, **FAST)
+        got = DualPrimalMatchingSolver(eps=0.25, **FAST).solve_many(graphs, seeds=seeds)
         for r, g2 in zip(ref, got):
             assert_results_equal(r, g2)
 
     def test_batch_of_one(self):
         g = with_uniform_weights(gnm_graph(20, 70, seed=5), seed=6)
-        ref = solve_matching(g, eps=0.25, seed=3, **FAST)
-        (got,) = solve_many([g], eps=0.25, seeds=[3], **FAST)
+        ref = DualPrimalMatchingSolver(eps=0.25, seed=3, **FAST).solve(g)
+        (got,) = DualPrimalMatchingSolver(eps=0.25, **FAST).solve_many([g], seeds=[3])
         assert_results_equal(ref, got)
 
     def test_empty_graph_in_batch(self):
         graphs = [Graph.empty(4), with_uniform_weights(gnm_graph(12, 30, seed=7), seed=8)]
-        got = solve_many(graphs, eps=0.3, seeds=[0, 1], **FAST)
+        got = DualPrimalMatchingSolver(eps=0.3, **FAST).solve_many(graphs, seeds=[0, 1])
         assert got[0].weight == 0.0
         assert got[0].rounds == 0
-        ref = solve_matching(graphs[1], eps=0.3, seed=1, **FAST)
+        ref = DualPrimalMatchingSolver(eps=0.3, seed=1, **FAST).solve(graphs[1])
         assert_results_equal(ref, got[1])
 
     def test_all_empty_batch(self):
-        got = solve_many([Graph.empty(3), Graph.empty(1)], eps=0.3)
+        got = DualPrimalMatchingSolver(eps=0.3).solve_many([Graph.empty(3), Graph.empty(1)])
         assert [r.weight for r in got] == [0.0, 0.0]
 
     def test_oddset_route_parity(self):
         """Configs where the z (odd-set) route fires must stay pinned."""
         g = odd_cycle_chain(2, 3)
         kw = dict(eps=0.3, p=4.0, inner_steps=150, round_cap_factor=3.0)
-        ref = solve_matching(g, seed=7, **kw)
-        (got,) = solve_many([g], seeds=[7], **kw)
+        ref = DualPrimalMatchingSolver(seed=7, **kw).solve(g)
+        (got,) = DualPrimalMatchingSolver(**kw).solve_many([g], seeds=[7])
         assert sum(h["oddset"] for h in ref.history) > 0  # route exercised
         assert_results_equal(ref, got)
 
@@ -102,8 +99,8 @@ class TestBatchParity:
         kw = dict(
             eps=0.3, p=4.0, inner_steps=150, odd_sets=False, round_cap_factor=3.0
         )
-        ref = solve_matching(g, seed=7, **kw)
-        (got,) = solve_many([g], seeds=[7], **kw)
+        ref = DualPrimalMatchingSolver(seed=7, **kw).solve(g)
+        (got,) = DualPrimalMatchingSolver(**kw).solve_many([g], seeds=[7])
         assert any(h["witness"] for h in ref.history)  # route exercised
         assert_results_equal(ref, got)
 
@@ -111,8 +108,8 @@ class TestBatchParity:
         g = with_random_capacities(
             with_uniform_weights(gnm_graph(16, 50, seed=9), 1, 20, seed=10), 1, 3, seed=11
         )
-        ref = solve_matching(g, eps=0.3, seed=5, **FAST)
-        (got,) = solve_many([g], eps=0.3, seeds=[5], **FAST)
+        ref = DualPrimalMatchingSolver(eps=0.3, seed=5, **FAST).solve(g)
+        (got,) = DualPrimalMatchingSolver(eps=0.3, **FAST).solve_many([g], seeds=[5])
         assert_results_equal(ref, got)
 
     def test_shared_config_seed(self):
@@ -126,7 +123,7 @@ class TestBatchParity:
 
     def test_seeds_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="one entry per graph"):
-            solve_many([Graph.empty(2)], seeds=[1, 2])
+            DualPrimalMatchingSolver().solve_many([Graph.empty(2)], seeds=[1, 2])
 
     def test_none_seed_entry_falls_back_to_config_seed(self):
         g = with_uniform_weights(gnm_graph(14, 40, seed=1), seed=2)
@@ -204,9 +201,9 @@ def test_solve_many_matches_independent_solves(graphs, eps, seed):
     seeds = [seed + i for i in range(len(graphs))]
     kw = dict(inner_steps=40, round_cap_factor=1.0)
     ref = [
-        solve_matching(g, eps=eps, seed=s, **kw) for g, s in zip(graphs, seeds)
+        DualPrimalMatchingSolver(eps=eps, seed=s, **kw).solve(g) for g, s in zip(graphs, seeds)
     ]
-    got = solve_many(graphs, eps=eps, seeds=seeds, **kw)
+    got = DualPrimalMatchingSolver(eps=eps, **kw).solve_many(graphs, seeds=seeds)
     for r, g2 in zip(ref, got):
         assert_results_equal(r, g2)
 

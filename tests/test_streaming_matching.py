@@ -11,7 +11,6 @@ from repro.streaming.streaming_matching import (
     SemiStreamingMatchingSolver,
     StreamingDeferredChain,
     StreamingDeferredSparsifier,
-    streaming_solve_matching,
 )
 from repro.util.graph import Graph
 from repro.util.instrumentation import ResourceLedger
@@ -123,9 +122,9 @@ class TestSemiStreamingSolver:
     def test_quality_matches_in_memory_path(self):
         g = weighted(30, 180, seed=11)
         opt = max_weight_matching_exact(g).weight()
-        res = streaming_solve_matching(
-            g, eps=0.25, p=2.0, seed=12, inner_steps=120
-        )
+        res = SemiStreamingMatchingSolver(
+            eps=0.25, p=2.0, seed=12, inner_steps=120
+        ).solve(g)
         assert res.matching.is_valid()
         assert res.weight >= 0.75 * opt
 
@@ -164,11 +163,11 @@ class TestSemiStreamingSolver:
         assert solver.passes <= int(np.ceil(3.0 * 2.0 / 0.25)) + 1
 
     def test_empty_graph(self):
-        res = streaming_solve_matching(Graph.empty(5), eps=0.2, seed=0)
+        res = SemiStreamingMatchingSolver(eps=0.2, seed=0).solve(Graph.empty(5))
         assert res.weight == 0.0
 
     def test_certificate_sound(self):
         g = weighted(20, 90, seed=17)
-        res = streaming_solve_matching(g, eps=0.3, seed=18, inner_steps=60)
+        res = SemiStreamingMatchingSolver(eps=0.3, seed=18, inner_steps=60).solve(g)
         opt = max_weight_matching_exact(g).weight()
         assert res.certificate.upper_bound >= opt - 1e-6
