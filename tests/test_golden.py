@@ -17,7 +17,11 @@ Cases:
   power-law b-matching with ``b`` in {1, 2, 3}) under the default
   config, at the benchmark's ``tiny`` size;
 * a warm-started dynamic session that misses the ``rounds=0`` fast path
-  once and hits it once.
+  once and hits it once;
+* the sketch layer: ℓ0 sampler cells and samples (bulk and per-element
+  update streams, a sampler bank), vertex-incidence cells and cut-edge
+  samples, the max-weight class sketch, and the in-RAM sketch spanning
+  forest with its ledger.
 
 The native and numpy kernel backends are bit-identical, so one record
 serves both.  Floats are digested through ``float.hex``; results can
@@ -208,11 +212,127 @@ def warm_session() -> dict:
     return {f"dynamic:query{i}": run_digest(q) for i, q in enumerate(queries)}
 
 
+def _sha(payload) -> str:
+    blob = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _cells(tensor) -> dict:
+    """Every linear measurement of a ``SketchTensor``, in canonical form."""
+    return {
+        "shape": list(tensor.s0.shape),
+        "s0": tensor.s0.ravel().tolist(),
+        "s1": tensor.s1.ravel().tolist(),
+        "fp": tensor.fp.ravel().tolist(),
+    }
+
+
+def _pair(got):
+    return None if got is None else [int(got[0]), int(got[1])]
+
+
+def _updates(rng, universe: int, count: int):
+    idx = rng.integers(0, universe, size=count).astype(np.int64)
+    dlt = rng.integers(-4, 5, size=count).astype(np.int64)
+    return idx, dlt
+
+
+def sketches() -> dict:
+    """ℓ0, incidence and max-weight sketches, and the sketch forest."""
+    from repro.graphgen import gnm_graph
+    from repro.sketch.graph_sketch import VertexIncidenceSketch
+    from repro.sketch.l0_sampler import L0Sampler, L0SamplerBank
+    from repro.sketch.max_weight import MaxWeightEdgeSketch
+    from repro.sketch.support_find import sketch_spanning_forest
+    from repro.util.graph import Graph
+    from repro.util.instrumentation import ResourceLedger
+
+    out = {}
+    for seed in (0, 1, 17, 123):
+        s = L0Sampler(3000, seed=seed, repetitions=6)
+        s.update_many(*_updates(np.random.default_rng(seed + 1000), 3000, 120))
+        out[f"l0:{seed}"] = _sha(
+            {
+                "cells": _cells(s._tensor),
+                "sample": _pair(s.sample()),
+                "is_zero": s.is_zero(),
+                "space_words": s.space_words(),
+            }
+        )
+    for seed in (2, 9):
+        s = L0Sampler(500, seed=seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            i, d = int(rng.integers(0, 500)), int(rng.integers(-2, 3))
+            if d != 0:
+                s.update(i, d)
+        out[f"l0_update:{seed}"] = _sha(
+            {"cells": _cells(s._tensor), "sample": _pair(s.sample())}
+        )
+    bank = L0SamplerBank(400, t=3, seed=8)
+    bank.update_many(*_updates(np.random.default_rng(0), 400, 50))
+    out["l0_bank"] = _sha(
+        {
+            "samples": [_pair(s.sample()) for s in bank.samplers],
+            "space_words": bank.space_words(),
+        }
+    )
+    for seed in (0, 5):
+        g = gnm_graph(14, 35, seed=seed)
+        sk = VertexIncidenceSketch(g, t=3, seed=seed + 7)
+        rng = np.random.default_rng(seed)
+        cuts = []
+        for row in range(3):
+            for _ in range(6):
+                comp = rng.choice(g.n, size=int(rng.integers(1, g.n)), replace=False)
+                cuts.append(_pair(sk.sample_cut_edge(comp, row)))
+        out[f"incidence:{seed}"] = _sha(
+            {
+                "cells": _cells(sk._tensor),
+                "cuts": cuts,
+                "space_words": sk.space_words(),
+            }
+        )
+    g = gnm_graph(12, 30, seed=3)
+    sk = VertexIncidenceSketch(g, t=2, seed=5)
+    labels = np.random.default_rng(1).integers(0, 4, size=g.n)
+    parts = sk.sample_cut_edges(labels, row=1)
+    out["incidence_partition"] = _sha(
+        [[int(k), _pair(parts[k])] for k in sorted(parts)]
+    )
+    g = gnm_graph(10, 20, seed=2)
+    w = np.random.default_rng(4).uniform(1.0, 100.0, size=g.m)
+    g = g.edge_subgraph(np.arange(g.m), weights=w)
+    mw = MaxWeightEdgeSketch(g.n, w_min=1.0, w_max=128.0, seed=6)
+    mw.ingest(g)
+    t, witness = mw.top_class()
+    out["max_weight"] = _sha(
+        {
+            "top_edge": list(mw.top_edge()),
+            "top_class": [t, _pair(witness)],
+            "space_words": mw.space_words(),
+        }
+    )
+    gnm = gnm_graph(400, 600, seed=4)
+    for name, graph, rows in (
+        ("empty", Graph.empty(0), None),
+        ("gnm", gnm, None),
+        ("gnm_rows3", gnm, 3),
+    ):
+        ledger = ResourceLedger()
+        forest = sketch_spanning_forest(graph, seed=5, ledger=ledger, rows=rows)
+        out[f"forest:{name}"] = _sha(
+            {"forest": [_pair(e) for e in forest], "ledger": ledger.snapshot()}
+        )
+    return out
+
+
 GROUPS = {
     "backends": backends,
     "file_backed": file_backed,
     "mixed_run_many": mixed_run_many,
     "oracle_routes": oracle_routes,
+    "sketches": sketches,
     "solve_default_tiny": solve_default_tiny,
     "warm_session": warm_session,
 }
