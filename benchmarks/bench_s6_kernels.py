@@ -63,11 +63,11 @@ out = {"backend": K.backend()}
 if cfg["workload"] in ("sketch", "both"):
     n, t, reps = cfg["sketch_n"], cfg["t"], cfg["reps"]
     g = gnm_graph(n, 4 * n, seed=n)
-    VertexIncidenceSketch(g, t=1, seed=1, repetitions=1, backend="tensor")  # warm
+    VertexIncidenceSketch(g, t=1, seed=1, repetitions=1)  # warm
     best = float("inf")
     for _ in range(cfg["repeats"]):
         t0 = time.perf_counter()
-        sk = VertexIncidenceSketch(g, t=t, seed=1, repetitions=reps, backend="tensor")
+        sk = VertexIncidenceSketch(g, t=t, seed=1, repetitions=reps)
         best = min(best, time.perf_counter() - t0)
     comp = np.arange(n // 2)
     for r in range(t):

@@ -49,9 +49,9 @@ n = cfg["n"]
 
 if cfg["workload"] == "sketch":
     g = gnm_graph(n, 4 * n, seed=17)
-    VertexIncidenceSketch(g, t=1, seed=1, repetitions=1, backend="tensor")  # warm
+    VertexIncidenceSketch(g, t=1, seed=1, repetitions=1)  # warm
     t0 = time.perf_counter()
-    sk = VertexIncidenceSketch(g, t=4, seed=1, repetitions=3, backend="tensor")
+    sk = VertexIncidenceSketch(g, t=4, seed=1, repetitions=3)
     out["sketch_build_s"] = time.perf_counter() - t0
     comp = np.arange(n // 2)
     for r in range(4):

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.sketch.graph_sketch import incidence_update_batch
 from repro.sketch.hashing import sum_mod_p
+from repro.sketch.support_find import incidence_forest_rows
 from repro.sketch.tensor import SketchTensor, decode_planes
 from repro.sparsify.union_find import UnionFind
 from repro.util.graph import Graph
@@ -128,7 +129,7 @@ def clique_spanning_forest_impl(
     if n == 0:
         return [], CongestedClique(n=0, message_budget=message_budget)
     rng = make_rng(seed)
-    rows = max(4, int(np.ceil(np.log2(max(2, n)))) + 2)
+    rows = incidence_forest_rows(n)
     row_seeds = [int(r.integers(0, 2**62)) for r in spawn(rng, rows)]
 
     # local sketching: vertex v's slot ingests its incident edges only

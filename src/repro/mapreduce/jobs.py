@@ -22,8 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
-from repro.sketch.graph_sketch import VertexIncidenceSketch, encode_edge
+from repro.sketch.graph_sketch import encode_edge
 from repro.sketch.l0_sampler import L0Sampler
+from repro.sketch.support_find import incidence_forest_rows
 from repro.sparsify.union_find import UnionFind
 from repro.util.graph import Graph
 from repro.util.rng import make_rng, spawn
@@ -96,13 +97,11 @@ def mapreduce_spanning_forest_impl(
     access), charged to the engine's ledger accordingly.
     """
     n = graph.n
-    rows = max(4, int(np.ceil(np.log2(max(2, n)))) + 2)
+    rows = incidence_forest_rows(n)
     central = mapreduce_vertex_sketches(engine, graph, rows=rows, seed=seed)
 
     uf = UnionFind(n)
     forest: list[tuple[int, int]] = []
-    import copy
-
     for r in range(rows):
         engine.ledger.tick_refinement()
         components: dict[int, list[int]] = {}
@@ -110,7 +109,7 @@ def mapreduce_spanning_forest_impl(
             components.setdefault(uf.find(v), []).append(v)
         grew = False
         for members in components.values():
-            merged = copy.deepcopy(central[members[0]][r])
+            merged = central[members[0]][r].clone()
             for v in members[1:]:
                 merged.merge(central[v][r])
             got = merged.sample()

@@ -20,19 +20,17 @@ Construction (Ahn-Guha-McGregor [3, 4]):
   Section 4.2.
 
 :class:`VertexIncidenceSketch` bundles one ℓ0-sampler bank per vertex.
-On the default ``"tensor"`` backend all ``n * t`` banks live in a single
+All ``n * t`` banks live in a single
 :class:`~repro.sketch.tensor.SketchTensor` (one slot per vertex): the
 whole edge list is ingested with a few vectorized scatters, and merging
 a component is an axis-sum over its slot rows -- no per-vertex Python
-objects, no deep copies.  The ``"scalar"`` backend keeps the original
-object-per-cell banks as a cross-checkable reference.
+objects, no deep copies.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sketch.l0_sampler import L0Sampler
 from repro.sketch.tensor import (
     MergedSketchView,
     SketchTensor,
@@ -43,10 +41,30 @@ from repro.util.rng import make_rng, spawn
 
 __all__ = [
     "VertexIncidenceSketch",
+    "check_edge_endpoints",
     "decode_edge",
     "encode_edge",
     "incidence_update_batch",
 ]
+
+
+def check_edge_endpoints(u: np.ndarray | int, v: np.ndarray | int, n: int) -> None:
+    """Reject edges a sketch over ``n`` vertices cannot hold.
+
+    An endpoint outside ``[0, n)`` would alias another edge's coordinate
+    (:func:`encode_edge` is only collision-free inside that range) and a
+    self-loop is not an edge; either would corrupt the sketch silently,
+    so both raise ``ValueError``.  Every edge-keyed sketch calls this
+    before touching a cell.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=np.int64))
+    v = np.atleast_1d(np.asarray(v, dtype=np.int64))
+    if len(u) == 0:
+        return
+    if np.any(u == v):
+        raise ValueError("self-loops cannot be sketched")
+    if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n:
+        raise ValueError(f"edge endpoint out of range [0, {n})")
 
 
 def encode_edge(i: np.ndarray | int, j: np.ndarray | int, n: int):
@@ -111,9 +129,6 @@ class VertexIncidenceSketch:
         Shared randomness: *all vertices* must use identical hash seeds
         row-by-row so that merged sketches remain valid ℓ0 sketches of
         the summed vector.
-    backend:
-        ``"tensor"`` (default) or ``"scalar"``; same seeds produce the
-        same samples on either.
     """
 
     def __init__(
@@ -122,38 +137,20 @@ class VertexIncidenceSketch:
         t: int = 1,
         seed: int | np.random.Generator | None = None,
         repetitions: int = 8,
-        backend: str = "tensor",
     ):
-        if backend not in ("tensor", "scalar"):
-            raise ValueError(f"unknown backend {backend!r}")
         rng = make_rng(seed)
         self.n = graph.n
         self.t = int(t)
-        self.backend = backend
-        universe = graph.n * graph.n
         # one seed per row, shared by every vertex (linearity requirement)
         row_seeds = [int(r.integers(0, 2**62)) for r in spawn(rng, t)]
-        self._row_seeds = row_seeds
-        if backend == "tensor":
-            self._tensor = SketchTensor(
-                universe, row_seeds, repetitions=repetitions, slots=graph.n
+        self._tensor = SketchTensor(
+            graph.n * graph.n, row_seeds, repetitions=repetitions, slots=graph.n
+        )
+        if graph.m:
+            # whole edge list at once: +1 into src's slot, -1 into dst's
+            self._tensor.update_many(
+                *incidence_update_batch(graph.src, graph.dst, self.n)
             )
-            self.banks = None
-        else:
-            self._tensor = None
-            self.banks = [
-                [
-                    L0Sampler(
-                        universe,
-                        seed=row_seeds[r],
-                        repetitions=repetitions,
-                        backend="scalar",
-                    )
-                    for r in range(t)
-                ]
-                for _ in range(graph.n)
-            ]
-        self._ingest(graph)
 
     @classmethod
     def empty(
@@ -162,7 +159,6 @@ class VertexIncidenceSketch:
         t: int = 1,
         seed: int | np.random.Generator | None = None,
         repetitions: int = 8,
-        backend: str = "tensor",
     ) -> "VertexIncidenceSketch":
         """Edge-free sketch over ``n`` vertices, ready for incremental
         :meth:`update_edges` ingestion (the dynamic-stream entry point).
@@ -171,7 +167,7 @@ class VertexIncidenceSketch:
         incremental inserts/deletes holds exactly the cell values of one
         built in a single pass over the surviving edge set (linearity).
         """
-        return cls(Graph.empty(n), t=t, seed=seed, repetitions=repetitions, backend=backend)
+        return cls(Graph.empty(n), t=t, seed=seed, repetitions=repetitions)
 
     # ------------------------------------------------------------------
     def update_edges(
@@ -186,27 +182,8 @@ class VertexIncidenceSketch:
         vectorized scatter construction uses -- so an insert/delete pair
         with matching endpoints cancels to exact zeros in every cell.
         """
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        if len(u) == 0:
-            return
-        if np.any(u == v):
-            raise ValueError("self-loops cannot be sketched")
-        # range-check before touching cells: an out-of-range endpoint
-        # would alias another edge's coordinate (encode_edge is only
-        # collision-free inside [0, n)) and corrupt the sketch silently
-        if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= self.n:
-            raise ValueError(f"edge endpoint out of range [0, {self.n})")
-        # both backends consume the one sign-convention helper (its
-        # docstring makes that a contract for every ingest site)
-        slots, codes, signed = incidence_update_batch(u, v, self.n, deltas)
-        if self.backend == "tensor":
-            self._tensor.update_many(slots, codes, signed)
-            return
-        triples = zip(slots.tolist(), codes.tolist(), signed.tolist())
-        for slot, code, delta in triples:
-            for r in range(self.t):
-                self.banks[slot][r].update(code, delta)
+        check_edge_endpoints(u, v, self.n)
+        self._tensor.update_many(*incidence_update_batch(u, v, self.n, deltas))
 
     def insert_edges(self, u: np.ndarray, v: np.ndarray) -> None:
         """Insert edges ``{u[i], v[i]}`` (unit frequency each)."""
@@ -218,63 +195,24 @@ class VertexIncidenceSketch:
         self.update_edges(u, v, np.full(len(u), -1, dtype=np.int64))
 
     # ------------------------------------------------------------------
-    def _ingest(self, graph: Graph) -> None:
-        if graph.m == 0:
-            return
-        eidx = encode_edge(graph.src, graph.dst, self.n)
-        if self.backend == "tensor":
-            # whole edge list at once: +1 into src's slot, -1 into dst's
-            self._tensor.update_many(
-                *incidence_update_batch(graph.src, graph.dst, self.n)
-            )
-            return
-        for r in range(self.t):
-            for v, idx_arr, sign in self._per_vertex_updates(graph, eidx):
-                self.banks[v][r].update_many(
-                    idx_arr, np.full(len(idx_arr), sign, dtype=np.int64)
-                )
-
-    @staticmethod
-    def _per_vertex_updates(graph: Graph, eidx: np.ndarray):
-        """Yield ``(vertex, edge_indices, sign)`` batches for ingestion."""
-        order_s = np.argsort(graph.src, kind="stable")
-        order_d = np.argsort(graph.dst, kind="stable")
-        srcs = graph.src[order_s]
-        dsts = graph.dst[order_d]
-        es = eidx[order_s]
-        ed = eidx[order_d]
-        # batches of equal src
-        for v, start, stop in _runs(srcs):
-            yield v, es[start:stop], +1
-        for v, start, stop in _runs(dsts):
-            yield v, ed[start:stop], -1
-
-    # ------------------------------------------------------------------
     def merged_sketch(self, component: np.ndarray, row: int):
         """Sum the row-``row`` sketches of every vertex in ``component``.
 
         The result is an ℓ0 sketch of the cut-edge indicator vector of
         the component; sampling from it returns an edge leaving the
         component or ``None`` if the component is saturated/disconnected.
-        On the tensor backend this is an axis-sum over the component's
-        slot rows returning a lightweight
-        :class:`~repro.sketch.tensor.MergedSketchView`; the scalar
-        backend clones the first member's sampler and merges the rest.
+        This is an axis-sum over the component's slot rows returning a
+        lightweight :class:`~repro.sketch.tensor.MergedSketchView`.
         """
         component = np.atleast_1d(np.asarray(component, dtype=np.int64))
-        if self.backend == "tensor":
-            s0, s1, fp = self._tensor.merged_planes(component, row)
-            return MergedSketchView(
-                s0=s0,
-                s1=s1,
-                fp=fp,
-                z=self._tensor.z[row],
-                universe=self._tensor.universe,
-            )
-        base = self.banks[int(component[0])][row].clone()
-        for v in component[1:]:
-            base.merge(self.banks[int(v)][row])
-        return base
+        s0, s1, fp = self._tensor.merged_planes(component, row)
+        return MergedSketchView(
+            s0=s0,
+            s1=s1,
+            fp=fp,
+            z=self._tensor.z[row],
+            universe=self._tensor.universe,
+        )
 
     def sample_cut_edge(self, component: np.ndarray, row: int) -> tuple[int, int] | None:
         """Sample one edge crossing ``(component, rest)`` via sketch merge."""
@@ -288,39 +226,19 @@ class VertexIncidenceSketch:
         """Sample one cut edge for *every* part of a vertex partition.
 
         ``labels[v]`` names vertex ``v``'s part (arbitrary integers).
-        Returns ``{label: (i, j) | None}``.  On the tensor backend all
-        parts are merged with one grouped scatter and decoded together
-        -- the per-round workhorse of sketch-Boruvka.
+        Returns ``{label: (i, j) | None}``.  All parts are merged with one
+        grouped scatter and decoded together.
         """
         labels = np.asarray(labels, dtype=np.int64)
         parts, inv = np.unique(labels, return_inverse=True)
-        if self.backend == "tensor":
-            s0, s1, fp = self._tensor.grouped_planes(inv, len(parts), row)
-            decoded = decode_planes_many(
-                s0, s1, fp, self._tensor.z[row], self._tensor.universe
-            )
-        else:
-            decoded = [
-                self.merged_sketch(np.flatnonzero(inv == gi), row).sample()
-                for gi in range(len(parts))
-            ]
+        s0, s1, fp = self._tensor.grouped_planes(inv, len(parts), row)
+        decoded = decode_planes_many(
+            s0, s1, fp, self._tensor.z[row], self._tensor.universe
+        )
         out = {}
         for part, got in zip(parts.tolist(), decoded):
             out[part] = None if got is None else decode_edge(got[0], self.n)
         return out
 
     def space_words(self) -> int:
-        if self.backend == "tensor":
-            return self._tensor.space_words()
-        return sum(s.space_words() for bank in self.banks for s in bank)
-
-
-def _runs(sorted_arr: np.ndarray):
-    """Yield ``(value, start, stop)`` runs of a sorted integer array."""
-    if len(sorted_arr) == 0:
-        return
-    boundaries = np.flatnonzero(np.diff(sorted_arr)) + 1
-    starts = np.concatenate([[0], boundaries])
-    stops = np.concatenate([boundaries, [len(sorted_arr)]])
-    for s, e in zip(starts, stops):
-        yield int(sorted_arr[s]), int(s), int(e)
+        return self._tensor.space_words()

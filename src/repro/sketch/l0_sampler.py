@@ -22,29 +22,23 @@ Construction (standard, e.g. Jowhari-Sağlam-Tardos):
   check") when it is not.
 * Several independent repetitions boost success probability.
 
-Two interchangeable backends implement the construction:
-
-* ``backend="tensor"`` (default) keeps every cell in the contiguous
-  arrays of :class:`~repro.sketch.tensor.SketchTensor` and updates /
-  decodes whole level planes with vectorized numpy kernels;
-* ``backend="scalar"`` is the original object-per-cell reference
-  implementation kept for auditability.
-
-Both backends derive their randomness identically
-(:func:`~repro.sketch.tensor.derive_l0_params`), so same-seed sketches
-hold identical cell values and return identical samples regardless of
-backend -- the parity tests in ``tests/test_sketch_tensor.py`` pin this.
+The cells of a sampler live in the contiguous arrays of
+:class:`~repro.sketch.tensor.SketchTensor`, which updates and decodes
+whole level planes at once; :class:`L0Sampler` is its one-slot,
+one-row view.  :class:`OneSparseRecovery` is the same cell as a single
+object, used by the F0 and CountSketch buckets.  Samples are pinned by
+the ``sketches`` group of ``tests/golden/digests.json``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
 
 import numpy as np
 
 from repro.sketch.hashing import MERSENNE_P, mulmod, powmod
-from repro.sketch.tensor import SketchTensor, derive_l0_params
-from repro.util.rng import make_rng
+from repro.sketch.tensor import SketchTensor
+from repro.util.rng import make_rng, spawn
 
 __all__ = ["OneSparseRecovery", "L0Sampler", "L0SamplerBank"]
 
@@ -108,16 +102,6 @@ class OneSparseRecovery:
         self.s1 += other.s1
         self.fingerprint = (self.fingerprint + other.fingerprint) % MERSENNE_P
 
-    def clone(self) -> "OneSparseRecovery":
-        """Cheap explicit copy (three ints + shared immutable parameters)."""
-        dup = OneSparseRecovery.__new__(OneSparseRecovery)
-        dup.s0 = self.s0
-        dup.s1 = self.s1
-        dup.fingerprint = self.fingerprint
-        dup.z = self.z
-        dup.universe = self.universe
-        return dup
-
     def is_zero(self) -> bool:
         return self.s0 == 0 and self.s1 == 0 and self.fingerprint == 0
 
@@ -139,11 +123,6 @@ class OneSparseRecovery:
         return 3
 
 
-@dataclass
-class _LevelState:
-    cells: list[OneSparseRecovery]
-
-
 class L0Sampler:
     """Linear sketch supporting ``sample() -> (index, value) | None``.
 
@@ -155,10 +134,6 @@ class L0Sampler:
         Shared seed -- sketches with equal seeds are mergeable.
     repetitions:
         Independent copies; failure probability decays geometrically.
-    backend:
-        ``"tensor"`` (array-backed, default) or ``"scalar"`` (reference
-        object-per-cell path).  Same-seed sketches are identical
-        functions on either backend but can only merge within a backend.
     """
 
     def __init__(
@@ -166,68 +141,24 @@ class L0Sampler:
         universe: int,
         seed: int | np.random.Generator | None = None,
         repetitions: int = 6,
-        backend: str = "tensor",
     ):
-        if backend not in ("tensor", "scalar"):
-            raise ValueError(f"unknown backend {backend!r}")
         self.universe = int(universe)
         self.repetitions = int(repetitions)
-        self.backend = backend
-        if backend == "tensor":
-            self._tensor = SketchTensor(
-                universe, [make_rng(seed)], repetitions=repetitions, slots=1
-            )
-            self.levels = self._tensor.levels
-        else:
-            params = derive_l0_params(universe, seed, repetitions)
-            self.levels = params.levels
-            self._level_hashes = params.hashes
-            self._reps = [
-                _LevelState(
-                    cells=[
-                        OneSparseRecovery(universe, int(params.zs[r, l]))
-                        for l in range(self.levels)
-                    ]
-                )
-                for r in range(self.repetitions)
-            ]
+        self._tensor = SketchTensor(
+            universe, [make_rng(seed)], repetitions=repetitions, slots=1
+        )
+        self.levels = self._tensor.levels
 
     # ------------------------------------------------------------------
     def update(self, index: int, delta: int) -> None:
         """Apply ``x[index] += delta``."""
         if not (0 <= index < self.universe):
             raise IndexError("index out of universe")
-        if delta == 0:
-            return
-        if self.backend == "tensor":
-            self._tensor.update_many(0, np.asarray([index]), np.asarray([delta]))
-            return
-        for r in range(self.repetitions):
-            lv = self._level_hashes[r].level(index, self.levels - 1)
-            cells = self._reps[r].cells
-            for l in range(int(lv) + 1):
-                cells[l].update(index, delta)
+        self._tensor.update_many(0, np.asarray([index]), np.asarray([delta]))
 
     def update_many(self, indices: np.ndarray, deltas: np.ndarray) -> None:
         """Vectorized bulk update: level assignment computed per repetition."""
-        if self.backend == "tensor":
-            self._tensor.update_many(0, indices, deltas)
-            return
-        indices = np.asarray(indices, dtype=np.int64)
-        deltas = np.asarray(deltas, dtype=np.int64)
-        nz = deltas != 0
-        indices, deltas = indices[nz], deltas[nz]
-        if len(indices) == 0:
-            return
-        for r in range(self.repetitions):
-            lvs = self._level_hashes[r].level(indices, self.levels - 1)
-            lvs = np.atleast_1d(lvs)
-            cells = self._reps[r].cells
-            for l in range(self.levels):
-                mask = lvs >= l
-                if not mask.any():
-                    break
-                cells[l].update_many(indices[mask], deltas[mask])
+        self._tensor.update_many(0, indices, deltas)
 
     def delete_many(self, indices: np.ndarray) -> None:
         """Vectorized turnstile deletion (``x[i] -= 1`` per index)."""
@@ -236,18 +167,9 @@ class L0Sampler:
 
     def merge(self, other: "L0Sampler") -> None:
         """Add another sketch of the same seed/universe (linearity)."""
-        if (
-            self.universe != other.universe
-            or self.repetitions != other.repetitions
-            or self.backend != other.backend
-        ):
+        if self.universe != other.universe or self.repetitions != other.repetitions:
             raise ValueError("incompatible sketches")
-        if self.backend == "tensor":
-            self._tensor.merge(other._tensor)
-            return
-        for mine, theirs in zip(self._reps, other._reps):
-            for c_mine, c_theirs in zip(mine.cells, theirs.cells):
-                c_mine.merge(c_theirs)
+        self._tensor.merge(other._tensor)
 
     def clone(self) -> "L0Sampler":
         """Cheap copy for merge-without-mutation (no ``deepcopy``).
@@ -255,19 +177,8 @@ class L0Sampler:
         Cell state is copied; the (immutable) hash functions and
         fingerprint bases are shared with the original.
         """
-        dup = L0Sampler.__new__(L0Sampler)
-        dup.universe = self.universe
-        dup.repetitions = self.repetitions
-        dup.levels = self.levels
-        dup.backend = self.backend
-        if self.backend == "tensor":
-            dup._tensor = self._tensor.clone()
-        else:
-            dup._level_hashes = self._level_hashes
-            dup._reps = [
-                _LevelState(cells=[c.clone() for c in rep.cells])
-                for rep in self._reps
-            ]
+        dup = copy.copy(self)
+        dup._tensor = self._tensor.clone()
         return dup
 
     def sample(self) -> tuple[int, int] | None:
@@ -276,20 +187,11 @@ class L0Sampler:
         Scans levels from the sparsest downward in each repetition; the
         first provably-1-sparse level yields the sample.
         """
-        if self.backend == "tensor":
-            return self._tensor.sample(0, 0)
-        for rep in self._reps:
-            for cell in reversed(rep.cells):
-                got = cell.recover()
-                if got is not None:
-                    return got
-        return None
+        return self._tensor.sample(0, 0)
 
     def is_zero(self) -> bool:
         """True iff every linear measurement is zero (vector likely zero)."""
-        if self.backend == "tensor":
-            return self._tensor.is_zero()
-        return all(c.is_zero() for rep in self._reps for c in rep.cells)
+        return self._tensor.is_zero()
 
     def space_words(self) -> int:
         """Total stored words (3 per cell)."""
@@ -311,14 +213,10 @@ class L0SamplerBank:
         t: int,
         seed: int | np.random.Generator | None = None,
         repetitions: int = 6,
-        backend: str = "tensor",
     ):
-        rng = make_rng(seed)
-        from repro.util.rng import spawn
-
-        child = spawn(rng, t)
+        child = spawn(make_rng(seed), t)
         self.samplers = [
-            L0Sampler(universe, seed=child[i], repetitions=repetitions, backend=backend)
+            L0Sampler(universe, seed=child[i], repetitions=repetitions)
             for i in range(t)
         ]
 

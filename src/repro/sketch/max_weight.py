@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sketch.graph_sketch import decode_edge, encode_edge
+from repro.sketch.graph_sketch import check_edge_endpoints, decode_edge, encode_edge
 from repro.sketch.l0_sampler import L0Sampler
 from repro.util.graph import Graph
 from repro.util.instrumentation import ResourceLedger
@@ -49,7 +49,6 @@ class MaxWeightEdgeSketch:
         w_max: float = 2.0**40,
         seed: int | np.random.Generator | None = None,
         repetitions: int = 8,
-        backend: str = "tensor",
     ):
         if not (0 < w_min <= w_max):
             raise ValueError("need 0 < w_min <= w_max")
@@ -60,12 +59,7 @@ class MaxWeightEdgeSketch:
         k = self.class_hi - self.class_lo + 1
         children = spawn(rng, k)
         self._sketches = [
-            L0Sampler(
-                self.n * self.n,
-                seed=children[t],
-                repetitions=repetitions,
-                backend=backend,
-            )
+            L0Sampler(self.n * self.n, seed=children[t], repetitions=repetitions)
             for t in range(k)
         ]
 
@@ -76,7 +70,12 @@ class MaxWeightEdgeSketch:
         return t - self.class_lo
 
     def update(self, u: int, v: int, w: float, delta: int = 1) -> None:
-        """Insert (``delta=+1``) or delete (``-1``) edge ``(u, v, w)``."""
+        """Insert (``delta=+1``) or delete (``-1``) edge ``(u, v, w)``.
+
+        An endpoint outside ``[0, n)`` or a self-loop raises ``ValueError``
+        (as in :meth:`update_many`).
+        """
+        check_edge_endpoints(u, v, self.n)
         e = int(encode_edge(u, v, self.n))
         self._sketches[self._class_of(w)].update(e, delta)
 
@@ -99,6 +98,7 @@ class MaxWeightEdgeSketch:
         w = np.asarray(w, dtype=np.float64)
         if len(u) == 0:
             return
+        check_edge_endpoints(u, v, self.n)
         d = (
             np.ones(len(u), dtype=np.int64)
             if deltas is None

@@ -28,7 +28,7 @@ from repro.sketch.tensor import SketchTensor, decode_planes_many
 from repro.sparsify.union_find import UnionFind
 from repro.util.graph import Graph
 from repro.util.instrumentation import ResourceLedger
-from repro.util.rng import make_rng, spawn
+from repro.util.rng import spawn
 
 __all__ = [
     "sketch_spanning_forest",
@@ -140,38 +140,16 @@ def sketch_spanning_forest(
 
     Returns a list of forest edges.  One ``sampling_round`` is charged to
     the ledger (the sketches are computed in a single round); each Boruvka
-    iteration is a ``refinement_step`` over stored sketches only.
+    iteration of :func:`boruvka_forest_from_tensor` is a
+    ``refinement_step`` over stored sketches only.
     """
-    rng = make_rng(seed)
-    n = graph.n
     if rows is None:
-        rows = max(4, int(np.ceil(np.log2(max(2, n)))) + 2)
-    sketch = VertexIncidenceSketch(graph, t=rows, seed=rng)
+        rows = incidence_forest_rows(graph.n)
+    sketch = VertexIncidenceSketch(graph, t=rows, seed=seed)
     if ledger is not None:
         ledger.tick_sampling_round("vertex incidence sketches")
         ledger.charge_space(sketch.space_words())
-
-    uf = UnionFind(n)
-    forest: list[tuple[int, int]] = []
-    for r in range(rows):
-        if ledger is not None:
-            ledger.tick_refinement()
-        # every component is merged and decoded in one grouped pass
-        labels = np.asarray([uf.find(v) for v in range(n)], dtype=np.int64)
-        samples = sketch.sample_cut_edges(labels, row=r)
-        grew = False
-        for edge in samples.values():
-            if edge is None:
-                continue
-            i, j = edge
-            if uf.union(i, j):
-                forest.append((i, j))
-                grew = True
-        if not grew:
-            break
-        if len(forest) >= n - 1:
-            break
-    return forest
+    return boruvka_forest_from_tensor(sketch._tensor, graph.n, ledger)
 
 
 def sketch_connected_components(

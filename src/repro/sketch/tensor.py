@@ -1,13 +1,15 @@
 """Array-backed ℓ0-sketch engine: all sampler cells in flat numpy tensors.
 
-The reference implementation in :mod:`repro.sketch.l0_sampler` keeps one
-Python object per :class:`~repro.sketch.l0_sampler.OneSparseRecovery`
-cell.  That is pedagogically clear but catastrophically slow at scale: a
+This is the one ℓ0 engine of the package: :class:`~repro.sketch.
+l0_sampler.L0Sampler`, the AGM incidence sketches, the max-weight class
+sketches and every spanning-forest route keep their cells here.
+Storing one Python object per cell (the
+:class:`~repro.sketch.l0_sampler.OneSparseRecovery` form) would
+materialize ``n * t * repetitions * levels`` heap objects for a
 :class:`~repro.sketch.graph_sketch.VertexIncidenceSketch` over ``n``
-vertices with ``t`` rows materializes ``n * t * repetitions * levels``
-heap objects and updates them one scalar ``pow()`` at a time.
+vertices with ``t`` rows and update them one scalar ``pow()`` at a time.
 
-:class:`SketchTensor` stores the same linear measurements contiguously:
+:class:`SketchTensor` stores the linear measurements contiguously:
 
 * ``s0``  -- int64, shape ``(slots, rows, repetitions, levels)``: the
   running sum of deltas per cell;
@@ -38,16 +40,13 @@ over the level axis (an index at level ``lv`` feeds all cells
 scatter (:func:`repro.sketch.hashing.sum_mod_p` logic inlined for the
 scatter case).
 
-Seed-for-seed parity with the scalar path is guaranteed by construction:
-:func:`derive_l0_params` performs *exactly* the random draws of
-``L0Sampler.__init__`` and both backends evaluate the same
-:class:`~repro.sketch.hashing.PolyHash` code on the same inputs, so a
-scalar and a tensor sketch built from the same seed hold identical cell
-values and return identical samples.
+Cell values and samples are pinned by the ``sketches`` group of
+``tests/golden/digests.json``.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,9 +94,8 @@ def derive_l0_params(
 ) -> L0Params:
     """Draw the randomness of one sampler row.
 
-    The draw order replicates ``L0Sampler.__init__`` bit-for-bit (one
-    :class:`PolyHash` per repetition, then the ``z`` matrix) so scalar
-    and tensor backends built from the same seed are the same function.
+    The draw order is one :class:`PolyHash` per repetition, then the
+    ``z`` matrix; the golden digests pin it.
     """
     rng = make_rng(seed)
     universe = int(universe)
@@ -159,11 +157,8 @@ class SketchTensor:
     MapReduce / one-pass streaming bindings): cells live in flat
     ``(slot, row, repetition, level)`` tensors, ingestion is batched
     (:meth:`update_many`), component merges are axis sums
-    (:meth:`merge_slots`), and decoding scans the whole grid at once
-    (:func:`decode_planes` / :func:`decode_planes_many`).  Cell values
-    are bit-identical to the scalar
-    :class:`~repro.sketch.l0_sampler.L0Sampler` built from the same
-    seed (pinned by ``tests/test_sketch_tensor.py``); layout and
+    (:meth:`merged_planes`), and decoding scans the whole grid at once
+    (:func:`decode_planes` / :func:`decode_planes_many`).  Layout and
     batching contract are documented in ``docs/performance.md``.
 
     Parameters
@@ -196,14 +191,12 @@ class SketchTensor:
         self.slots = int(slots)
         params = [derive_l0_params(universe, s, repetitions) for s in row_seeds]
         self.levels = params[0].levels
-        self._hashes = [p.hashes for p in params]
         # (rows, repetitions, k) coefficient tensor: the ingest kernel
-        # evaluates the same polynomials without touching the objects
-        self._coeffs = np.stack([[h.coeffs for h in hs] for hs in self._hashes])
+        # evaluates the level-hash polynomials without the hash objects
+        self._coeffs = np.stack([[h.coeffs for h in p.hashes] for p in params])
         self.z = np.stack([p.zs for p in params]).astype(np.uint64)
         # z-power tables: z^(2^j) per cell, j over the exponent bit-width
-        self._zbits = max(1, int(self.universe).bit_length())
-        self._ztab = pow_table(self.z, self._zbits)
+        self._ztab = pow_table(self.z, max(1, self.universe.bit_length()))
         shape = (self.slots, self.rows, self.repetitions, self.levels)
         self.s0 = np.zeros(shape, dtype=np.int64)
         self.s1 = np.zeros(shape, dtype=np.int64)
@@ -347,22 +340,12 @@ class SketchTensor:
         )
 
     def space_words(self) -> int:
-        """3 stored words per cell, matching the scalar accounting."""
+        """3 stored words per cell."""
         return 3 * self.slots * self.rows * self.repetitions * self.levels
 
     def clone(self) -> "SketchTensor":
         """Cheap copy: cell arrays are copied, shared randomness is aliased."""
-        dup = object.__new__(SketchTensor)
-        dup.universe = self.universe
-        dup.rows = self.rows
-        dup.repetitions = self.repetitions
-        dup.slots = self.slots
-        dup.levels = self.levels
-        dup._hashes = self._hashes
-        dup._coeffs = self._coeffs
-        dup.z = self.z
-        dup._zbits = self._zbits
-        dup._ztab = self._ztab
+        dup = copy.copy(self)
         dup.s0 = self.s0.copy()
         dup.s1 = self.s1.copy()
         dup.fp = self.fp.copy()

@@ -162,9 +162,8 @@ class TestSketchDeleteMany:
         cell.delete_many(np.asarray([7]))
         assert cell.recover() == (5, 1)
 
-    @pytest.mark.parametrize("backend", ["tensor", "scalar"])
-    def test_l0_sampler_delete_many(self, backend):
-        sk = L0Sampler(256, seed=11, backend=backend)
+    def test_l0_sampler_delete_many(self):
+        sk = L0Sampler(256, seed=11)
         sk.update_many(np.arange(40), np.ones(40, dtype=np.int64))
         sk.delete_many(np.arange(1, 40))
         assert sk.sample() == (0, 1)
@@ -178,14 +177,13 @@ class TestSketchDeleteMany:
         for s in bank.samplers:
             assert s.sample() == (7, 1)
 
-    @pytest.mark.parametrize("backend", ["tensor", "scalar"])
-    def test_incidence_update_edges_matches_graph_build(self, backend):
+    def test_incidence_update_edges_matches_graph_build(self):
         rng = np.random.default_rng(3)
         n = 10
         pairs = [(0, 1), (2, 7), (3, 9), (1, 5), (4, 8)]
         g = Graph.from_edges(n, pairs)
-        built = VertexIncidenceSketch(g, t=2, seed=77, backend=backend)
-        grown = VertexIncidenceSketch.empty(n, t=2, seed=77, backend=backend)
+        built = VertexIncidenceSketch(g, t=2, seed=77)
+        grown = VertexIncidenceSketch.empty(n, t=2, seed=77)
         # insert extra edges then delete them: net state must match
         grown.insert_edges(
             np.asarray([u for u, _ in pairs]), np.asarray([v for _, v in pairs])

@@ -50,6 +50,7 @@ from repro.ingest import (
 )
 from repro.ingest.format import HEADER_BYTES, MAGIC
 from repro.sketch.graph_sketch import VertexIncidenceSketch
+from repro.sketch.support_find import sketch_spanning_forest
 from repro.streaming.semi_streaming import (
     dynamic_stream_spanning_forest,
     stream_spanning_forest,
@@ -285,13 +286,14 @@ class TestChunkInvariance:
         assert got == ref
 
     def test_forest_matches_dynamic_one_shot(self, graph):
-        """The out-of-core driver and the PR-5 dynamic one-shot pipeline
-        share seed derivation and decoder, hence bits."""
+        """The out-of-core driver, the PR-5 dynamic one-shot pipeline and
+        the in-RAM sketch forest share seed derivation and decoder, hence
+        bits."""
         stream = DynamicEdgeStream(graph.n)
         stream.insert_many(graph.src, graph.dst, graph.weight)
-        assert stream_spanning_forest(graph, seed=9) == dynamic_stream_spanning_forest(
-            stream, seed=9
-        )
+        ref = stream_spanning_forest(graph, seed=9)
+        assert dynamic_stream_spanning_forest(stream, seed=9) == ref
+        assert sketch_spanning_forest(graph, seed=9) == ref
 
     @pytest.mark.parametrize("chunk", [1, 7, 4096, None])
     def test_facade_forest_and_matching_match_in_ram(self, edge_file, graph, chunk):

@@ -611,7 +611,7 @@ import repro.kernels as K
 
 h = hashlib.sha256()
 g = with_uniform_weights(gnm_graph(48, 144, seed=7), 1.0, 20.0, seed=8)
-sk = VertexIncidenceSketch(g, t=4, seed=1, repetitions=3, backend="tensor")
+sk = VertexIncidenceSketch(g, t=4, seed=1, repetitions=3)
 for r in range(3):
     for v in range(0, 48, 5):
         comp = np.array([v, (v + 1) % 48, (v + 2) % 48])

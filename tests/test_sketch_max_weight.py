@@ -61,6 +61,19 @@ class TestMaxWeightEdgeSketch:
         with pytest.raises(ValueError):
             MaxWeightEdgeSketch(4, w_min=0.0)
 
+    @pytest.mark.parametrize(
+        "u, v", [(4, 1), (1, 4), (-1, 2), (2, 2)], ids=["u>=n", "v>=n", "neg", "loop"]
+    )
+    def test_impossible_edges_rejected(self, u, v):
+        # (4, 1) on n=4 encodes to 8, which decodes to the never-inserted
+        # (2, 0); a self-loop would come back as the class witness
+        sk = MaxWeightEdgeSketch(4, w_min=1.0, w_max=64.0, seed=7)
+        with pytest.raises(ValueError, match="out of range|self-loop"):
+            sk.update(u, v, 40.0)
+        with pytest.raises(ValueError, match="out of range|self-loop"):
+            sk.update_many(np.asarray([0, u]), np.asarray([3, v]), np.asarray([2.0, 40.0]))
+        assert sk.top_edge() is None
+
     def test_top_class_survives_decode_failure(self):
         """Regression (hypothesis seed 3011): when the heaviest nonempty
         class's ℓ0 decode fails across all repetitions, ``top_edge``

@@ -1,9 +1,10 @@
-"""Parity and linearity tests for the array-backed sketch engine.
+"""Linearity and API tests for the array-backed sketch engine.
 
-The contract under test: ``backend="tensor"`` and ``backend="scalar"``
-are the *same function* for the same seed -- identical cell values,
-identical samples, identical space accounting -- and both satisfy the
-linearity law (sketch of a sum == sum of sketches).
+Absolute cell values and samples are pinned by the ``sketches`` group
+of ``tests/golden/digests.json``.  Here: cancellation to zero, range
+errors, clone independence, merges that do not mutate, grouped ==
+per-component decoding, and the linearity law (sketch of a sum == sum
+of sketches).
 """
 
 import numpy as np
@@ -13,8 +14,7 @@ from hypothesis import strategies as st
 
 from repro.sketch.graph_sketch import VertexIncidenceSketch
 from repro.sketch.hashing import MERSENNE_P
-from repro.sketch.l0_sampler import L0Sampler, L0SamplerBank, OneSparseRecovery
-from repro.sketch.max_weight import MaxWeightEdgeSketch
+from repro.sketch.l0_sampler import L0Sampler, OneSparseRecovery
 from repro.sketch.tensor import SketchTensor, decode_planes_many
 from repro.graphgen import gnm_graph
 
@@ -26,104 +26,31 @@ def _random_updates(rng, universe, count):
 
 
 class TestScalarTensorParity:
-    @pytest.mark.parametrize("seed", [0, 1, 17, 123])
-    def test_same_seed_same_state_and_sample(self, seed):
-        universe = 3000
-        scalar = L0Sampler(universe, seed=seed, repetitions=6, backend="scalar")
-        tensor = L0Sampler(universe, seed=seed, repetitions=6, backend="tensor")
-        rng = np.random.default_rng(seed + 1000)
-        idx, dlt = _random_updates(rng, universe, 120)
-        scalar.update_many(idx, dlt)
-        tensor.update_many(idx, dlt)
-        # cell-level equality, not just behavioral equality
-        tt = tensor._tensor
-        for r in range(6):
-            for l in range(scalar.levels):
-                cell = scalar._reps[r].cells[l]
-                assert cell.s0 == tt.s0[0, 0, r, l]
-                assert cell.s1 == tt.s1[0, 0, r, l]
-                assert cell.fingerprint == int(tt.fp[0, 0, r, l])
-        assert scalar.sample() == tensor.sample()
-        assert scalar.is_zero() == tensor.is_zero()
-        assert scalar.space_words() == tensor.space_words()
+    """Cancellation, range errors and grouped decoding on the one engine.
 
-    @pytest.mark.parametrize("seed", [2, 9])
-    def test_scalar_updates_match(self, seed):
-        scalar = L0Sampler(500, seed=seed, backend="scalar")
-        tensor = L0Sampler(500, seed=seed, backend="tensor")
-        rng = np.random.default_rng(seed)
-        for _ in range(40):
-            i, d = int(rng.integers(0, 500)), int(rng.integers(-2, 3))
-            if d == 0:
-                continue
-            scalar.update(i, d)
-            tensor.update(i, d)
-        assert scalar.sample() == tensor.sample()
+    The class and test names are older than the single engine; they are
+    kept so that recorded test ids stay valid."""
 
     def test_cancellation_to_zero_both_backends(self):
-        for backend in ("scalar", "tensor"):
-            s = L0Sampler(200, seed=4, backend=backend)
-            for i in range(30):
-                s.update(i, 2)
-                s.update(i, -2)
-            assert s.is_zero()
-            assert s.sample() is None
-
-    def test_bank_parity(self):
-        a = L0SamplerBank(400, t=3, seed=8, backend="scalar")
-        b = L0SamplerBank(400, t=3, seed=8, backend="tensor")
-        rng = np.random.default_rng(0)
-        idx, dlt = _random_updates(rng, 400, 50)
-        a.update_many(idx, dlt)
-        b.update_many(idx, dlt)
-        for sa, sb in zip(a.samplers, b.samplers):
-            assert sa.sample() == sb.sample()
-        assert a.space_words() == b.space_words()
-
-    def test_cross_backend_merge_rejected(self):
-        a = L0Sampler(100, seed=1, backend="scalar")
-        b = L0Sampler(100, seed=1, backend="tensor")
-        with pytest.raises(ValueError):
-            a.merge(b)
+        s = L0Sampler(200, seed=4)
+        for i in range(30):
+            s.update(i, 2)
+            s.update(i, -2)
+        assert s.is_zero()
+        assert s.sample() is None
 
     def test_out_of_range_update_both_backends(self):
-        for backend in ("scalar", "tensor"):
-            with pytest.raises(IndexError):
-                L0Sampler(10, seed=0, backend=backend).update(10, 1)
-
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_vertex_incidence_parity(self, seed):
-        g = gnm_graph(14, 35, seed=seed)
-        scalar = VertexIncidenceSketch(g, t=3, seed=seed + 7, backend="scalar")
-        tensor = VertexIncidenceSketch(g, t=3, seed=seed + 7, backend="tensor")
-        rng = np.random.default_rng(seed)
-        for row in range(3):
-            for _ in range(6):
-                size = int(rng.integers(1, g.n))
-                comp = rng.choice(g.n, size=size, replace=False)
-                assert scalar.sample_cut_edge(comp, row) == tensor.sample_cut_edge(
-                    comp, row
-                )
-        assert scalar.space_words() == tensor.space_words()
+        with pytest.raises(IndexError):
+            L0Sampler(10, seed=0).update(10, 1)
 
     def test_vertex_incidence_grouped_matches_per_component(self):
         g = gnm_graph(12, 30, seed=3)
-        sk = VertexIncidenceSketch(g, t=2, seed=5, backend="tensor")
+        sk = VertexIncidenceSketch(g, t=2, seed=5)
         labels = np.random.default_rng(1).integers(0, 4, size=g.n)
         grouped = sk.sample_cut_edges(labels, row=1)
         for part in np.unique(labels).tolist():
             members = np.flatnonzero(labels == part)
             assert grouped[part] == sk.sample_cut_edge(members, row=1)
-
-    def test_max_weight_backend_parity(self):
-        g = gnm_graph(10, 20, seed=2)
-        w = np.random.default_rng(4).uniform(1.0, 100.0, size=g.m)
-        g = g.edge_subgraph(np.arange(g.m), weights=w)
-        a = MaxWeightEdgeSketch(g.n, w_min=1.0, w_max=128.0, seed=6, backend="scalar")
-        b = MaxWeightEdgeSketch(g.n, w_min=1.0, w_max=128.0, seed=6, backend="tensor")
-        a.ingest(g)
-        b.ingest(g)
-        assert a.top_edge() == b.top_edge()
 
 
 class TestLinearity:
@@ -147,9 +74,9 @@ class TestLinearity:
         idx = np.asarray([d[0] for d in data], dtype=np.int64)
         dlt = np.asarray([d[1] for d in data], dtype=np.int64)
         half = np.asarray([d[2] for d in data], dtype=bool)
-        a = L0Sampler(universe, seed=seed, backend="tensor")
-        b = L0Sampler(universe, seed=seed, backend="tensor")
-        whole = L0Sampler(universe, seed=seed, backend="tensor")
+        a = L0Sampler(universe, seed=seed)
+        b = L0Sampler(universe, seed=seed)
+        whole = L0Sampler(universe, seed=seed)
         a.update_many(idx[half], dlt[half])
         b.update_many(idx[~half], dlt[~half])
         whole.update_many(idx, dlt)
@@ -195,33 +122,23 @@ class TestOneSparseRecoveryVectorized:
             assert a.s1 == b.s1
             assert a.fingerprint == b.fingerprint
 
-    def test_clone_is_independent(self):
-        c = OneSparseRecovery(100, z=31337)
-        c.update(5, 2)
-        d = c.clone()
-        d.update(6, 1)
-        assert c.recover() == (5, 2)
-        assert d.recover() is None or c.fingerprint != d.fingerprint
-
 
 class TestCloneNotDeepcopy:
     def test_sampler_clone_independent_both_backends(self):
-        for backend in ("scalar", "tensor"):
-            s = L0Sampler(300, seed=3, backend=backend)
-            s.update(7, 2)
-            t = s.clone()
-            t.update(9, 5)
-            assert s.sample() == (7, 2)
-            got = t.sample()
-            assert got in ((7, 2), (9, 5))
+        s = L0Sampler(300, seed=3)
+        s.update(7, 2)
+        t = s.clone()
+        t.update(9, 5)
+        assert s.sample() == (7, 2)
+        got = t.sample()
+        assert got in ((7, 2), (9, 5))
 
     def test_merged_sketch_does_not_mutate_sketch(self):
         g = gnm_graph(10, 20, seed=1)
-        for backend in ("scalar", "tensor"):
-            sk = VertexIncidenceSketch(g, t=1, seed=2, backend=backend)
-            before = sk.sample_cut_edge(np.array([0]), row=0)
-            sk.merged_sketch(np.array([0, 1, 2]), row=0)
-            assert sk.sample_cut_edge(np.array([0]), row=0) == before
+        sk = VertexIncidenceSketch(g, t=1, seed=2)
+        before = sk.sample_cut_edge(np.array([0]), row=0)
+        sk.merged_sketch(np.array([0, 1, 2]), row=0)
+        assert sk.sample_cut_edge(np.array([0]), row=0) == before
 
 
 class TestDecodePlanes:
