@@ -286,9 +286,9 @@ class TestChunkInvariance:
         assert got == ref
 
     def test_forest_matches_dynamic_one_shot(self, graph):
-        """The out-of-core driver, the PR-5 dynamic one-shot pipeline and
-        the in-RAM sketch forest share seed derivation and decoder, hence
-        bits."""
+        """The chunked out-of-core forest, the dynamic one-shot pipeline
+        and the in-RAM sketch forest share seed derivation and decoder,
+        hence bits."""
         stream = DynamicEdgeStream(graph.n)
         stream.insert_many(graph.src, graph.dst, graph.weight)
         ref = stream_spanning_forest(graph, seed=9)
