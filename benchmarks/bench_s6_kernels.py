@@ -1,8 +1,8 @@
 """S6: compiled kernel layer vs the numpy reference (repro.kernels).
 
-Measures the two hot paths the kernel layer accelerates, each in a
-fresh subprocess per backend (``REPRO_KERNELS`` binds the dispatch at
-import time, so the backend cannot be switched in-process):
+Measures the hot paths the kernel layer accelerates, each in a fresh
+subprocess per backend (``REPRO_KERNELS`` binds the dispatch at import
+time, so the backend cannot be switched in-process):
 
 - s1-style sketch build: ``VertexIncidenceSketch`` construction at
   n=256, t=8, repetitions=4 (the fused ingest + Mersenne kernels).
@@ -12,14 +12,18 @@ import time, so the backend cannot be switched in-process):
   s2 mix (n=64, eps=0.3) is recorded informationally below -- there the
   shared numpy costs (``np.exp``, result assembly) bound the ratio
   near 2x regardless of kernel speed.
+- default-config harvest: ``max_weight_bmatching_exact`` (Algorithm 2
+  step 5 under ``offline="exact"``) on G(384, 3072) with b = 1 and on a
+  power-law graph at n=384 with b in {1, 2, 3} (the ``blossom_mates``
+  kernel against networkx).
 
 Every workload hashes its results; the digests must be identical
 across backends (bit-parity end to end, not just fast).  Timings are
 best-of-N inside each subprocess to shave scheduler noise.
 
 Writes ``benchmarks/BENCH_kernels.json`` under ``BENCH_KERNELS_RECORD=1``.
-Acceptance gate: >= 3x native-over-numpy on both gated workloads.
-CI runs only ``test_s6_kernels_smoke``.
+Acceptance gates: >= 3x native-over-numpy on the sketch and solver
+workloads, >= 20x on the harvest.  CI runs only ``test_s6_kernels_smoke``.
 """
 
 import json
@@ -42,9 +46,11 @@ SMALL_MIX_CFG = {
     "workload": "solver", "solver_n": 64, "batch": 8, "eps": 0.3,
     "inner_steps": 600, "repeats": 2,
 }
+HARVEST_CFG = {"workload": "harvest", "harvest_n": 384, "repeats": 3}
 SMOKE_CFG = {
-    "workload": "both", "sketch_n": 128, "t": 4, "reps": 2,
-    "solver_n": 48, "batch": 2, "eps": 0.3, "inner_steps": 60, "repeats": 1,
+    "workload": "all", "sketch_n": 128, "t": 4, "reps": 2,
+    "solver_n": 48, "batch": 2, "eps": 0.3, "inner_steps": 60,
+    "harvest_n": 24, "repeats": 1,
 }
 
 _WORKER = r"""
@@ -60,7 +66,7 @@ import repro.kernels as K
 h = hashlib.sha256()
 out = {"backend": K.backend()}
 
-if cfg["workload"] in ("sketch", "both"):
+if cfg["workload"] in ("sketch", "all"):
     n, t, reps = cfg["sketch_n"], cfg["t"], cfg["reps"]
     g = gnm_graph(n, 4 * n, seed=n)
     VertexIncidenceSketch(g, t=1, seed=1, repetitions=1)  # warm
@@ -74,7 +80,7 @@ if cfg["workload"] in ("sketch", "both"):
         h.update(repr(sk.sample_cut_edge(comp, r)).encode())
     out["sketch_build_s"] = best
 
-if cfg["workload"] in ("solver", "both"):
+if cfg["workload"] in ("solver", "all"):
     n, batch = cfg["solver_n"], cfg["batch"]
     graphs = [
         with_uniform_weights(gnm_graph(n, 4 * n, seed=s), 1.0, 50.0, seed=s + 100)
@@ -95,6 +101,28 @@ if cfg["workload"] in ("solver", "both"):
         h.update(repr((res.weight, res.matching.edge_ids.tolist())).encode())
         h.update(repr((res.certificate.upper_bound, res.history)).encode())
     out["solver_batch_s"] = best
+
+if cfg["workload"] in ("harvest", "all"):
+    from repro.graphgen import power_law_graph, with_exponential_weights, with_random_capacities
+    from repro.matching.exact import max_weight_bmatching_exact
+
+    n = cfg["harvest_n"]
+    graphs = [
+        with_uniform_weights(gnm_graph(n, 8 * n, seed=n), 1.0, 100.0, seed=n + 1),
+        with_random_capacities(
+            with_exponential_weights(power_law_graph(n, seed=n + 2), seed=n + 3),
+            1, 3, seed=n + 4,
+        ),
+    ]
+    max_weight_bmatching_exact(graphs[0].edge_subgraph(np.arange(4)))  # warm
+    best = float("inf")
+    for _ in range(cfg["repeats"]):
+        t0 = time.perf_counter()
+        matchings = [max_weight_bmatching_exact(g) for g in graphs]
+        best = min(best, time.perf_counter() - t0)
+    for mt in matchings:
+        h.update(repr((mt.edge_ids.tolist(), mt.multiplicity.tolist())).encode())
+    out["harvest_s"] = best
 
 out["digest"] = h.hexdigest()
 print(json.dumps(out))
@@ -249,6 +277,35 @@ def test_s6_solver_small_mix(benchmark, experiment_table):
     }
     benchmark.extra_info.update(payload)
     _record("solver_batch_n64_eps03_informational", payload)
+
+
+def test_s6_harvest_kernel(benchmark, experiment_table):
+    """Gate: >= 20x default-config harvest (the C blossom against
+    networkx; recorded 124x on a 2-core host, 3.73 s vs 0.030 s)."""
+    _native_or_skip()
+
+    def run():
+        return _run_backend("numpy", HARVEST_CFG), _run_backend("native", HARVEST_CFG)
+
+    r_np, r_c = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert r_np["digest"] == r_c["digest"]
+    speedup = r_np["harvest_s"] / r_c["harvest_s"]
+    experiment_table(
+        "S6 default-config harvest (n=384: G(n, 8n) b=1 + power law b in 1..3)",
+        ["numpy (s)", "native (s)", "speedup", "digest equal"],
+        [[f"{r_np['harvest_s']:.3f}", f"{r_c['harvest_s']:.4f}",
+          f"{speedup:.1f}x", "yes"]],
+    )
+    payload = {
+        **{k: v for k, v in HARVEST_CFG.items() if k != "workload"},
+        "numpy_harvest_s": round(r_np["harvest_s"], 4),
+        "native_harvest_s": round(r_c["harvest_s"], 4),
+        "speedup": round(speedup, 1),
+        "digest_equal": True,
+    }
+    benchmark.extra_info.update(payload)
+    _record("harvest_n384", payload)
+    assert speedup >= 20.0
 
 
 def test_s6_kernels_smoke(benchmark):

@@ -87,6 +87,7 @@ tick_stored_post = _impl.tick_stored_post
 tick_pack_arg = _impl.tick_pack_arg
 tick_pack_post = _impl.tick_pack_post
 oracle_eval = _impl.oracle_eval
+blossom_mates = _impl.blossom_mates
 
 
 def backend() -> str:

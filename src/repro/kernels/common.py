@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MERSENNE_P", "OracleScratch", "OracleEvalResult"]
+__all__ = ["MERSENNE_P", "OracleScratch", "OracleEvalResult", "blossom_input"]
 
 # canonical definition lives in repro.sketch.hashing; repeated here so
 # the kernel layer has no repro-internal imports (hashing imports us)
@@ -84,3 +84,22 @@ class OracleEvalResult:
     pos_net: np.ndarray
     step_x: np.ndarray | None
     po: np.ndarray
+
+
+def blossom_input(nv, src, dst, weight) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Normalize and check ``blossom_mates`` arguments (both backends).
+
+    The native kernel indexes its arrays by endpoint, so an endpoint
+    outside ``0..nv-1`` must fail here, the same way on both sides.
+    """
+    nv = int(nv)
+    src = np.ascontiguousarray(src, dtype=np.int64)
+    dst = np.ascontiguousarray(dst, dtype=np.int64)
+    weight = np.ascontiguousarray(weight, dtype=np.float64)
+    if nv < 0:
+        raise ValueError(f"vertex count must be >= 0, got {nv}")
+    if not (src.ndim == dst.ndim == weight.ndim == 1 and len(src) == len(dst) == len(weight)):
+        raise ValueError("src, dst and weight must be 1-d arrays of equal length")
+    if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= nv):
+        raise ValueError("edge endpoint out of range")
+    return nv, src, dst, weight

@@ -18,10 +18,14 @@
  * - `exp` is NOT computed here: libm exp differs from numpy's SIMD exp
  *   in the last ulp on ~5% of inputs, so callers evaluate np.exp on the
  *   shared buffer between the `*_pre`/`*_post` halves of fused kernels.
+ * - the blossom matcher (`rk_blossom_mates`, last section) is a port of
+ *   networkx's `max_weight_matching` that keeps every iteration order
+ *   of the Python code, so its mates equal networkx's mate for mate.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define RKP ((uint64_t)0x1FFFFFFFFFFFFFFFULL) /* 2^61 - 1 */
@@ -521,4 +525,686 @@ int64_t rk_oracle_eval(
         po[i] = pw_sum(pobuf, cnt);
     }
     return 3;
+}
+
+/* ------------------------------------------------------------------ */
+/* Maximum-weight matching: networkx's blossom (Galil 1986), ported    */
+/* ------------------------------------------------------------------ */
+
+/* A line-by-line port of networkx 3.6.1
+ * `max_weight_matching(G, maxcardinality=False)` on float weights.
+ * Results equal networkx's mate for mate, including which optimum it
+ * picks among ties, because every order of the Python code is kept:
+ *
+ * - vertices in order 0..nv-1, neighbours in edge-array order (the
+ *   adjacency insertion order of the networkx graph);
+ * - blossoms in creation order wherever networkx iterates the
+ *   `blossomparent` / `blossomdual` dicts (delta3 after the vertices,
+ *   delta4, the dual update, the end-of-stage expansion snapshot).
+ *   Blossom ids are reused, so creation order lives in a linked list;
+ * - `leaves()` pops from a stack: children come out reversed;
+ * - the queue is LIFO; `bestedgeto` keeps first-insertion order and
+ *   the stored edge keeps its (v, w) orientation;
+ * - strict `<` everywhere, an edge is allowable when slack <= 0, slack
+ *   is (dual[v] + dual[w]) - 2 w and delta3 is slack / 2.0.
+ *
+ * An edge (v, w) is an oriented code c = 2k + o for edge k:
+ * from(c) = ends[c], to(c) = ends[c ^ 1], and c ^ 1 is (w, v).  Ids
+ * 0..nv-1 are vertices (trivial blossoms, sharing their label slot as
+ * in networkx), ids nv..2nv-1 non-trivial blossoms.  networkx's two
+ * trampolines are plain recursion here.  All state lives in one struct
+ * per call: ctypes releases the GIL, so threads may call concurrently.
+ */
+
+#define BL_NONE ((int64_t)-1)
+
+typedef struct {
+    int64_t *a;
+    int64_t n, cap;
+} bl_vec;
+
+typedef struct {
+    int64_t nv, nb;
+    const double *wt;
+    int64_t *ends;      /* 2m endpoints: from(c) = ends[c]              */
+    int64_t *adj_off;   /* nv + 1                                        */
+    int64_t *adj;       /* codes leaving each vertex, in edge order      */
+    int64_t *mate;      /* nv: code from v to its mate, or BL_NONE       */
+    int64_t *inblossom; /* nv: top-level blossom of each vertex          */
+    double *dualvar;    /* nv: 2 u(v)                                    */
+    int8_t *label;      /* nb: 0 = none, 1 = S, 2 = T, 5 = breadcrumb   */
+    int64_t *labeledge; /* nb                                            */
+    int64_t *bestedge;  /* nb                                            */
+    int64_t *bparent;   /* nb                                            */
+    int64_t *bbase;     /* nb: base vertex                               */
+    double *bdual;      /* nb: z(b)                                      */
+    bl_vec *childs;     /* nb: sub-blossoms, base first                  */
+    bl_vec *bedges;     /* nb: bedges[i] joins childs[i], childs[i+1]    */
+    bl_vec *mbe;        /* nb: mybestedges, valid when has_mbe           */
+    int8_t *has_mbe;
+    int8_t *alive;
+    int64_t *lprev, *lnext, lhead, ltail; /* live blossoms, creation order */
+    int64_t *freeids, nfree;
+    int64_t *allow, stage; /* allowedge: allow[k] == stage               */
+    int64_t *queue, qlen, qcap;
+    int64_t *stk, *leaves, *path, *path2;
+    int64_t *bet, *bet_keys; /* bestedgeto: value per blossom, key order */
+    int oom;
+} bl_state;
+
+static int bl_reserve(bl_vec *v, int64_t need) {
+    if (need <= v->cap) return 0;
+    int64_t cap = v->cap ? v->cap : 8;
+    while (cap < need) cap *= 2;
+    int64_t *a = (int64_t *)realloc(v->a, (size_t)cap * sizeof(int64_t));
+    if (!a) return -1;
+    v->a = a;
+    v->cap = cap;
+    return 0;
+}
+
+static inline double bl_slack(const bl_state *S, int64_t c) {
+    return (S->dualvar[S->ends[c]] + S->dualvar[S->ends[c ^ 1]]) - 2.0 * S->wt[c >> 1];
+}
+
+static inline int64_t bl_wrap(int64_t j, int64_t L) { return (j < 0) ? j + L : j; }
+
+static void bl_qpush(bl_state *S, int64_t v) {
+    if (S->qlen == S->qcap) {
+        int64_t cap = 2 * S->qcap + 16;
+        int64_t *q = (int64_t *)realloc(S->queue, (size_t)cap * sizeof(int64_t));
+        if (!q) {
+            S->oom = 1;
+            return;
+        }
+        S->queue = q;
+        S->qcap = cap;
+    }
+    S->queue[S->qlen++] = v;
+}
+
+/* Blossom.leaves(): stack = [*childs]; pop; a blossom pushes its childs. */
+static int64_t bl_leaves(bl_state *S, int64_t b, int64_t *out) {
+    int64_t sp = 0, n = 0;
+    const bl_vec *ch = &S->childs[b];
+    for (int64_t i = 0; i < ch->n; i++) S->stk[sp++] = ch->a[i];
+    while (sp) {
+        int64_t t = S->stk[--sp];
+        if (t >= S->nv) {
+            const bl_vec *c2 = &S->childs[t];
+            for (int64_t i = 0; i < c2->n; i++) S->stk[sp++] = c2->a[i];
+        } else {
+            out[n++] = t;
+        }
+    }
+    return n;
+}
+
+static int64_t bl_index(const bl_vec *v, int64_t x) {
+    for (int64_t i = 0; i < v->n; i++)
+        if (v->a[i] == x) return i;
+    return -1;
+}
+
+static void bl_reverse(int64_t *a, int64_t lo, int64_t hi) {
+    for (hi--; lo < hi; lo++, hi--) {
+        int64_t t = a[lo];
+        a[lo] = a[hi];
+        a[hi] = t;
+    }
+}
+
+/* a[i:] + a[:i], in place */
+static void bl_rotate(int64_t *a, int64_t n, int64_t i) {
+    if (i <= 0 || i >= n) return;
+    bl_reverse(a, 0, i);
+    bl_reverse(a, i, n);
+    bl_reverse(a, 0, n);
+}
+
+static int64_t bl_new_blossom(bl_state *S) {
+    int64_t b = S->freeids[--S->nfree];
+    S->alive[b] = 1;
+    S->lprev[b] = S->ltail;
+    S->lnext[b] = BL_NONE;
+    if (S->ltail != BL_NONE) S->lnext[S->ltail] = b;
+    else S->lhead = b;
+    S->ltail = b;
+    S->childs[b].n = S->bedges[b].n = S->mbe[b].n = 0;
+    S->has_mbe[b] = 0;
+    return b;
+}
+
+static void bl_free_blossom(bl_state *S, int64_t b) {
+    if (S->lprev[b] != BL_NONE) S->lnext[S->lprev[b]] = S->lnext[b];
+    else S->lhead = S->lnext[b];
+    if (S->lnext[b] != BL_NONE) S->lprev[S->lnext[b]] = S->lprev[b];
+    else S->ltail = S->lprev[b];
+    S->alive[b] = 0;
+    S->label[b] = 0;
+    S->labeledge[b] = S->bestedge[b] = S->bparent[b] = S->bbase[b] = BL_NONE;
+    S->bdual[b] = 0.0;
+    S->has_mbe[b] = 0;
+    S->freeids[S->nfree++] = b;
+}
+
+/* Assign label t to the top-level blossom containing w, coming through
+ * edge c = (v, w), or c = BL_NONE. */
+static void bl_assign_label(bl_state *S, int64_t w, int t, int64_t c) {
+    int64_t b = S->inblossom[w];
+    S->label[w] = S->label[b] = (int8_t)t;
+    S->labeledge[w] = S->labeledge[b] = c;
+    S->bestedge[w] = S->bestedge[b] = BL_NONE;
+    if (t == 1) {
+        if (b >= S->nv) {
+            int64_t n = bl_leaves(S, b, S->leaves);
+            for (int64_t i = 0; i < n; i++) bl_qpush(S, S->leaves[i]);
+        } else {
+            bl_qpush(S, b);
+        }
+    } else if (t == 2) {
+        int64_t mc = S->mate[S->bbase[b]];
+        bl_assign_label(S, S->ends[mc ^ 1], 1, mc);
+    }
+}
+
+/* Trace back from v and w: base of a new blossom, or BL_NONE when an
+ * augmenting path was found. */
+static int64_t bl_scan_blossom(bl_state *S, int64_t v, int64_t w) {
+    int64_t np = 0, base = BL_NONE;
+    while (v != BL_NONE) {
+        int64_t b = S->inblossom[v];
+        if (S->label[b] & 4) {
+            base = S->bbase[b];
+            break;
+        }
+        S->path[np++] = b;
+        S->label[b] = 5;
+        if (S->labeledge[b] == BL_NONE) {
+            v = BL_NONE;
+        } else {
+            v = S->ends[S->labeledge[b]];
+            b = S->inblossom[v];
+            v = S->ends[S->labeledge[b]];
+        }
+        if (w != BL_NONE) {
+            int64_t t = v;
+            v = w;
+            w = t;
+        }
+    }
+    for (int64_t i = 0; i < np; i++) S->label[S->path[i]] = 1;
+    return base;
+}
+
+/* One nblist entry of addBlossom's least-slack bookkeeping. */
+static inline void bl_bestedgeto(bl_state *S, int64_t b, int64_t k, int64_t *nk) {
+    int64_t j = S->ends[k ^ 1];
+    if (S->inblossom[j] == b) j = S->ends[k];
+    int64_t bj = S->inblossom[j];
+    if (bj != b && S->label[bj] == 1) {
+        int64_t cur = S->bet[bj];
+        if (cur == BL_NONE) {
+            S->bet_keys[(*nk)++] = bj;
+            S->bet[bj] = k;
+        } else if (bl_slack(S, k) < bl_slack(S, cur)) {
+            S->bet[bj] = k;
+        }
+    }
+}
+
+/* New S-blossom with the given base, through S-vertices joined by c. */
+static void bl_add_blossom(bl_state *S, int64_t base, int64_t c) {
+    const int64_t nv = S->nv;
+    int64_t v = S->ends[c], w = S->ends[c ^ 1];
+    int64_t bb = S->inblossom[base], bv = S->inblossom[v], bw = S->inblossom[w];
+    int64_t b = bl_new_blossom(S);
+    S->bbase[b] = base;
+    S->bparent[b] = BL_NONE;
+    S->bparent[bb] = b;
+    int64_t *path = S->path, *edgs = S->path2, np = 0, ne = 0;
+    edgs[ne++] = c;
+    while (bv != bb) {
+        S->bparent[bv] = b;
+        path[np++] = bv;
+        edgs[ne++] = S->labeledge[bv];
+        v = S->ends[S->labeledge[bv]];
+        bv = S->inblossom[v];
+    }
+    path[np++] = bb;
+    bl_reverse(path, 0, np);
+    bl_reverse(edgs, 0, ne);
+    while (bw != bb) {
+        S->bparent[bw] = b;
+        path[np++] = bw;
+        edgs[ne++] = S->labeledge[bw] ^ 1;
+        w = S->ends[S->labeledge[bw]];
+        bw = S->inblossom[w];
+    }
+    bl_vec *ch = &S->childs[b], *ed = &S->bedges[b];
+    if (bl_reserve(ch, np) || bl_reserve(ed, ne)) {
+        S->oom = 1;
+        return;
+    }
+    memcpy(ch->a, path, (size_t)np * sizeof(int64_t));
+    memcpy(ed->a, edgs, (size_t)ne * sizeof(int64_t));
+    ch->n = np;
+    ed->n = ne;
+    S->label[b] = 1;
+    S->labeledge[b] = S->labeledge[bb];
+    S->bdual[b] = 0.0;
+    /* relabel: T-vertices turn S and join the queue */
+    int64_t nl = bl_leaves(S, b, S->leaves);
+    for (int64_t i = 0; i < nl; i++) {
+        int64_t x = S->leaves[i];
+        if (S->label[S->inblossom[x]] == 2) bl_qpush(S, x);
+        S->inblossom[x] = b;
+    }
+    /* least-slack edges to neighbouring S-blossoms */
+    int64_t nk = 0;
+    for (int64_t p = 0; p < ch->n; p++) {
+        int64_t sub = ch->a[p];
+        if (sub >= nv && S->has_mbe[sub]) {
+            const bl_vec *mb = &S->mbe[sub];
+            for (int64_t q = 0; q < mb->n; q++) bl_bestedgeto(S, b, mb->a[q], &nk);
+            S->has_mbe[sub] = 0;
+        } else if (sub >= nv) {
+            int64_t ns = bl_leaves(S, sub, S->leaves);
+            for (int64_t i = 0; i < ns; i++) {
+                int64_t x = S->leaves[i];
+                for (int64_t a = S->adj_off[x]; a < S->adj_off[x + 1]; a++)
+                    bl_bestedgeto(S, b, S->adj[a], &nk);
+            }
+        } else {
+            for (int64_t a = S->adj_off[sub]; a < S->adj_off[sub + 1]; a++)
+                bl_bestedgeto(S, b, S->adj[a], &nk);
+        }
+        S->bestedge[sub] = BL_NONE;
+    }
+    bl_vec *mb = &S->mbe[b];
+    if (bl_reserve(mb, nk)) {
+        S->oom = 1;
+        return;
+    }
+    for (int64_t i = 0; i < nk; i++) {
+        mb->a[i] = S->bet[S->bet_keys[i]];
+        S->bet[S->bet_keys[i]] = BL_NONE;
+    }
+    mb->n = nk;
+    S->has_mbe[b] = 1;
+    int64_t best = BL_NONE;
+    double bestslack = 0.0;
+    for (int64_t i = 0; i < nk; i++) {
+        double ks = bl_slack(S, mb->a[i]);
+        if (best == BL_NONE || ks < bestslack) {
+            best = mb->a[i];
+            bestslack = ks;
+        }
+    }
+    S->bestedge[b] = best;
+}
+
+/* Expand the top-level blossom b. */
+static void bl_expand_blossom(bl_state *S, int64_t b, int endstage) {
+    const int64_t nv = S->nv;
+    const bl_vec *ch = &S->childs[b], *ed = &S->bedges[b];
+    const int64_t L = ch->n;
+    for (int64_t i = 0; i < L; i++) {
+        int64_t s = ch->a[i];
+        S->bparent[s] = BL_NONE;
+        if (s < nv) {
+            S->inblossom[s] = s;
+        } else if (endstage && S->bdual[s] == 0.0) {
+            bl_expand_blossom(S, s, endstage);
+        } else {
+            int64_t n = bl_leaves(S, s, S->leaves);
+            for (int64_t q = 0; q < n; q++) S->inblossom[S->leaves[q]] = s;
+        }
+    }
+    if (!endstage && S->label[b] == 2) {
+        /* relabel the sub-blossoms of an expanding T-blossom, starting at
+         * the child through which it got its label */
+        int64_t entry = S->inblossom[S->ends[S->labeledge[b] ^ 1]];
+        int64_t j = bl_index(ch, entry), jstep;
+        if (j & 1) {
+            j -= L;
+            jstep = 1;
+        } else {
+            jstep = -1;
+        }
+        int64_t vw = S->labeledge[b]; /* (v, w) */
+        while (j != 0) {
+            int64_t e, q;
+            if (jstep == 1) {
+                e = ed->a[bl_wrap(j, L)];
+                q = S->ends[e ^ 1];
+            } else {
+                e = ed->a[bl_wrap(j - 1, L)];
+                q = S->ends[e];
+            }
+            S->label[S->ends[vw ^ 1]] = 0;
+            S->label[q] = 0;
+            bl_assign_label(S, S->ends[vw ^ 1], 2, vw);
+            S->allow[e >> 1] = S->stage;
+            j += jstep;
+            if (jstep == 1) {
+                e = ed->a[bl_wrap(j, L)];
+                vw = e;
+            } else {
+                e = ed->a[bl_wrap(j - 1, L)];
+                vw = e ^ 1;
+            }
+            S->allow[e >> 1] = S->stage;
+            j += jstep;
+        }
+        int64_t w = S->ends[vw ^ 1], bw = ch->a[bl_wrap(j, L)];
+        S->label[w] = S->label[bw] = 2;
+        S->labeledge[w] = S->labeledge[bw] = vw;
+        S->bestedge[bw] = BL_NONE;
+        j += jstep;
+        while (ch->a[bl_wrap(j, L)] != entry) {
+            int64_t bv = ch->a[bl_wrap(j, L)];
+            if (S->label[bv] == 1) {
+                j += jstep;
+                continue;
+            }
+            int64_t v = BL_NONE;
+            if (bv >= nv) {
+                int64_t n = bl_leaves(S, bv, S->leaves);
+                for (int64_t q = 0; q < n; q++)
+                    if (S->label[S->leaves[q]]) {
+                        v = S->leaves[q];
+                        break;
+                    }
+            } else if (S->label[bv]) {
+                v = bv;
+            }
+            if (v != BL_NONE) {
+                S->label[v] = 0;
+                S->label[S->ends[S->mate[S->bbase[bv]] ^ 1]] = 0;
+                bl_assign_label(S, v, 2, S->labeledge[v]);
+            }
+            j += jstep;
+        }
+    }
+    bl_free_blossom(S, b);
+}
+
+/* Swap matched/unmatched edges along the alternating path through
+ * blossom b between vertex v and the base. */
+static void bl_augment_blossom(bl_state *S, int64_t b, int64_t v) {
+    const int64_t nv = S->nv;
+    int64_t t = v;
+    while (S->bparent[t] != b) t = S->bparent[t];
+    if (t >= nv) bl_augment_blossom(S, t, v);
+    bl_vec *ch = &S->childs[b], *ed = &S->bedges[b];
+    const int64_t L = ch->n;
+    int64_t i = bl_index(ch, t), j = i, jstep;
+    if (i & 1) {
+        j -= L;
+        jstep = 1;
+    } else {
+        jstep = -1;
+    }
+    while (j != 0) {
+        int64_t e, w, x;
+        j += jstep;
+        t = ch->a[bl_wrap(j, L)];
+        if (jstep == 1) {
+            e = ed->a[bl_wrap(j, L)]; /* (w, x) */
+            w = S->ends[e];
+            x = S->ends[e ^ 1];
+        } else {
+            e = ed->a[bl_wrap(j - 1, L)] ^ 1; /* stored as (x, w) */
+            w = S->ends[e];
+            x = S->ends[e ^ 1];
+        }
+        if (t >= nv) bl_augment_blossom(S, t, w);
+        j += jstep;
+        t = ch->a[bl_wrap(j, L)];
+        if (t >= nv) bl_augment_blossom(S, t, x);
+        S->mate[w] = e;
+        S->mate[x] = e ^ 1;
+    }
+    bl_rotate(ch->a, L, i);
+    bl_rotate(ed->a, L, i);
+    S->bbase[b] = S->bbase[ch->a[0]];
+}
+
+/* Augment along the path through S-vertices v, w joined by c = (v, w). */
+static void bl_augment_matching(bl_state *S, int64_t c) {
+    for (int side = 0; side < 2; side++) {
+        int64_t code = side ? (c ^ 1) : c; /* (s, j) */
+        int64_t s = S->ends[code];
+        for (;;) {
+            int64_t bs = S->inblossom[s];
+            if (bs >= S->nv) bl_augment_blossom(S, bs, s);
+            S->mate[s] = code;
+            if (S->labeledge[bs] == BL_NONE) break;
+            int64_t bt = S->inblossom[S->ends[S->labeledge[bs]]];
+            int64_t le = S->labeledge[bt];
+            s = S->ends[le];
+            int64_t j = S->ends[le ^ 1];
+            if (bt >= S->nv) bl_augment_blossom(S, bt, j);
+            S->mate[j] = le ^ 1;
+            code = le;
+        }
+    }
+}
+
+static void bl_release(bl_state *S) {
+    bl_vec *vecs[] = {S->childs, S->bedges, S->mbe};
+    for (int i = 0; i < 3; i++)
+        if (vecs[i])
+            for (int64_t b = 0; b < S->nb; b++) free(vecs[i][b].a);
+    void *bufs[] = {
+        S->ends, S->adj_off, S->adj, S->mate, S->inblossom, S->dualvar,
+        S->label, S->labeledge, S->bestedge, S->bparent, S->bbase, S->bdual,
+        S->childs, S->bedges, S->mbe, S->has_mbe, S->alive, S->lprev, S->lnext,
+        S->freeids, S->allow, S->queue, S->stk, S->leaves, S->path, S->path2,
+        S->bet, S->bet_keys,
+    };
+    for (size_t i = 0; i < sizeof(bufs) / sizeof(bufs[0]); i++) free(bufs[i]);
+}
+
+static inline void bl_delta3(const bl_state *S, int64_t b, double *delta, int *deltatype,
+                             int64_t *deltaedge) {
+    if (S->bparent[b] == BL_NONE && S->label[b] == 1 && S->bestedge[b] != BL_NONE) {
+        double d = bl_slack(S, S->bestedge[b]) / 2.0;
+        if (d < *delta) {
+            *delta = d;
+            *deltatype = 3;
+            *deltaedge = S->bestedge[b];
+        }
+    }
+}
+
+/* The main loop of max_weight_matching.  Returns 0, or -1 when out of
+ * memory. */
+static int bl_run(bl_state *S) {
+    const int64_t nv = S->nv, nb = S->nb;
+    for (;;) {
+        /* a stage: labels, least-slack edges and allowedge are reset */
+        S->stage++;
+        memset(S->label, 0, (size_t)nb);
+        for (int64_t b = 0; b < nb; b++) S->labeledge[b] = S->bestedge[b] = BL_NONE;
+        for (int64_t b = S->lhead; b != BL_NONE; b = S->lnext[b]) S->has_mbe[b] = 0;
+        S->qlen = 0;
+        for (int64_t v = 0; v < nv; v++)
+            if (S->mate[v] == BL_NONE && S->label[S->inblossom[v]] == 0)
+                bl_assign_label(S, v, 1, BL_NONE);
+        int augmented = 0;
+        for (;;) {
+            /* a substage: label until an augmenting path turns up */
+            while (S->qlen && !augmented) {
+                if (S->oom) return -1;
+                int64_t v = S->queue[--S->qlen];
+                for (int64_t a = S->adj_off[v]; a < S->adj_off[v + 1]; a++) {
+                    int64_t c = S->adj[a], w = S->ends[c ^ 1];
+                    int64_t bv = S->inblossom[v], bw = S->inblossom[w];
+                    if (bv == bw) continue;
+                    int64_t k = c >> 1;
+                    double kslack = 0.0;
+                    if (S->allow[k] != S->stage) {
+                        kslack = bl_slack(S, c);
+                        if (kslack <= 0) S->allow[k] = S->stage;
+                    }
+                    if (S->allow[k] == S->stage) {
+                        if (S->label[bw] == 0) {
+                            bl_assign_label(S, w, 2, c);
+                        } else if (S->label[bw] == 1) {
+                            int64_t base = bl_scan_blossom(S, v, w);
+                            if (base != BL_NONE) {
+                                bl_add_blossom(S, base, c);
+                                if (S->oom) return -1;
+                            } else {
+                                bl_augment_matching(S, c);
+                                augmented = 1;
+                                break;
+                            }
+                        } else if (S->label[w] == 0) {
+                            S->label[w] = 2;
+                            S->labeledge[w] = c;
+                        }
+                    } else if (S->label[bw] == 1) {
+                        if (S->bestedge[bv] == BL_NONE || kslack < bl_slack(S, S->bestedge[bv]))
+                            S->bestedge[bv] = c;
+                    } else if (S->label[w] == 0) {
+                        if (S->bestedge[w] == BL_NONE || kslack < bl_slack(S, S->bestedge[w]))
+                            S->bestedge[w] = c;
+                    }
+                }
+            }
+            if (S->oom) return -1;
+            if (augmented) break;
+
+            /* delta1: minimum vertex dual */
+            int deltatype = 1;
+            double delta = S->dualvar[0];
+            int64_t deltaedge = BL_NONE, deltablossom = BL_NONE;
+            for (int64_t v = 1; v < nv; v++)
+                if (S->dualvar[v] < delta) delta = S->dualvar[v];
+            /* delta2: least slack from an S-vertex to a free vertex */
+            for (int64_t v = 0; v < nv; v++)
+                if (S->label[S->inblossom[v]] == 0 && S->bestedge[v] != BL_NONE) {
+                    double d = bl_slack(S, S->bestedge[v]);
+                    if (d < delta) {
+                        delta = d;
+                        deltatype = 2;
+                        deltaedge = S->bestedge[v];
+                    }
+                }
+            /* delta3: half the least slack between S-blossoms; vertices,
+             * then blossoms in creation order (blossomparent's keys) */
+            for (int64_t b = 0; b < nv; b++) bl_delta3(S, b, &delta, &deltatype, &deltaedge);
+            for (int64_t b = S->lhead; b != BL_NONE; b = S->lnext[b])
+                bl_delta3(S, b, &delta, &deltatype, &deltaedge);
+            /* delta4: least z of a top-level T-blossom */
+            for (int64_t b = S->lhead; b != BL_NONE; b = S->lnext[b])
+                if (S->bparent[b] == BL_NONE && S->label[b] == 2 && S->bdual[b] < delta) {
+                    delta = S->bdual[b];
+                    deltatype = 4;
+                    deltablossom = b;
+                }
+            /* dual update */
+            for (int64_t v = 0; v < nv; v++) {
+                int8_t l = S->label[S->inblossom[v]];
+                if (l == 1) S->dualvar[v] -= delta;
+                else if (l == 2) S->dualvar[v] += delta;
+            }
+            for (int64_t b = S->lhead; b != BL_NONE; b = S->lnext[b])
+                if (S->bparent[b] == BL_NONE) {
+                    if (S->label[b] == 1) S->bdual[b] += delta;
+                    else if (S->label[b] == 2) S->bdual[b] -= delta;
+                }
+            if (deltatype == 1) break; /* optimum reached */
+            if (deltatype == 2 || deltatype == 3) {
+                S->allow[deltaedge >> 1] = S->stage;
+                bl_qpush(S, S->ends[deltaedge]);
+            } else {
+                bl_expand_blossom(S, deltablossom, 0);
+            }
+        }
+        if (S->oom) return -1;
+        if (!augmented) return 0;
+        /* end of stage: expand S-blossoms with zero dual, over a
+         * creation-ordered snapshot (nothing is created meanwhile) */
+        int64_t ns = 0;
+        for (int64_t b = S->lhead; b != BL_NONE; b = S->lnext[b]) S->path[ns++] = b;
+        for (int64_t i = 0; i < ns; i++) {
+            int64_t b = S->path[i];
+            if (S->alive[b] && S->bparent[b] == BL_NONE && S->label[b] == 1 && S->bdual[b] == 0.0)
+                bl_expand_blossom(S, b, 1);
+        }
+    }
+}
+
+/* Maximum-weight matching of the simple graph (src[k], dst[k], w[k]),
+ * k < m, on vertices 0..nv-1 (self-loops are ignored, as in networkx).
+ * Writes each vertex's matched edge index, or -1, to mate_edge.
+ * Returns 0, or -1 when out of memory. */
+int64_t rk_blossom_mates(int64_t nv, int64_t m, const int64_t *src, const int64_t *dst,
+                         const double *w, int64_t *mate_edge) {
+    for (int64_t v = 0; v < nv; v++) mate_edge[v] = -1;
+    if (nv <= 0) return 0;
+    bl_state st;
+    bl_state *S = &st;
+    memset(S, 0, sizeof(*S));
+    const int64_t nb = 2 * nv;
+    S->nv = nv;
+    S->nb = nb;
+    S->wt = w;
+    S->qcap = nv + 16;
+#define BL_ALLOC(p, n) ((p) = calloc((size_t)((n) > 0 ? (n) : 1), sizeof(*(p))))
+    if (!BL_ALLOC(S->ends, 2 * m) || !BL_ALLOC(S->adj_off, nv + 1) ||
+        !BL_ALLOC(S->adj, 2 * m) || !BL_ALLOC(S->mate, nv) ||
+        !BL_ALLOC(S->inblossom, nv) || !BL_ALLOC(S->dualvar, nv) ||
+        !BL_ALLOC(S->label, nb) || !BL_ALLOC(S->labeledge, nb) ||
+        !BL_ALLOC(S->bestedge, nb) || !BL_ALLOC(S->bparent, nb) ||
+        !BL_ALLOC(S->bbase, nb) || !BL_ALLOC(S->bdual, nb) ||
+        !BL_ALLOC(S->childs, nb) || !BL_ALLOC(S->bedges, nb) || !BL_ALLOC(S->mbe, nb) ||
+        !BL_ALLOC(S->has_mbe, nb) || !BL_ALLOC(S->alive, nb) ||
+        !BL_ALLOC(S->lprev, nb) || !BL_ALLOC(S->lnext, nb) || !BL_ALLOC(S->freeids, nb) ||
+        !BL_ALLOC(S->allow, m) || !BL_ALLOC(S->queue, S->qcap) ||
+        !BL_ALLOC(S->stk, nb) || !BL_ALLOC(S->leaves, nv) || !BL_ALLOC(S->path, nb) ||
+        !BL_ALLOC(S->path2, nb + 1) || !BL_ALLOC(S->bet, nb) || !BL_ALLOC(S->bet_keys, nb)) {
+        bl_release(S);
+        return -1;
+    }
+#undef BL_ALLOC
+    /* adjacency in edge order; maxweight over non-loop edges */
+    double maxweight = 0.0;
+    for (int64_t k = 0; k < m; k++) {
+        S->ends[2 * k] = src[k];
+        S->ends[2 * k + 1] = dst[k];
+        if (src[k] == dst[k]) continue;
+        if (w[k] > maxweight) maxweight = w[k];
+        S->adj_off[src[k] + 1]++;
+        S->adj_off[dst[k] + 1]++;
+    }
+    for (int64_t v = 0; v < nv; v++) S->adj_off[v + 1] += S->adj_off[v];
+    memcpy(S->stk, S->adj_off, (size_t)nv * sizeof(int64_t)); /* fill cursors */
+    for (int64_t k = 0; k < m; k++) {
+        if (src[k] == dst[k]) continue;
+        S->adj[S->stk[src[k]]++] = 2 * k;
+        S->adj[S->stk[dst[k]]++] = 2 * k + 1;
+    }
+    for (int64_t v = 0; v < nv; v++) {
+        S->mate[v] = BL_NONE;
+        S->inblossom[v] = v;
+        S->bbase[v] = v;
+        S->dualvar[v] = maxweight;
+    }
+    for (int64_t b = 0; b < nb; b++) S->bparent[b] = S->bet[b] = BL_NONE;
+    for (int64_t b = nb - 1; b >= nv; b--) {
+        S->bbase[b] = BL_NONE;
+        S->freeids[S->nfree++] = b;
+    }
+    S->lhead = S->ltail = BL_NONE;
+    int rc = bl_run(S);
+    if (rc == 0)
+        for (int64_t v = 0; v < nv; v++)
+            mate_edge[v] = (S->mate[v] == BL_NONE) ? -1 : (S->mate[v] >> 1);
+    bl_release(S);
+    return rc;
 }

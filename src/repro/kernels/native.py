@@ -21,7 +21,7 @@ from ctypes import c_double, c_int64, c_void_p
 import numpy as np
 
 from repro.kernels.build import load_library
-from repro.kernels.common import OracleEvalResult, OracleScratch
+from repro.kernels.common import OracleEvalResult, OracleScratch, blossom_input
 
 _lib = load_library()
 
@@ -93,6 +93,7 @@ _sig(
     c_void_p, c_void_p, c_void_p, c_void_p,
     c_void_p, c_void_p, c_void_p,
 )
+_sig("rk_blossom_mates", c_int64, c_int64, c_int64, c_void_p, c_void_p, c_void_p, c_void_p)
 
 
 def _p(a: np.ndarray) -> int:
@@ -387,3 +388,14 @@ def oracle_eval(batch, s, us_mass, zsum, hik_idx, hik_off, hik_counts, zmul,
         step_x=scratch.step_x if flags & 2 else None,
         po=scratch.po,
     )
+
+
+# ----------------------------------------------------------------------
+# Maximum-weight matching (port of networkx's blossom)
+# ----------------------------------------------------------------------
+def blossom_mates(nv, src, dst, weight) -> np.ndarray:
+    nv, s, d, w = blossom_input(nv, src, dst, weight)
+    mate = np.empty(nv, dtype=_I64)
+    if _lib.rk_blossom_mates(nv, len(s), _p(s), _p(d), _p(w), _p(mate)) != 0:
+        raise MemoryError(f"blossom_mates: out of memory (nv={nv}, m={len(s)})")
+    return mate

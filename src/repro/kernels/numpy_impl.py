@@ -10,14 +10,16 @@ kernels, exact float64 equality for the solver kernels.
 
 No repro-internal imports: the sketch layer imports this package, so
 everything needed (Mersenne arithmetic, the geometric-level hash) is
-self-contained here.
+self-contained here.  The one third-party reference, networkx's blossom
+(:func:`blossom_mates`), is imported inside the function, so importing
+this package never loads networkx.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.common import MERSENNE_P, OracleEvalResult, OracleScratch
+from repro.kernels.common import MERSENNE_P, OracleEvalResult, OracleScratch, blossom_input
 
 _MASK32 = np.uint64((1 << 32) - 1)
 _SHIFT32 = np.uint64(32)
@@ -515,3 +517,27 @@ def oracle_eval(batch, s: np.ndarray, us_mass: np.ndarray, zsum: np.ndarray,
     return OracleEvalResult(
         True, gamma, gamma_v, route, k_star_row, pos_net, step_x, scratch.po
     )
+
+
+# ----------------------------------------------------------------------
+# Maximum-weight matching (the offline harvest of Algorithm 2 step 5)
+# ----------------------------------------------------------------------
+def blossom_mates(nv: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Each vertex's matched edge index (``-1`` if single) under networkx.
+
+    ``networkx.max_weight_matching(maxcardinality=False)`` on the simple
+    graph with vertices ``0..nv-1`` and edges ``(src[k], dst[k])`` of
+    weight ``weight[k]``, added in array order -- which fixes networkx's
+    adjacency order, hence which optimum it returns among ties.
+    """
+    import networkx as nx
+
+    nv, src, dst, weight = blossom_input(nv, src, dst, weight)
+    g = nx.Graph()
+    g.add_nodes_from(range(nv))
+    for k, (i, j, w) in enumerate(zip(src.tolist(), dst.tolist(), weight.tolist())):
+        g.add_edge(i, j, weight=w, eid=k)
+    mate = np.full(nv, -1, dtype=np.int64)
+    for i, j in nx.max_weight_matching(g, maxcardinality=False):
+        mate[i] = mate[j] = g.edges[i, j]["eid"]
+    return mate

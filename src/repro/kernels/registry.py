@@ -58,6 +58,9 @@ KERNEL_CONTRACTS: dict[str, str] = {
     # fused Algorithm 5 steps 1-8
     "oracle_eval": _EXACT_F64_PW + "; route/k* integer-identical, scans "
     "sequential per row like np.cumsum",
+    # offline harvest (Algorithm 2 step 5)
+    "blossom_mates": "identical int64 mate arrays (each vertex's matched edge "
+    "or -1) to networkx max_weight_matching on simple float-weighted graphs",
 }
 
 KERNEL_NAMES: list[str] = list(KERNEL_CONTRACTS)

@@ -3,9 +3,9 @@
 Three solvers, trading generality for cost:
 
 * :func:`max_weight_matching_exact` -- exact maximum-weight matching for
-  ``b = 1`` via the blossom algorithm (networkx implementation; used as
-  the verifier and as the offline subroutine of Algorithm 2 step 5 on
-  sampled subgraphs, where [2, 13] would be used at scale).
+  ``b = 1`` via the blossom algorithm.  It is the verifier and the
+  offline subroutine of Algorithm 2 step 5 on sampled subgraphs (where
+  [2, 13] would be used at scale).
 * :func:`max_weight_bmatching_exact` -- exact uncapacitated b-matching by
   the standard vertex-splitting reduction: vertex ``i`` becomes ``b_i``
   clones; edge ``(i, j)`` becomes a complete bipartite bundle between the
@@ -16,6 +16,13 @@ Three solvers, trading generality for cost:
   constraints enumerated up to a size cap (exact for bipartite graphs
   with no odd sets; exact for general graphs when the cap reaches ``n``).
   Used by the relaxation experiments (E6/E11) and the certificate tests.
+
+The first two share one array path: keep the heaviest copy of each
+parallel edge, split vertices with numpy, run the ``blossom_mates``
+kernel once, and count matched clone edges per source edge.  The kernel
+is a C port of networkx's ``max_weight_matching`` that returns the same
+mates as networkx, tie for tie; ``REPRO_KERNELS=numpy`` runs networkx
+itself (see ``docs/kernels.md``).
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from itertools import combinations
 
 import numpy as np
 
+from repro.kernels import blossom_mates
 from repro.matching.structures import BMatching
 from repro.util.graph import Graph
 
@@ -37,11 +45,7 @@ __all__ = [
 
 def max_weight_matching_exact(graph: Graph) -> BMatching:
     """Exact maximum-weight matching (b = 1) via blossom."""
-    import networkx as nx
-
-    g = graph.to_networkx()
-    mate = nx.max_weight_matching(g, maxcardinality=False)
-    return BMatching.from_pairs(graph, list(mate))
+    return _exact_bmatching(graph, np.ones(graph.n, dtype=np.int64))
 
 
 def max_weight_bmatching_exact(graph: Graph) -> BMatching:
@@ -50,30 +54,46 @@ def max_weight_bmatching_exact(graph: Graph) -> BMatching:
     Complexity is blossom on ``B`` vertices and ``sum_e b_i b_j`` edges;
     intended for verification-scale instances.
     """
-    import networkx as nx
+    return _exact_bmatching(graph, graph.b)
 
-    if bool(np.all(graph.b == 1)):
-        return max_weight_matching_exact(graph)
-    # clone index ranges per vertex
+
+def _heaviest_copies(graph: Graph) -> np.ndarray:
+    """Ascending ids of the edges left when each parallel bundle keeps
+    its heaviest copy (ties to the lowest id).
+
+    A b-matching has no per-edge cap, so an optimum never needs a
+    lighter parallel copy.
+    """
+    keys = graph.edge_keys()
+    order = np.lexsort((-graph.weight, keys))  # stable: equal weights keep id order
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[order[1:]], keys[order[:-1]], out=first[1:])
+    return np.sort(order[first])
+
+
+def _exact_bmatching(graph: Graph, b: np.ndarray) -> BMatching:
+    """Vertex split, one blossom call, per-edge match counts.
+
+    Clone edges come out in ``(edge, clone_i, clone_j)`` order: the
+    order the blossom sees them in, which decides among tied optima.
+    """
+    keep = _heaviest_copies(graph)
     starts = np.zeros(graph.n + 1, dtype=np.int64)
-    np.cumsum(graph.b, out=starts[1:])
-    g = nx.Graph()
-    g.add_nodes_from(range(int(starts[-1])))
-    for e in range(graph.m):
-        i, j, w = int(graph.src[e]), int(graph.dst[e]), float(graph.weight[e])
-        for ci in range(starts[i], starts[i + 1]):
-            for cj in range(starts[j], starts[j + 1]):
-                g.add_edge(int(ci), int(cj), weight=w, eid=e)
-    mate = nx.max_weight_matching(g, maxcardinality=False)
-    counts: dict[int, int] = {}
-    for a, bb in mate:
-        eid = g.edges[a, bb]["eid"]
-        counts[eid] = counts.get(eid, 0) + 1
-    if not counts:
-        return BMatching.empty(graph)
-    ids = np.asarray(sorted(counts), dtype=np.int64)
-    mult = np.asarray([counts[int(e)] for e in ids], dtype=np.int64)
-    return BMatching(graph, ids, mult)
+    np.cumsum(b, out=starts[1:])
+    i, j = graph.src[keep], graph.dst[keep]
+    reps = b[i] * b[j]
+    bundle = np.repeat(np.arange(len(keep)), reps)  # clone edge -> kept edge
+    # position of each clone edge inside its b_i x b_j bundle
+    local = np.arange(len(bundle)) - np.repeat(np.cumsum(reps) - reps, reps)
+    bj = b[j][bundle]
+    ci = starts[i][bundle] + local // bj
+    cj = starts[j][bundle] + local % bj
+    eid = keep[bundle]
+    mate = blossom_mates(int(starts[-1]), ci, cj, graph.weight[eid])
+    # every matched clone edge is seen from both of its clones
+    counts = np.bincount(eid[mate[mate >= 0]], minlength=graph.m) // 2
+    ids = np.flatnonzero(counts)
+    return BMatching(graph, ids, counts[ids])
 
 
 #: Memo for :func:`enumerate_odd_sets`.  The LP library solves LP1-LP4 on

@@ -111,7 +111,8 @@ class Graph:
     weight:
         Positive edge weights.  Unweighted graphs use all-ones.
     b:
-        Integer vertex capacities; defaults to all-ones (plain matching).
+        Non-negative integer vertex capacities; defaults to all-ones
+        (plain matching).  ``b_i = 0`` is allowed (a saturated vertex).
     """
 
     n: int
@@ -135,6 +136,9 @@ class Graph:
             raise ValueError("edge arrays must have equal length")
         if len(self.b) != self.n:
             raise ValueError("capacity vector b must have length n")
+        if self.n and self.b.min() < 0:
+            v = int(self.b.argmin())
+            raise ValueError(f"capacities must be >= 0, got b[{v}] = {int(self.b[v])}")
         if len(self.src) and (self.src.min() < 0 or self.dst.max() >= self.n):
             raise ValueError("edge endpoint out of range")
         if np.any(self.src >= self.dst):

@@ -8,10 +8,15 @@ replicates the reference operation order (sequential scatters, numpy's
 pairwise summation, ``-ffp-contract=off``).  Any tolerance here would
 hide a parity break, so none is used.
 
+The blossom matcher is the exception to bit-level float parity: its
+reference is networkx itself, and the battery asserts identical mate
+arrays (which optimum is returned among ties included).
+
 Also covered: backend dispatch via ``REPRO_KERNELS`` (subprocess per
 mode), the clean import-time fallback when the native build is
-impossible, and end-to-end digest equality of a small sketch+solve
-pipeline across backends.
+impossible, end-to-end digest equality of a small sketch+solve
+pipeline across backends, and that a native default-config solve never
+imports networkx.
 """
 
 from __future__ import annotations
@@ -19,16 +24,20 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.kernels as K
 from repro.kernels import MERSENNE_P, REGISTRY
 from repro.kernels import numpy_impl as ref
 from repro.kernels.common import OracleScratch
 from repro.kernels.registry import KERNEL_NAMES
+from repro.util.graph import Graph
 
 REPO = Path(__file__).resolve().parents[1]
 P = MERSENNE_P
@@ -540,6 +549,219 @@ def test_oracle_eval_routes_covered():
 
 
 # ----------------------------------------------------------------------
+# Blossom matcher (C port of networkx's max_weight_matching)
+# ----------------------------------------------------------------------
+def _simple_edges(rng, nv, m):
+    """Random simple graph: distinct pairs, random orientation and order."""
+    if nv < 2 or m == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    a = rng.integers(0, nv, size=m)
+    b = rng.integers(0, nv, size=m)
+    a, b = a[a != b], b[a != b]
+    key = np.minimum(a, b) * nv + np.maximum(a, b)
+    first = np.sort(np.unique(key, return_index=True)[1])
+    return a[first], b[first]
+
+
+BLOSSOM_WEIGHTS = {
+    "float": lambda rng, m: rng.uniform(0.5, 10.0, m),
+    "small_int": lambda rng, m: rng.integers(1, 4, m).astype(np.float64),
+    "all_equal": lambda rng, m: np.full(m, 2.5),
+    "quarter_step": lambda rng, m: rng.integers(1, 40, m) * 0.25,
+}
+
+
+def blossom_impl(which):
+    """One registry implementation of ``blossom_mates`` (skip if absent)."""
+    fn = dict(zip(["numpy", "native"], impls("blossom_mates")))[which]
+    if fn is None:
+        pytest.skip("native kernel backend unavailable in this environment")
+    return fn
+
+
+def assert_blossom_parity(nv, src, dst, w):
+    """Native and networkx mates identical; returns the mate array."""
+    ref_fn, nat_fn = impls("blossom_mates")
+    want = ref_fn(nv, src, dst, w)
+    got = nat_fn(nv, src, dst, w)
+    assert_bitequal(got, want)
+    return got
+
+
+@needs_native
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_blossom_mates_parity_property(data):
+    nv = data.draw(st.integers(0, 14), label="nv")
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, max(nv - 1, 0)), st.integers(0, max(nv - 1, 0))),
+        max_size=50), label="pairs")
+    seen, src, dst = set(), [], []
+    for i, j in pairs:
+        if i != j and (min(i, j), max(i, j)) not in seen:
+            seen.add((min(i, j), max(i, j)))
+            src.append(i)
+            dst.append(j)
+    w = data.draw(st.lists(
+        st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+        | st.floats(0.01, 100.0, allow_nan=False, allow_infinity=False),
+        min_size=len(src), max_size=len(src)), label="weights")
+    assert_blossom_parity(nv, np.array(src, np.int64), np.array(dst, np.int64),
+                          np.array(w, np.float64))
+
+
+@needs_native
+@pytest.mark.parametrize("kind", sorted(BLOSSOM_WEIGHTS))
+def test_blossom_mates_random_families(kind):
+    rng = np.random.default_rng([41, sorted(BLOSSOM_WEIGHTS).index(kind)])
+    matched = 0
+    for _ in range(250):
+        nv = int(rng.integers(2, 41))
+        dense = rng.random() < 0.3
+        m = int(rng.integers(0, (nv * (nv - 1) // 2 if dense else 4 * nv) + 1))
+        src, dst = _simple_edges(rng, nv, m)
+        mate = assert_blossom_parity(nv, src, dst, BLOSSOM_WEIGHTS[kind](rng, len(src)))
+        matched += int((mate >= 0).sum())
+    assert matched > 0
+
+
+# blossoms nested inside an expanding T-blossom, with a reached leaf
+# (the rarest branch of expandBlossom): seeds found by a coverage probe
+@needs_native
+@pytest.mark.parametrize("seed", [6468, 7745, 14056, 18620])
+def test_blossom_mates_nested_t_blossom_relabel(seed):
+    rng = np.random.default_rng([seed, 7])
+    nv = int(rng.integers(10, 61))
+    src, dst = _simple_edges(rng, nv, int(rng.integers(nv, 5 * nv)))
+    assert_blossom_parity(nv, src, dst, rng.integers(1, 6, len(src)).astype(np.float64))
+
+
+def _hard_instances():
+    from repro.graphgen.hard_instances import (
+        barbell_odd,
+        crown_graph,
+        odd_cycle_chain,
+        triangle_gadget,
+    )
+
+    yield "triangle_gadget", triangle_gadget(eps=0.1)
+    yield "crown", crown_graph(k=9)
+    yield "barbell", barbell_odd(k=7)
+    for n_cycles, cycle_len, link in [(4, 5, 0.1), (6, 7, 1.0), (8, 3, 2.0), (5, 9, 0.5)]:
+        yield f"odd_cycle_chain{n_cycles}x{cycle_len}", odd_cycle_chain(n_cycles, cycle_len, link)
+
+
+@needs_native
+@pytest.mark.parametrize("name", [name for name, _ in _hard_instances()])
+def test_blossom_mates_hard_instances(name):
+    g = dict(_hard_instances())[name]
+    assert_blossom_parity(g.n, g.src, g.dst, g.weight)
+    # reversed edge order changes networkx's tie-breaking; parity must hold
+    assert_blossom_parity(g.n, g.dst[::-1], g.src[::-1], g.weight[::-1])
+
+
+@needs_native
+def test_blossom_mates_degenerate_inputs():
+    empty_i, empty_f = np.empty(0, np.int64), np.empty(0, np.float64)
+    assert_blossom_parity(0, empty_i, empty_i, empty_f)
+    assert_bitequal(assert_blossom_parity(5, empty_i, empty_i, empty_f), np.full(5, -1))
+    assert_bitequal(assert_blossom_parity(1, empty_i, empty_i, empty_f), np.full(1, -1))
+    # isolated vertices around a path; one edge of weight <= 0 is never matched
+    mate = assert_blossom_parity(
+        9, np.array([2, 3, 4, 7]), np.array([3, 4, 5, 8]), np.array([1.0, 3.0, 1.0, -2.0])
+    )
+    assert_bitequal(mate, np.array([-1, -1, -1, 1, 1, -1, -1, -1, -1]))
+    # self-loops are ignored, also when computing the initial duals
+    mate = assert_blossom_parity(
+        3, np.array([0, 0, 2]), np.array([0, 1, 2]), np.array([9.0, 1.0, 50.0])
+    )
+    assert_bitequal(mate, np.array([1, 1, -1]))
+
+
+@pytest.mark.parametrize("impl", ["numpy", "native"])
+def test_blossom_mates_rejects_bad_input(impl):
+    fn = blossom_impl(impl)
+    with pytest.raises(ValueError, match="out of range"):
+        fn(3, np.array([0, 1]), np.array([1, 3]), np.ones(2))
+    with pytest.raises(ValueError, match="out of range"):
+        fn(3, np.array([-1]), np.array([1]), np.ones(1))
+    with pytest.raises(ValueError, match="equal length"):
+        fn(3, np.array([0, 1]), np.array([1]), np.ones(2))
+    with pytest.raises(ValueError, match=">= 0"):
+        fn(-1, np.array([], np.int64), np.array([], np.int64), np.ones(0))
+
+
+@needs_native
+def test_blossom_mates_large():
+    rng = np.random.default_rng(400)
+    for nv, m, kind in [(400, 1600, "float"), (380, 1200, "small_int"), (420, 900, "quarter_step")]:
+        src, dst = _simple_edges(rng, nv, m)
+        mate = assert_blossom_parity(nv, src, dst, BLOSSOM_WEIGHTS[kind](rng, len(src)))
+        assert (mate >= 0).sum() > nv // 2
+
+
+@needs_native
+def test_blossom_mates_threads_match_sequential():
+    """Per-call state only: concurrent calls (GIL released) are exact."""
+    _, nat_fn = impls("blossom_mates")
+    rng = np.random.default_rng(77)
+    cases = []
+    for t in range(8):
+        nv = 150 + 10 * t
+        src, dst = _simple_edges(rng, nv, 5 * nv)
+        cases.append((nv, src, dst, BLOSSOM_WEIGHTS["small_int"](rng, len(src))))
+    sequential = [nat_fn(*c) for c in cases]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        for _ in range(3):
+            for got, want in zip(pool.map(lambda c: nat_fn(*c), cases), sequential):
+                assert_bitequal(got, want)
+
+
+def _vertex_split_networkx(graph):
+    """The per-edge double loop that the array vertex split replaced:
+    networkx on the clone graph, projected to (edge_ids, multiplicity)."""
+    import networkx as nx
+
+    starts = np.zeros(graph.n + 1, dtype=np.int64)
+    np.cumsum(graph.b, out=starts[1:])
+    g = nx.Graph()
+    g.add_nodes_from(range(int(starts[-1])))
+    for e, (i, j, w) in enumerate(graph.edges()):
+        for ci in range(starts[i], starts[i + 1]):
+            for cj in range(starts[j], starts[j + 1]):
+                g.add_edge(int(ci), int(cj), weight=w, eid=e)
+    counts: dict[int, int] = {}
+    for a, b in nx.max_weight_matching(g, maxcardinality=False):
+        e = g.edges[a, b]["eid"]
+        counts[e] = counts.get(e, 0) + 1
+    ids = sorted(counts)
+    return ids, [counts[e] for e in ids]
+
+
+@pytest.mark.parametrize("impl", ["numpy", "native"])
+def test_bmatching_exact_parity_per_implementation(impl, monkeypatch):
+    """max_weight_bmatching_exact, with either registry implementation
+    behind it, returns the matching of the networkx double loop."""
+    import repro.matching.exact as exact
+    from repro.graphgen import gnm_graph, with_uniform_weights
+
+    monkeypatch.setattr(exact, "blossom_mates", blossom_impl(impl))
+    rng = np.random.default_rng(2024)
+    for t in range(24):
+        n = int(rng.integers(2, 22))
+        g = gnm_graph(n, int(rng.integers(0, 3 * n + 1)), seed=t)
+        g = with_uniform_weights(g, 1.0, 4.0, seed=t + 100)
+        w = np.round(g.weight) if t % 2 else g.weight  # odd t: tied weights
+        b = np.ones(n, np.int64) if t % 3 == 0 else rng.integers(0, 4, n)
+        g = Graph(n=n, src=g.src, dst=g.dst, weight=w, b=b)
+        got = exact.max_weight_bmatching_exact(g)
+        ids, mult = _vertex_split_networkx(g)
+        assert got.edge_ids.tolist() == ids
+        assert got.multiplicity.tolist() == mult
+        got.check_valid()
+
+
+# ----------------------------------------------------------------------
 # Backend dispatch (one subprocess per REPRO_KERNELS mode)
 # ----------------------------------------------------------------------
 def _probe(mode_env, code=None):
@@ -623,6 +845,18 @@ results = DualPrimalMatchingSolver(
 for res in results:
     h.update(repr((res.weight, res.matching.edge_ids.tolist())).encode())
     h.update(repr((res.certificate.upper_bound, res.history)).encode())
+# default config (offline="exact"): the harvest runs the blossom kernel
+# through the vertex split
+from repro.api import Problem, run
+from repro.core.matching_solver import SolverConfig
+from repro.graphgen import power_law_graph, with_exponential_weights, with_random_capacities
+pl = with_random_capacities(
+    with_exponential_weights(power_law_graph(40, seed=11), seed=12), 1, 3, seed=13
+)
+res = run(Problem(pl, SolverConfig(eps=0.2, seed=3)), "offline").raw
+h.update(repr((res.weight, res.matching.edge_ids.tolist(),
+               res.matching.multiplicity.tolist())).encode())
+h.update(repr((res.certificate.upper_bound, res.history)).encode())
 print(json.dumps({"backend": K.backend(), "digest": h.hexdigest()}))
 """
 
@@ -639,3 +873,30 @@ def test_end_to_end_digest_equal_across_backends():
         assert got["backend"] == mode
         out[mode] = got["digest"]
     assert out["numpy"] == out["native"]
+
+
+_NO_NETWORKX_CODE = """
+import sys
+import repro, repro.kernels
+assert "networkx" not in sys.modules, "import repro loaded networkx"
+from repro.api import Problem, run
+from repro.core.matching_solver import SolverConfig
+from repro.graphgen import (gnm_graph, power_law_graph, with_exponential_weights,
+                            with_random_capacities, with_uniform_weights)
+gnm = with_uniform_weights(gnm_graph(64, 512, seed=1), 1.0, 100.0, seed=2)
+pl = with_random_capacities(
+    with_exponential_weights(power_law_graph(64, seed=3), seed=4), 1, 3, seed=5
+)
+for g in (gnm, pl):
+    assert run(Problem(g, SolverConfig(eps=0.2, seed=1)), "offline").matching.size() > 0
+print("networkx" in sys.modules)
+"""
+
+
+@needs_native
+def test_native_default_solve_never_imports_networkx():
+    """networkx is the reference, not the solve path: neither importing
+    repro nor a native default-config (offline="exact") solve loads it."""
+    r = _probe({"REPRO_KERNELS": "native"}, code=_NO_NETWORKX_CODE)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

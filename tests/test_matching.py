@@ -171,6 +171,28 @@ class TestExact:
         b = max_weight_bmatching_exact(weighted_graph).weight()
         assert a == pytest.approx(b)
 
+    def test_parallel_edges_keep_heaviest_copy(self):
+        # a Graph built directly may carry parallel copies; the exact
+        # solvers must use the heaviest, not the last-inserted, copy
+        g = Graph(n=3, src=[0, 0, 1], dst=[1, 1, 2], weight=[10.0, 1.0, 2.0])
+        m = max_weight_matching_exact(g)
+        assert m.weight() == 10.0
+        assert m.edge_ids.tolist() == [0]
+        mb = max_weight_bmatching_exact(g.with_b([2, 2, 1]))
+        assert mb.weight() == 20.0
+        assert (mb.edge_ids.tolist(), mb.multiplicity.tolist()) == ([0], [2])
+
+    def test_parallel_edge_ties_go_to_lowest_id(self):
+        g = Graph(n=2, src=[0, 0, 0], dst=[1, 1, 1], weight=[1.0, 3.0, 3.0])
+        assert max_weight_matching_exact(g).edge_ids.tolist() == [1]
+        mb = max_weight_bmatching_exact(g.with_b([3, 2]))
+        assert (mb.edge_ids.tolist(), mb.multiplicity.tolist()) == ([1], [2])
+
+    def test_zero_capacity_vertices_stay_unmatched(self):
+        g = Graph(n=3, src=[0, 1], dst=[1, 2], weight=[5.0, 1.0], b=[0, 2, 1])
+        m = max_weight_bmatching_exact(g)
+        assert (m.edge_ids.tolist(), m.multiplicity.tolist()) == ([1], [1])
+
 
 class TestOddSetsEnumeration:
     def test_triangle_is_only_odd_set(self, triangle):

@@ -68,6 +68,14 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(n=3, src=np.array([2]), dst=np.array([1]), weight=np.array([1.0]))
 
+    def test_rejects_negative_capacity(self):
+        with pytest.raises(ValueError, match="capacities must be >= 0"):
+            Graph(n=4, src=[0, 1, 2, 0], dst=[1, 2, 3, 3], weight=[5, 4, 3, 2], b=[2, -1, 2, 1])
+        with pytest.raises(ValueError, match="capacities must be >= 0"):
+            Graph.from_edges(2, [(0, 1)], b=[1, -3])
+        # b = 0 stays legal: residual graphs saturate vertices
+        assert Graph(n=2, src=[0], dst=[1], weight=[1.0], b=[0, 1]).b.tolist() == [0, 1]
+
     def test_default_capacities_are_one(self):
         g = Graph.from_edges(3, [(0, 1)])
         assert np.all(g.b == 1)
