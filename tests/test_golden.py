@@ -21,7 +21,12 @@ Cases:
 * the sketch layer: ℓ0 sampler cells and samples (bulk and per-element
   update streams, a sampler bank), vertex-incidence cells and cut-edge
   samples, the max-weight class sketch, and the in-RAM sketch spanning
-  forest with its ledger.
+  forest with its ledger;
+* the per-edge solver scans on an in-RAM graph that spans two scan
+  ranges: discretization, the per-level maximal matchings and their
+  merge, the certificate of the initial dual, the audit's violation
+  message, an ``offline`` solve, and a ``semi_streaming`` solve over
+  two stream chunks.
 
 The native and numpy kernel backends are bit-identical, so one record
 serves both.  Floats are digested through ``float.hex``; results can
@@ -327,11 +332,72 @@ def sketches() -> dict:
     return out
 
 
+def _bmatching(mk) -> list:
+    return [mk.edge_ids.tolist(), mk.multiplicity.tolist()]
+
+
+def scans() -> dict:
+    """The per-edge scans on graphs larger than one scan range.
+
+    G(2048, 70000) spans two 65536-edge ranges in RAM, and G(1024,
+    12000) spans two chunks of the semi-streaming solver's stream.
+    """
+    from repro.api import Problem, run
+    from repro.core.certificates import certify
+    from repro.core.initial import build_initial_solution
+    from repro.core.levels import discretize
+    from repro.core.matching_solver import SolverConfig
+    from repro.graphgen import gnm_graph, with_uniform_weights
+    from repro.matching.verify import verify_dual_upper_bound
+
+    g = with_uniform_weights(gnm_graph(2048, 70000, seed=11), 1.0, 100.0, seed=12)
+    levels = discretize(g, 0.2)
+    out = {
+        "scans:discretize": _sha(
+            {
+                "scale": _hex(levels.scale),
+                "num_levels": levels.num_levels,
+                "level": levels.level.tolist(),
+            }
+        )
+    }
+    init = build_initial_solution(levels, seed=3)
+    out["scans:initial"] = _sha(
+        {
+            "per_level": [[k, _bmatching(mk)] for k, mk in init.per_level.items()],
+            "merged": _bmatching(init.merged),
+            "beta0": _hex(init.beta0),
+        }
+    )
+    cert = certify(init.dual)
+    out["scans:certify"] = _sha(
+        {
+            "upper_bound": _hex(cert.upper_bound),
+            "lambda_min": _hex(cert.lambda_min),
+            "scale_factor": _hex(cert.scale_factor),
+            "x": [_hex(v) for v in cert.x],
+        }
+    )
+    with pytest.raises(AssertionError) as err:
+        verify_dual_upper_bound(g, np.zeros(g.n))
+    out["scans:audit"] = _sha(str(err.value))
+    config = SolverConfig(
+        eps=0.3, inner_steps=40, offline="local", round_cap_factor=0.6, seed=5
+    )
+    out["scans:offline"] = run_digest(run(Problem(g, config), "offline"))
+    g2 = with_uniform_weights(gnm_graph(1024, 12000, seed=13), 1.0, 100.0, seed=14)
+    out["scans:semi_streaming"] = run_digest(
+        run(Problem(g2, config), "semi_streaming")
+    )
+    return out
+
+
 GROUPS = {
     "backends": backends,
     "file_backed": file_backed,
     "mixed_run_many": mixed_run_many,
     "oracle_routes": oracle_routes,
+    "scans": scans,
     "sketches": sketches,
     "solve_default_tiny": solve_default_tiny,
     "warm_session": warm_session,
