@@ -234,7 +234,7 @@ class GraphBatch:
 
         # An unmaterialized file-backed member gets an empty live segment:
         # these gathers are O(live edges) resident, so the engine reads
-        # that member's lambda and step widths from the chunked
+        # that member's lambda and step widths from the ranged
         # LayeredDual scans instead.
         live_ids, live_src, live_dst, live_wk = [], [], [], []
         for i, (g, lv) in enumerate(zip(self.graphs, self.levels)):

@@ -14,10 +14,10 @@ with ``a = 2048 eps^-2`` -- i.e. the initial dual objective is within a
 steps of ``beta`` suffice for the whole run (Theorem 3).
 
 The per-level matchings are computed with the sampled O(p)-round
-procedure of Lemma 20 (or a plain offline scan when resource accounting
-is not needed), and their *merge* across groups (Definition 7) yields
-the primal warm start ``M`` with ``weight(M) >= sum_t weight(M_Gt)/8``
-(Claim 1).
+procedure of Lemma 20 (or by one greedy pass over the edges that serves
+every level, when resource accounting is not needed), and their *merge*
+across groups (Definition 7) yields the primal warm start ``M`` with
+``weight(M) >= sum_t weight(M_Gt)/8`` (Claim 1).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.levels import LevelDecomposition
 from repro.core.relaxations import LayeredDual
-from repro.matching.maximal import maximal_bmatching, maximal_bmatching_sampled
+from repro.matching.maximal import maximal_bmatching_sampled
 from repro.matching.structures import BMatching
 from repro.util.instrumentation import ResourceLedger
 from repro.util.rng import make_rng, spawn
@@ -74,8 +74,9 @@ def build_initial_solution(
     ----------
     sampled:
         Use the Lemma 20 O(p)-round sampling procedure per level (charges
-        rounds/space to the ledger).  The offline scan gives the same
-        object without the model accounting.
+        rounds/space to the ledger).  The default computes every level's
+        greedy maximal b-matching in one ranged pass over the edges,
+        without the model accounting.
     """
     g = levels.graph
     eps = levels.eps
@@ -84,29 +85,23 @@ def build_initial_solution(
 
     dual = LayeredDual(levels)
     level_list = levels.nonempty_levels()
+    # spawned on both routes: the caller's generator advances the same way
     children = spawn(rng, max(1, len(level_list)))
 
-    if not sampled and getattr(g, "is_materialized", True) is False:
-        # file-backed and not in RAM: the per-level greedy scans are
-        # replayed from one chunked pass (same edge order per level,
-        # so the matchings are bit-identical) instead of gathering a
-        # per-level subgraph -- no O(m) id or column array is resident
-        per_level = _per_level_matchings_chunked(levels)
-    else:
+    if sampled:
         per_level = {}
         for idx, k in enumerate(level_list):
             ids = levels.edges_at(int(k))
             sub = g.edge_subgraph(ids)
-            if sampled:
-                mk_sub = maximal_bmatching_sampled(
-                    sub, p=p, seed=children[idx], ledger=ledger
-                )
-            else:
-                mk_sub = maximal_bmatching(sub)
+            mk_sub = maximal_bmatching_sampled(
+                sub, p=p, seed=children[idx], ledger=ledger
+            )
             # translate back to parent edge ids
             per_level[int(k)] = BMatching(
                 g, ids[mk_sub.edge_ids], mk_sub.multiplicity
             )
+    else:
+        per_level = _per_level_matchings(levels)
 
     for k, mk in per_level.items():
         saturated = np.flatnonzero(mk.vertex_loads() == g.b)
@@ -120,28 +115,25 @@ def build_initial_solution(
     )
 
 
-def _per_level_matchings_chunked(
-    levels: LevelDecomposition,
-) -> dict[int, BMatching]:
-    """Per-level maximal b-matchings from one chunked pass over the edges.
+def _per_level_matchings(levels: LevelDecomposition) -> dict[int, BMatching]:
+    """Per-level maximal b-matchings from one ranged pass over the edges.
 
-    Replays exactly the greedy scan :func:`maximal_bmatching` performs on
-    ``edge_subgraph(edges_at(k))``: for each level the edges arrive in
-    ascending id order and each independent residual starts at ``b``, so
-    the taken ids and multiplicities are bit-identical.  Resident state
-    is one endpoint chunk plus an O(n) residual per nonempty level --
-    never a level-wide id array or gathered column.
+    For each level this is the greedy scan of :func:`~repro.matching.
+    maximal.maximal_bmatching` over ``edge_subgraph(edges_at(k))``: the
+    level's edges arrive in ascending id order and each level keeps its
+    own residual, starting at ``b``.  The scan reads one range of
+    endpoints at a time (:meth:`~repro.util.graph.Graph.edge_ranges`)
+    and keeps an O(n) residual per nonempty level, so no per-level
+    subgraph or id array is built.
     """
     g = levels.graph
-    chunk = int(getattr(g, "chunk_edges", 65536))
     lvl = levels.level
     level_list = [int(k) for k in levels.nonempty_levels()]
     residual = {k: g.b.copy() for k in level_list}
     taken: dict[int, tuple[list[int], list[int]]] = {
         k: ([], []) for k in level_list
     }
-    for start in range(0, g.m, chunk):
-        stop = min(start + chunk, g.m)
+    for start, stop in g.edge_ranges():
         lv_c = lvl[start:stop]
         src_c = np.asarray(g.src[start:stop])
         dst_c = np.asarray(g.dst[start:stop])

@@ -119,6 +119,11 @@ def discretize(graph: Graph, eps: float) -> LevelDecomposition:
     ``scale * (1+eps)^k <= w_e < scale * (1+eps)^{k+1}`` where
     ``scale = eps * W* / B``; edges below ``scale`` are dropped
     (level ``-1``).
+
+    Two passes over :meth:`~repro.util.graph.Graph.edge_ranges` (validate
+    and take the running max, then fill the levels) hold one range of
+    weights at a time, so a file-backed graph's weight column is never
+    coerced into RAM; only the int64 ``level`` array is O(m).
     """
     eps = check_epsilon(eps)
     if graph.m == 0:
@@ -129,58 +134,23 @@ def discretize(graph: Graph, eps: float) -> LevelDecomposition:
             level=np.empty(0, dtype=np.int64),
             num_levels=1,
         )
-    if getattr(graph, "is_materialized", True) is False:
-        # file-backed and not in RAM: two O(chunk)-resident weight
-        # passes (validate+max, then level fill) instead of coercing
-        # the whole column.  Elementwise per chunk and an exact running
-        # max, so the result is bit-identical to the dense branch.
-        return _discretize_chunked(graph, eps)
-    check_positive_weights(graph.weight)
-    w_star = float(graph.weight.max())
-    B = graph.total_capacity
-    scale = eps * w_star / B
-    ratio = graph.weight / scale
-    lvl = np.full(graph.m, -1, dtype=np.int64)
-    live = ratio >= 1.0
-    # float-safe: floor(log ratio / log(1+eps)) with a nudge for exact powers
-    raw = np.log(ratio[live]) / np.log1p(eps)
-    lvl_live = np.floor(raw + 1e-9).astype(np.int64)
-    lvl[live] = lvl_live
-    num_levels = int(lvl.max()) + 1 if live.any() else 1
-    return LevelDecomposition(
-        graph=graph, eps=eps, scale=scale, level=lvl, num_levels=num_levels
-    )
-
-
-def _discretize_chunked(graph: Graph, eps: float) -> LevelDecomposition:
-    """Chunked :func:`discretize` for unmaterialized file-backed graphs.
-
-    Keeps the O(m) ``level`` array (int64, shared with the dense
-    branch) but never holds a float weight column: weights are read in
-    O(chunk) slices, validated per chunk, and the level formula is
-    applied elementwise -- identical floats, identical levels.
-    """
-    chunk = int(getattr(graph, "chunk_edges", 65536))
     weight = graph.weight
     w_star = -np.inf
-    for start in range(0, graph.m, chunk):
-        wc = check_positive_weights(weight[start : start + chunk])
+    for start, stop in graph.edge_ranges():
+        wc = check_positive_weights(weight[start:stop])
         w_star = max(w_star, float(wc.max()))
     B = graph.total_capacity
     scale = eps * w_star / B
     lvl = np.full(graph.m, -1, dtype=np.int64)
-    live_any = False
     log1p_eps = np.log1p(eps)
-    for start in range(0, graph.m, chunk):
-        stop = min(start + chunk, graph.m)
+    for start, stop in graph.edge_ranges():
         ratio = weight[start:stop] / scale
         live = ratio >= 1.0
-        if live.any():
-            live_any = True
-            raw = np.log(ratio[live]) / log1p_eps
-            block = lvl[start:stop]
-            block[live] = np.floor(raw + 1e-9).astype(np.int64)
-    num_levels = int(lvl.max()) + 1 if live_any else 1
+        # float-safe: floor(log ratio / log(1+eps)) with a nudge for
+        # exact powers
+        raw = np.log(ratio[live]) / log1p_eps
+        lvl[start:stop][live] = np.floor(raw + 1e-9).astype(np.int64)
+    num_levels = max(1, int(lvl.max()) + 1)
     return LevelDecomposition(
         graph=graph, eps=eps, scale=scale, level=lvl, num_levels=num_levels
     )

@@ -124,6 +124,52 @@ def _combine_steps(
     )
 
 
+class _RoundPromise:
+    """The promise vector of one sampling round, evaluated on request.
+
+    ``promise[edge_ids]`` is Corollary 6's multiplier of each requested
+    edge under the round-start dual: ``exp(-alpha (r_e - lambda)) /
+    ŵ_k`` with the exponent clipped to ``[0, 60]``, where ``r_e`` is the
+    edge's coverage ratio and ``lambda`` the round-start minimum ratio;
+    dropped edges get 0.  Values are computed per request from the level
+    array and the dual, so a chain that asks one stream chunk at a time
+    holds O(chunk) promise values and the promise costs no extra pass
+    over the data.  The dual must not change while the chain is built.
+    """
+
+    def __init__(
+        self, levels: LevelDecomposition, dual: LayeredDual, alpha: float, lam: float
+    ):
+        self._levels = levels
+        self._dual = dual
+        self._alpha = float(alpha)
+        self._lam = float(lam)
+        self._wk = np.asarray(
+            levels.level_weight(np.arange(levels.num_levels, dtype=np.int64))
+        )
+
+    def __getitem__(self, edge_ids: np.ndarray) -> np.ndarray:
+        lv = self._levels
+        g = lv.graph
+        ids = np.asarray(edge_ids, dtype=np.int64)
+        k = lv.level[ids]
+        livemask = k >= 0
+        out = np.zeros(len(ids), dtype=np.float64)
+        if not livemask.any():
+            return out
+        idl = ids[livemask]
+        kl = k[livemask]
+        x = self._dual.x
+        cov = x[np.asarray(g.src[idl]), kl] + x[np.asarray(g.dst[idl]), kl]
+        if self._dual.z:
+            cov = z_cover_add(g, lv, idl, self._dual.z, cov)
+        ratios = cov / self._wk[kl]
+        shifted = self._alpha * (ratios - self._lam)
+        np.clip(shifted, 0.0, 60.0, out=shifted)
+        out[livemask] = np.exp(-shifted) / self._wk[kl]
+        return out
+
+
 @dataclass
 class SolverConfig:
     """Tunables of the dual-primal solver.
@@ -342,7 +388,7 @@ class DualPrimalMatchingSolver:
     def _build_chain(
         self,
         graph: Graph,
-        promise: np.ndarray,
+        promise: _RoundPromise,
         gamma: float,
         xi: float,
         count: int,
@@ -351,45 +397,26 @@ class DualPrimalMatchingSolver:
     ):
         """One sampling round's deferred chain.
 
-        Overridable execution binding: the default samples directly from
-        the in-memory edge arrays; the semi-streaming subclass
-        (:class:`repro.streaming.streaming_matching.
-        SemiStreamingMatchingSolver`) rebuilds the same object from a
-        single pass over an edge stream.  Any replacement must expose
+        The solver's one overridable execution binding.  ``promise`` is
+        the round's :class:`_RoundPromise`: ``promise[edge_ids]`` returns
+        those edges' Corollary 6 multipliers.  The default evaluates it
+        on every edge and samples from the in-memory edge arrays; the
+        semi-streaming subclass (:class:`repro.streaming.
+        streaming_matching.SemiStreamingMatchingSolver`) builds the same
+        object from a single pass over an edge stream, asking for the
+        promise one stream chunk at a time.  Any replacement must expose
         ``__len__``, ``__getitem__ -> {stored_edge_ids, stored_probs}``
         and ``union_edge_ids()``.
         """
         return DeferredSparsifierChain(
             graph,
-            promise,
+            promise[np.arange(graph.m)],
             gamma=gamma,
             xi=xi,
             count=count,
             seed=rng,
             ledger=ledger,
         )
-
-    # ------------------------------------------------------------------
-    def _round_promise(
-        self, levels: LevelDecomposition, dual, alpha: float, lam: float
-    ):
-        """Round-start promise vector for the sparsifier chain.
-
-        Default binding: materialize the dense per-edge array (0 on
-        dropped edges, Corollary 6 multipliers on live ones).  The
-        file-backed semi-streaming binding overrides this with a lazy
-        per-chunk evaluator so no O(m) float column is ever resident;
-        any replacement must support ``promise[edge_ids] -> values``
-        with bit-identical floats.  ``lam`` is the round-start
-        ``dual.lambda_min()`` -- bitwise equal to the live-ratio minimum
-        the dense multipliers recompute -- handed down so a lazy binding
-        can shift-normalize without an extra pass over the data.
-        """
-        live = levels.live_edges()
-        u = self._multipliers(levels, dual, live, alpha)
-        promise = np.zeros(levels.graph.m)
-        promise[live] = u
-        return promise
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -488,16 +515,14 @@ class DualPrimalMatchingSolver:
     def _incidence_mask(levels: LevelDecomposition) -> np.ndarray:
         """Boolean (n, L) mask of the (vertex, level) rows with a live edge.
 
-        Built from O(chunk)-resident edge slices (a boolean scatter is
+        Built one edge range at a time (a boolean scatter is
         order-insensitive), so file-backed graphs never materialize and
         no O(m) live-id array is allocated.
         """
         g = levels.graph
         level = levels.level
         mask = np.zeros((g.n, levels.num_levels), dtype=bool)
-        chunk = int(getattr(g, "chunk_edges", 0) or 65536)
-        for start in range(0, level.shape[0], chunk):
-            stop = min(start + chunk, level.shape[0])
+        for start, stop in g.edge_ranges():
             k = level[start:stop]
             livemask = k >= 0
             if not livemask.any():
@@ -506,19 +531,6 @@ class DualPrimalMatchingSolver:
             mask[np.asarray(g.src[start:stop])[livemask], kl] = True
             mask[np.asarray(g.dst[start:stop])[livemask], kl] = True
         return mask
-
-    @staticmethod
-    def _multipliers(
-        levels: LevelDecomposition,
-        dual: LayeredDual,
-        live: np.ndarray,
-        alpha: float,
-    ) -> np.ndarray:
-        """Corollary 6 multipliers over the live edges (shift-normalized)."""
-        ratios = dual.edge_ratios(live)
-        shifted = alpha * (ratios - ratios.min())
-        np.clip(shifted, 0.0, 60.0, out=shifted)
-        return np.exp(-shifted) / levels.level_weight(levels.level[live])
 
     def _offline_match(self, graph: Graph, pool: np.ndarray) -> BMatching:
         """Offline subroutine on the sampled union (Algorithm 2, step 5)."""
@@ -650,11 +662,13 @@ class _BatchEngine:
     5 evaluations (via :class:`~repro.core.micro_oracle.
     BatchMicroContext`), the covering blend and the ``lambda`` scans.
 
-    An unmaterialized file-backed graph (``graph.is_materialized`` is
-    False) keeps no edge-length array in the engine: its ``lambda`` and
-    step widths come from the chunked :meth:`LayeredDual.lambda_min` /
-    :meth:`LayeredDual.live_ratio_max` scans instead of the batch's
-    live-edge gathers.
+    Every other per-edge step reads every graph one edge range at a
+    time.  The inner ``lambda`` and step-width scans are the one fork:
+    in RAM they read the batch's gathered live-edge arrays (about twice
+    as fast as the ranged scans at ``solve_default``'s size), while an
+    unmaterialized file-backed graph (``graph.is_materialized`` is
+    False) keeps no edge-length array in the engine and takes the ranged
+    :meth:`LayeredDual.lambda_min` / :meth:`LayeredDual.live_ratio_max`.
     """
 
     def __init__(
@@ -895,7 +909,7 @@ class _BatchEngine:
         st.lam = st.dual.lambda_min()
         st.lam_t = max(st.lam, eps / 512.0)
         st.alpha = 2.0 * np.log(st.m_live / eps) / (st.lam_t * eps)
-        promise = self.solver._round_promise(st.levels, st.dual, st.alpha, st.lam)
+        promise = _RoundPromise(st.levels, st.dual, st.alpha, st.lam)
         st.ledger.tick_sampling_round("deferred sparsifier chain")
 
         # ---- deferred chain: one data access ----

@@ -174,23 +174,21 @@ class LayeredDual:
         return self.edge_cover(ids) / lv.level_weight(k)
 
     def _live_ratio_chunks(self):
-        """Yield the live-edge coverage ratios in edge-order chunks.
+        """Yield the live-edge coverage ratios, one edge range at a time.
 
-        Replaces the ``flatnonzero(level >= 0)`` + full-column gather of
-        the dense path with O(chunk)-resident slices, so file-backed
-        graphs are never materialized and no ``O(m)`` id array is
-        allocated.  Per-edge floats are identical to the dense path:
-        the cover is the same elementwise gather-add, and ``ŵ_k`` is
-        read from the same elementwise power table.
+        Reads :meth:`~repro.util.graph.Graph.edge_ranges` slices instead
+        of gathering every live edge, so file-backed graphs are never
+        materialized and no ``O(m)`` id array is allocated.  Per-edge
+        floats equal :meth:`edge_ratios`: the cover is the same
+        elementwise gather-add, and ``ŵ_k`` is read from the same
+        elementwise power table.
         """
         lv = self.levels
         g = lv.graph
         level = lv.level
         wk = np.asarray(lv.level_weight(np.arange(lv.num_levels, dtype=np.int64)))
         x = self.x
-        chunk = int(getattr(g, "chunk_edges", 0) or 65536)
-        for start in range(0, level.shape[0], chunk):
-            stop = min(start + chunk, level.shape[0])
+        for start, stop in g.edge_ranges():
             k = level[start:stop]
             live = k >= 0
             if not live.any():

@@ -257,65 +257,13 @@ class StreamingDeferredChain:
         return sum(sp.space_words() for sp in self.sparsifiers)
 
 
-class _ChunkPromise:
-    """Lazy per-chunk promise evaluator (the out-of-core round vector).
-
-    Stands in for the dense O(m) promise array of
-    :meth:`DualPrimalMatchingSolver._round_promise` when the graph is an
-    unmaterialized :class:`~repro.ingest.filegraph.FileBackedGraph`:
-    the chain's shared pass asks for ``promise[edge_ids]`` one stream
-    chunk at a time, and each request is answered from the level array
-    and the dual alone -- O(chunk) resident, zero extra passes over the
-    data (the shift ``rmin`` is the round-start ``lambda_min`` the
-    solver already computed).
-
-    Per-edge floats are bit-identical to the dense vector: the cover is
-    the same elementwise gather-add, ``rmin`` equals the dense path's
-    ``ratios.min()`` exactly (chunked min of mins), and the multiplier
-    formula is applied with the same elementwise operations.
-    """
-
-    def __init__(self, levels, dual, alpha: float, rmin: float):
-        self._levels = levels
-        self._dual = dual
-        self._alpha = float(alpha)
-        self._rmin = float(rmin)
-        self._wk = np.asarray(
-            levels.level_weight(np.arange(levels.num_levels, dtype=np.int64))
-        )
-
-    def __getitem__(self, edge_ids: np.ndarray) -> np.ndarray:
-        from repro.core.relaxations import z_cover_add
-
-        lv = self._levels
-        g = lv.graph
-        ids = np.asarray(edge_ids, dtype=np.int64)
-        k = lv.level[ids]
-        livemask = k >= 0
-        out = np.zeros(len(ids), dtype=np.float64)
-        if not livemask.any():
-            return out
-        idl = ids[livemask]
-        kl = k[livemask]
-        x = self._dual.x
-        cov = (
-            x[np.asarray(g.src[idl]), kl] + x[np.asarray(g.dst[idl]), kl]
-        )
-        if self._dual.z:
-            cov = z_cover_add(g, lv, idl, self._dual.z, cov)
-        ratios = cov / self._wk[kl]
-        shifted = self._alpha * (ratios - self._rmin)
-        np.clip(shifted, 0.0, 60.0, out=shifted)
-        out[livemask] = np.exp(-shifted) / self._wk[kl]
-        return out
-
-
 class SemiStreamingMatchingSolver(DualPrimalMatchingSolver):
     """The dual-primal solver bound to the semi-streaming model.
 
-    Identical algorithm; the chain of each outer round is built from
-    one pass over a replayable :class:`EdgeStream` (``order='input'``
-    over the graph the solver is invoked on).  Pass count is audited by
+    Identical algorithm; only ``_build_chain`` is rebound: the chain of
+    each outer round is built from one pass over a replayable
+    :class:`EdgeStream` (``order='input'`` over the graph the solver is
+    invoked on).  Pass count is audited by
     the stream itself: ``solver.passes`` after a run equals the number
     of data accesses consumed.
 
@@ -331,11 +279,12 @@ class SemiStreamingMatchingSolver(DualPrimalMatchingSolver):
     quality; certificates remain valid regardless (they are verified
     independently of how the support was sampled).
 
-    For an unmaterialized :class:`~repro.ingest.filegraph.
-    FileBackedGraph` the round promise is evaluated lazily per stream
-    chunk (:class:`_ChunkPromise`) instead of materialized as an O(m)
-    array, so a solve never holds an edge-length vector: the whole
-    route is O(n + chunk) resident beyond the sparsifier stores.
+    The chain asks for the round promise one stream chunk at a time
+    inside its own pass, and every other per-edge step reads the graph
+    one edge range at a time, so on an unmaterialized
+    :class:`~repro.ingest.filegraph.FileBackedGraph` a solve holds no
+    edge-length float vector: the route is O(n + chunk) resident beyond
+    the sparsifier stores and the int64 level array.
     """
 
     def __init__(
@@ -371,16 +320,3 @@ class SemiStreamingMatchingSolver(DualPrimalMatchingSolver):
             ledger=ledger,
             sparsifier_k=self.sparsifier_k,
         )
-
-    def _round_promise(self, levels, dual, alpha, lam):
-        """Lazy promise for unmaterialized file-backed graphs.
-
-        The dense default would gather every live edge at once -- an
-        O(m) float column plus O(m) id array.  When the graph's columns
-        are still on disk the chain evaluates promise values chunk by
-        chunk *within its own pass* instead, so promise evaluation
-        charges no extra data access and no edge-length residency.
-        """
-        if getattr(levels.graph, "is_materialized", True) is False:
-            return _ChunkPromise(levels, dual, alpha, lam)
-        return super()._round_promise(levels, dual, alpha, lam)

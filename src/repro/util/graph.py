@@ -30,6 +30,10 @@ import numpy as np
 
 __all__ = ["Graph", "CSRAdjacency", "edge_key", "merge_parallel_edges"]
 
+#: Edges per range of :meth:`Graph.edge_ranges` on an in-RAM graph.  A
+#: file-backed graph uses its own ``chunk_edges`` instead.
+SCAN_EDGES = 65536
+
 
 def edge_key(i: np.ndarray | int, j: np.ndarray | int, n: int) -> np.ndarray | int:
     """Collision-free integer key for the undirected edge ``{i, j}``.
@@ -229,6 +233,20 @@ class Graph:
             h.update(self.b.tobytes())
             self._fingerprint = h.hexdigest()
         return self._fingerprint
+
+    def edge_ranges(self) -> Iterator[tuple[int, int]]:
+        """Consecutive ``(start, stop)`` edge-id ranges covering ``0..m``.
+
+        The per-edge solver scans (discretization, the per-level maximal
+        matchings, the incidence mask, ``lambda`` and the certificate
+        audit) read one range of columns at a time, so they hold
+        O(range) edge words and never coerce a file-backed graph's
+        columns into RAM.  Ranges are :data:`SCAN_EDGES` long in RAM and
+        ``chunk_edges`` long for a file-backed graph.
+        """
+        step = getattr(self, "chunk_edges", SCAN_EDGES)
+        for start in range(0, self.m, step):
+            yield start, min(start + step, self.m)
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         # tolist() materializes native ints/floats in one C pass; zipping

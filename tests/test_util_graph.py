@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.graph import Graph, edge_key, merge_parallel_edges
+from repro.util.graph import SCAN_EDGES, Graph, edge_key, merge_parallel_edges
 
 
 class TestEdgeKey:
@@ -149,6 +149,39 @@ class TestGraph:
     def test_edge_keys_unique(self, small_graph):
         keys = small_graph.edge_keys()
         assert len(np.unique(keys)) == small_graph.m
+
+
+class TestEdgeRanges:
+    """Graph.edge_ranges(): the ranges every per-edge solver scan reads."""
+
+    def test_in_ram_graph_spans_ranges_of_scan_edges(self):
+        m = 2 * SCAN_EDGES + 5
+        g = Graph(
+            n=2,
+            src=np.zeros(m, dtype=np.int64),
+            dst=np.ones(m, dtype=np.int64),
+            weight=np.ones(m),
+        )
+        assert list(g.edge_ranges()) == [
+            (0, SCAN_EDGES),
+            (SCAN_EDGES, 2 * SCAN_EDGES),
+            (2 * SCAN_EDGES, m),
+        ]
+
+    def test_small_and_empty_graphs(self, small_graph):
+        assert list(small_graph.edge_ranges()) == [(0, small_graph.m)]
+        assert list(Graph.empty(3).edge_ranges()) == []
+
+    def test_file_backed_graph_uses_its_chunk(self, small_graph, tmp_path):
+        from repro.ingest import FileBackedGraph, write_graph_file
+
+        path = tmp_path / "g.edges"
+        write_graph_file(path, small_graph)
+        fg = FileBackedGraph(path, chunk_edges=3, materialize_policy="forbid")
+        ranges = list(fg.edge_ranges())
+        assert ranges[0] == (0, 3) and ranges[-1][1] == small_graph.m
+        assert all(b == c for (_, b), (c, _) in zip(ranges, ranges[1:]))
+        assert not fg.is_materialized
 
 
 class TestFingerprint:
