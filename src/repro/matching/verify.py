@@ -28,10 +28,13 @@ def verify_dual_upper_bound(
     """Check LP2 dual feasibility and return the dual objective.
 
     ``x`` is the vertex dual vector; ``z`` maps odd sets (vertex tuples)
-    to dual values.  Raises ``AssertionError`` naming the first edge
-    whose constraint ``x_i + x_j + sum_{U ∋ i,j} z_U >= w_ij`` is
-    violated by more than ``slack``.  The returned value is a certified
-    upper bound on the maximum b-matching weight (weak duality).
+    to dual values.  Raises ``ValueError`` unless ``x`` has shape
+    ``(n,)`` and every entry of ``x`` and ``z`` is finite and
+    nonnegative (LP2's sign constraints; weak duality needs them).
+    Raises ``AssertionError`` naming the first edge whose constraint
+    ``x_i + x_j + sum_{U ∋ i,j} z_U >= w_ij`` is violated by more than
+    ``slack``.  The returned value is a certified upper bound on the
+    maximum b-matching weight (weak duality).
 
     The audit reads the edge columns one range at a time
     (:meth:`~repro.util.graph.Graph.edge_ranges`), so a file-backed
@@ -39,6 +42,11 @@ def verify_dual_upper_bound(
     """
     x = np.asarray(x, dtype=np.float64)
     z = z or {}
+    if x.shape != (graph.n,):
+        raise ValueError(f"x must have shape ({graph.n},), got {x.shape}")
+    duals = np.concatenate([x, np.fromiter(z.values(), np.float64, len(z))])
+    if not np.all(np.isfinite(duals) & (duals >= 0.0)):
+        raise ValueError("dual values must be finite and nonnegative")
     members_z = []
     for U, zu in z.items():
         members = np.zeros(graph.n, dtype=bool)

@@ -280,3 +280,45 @@ class TestVerify:
         bound = verify_dual_upper_bound(weighted_graph, x)
         opt = max_weight_matching_exact(weighted_graph).weight()
         assert bound >= opt
+
+
+class TestDualAuditRejectsMalformedDuals:
+    """The audit certifies only LP2 points: ``x`` of shape ``(n,)`` and
+    every ``x``/``z`` entry finite and nonnegative (weak duality needs
+    the sign constraints)."""
+
+    @pytest.fixture
+    def path3(self):
+        return Graph.from_edges(3, [(0, 1), (1, 2)], [5.0, 4.0])
+
+    def test_nan_entry_does_not_hide_a_violation(self, path3):
+        # edge (1, 2) has cover 0 < 4; a NaN used to turn the worst
+        # deficit into NaN and certify a NaN bound
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            verify_dual_upper_bound(path3, [np.nan, 0.0, 0.0])
+
+    def test_negative_entry_is_rejected(self):
+        g = Graph.from_edges(3, [(0, 1)], [5.0])
+        # covers the edge, but its objective -95 is below the matching's 5
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            verify_dual_upper_bound(g, [5.0, 0.0, -100.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_entry_is_rejected(self, path3, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            verify_dual_upper_bound(path3, [bad, 5.0, 5.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_malformed_odd_set_value_is_rejected(self, path3, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            verify_dual_upper_bound(path3, [5.0, 5.0, 5.0], {(0, 1, 2): bad})
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
+    def test_wrong_shape_is_rejected(self, path3, shape):
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            verify_dual_upper_bound(path3, np.full(shape, 5.0))
+
+    def test_well_formed_duals_still_certify(self, path3):
+        assert verify_dual_upper_bound(path3, [0.0, 5.0, 0.0]) == 5.0
+        with pytest.raises(AssertionError, match=r"edge \(1,2\)"):
+            verify_dual_upper_bound(path3, [5.0, 0.0, 0.0])
