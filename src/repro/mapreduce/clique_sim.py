@@ -28,12 +28,10 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.sketch.graph_sketch import incidence_update_batch
-from repro.sketch.hashing import sum_mod_p
-from repro.sketch.support_find import incidence_forest_rows
-from repro.sketch.tensor import SketchTensor, decode_planes
-from repro.sparsify.union_find import UnionFind
+from repro.sketch.support_find import boruvka_forest_from_tensor, forest_row_seeds
+from repro.sketch.tensor import SketchTensor
 from repro.util.graph import Graph
-from repro.util.rng import make_rng, spawn
+from repro.util.rng import make_rng
 
 __all__ = [
     "CongestedClique",
@@ -121,21 +119,22 @@ def clique_spanning_forest_impl(
     Every vertex locally sketches its incidence vector (it knows its
     incident edges), serializes the sketch into word-sized chunks, and
     streams the chunks to ``leader`` over as many rounds as the budget
-    requires.  The leader then runs Boruvka over the merged sketches as
-    *local computation* (zero communication).  Returns the forest and
+    requires.  The leader then decodes the planes it received with the
+    shared sketch-Boruvka as *local computation* (zero communication),
+    so a component merge is an axis sum of its members' cell planes.
+    Returns the forest and
     the simulator (rounds / word counters for the experiment tables).
     """
     n = graph.n
     if n == 0:
         return [], CongestedClique(n=0, message_budget=message_budget)
-    rng = make_rng(seed)
-    rows = incidence_forest_rows(n)
-    row_seeds = [int(r.integers(0, 2**62)) for r in spawn(rng, rows)]
+    row_seeds = forest_row_seeds(make_rng(seed), n)
+    repetitions = 6
 
     # local sketching: vertex v's slot ingests its incident edges only
     # (+1 when v is the canonical low endpoint, -1 otherwise); one batch
     # scatter over the whole edge list builds every vertex's sketch.
-    tensor = SketchTensor(n * n, row_seeds, repetitions=6, slots=n)
+    tensor = SketchTensor(n * n, row_seeds, repetitions=repetitions, slots=n)
     if graph.m:
         tensor.update_many(*incidence_update_batch(graph.src, graph.dst, n))
 
@@ -149,7 +148,6 @@ def clique_spanning_forest_impl(
         chunks = 1
     else:
         chunks = max(1, int(np.ceil(words_per_vertex / message_budget)))
-    received: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for c in range(chunks):
         def send(v: int, _inbox: list[Any], c=c) -> list[tuple[int, Any, int]]:
             if v == leader:
@@ -162,32 +160,13 @@ def clique_spanning_forest_impl(
             return [(leader, payload, words)]
 
         clique.run_round(send)
-    for v, planes in clique.inbox(leader):
-        if planes is not None:
-            received[v] = planes
-    received[leader] = (tensor.s0[leader], tensor.s1[leader], tensor.fp[leader])
 
-    # leader-local Boruvka (no communication -- free in this model):
-    # component merge = summing the members' received cell planes
-    uf = UnionFind(n)
-    forest: list[tuple[int, int]] = []
-    for r in range(rows):
-        components: dict[int, list[int]] = {}
-        for v in range(n):
-            components.setdefault(uf.find(v), []).append(v)
-        grew = False
-        for members in components.values():
-            s0 = np.sum([received[v][0][r] for v in members], axis=0)
-            s1 = np.sum([received[v][1][r] for v in members], axis=0)
-            fp = sum_mod_p(np.stack([received[v][2][r] for v in members]), axis=0)
-            got = decode_planes(s0, s1, fp, tensor.z[r], n * n)
-            if got is None:
-                continue
-            e, _ = got
-            i, j = e // n, e % n
-            if uf.union(i, j):
-                forest.append((i, j))
-                grew = True
-        if not grew or len(forest) >= n - 1:
-            break
-    return forest, clique
+    # leader-local Boruvka (no communication -- free in this model): the
+    # leader stacks the planes it received, and its own, into one
+    # incidence tensor under the shared row seeds and decodes it
+    held = SketchTensor(n * n, row_seeds, repetitions=repetitions, slots=n)
+    own = (leader, (tensor.s0[leader], tensor.s1[leader], tensor.fp[leader]))
+    for v, planes in clique.inbox(leader) + [own]:
+        if planes is not None:
+            held.s0[v], held.s1[v], held.fp[v] = planes
+    return boruvka_forest_from_tensor(held, n), clique

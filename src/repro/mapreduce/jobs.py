@@ -12,9 +12,11 @@ The two-round sketch pipeline:
 
 :func:`mapreduce_vertex_sketches` wires this into
 :class:`~repro.mapreduce.engine.MapReduceEngine`;
-:func:`mapreduce_spanning_forest_impl` finishes with Boruvka over the merged
-sketches, demonstrating the "compute in 1 round, use in O(log n) steps"
-deferral the paper highlights.
+:func:`mapreduce_spanning_forest_impl` stacks the collected sketches into
+one incidence tensor and finishes with the shared sketch-Boruvka
+(:func:`~repro.sketch.support_find.boruvka_forest_from_tensor`),
+demonstrating the "compute in 1 round, use in O(log n) steps" deferral
+the paper highlights.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
 from repro.sketch.graph_sketch import encode_edge
 from repro.sketch.l0_sampler import L0Sampler
-from repro.sketch.support_find import incidence_forest_rows
-from repro.sparsify.union_find import UnionFind
+from repro.sketch.support_find import boruvka_forest_from_tensor, forest_row_seeds
+from repro.sketch.tensor import SketchTensor
 from repro.util.graph import Graph
 from repro.util.rng import make_rng, spawn
 
@@ -45,11 +47,24 @@ def mapreduce_vertex_sketches(
     """Two MapReduce rounds producing all vertex sketches centrally.
 
     Returns ``{vertex: [row sketches]}`` exactly as the 2nd-round reducer
-    of Section 4.2 would hold them.
+    of Section 4.2 would hold them; a vertex without edges sends nothing
+    and is absent.
     """
     rng = make_rng(seed)
-    n = graph.n
     row_seeds = [int(r.integers(0, 2**62)) for r in spawn(rng, rows)]
+    return _collect_vertex_sketches(engine, graph, row_seeds, repetitions)
+
+
+def _collect_vertex_sketches(
+    engine: MapReduceEngine,
+    graph: Graph,
+    row_seeds: list[int],
+    repetitions: int,
+) -> dict[int, list[L0Sampler]]:
+    """The two rounds of :func:`mapreduce_vertex_sketches`, given the
+    shared row seeds ``R``."""
+    n = graph.n
+    rows = len(row_seeds)
 
     # Round 1: edges -> per-vertex sketch construction
     def mapper1(edge_rec):
@@ -82,8 +97,9 @@ def mapreduce_vertex_sketches(
         yield dict(recs)
 
     round2 = MapReduceJob(mapper=mapper2, reducer=reducer2, name="sketch-collect")
-    (central,) = engine.run_round(round2, vertex_sketches)
-    return central
+    collected = engine.run_round(round2, vertex_sketches)
+    # an edgeless graph sends nothing, so the central reducer never runs
+    return collected[0] if collected else {}
 
 
 def mapreduce_spanning_forest_impl(
@@ -93,33 +109,21 @@ def mapreduce_spanning_forest_impl(
 ) -> list[tuple[int, int]]:
     """Implementation behind the ``mapreduce`` backend.
 
-    The Boruvka iterations are *refinement steps* (no further input
-    access), charged to the engine's ledger accordingly.
+    The central machine stacks the collected row sketches into one
+    ``(n, rows, repetitions, levels)`` incidence tensor -- a vertex that
+    sent nothing keeps zero cells -- and decodes it with the shared
+    sketch-Boruvka.  The Boruvka iterations are *refinement steps* (no
+    further input access), charged to the engine's ledger accordingly.
     """
     n = graph.n
-    rows = incidence_forest_rows(n)
-    central = mapreduce_vertex_sketches(engine, graph, rows=rows, seed=seed)
-
-    uf = UnionFind(n)
-    forest: list[tuple[int, int]] = []
-    for r in range(rows):
-        engine.ledger.tick_refinement()
-        components: dict[int, list[int]] = {}
-        for v in range(n):
-            components.setdefault(uf.find(v), []).append(v)
-        grew = False
-        for members in components.values():
-            merged = central[members[0]][r].clone()
-            for v in members[1:]:
-                merged.merge(central[v][r])
-            got = merged.sample()
-            if got is None:
-                continue
-            e, _ = got
-            i, j = e // n, e % n
-            if uf.union(i, j):
-                forest.append((i, j))
-                grew = True
-        if not grew or len(forest) >= n - 1:
-            break
-    return forest
+    row_seeds = forest_row_seeds(make_rng(seed), n)
+    repetitions = 8
+    central = _collect_vertex_sketches(engine, graph, row_seeds, repetitions)
+    tensor = SketchTensor(n * n, row_seeds, repetitions=repetitions, slots=n)
+    for v, sketches in central.items():
+        for r, sketch in enumerate(sketches):
+            cells = sketch._tensor
+            tensor.s0[v, r] = cells.s0[0, 0]
+            tensor.s1[v, r] = cells.s1[0, 0]
+            tensor.fp[v, r] = cells.fp[0, 0]
+    return boruvka_forest_from_tensor(tensor, n, engine.ledger)

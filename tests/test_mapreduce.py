@@ -14,6 +14,7 @@ from repro.mapreduce.engine import (
     value_words,
 )
 from repro.mapreduce.jobs import mapreduce_vertex_sketches
+from repro.util.graph import Graph
 
 
 def mapreduce_forest(engine, g, seed):
@@ -131,6 +132,46 @@ class TestSketchJobs:
             eng = MapReduceEngine()
             mapreduce_forest(eng, gnm_graph(n, m, seed=n), seed=6)
             assert eng.ledger.sampling_rounds == 2
+
+
+class TestIsolatedVertices:
+    """Every forest backend handles vertices without edges (the
+    ``mapreduce`` central reducer used to index a sketch such a vertex
+    never sent)."""
+
+    @pytest.mark.parametrize(
+        "backend", ["semi_streaming", "mapreduce", "congested_clique"]
+    )
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            Graph.from_edges(3, [(0, 1)], [1.0]),
+            Graph.from_edges(7, [(0, 2), (2, 5), (1, 4)], [1.0, 1.0, 1.0]),
+            Graph.empty(4),
+        ],
+        ids=["tail", "scattered", "edgeless"],
+    )
+    def test_forest_spans_the_edged_components(self, backend, graph):
+        forest = run(
+            Problem(graph, task="spanning_forest", options={"seed": 3}), backend
+        ).forest
+        ncc = nx.number_connected_components(graph.to_networkx())
+        assert len(forest) == graph.n - ncc
+        spanned = nx.empty_graph(graph.n)
+        spanned.add_edges_from(forest)
+        assert nx.is_forest(spanned)
+        assert {tuple(sorted(e)) for e in forest} <= {
+            (int(u), int(v)) for u, v, _ in graph.edges()
+        }
+
+    def test_random_sparse_graphs(self):
+        """G(n, 1.5n) with n <= 30 leaves isolated vertices often."""
+        for seed in range(12):
+            n = 10 + seed
+            g = gnm_graph(n, int(1.5 * n), seed=seed)
+            forest = mapreduce_forest(MapReduceEngine(), g, seed=seed)
+            ncc = nx.number_connected_components(g.to_networkx())
+            assert len(forest) == g.n - ncc
 
 
 class TestCongestedClique:
