@@ -19,6 +19,7 @@ paper:
 
 from __future__ import annotations
 
+import contextlib
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -68,13 +69,12 @@ def peak_rss_bytes() -> int | None:
     be measured in a fresh subprocess per scenario -- see
     ``benchmarks/bench_s7_outofcore.py``.
     """
-    try:
+    # no /proc (non-Linux) or an unexpected VmHWM line: use ru_maxrss
+    with contextlib.suppress(OSError, IndexError, ValueError):
         with open("/proc/self/status") as fh:
             for line in fh:
                 if line.startswith("VmHWM:"):
                     return int(line.split()[1]) * 1024
-    except (OSError, IndexError, ValueError):
-        pass
     try:
         import resource
         import sys
