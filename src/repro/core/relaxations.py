@@ -180,8 +180,8 @@ class LayeredDual:
         of gathering every live edge, so file-backed graphs are never
         materialized and no ``O(m)`` id array is allocated.  Per-edge
         floats equal :meth:`edge_ratios`: the cover is the same
-        elementwise gather-add, and ``ŵ_k`` is read from the same
-        elementwise power table.
+        elementwise gather-add, and ``ŵ_k = (1+eps)^k`` is the same
+        elementwise power, read from a per-level table.
         """
         lv = self.levels
         g = lv.graph

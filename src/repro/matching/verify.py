@@ -53,7 +53,7 @@ def verify_dual_upper_bound(
         members[list(U)] = True
         members_z.append((members, zu))
     worst = -np.inf
-    worst_edge = None
+    worst_edge: tuple[int, int, float, float] | None = None
     for start, stop in graph.edge_ranges():
         src = np.asarray(graph.src[start:stop])
         dst = np.asarray(graph.dst[start:stop])

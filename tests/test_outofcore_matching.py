@@ -233,7 +233,7 @@ class TestCrossKernelParity:
 
 
 # ======================================================================
-# Chunked dual audit equals the dense audit
+# The audit over 17-edge file ranges equals the one-range in-RAM audit
 # ======================================================================
 class TestChunkedCertificateAudit:
     def test_chunked_audit_matches_dense(self, edge_file, graph):
