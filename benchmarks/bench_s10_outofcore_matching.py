@@ -18,21 +18,11 @@ point (``peak_rss_bytes`` is a whole-process high-water mark).
 * **matching_large** -- n=131072, m=2^20: certified matching end-to-end
   from a generated ``.edges`` file, zero materializations.
 
-Writes under ``BENCH_OUTOFCORE_RECORD=1``; CI runs only
+Writes under ``BENCH_RECORD=1``; CI runs only
 ``test_s10_outofcore_matching_smoke``.
 """
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import pytest
-
-BASELINE_PATH = Path(__file__).parent / "BENCH_outofcore.json"
-SCALING_PATH = Path(__file__).parent / "BENCH_scaling.json"
-REPO = Path(__file__).resolve().parents[1]
+from harness import edges_file, mb, record, run_worker
 
 GATE_N = 8192
 GATE_M = 1 << 22
@@ -93,58 +83,18 @@ print(json.dumps({
 """
 
 
-def _gen_file(tmpdir: Path, n: int, m: int) -> Path:
-    # generate in a subprocess: an in-process generate_gnm_file would
-    # raise this (long-lived pytest) process's RSS by O(m), and any
-    # resident fat here distorts scheduling/OOM headroom for the
-    # measured worker legs
-    path = tmpdir / f"gnm_{n}_{m}.edges"
-    code = (
-        "from repro.graphgen import generate_gnm_file; "
-        f"generate_gnm_file({str(path)!r}, {n}, {m}, seed=41)"
-    )
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    subprocess.run(
-        [sys.executable, "-c", code], check=True, env=env, cwd=REPO,
-        timeout=1800,
-    )
-    return path
-
-
-def _run_leg(mode: str, path: Path, target_gap: float = 0.75) -> dict:
-    cfg = {
+def _run_leg(mode: str, path) -> dict:
+    return run_worker(_WORKER, {
         "mode": mode, "path": str(path), "chunk_edges": CHUNK_EDGES,
-        "sparsifier_k": SPARSIFIER_K, "target_gap": target_gap,
-    }
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    r = subprocess.run(
-        [sys.executable, "-c", _WORKER, json.dumps(cfg)],
-        capture_output=True, text=True, env=env, cwd=REPO, timeout=3600,
-    )
-    assert r.returncode == 0, f"{mode} leg on {path.name} failed:\n{r.stderr}"
-    return json.loads(r.stdout)
-
-
-def _record(key: str, payload, target: Path = BASELINE_PATH,
-            env_var: str = "BENCH_OUTOFCORE_RECORD") -> None:
-    if os.environ.get(env_var) != "1":
-        return
-    data = {}
-    if target.exists():
-        data = json.loads(target.read_text())
-    data[key] = payload
-    target.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def _mb(nbytes) -> float:
-    return round(nbytes / 1e6, 1) if nbytes else 0.0
+        "sparsifier_k": SPARSIFIER_K, "target_gap": 0.75,
+    })
 
 
 def test_s10_matching_parity_and_rss(benchmark, experiment_table, tmp_path):
     """File-driven certified matching == materialized baseline, at no
     more than half the resident memory (n=8192)."""
     def run():
-        path = _gen_file(tmp_path, GATE_N, GATE_M)
+        path = edges_file(tmp_path, GATE_N, GATE_M)
         got_f = _run_leg("file", path)
         got_r = _run_leg("ram", path)
         return got_f, got_r
@@ -160,8 +110,8 @@ def test_s10_matching_parity_and_rss(benchmark, experiment_table, tmp_path):
         "passes": got_f["passes"], "rounds": got_f["rounds"],
         "matched_edges": got_f["matched_edges"],
         "certified_ratio": round(got_f["certified_ratio"], 4),
-        "file_peak_rss_mb": _mb(got_f["peak_rss_bytes"]),
-        "ram_peak_rss_mb": _mb(got_r["peak_rss_bytes"]),
+        "file_peak_rss_mb": mb(got_f["peak_rss_bytes"]),
+        "ram_peak_rss_mb": mb(got_r["peak_rss_bytes"]),
         "rss_ratio": round(
             got_f["peak_rss_bytes"] / got_r["peak_rss_bytes"], 3
         ),
@@ -175,7 +125,7 @@ def test_s10_matching_parity_and_rss(benchmark, experiment_table, tmp_path):
           f"{row['ram_peak_rss_mb']:.0f}M", f"{row['rss_ratio']:.2f}"]],
     )
     benchmark.extra_info["row"] = row
-    _record("matching", row)
+    record("BENCH_outofcore.json", "matching", row)
     # the headline memory claim of the out-of-core matching route
     assert row["rss_ratio"] <= 0.5
 
@@ -185,7 +135,7 @@ def test_s10_matching_scaling_curve(benchmark, experiment_table, tmp_path):
     def run():
         rows = []
         for n, m in CURVE:
-            path = _gen_file(tmp_path, n, m)
+            path = edges_file(tmp_path, n, m)
             got = _run_leg("file", path)
             assert got["materializations"] == 0
             rows.append({
@@ -194,7 +144,7 @@ def test_s10_matching_scaling_curve(benchmark, experiment_table, tmp_path):
                 "passes": got["passes"],
                 "matched_edges": got["matched_edges"],
                 "certified_ratio": round(got["certified_ratio"], 4),
-                "peak_rss_mb": _mb(got["peak_rss_bytes"]),
+                "peak_rss_mb": mb(got["peak_rss_bytes"]),
                 "ledger_peak_words": got["ledger_peak_words"],
             })
         return rows
@@ -208,7 +158,7 @@ def test_s10_matching_scaling_curve(benchmark, experiment_table, tmp_path):
           f"{r['peak_rss_mb']:.0f}M"] for r in rows],
     )
     benchmark.extra_info["rows"] = rows
-    _record("outofcore_matching", rows, target=SCALING_PATH)
+    record("BENCH_scaling.json", "outofcore_matching", rows)
     assert all(r["matched_edges"] > 0 for r in rows)
 
 
@@ -216,7 +166,7 @@ def test_s10_matching_large(benchmark, experiment_table, tmp_path):
     """n=131072, m=2^20: certified matching end-to-end from disk,
     never materialized, digest-identical to the in-RAM baseline."""
     def run():
-        path = _gen_file(tmp_path, LARGE_N, LARGE_M)
+        path = edges_file(tmp_path, LARGE_N, LARGE_M)
         got = _run_leg("file", path)
         got_r = _run_leg("ram", path)
         got["file_bytes"] = path.stat().st_size
@@ -233,8 +183,8 @@ def test_s10_matching_large(benchmark, experiment_table, tmp_path):
         "matched_edges": got["matched_edges"],
         "certified_ratio": round(got["certified_ratio"], 4),
         "materializations": got["materializations"],
-        "peak_rss_mb": _mb(got["peak_rss_bytes"]),
-        "file_mb": _mb(got["file_bytes"]),
+        "peak_rss_mb": mb(got["peak_rss_bytes"]),
+        "file_mb": mb(got["file_bytes"]),
         "digest": got["digest"],
     }
     experiment_table(
@@ -245,7 +195,7 @@ def test_s10_matching_large(benchmark, experiment_table, tmp_path):
           f"{row['peak_rss_mb']:.0f}M", f"{row['file_mb']:.0f}M"]],
     )
     benchmark.extra_info["row"] = row
-    _record("matching_large", row)
+    record("BENCH_outofcore.json", "matching_large", row)
     assert got["n"] >= 10**5 and got["m"] >= 10**6
     assert got["materializations"] == 0
     assert got["matched_edges"] > 0
@@ -258,7 +208,7 @@ def test_s10_outofcore_matching_smoke(benchmark, tmp_path):
     n = 512
 
     def run():
-        path = _gen_file(tmp_path, n, 8 * n)
+        path = edges_file(tmp_path, n, 8 * n)
         return _run_leg("file", path), _run_leg("ram", path)
 
     got_f, got_r = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -15,21 +15,10 @@ machine noise hits both measurements alike).
 
 import time
 
-import pytest
-
-from repro.api import Problem, run
+from harness import S2_SOLVER_KW, s2_graphs, s2_problems
+from repro.api import Problem, run, run_many
 from repro.core.matching_solver import DualPrimalMatchingSolver, SolverConfig
-from repro.graphgen import gnm_graph, with_uniform_weights
 
-# the PR-2 benchmark mix (bench_s2_solver_batch.py)
-MIX = dict(n=64, m=256, w_lo=1.0, w_hi=50.0)
-SOLVER_KW = dict(
-    eps=0.3,
-    inner_steps=600,
-    round_cap_factor=0.3,
-    target_gap=0.0001,
-    offline="local",
-)
 BATCH = 6
 # best-of-5 per side, order-alternated: a noise spike must hit every
 # repetition of one side (and none of the other) to fake a regression
@@ -37,18 +26,9 @@ REPEATS = 5
 OVERHEAD_GATE = 0.05
 
 
-def _instance_mix(batch: int):
-    return [
-        with_uniform_weights(
-            gnm_graph(MIX["n"], MIX["m"], seed=s), MIX["w_lo"], MIX["w_hi"], seed=s + 100
-        )
-        for s in range(batch)
-    ]
-
-
 def test_s3_dispatch_overhead(experiment_table):
-    graphs = _instance_mix(BATCH)
-    configs = [SolverConfig(seed=s, **SOLVER_KW) for s in range(BATCH)]
+    graphs = s2_graphs(BATCH)
+    configs = [SolverConfig(seed=s, **S2_SOLVER_KW) for s in range(BATCH)]
     problems = [Problem(g, config=c) for g, c in zip(graphs, configs)]
 
     def direct_once():
@@ -95,13 +75,7 @@ def test_s3_dispatch_overhead(experiment_table):
 def test_s3_run_many_matches_looped_run():
     """The lockstep route of ``run_many`` stays pinned to looped ``run``
     on the benchmark mix (cheap CI-smoke variant of the S2 parity)."""
-    graphs = _instance_mix(3)
-    problems = [
-        Problem(g, config=SolverConfig(seed=s, **SOLVER_KW))
-        for s, g in enumerate(graphs)
-    ]
-    from repro.api import run_many
-
+    problems = s2_problems(3)
     batched = run_many(problems, backend="offline")
     looped = [run(p, backend="offline") for p in problems]
     for b, l in zip(batched, looped):

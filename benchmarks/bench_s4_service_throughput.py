@@ -13,75 +13,31 @@ the content-addressed cache / in-flight coalescer for free.
 Same instance mix and solver knobs as ``bench_s2_solver_batch.py`` so
 the numbers compose.  Results are pinned exactly equal to looped
 ``run()`` on both paths.  Writes ``benchmarks/BENCH_service.json`` when
-``BENCH_SERVICE_RECORD=1``; ordinary runs (including the CI smoke)
-leave the committed snapshot untouched.
+``BENCH_RECORD=1`` (see ``harness.py``); ordinary runs (including the CI
+smoke) leave the committed snapshot untouched.
 """
 
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
-import pytest
 
-from repro.api import Problem, run
-from repro.core.matching_solver import SolverConfig
-from repro.graphgen import gnm_graph, with_uniform_weights
+from harness import S2_FAST_KW, S2_MIX, S2_SOLVER_KW, record, s2_problems
+from repro.api import run
 from repro.service import MatchingService
 
-BASELINE_PATH = Path(__file__).parent / "BENCH_service.json"
-
-MIX = dict(n=64, m=256, w_lo=1.0, w_hi=50.0)
-SOLVER_KW = dict(
-    eps=0.3,
-    inner_steps=600,
-    round_cap_factor=0.3,
-    target_gap=0.0001,
-    offline="local",
-)
 REQUESTS = 64
 UNIQUE_DUP = 8  # duplicate-stream test: 8 unique problems x 8 repeats
 SPEEDUP_GATE = 3.0
 
 
-def _record(key: str, payload: dict) -> None:
-    """Update the checked-in baseline, only when explicitly requested."""
-    if os.environ.get("BENCH_SERVICE_RECORD") != "1":
-        return
-    data = {}
-    if BASELINE_PATH.exists():
-        data = json.loads(BASELINE_PATH.read_text())
-    data[key] = payload
-    BASELINE_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def _host_meta(svc: MatchingService) -> dict:
-    """Auditability metadata: how parallel was the host, really.
+    """Auditability metadata: how parallel was the service, really.
 
-    A throughput number without the worker count, the execution
-    substrate and the machine's core count is unfalsifiable; every
-    recorded payload carries all three.
+    A throughput number without the worker count and the execution
+    substrate is unfalsifiable; every recorded payload carries both
+    (the host's core count is in the harness's ``meta`` block).
     """
-    return {
-        "workers": svc.workers,
-        "pool": svc.pool_kind,
-        "cpu_count": os.cpu_count(),
-    }
-
-
-def _problems(count: int, kw: dict | None = None) -> list[Problem]:
-    kw = SOLVER_KW if kw is None else kw
-    return [
-        Problem(
-            with_uniform_weights(
-                gnm_graph(MIX["n"], MIX["m"], seed=s), MIX["w_lo"], MIX["w_hi"],
-                seed=s + 100,
-            ),
-            config=SolverConfig(seed=s, **kw),
-        )
-        for s in range(count)
-    ]
+    return {"workers": svc.workers, "pool": svc.pool_kind}
 
 
 def _assert_parity(served, direct) -> None:
@@ -95,7 +51,7 @@ def _assert_parity(served, direct) -> None:
 def test_s4_service_throughput(experiment_table):
     """>= 3x per-request throughput vs looped run() at 64 concurrent
     duplicate-free requests (acceptance gate of the service PR)."""
-    problems = _problems(REQUESTS)
+    problems = s2_problems(REQUESTS)
 
     t0 = time.perf_counter()
     with MatchingService(workers=1, max_batch=32, max_delay_s=0.25) as svc:
@@ -115,7 +71,7 @@ def test_s4_service_throughput(experiment_table):
     speedup = t_loop / t_service
     experiment_table(
         f"S4 service throughput, {REQUESTS} concurrent requests "
-        f"(n={MIX['n']}, m={MIX['m']}, eps={SOLVER_KW['eps']})",
+        f"(n={S2_MIX['n']}, m={S2_MIX['m']}, eps={S2_SOLVER_KW['eps']})",
         ["requests", "loop (s)", "service (s)", "per-request speedup",
          "mean batch occupancy"],
         [[REQUESTS, f"{t_loop:.2f}", f"{t_service:.2f}", f"{speedup:.2f}x",
@@ -123,11 +79,11 @@ def test_s4_service_throughput(experiment_table):
     )
     payload = {
         "requests": REQUESTS,
-        "n": MIX["n"],
-        "m": MIX["m"],
-        "eps": SOLVER_KW["eps"],
-        "inner_steps": SOLVER_KW["inner_steps"],
-        "offline": SOLVER_KW["offline"],
+        "n": S2_MIX["n"],
+        "m": S2_MIX["m"],
+        "eps": S2_SOLVER_KW["eps"],
+        "inner_steps": S2_SOLVER_KW["inner_steps"],
+        "offline": S2_SOLVER_KW["offline"],
         **host,
         "max_batch": 32,
         "loop_s": round(t_loop, 3),
@@ -138,7 +94,7 @@ def test_s4_service_throughput(experiment_table):
         "mean_batch_occupancy": round(stats.mean_occupancy, 1),
         "p95_latency_ms": round(stats.latency_p95_ms, 1),
     }
-    _record("service_64_unique", payload)
+    record("BENCH_service.json", "service_64_unique", payload)
     assert speedup >= SPEEDUP_GATE, (
         f"service speedup {speedup:.2f}x below the {SPEEDUP_GATE:.0f}x gate "
         f"(loop {t_loop:.2f}s, service {t_service:.2f}s, "
@@ -150,7 +106,7 @@ def test_s4_duplicate_stream_is_cache_priced(experiment_table):
     """64 requests with only 8 unique instances: the duplicate tail is
     ~free (cache hits / in-flight coalescing), so the whole stream costs
     no more than looping its unique core alone."""
-    unique = _problems(UNIQUE_DUP)
+    unique = s2_problems(UNIQUE_DUP)
     stream = [unique[i % UNIQUE_DUP] for i in range(REQUESTS)]
 
     t0 = time.perf_counter()
@@ -185,7 +141,7 @@ def test_s4_duplicate_stream_is_cache_priced(experiment_table):
         "deduplicated": stats.cache_hits + stats.coalesced,
         "cache_hit_rate": round(stats.cache_hit_rate, 3),
     }
-    _record("service_64_duplicates", payload)
+    record("BENCH_service.json", "service_64_duplicates", payload)
     # the 56 duplicates must ride for ~free: the full stream costs no
     # more than looping the 8 unique problems alone
     assert t_service <= t_unique_loop * 1.10, (
@@ -196,9 +152,7 @@ def test_s4_duplicate_stream_is_cache_priced(experiment_table):
 
 def test_s4_service_smoke(experiment_table):
     """CI-fast: parity + dedup accounting on a small mixed burst."""
-    kw = dict(eps=0.3, inner_steps=60, round_cap_factor=0.3,
-              target_gap=0.0001, offline="local")
-    unique = _problems(8, kw)
+    unique = s2_problems(8, S2_FAST_KW)
     stream = unique + [unique[0], unique[3], unique[5], unique[0]]
     direct = [run(p, backend="offline") for p in unique]
     with MatchingService(workers=1, max_batch=8, max_delay_s=0.5) as svc:

@@ -18,24 +18,20 @@ with every session answer certified at the same serving target
 (``certified_ratio >= 1 - target_gap``) and matching weight no worse
 than 97% of the rebuild answer (in the recorded runs it is >= 99.9%).
 
-Writes ``benchmarks/BENCH_dynamic.json`` when
-``BENCH_DYNAMIC_RECORD=1``; ordinary runs (including the CI smoke)
-leave the committed snapshot untouched.
+Writes ``benchmarks/BENCH_dynamic.json`` when ``BENCH_RECORD=1`` (see
+``harness.py``); ordinary runs (including the CI smoke) leave the
+committed snapshot untouched.
 """
 
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 
+from harness import record
 from repro.core.matching_solver import DualPrimalMatchingSolver, SolverConfig
 from repro.dynamic import DynamicGraphSession
 from repro.graphgen import gnm_graph, with_uniform_weights
 from repro.util.graph import Graph
-
-BASELINE_PATH = Path(__file__).parent / "BENCH_dynamic.json"
 
 MIX = dict(n=256, m=512, w_lo=1.0, w_hi=50.0)
 SOLVER_KW = dict(
@@ -49,16 +45,6 @@ QUERIES = 16
 BURST_INSERTS = 2
 BURST_DELETES = 1
 SPEEDUP_GATE = 5.0
-
-
-def _record(key: str, payload: dict) -> None:
-    if os.environ.get("BENCH_DYNAMIC_RECORD") != "1":
-        return
-    data = {}
-    if BASELINE_PATH.exists():
-        data = json.loads(BASELINE_PATH.read_text())
-    data[key] = payload
-    BASELINE_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _make_workload(n, m, queries, inserts, deletes, seed):
@@ -160,7 +146,8 @@ def test_s5_dynamic_amortized_throughput(experiment_table):
           f"{stats.warm_fastpath}/{stats.warm_solves}",
           f"{min(s.weight / b.matching.weight() for s, b in zip(served, rebuilt)):.3f}"]],
     )
-    _record(
+    record(
+        "BENCH_dynamic.json",
         "dynamic_16_bursts",
         {
             "n": n,

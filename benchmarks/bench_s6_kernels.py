@@ -21,21 +21,12 @@ Every workload hashes its results; the digests must be identical
 across backends (bit-parity end to end, not just fast).  Timings are
 best-of-N inside each subprocess to shave scheduler noise.
 
-Writes ``benchmarks/BENCH_kernels.json`` under ``BENCH_KERNELS_RECORD=1``.
+Writes ``benchmarks/BENCH_kernels.json`` under ``BENCH_RECORD=1``.
 Acceptance gates: >= 3x native-over-numpy on the sketch and solver
 workloads, >= 20x on the harvest.  CI runs only ``test_s6_kernels_smoke``.
 """
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import pytest
-
-BASELINE_PATH = Path(__file__).parent / "BENCH_kernels.json"
-REPO = Path(__file__).resolve().parents[1]
+from harness import native_available, record, require_native, run_worker
 
 SKETCH_CFG = {"workload": "sketch", "sketch_n": 256, "t": 8, "reps": 4, "repeats": 3}
 SOLVER_CFG = {
@@ -129,59 +120,19 @@ print(json.dumps(out))
 """
 
 
-def _run_backend(mode: str, cfg: dict) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "REPRO_KERNELS": mode}
-    r = subprocess.run(
-        [sys.executable, "-c", _WORKER, json.dumps(cfg)],
-        capture_output=True, text=True, env=env, cwd=REPO, timeout=900,
-    )
-    assert r.returncode == 0, f"{mode} worker failed:\n{r.stderr}"
-    got = json.loads(r.stdout)
-    assert got["backend"] == mode
-    return got
-
-
-_native_probe: list = []
-
-
-def _native_or_skip() -> None:
-    if not _native_probe:
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "REPRO_KERNELS": "native"}
-        r = subprocess.run(
-            [sys.executable, "-c", "import repro.kernels"],
-            capture_output=True, text=True, env=env, cwd=REPO, timeout=300,
-        )
-        _native_probe.append(r.returncode == 0)
-    if not _native_probe[0]:
-        pytest.skip("native kernel backend unavailable in this environment")
-
-
-def _record(key: str, payload: dict) -> None:
-    """Update the checked-in baseline, only when explicitly requested.
-
-    Set ``BENCH_KERNELS_RECORD=1`` to refresh ``BENCH_kernels.json``;
-    ordinary runs (including the CI smoke test) must not overwrite the
-    committed snapshot with partial machine-dependent numbers.
-    """
-    if os.environ.get("BENCH_KERNELS_RECORD") != "1":
-        return
-    data = {}
-    if BASELINE_PATH.exists():
-        data = json.loads(BASELINE_PATH.read_text())
-    data[key] = payload
-    BASELINE_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+def _both(cfg: dict) -> tuple[dict, dict]:
+    """Run ``cfg`` on the numpy and the native backend; digests must agree."""
+    r_np = run_worker(_WORKER, cfg, kernels="numpy")
+    r_c = run_worker(_WORKER, cfg, kernels="native")
+    assert r_np["digest"] == r_c["digest"], "backend digests diverged"
+    return r_np, r_c
 
 
 def test_s6_sketch_kernels(benchmark, experiment_table):
     """Gate: >= 3x sketch build (measured ~50-100x: the Mersenne chain
     collapses from dozens of full-array numpy passes to one C loop)."""
-    _native_or_skip()
-
-    def run():
-        return _run_backend("numpy", SKETCH_CFG), _run_backend("native", SKETCH_CFG)
-
-    r_np, r_c = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert r_np["digest"] == r_c["digest"]
+    require_native()
+    r_np, r_c = benchmark.pedantic(_both, (SKETCH_CFG,), rounds=1, iterations=1)
     speedup = r_np["sketch_build_s"] / r_c["sketch_build_s"]
     experiment_table(
         "S6 sketch build kernels (n=256, t=8, reps=4)",
@@ -197,7 +148,7 @@ def test_s6_sketch_kernels(benchmark, experiment_table):
         "digest_equal": True,
     }
     benchmark.extra_info.update(payload)
-    _record("sketch_build_n256", payload)
+    record("BENCH_kernels.json", "sketch_build_n256", payload)
     assert speedup >= 3.0
 
 
@@ -209,15 +160,11 @@ def test_s6_solver_kernels(benchmark, experiment_table):
     and a single subprocess (even with best-of-N inside) can land
     entirely within one.  Digests must agree across *all* runs.
     """
-    _native_or_skip()
+    require_native()
 
     def run():
-        rounds = [
-            (_run_backend("numpy", SOLVER_CFG), _run_backend("native", SOLVER_CFG))
-            for _ in range(2)
-        ]
-        digests = {r["digest"] for pair in rounds for r in pair}
-        assert len(digests) == 1, "backend digests diverged"
+        rounds = [_both(SOLVER_CFG) for _ in range(2)]
+        assert rounds[0][0]["digest"] == rounds[1][0]["digest"], "digests diverged"
         return (
             {"solver_batch_s": min(r[0]["solver_batch_s"] for r in rounds),
              "digest": rounds[0][0]["digest"]},
@@ -241,7 +188,7 @@ def test_s6_solver_kernels(benchmark, experiment_table):
         "digest_equal": True,
     }
     benchmark.extra_info.update(payload)
-    _record("solver_batch_n256_eps02", payload)
+    record("BENCH_kernels.json", "solver_batch_n256_eps02", payload)
     assert speedup >= 3.0
 
 
@@ -252,14 +199,8 @@ def test_s6_solver_small_mix(benchmark, experiment_table):
     clock (``np.exp``, per-member Python control flow, result assembly),
     which bounds any kernel speedup near 2x.  Digest parity still gates.
     """
-    _native_or_skip()
-
-    def run():
-        return (_run_backend("numpy", SMALL_MIX_CFG),
-                _run_backend("native", SMALL_MIX_CFG))
-
-    r_np, r_c = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert r_np["digest"] == r_c["digest"]
+    require_native()
+    r_np, r_c = benchmark.pedantic(_both, (SMALL_MIX_CFG,), rounds=1, iterations=1)
     speedup = r_np["solver_batch_s"] / r_c["solver_batch_s"]
     experiment_table(
         "S6 solver small mix (n=64, batch=8, eps=0.3) -- informational",
@@ -276,19 +217,14 @@ def test_s6_solver_small_mix(benchmark, experiment_table):
         "gated": False,
     }
     benchmark.extra_info.update(payload)
-    _record("solver_batch_n64_eps03_informational", payload)
+    record("BENCH_kernels.json", "solver_batch_n64_eps03_informational", payload)
 
 
 def test_s6_harvest_kernel(benchmark, experiment_table):
     """Gate: >= 20x default-config harvest (the C blossom against
     networkx; recorded 124x on a 2-core host, 3.73 s vs 0.030 s)."""
-    _native_or_skip()
-
-    def run():
-        return _run_backend("numpy", HARVEST_CFG), _run_backend("native", HARVEST_CFG)
-
-    r_np, r_c = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert r_np["digest"] == r_c["digest"]
+    require_native()
+    r_np, r_c = benchmark.pedantic(_both, (HARVEST_CFG,), rounds=1, iterations=1)
     speedup = r_np["harvest_s"] / r_c["harvest_s"]
     experiment_table(
         "S6 default-config harvest (n=384: G(n, 8n) b=1 + power law b in 1..3)",
@@ -304,7 +240,7 @@ def test_s6_harvest_kernel(benchmark, experiment_table):
         "digest_equal": True,
     }
     benchmark.extra_info.update(payload)
-    _record("harvest_n384", payload)
+    record("BENCH_kernels.json", "harvest_n384", payload)
     assert speedup >= 20.0
 
 
@@ -315,21 +251,9 @@ def test_s6_kernels_smoke(benchmark):
     cannot build (the fallback itself is under test elsewhere).
     """
     def run():
-        r_np = _run_backend("numpy", SMOKE_CFG)
-        r_c = None
-        if _native_available_quietly():
-            r_c = _run_backend("native", SMOKE_CFG)
-        return r_np, r_c
+        if native_available():
+            return _both(SMOKE_CFG)[0]
+        return run_worker(_WORKER, SMOKE_CFG, kernels="numpy")
 
-    r_np, r_c = benchmark.pedantic(run, rounds=1, iterations=1)
+    r_np = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(r_np["digest"]) == 64
-    if r_c is not None:
-        assert r_np["digest"] == r_c["digest"]
-
-
-def _native_available_quietly() -> bool:
-    try:
-        _native_or_skip()
-    except pytest.skip.Exception:
-        return False
-    return True

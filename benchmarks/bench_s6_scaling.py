@@ -13,20 +13,11 @@ Per-point results hash to a digest that must match across backends.
 Times are single-shot per point (the curve is descriptive; the gated
 ratio measurements live in ``bench_s6_kernels.py``).
 
-Writes ``benchmarks/BENCH_scaling.json`` under ``BENCH_SCALING_RECORD=1``.
+Writes ``benchmarks/BENCH_scaling.json`` under ``BENCH_RECORD=1``.
 CI runs only ``test_s6_scaling_smoke``.
 """
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import pytest
-
-BASELINE_PATH = Path(__file__).parent / "BENCH_scaling.json"
-REPO = Path(__file__).resolve().parents[1]
+from harness import native_available, record, require_native, run_worker
 
 SKETCH_NS = [256, 512, 1024, 2048, 4096, 8192]
 SOLVE_NS = [256, 512, 1024, 2048, 4096, 8192]
@@ -72,50 +63,12 @@ print(json.dumps(out))
 """
 
 
-def _run_point(mode: str, workload: str, n: int) -> dict:
-    cfg = {"workload": workload, "n": n, "kw": SOLVE_KW}
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "REPRO_KERNELS": mode}
-    r = subprocess.run(
-        [sys.executable, "-c", _WORKER, json.dumps(cfg)],
-        capture_output=True, text=True, env=env, cwd=REPO, timeout=900,
-    )
-    assert r.returncode == 0, f"{mode} {workload} n={n} failed:\n{r.stderr}"
-    got = json.loads(r.stdout)
-    assert got["backend"] == mode
-    return got
-
-
-_native_probe: list = []
-
-
-def _native_or_skip() -> None:
-    if not _native_probe:
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "REPRO_KERNELS": "native"}
-        r = subprocess.run(
-            [sys.executable, "-c", "import repro.kernels"],
-            capture_output=True, text=True, env=env, cwd=REPO, timeout=300,
-        )
-        _native_probe.append(r.returncode == 0)
-    if not _native_probe[0]:
-        pytest.skip("native kernel backend unavailable in this environment")
-
-
-def _record(key: str, payload) -> None:
-    """Refresh ``BENCH_scaling.json`` only under ``BENCH_SCALING_RECORD=1``."""
-    if os.environ.get("BENCH_SCALING_RECORD") != "1":
-        return
-    data = {}
-    if BASELINE_PATH.exists():
-        data = json.loads(BASELINE_PATH.read_text())
-    data[key] = payload
-    BASELINE_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def _curve(workload: str, ns: list[int], time_key: str) -> list[dict]:
     rows = []
     for n in ns:
-        r_np = _run_point("numpy", workload, n)
-        r_c = _run_point("native", workload, n)
+        cfg = {"workload": workload, "n": n, "kw": SOLVE_KW}
+        r_np = run_worker(_WORKER, cfg, kernels="numpy")
+        r_c = run_worker(_WORKER, cfg, kernels="native")
         assert r_np["digest"] == r_c["digest"], f"{workload} n={n}: digests diverged"
         rows.append({
             "n": n,
@@ -127,7 +80,7 @@ def _curve(workload: str, ns: list[int], time_key: str) -> list[dict]:
 
 
 def test_s6_scaling_sketch(benchmark, experiment_table):
-    _native_or_skip()
+    require_native()
     rows = benchmark.pedantic(
         lambda: _curve("sketch", SKETCH_NS, "sketch_build_s"), rounds=1, iterations=1
     )
@@ -138,13 +91,13 @@ def test_s6_scaling_sketch(benchmark, experiment_table):
          for r in rows],
     )
     benchmark.extra_info["curve"] = rows
-    _record("sketch_build", rows)
+    record("BENCH_scaling.json", "sketch_build", rows)
     # the kernel-bound path keeps a wide margin at every size
     assert all(r["speedup"] >= 3.0 for r in rows)
 
 
 def test_s6_scaling_solve(benchmark, experiment_table):
-    _native_or_skip()
+    require_native()
     rows = benchmark.pedantic(
         lambda: _curve("solve", SOLVE_NS, "solve_s"), rounds=1, iterations=1
     )
@@ -155,7 +108,7 @@ def test_s6_scaling_solve(benchmark, experiment_table):
          for r in rows],
     )
     benchmark.extra_info["curve"] = rows
-    _record("single_solve", rows)
+    record("BENCH_scaling.json", "single_solve", rows)
     # descriptive curve: digest parity asserted per point in _curve;
     # the shared-cost floor keeps small-n ratios near 1, so no ratio gate
 
@@ -164,21 +117,13 @@ def test_s6_scaling_smoke(benchmark):
     """CI smoke: the smallest point of each curve, digest parity."""
     def run():
         out = {}
-        for workload, key in (("sketch", "sketch_build_s"), ("solve", "solve_s")):
-            r_np = _run_point("numpy", workload, 256)
-            out[workload] = r_np
-            if _native_ok():
-                r_c = _run_point("native", workload, 256)
-                assert r_np["digest"] == r_c["digest"]
+        for workload in ("sketch", "solve"):
+            cfg = {"workload": workload, "n": 256, "kw": SOLVE_KW}
+            out[workload] = run_worker(_WORKER, cfg, kernels="numpy")
+            if native_available():
+                r_c = run_worker(_WORKER, cfg, kernels="native")
+                assert out[workload]["digest"] == r_c["digest"]
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)
     assert set(out) == {"sketch", "solve"}
-
-
-def _native_ok() -> bool:
-    try:
-        _native_or_skip()
-    except pytest.skip.Exception:
-        return False
-    return True

@@ -15,21 +15,11 @@ interpreter):
   a generated ``.edges`` file that is never materialized.
 
 Writes ``benchmarks/BENCH_outofcore.json`` (and the ``outofcore_forest``
-curve into ``BENCH_scaling.json``) under ``BENCH_OUTOFCORE_RECORD=1``.
+curve into ``BENCH_scaling.json``) under ``BENCH_RECORD=1``.
 CI runs only ``test_s7_outofcore_smoke``.
 """
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import pytest
-
-BASELINE_PATH = Path(__file__).parent / "BENCH_outofcore.json"
-SCALING_PATH = Path(__file__).parent / "BENCH_scaling.json"
-REPO = Path(__file__).resolve().parents[1]
+from harness import edges_file, mb, record, run_worker
 
 PARITY_NS = [2048, 8192]
 CURVE_NS = [4096, 8192, 16384, 32768, 65536]
@@ -79,41 +69,11 @@ print(json.dumps({
 """
 
 
-def _gen_file(tmpdir: Path, n: int, m: int) -> Path:
-    from repro.graphgen import generate_gnm_file
-
-    path = tmpdir / f"gnm_{n}_{m}.edges"
-    generate_gnm_file(path, n, m, seed=41)
-    return path
-
-
-def _run_leg(mode: str, path: Path, seed: int = 7) -> dict:
-    cfg = {
-        "mode": mode, "path": str(path), "seed": seed,
+def _run_leg(mode: str, path) -> dict:
+    return run_worker(_WORKER, {
+        "mode": mode, "path": str(path), "seed": 7,
         "chunk_edges": CHUNK_EDGES, "rows_per_pass": ROWS_PER_PASS,
-    }
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    r = subprocess.run(
-        [sys.executable, "-c", _WORKER, json.dumps(cfg)],
-        capture_output=True, text=True, env=env, cwd=REPO, timeout=3600,
-    )
-    assert r.returncode == 0, f"{mode} leg on {path.name} failed:\n{r.stderr}"
-    return json.loads(r.stdout)
-
-
-def _record(key: str, payload, target: Path = BASELINE_PATH,
-            env_var: str = "BENCH_OUTOFCORE_RECORD") -> None:
-    if os.environ.get(env_var) != "1":
-        return
-    data = {}
-    if target.exists():
-        data = json.loads(target.read_text())
-    data[key] = payload
-    target.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def _mb(nbytes) -> float:
-    return round(nbytes / 1e6, 1) if nbytes else 0.0
+    })
 
 
 def test_s7_parity_and_rss(benchmark, experiment_table, tmp_path):
@@ -121,7 +81,7 @@ def test_s7_parity_and_rss(benchmark, experiment_table, tmp_path):
     def run():
         rows = []
         for n in PARITY_NS:
-            path = _gen_file(tmp_path, n, 8 * n)
+            path = edges_file(tmp_path, n, 8 * n)
             got_f = _run_leg("file", path)
             got_r = _run_leg("ram", path)
             assert got_f["digest"] == got_r["digest"], f"n={n}: forests diverged"
@@ -130,8 +90,8 @@ def test_s7_parity_and_rss(benchmark, experiment_table, tmp_path):
                 "file_s": round(got_f["time_s"], 3),
                 "ram_s": round(got_r["time_s"], 3),
                 "passes": got_f["passes"],
-                "file_peak_rss_mb": _mb(got_f["peak_rss_bytes"]),
-                "ram_peak_rss_mb": _mb(got_r["peak_rss_bytes"]),
+                "file_peak_rss_mb": mb(got_f["peak_rss_bytes"]),
+                "ram_peak_rss_mb": mb(got_r["peak_rss_bytes"]),
                 "rss_ratio": round(
                     got_f["peak_rss_bytes"] / got_r["peak_rss_bytes"], 3
                 ),
@@ -147,7 +107,7 @@ def test_s7_parity_and_rss(benchmark, experiment_table, tmp_path):
           f"{r['rss_ratio']:.2f}"] for r in rows],
     )
     benchmark.extra_info["rows"] = rows
-    _record("parity", rows)
+    record("BENCH_outofcore.json", "parity", rows)
     # the headline memory claim, at the largest common size
     assert rows[-1]["rss_ratio"] <= 0.5
 
@@ -157,13 +117,13 @@ def test_s7_scaling_curve(benchmark, experiment_table, tmp_path):
     def run():
         rows = []
         for n in CURVE_NS:
-            path = _gen_file(tmp_path, n, 8 * n)
+            path = edges_file(tmp_path, n, 8 * n)
             got = _run_leg("file", path)
             rows.append({
                 "n": n, "m": got["m"],
                 "file_s": round(got["time_s"], 3),
                 "passes": got["passes"],
-                "peak_rss_mb": _mb(got["peak_rss_bytes"]),
+                "peak_rss_mb": mb(got["peak_rss_bytes"]),
                 "ledger_peak_words": got["ledger_peak_words"],
                 "forest_edges": got["forest_edges"],
             })
@@ -177,14 +137,14 @@ def test_s7_scaling_curve(benchmark, experiment_table, tmp_path):
           f"{r['peak_rss_mb']:.0f}M", r["ledger_peak_words"]] for r in rows],
     )
     benchmark.extra_info["rows"] = rows
-    _record("outofcore_forest", rows, target=SCALING_PATH)
+    record("BENCH_scaling.json", "outofcore_forest", rows)
     assert all(r["forest_edges"] > 0 for r in rows)
 
 
 def test_s7_large(benchmark, experiment_table, tmp_path):
     """n=131072, m=2^20: forest end-to-end from disk, never materialized."""
     def run():
-        path = _gen_file(tmp_path, LARGE_N, LARGE_M)
+        path = edges_file(tmp_path, LARGE_N, LARGE_M)
         got = _run_leg("file", path)
         got["file_bytes"] = path.stat().st_size
         return got
@@ -195,9 +155,9 @@ def test_s7_large(benchmark, experiment_table, tmp_path):
         "chunk_edges": CHUNK_EDGES, "rows_per_pass": ROWS_PER_PASS,
         "time_s": round(got["time_s"], 2), "passes": got["passes"],
         "forest_edges": got["forest_edges"],
-        "peak_rss_mb": _mb(got["peak_rss_bytes"]),
+        "peak_rss_mb": mb(got["peak_rss_bytes"]),
         "ledger_peak_words": got["ledger_peak_words"],
-        "file_mb": _mb(got["file_bytes"]),
+        "file_mb": mb(got["file_bytes"]),
         "digest": got["digest"],
     }
     experiment_table(
@@ -208,7 +168,7 @@ def test_s7_large(benchmark, experiment_table, tmp_path):
           f"{row['file_mb']:.0f}M"]],
     )
     benchmark.extra_info["row"] = row
-    _record("large", row)
+    record("BENCH_outofcore.json", "large", row)
     assert got["n"] >= 10**5 and got["m"] >= 10**6
     assert got["forest_edges"] > 0
 
@@ -225,7 +185,7 @@ def test_s7_outofcore_smoke(benchmark, tmp_path):
     n = 512
 
     def run():
-        path = _gen_file(tmp_path, n, 8 * n)
+        path = edges_file(tmp_path, n, 8 * n)
         return _run_leg("file", path), _run_leg("ram", path)
 
     got_f, got_r = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -21,71 +21,30 @@ through the TCP front end:
   the service yet and would be invisible to it), running the same
   burst against an unbounded and a bounded queue.
 
-Writes ``benchmarks/BENCH_server.json`` when ``BENCH_SERVER_RECORD=1``;
-ordinary runs (including CI) leave the committed snapshot untouched.
+Writes ``benchmarks/BENCH_server.json`` when ``BENCH_RECORD=1`` (see
+``harness.py``); ordinary runs (including CI) leave the committed
+snapshot untouched.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
-from repro.api import Problem, run
-from repro.core.matching_solver import SolverConfig
-from repro.graphgen import gnm_graph, with_uniform_weights
+from harness import S2_FAST_KW, S2_MIX, S2_SOLVER_KW, record, s2_problems
+from repro.api import run
 from repro.server import RequestRejected, ServeClient, result_digest, serve_in_thread
 from repro.server.frontend import ServerConfig
 
-BASELINE_PATH = Path(__file__).parent / "BENCH_server.json"
-
-#: Same instance mix as bench_s4_service_throughput.py, so the serving
-#: numbers compose with the in-process service numbers.
-MIX = dict(n=64, m=256, w_lo=1.0, w_hi=50.0)
-SOLVER_KW = dict(
-    eps=0.3,
-    inner_steps=600,
-    round_cap_factor=0.3,
-    target_gap=0.0001,
-    offline="local",
-)
-FAST_KW = dict(
-    eps=0.3, inner_steps=60, round_cap_factor=0.3, target_gap=0.0001,
-    offline="local",
-)
 REQUESTS = 64
 WORKER_COUNTS = (1, 2, 4)
 SPEEDUP_GATE = 3.0
 GATE_MIN_CORES = 4
 
 
-def _record(key: str, payload: dict) -> None:
-    if os.environ.get("BENCH_SERVER_RECORD") != "1":
-        return
-    data = {}
-    if BASELINE_PATH.exists():
-        data = json.loads(BASELINE_PATH.read_text())
-    data[key] = payload
-    BASELINE_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def _problems(count: int, kw: dict) -> list[Problem]:
-    return [
-        Problem(
-            with_uniform_weights(
-                gnm_graph(MIX["n"], MIX["m"], seed=s), MIX["w_lo"], MIX["w_hi"],
-                seed=s + 100,
-            ),
-            config=SolverConfig(seed=s, **kw),
-        )
-        for s in range(count)
-    ]
-
-
 def test_s8_server_scaling(experiment_table):
     """Process-worker scaling curve over the wire, digest-pinned."""
-    problems = _problems(REQUESTS, SOLVER_KW)
+    problems = s2_problems(REQUESTS)
     want = [result_digest(run(p, "offline")) for p in problems]
 
     curve = {}
@@ -116,16 +75,16 @@ def test_s8_server_scaling(experiment_table):
         ["workers", "wall (s)", "req/s", "speedup vs 1"],
         rows,
     )
-    _record(
+    record(
+        "BENCH_server.json",
         "server_scaling",
         {
             "requests": REQUESTS,
-            "n": MIX["n"],
-            "m": MIX["m"],
-            "eps": SOLVER_KW["eps"],
-            "inner_steps": SOLVER_KW["inner_steps"],
+            "n": S2_MIX["n"],
+            "m": S2_MIX["m"],
+            "eps": S2_SOLVER_KW["eps"],
+            "inner_steps": S2_SOLVER_KW["inner_steps"],
             "pool": "process",
-            "cpu_count": cores,
             "wall_s": {str(w): round(t, 3) for w, t in curve.items()},
             "requests_per_s": {
                 str(w): round(REQUESTS / t, 1) for w, t in curve.items()
@@ -156,7 +115,7 @@ def test_s8_server_scaling(experiment_table):
 
 def test_s8_server_saturation(experiment_table):
     """Bounded admission keeps admitted-p95 flat and sheds explicitly."""
-    problems = _problems(48, FAST_KW)
+    problems = s2_problems(48, S2_FAST_KW)
     want = {
         id(p): result_digest(run(p, "offline")) for p in problems
     }
@@ -211,11 +170,11 @@ def test_s8_server_saturation(experiment_table):
              f"{b_queue95:.0f}", f"{b_compute95:.0f}"],
         ],
     )
-    _record(
+    record(
+        "BENCH_server.json",
         "server_saturation",
         {
             "requests": len(problems),
-            "cpu_count": os.cpu_count(),
             "workers": 1,
             "unbounded": {
                 "served": u_served,

@@ -17,42 +17,23 @@ Two claims of the ``repro.obs`` PR are measured here:
   inside) /reply -- whose top-level stage durations are consistent
   with the ``server_ms`` the response reports.
 
-Writes ``benchmarks/BENCH_obs.json`` when ``BENCH_OBS_RECORD=1``;
-ordinary runs leave the committed snapshot untouched.
+Writes ``benchmarks/BENCH_obs.json`` when ``BENCH_RECORD=1`` (see
+``harness.py``); ordinary runs leave the committed snapshot untouched.
 """
 
 import contextlib
-import json
-import os
 import time
-from pathlib import Path
 
 import pytest
 
+from harness import S2_FAST_KW, S2_MIX, S2_SOLVER_KW, record, s2_problems
 from repro import obs
-from repro.api import Problem
-from repro.core.matching_solver import SolverConfig
-from repro.graphgen import gnm_graph, with_uniform_weights
 from repro.server import ServeClient, serve_in_thread
 from repro.server.codec import decode_trace
 from repro.service import MatchingService
 
-BASELINE_PATH = Path(__file__).parent / "BENCH_obs.json"
-
-#: Same instance mix and solver knobs as bench_s4_service_throughput.py
-#: -- the overhead gate is a statement about *that* workload.
-MIX = dict(n=64, m=256, w_lo=1.0, w_hi=50.0)
-SOLVER_KW = dict(
-    eps=0.3,
-    inner_steps=600,
-    round_cap_factor=0.3,
-    target_gap=0.0001,
-    offline="local",
-)
-FAST_KW = dict(
-    eps=0.3, inner_steps=60, round_cap_factor=0.3, target_gap=0.0001,
-    offline="local",
-)
+#: The overhead gate runs the S4 service workload (the S2 mix, 64
+#: concurrent requests) -- it is a statement about *that* workload.
 REQUESTS = 64
 REPEATS = 5
 OVERHEAD_GATE = 1.02
@@ -73,29 +54,6 @@ EXPECTED_STAGES = (
     "shm_decode",
     "reply",
 )
-
-
-def _record(key: str, payload: dict) -> None:
-    if os.environ.get("BENCH_OBS_RECORD") != "1":
-        return
-    data = {}
-    if BASELINE_PATH.exists():
-        data = json.loads(BASELINE_PATH.read_text())
-    data[key] = payload
-    BASELINE_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def _problems(count: int, kw: dict) -> list[Problem]:
-    return [
-        Problem(
-            with_uniform_weights(
-                gnm_graph(MIX["n"], MIX["m"], seed=s), MIX["w_lo"],
-                MIX["w_hi"], seed=s + 100,
-            ),
-            config=SolverConfig(seed=s, **kw),
-        )
-        for s in range(count)
-    ]
 
 
 def _drive(problems) -> tuple[float, float]:
@@ -134,7 +92,7 @@ def _obs_stripped():
 
 def test_s9_tracing_disabled_overhead(experiment_table):
     """Instrumentation with no active trace costs <= 2% wall clock."""
-    problems = _problems(REQUESTS, SOLVER_KW)
+    problems = s2_problems(REQUESTS)
     _drive(problems)  # warm-up (imports, allocator, thread spin-up), untimed
 
     t_shipped = t_stripped = float("inf")
@@ -153,23 +111,23 @@ def test_s9_tracing_disabled_overhead(experiment_table):
     ratio = t_shipped / t_stripped
     experiment_table(
         f"S9 tracing-disabled overhead, {REQUESTS} requests x "
-        f"min-of-{REPEATS} (n={MIX['n']}, m={MIX['m']})",
+        f"min-of-{REPEATS} (n={S2_MIX['n']}, m={S2_MIX['m']})",
         ["arm", "wall (s)", "ratio"],
         [
             ["obs stripped (baseline)", f"{t_stripped:.3f}", "1.00x"],
             ["obs shipped, no trace", f"{t_shipped:.3f}", f"{ratio:.3f}x"],
         ],
     )
-    _record(
+    record(
+        "BENCH_obs.json",
         "tracing_disabled_overhead",
         {
             "requests": REQUESTS,
             "repeats": REPEATS,
-            "n": MIX["n"],
-            "m": MIX["m"],
-            "eps": SOLVER_KW["eps"],
-            "inner_steps": SOLVER_KW["inner_steps"],
-            "cpu_count": os.cpu_count(),
+            "n": S2_MIX["n"],
+            "m": S2_MIX["m"],
+            "eps": S2_SOLVER_KW["eps"],
+            "inner_steps": S2_SOLVER_KW["inner_steps"],
             "stripped_s": round(t_stripped, 3),
             "shipped_s": round(t_shipped, 3),
             "overhead_ratio": round(ratio, 4),
@@ -185,7 +143,7 @@ def test_s9_tracing_disabled_overhead(experiment_table):
 def test_s9_traced_request_covers_all_stages(experiment_table):
     """One traced request yields one tree covering every stage, with
     stage durations consistent with the reported ``server_ms``."""
-    warmup, problem = _problems(2, FAST_KW)
+    warmup, problem = s2_problems(2, S2_FAST_KW)
     with serve_in_thread(workers=1, pool="process", max_batch=8) as handle:
         with ServeClient("127.0.0.1", handle.port, timeout=600) as client:
             # warm the worker process (a *different* problem, so the
@@ -226,7 +184,8 @@ def test_s9_traced_request_covers_all_stages(experiment_table):
         + [["(sum)", f"{stage_sum:.2f}"],
            ["server_ms", f"{info['server_ms']:.2f}"]],
     )
-    _record(
+    record(
+        "BENCH_obs.json",
         "traced_request",
         {
             "pool": "process",
