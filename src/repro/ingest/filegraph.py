@@ -182,9 +182,12 @@ class FileBackedGraph(Graph):
     """A :class:`Graph` whose edge columns live in an ``.edges`` file.
 
     Construct from an open :class:`~repro.ingest.format.EdgeFile` or a
-    path.  The capacity vector is all-ones (the v1 format carries no
-    ``b`` column), allocated lazily.  ``materialize_policy`` governs
-    whole-column loads (see the module docstring).
+    path.  The content is validated at open (one O(chunk)-memory scan,
+    typed :class:`~repro.ingest.format.EdgeDataError` on the first bad
+    edge; free for an already-validated file).  The capacity vector is
+    all-ones (the v1 format carries no ``b`` column), allocated lazily.
+    ``materialize_policy`` governs whole-column loads (see the module
+    docstring).
     """
 
     def __init__(
@@ -204,6 +207,10 @@ class FileBackedGraph(Graph):
                 f"materialize_policy must be one of {MATERIALIZE_POLICIES}, "
                 f"got {materialize_policy!r}"
             )
+        # one contract for what a graph is: the content is checked at
+        # open, as Graph.__post_init__ checks an in-RAM graph, so no
+        # scan (lazy columns, materialize, edge_ranges) reads bad edges
+        source.validate(chunk_edges)
         # deliberately no super().__init__(): the dataclass initializer
         # wants materialized columns, which is exactly what we defer
         self.n = source.n

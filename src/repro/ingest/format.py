@@ -384,7 +384,10 @@ class EdgeFile:
         return int(keys[-1]) if len(keys) else last_key
 
     def validate(self, chunk_edges: int = DEFAULT_CHUNK_EDGES) -> None:
-        """Full-scan validation pass (typed errors, O(chunk) memory)."""
+        """Full-scan validation pass (typed errors, O(chunk) memory);
+        free once the content is known good."""
+        if self._content_validated:
+            return
         for _ in self.iter_chunks(chunk_edges, validate=True):
             pass
 

@@ -224,6 +224,32 @@ class TestCorruption:
             for _ in source.iter_chunks():
                 pass
 
+    @pytest.mark.parametrize("backend", ["offline", "semi_streaming"])
+    @pytest.mark.parametrize(
+        "edge, patch, match",
+        [
+            (1, (0, 9), "canonical"),  # dst >= n
+            (2, (1, 1), "canonical"),  # self-loop
+            (2, (0, 2), "duplicate"),  # repeats edge 1's key
+            (3, (0, 3), "disordered"),  # key below edge 2's (1, 3)
+        ],
+        ids=["dst_out_of_range", "self_loop", "duplicate_key", "disordered_keys"],
+    )
+    def test_corrupt_content_rejected_on_every_matching_path(
+        self, tmp_path, backend, edge, patch, match
+    ):
+        # a file-backed graph is validated at open, like an in-RAM Graph:
+        # no matching path may index with, solve or certify bad edges
+        path = write_edges(
+            tmp_path / "c.edges", 4, np.array([0, 0, 1, 2]), np.array([1, 2, 3, 3]),
+            np.array([1.0, 2.0, 3.0, 4.0]),
+        )
+        for col, value in enumerate(patch):
+            self._corrupt(path, HEADER_BYTES + 4 * (4 * col + edge), struct.pack("<I", value))
+        with pytest.raises(EdgeDataError, match=match) as exc:
+            run(Problem.from_edge_file(path, materialize_policy="forbid"), backend)
+        assert exc.value.offset == edge
+
     def test_writer_rejects_duplicates(self, tmp_path):
         w = EdgeFileWriter(tmp_path / "dup.edges", 4, 3)
         w.append(np.array([0, 0]), np.array([1, 2]))

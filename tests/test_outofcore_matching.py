@@ -171,9 +171,9 @@ class TestPassAccounting:
         assert result.resources["edges_streamed"] == result.rounds * graph.m
 
     def test_replay_validates_content_once(self, edge_file, graph, monkeypatch):
-        """A k-pass replay pays one validation scan: the first complete
-        pass certifies the content and every later pass skips the
-        per-chunk checks entirely."""
+        """A k-pass replay pays one validation scan: opening the graph
+        certifies the content and every later pass skips the per-chunk
+        checks entirely."""
         calls = []
         orig = EdgeFile._validate_chunk
 
@@ -182,8 +182,8 @@ class TestPassAccounting:
             return orig(self, *args, **kwargs)
 
         monkeypatch.setattr(EdgeFile, "_validate_chunk", counting)
-        fg = FileBackedGraph(edge_file, materialize_policy="forbid")
-        source = fg.chunked_source(chunk_edges=16)
+        fg = FileBackedGraph(edge_file, chunk_edges=16, materialize_policy="forbid")
+        source = fg.chunked_source()
         for _ in range(3):
             for _chunk in source.iter_chunks():
                 pass
