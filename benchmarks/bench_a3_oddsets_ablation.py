@@ -10,12 +10,10 @@ still be good -- it is the *certificate* that degrades).
 
 import pytest
 
+from repro.core.lp_library import solve_lp1
 from repro.core.matching_solver import DualPrimalMatchingSolver, SolverConfig
 from repro.graphgen import odd_cycle_chain, triangle_gadget
-from repro.matching.exact import (
-    fractional_matching_lp,
-    max_weight_matching_exact,
-)
+from repro.matching.exact import max_weight_matching_exact
 
 INSTANCES = {
     "triangle-gadget": lambda: triangle_gadget(eps=0.1),
@@ -52,8 +50,8 @@ def test_a3_fractional_gap_reference(benchmark, experiment_table):
         out = []
         for name, make in sorted(INSTANCES.items()):
             g = make()
-            bip = fractional_matching_lp(g, odd_set_cap=0)  # no odd sets
-            full = fractional_matching_lp(g, odd_set_cap=9)
+            bip = solve_lp1(g, odd_set_cap=0).value  # no odd sets
+            full = solve_lp1(g, odd_set_cap=9).value
             integral = max_weight_matching_exact(g).weight()
             out.append((name, bip, full, integral))
         return out

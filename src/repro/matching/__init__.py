@@ -8,7 +8,6 @@ from repro.matching.bmatching import (
 )
 from repro.matching.exact import (
     enumerate_odd_sets,
-    fractional_matching_lp,
     max_weight_bmatching_exact,
     max_weight_matching_exact,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "round_fractional_bmatching",
     "max_weight_matching_exact",
     "max_weight_bmatching_exact",
-    "fractional_matching_lp",
     "enumerate_odd_sets",
     "approximation_ratio",
     "verify_dual_upper_bound",

@@ -1,6 +1,6 @@
 """Exact matching solvers (ground truth and offline subroutine).
 
-Three solvers, trading generality for cost:
+Two solvers, trading generality for cost:
 
 * :func:`max_weight_matching_exact` -- exact maximum-weight matching for
   ``b = 1`` via the blossom algorithm.  It is the verifier and the
@@ -12,12 +12,10 @@ Three solvers, trading generality for cost:
   clone sets; a maximum matching of the blown-up graph projects back to a
   maximum b-matching.  Exponential in nothing, but the blow-up is
   ``B = sum b_i`` vertices, so keep it for moderate ``B``.
-* :func:`fractional_matching_lp` -- LP optimum of LP1 with odd-set
-  constraints enumerated up to a size cap (exact for bipartite graphs
-  with no odd sets; exact for general graphs when the cap reaches ``n``).
-  Used by the relaxation experiments (E6/E11) and the certificate tests.
+The LP1 optimum (odd-set constraints enumerated by
+:func:`enumerate_odd_sets`) is :func:`repro.core.lp_library.solve_lp1`.
 
-The first two share one array path: keep the heaviest copy of each
+Both solvers share one array path: keep the heaviest copy of each
 parallel edge, split vertices with numpy, run the ``blossom_mates``
 kernel once, and count matched clone edges per source edge.  The kernel
 is a C port of networkx's ``max_weight_matching`` that returns the same
@@ -38,7 +36,6 @@ from repro.util.graph import Graph
 __all__ = [
     "max_weight_matching_exact",
     "max_weight_bmatching_exact",
-    "fractional_matching_lp",
     "enumerate_odd_sets",
 ]
 
@@ -146,55 +143,3 @@ def enumerate_odd_sets(
     _ODD_SET_CACHE[key] = out
     return out
 
-
-def fractional_matching_lp(
-    graph: Graph,
-    odd_set_cap: int | None = None,
-    return_solution: bool = False,
-):
-    """Optimum of LP1 (with odd sets up to ``odd_set_cap`` in ``||.||_b``).
-
-    Maximize ``sum w_e y_e`` s.t. vertex capacity constraints, odd-set
-    constraints ``y(U) <= floor(||U||_b / 2)``, ``y >= 0``.  Solved with
-    scipy's HiGHS.  Returns the optimal value (and the ``y`` vector when
-    requested).
-    """
-    from scipy.optimize import linprog
-
-    m = graph.m
-    if m == 0:
-        return (0.0, np.empty(0)) if return_solution else 0.0
-    n = graph.n
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    # vertex constraints
-    inc = np.zeros((n, m))
-    inc[graph.src, np.arange(m)] += 1.0
-    inc[graph.dst, np.arange(m)] += 1.0
-    rows.append(inc)
-    rhs.extend(graph.b.astype(float).tolist())
-    # odd-set constraints
-    odd_sets = enumerate_odd_sets(graph.b, max_size_b=odd_set_cap)
-    if odd_sets:
-        osm = np.zeros((len(odd_sets), m))
-        for r, U in enumerate(odd_sets):
-            members = np.zeros(n, dtype=bool)
-            members[list(U)] = True
-            inside = members[graph.src] & members[graph.dst]
-            osm[r, inside] = 1.0
-            rhs.append(float(int(graph.b[list(U)].sum()) // 2))
-        rows.append(osm)
-    A_ub = np.vstack(rows)
-    res = linprog(
-        c=-graph.weight,
-        A_ub=A_ub,
-        b_ub=np.asarray(rhs),
-        bounds=[(0, None)] * m,
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"LP solve failed: {res.message}")
-    value = float(-res.fun)
-    if return_solution:
-        return value, np.asarray(res.x)
-    return value

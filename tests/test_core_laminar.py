@@ -10,8 +10,8 @@ from repro.core.laminar import (
     uncross_to_laminar,
 )
 from repro.core.levels import discretize
+from repro.core.lp_library import solve_lp1
 from repro.graphgen import gnm_graph, odd_cycle_chain, with_uniform_weights
-from repro.matching.exact import fractional_matching_lp
 from repro.matching.verify import verify_dual_upper_bound
 from repro.util.graph import Graph
 
@@ -34,7 +34,7 @@ class TestOptimalFlatDual:
     def test_dual_value_matches_primal_lp(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         val, x, z = optimal_flat_dual(g)
-        lp = fractional_matching_lp(g)
+        lp = solve_lp1(g).value
         assert val == pytest.approx(lp, rel=1e-6)
 
     def test_dual_is_feasible(self):

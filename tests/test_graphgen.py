@@ -19,7 +19,8 @@ from repro.graphgen import (
     with_random_capacities,
     with_uniform_weights,
 )
-from repro.matching.exact import fractional_matching_lp, max_weight_matching_exact
+from repro.core.lp_library import solve_lp1
+from repro.matching.exact import max_weight_matching_exact
 
 
 class TestRandomFamilies:
@@ -92,8 +93,8 @@ class TestHardInstances:
         g = triangle_gadget(0.1)
         triangle_ids = np.flatnonzero((g.src != 3) & (g.dst != 3))
         g = g.edge_subgraph(triangle_ids)
-        bip = fractional_matching_lp(g, odd_set_cap=0)
-        full = fractional_matching_lp(g)
+        bip = solve_lp1(g, odd_set_cap=0).value
+        full = solve_lp1(g).value
         integral = max_weight_matching_exact(g).weight()
         assert bip == pytest.approx(1.5)
         assert full == pytest.approx(integral) == pytest.approx(1.0)
@@ -134,7 +135,7 @@ class TestHardInstances:
 
     def test_odd_cycle_chain_gap(self):
         g = odd_cycle_chain(n_cycles=3, cycle_len=5)
-        bip = fractional_matching_lp(g, odd_set_cap=0)
+        bip = solve_lp1(g, odd_set_cap=0).value
         integral = max_weight_matching_exact(g).weight()
         assert bip >= integral + 3 * 0.5 - 0.3  # each C5 contributes ~1/2
 

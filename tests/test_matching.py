@@ -9,10 +9,10 @@ from repro.graphgen import (
     with_random_capacities,
     with_uniform_weights,
 )
+from repro.core.lp_library import solve_lp1
 from repro.matching.augmenting import local_search_matching, two_opt_pass
 from repro.matching.exact import (
     enumerate_odd_sets,
-    fractional_matching_lp,
     max_weight_bmatching_exact,
     max_weight_matching_exact,
 )
@@ -216,20 +216,20 @@ class TestFractionalLP:
     def test_c5_gap_closed_by_odd_sets(self):
         """5-cycle: bipartite LP gives 2.5, odd sets give 2."""
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        no_odd = fractional_matching_lp(g, odd_set_cap=0)
-        with_odd = fractional_matching_lp(g)
+        no_odd = solve_lp1(g, odd_set_cap=0).value
+        with_odd = solve_lp1(g).value
         assert no_odd == pytest.approx(2.5)
         assert with_odd == pytest.approx(2.0)
 
     def test_lp_upper_bounds_integral(self, weighted_graph):
-        lp = fractional_matching_lp(weighted_graph, odd_set_cap=3)
+        lp = solve_lp1(weighted_graph, odd_set_cap=3).value
         integral = max_weight_matching_exact(weighted_graph).weight()
         assert lp >= integral - 1e-6
 
     def test_lp_solution_vector(self, triangle):
-        val, y = fractional_matching_lp(triangle, return_solution=True)
-        assert val == pytest.approx(1.0)
-        assert len(y) == 3
+        lp = solve_lp1(triangle)
+        assert lp.value == pytest.approx(1.0)
+        assert len(lp.variables["y"]) == 3
 
 
 class TestLocalSearch:

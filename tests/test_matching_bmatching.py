@@ -17,10 +17,8 @@ from repro.matching.bmatching import (
     capacitated_bmatching_greedy,
     round_fractional_bmatching,
 )
-from repro.matching.exact import (
-    fractional_matching_lp,
-    max_weight_bmatching_exact,
-)
+from repro.core.lp_library import solve_lp1
+from repro.matching.exact import max_weight_bmatching_exact
 from repro.util.graph import Graph
 
 
@@ -87,9 +85,9 @@ class TestRoundFractional:
         # on bipartite instances with LP-optimal y the rounding keeps
         # at least the floor part, and sweetening recovers maximality
         g = Graph.from_edges(4, [(0, 2), (1, 3), (0, 3)], [3.0, 2.0, 1.0])
-        val, y = fractional_matching_lp(g, return_solution=True)
-        m = round_fractional_bmatching(g, y)
-        assert m.weight() >= val - 1e-6  # bipartite LP is integral
+        lp = solve_lp1(g)
+        m = round_fractional_bmatching(g, lp.variables["y"])
+        assert m.weight() >= lp.value - 1e-6  # bipartite LP is integral
 
     def test_validates_length(self):
         with pytest.raises(ValueError):
