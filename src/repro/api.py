@@ -43,7 +43,6 @@ from repro.baselines.auction import auction_backend_run, bipartite_sides
 from repro.baselines.lattanzi_filtering import lattanzi_backend_run
 from repro.baselines.mcgregor import mcgregor_backend_run
 from repro.baselines.streaming_weighted import one_pass_backend_run
-from repro.core.batch import SolveRequest
 from repro.core.certificates import Certificate, MatchingResult
 from repro.core.matching_solver import DualPrimalMatchingSolver, SolverConfig
 from repro.matching.structures import BMatching
@@ -791,11 +790,9 @@ class OfflineBackend(Backend):
             solver = DualPrimalMatchingSolver(
                 _config_key(problems[indices[0]].config)
             )
-            batch = solver.solve_requests(
-                [
-                    SolveRequest(problems[i].graph, problems[i].config.seed)
-                    for i in indices
-                ]
+            batch = solver.solve_many(
+                [problems[i].graph for i in indices],
+                seeds=[problems[i].config.seed for i in indices],
             )
             for i, res in zip(indices, batch):
                 results[i] = _matching_run_result(

@@ -72,29 +72,12 @@ __all__ = [
     "GraphBatch",
     "DualBatch",
     "StoredBatchLayout",
-    "SolveRequest",
     "z_cover_add",
     "seg_sum",
     "seg_min",
     "seg_max",
     "expand",
 ]
-
-
-@dataclass(frozen=True)
-class SolveRequest:
-    """One externally assembled batch-engine request.
-
-    Callers that coalesce *independent* concurrent requests into a
-    lockstep batch -- the :mod:`repro.service` micro-batcher, the
-    facade's grouped ``run_many`` -- hand the engine a list of these:
-    the instance plus its per-request seed override (``None`` = the
-    engine config's seed).  See
-    :meth:`~repro.core.matching_solver.DualPrimalMatchingSolver.solve_requests`.
-    """
-
-    graph: Graph
-    seed: int | None = None
 
 
 # ----------------------------------------------------------------------

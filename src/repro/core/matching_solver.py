@@ -577,27 +577,6 @@ class DualPrimalMatchingSolver:
         engine = _BatchEngine(self, graphs, seeds)
         return engine.run()
 
-    def solve_requests(self, requests) -> list[MatchingResult]:
-        """Batch-engine entry for externally assembled request groups.
-
-        Serving-layer callers (the :mod:`repro.service` micro-batcher,
-        the facade's grouped ``run_many``) coalesce independent
-        concurrent requests sharing this solver's config into a list of
-        :class:`~repro.core.batch.SolveRequest` and hand it here.
-
-        Returns
-        -------
-        list[MatchingResult]
-            ``results[i]`` equals ``solve(requests[i].graph)`` under
-            ``requests[i].seed`` (falling back to ``config.seed``),
-            value for value.
-        """
-        requests = list(requests)
-        return self.solve_many(
-            [req.graph for req in requests],
-            seeds=[req.seed for req in requests],
-        )
-
 
 # ======================================================================
 # The lockstep engine

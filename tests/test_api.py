@@ -593,14 +593,13 @@ class TestRunManyGrouping:
             self._mk(4, 4, eps=0.3),
         ]
         group_sizes = []
-        original = DualPrimalMatchingSolver.solve_requests
+        original = DualPrimalMatchingSolver.solve_many
 
-        def spy(self, requests):
-            requests = list(requests)
-            group_sizes.append(len(requests))
-            return original(self, requests)
+        def spy(self, graphs, seeds=None):
+            group_sizes.append(len(graphs))
+            return original(self, graphs, seeds)
 
-        monkeypatch.setattr(DualPrimalMatchingSolver, "solve_requests", spy)
+        monkeypatch.setattr(DualPrimalMatchingSolver, "solve_many", spy)
         batched = run_many(problems, backend="offline")
         assert sorted(group_sizes) == [2, 3]
         looped = [run(p, backend="offline") for p in problems]
@@ -619,14 +618,13 @@ class TestRunManyGrouping:
             self._mk(2, 2),
         ]
         calls = []
-        original = DualPrimalMatchingSolver.solve_requests
+        original = DualPrimalMatchingSolver.solve_many
 
-        def spy(self, requests):
-            requests = list(requests)
-            calls.append(len(requests))
-            return original(self, requests)
+        def spy(self, graphs, seeds=None):
+            calls.append(len(graphs))
+            return original(self, graphs, seeds)
 
-        monkeypatch.setattr(DualPrimalMatchingSolver, "solve_requests", spy)
+        monkeypatch.setattr(DualPrimalMatchingSolver, "solve_many", spy)
         batched = run_many(problems, backend="offline")
         assert calls == [2]  # only the two default-shaped problems batch
         looped = [run(p, backend="offline") for p in problems]
@@ -652,14 +650,12 @@ class TestRunManyGrouping:
         with pytest.raises(ValueError, match="one name per problem"):
             run_many([Problem(instance)], backend=["offline", "offline"])
 
-    def test_solve_requests_singleton_equals_solve(self, instance):
-        """The engine entry for externally assembled groups: a singleton
-        group with a seed override equals ``solve`` under that seed."""
-        from repro.core.batch import SolveRequest
-
+    def test_solve_many_singleton_equals_solve(self, instance):
+        """The engine entry ``run_many`` groups ride: a singleton batch
+        with a seed override equals ``solve`` under that seed."""
         cfg = SolverConfig(**FAST)
         solver = DualPrimalMatchingSolver(replace(cfg, seed=None))
-        [single] = solver.solve_requests([SolveRequest(instance, seed=5)])
+        [single] = solver.solve_many([instance], seeds=[5])
         reference = DualPrimalMatchingSolver(replace(cfg, seed=5)).solve(instance)
         assert_results_equal(single, reference)
-        assert solver.solve_requests([]) == []
+        assert solver.solve_many([]) == []
