@@ -59,13 +59,6 @@ class LevelDecomposition:
         """Nominal weight in original units: ``scale * ŵ_k``."""
         return self.scale * self.level_weight(k)
 
-    def rescaled_edge_weights(self) -> np.ndarray:
-        """Per-edge ``ŵ_{level_e}`` (0 for dropped edges)."""
-        w = np.zeros(self.graph.m, dtype=np.float64)
-        live = self.level >= 0
-        w[live] = self.level_weight(self.level[live])
-        return w
-
     def edges_at(self, k: int) -> np.ndarray:
         """Edge ids in level ``k`` (the paper's ``Ê_k``)."""
         return np.flatnonzero(self.level == k)

@@ -309,10 +309,6 @@ class LayeredDual:
             row += sigma * ob[k]
         self.z = blend_z_dicts(self.z, other.z, sigma)
 
-    def enforce_q(self) -> None:
-        """Project into ``Q = {x_i >= x_i(l)}`` -- trivially satisfied since
-        we define ``x_i = max_l x_i(l)``; kept for interface clarity."""
-
     def copy(self) -> "LayeredDual":
         d = LayeredDual.__new__(LayeredDual)
         d.levels = self.levels

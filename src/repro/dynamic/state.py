@@ -294,11 +294,6 @@ class DynamicSketchState:
         if self.support is not None:
             self.support.update_many(encode_edge(u, v, self.n).astype(np.int64), d)
 
-    @property
-    def pending_updates(self) -> int:
-        """Buffered events not yet folded into the cells."""
-        return sum(len(a) for a in self._pend_u)
-
     # ------------------------------------------------------------------
     def forest(self, ledger: ResourceLedger | None = None) -> list[tuple[int, int]]:
         """Spanning forest of the *current* net graph, decoded from the

@@ -108,13 +108,3 @@ class BMatching:
         return [
             (int(self.graph.src[e]), int(self.graph.dst[e])) for e in self.edge_ids
         ]
-
-    def restricted_to(self, graph: Graph, id_map: np.ndarray) -> "BMatching":
-        """Re-express this matching as a matching of another graph.
-
-        ``id_map[k]`` gives, for this matching's graph's edge ``k``, the
-        corresponding edge id in ``graph`` (or -1 if absent).
-        """
-        mapped = id_map[self.edge_ids]
-        keep = mapped >= 0
-        return BMatching(graph, mapped[keep], self.multiplicity[keep])

@@ -17,9 +17,9 @@ traffic is heavy enough that stragglers actually arrive.  The policy
 therefore scales its wait budget by an EWMA of recent batch occupancy
 (batch size over ``max_batch``): under sustained load the budget stays
 near ``max_delay_s`` and batches fill, while a quiet service decays the
-budget toward ``min_delay_s`` so sporadic requests stop paying the
-coalescing latency tax.  Occupancy starts at 1.0 (optimistic) so the
-first burst after startup batches well.
+budget toward zero so sporadic requests stop paying the coalescing
+latency tax.  Occupancy starts at 1.0 (optimistic) so the first burst
+after startup batches well.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Hashable
 
 from repro.api import Problem, get_backend
 
@@ -37,6 +37,9 @@ __all__ = [
     "ServiceRequest",
     "plan_dispatch",
 ]
+
+#: Smoothing factor of the batch-occupancy EWMA (higher reacts faster).
+OCCUPANCY_EWMA_ALPHA = 0.25
 
 
 @dataclass(frozen=True)
@@ -51,31 +54,19 @@ class MicroBatchPolicy:
         ``benchmarks/BENCH_solver.json``).
     max_delay_s:
         Longest a worker will hold an already-arrived request open for
-        stragglers.  The worst-case added latency per request.
-    adaptive:
-        Scale the actual wait by recent batch occupancy (see module
-        docstring); ``False`` always waits ``max_delay_s``.
-    min_delay_s:
-        Floor of the adaptive wait budget.
-    ewma_alpha:
-        Occupancy smoothing factor in ``(0, 1]``; higher reacts faster.
+        stragglers.  The worst-case added latency per request; the
+        actual wait scales with recent batch occupancy (see module
+        docstring).
     """
 
     max_batch: int = 32
     max_delay_s: float = 0.002
-    adaptive: bool = True
-    min_delay_s: float = 0.0
-    ewma_alpha: float = 0.25
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_delay_s < 0 or self.min_delay_s < 0:
-            raise ValueError("delays must be nonnegative")
-        if self.min_delay_s > self.max_delay_s:
-            raise ValueError("min_delay_s must not exceed max_delay_s")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
+        if self.max_delay_s < 0:
+            raise ValueError("max_delay_s must be nonnegative")
 
 
 class AdaptiveDelay:
@@ -91,16 +82,12 @@ class AdaptiveDelay:
 
     def wait_budget(self) -> float:
         """Seconds the next collection may hold its first request open."""
-        p = self.policy
-        if not p.adaptive:
-            return p.max_delay_s
-        return max(p.min_delay_s, p.max_delay_s * self.occupancy)
+        return self.policy.max_delay_s * self.occupancy
 
     def observe(self, batch_size: int) -> None:
         """Fold one collected batch's occupancy into the EWMA."""
-        p = self.policy
-        occ = min(1.0, batch_size / p.max_batch)
-        self.occupancy += p.ewma_alpha * (occ - self.occupancy)
+        occ = min(1.0, batch_size / self.policy.max_batch)
+        self.occupancy += OCCUPANCY_EWMA_ALPHA * (occ - self.occupancy)
 
 
 @dataclass

@@ -45,7 +45,6 @@ import threading
 import time
 import weakref
 from concurrent.futures import Future, InvalidStateError
-from typing import Iterable, Sequence
 
 from repro import obs
 from repro.api import Problem, RunResult, get_backend
@@ -101,7 +100,7 @@ class MatchingService:
         Escape hatch: a pre-built
         :class:`~repro.service.executors.GroupExecutor` instance
         (overrides ``pool``); the service takes ownership and closes it.
-    max_batch, max_delay_s, adaptive, min_delay_s:
+    max_batch, max_delay_s:
         Micro-batching policy; see
         :class:`~repro.service.batching.MicroBatchPolicy`.
     cache_capacity:
@@ -127,20 +126,13 @@ class MatchingService:
         executor: GroupExecutor | None = None,
         max_batch: int = 32,
         max_delay_s: float = 0.002,
-        adaptive: bool = True,
-        min_delay_s: float = 0.0,
         cache_capacity: int = 2048,
         default_backend: str = "offline",
         latency_window: int = 4096,
     ):
         get_backend(default_backend)  # fail fast on a bad registry name
         self.default_backend = default_backend
-        self.policy = MicroBatchPolicy(
-            max_batch=max_batch,
-            max_delay_s=max_delay_s,
-            adaptive=adaptive,
-            min_delay_s=min_delay_s,
-        )
+        self.policy = MicroBatchPolicy(max_batch=max_batch, max_delay_s=max_delay_s)
         # the executor forks/allocates before the collector threads start
         # (fork-before-thread keeps the children clean)
         if executor is None:
@@ -255,23 +247,6 @@ class MatchingService:
             return f"{backend}:{problem.fingerprint()}"
         except TypeError:
             return None
-
-    def submit_many(
-        self,
-        problems: Iterable[Problem],
-        backend: str | Sequence[str] | None = None,
-    ) -> list[Future]:
-        """Submit a burst; one backend name for all or one per problem."""
-        problems = list(problems)
-        if backend is None or isinstance(backend, str):
-            names = [backend] * len(problems)
-        else:
-            names = list(backend)
-            if len(names) != len(problems):
-                raise ValueError(
-                    "backend list must have one entry per problem"
-                )
-        return [self.submit(p, b) for p, b in zip(problems, names)]
 
     def solve(
         self,

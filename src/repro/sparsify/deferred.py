@@ -144,10 +144,6 @@ class DeferredSparsifier:
         nz = u_stored > 0
         return EdgeSample(edge_ids=ids[nz], weights=u_stored[nz] / probs[nz])
 
-    def refine_as_graph(self, u_exact: np.ndarray) -> Graph:
-        """Convenience: refined sparsifier materialized as a Graph."""
-        return self.refine(u_exact).as_graph(self.graph)
-
 
 class DeferredSparsifierChain:
     """The ``ln γ`` deferred sparsifiers of one outer round (Algorithm 2/4).

@@ -299,11 +299,6 @@ class SpaceHighWater:
         if self.current < 0:
             self.current = 0
 
-    def set_current(self, amount: int) -> None:
-        self.current = int(amount)
-        if self.current > self.peak:
-            self.peak = self.current
-
 
 @dataclass
 class ResourceLedger:
