@@ -129,7 +129,7 @@ def edges_file(tmpdir, n: int, m: int, seed: int = 41) -> Path:
     """Generate ``gnm_<n>_<m>.edges`` under ``tmpdir`` out of process.
 
     An in-process ``generate_gnm_file`` would raise this process's RSS
-    by O(m) for the rest of the session.
+    by O(m) for the rest of the pytest run.
     """
     path = Path(tmpdir) / f"gnm_{n}_{m}.edges"
     run_worker(
