@@ -53,9 +53,7 @@ fbg = FileBackedGraph(
 )
 if cfg["mode"] == "ram":
     fbg.materialize()  # the materialize-then-solve baseline
-solver = SemiStreamingMatchingSolver(
-    sc, chunk_size=cfg["chunk_edges"], sparsifier_k=cfg["sparsifier_k"]
-)
+solver = SemiStreamingMatchingSolver(sc, sparsifier_k=cfg["sparsifier_k"])
 t0 = time.perf_counter()
 result = solver.solve(fbg)
 elapsed = time.perf_counter() - t0

@@ -35,28 +35,29 @@ import numpy as np
 cfg = json.loads(sys.argv[1])
 from repro.ingest import FileBackedGraph
 from repro.streaming.semi_streaming import stream_spanning_forest
+from repro.streaming.stream import EdgeStream
 from repro.util.instrumentation import ResourceLedger, peak_rss_bytes
 
-fbg = FileBackedGraph(cfg["path"])
+fbg = FileBackedGraph(cfg["path"], chunk_edges=cfg["chunk_edges"])
 ledger = ResourceLedger()
 if cfg["mode"] == "file":
     # never materialized: chunked reads + row-block multi-pass tensor
-    source = fbg.chunked_source(chunk_edges=cfg["chunk_edges"], ledger=ledger)
+    stream = EdgeStream(fbg, ledger=ledger)
     t0 = time.perf_counter()
     forest = stream_spanning_forest(
-        source, seed=cfg["seed"], ledger=ledger,
+        stream, seed=cfg["seed"], ledger=ledger,
         rows_per_pass=cfg["rows_per_pass"],
     )
     elapsed = time.perf_counter() - t0
-    passes = source.passes
+    passes = stream.passes
     assert not fbg.is_materialized, "out-of-core leg materialized the graph"
 else:
     # in-RAM reference: whole graph resident + full single-pass tensor
-    graph = fbg.materialize()
+    stream = EdgeStream(fbg.materialize(), ledger=ledger)
     t0 = time.perf_counter()
-    forest = stream_spanning_forest(graph, seed=cfg["seed"], ledger=ledger)
+    forest = stream_spanning_forest(stream, seed=cfg["seed"], ledger=ledger)
     elapsed = time.perf_counter() - t0
-    passes = 1
+    passes = stream.passes
 
 digest = hashlib.sha256(repr(sorted(forest)).encode()).hexdigest()
 print(json.dumps({
@@ -177,7 +178,6 @@ def test_s7_outofcore_smoke(benchmark, tmp_path):
     """CI smoke: digest parity file-vs-RAM at n=512, plus the bounded-
     memory assertion -- the out-of-core ledger high-water stays within
     chunk + row-block words and strictly below the full tensor."""
-    from repro.ingest.source import WORDS_PER_EDGE
     from repro.sketch.support_find import forest_row_seeds, incidence_forest_rows
     from repro.sketch.tensor import SketchTensor
     import numpy as np
@@ -195,6 +195,7 @@ def test_s7_outofcore_smoke(benchmark, tmp_path):
     rows = incidence_forest_rows(n)
     seeds = forest_row_seeds(np.random.default_rng(0), n)
     row_words = SketchTensor(n * n, seeds[:1], repetitions=8, slots=n).space_words()
-    budget = ROWS_PER_PASS * row_words + WORDS_PER_EDGE * min(CHUNK_EDGES, 8 * n)
+    # one resident chunk: 4 words per edge (src, dst, weight, edge id)
+    budget = ROWS_PER_PASS * row_words + 4 * min(CHUNK_EDGES, 8 * n)
     assert got_f["ledger_peak_words"] <= budget
     assert got_f["ledger_peak_words"] < rows * row_words

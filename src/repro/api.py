@@ -271,9 +271,10 @@ class Problem:
         policy).  The problem fingerprint streams from the file too --
         it equals the fingerprint of the identical in-RAM problem, so
         file-backed and RAM-backed submissions share one service-cache
-        content address.  ``chunk_edges`` tunes the I/O chunk (a
-        runtime knob, not part of the instance: it is deliberately
-        *not* folded into ``options``).
+        content address.  ``chunk_edges`` (default 65536) is the one
+        chunk setting of every pass and scan over the file (a runtime
+        knob, not part of the instance: it is deliberately *not* folded
+        into ``options``).
         """
         from repro.ingest import DEFAULT_CHUNK_EDGES, FileBackedGraph
 
@@ -811,15 +812,17 @@ class SemiStreamingBackend(Backend):
     (audited by the stream itself).
 
     ``task="spanning_forest"`` runs the sketch-Boruvka forest as a
-    genuine streaming computation: a file-backed problem
+    genuine streaming computation over an
+    :class:`~repro.streaming.stream.EdgeStream`: a file-backed problem
     (:meth:`Problem.from_edge_file`) is consumed in O(chunk)-memory
-    passes straight from disk, never materializing the edge list.
-    Options: ``chunk_edges`` (I/O chunk), ``rows_per_pass`` (sketch
-    rows built per pass -- trades extra passes for an
+    passes straight from disk, never materializing the edge list.  The
+    graph decides the chunking (the file's ``chunk_edges``, 65536
+    edges in RAM).  Options: ``rows_per_pass`` (sketch rows built per
+    pass -- trades extra passes for an
     ``O(n * rows_per_pass * log n)``-word resident sketch instead of
-    the full tensor), ``repetitions`` (ℓ0 repetitions, default 8).
-    The decoded forest is bit-identical for any chunking/pass split
-    (linearity; pinned by ``tests/test_ingest.py``).
+    the full tensor), ``repetitions`` (ℓ0 repetitions, default 8, at
+    least 1).  The decoded forest is bit-identical for any
+    chunking/pass split (linearity; pinned by ``tests/test_ingest.py``).
     """
 
     tasks = ("matching", "spanning_forest")
@@ -837,28 +840,21 @@ class SemiStreamingBackend(Backend):
         return _matching_run_result("semi_streaming", result, ledger)
 
     def _run_forest(self, problem: Problem) -> RunResult:
-        from repro.ingest import DEFAULT_CHUNK_EDGES, ChunkedEdgeSource, FileBackedGraph
         from repro.streaming.semi_streaming import stream_spanning_forest
+        from repro.streaming.stream import EdgeStream
 
         ledger = problem.external_ledger() or ResourceLedger()
         opts = problem.options
-        chunk = opts.get("chunk_edges")
-        graph = problem.graph
-        if isinstance(graph, FileBackedGraph) and not graph.is_materialized:
-            source = graph.chunked_source(chunk, ledger=ledger)
-        else:
-            source = ChunkedEdgeSource(
-                graph, chunk or DEFAULT_CHUNK_EDGES, ledger=ledger
-            )
+        stream = EdgeStream(problem.graph, ledger=ledger)
         forest = stream_spanning_forest(
-            source,
+            stream,
             seed=problem.seed,
             ledger=ledger,
             repetitions=opts.get("repetitions", 8),
             rows_per_pass=opts.get("rows_per_pass"),
         )
         run_ledger = RunLedger.from_resource_ledger(
-            "semi_streaming", ledger, passes=source.passes
+            "semi_streaming", ledger, passes=stream.passes
         )
         return RunResult(
             backend="semi_streaming",

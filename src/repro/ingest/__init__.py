@@ -8,14 +8,13 @@ the repo stops assuming otherwise.  It provides:
   weight ``float64``), canonical key-sorted, duplicate-free, with an
   unfinalized-write sentinel and a typed :class:`IngestError` taxonomy
   (never a silent partial graph).
-* :class:`ChunkedEdgeSource` -- replayable pass-counted chunk supply
-  over a file *or* an in-RAM graph, yielding the same
-  ``(src, dst, weight, edge_id)`` numpy tuples as
-  ``EdgeStream.iter_chunks``; O(chunk) resident memory, ledger-audited.
 * :class:`FileBackedGraph` -- a lazy :class:`~repro.util.graph.Graph`
   whose fingerprint streams from disk; whole-column loads are governed
   by its ``materialize_policy`` and counted by the
-  ``repro_ingest_materializations_total`` metric family.
+  ``repro_ingest_materializations_total`` metric family.  It is how a
+  file is streamed: :class:`~repro.streaming.stream.EdgeStream` over it
+  reads ``chunk_edges`` edges per positioned read, O(chunk) resident,
+  pass-counted like any other stream.
 * :func:`convert_text_edges` -- text/CSV interop.
 
 The facade entry point is ``Problem.from_edge_file(path)``; see
@@ -43,10 +42,8 @@ from repro.ingest.format import (
     write_edges,
     write_graph_file,
 )
-from repro.ingest.source import ChunkedEdgeSource
 
 __all__ = [
-    "ChunkedEdgeSource",
     "DEFAULT_CHUNK_EDGES",
     "EdgeDataError",
     "EdgeFile",

@@ -9,9 +9,12 @@ Three access tiers:
 
 * **Streaming** -- ``n``, ``m``, :meth:`fingerprint` (computed in
   O(chunk) column passes, byte-identical to the in-RAM fingerprint) and
-  :meth:`chunked_source` never materialize the edge list.  The
-  semi-streaming spanning-forest path and the service cache key live
-  entirely in this tier.
+  the passes of an :class:`~repro.streaming.stream.EdgeStream` over the
+  graph (one ``chunk_edges`` slice of positioned reads per
+  :meth:`~repro.util.graph.Graph.edge_ranges` range) never materialize
+  the edge list.  Opening a ``FileBackedGraph`` is the only way to
+  stream a file.  The semi-streaming spanning-forest path and the
+  service cache key live entirely in this tier.
 * **Gathering** -- ``src``/``dst``/``weight`` are :class:`_LazyColumn`
   views: indexing one (scalar, slice, fancy, boolean mask) reads just
   the addressed entries with positioned ``pread`` calls, O(result +
@@ -41,10 +44,9 @@ import os
 import numpy as np
 
 from repro.ingest.format import DEFAULT_CHUNK_EDGES, EdgeFile, IngestError, open_edges
-from repro.ingest.source import ChunkedEdgeSource
 from repro.obs import log_event
 from repro.util.graph import Graph
-from repro.util.instrumentation import CounterSet, ResourceLedger
+from repro.util.instrumentation import CounterSet
 
 __all__ = [
     "FileBackedGraph",
@@ -184,10 +186,11 @@ class FileBackedGraph(Graph):
     Construct from an open :class:`~repro.ingest.format.EdgeFile` or a
     path.  The content is validated at open (one O(chunk)-memory scan,
     typed :class:`~repro.ingest.format.EdgeDataError` on the first bad
-    edge; free for an already-validated file).  The capacity vector is
-    all-ones (the v1 format carries no ``b`` column), allocated lazily.
-    ``materialize_policy`` governs whole-column loads (see the module
-    docstring).
+    edge; free for an already-validated file).  ``chunk_edges`` (at
+    least 1) is the length of every range a scan or stream pass reads.
+    The capacity vector is all-ones (the v1 format carries no ``b``
+    column), allocated lazily.  ``materialize_policy`` governs
+    whole-column loads (see the module docstring).
     """
 
     def __init__(
@@ -209,7 +212,8 @@ class FileBackedGraph(Graph):
             )
         # one contract for what a graph is: the content is checked at
         # open, as Graph.__post_init__ checks an in-RAM graph, so no
-        # scan (lazy columns, materialize, edge_ranges) reads bad edges
+        # scan or stream pass (lazy columns, materialize, edge_ranges)
+        # reads bad edges; validate() also rejects chunk_edges < 1
         source.validate(chunk_edges)
         # deliberately no super().__init__(): the dataclass initializer
         # wants materialized columns, which is exactly what we defer
@@ -236,19 +240,6 @@ class FileBackedGraph(Graph):
     def is_materialized(self) -> bool:
         """Whether the edge columns have been loaded into RAM."""
         return self._columns is not None
-
-    def chunked_source(
-        self,
-        chunk_edges: int | None = None,
-        ledger: ResourceLedger | None = None,
-    ) -> ChunkedEdgeSource:
-        """A fresh O(chunk)-memory :class:`ChunkedEdgeSource` over the
-        file (or over the in-RAM columns once materialized -- the
-        chunks are identical either way by the format's invariants)."""
-        chunk = self.chunk_edges if chunk_edges is None else int(chunk_edges)
-        if self._columns is not None:
-            return ChunkedEdgeSource(self._as_plain_graph(), chunk, ledger=ledger)
-        return ChunkedEdgeSource(self.file, chunk, ledger=ledger)
 
     def fingerprint(self) -> str:
         """Streamed content hash, byte-identical to
@@ -294,18 +285,13 @@ class FileBackedGraph(Graph):
             src = np.empty(self.m, dtype=np.int64)
             dst = np.empty(self.m, dtype=np.int64)
             w = np.empty(self.m, dtype=np.float64)
-            for start in range(0, self.m, self.chunk_edges):
-                stop = min(start + self.chunk_edges, self.m)
+            for start, stop in self.edge_ranges():
                 csrc, cdst, cw = self.file.read_chunk(start, stop)
                 src[start:stop] = csrc
                 dst[start:stop] = cdst
                 w[start:stop] = cw
             self._columns = (src, dst, w)
         return self
-
-    def _as_plain_graph(self) -> Graph:
-        src, dst, w = self.materialize(reason="plain-graph conversion")._columns
-        return Graph(n=self.n, src=src, dst=dst, weight=w, b=self.b)
 
     @property
     def src(self) -> np.ndarray:

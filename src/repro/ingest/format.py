@@ -41,9 +41,10 @@ import hashlib
 import os
 import struct
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
+
+from repro.util.graph import DEFAULT_CHUNK_EDGES
 
 __all__ = [
     "MAGIC",
@@ -72,9 +73,6 @@ _SENTINEL = 0xFFFFFFFFFFFFFFFF
 #: canonical edge key ``src * n + dst`` must fit a signed int64 (the key
 #: dtype used by :func:`repro.util.graph.edge_key` and every sketch).
 MAX_N = min(2**32 - 1, int(np.floor(np.sqrt(2.0**63))) - 1)
-
-#: Default edges per chunk for streamed reads/writes (1 MiB of columns).
-DEFAULT_CHUNK_EDGES = 65536
 
 
 # ======================================================================
@@ -308,39 +306,6 @@ class EdgeFile:
         w = self.read_raw_slice(2, start, stop).astype(np.float64)
         return src, dst, w
 
-    def iter_chunks(
-        self, chunk_edges: int = DEFAULT_CHUNK_EDGES, validate: bool = True
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """One pass over the file in bounded chunks.
-
-        Yields ``(src, dst, weight, edge_id)`` with ``edge_id`` the
-        storage index (== canonical key rank).  With ``validate`` every
-        chunk is checked -- endpoints canonical and in range, keys
-        strictly increasing across the whole file, weights finite and
-        positive -- so a corrupt file raises a typed error at the first
-        offending edge instead of feeding garbage downstream.
-
-        Content validation is remembered: once any validated pass (or
-        :meth:`validate`) has scanned the whole file without error, the
-        file is known good and later passes skip the per-chunk checks.
-        The file is opened read-only and immutable for the handle's
-        lifetime, so a k-pass replay pays for exactly one validation.
-        """
-        if chunk_edges < 1:
-            raise ValueError("chunk_edges must be positive")
-        self._check_open()
-        check = validate and not self._content_validated
-        last_key = -1
-        for start in range(0, self.m, chunk_edges):
-            stop = min(start + chunk_edges, self.m)
-            src, dst, w = self.read_chunk(start, stop)
-            if check:
-                last_key = self._validate_chunk(src, dst, w, start, last_key)
-            yield src, dst, w, np.arange(start, stop, dtype=np.int64)
-        if check:
-            # only a *complete* validated pass certifies the content
-            self._content_validated = True
-
     def _validate_chunk(
         self,
         src: np.ndarray,
@@ -384,12 +349,26 @@ class EdgeFile:
         return int(keys[-1]) if len(keys) else last_key
 
     def validate(self, chunk_edges: int = DEFAULT_CHUNK_EDGES) -> None:
-        """Full-scan validation pass (typed errors, O(chunk) memory);
-        free once the content is known good."""
+        """Full-scan content validation in ``chunk_edges`` slices.
+
+        Endpoints canonical and in range, keys strictly increasing
+        across the whole file, weights finite and positive; a corrupt
+        file raises a typed :class:`EdgeDataError` at the first
+        offending edge.  O(chunk) memory.  The file is opened read-only
+        and immutable for the handle's lifetime, so the result is
+        remembered: once a scan completes, later calls are free.
+        """
+        if chunk_edges < 1:
+            raise ValueError("chunk_edges must be positive")
+        self._check_open()
         if self._content_validated:
             return
-        for _ in self.iter_chunks(chunk_edges, validate=True):
-            pass
+        last_key = -1
+        for start in range(0, self.m, chunk_edges):
+            stop = min(start + chunk_edges, self.m)
+            src, dst, w = self.read_chunk(start, stop)
+            last_key = self._validate_chunk(src, dst, w, start, last_key)
+        self._content_validated = True
 
     # ------------------------------------------------------------------
     def fingerprint(self, chunk_edges: int = DEFAULT_CHUNK_EDGES) -> str:
@@ -452,9 +431,10 @@ def open_edges(
     Header structure, declared-vs-actual size and the finalized marker
     are always checked; ``validate=True`` additionally runs a full
     O(chunk)-memory content scan (:meth:`EdgeFile.validate`) before
-    returning.  Streamed consumers get the same per-chunk checks lazily
-    via :meth:`EdgeFile.iter_chunks`, so corruption is never silent
-    either way -- eager validation just moves the failure to open time.
+    returning.  The edges are streamed through a
+    :class:`~repro.ingest.filegraph.FileBackedGraph`, which runs that
+    scan when it opens the file, so corruption is never silent either
+    way -- ``validate=True`` only moves the failure to this call.
     """
     ef = EdgeFile(path)
     if validate:

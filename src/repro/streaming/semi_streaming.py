@@ -19,14 +19,12 @@ from repro.sketch.support_find import (
     boruvka_forest_from_tensor,
     boruvka_forest_rounds,
     forest_row_seeds,
-    incidence_forest_rows,
 )
 from repro.sketch.tensor import SketchTensor
 from repro.sparsify.cut_sparsifier import EdgeSample, StreamingCutSparsifier
 from repro.streaming.stream import DynamicEdgeStream, EdgeStream
-from repro.util.graph import Graph
 from repro.util.instrumentation import ResourceLedger
-from repro.util.rng import make_rng, spawn
+from repro.util.rng import make_rng
 
 __all__ = [
     "streaming_sparsify",
@@ -44,21 +42,13 @@ def streaming_sparsify(
 ) -> tuple[EdgeSample, StreamingCutSparsifier]:
     """One pass of Algorithm 6 over the stream; returns the sample.
 
-    Edge ids in the sample refer to *arrival order*; use the returned
+    Edge ids in the sample are the graph's edge ids; use the returned
     sparsifier object for space introspection.
     """
     sp = StreamingCutSparsifier(stream.n, xi=xi, seed=seed, k=k)
-    arrival_to_edge: list[np.ndarray] = []
     for cu, cv, cw, ceid in stream.iter_chunks():
-        sp.insert_many(cu, cv, cw)
-        arrival_to_edge.append(ceid)
-    sample = sp.extract()
-    # translate arrival-order ids back to graph edge ids
-    if arrival_to_edge:
-        arr = np.concatenate(arrival_to_edge)
-    else:
-        arr = np.empty(0, dtype=np.int64)
-    return EdgeSample(edge_ids=arr[sample.edge_ids], weights=sample.weights), sp
+        sp.insert_many(cu, cv, cw, ids=ceid)
+    return sp.extract(), sp
 
 
 def streaming_greedy_matching(stream: EdgeStream) -> list[int]:
@@ -112,20 +102,20 @@ def dynamic_stream_spanning_forest(
 
 
 def stream_spanning_forest(
-    source,
+    stream: EdgeStream,
     seed: int | np.random.Generator | None = None,
     ledger: ResourceLedger | None = None,
     repetitions: int = 8,
     rows_per_pass: int | None = None,
 ) -> list[tuple[int, int]]:
-    """Spanning forest of a chunked edge source via linear sketches.
+    """Spanning forest of an edge stream via linear sketches.
 
     The out-of-core counterpart of
-    :func:`dynamic_stream_spanning_forest`: ``source`` is anything with
-    ``.n`` and a replayable ``.iter_chunks()`` -- a
-    :class:`~repro.ingest.source.ChunkedEdgeSource` over an on-disk
-    ``.edges`` file, or a plain :class:`Graph` (wrapped on the fly), so
-    the in-RAM and file-backed paths are the same code.
+    :func:`dynamic_stream_spanning_forest`: ``stream`` is an
+    :class:`EdgeStream` over an in-RAM graph or over a
+    :class:`~repro.ingest.filegraph.FileBackedGraph`, whose passes read
+    the ``.edges`` file in ``chunk_edges`` slices without materializing
+    it, so the in-RAM and file-backed paths are the same code.
 
     ``rows_per_pass`` trades passes for resident sketch memory:
 
@@ -142,15 +132,13 @@ def stream_spanning_forest(
       termination are never built, so the worst case is
       ``ceil(rows/k)`` passes and often fewer.
 
-    Each block tensor is charged to (and released from) the ledger, so
+    Each block tensor, and each chunk while it is folded into the
+    block (``4 * len(chunk)`` words: src, dst, weight, edge id), is
+    charged to (and released from) the ledger, so
     ``ledger.central_space.peak`` certifies the O(chunk + sketch-block)
-    residency claim; pass accounting lives on the source itself.
+    residency claim; pass accounting lives on the stream itself.
     """
-    if isinstance(source, Graph):
-        from repro.ingest.source import ChunkedEdgeSource
-
-        source = ChunkedEdgeSource(source, ledger=ledger)
-    n = source.n
+    n = stream.n
     rng = make_rng(seed)
     row_seeds = forest_row_seeds(rng, n)
     rows = len(row_seeds)
@@ -165,8 +153,13 @@ def stream_spanning_forest(
             if ledger is not None:
                 ledger.charge_space(words)
             try:
-                for cu, cv, _cw, _ceid in source.iter_chunks():
+                for cu, cv, _cw, _ceid in stream.iter_chunks():
+                    chunk_words = 4 * len(cu)
+                    if ledger is not None:
+                        ledger.charge_space(chunk_words)
                     tensor.update_many(*incidence_update_batch(cu, cv, n))
+                    if ledger is not None:
+                        ledger.release_space(chunk_words)
                 yield tensor
             finally:
                 if ledger is not None:

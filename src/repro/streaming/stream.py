@@ -2,10 +2,11 @@
 
 A *semi-streaming* algorithm reads the edges once (or a constant number
 of passes) in adversarial order and keeps ``O(n polylog n)`` state.
-:class:`EdgeStream` wraps a graph (or raw arrays) as a replayable stream
-with pass accounting; :class:`DynamicEdgeStream` additionally supports
-deletions (insert/delete tuples), which is the setting where *linear*
-sketches are mandatory.
+:class:`EdgeStream` wraps a graph -- in RAM or a
+:class:`~repro.ingest.filegraph.FileBackedGraph` -- as a replayable,
+pass-counted stream in storage order; :class:`DynamicEdgeStream`
+additionally supports deletions (insert/delete tuples), which is the
+setting where *linear* sketches are mandatory.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from repro.util.graph import Graph
 from repro.util.instrumentation import ResourceLedger
-from repro.util.rng import make_rng
 
 __all__ = ["EdgeStream", "DynamicEdgeStream", "StreamEvent"]
 
@@ -33,57 +33,28 @@ class StreamEvent:
 
 
 class EdgeStream:
-    """Replayable insert-only edge stream over a fixed graph.
+    """Replayable insert-only edge stream over a graph, in storage order.
 
-    Parameters
-    ----------
-    order:
-        "input" (storage order), "random" (shuffled once with the given
-        seed -- the same permutation on every pass), or an explicit
-        permutation array.
-    chunk_size:
-        Default edges per chunk for :meth:`iter_chunks`.  Consumers of
-        a chunked pass must be chunk-size invariant (pinned by the
-        parametrized parity tests) -- the knob trades per-chunk Python
-        overhead against resident chunk words, nothing else.
+    Every pass walks :meth:`Graph.edge_ranges
+    <repro.util.graph.Graph.edge_ranges>`, so the graph alone decides
+    the chunking: 65536 edges per chunk in RAM, the file's
+    ``chunk_edges`` for a :class:`~repro.ingest.filegraph.FileBackedGraph`,
+    whose chunks are positioned reads that never materialize the
+    columns.  Consumers must be chunk-size invariant (pinned by the
+    file-backed parity tests).
+
+    ``passes`` counts the passes started; with a ``ledger``, each pass
+    also ticks one sampling round and charges ``m`` streamed edges.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        order: str | np.ndarray = "input",
-        seed: int | np.random.Generator | None = None,
-        ledger: ResourceLedger | None = None,
-        chunk_size: int = 8192,
-    ):
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
+    def __init__(self, graph: Graph, ledger: ResourceLedger | None = None):
         self.graph = graph
         self.ledger = ledger
-        self.chunk_size = int(chunk_size)
-        if isinstance(order, str):
-            if order == "input":
-                # storage order needs no O(m) permutation array: passes
-                # slice the columns directly (identical chunks, and the
-                # file-backed route keeps its O(chunk) residency)
-                self._perm = None
-            elif order == "random":
-                self._perm = make_rng(seed).permutation(graph.m)
-            else:
-                raise ValueError(f"unknown order {order!r}")
-        else:
-            self._perm = np.asarray(order, dtype=np.int64)
         self.passes = 0
 
     @property
     def n(self) -> int:
         return self.graph.n
-
-    def _tick_pass(self) -> None:
-        self.passes += 1
-        if self.ledger is not None:
-            self.ledger.tick_sampling_round(f"stream pass {self.passes}")
-            self.ledger.charge_stream(self.graph.m)
 
     def __iter__(self) -> Iterator[tuple[int, int, float, int]]:
         """One pass: yields ``(u, v, w, edge_id)``."""
@@ -91,37 +62,26 @@ class EdgeStream:
             yield from zip(cu.tolist(), cv.tolist(), cw.tolist(), ce.tolist())
 
     def iter_chunks(
-        self, chunk_size: int | None = None
+        self,
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """One pass in numpy chunks: yields ``(src, dst, weight, edge_id)``.
 
-        ``chunk_size`` defaults to the stream's configured
-        ``chunk_size``.  Same pass accounting as ``__iter__`` (one tick
-        per pass, not per chunk); consumers with an ``insert_many``
-        fast path use this to amortize per-edge Python overhead while
-        preserving stream order.
+        Same pass accounting as ``__iter__`` (one tick per pass, not per
+        chunk); consumers with an ``insert_many`` fast path use this to
+        amortize per-edge Python overhead while preserving stream order.
         """
-        if chunk_size is None:
-            chunk_size = self.chunk_size
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        self._tick_pass()
+        self.passes += 1
         g = self.graph
-        if self._perm is None:
-            # storage order: contiguous slices (for a FileBackedGraph
-            # these are O(chunk) positioned reads -- no materialization)
-            for start in range(0, g.m, chunk_size):
-                stop = min(start + chunk_size, g.m)
-                yield (
-                    g.src[start:stop],
-                    g.dst[start:stop],
-                    g.weight[start:stop],
-                    np.arange(start, stop, dtype=np.int64),
-                )
-            return
-        for start in range(0, len(self._perm), chunk_size):
-            sel = self._perm[start : start + chunk_size]
-            yield g.src[sel], g.dst[sel], g.weight[sel], sel
+        if self.ledger is not None:
+            self.ledger.tick_sampling_round(f"stream pass {self.passes}")
+            self.ledger.charge_stream(g.m)
+        for start, stop in g.edge_ranges():
+            yield (
+                g.src[start:stop],
+                g.dst[start:stop],
+                g.weight[start:stop],
+                np.arange(start, stop, dtype=np.int64),
+            )
 
 
 @dataclass

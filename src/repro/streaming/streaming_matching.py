@@ -28,7 +28,6 @@ import numpy as np
 from repro.core.matching_solver import DualPrimalMatchingSolver, SolverConfig
 from repro.sparsify.cut_sparsifier import StreamingCutSparsifier, default_rho
 from repro.streaming.stream import EdgeStream
-from repro.util.graph import Graph
 from repro.util.instrumentation import ResourceLedger
 from repro.util.rng import make_rng, spawn
 from repro.util.validation import check_epsilon, require
@@ -261,16 +260,14 @@ class SemiStreamingMatchingSolver(DualPrimalMatchingSolver):
     """The dual-primal solver bound to the semi-streaming model.
 
     Identical algorithm; only ``_build_chain`` is rebound: the chain of
-    each outer round is built from one pass over a replayable
-    :class:`EdgeStream` (``order='input'`` over the graph the solver is
-    invoked on).  Pass count is audited by
-    the stream itself: ``solver.passes`` after a run equals the number
-    of data accesses consumed.
-
-    ``chunk_size`` sets the stream's chunk granularity.  Results are
-    chunk-size invariant (hash-decided sparsifier membership; pinned by
-    the parametrized parity tests) -- the knob only trades per-chunk
-    Python overhead against resident chunk words.
+    each outer round is built from one pass of a fresh
+    :class:`EdgeStream` over the instance being solved, chunked as the
+    graph's own :meth:`~repro.util.graph.Graph.edge_ranges` (65536
+    edges in RAM, ``chunk_edges`` for a file-backed graph).  Results
+    are chunk-size invariant (hash-decided sparsifier membership).
+    ``solver.passes`` counts the stream passes the solver has taken,
+    one per chain, so after a fresh solver's ``solve`` it equals
+    ``result.rounds``.
 
     ``sparsifier_k`` overrides the per-class NI forest count of every
     chain sparsifier (default: the Lemma 17 worst-case rate, which at
@@ -291,27 +288,17 @@ class SemiStreamingMatchingSolver(DualPrimalMatchingSolver):
         self,
         config: SolverConfig | None = None,
         *,
-        chunk_size: int = 8192,
         sparsifier_k: int | None = None,
         **kwargs,
     ):
         super().__init__(config, **kwargs)
-        self.chunk_size = int(chunk_size)
         self.sparsifier_k = None if sparsifier_k is None else int(sparsifier_k)
         self.passes = 0
-        self._stream: EdgeStream | None = None
-
-    def solve(self, graph: Graph):
-        self._stream = EdgeStream(graph, chunk_size=self.chunk_size)
-        self.passes = 0
-        result = super().solve(graph)
-        self.passes = self._stream.passes
-        return result
 
     def _build_chain(self, graph, promise, gamma, xi, count, rng, ledger):
-        assert self._stream is not None and self._stream.graph is graph
-        return StreamingDeferredChain(
-            self._stream,
+        stream = EdgeStream(graph)
+        chain = StreamingDeferredChain(
+            stream,
             promise,
             gamma=gamma,
             xi=xi,
@@ -320,3 +307,5 @@ class SemiStreamingMatchingSolver(DualPrimalMatchingSolver):
             ledger=ledger,
             sparsifier_k=self.sparsifier_k,
         )
+        self.passes += stream.passes
+        return chain

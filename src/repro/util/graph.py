@@ -30,9 +30,11 @@ import numpy as np
 
 __all__ = ["Graph", "CSRAdjacency", "edge_key", "merge_parallel_edges"]
 
-#: Edges per range of :meth:`Graph.edge_ranges` on an in-RAM graph.  A
-#: file-backed graph uses its own ``chunk_edges`` instead.
-SCAN_EDGES = 65536
+#: Edges per range of :meth:`Graph.edge_ranges` on an in-RAM graph, and
+#: the default ``chunk_edges`` of the ``.edges`` readers and writers (1 MiB
+#: of on-disk columns).  A file-backed graph ranges over its own
+#: ``chunk_edges`` instead.
+DEFAULT_CHUNK_EDGES = 65536
 
 
 def edge_key(i: np.ndarray | int, j: np.ndarray | int, n: int) -> np.ndarray | int:
@@ -241,10 +243,11 @@ class Graph:
         matchings, the incidence mask, ``lambda`` and the certificate
         audit) read one range of columns at a time, so they hold
         O(range) edge words and never coerce a file-backed graph's
-        columns into RAM.  Ranges are :data:`SCAN_EDGES` long in RAM and
-        ``chunk_edges`` long for a file-backed graph.
+        columns into RAM.  Ranges are :data:`DEFAULT_CHUNK_EDGES` long in
+        RAM and ``chunk_edges`` long for a file-backed graph.  A pass of
+        :class:`~repro.streaming.stream.EdgeStream` walks the same ranges.
         """
-        step = getattr(self, "chunk_edges", SCAN_EDGES)
+        step = getattr(self, "chunk_edges", DEFAULT_CHUNK_EDGES)
         for start in range(0, self.m, step):
             yield start, min(start + step, self.m)
 

@@ -38,6 +38,20 @@ def rng():
 
 
 @pytest.fixture
+def file_graph(tmp_path):
+    """Factory: ``file_graph(graph, chunk_edges)`` is a never-materialized
+    ``FileBackedGraph`` copy of ``graph`` in a fresh ``.edges`` file."""
+    from repro.ingest import FileBackedGraph, write_graph_file
+
+    def make(graph: Graph, chunk_edges: int) -> Graph:
+        path = tmp_path / f"g{len(list(tmp_path.iterdir()))}.edges"
+        write_graph_file(path, graph)
+        return FileBackedGraph(path, chunk_edges=chunk_edges, materialize_policy="forbid")
+
+    return make
+
+
+@pytest.fixture
 def small_graph() -> Graph:
     """Connected unweighted graph, n=12."""
     return gnm_graph(12, 30, seed=1)

@@ -25,8 +25,7 @@ Cases:
 * the per-edge solver scans on an in-RAM graph that spans two scan
   ranges: discretization, the per-level maximal matchings and their
   merge, the certificate of the initial dual, the audit's violation
-  message, an ``offline`` solve, and a ``semi_streaming`` solve over
-  two stream chunks.
+  message, an ``offline`` solve, and a ``semi_streaming`` solve.
 
 The native and numpy kernel backends are bit-identical, so one record
 serves both.  Floats are digested through ``float.hex``; results can
@@ -339,8 +338,9 @@ def _bmatching(mk) -> list:
 def scans() -> dict:
     """The per-edge scans on graphs larger than one scan range.
 
-    G(2048, 70000) spans two 65536-edge ranges in RAM, and G(1024,
-    12000) spans two chunks of the semi-streaming solver's stream.
+    G(2048, 70000) spans two 65536-edge ranges in RAM; G(1024, 12000)
+    is solved by the semi-streaming backend, whose stream passes walk
+    the same ranges (results are chunk-size invariant).
     """
     from repro.api import Problem, run
     from repro.core.certificates import certify

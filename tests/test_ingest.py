@@ -36,7 +36,6 @@ from repro.graphgen import (
 )
 from repro.graphgen.ondisk import _triangle_decode
 from repro.ingest import (
-    ChunkedEdgeSource,
     EdgeDataError,
     EdgeFileWriter,
     FileBackedGraph,
@@ -50,12 +49,13 @@ from repro.ingest import (
 )
 from repro.ingest.format import HEADER_BYTES, MAGIC
 from repro.sketch.graph_sketch import VertexIncidenceSketch
-from repro.sketch.support_find import sketch_spanning_forest
+from repro.sketch.support_find import forest_row_seeds, sketch_spanning_forest
+from repro.sketch.tensor import SketchTensor
 from repro.streaming.semi_streaming import (
     dynamic_stream_spanning_forest,
     stream_spanning_forest,
 )
-from repro.streaming.stream import DynamicEdgeStream
+from repro.streaming.stream import DynamicEdgeStream, EdgeStream
 from repro.util.graph import Graph
 from repro.util.instrumentation import ResourceLedger
 
@@ -82,6 +82,12 @@ def edge_file(tmp_path, graph):
 
 def _chunks(cs, m):
     return m if cs is None else cs
+
+
+def _file_stream(path, chunk_edges, ledger=None) -> EdgeStream:
+    """A stream over a never-materialized file-backed graph."""
+    fg = FileBackedGraph(path, chunk_edges=chunk_edges, materialize_policy="forbid")
+    return EdgeStream(fg, ledger=ledger)
 
 
 # ======================================================================
@@ -115,7 +121,7 @@ class TestFormat:
         path = write_edges(tmp_path / "empty.edges", 7, [], [])
         ef = open_edges(path, validate=True)
         assert (ef.n, ef.m) == (7, 0)
-        assert list(ChunkedEdgeSource(ef).iter_chunks()) == []
+        assert list(EdgeStream(FileBackedGraph(ef)).iter_chunks()) == []
         assert ef.fingerprint() == Graph.empty(7).fingerprint()
 
     def test_streaming_fingerprint_matches_in_ram(self, edge_file, graph):
@@ -216,15 +222,23 @@ class TestCorruption:
         assert exc.value.offset == 0
 
     def test_corruption_surfaces_during_streaming_too(self, edge_file, graph):
-        # consumers that skip eager validation still cannot read garbage
+        # a file is streamed only through a FileBackedGraph, and opening
+        # one validates the content: no stream can start over garbage
         off = HEADER_BYTES + 8 * graph.m + 8 * 40
         self._corrupt(edge_file, off, struct.pack("<d", float("-inf")))
-        source = ChunkedEdgeSource(edge_file, chunk_edges=16)
-        with pytest.raises(EdgeDataError, match="non-finite"):
-            for _ in source.iter_chunks():
-                pass
+        with pytest.raises(EdgeDataError, match="non-finite") as exc:
+            _file_stream(edge_file, 16)
+        assert exc.value.offset == 40
 
-    @pytest.mark.parametrize("backend", ["offline", "semi_streaming"])
+    @pytest.mark.parametrize(
+        "backend, task",
+        [
+            ("offline", "matching"),
+            ("semi_streaming", "matching"),
+            ("semi_streaming", "spanning_forest"),
+        ],
+        ids=["offline", "semi_streaming", "semi_streaming_forest"],
+    )
     @pytest.mark.parametrize(
         "edge, patch, match",
         [
@@ -236,10 +250,11 @@ class TestCorruption:
         ids=["dst_out_of_range", "self_loop", "duplicate_key", "disordered_keys"],
     )
     def test_corrupt_content_rejected_on_every_matching_path(
-        self, tmp_path, backend, edge, patch, match
+        self, tmp_path, backend, task, edge, patch, match
     ):
         # a file-backed graph is validated at open, like an in-RAM Graph:
-        # no matching path may index with, solve or certify bad edges
+        # no matching or forest path may index with, solve, certify or
+        # stream bad edges
         path = write_edges(
             tmp_path / "c.edges", 4, np.array([0, 0, 1, 2]), np.array([1, 2, 3, 3]),
             np.array([1.0, 2.0, 3.0, 4.0]),
@@ -247,7 +262,10 @@ class TestCorruption:
         for col, value in enumerate(patch):
             self._corrupt(path, HEADER_BYTES + 4 * (4 * col + edge), struct.pack("<I", value))
         with pytest.raises(EdgeDataError, match=match) as exc:
-            run(Problem.from_edge_file(path, materialize_policy="forbid"), backend)
+            run(
+                Problem.from_edge_file(path, task=task, materialize_policy="forbid"),
+                backend,
+            )
         assert exc.value.offset == edge
 
     def test_writer_rejects_duplicates(self, tmp_path):
@@ -296,8 +314,8 @@ class TestChunkInvariance:
         produces the exact cell bytes of the one-shot in-RAM build."""
         ref = VertexIncidenceSketch(graph, t=3, seed=5, repetitions=4)
         sk = VertexIncidenceSketch.empty(graph.n, t=3, seed=5, repetitions=4)
-        source = ChunkedEdgeSource(edge_file, chunk_edges=_chunks(chunk, graph.m))
-        for csrc, cdst, _cw, _ceid in source.iter_chunks():
+        stream = _file_stream(edge_file, _chunks(chunk, graph.m))
+        for csrc, cdst, _cw, _ceid in stream.iter_chunks():
             sk.update_edges(csrc, cdst)
         assert self._sketch_digest(sk) == self._sketch_digest(ref)
 
@@ -306,9 +324,9 @@ class TestChunkInvariance:
     def test_forest_bit_identical_across_chunks_and_passes(
         self, edge_file, graph, chunk, rows_per_pass
     ):
-        ref = stream_spanning_forest(graph, seed=42)
-        source = ChunkedEdgeSource(edge_file, chunk_edges=_chunks(chunk, graph.m))
-        got = stream_spanning_forest(source, seed=42, rows_per_pass=rows_per_pass)
+        ref = stream_spanning_forest(EdgeStream(graph), seed=42)
+        stream = _file_stream(edge_file, _chunks(chunk, graph.m))
+        got = stream_spanning_forest(stream, seed=42, rows_per_pass=rows_per_pass)
         assert got == ref
 
     def test_forest_matches_dynamic_one_shot(self, graph):
@@ -317,16 +335,17 @@ class TestChunkInvariance:
         hence bits."""
         stream = DynamicEdgeStream(graph.n)
         stream.insert_many(graph.src, graph.dst, graph.weight)
-        ref = stream_spanning_forest(graph, seed=9)
+        ref = stream_spanning_forest(EdgeStream(graph), seed=9)
         assert dynamic_stream_spanning_forest(stream, seed=9) == ref
         assert sketch_spanning_forest(graph, seed=9) == ref
 
     @pytest.mark.parametrize("chunk", [1, 7, 4096, None])
     def test_facade_forest_and_matching_match_in_ram(self, edge_file, graph, chunk):
         cfg = SolverConfig(eps=0.3, seed=7, inner_steps=40, offline="local")
-        opts = {} if chunk is None else {"chunk_edges": chunk}
         file_forest = run(
-            Problem.from_edge_file(edge_file, config=cfg, task="spanning_forest", options=opts),
+            Problem.from_edge_file(
+                edge_file, config=cfg, task="spanning_forest", chunk_edges=chunk
+            ),
             backend="semi_streaming",
         )
         ram_forest = run(
@@ -351,10 +370,12 @@ class TestChunkInvariance:
         file (subprocesses: REPRO_KERNELS binds at import)."""
         worker = (
             "import sys, json; "
-            "from repro.ingest import ChunkedEdgeSource; "
+            "from repro.ingest import FileBackedGraph; "
             "from repro.streaming.semi_streaming import stream_spanning_forest; "
+            "from repro.streaming.stream import EdgeStream; "
             "import repro.kernels as K; "
-            "f = stream_spanning_forest(ChunkedEdgeSource(sys.argv[1], chunk_edges=13), seed=3, rows_per_pass=2); "
+            "s = EdgeStream(FileBackedGraph(sys.argv[1], chunk_edges=13)); "
+            "f = stream_spanning_forest(s, seed=3, rows_per_pass=2); "
             "print(json.dumps({'backend': K.backend(), 'forest': f}))"
         )
         digests = {}
@@ -388,22 +409,22 @@ class TestChunkInvariance:
         write_graph_file(path, g)
         with open_edges(path, validate=True) as ef:
             assert ef.fingerprint() == g.fingerprint()
-        source = ChunkedEdgeSource(path, chunk_edges=chunk)
-        assert source.to_graph().fingerprint() == g.fingerprint()
-        got = stream_spanning_forest(
-            ChunkedEdgeSource(path, chunk_edges=chunk), seed=seed, rows_per_pass=1
-        )
-        assert got == stream_spanning_forest(g, seed=seed)
+        stream = _file_stream(path, chunk)
+        parts = list(stream.iter_chunks())
+        if parts:
+            src, dst, w, _ = map(np.concatenate, zip(*parts))
+            assert Graph(12, src, dst, w).fingerprint() == g.fingerprint()
+        got = stream_spanning_forest(stream, seed=seed, rows_per_pass=1)
+        assert got == stream_spanning_forest(EdgeStream(g), seed=seed)
 
 
 # ======================================================================
-# ChunkedEdgeSource semantics
+# The chunked edge source: EdgeStream over a FileBackedGraph
 # ======================================================================
 class TestChunkedEdgeSource:
     def test_chunks_concatenate_to_columns(self, edge_file, graph):
         for chunk in (1, 7, 4096, graph.m):
-            src = ChunkedEdgeSource(edge_file, chunk_edges=chunk)
-            parts = list(src.iter_chunks())
+            parts = list(_file_stream(edge_file, chunk).iter_chunks())
             assert np.array_equal(np.concatenate([p[0] for p in parts]), graph.src)
             assert np.array_equal(np.concatenate([p[1] for p in parts]), graph.dst)
             assert np.array_equal(np.concatenate([p[2] for p in parts]), graph.weight)
@@ -413,45 +434,58 @@ class TestChunkedEdgeSource:
 
     def test_pass_accounting(self, edge_file, graph):
         ledger = ResourceLedger()
-        src = ChunkedEdgeSource(edge_file, chunk_edges=16, ledger=ledger)
+        stream = _file_stream(edge_file, 16, ledger=ledger)
         for _ in range(3):
-            list(src.iter_chunks())
-        assert src.passes == 3
+            list(stream.iter_chunks())
+        assert stream.passes == 3
         assert ledger.sampling_rounds == 3
         assert ledger.edges_streamed == 3 * graph.m
 
     def test_resident_chunk_words_bounded(self, edge_file, graph):
-        """The ledger high-water proves O(chunk) residency: the peak is
-        one chunk's words, not the file's."""
-        from repro.ingest.source import WORDS_PER_EDGE
-
+        """The forest ledger's high-water proves O(chunk) residency: the
+        peak is one row block plus one chunk's words (src, dst, weight,
+        edge id), not the file's."""
         chunk = 16
         ledger = ResourceLedger()
-        src = ChunkedEdgeSource(edge_file, chunk_edges=chunk, ledger=ledger)
-        for _ in src.iter_chunks():
-            pass
-        assert ledger.central_space.peak == WORDS_PER_EDGE * chunk
+        stream_spanning_forest(
+            _file_stream(edge_file, chunk), seed=4, ledger=ledger, rows_per_pass=1
+        )
+        seeds = forest_row_seeds(np.random.default_rng(4), graph.n)
+        block = SketchTensor(
+            graph.n * graph.n, seeds[:1], repetitions=8, slots=graph.n
+        ).space_words()
+        assert ledger.central_space.peak == block + 4 * chunk
         assert ledger.central_space.current == 0
 
     def test_graph_backed_source_identical_chunks(self, edge_file, graph):
-        f = list(ChunkedEdgeSource(edge_file, chunk_edges=10).iter_chunks())
-        g = list(ChunkedEdgeSource(graph, chunk_edges=10).iter_chunks())
-        assert len(f) == len(g)
-        for (a, b, c, d), (e, ff, gg, h) in zip(f, g):
-            assert np.array_equal(a, e) and np.array_equal(b, ff)
-            assert np.array_equal(c, gg) and np.array_equal(d, h)
+        """Chunk by chunk, a file-backed stream yields the in-RAM
+        graph's columns at the chunk's edge ids, one chunk per range."""
+        fg = FileBackedGraph(edge_file, chunk_edges=10, materialize_policy="forbid")
+        chunks = list(EdgeStream(fg).iter_chunks())
+        assert [(int(c[3][0]), int(c[3][-1]) + 1) for c in chunks] == list(
+            fg.edge_ranges()
+        )
+        for src, dst, w, eid in chunks:
+            assert np.array_equal(src, graph.src[eid])
+            assert np.array_equal(dst, graph.dst[eid])
+            assert np.array_equal(w, graph.weight[eid])
 
     def test_per_edge_iteration(self, edge_file, graph):
-        got = list(ChunkedEdgeSource(edge_file, chunk_edges=13))
+        got = list(_file_stream(edge_file, 13))
         assert got == list(
             zip(graph.src.tolist(), graph.dst.tolist(), graph.weight.tolist(), range(graph.m))
         )
+        assert got == list(EdgeStream(graph))
 
     def test_rejects_bad_inputs(self, edge_file):
         with pytest.raises(ValueError, match="positive"):
-            ChunkedEdgeSource(edge_file, chunk_edges=0)
+            FileBackedGraph(edge_file, chunk_edges=0)
+        # also when the file was already validated at another chunk size
+        ef = open_edges(edge_file, validate=True)
+        with pytest.raises(ValueError, match="positive"):
+            FileBackedGraph(ef, chunk_edges=0)
         with pytest.raises(TypeError, match="source"):
-            ChunkedEdgeSource(123)
+            FileBackedGraph(123)
 
 
 # ======================================================================
@@ -459,10 +493,10 @@ class TestChunkedEdgeSource:
 # ======================================================================
 class TestFileBackedGraph:
     def test_streaming_tier_never_materializes(self, edge_file, graph):
-        fg = FileBackedGraph(edge_file)
+        fg = FileBackedGraph(edge_file, chunk_edges=8)
         assert (fg.n, fg.m) == (graph.n, graph.m)
         assert fg.fingerprint() == graph.fingerprint()
-        list(fg.chunked_source(chunk_edges=8).iter_chunks())
+        list(EdgeStream(fg).iter_chunks())
         assert not fg.is_materialized
 
     def test_materializing_tier(self, edge_file, graph):
@@ -596,7 +630,7 @@ class TestFacade:
         res = run(
             Problem.from_edge_file(
                 edge_file, config=cfg, task="spanning_forest",
-                options={"rows_per_pass": 2, "chunk_edges": 32},
+                options={"rows_per_pass": 2}, chunk_edges=32,
             ),
             backend="semi_streaming",
         )

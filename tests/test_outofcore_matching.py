@@ -31,6 +31,7 @@ from repro.ingest import (
     write_graph_file,
 )
 from repro.ingest.format import EdgeFile
+from repro.streaming.stream import EdgeStream
 from repro.streaming.streaming_matching import SemiStreamingMatchingSolver
 
 REPO = Path(__file__).resolve().parent.parent
@@ -88,7 +89,7 @@ class TestZeroMaterializationMatching:
             edge_file, chunk_edges=chunk, materialize_policy="forbid"
         )
         before = materializations_total()
-        solver = SemiStreamingMatchingSolver(_cfg(), chunk_size=chunk)
+        solver = SemiStreamingMatchingSolver(_cfg())
         result = solver.solve(fg)
         assert materializations_total() == before
         assert not fg.is_materialized
@@ -161,7 +162,7 @@ class TestPassAccounting:
         fg = FileBackedGraph(
             edge_file, chunk_edges=64, materialize_policy="forbid"
         )
-        solver = SemiStreamingMatchingSolver(_cfg(), chunk_size=64)
+        solver = SemiStreamingMatchingSolver(_cfg())
         result = solver.solve(fg)
         # the stream audits its own consumption: one pass per chain round
         assert solver.passes == result.rounds > 0
@@ -183,11 +184,11 @@ class TestPassAccounting:
 
         monkeypatch.setattr(EdgeFile, "_validate_chunk", counting)
         fg = FileBackedGraph(edge_file, chunk_edges=16, materialize_policy="forbid")
-        source = fg.chunked_source()
+        stream = EdgeStream(fg)
         for _ in range(3):
-            for _chunk in source.iter_chunks():
+            for _chunk in stream.iter_chunks():
                 pass
-        assert source.passes == 3
+        assert stream.passes == 3
         assert len(calls) == -(-graph.m // 16)  # ceil(m/chunk), once
 
 
@@ -207,7 +208,7 @@ class TestCrossKernelParity:
             "import repro.kernels as K; "
             "fg = FileBackedGraph(sys.argv[1], chunk_edges=53, materialize_policy='forbid'); "
             "cfg = SolverConfig(eps=0.3, seed=7, inner_steps=40, offline='local'); "
-            "r = SemiStreamingMatchingSolver(cfg, chunk_size=53).solve(fg); "
+            "r = SemiStreamingMatchingSolver(cfg).solve(fg); "
             "payload = {'edge_ids': r.matching.edge_ids.tolist(), 'weight': r.weight, "
             "'upper_bound': r.certificate.upper_bound, 'lambda_min': r.lambda_min, "
             "'rounds': r.rounds}; "

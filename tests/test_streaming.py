@@ -29,26 +29,6 @@ class TestEdgeStream:
         assert led.sampling_rounds == 1
         assert led.edges_streamed == small_graph.m
 
-    def test_random_order_is_permutation(self, small_graph):
-        st = EdgeStream(small_graph, order="random", seed=1)
-        ids = [eid for *_rest, eid in st]
-        assert sorted(ids) == list(range(small_graph.m))
-
-    def test_random_order_replays_identically(self, small_graph):
-        st = EdgeStream(small_graph, order="random", seed=2)
-        a = [eid for *_r, eid in st]
-        b = [eid for *_r, eid in st]
-        assert a == b
-
-    def test_explicit_order(self, path_graph):
-        st = EdgeStream(path_graph, order=np.array([3, 2, 1, 0]))
-        ids = [eid for *_r, eid in st]
-        assert ids == [3, 2, 1, 0]
-
-    def test_unknown_order_rejected(self, small_graph):
-        with pytest.raises(ValueError):
-            EdgeStream(small_graph, order="sorted")
-
 
 class TestDynamicStream:
     def test_net_graph_respects_deletions(self):
@@ -90,31 +70,31 @@ class TestDynamicStream:
         assert led.refinement_steps >= 1
 
 
-#: Chunk sizes the parity tests sweep: degenerate (1 edge per chunk),
-#: awkward prime, power of two, and the stream default (whole graph in
-#: one chunk at these sizes).
+#: ``chunk_edges`` the parity tests sweep over a file-backed copy of
+#: the graph: degenerate (1 edge per chunk), awkward prime, power of
+#: two, and more than m + 5 (the whole file in one chunk).
 CHUNK_SIZES = [1, 7, 64, 8192]
 
 
 class TestStreamingAlgorithms:
-    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_streaming_sparsify_single_pass(self, chunk_size):
+    @pytest.mark.parametrize("chunk_edges", CHUNK_SIZES)
+    def test_streaming_sparsify_single_pass(self, chunk_edges, file_graph):
         g = gnm_graph(25, 200, seed=7)
-        st = EdgeStream(g, chunk_size=chunk_size)
+        st = EdgeStream(file_graph(g, chunk_edges))
         sample, sp = streaming_sparsify(st, xi=0.3, seed=8)
         assert st.passes == 1
         assert len(sample) > 0
         assert np.all(sample.edge_ids < g.m)
 
-    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES[:-1])
-    def test_streaming_sparsify_chunk_invariant(self, chunk_size):
+    @pytest.mark.parametrize("chunk_edges", CHUNK_SIZES)
+    def test_streaming_sparsify_chunk_invariant(self, chunk_edges, file_graph):
         """Hash-decided level membership makes the sparsifier sample a
         pure function of the edge multiset -- chunk boundaries must not
         leak into the output bits."""
         g = gnm_graph(25, 200, seed=7)
         ref, _ = streaming_sparsify(EdgeStream(g), xi=0.3, seed=8)
         got, _ = streaming_sparsify(
-            EdgeStream(g, chunk_size=chunk_size), xi=0.3, seed=8
+            EdgeStream(file_graph(g, chunk_edges)), xi=0.3, seed=8
         )
         np.testing.assert_array_equal(got.edge_ids, ref.edge_ids)
         np.testing.assert_array_equal(got.weights, ref.weights)

@@ -14,6 +14,7 @@ from repro.streaming.streaming_matching import (
 )
 from repro.util.graph import Graph
 from repro.util.instrumentation import ResourceLedger
+from test_solver_batch import assert_results_equal
 
 
 def weighted(n, m, seed):
@@ -67,17 +68,18 @@ class TestStreamingDeferredSparsifier:
         assert counts[1] >= counts[0]
 
 
-#: Same sweep as tests/test_streaming.py: degenerate, awkward prime,
-#: power of two, stream default (whole graph in one chunk here).
+#: Same sweep as tests/test_streaming.py: ``chunk_edges`` of a
+#: file-backed copy -- degenerate, awkward prime, power of two, and
+#: more than m + 5 (the whole file in one chunk).
 CHUNK_SIZES = [1, 7, 64, 8192]
 
 
 class TestStreamingDeferredChain:
-    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_one_pass_fills_whole_chain(self, chunk_size):
+    @pytest.mark.parametrize("chunk_edges", CHUNK_SIZES)
+    def test_one_pass_fills_whole_chain(self, chunk_edges, file_graph):
         g = weighted(25, 120, seed=7)
         ledger = ResourceLedger()
-        stream = EdgeStream(g, ledger=ledger, chunk_size=chunk_size)
+        stream = EdgeStream(file_graph(g, chunk_edges), ledger=ledger)
         chain = StreamingDeferredChain(
             stream, promise=g.weight, gamma=2.0, xi=0.3, count=3, seed=8
         )
@@ -86,8 +88,8 @@ class TestStreamingDeferredChain:
         assert ledger.sampling_rounds == 1
         assert len(chain.union_edge_ids()) > 0
 
-    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES[:-1])
-    def test_chain_chunk_invariant(self, chunk_size):
+    @pytest.mark.parametrize("chunk_edges", CHUNK_SIZES)
+    def test_chain_chunk_invariant(self, chunk_edges, file_graph):
         """Every chain member must store the identical edge set and
         probabilities no matter how the one shared pass is chunked."""
         g = weighted(25, 120, seed=7)
@@ -95,7 +97,7 @@ class TestStreamingDeferredChain:
             EdgeStream(g), promise=g.weight, gamma=2.0, xi=0.3, count=3, seed=8
         )
         got = StreamingDeferredChain(
-            EdgeStream(g, chunk_size=chunk_size),
+            EdgeStream(file_graph(g, chunk_edges)),
             promise=g.weight, gamma=2.0, xi=0.3, count=3, seed=8,
         )
         for sp_ref, sp_got in zip(ref.sparsifiers, got.sparsifiers):
@@ -137,14 +139,14 @@ class TestSemiStreamingSolver:
         # every outer round consumes exactly one pass
         assert solver.passes == res.rounds
 
-    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES[:-1])
-    def test_solver_chunk_invariant(self, chunk_size):
+    @pytest.mark.parametrize("chunk_edges", CHUNK_SIZES)
+    def test_solver_chunk_invariant(self, chunk_edges, file_graph):
         """Full solver parity across stream chunk sizes: matching ids,
         multiplicities, weight and certificate bound are bit-identical."""
         g = weighted(25, 120, seed=19)
         cfg = SolverConfig(eps=0.3, p=2.0, seed=20, inner_steps=60)
         ref = SemiStreamingMatchingSolver(cfg).solve(g)
-        got = SemiStreamingMatchingSolver(cfg, chunk_size=chunk_size).solve(g)
+        got = SemiStreamingMatchingSolver(cfg).solve(file_graph(g, chunk_edges))
         np.testing.assert_array_equal(
             got.matching.edge_ids, ref.matching.edge_ids
         )
@@ -153,6 +155,18 @@ class TestSemiStreamingSolver:
         )
         assert got.weight == ref.weight
         assert got.certificate.upper_bound == ref.certificate.upper_bound
+
+    def test_solve_many_streams_each_instance(self):
+        """Every chain streams the graph it is built for, so a batch
+        equals looped solves value for value and the passes add up."""
+        cfg = SolverConfig(eps=0.3, offline="local", seed=0)
+        g1, g2 = weighted(40, 120, seed=21), weighted(40, 60, seed=22)
+        solver = SemiStreamingMatchingSolver(cfg)
+        got = solver.solve_many([g1, g2])
+        ref = [SemiStreamingMatchingSolver(cfg).solve(g) for g in (g1, g2)]
+        for r, gr in zip(ref, got):
+            assert_results_equal(r, gr)
+        assert solver.passes == ref[0].rounds + ref[1].rounds
 
     def test_pass_budget_is_p_over_eps_shaped(self):
         g = weighted(25, 120, seed=15)

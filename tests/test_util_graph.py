@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.graph import SCAN_EDGES, Graph, edge_key, merge_parallel_edges
+from repro.util.graph import DEFAULT_CHUNK_EDGES, Graph, edge_key, merge_parallel_edges
 
 
 class TestEdgeKey:
@@ -155,7 +155,7 @@ class TestEdgeRanges:
     """Graph.edge_ranges(): the ranges every per-edge solver scan reads."""
 
     def test_in_ram_graph_spans_ranges_of_scan_edges(self):
-        m = 2 * SCAN_EDGES + 5
+        m = 2 * DEFAULT_CHUNK_EDGES + 5
         g = Graph(
             n=2,
             src=np.zeros(m, dtype=np.int64),
@@ -163,9 +163,9 @@ class TestEdgeRanges:
             weight=np.ones(m),
         )
         assert list(g.edge_ranges()) == [
-            (0, SCAN_EDGES),
-            (SCAN_EDGES, 2 * SCAN_EDGES),
-            (2 * SCAN_EDGES, m),
+            (0, DEFAULT_CHUNK_EDGES),
+            (DEFAULT_CHUNK_EDGES, 2 * DEFAULT_CHUNK_EDGES),
+            (2 * DEFAULT_CHUNK_EDGES, m),
         ]
 
     def test_small_and_empty_graphs(self, small_graph):
