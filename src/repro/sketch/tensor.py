@@ -171,7 +171,8 @@ class SketchTensor:
         banks, every slot shares them.
     repetitions:
         Independent repetitions per row (success amplification of the
-        ℓ0 recovery).
+        ℓ0 recovery); at least 1, else ``ValueError`` before anything
+        is allocated.
     slots:
         Number of independent sketched vectors sharing the row seeds
         (one per vertex in an incidence sketch); linearity across slots
@@ -185,6 +186,10 @@ class SketchTensor:
         repetitions: int = 6,
         slots: int = 1,
     ):
+        if int(repetitions) < 1:
+            # zero repetitions would sketch nothing (every sample fails,
+            # e.g. an edgeless forest) instead of failing loudly
+            raise ValueError(f"repetitions must be at least 1, got {repetitions}")
         self.universe = int(universe)
         self.rows = len(row_seeds)
         self.repetitions = int(repetitions)

@@ -314,6 +314,18 @@ class TestRegistry:
         with pytest.raises(ProblemMismatch, match="matching"):
             run(Problem(instance, task="spanning_forest"), backend="offline")
 
+    @pytest.mark.parametrize("repetitions", [0, -1])
+    def test_forest_rejects_repetitions_below_one(self, repetitions):
+        """Options arrive unchecked (from the wire, too): zero ℓ0
+        repetitions must raise, not decode an edgeless "forest"."""
+        problem = Problem(
+            gnm_graph(30, 60, seed=3),
+            task="spanning_forest",
+            options={"repetitions": repetitions},
+        )
+        with pytest.raises(ValueError, match="repetitions"):
+            run(problem, "semi_streaming")
+
     def test_auction_rejects_nonbipartite(self):
         triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)], [1.0, 1.0, 1.0])
         with pytest.raises(ProblemMismatch, match="bipartite"):
