@@ -96,10 +96,6 @@ class MatchingService:
         over shared memory (:class:`~repro.server.procpool.
         ProcessGroupExecutor`), escaping the GIL for CPU-bound solves.
         Results are pinned digest-identical across substrates.
-    executor:
-        Escape hatch: a pre-built
-        :class:`~repro.service.executors.GroupExecutor` instance
-        (overrides ``pool``); the service takes ownership and closes it.
     max_batch, max_delay_s:
         Micro-batching policy; see
         :class:`~repro.service.batching.MicroBatchPolicy`.
@@ -109,9 +105,6 @@ class MatchingService:
     default_backend:
         Registry name used when ``submit``/``solve`` get no explicit
         backend.
-    latency_window:
-        Number of recent request latencies kept for the p50/p95
-        percentiles.
 
     Use as a context manager (``with MatchingService() as svc: ...``)
     or call :meth:`close` explicitly; queued work is drained before
@@ -123,32 +116,27 @@ class MatchingService:
         *,
         workers: int = 2,
         pool: str = "thread",
-        executor: GroupExecutor | None = None,
         max_batch: int = 32,
         max_delay_s: float = 0.002,
         cache_capacity: int = 2048,
         default_backend: str = "offline",
-        latency_window: int = 4096,
     ):
         get_backend(default_backend)  # fail fast on a bad registry name
         self.default_backend = default_backend
         self.policy = MicroBatchPolicy(max_batch=max_batch, max_delay_s=max_delay_s)
         # the executor forks/allocates before the collector threads start
         # (fork-before-thread keeps the children clean)
-        if executor is None:
-            if pool == "thread":
-                executor = LocalExecutor()
-            elif pool == "process":
-                from repro.server.procpool import ProcessGroupExecutor
+        if pool == "thread":
+            executor: GroupExecutor = LocalExecutor()
+        elif pool == "process":
+            from repro.server.procpool import ProcessGroupExecutor
 
-                executor = ProcessGroupExecutor(workers)
-            else:
-                raise ValueError(
-                    f"unknown pool kind {pool!r}; use 'thread' or 'process'"
-                )
+            executor = ProcessGroupExecutor(workers)
+        else:
+            raise ValueError(f"unknown pool kind {pool!r}; use 'thread' or 'process'")
         self._executor = executor
         self._cache = ResultCache(cache_capacity)
-        self._stats = StatsRecorder(latency_window)
+        self._stats = StatsRecorder()
         self._inflight: dict[str, Future] = {}
         # content addresses invalidated while their computation was still
         # in flight: the future resolves normally, the cache re-insert is

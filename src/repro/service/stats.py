@@ -40,6 +40,10 @@ _SUM_FIELDS = (
 #: RunLedger high-water marks folded with max.
 _MAX_FIELDS = ("peak_central_space", "reducer_peak_words", "clique_max_vertex_words")
 
+#: Recent request latencies (and final certified gaps) kept for the
+#: nearest-rank percentiles.
+LATENCY_WINDOW = 4096
+
 
 @dataclass(frozen=True)
 class ServiceStats:
@@ -150,13 +154,13 @@ class StatsRecorder:
     unbounded history.
     """
 
-    def __init__(self, latency_window: int = 4096):
+    def __init__(self):
         self._lock = threading.Lock()
-        self._latencies_ms: deque[float] = deque(maxlen=int(latency_window))
+        self._latencies_ms: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._latency_hist = LatencyHistogram()
         self._occupancy = CountHistogram()
         self._rounds = CountHistogram()
-        self._gaps: deque[float] = deque(maxlen=int(latency_window))
+        self._gaps: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._convergence_requests = 0
         self._submitted = 0
         self._completed = 0
