@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.matching.maximal import maximal_bmatching
 from repro.matching.structures import BMatching
 from repro.util.graph import Graph
 
@@ -19,29 +20,14 @@ __all__ = ["greedy_bmatching", "greedy_matching"]
 def greedy_bmatching(graph: Graph, order: np.ndarray | None = None) -> BMatching:
     """Greedy b-matching; ``order`` overrides the weight-descending scan.
 
-    Each taken edge is saturated: its multiplicity is the minimum of the
-    endpoints' residual capacities, so at least one endpoint is saturated
-    by the take (the accounting Lemma 20 relies on).
+    The saturating scan of :func:`~repro.matching.maximal.maximal_bmatching`
+    in stable weight-descending order: each taken edge's multiplicity is
+    the minimum of the endpoints' residual capacities, so at least one
+    endpoint is saturated by the take (the accounting Lemma 20 relies on).
     """
     if order is None:
         order = np.argsort(-graph.weight, kind="stable")
-    residual = graph.b.copy()
-    taken_ids: list[int] = []
-    mult: list[int] = []
-    src, dst = graph.src, graph.dst
-    for e in order:
-        i, j = src[e], dst[e]
-        take = min(residual[i], residual[j])
-        if take > 0:
-            taken_ids.append(int(e))
-            mult.append(int(take))
-            residual[i] -= take
-            residual[j] -= take
-    return BMatching(
-        graph,
-        np.asarray(taken_ids, dtype=np.int64),
-        np.asarray(mult, dtype=np.int64),
-    )
+    return maximal_bmatching(graph, order=order)
 
 
 def greedy_matching(graph: Graph) -> BMatching:

@@ -99,8 +99,7 @@ def maximal_bmatching_sampled(
 
     residual = graph.b.copy()
     alive = np.arange(graph.m)
-    all_taken: list[int] = []
-    all_mult: list[int] = []
+    parts: list[BMatching] = []
     src, dst = graph.src, graph.dst
 
     for _ in range(max_rounds):
@@ -116,14 +115,7 @@ def maximal_bmatching_sampled(
         if ledger is not None:
             ledger.charge_space(len(sample))
         # extend the maximal matching inside the sample
-        for e in sample:
-            i, j = src[e], dst[e]
-            take = min(residual[i], residual[j])
-            if take > 0:
-                all_taken.append(int(e))
-                all_mult.append(int(take))
-                residual[i] -= take
-                residual[j] -= take
+        parts.append(maximal_bmatching(graph, order=sample, residual=residual))
         if ledger is not None:
             ledger.release_space(len(sample))
         # filter: an edge survives iff both endpoints keep residual capacity
@@ -132,16 +124,9 @@ def maximal_bmatching_sampled(
             # one final exhaustive pass fits in memory
             continue
     # final exhaustive pass over whatever survives (guaranteed small whp)
-    for e in alive:
-        i, j = src[e], dst[e]
-        take = min(residual[i], residual[j])
-        if take > 0:
-            all_taken.append(int(e))
-            all_mult.append(int(take))
-            residual[i] -= take
-            residual[j] -= take
+    parts.append(maximal_bmatching(graph, order=alive, residual=residual))
     return BMatching(
         graph,
-        np.asarray(all_taken, dtype=np.int64),
-        np.asarray(all_mult, dtype=np.int64),
+        np.concatenate([p.edge_ids for p in parts]),
+        np.concatenate([p.multiplicity for p in parts]),
     )
