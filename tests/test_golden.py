@@ -18,6 +18,10 @@ Cases:
   config, at the benchmark's ``tiny`` size;
 * a warm-started dynamic session that misses the ``rounds=0`` fast path
   once and hits it once;
+* Algorithm 5 (``micro_oracle``) on the reference cases of
+  ``test_core_micro_oracle``, one or more per route, and on cases that
+  reach the odd-set/witness tail with nonzero packing multipliers or
+  with a lifted violated vertex (step 9);
 * the sketch layer: ℓ0 sampler cells and samples (bulk and per-element
   update streams, a sampler bank), vertex-incidence cells and cut-edge
   samples, the max-weight class sketch, and the in-RAM sketch spanning
@@ -221,6 +225,80 @@ def _sha(payload) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _array_sha(a) -> str:
+    """Digest of an array's float64 bytes in C order, with its shape."""
+    a = np.asarray(a, dtype=np.float64)
+    return _sha([list(a.shape), hashlib.sha256(a.tobytes()).hexdigest()])
+
+
+def _lifted_instance():
+    """Vertex 0 (``b = 1``) is the only violated vertex, too light for
+    the vertex route at ``beta = 3e5``: step 9 lifts its zeta row."""
+    from itertools import combinations
+
+    from repro.core.levels import discretize
+    from repro.core.micro_oracle import SupportVector
+    from repro.util.graph import Graph
+
+    edges = [(0, 1)] + list(combinations(range(1, 16), 2))[:100]
+    b = np.full(16, 50)
+    b[0] = 1
+    g = Graph.from_edges(16, edges, np.ones(len(edges)), b=b)
+    lv = discretize(g, eps=0.25)
+    live = lv.live_edges()
+    return lv, SupportVector(live, np.ones(len(live)))
+
+
+def oracle() -> dict:
+    """Every output field of ``micro_oracle``, one case per key."""
+    from repro.core.micro_oracle import OracleWitness, micro_oracle
+    from test_core_micro_oracle import (
+        REFERENCE_CASES,
+        _random_instance,
+        _triangle_pendant,
+    )
+
+    # (instance, zeta offset, beta, odd_sets, route), as REFERENCE_CASES
+    cases = dict(REFERENCE_CASES)
+    cases.update(
+        {
+            "lifted_witness": (_lifted_instance, 0.0, 3e5, True, "witness"),
+            "packed_vertex": (_random_instance, 0.01, 1e9, True, "vertex"),
+            "packed_witness": (_random_instance, 0.01, 8.0, True, "witness"),
+            "packed_oddset": (_triangle_pendant, 0.01, 16.0, True, "oddset"),
+        }
+    )
+    out = {}
+    for name, (make, offset, beta, odd_sets, route) in cases.items():
+        lv, support = make()
+        zeta = np.zeros((lv.graph.n, lv.num_levels)) + offset
+        res = micro_oracle(lv, support, zeta, beta=beta, rho=1.0, odd_sets=odd_sets)
+        if isinstance(res, OracleWitness):
+            payload = {
+                "route": "witness",
+                "gamma": _hex(res.gamma),
+                "y": sorted([int(e), _hex(v)] for e, v in res.y.items()),
+                "mu": _array_sha(res.mu),
+                "lp7_value": _hex(res.lp7_value),
+            }
+        else:
+            gp = res.gamma_prime
+            payload = {
+                "route": res.route,
+                "gamma": _hex(res.gamma),
+                "gamma_prime": None if gp is None else _hex(gp),
+                "x": _array_sha(res.dual.x),
+                "z": sorted(
+                    [list(map(int, U)), int(ell), _hex(v)]
+                    for (U, ell), v in res.dual.z.items()
+                ),
+            }
+        # the case only pins what it names if it takes that route
+        assert payload["route"] == route, (name, payload["route"])
+        out[f"oracle:{name}"] = _sha(payload)
+    return out
+
+
 def _cells(tensor) -> dict:
     """Every linear measurement of a ``SketchTensor``, in canonical form."""
     return {
@@ -396,6 +474,7 @@ GROUPS = {
     "backends": backends,
     "file_backed": file_backed,
     "mixed_run_many": mixed_run_many,
+    "oracle": oracle,
     "oracle_routes": oracle_routes,
     "scans": scans,
     "sketches": sketches,
