@@ -10,8 +10,10 @@ numpy dispatch overhead across the batch.  This module holds the shared
 layout those buffers use, plus the segment reductions that make every
 instance's results *bit-identical* whatever else shares its batch --
 and identical to the standalone-array semantics of
-:class:`~repro.core.relaxations.LayeredDual` and
-:func:`~repro.core.micro_oracle.micro_oracle`.
+:class:`~repro.core.relaxations.LayeredDual`, whose ``x`` is one
+instance's ``(n, L)`` plane of the VL space.
+:func:`~repro.core.micro_oracle.micro_oracle` evaluates Algorithm 5 on
+a batch of one.
 
 Layout: four concatenated index spaces
 --------------------------------------
@@ -297,12 +299,12 @@ class DualBatch:
 
     Each instance also owns a :class:`~repro.core.relaxations.
     LayeredDual` whose ``x`` is a *contiguous view* into the buffer, so
-    per-instance reference code (``certify``, round-start multipliers)
-    operates on the live state with unchanged semantics; the odd-set
-    penalties ``z`` stay per-instance dicts on those objects (they are
-    sparse and rarely populated).  ``zload`` caches
-    :meth:`~repro.core.relaxations.LayeredDual.z_load` per instance and
-    is refreshed only when a blend actually touches ``z``.
+    per-instance code (``certify``, round-start multipliers) operates
+    on the live state; the odd-set penalties ``z`` stay per-instance
+    dicts on those objects (they are sparse and rarely populated).
+    ``zload`` caches :meth:`~repro.core.relaxations.LayeredDual.z_load`
+    per instance and is refreshed only when a blend actually touches
+    ``z``.
     """
 
     def __init__(self, batch: GraphBatch):

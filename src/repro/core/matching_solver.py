@@ -52,8 +52,8 @@ from repro.core.micro_oracle import (
     BatchMicroContext,
     OracleDualStep,
     OracleWitness,
-    # unused here: perfbench's LayerTracer wraps the Algorithm 5
-    # reference under this module's name and needs it importable
+    # unused here: perfbench's LayerTracer wraps micro_oracle under
+    # this module's name and needs it importable
     micro_oracle,
 )
 from repro.core.relaxations import (

@@ -23,6 +23,10 @@ The three branches follow Algorithm 5 literally:
 3. else both contributions are small: the remaining multiplier mass
    *is* an LP7 feasible point after the ``ζ̂`` bump -- return the witness
    ``y = (1-eps/4) beta / ((1+eps/2) γ) us`` (step 21).
+
+:class:`BatchMicroContext` is the one implementation: the solver runs
+it over its whole batch, and :func:`micro_oracle` runs it on a batch of
+one instance.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.batch import GraphBatch, StoredBatchLayout, expand
 from repro.core.levels import LevelDecomposition
 from repro.core.odd_sets import find_dense_odd_sets
 from repro.core.relaxations import LayeredDual
@@ -91,51 +96,6 @@ class OracleWitness:
     lp7_value: float
 
 
-class _ScalarOracleLayout:
-    """One-instance batch layout driving the fused Algorithm 5 kernel.
-
-    :func:`micro_oracle` and :meth:`BatchMicroContext.evaluate` share
-    one dispatched ``oracle_eval`` kernel; the single-instance reference
-    wraps its ``(n, L)`` instance as a batch of size one.  Cached on the
-    ``LevelDecomposition`` (rebuilt if the shape changes) so repeated
-    calls on one instance reuse it, scratch included.
-    """
-
-    def __init__(self, levels: LevelDecomposition):
-        g = levels.graph
-        n, L = g.n, levels.num_levels
-        nvl = n * L
-        self.size = 1
-        self.L = np.array([L], dtype=np.int64)
-        self.l_off = np.array([0, L], dtype=np.int64)
-        self.l_off_list = [0, L]
-        self.v_off = np.array([0, n], dtype=np.int64)
-        self.vl_off = np.array([0, nvl], dtype=np.int64)
-        self.vl_count = np.array([nvl], dtype=np.int64)
-        self.row_off = np.arange(n + 1, dtype=np.int64) * L
-        self.row_len = np.full(n, L, dtype=np.int64)
-        self.row_inst = np.zeros(n, dtype=np.int64)
-        self.vl_runs = [(0, nvl, 0, n, L)]
-        self.wk_l = np.ascontiguousarray(
-            levels.level_weight(np.arange(L)), dtype=np.float64
-        )
-        self.wk_vl = np.tile(self.wk_l, n)
-        self.b_vl = np.repeat(g.b.astype(np.float64), L)
-        self.col_vl = np.tile(np.arange(L, dtype=np.int64), n).astype(np.int32)
-        self.scratch = OracleScratch(
-            nvl=nvl, nv=n, nl=L, B=1, max_L=L, max_rows=n, max_hik=nvl
-        )
-
-
-def _scalar_layout(levels: LevelDecomposition) -> _ScalarOracleLayout:
-    lay = getattr(levels, "_kernel_layout", None)
-    g = levels.graph
-    if lay is None or lay.row_len.size != g.n or int(lay.L[0]) != levels.num_levels:
-        lay = _ScalarOracleLayout(levels)
-        levels._kernel_layout = lay
-    return lay
-
-
 def micro_oracle(
     levels: LevelDecomposition,
     support: SupportVector,
@@ -145,10 +105,16 @@ def micro_oracle(
     eps: float | None = None,
     odd_sets: bool = True,
 ) -> OracleDualStep | OracleWitness:
-    """Run Algorithm 5.
+    """Run Algorithm 5 on one instance.
+
+    Builds a one-instance :class:`~repro.core.batch.GraphBatch` and
+    returns :meth:`BatchMicroContext.evaluate`'s result for it.
 
     Parameters
     ----------
+    support:
+        Sampled edges and their multipliers.  Every edge must sit at a
+        kept level (``levels.level[e] >= 0``).
     zeta:
         Packing multipliers, shape ``(n, L)`` (zeros where unused).
     beta:
@@ -167,70 +133,22 @@ def micro_oracle(
     zeta = np.asarray(zeta, dtype=np.float64)
     if zeta.shape != (n, L):
         raise ValueError(f"zeta must be shape {(n, L)}")
-
-    lay = _scalar_layout(levels)
-    wk = lay.wk_l  # ŵ_k
-
     ids = support.edge_ids
-    vals = np.ascontiguousarray(support.values, dtype=np.float64)
-    lvl_of_edge = levels.level[ids]
-    kk = lvl_of_edge % L  # negative (dropped) levels wrap as add.at did
-    s_flat = _k_dual_scatter(g.src[ids] * L + kk, g.dst[ids] * L + kk, vals, n * L)
-    us_mass_per_level = _k_index_scatter(kk, vals, L)
+    if (levels.level[ids] < 0).any():
+        raise ValueError("support has an edge at a dropped level (level -1)")
 
-    # Steps 1-8 run in the fused kernel on a batch of one; the packing
-    # multipliers enter as their nonzero cells (zeta is exactly zero
-    # elsewhere, and s - 2 rho * 0 is bitwise s).
-    zr = np.ascontiguousarray(zeta).ravel()
-    hik_idx = np.flatnonzero(zr != 0.0)
-    zmul = zr[hik_idx]
-    hik_off = np.array([0, hik_idx.size], dtype=np.int64)
-    hik_counts = np.array([hik_idx.size], dtype=np.int64)
-
-    sc = lay.scratch
-    sc.rho[0] = rho
-    sc.beta[0] = beta
-    res = _k_oracle_eval(
-        lay, s_flat, us_mass_per_level, zeta.sum(axis=0), hik_idx, hik_off,
-        hik_counts, zmul, [0], sc.rho, sc.beta, eps, sc,
+    batch = GraphBatch(graphs=[g], levels=[levels])
+    # the oracle reads no sampling probabilities: unit placeholders
+    stored = StoredBatchLayout.build(batch, {0: (ids, np.ones(ids.size))})
+    flat_zeta = np.ascontiguousarray(zeta).ravel()
+    hik_idx = np.flatnonzero(flat_zeta != 0.0)
+    ctx = BatchMicroContext(
+        batch, [0], stored, np.ascontiguousarray(support.values), flat_zeta,
+        flat_zeta[hik_idx], hik_idx, np.array([0, hik_idx.size], dtype=np.int64),
+        beta={0: beta}, use_odd={0: odd_sets}, eps=eps,
     )
-
-    gamma = float(res.gamma[0])
-    route = int(res.route[0])
-    if route == 0:
-        return OracleDualStep(dual=LayeredDual(levels), route="zero", gamma=gamma)
-    if route == 1:
-        step = LayeredDual._wrap(levels, res.step_x.reshape(n, L).copy())
-        return OracleDualStep(dual=step, route="vertex", gamma=gamma)
-
-    # Step 9: lift zeta for violated vertices
-    s = s_flat.reshape(n, L)
-    pos_net = res.pos_net.reshape(n, L)
-    k_star = res.k_star_row
-    viol = np.flatnonzero(k_star >= 0)
-    zeta_bar = zeta.copy()
-    for i in viol:
-        ks = int(k_star[i])
-        mask = (np.arange(L) <= ks) & (pos_net[i] > 0)
-        zeta_bar[i, mask] = s[i, mask] / (2.0 * rho)
-
-    # Step 10: gamma'
-    gamma_p = float((wk * (us_mass_per_level - 3.0 * rho * zeta_bar.sum(axis=0))).sum())
-
-    return _oddset_witness_stage(
-        levels,
-        support,
-        lvl_of_edge,
-        us_mass_per_level,
-        zeta_bar,
-        gamma,
-        gamma_p,
-        beta,
-        rho,
-        eps,
-        odd_sets,
-        wk,
-    )
+    results, _po = ctx.evaluate([0], {0: rho})
+    return results[0]
 
 
 def _oddset_witness_stage(
@@ -249,11 +167,9 @@ def _oddset_witness_stage(
 ) -> OracleDualStep | OracleWitness:
     """Steps 11-21 of Algorithm 5: odd-set route, else LP7 witness.
 
-    Shared tail of :func:`micro_oracle` and :class:`BatchMicroContext`:
-    the engine
-    reaches this stage rarely (most evaluations resolve through the
-    vertex or zero route), so it runs per instance on views of the
-    batch buffers -- the same code, hence bit-identical outcomes.
+    The tail of :meth:`BatchMicroContext.evaluate`.  Evaluations reach
+    it rarely (most resolve through the vertex or zero route), so it
+    runs per instance on views of the batch buffers.
     """
     g = levels.graph
     n = g.n
@@ -359,17 +275,17 @@ class BatchMicroContext:
     (one batched gather), so the caller's Lagrangian search needs no
     further array work.
 
-    Bit-parity with :func:`micro_oracle` is maintained by the
-    discipline documented in :mod:`repro.core.batch`: elementwise math
-    is batched, ordered scatters keep per-instance order, reductions
-    and scans run on contiguous per-instance views -- or, for the
-    per-row scans (``cumsum``) and row sums, on *runs* of consecutive
-    same-``L`` instances, whose stacked ``(rows, L)`` views scan each
-    row independently and identically.  The odd-set and witness stages
-    (rarely reached) call the *same* :func:`_oddset_witness_stage`
-    helper as :func:`micro_oracle`, per instance, on views of the batch
-    buffers.  ``tests/test_core_micro_oracle.py`` pins a batch of one
-    against :func:`micro_oracle` on every route.
+    An instance's results do not depend on what else shares its batch,
+    by the discipline documented in :mod:`repro.core.batch`:
+    elementwise math is batched, ordered scatters keep per-instance
+    order, reductions and scans run on contiguous per-instance views --
+    or, for the per-row scans (``cumsum``) and row sums, on *runs* of
+    consecutive same-``L`` instances, whose stacked ``(rows, L)`` views
+    scan each row independently and identically.  The odd-set and
+    witness stages (rarely reached) run per instance on views of the
+    batch buffers.  :func:`micro_oracle` is this class at batch size
+    one; the ``oracle`` group of ``tests/golden/digests.json`` pins its
+    output on every route.
     """
 
     def __init__(
@@ -400,9 +316,8 @@ class BatchMicroContext:
         self.use_odd = use_odd
         self.eps = eps
 
-        # s[i, k] scatter: all src contributions first, then all dst, as
-        # in micro_oracle (the dispatched kernel keeps that order).
-        # The VL-sized scratch is cached on the batch: the previous
+        # s[i, k] scatter: the dispatched kernel adds all src
+        # contributions first, then all dst.  The VL-sized scratch is cached on the batch: the previous
         # tick's context (the only holder of the returned buffer) is
         # dead by the time the next one is built.
         s_buf = getattr(batch, "_s_scratch", None)
@@ -424,12 +339,10 @@ class BatchMicroContext:
         # non-evaluated instances land in segments the oracle never
         # reads).  L == 1 planes would take numpy's pairwise contiguous
         # reduction instead, so that (unused in practice) shape keeps
-        # the per-instance reference loop.
+        # the per-instance loop.
         if batch.size and int(batch.L.min()) >= 2:
             lidx = getattr(batch, "_l_idx_vl", None)
             if lidx is None:
-                from repro.core.batch import expand
-
                 lidx = expand(batch.l_off[:-1], batch.vl_count) + batch.col_vl
                 lidx = np.ascontiguousarray(lidx, dtype=np.int64)
                 batch._l_idx_vl = lidx
@@ -465,8 +378,6 @@ class BatchMicroContext:
         B = b.size
         out: dict[int, OracleDualStep | OracleWitness] = {}
         po: dict[int, float] = {}
-
-        from repro.core.batch import expand
 
         # Steps 1-8 run in the dispatched fused kernel; this method only
         # fills the per-call multiplier buffers, assembles the results by
@@ -520,7 +431,7 @@ class BatchMicroContext:
             lifted = self.s / expand(2.0 * rho_b, b.vl_count)
         zeta_bar = np.where(cond, lifted, self.zeta)
 
-        # Steps 10-21 per instance (rare): same helper as the scalar path
+        # Steps 10-21 per instance (rare)
         for i in rest:
             lv = b.levels[i]
             zb = b.vl_view(zeta_bar, i)
@@ -551,7 +462,7 @@ class BatchMicroContext:
 
     # ------------------------------------------------------------------
     def _po_single(self, i: int, step: OracleDualStep) -> float:
-        """Reference ``po_of`` for one (possibly z-carrying) step."""
+        """Packing load ``z^T Po x`` of one (possibly z-carrying) step."""
         b = self.batch
         if step.dual.z:
             sload = step.dual.z_load()

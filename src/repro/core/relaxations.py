@@ -84,21 +84,12 @@ PENALTY_WIDTH_BOUND = 6.0
 class LayeredDual:
     """Variables of the layered penalty dual (LP5 / LP10).
 
-    ``x`` is logically a dense ``(n, L)`` table (rows = vertices, cols =
+    ``x`` is a dense ``(n, L)`` float64 table (rows = vertices, cols =
     levels); ``z`` maps ``(U, l)`` -- ``U`` a sorted vertex tuple, ``l``
-    a level -- to a nonnegative penalty.
-
-    Storage is *level-blocked*: internally the table lives transposed as
-    ``_xb`` with shape ``(L, n)`` so that the level-``k`` slice is one
-    contiguous row and the blockwise reductions
-    (:meth:`lambda_min`, :meth:`vertex_costs`, :meth:`po_ratio`, ...)
-    touch one ``O(n)`` block at a time instead of materializing
-    ``(n, L)`` or ``O(m)`` temporaries.  The :attr:`x` property exposes
-    the classic ``(n, L)`` orientation as a *write-through view*, so
-    callers that scatter into ``dual.x`` (warm starts, the batched
-    engine's shared-buffer aliasing) keep their exact semantics.  Every
-    reduction here is order-insensitive (elementwise ufuncs, min/max),
-    so results are bit-identical to the dense layout.
+    a level -- to a nonnegative penalty.  A float64 ``x`` passed in is
+    kept, not copied: inside the solver it is the instance's plane of
+    the shared :class:`~repro.core.batch.DualBatch` buffer, so writes
+    into ``dual.x`` update the batch state.
     """
 
     def __init__(
@@ -108,32 +99,15 @@ class LayeredDual:
         z: dict[tuple[tuple[int, ...], int], float] | None = None,
     ) -> None:
         self.levels = levels
-        n = levels.graph.n
-        L = levels.num_levels
+        shape = (levels.graph.n, levels.num_levels)
         if x is None:
-            self._xb = np.zeros((L, n), dtype=np.float64)
+            x = np.zeros(shape, dtype=np.float64)
         else:
-            xa = np.asarray(x, dtype=np.float64)
-            if xa.shape != (n, L):
-                raise ValueError(f"x must be shape {(n, L)}")
-            # transposed *view*: a float64 input (e.g. a DualBatch plane)
-            # stays aliased, exactly as the dense layout did
-            self._xb = xa.T
+            x = np.asarray(x, dtype=np.float64)
+            if x.shape != shape:
+                raise ValueError(f"x must be shape {shape}")
+        self.x = x
         self.z: dict[tuple[tuple[int, ...], int], float] = {} if z is None else z
-
-    @property
-    def x(self) -> np.ndarray:
-        """The ``(n, L)`` orientation of the state (write-through view)."""
-        return self._xb.T
-
-    @x.setter
-    def x(self, value: np.ndarray) -> None:
-        xa = np.asarray(value, dtype=np.float64)
-        n = self.levels.graph.n
-        L = self.levels.num_levels
-        if xa.shape != (n, L):
-            raise ValueError(f"x must be shape {(n, L)}")
-        self._xb = xa.T
 
     @classmethod
     def _wrap(cls, levels: LevelDecomposition, x: np.ndarray) -> "LayeredDual":
@@ -145,7 +119,7 @@ class LayeredDual:
         """
         d = cls.__new__(cls)
         d.levels = levels
-        d._xb = x.T
+        d.x = x
         d.z = {}
         return d
 
@@ -226,10 +200,7 @@ class LayeredDual:
     # ------------------------------------------------------------------
     def vertex_costs(self) -> np.ndarray:
         """``x_i = max_k x_i(k)`` -- each vertex pays its worst level."""
-        out = self._xb[0].copy()
-        for k in range(1, self._xb.shape[0]):
-            np.maximum(out, self._xb[k], out=out)
-        return out
+        return self.x.max(axis=1)
 
     def objective(self) -> float:
         """Rescaled dual objective ``sum b_i x_i + sum_U,l floor(.)z_{U,l}``."""
@@ -254,25 +225,11 @@ class LayeredDual:
             load[list(U), ell:] += val
         return load
 
-    def z_load_block(self, k: int) -> np.ndarray:
-        """Level-``k`` column of :meth:`z_load` as one ``(n,)`` block."""
-        load = np.zeros(self.levels.graph.n, dtype=np.float64)
-        for (U, ell), val in self.z.items():
-            if val == 0.0 or ell > k:
-                continue
-            load[list(U)] += val
-        return load
-
     def _box_ratio(self, cap: np.ndarray) -> float:
-        """Max of ``(2 x_i(k) + z-load) / cap_k``, one level block at a time."""
-        L = self.levels.num_levels
-        if self.levels.graph.n == 0 or L == 0:
+        """Max of ``(2 x_i(k) + z-load) / cap_k`` over the table."""
+        if self.x.size == 0:
             return 0.0
-        best = -np.inf
-        for k in range(L):
-            lhs = 2.0 * self._xb[k] + self.z_load_block(k)
-            best = max(best, float((lhs / cap[k]).max()))
-        return best
+        return float(((2.0 * self.x + self.z_load()) / cap).max())
 
     def po_ratio(self) -> float:
         """Max of ``(2 x_i(k) + z-load) / (3 ŵ_k)`` -- the outer box Po.
@@ -298,23 +255,13 @@ class LayeredDual:
         """In-place convex step ``self <- (1-sigma) self + sigma other``.
 
         This is the covering framework's ``x <- (1-sigma)x + sigma x̃``.
-        Applied one level block at a time (elementwise, so identical to
-        the whole-table update bit for bit).
         """
-        a = 1.0 - sigma
-        xb, ob = self._xb, other._xb
-        for k in range(xb.shape[0]):
-            row = xb[k]
-            row *= a
-            row += sigma * ob[k]
+        self.x *= 1.0 - sigma
+        self.x += sigma * other.x
         self.z = blend_z_dicts(self.z, other.z, sigma)
 
     def copy(self) -> "LayeredDual":
-        d = LayeredDual.__new__(LayeredDual)
-        d.levels = self.levels
-        d._xb = self._xb.copy()
-        d.z = dict(self.z)
-        return d
+        return LayeredDual(self.levels, self.x.copy(), dict(self.z))
 
     # ------------------------------------------------------------------
     # LP2-style certificate extraction

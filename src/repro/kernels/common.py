@@ -1,11 +1,13 @@
 """Backend-neutral types shared by both kernel implementations.
 
-The fused solver kernels write into preallocated scratch buffers
+The fused Algorithm 5 kernel writes into preallocated scratch buffers
 (:class:`OracleScratch`) owned by the caller -- one allocation per
-:class:`~repro.core.micro_oracle.BatchMicroContext`, reused across every
-Lagrangian evaluation -- and return an :class:`OracleEvalResult` of
-views into them.  Callers must copy anything they keep (the engine
-already does: dual planes are ``.copy()``-ed into ``LayeredDual``).
+batch layout, shared by the
+:class:`~repro.core.micro_oracle.BatchMicroContext` of every inner step
+on that layout and reused across every Lagrangian evaluation -- and
+returns an :class:`OracleEvalResult` of views into them.  Callers must
+copy anything they keep (``BatchMicroContext.evaluate`` copies each
+step's plane into its ``LayeredDual``).
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ class OracleScratch:
 
     Sized once from the batch layout; every array is overwritten
     wholesale by each evaluation (stale segments of instances outside
-    the evaluated subset are never read -- the same contract as the
-    pre-kernel reference code).
+    the evaluated subset are never read).
     """
 
     def __init__(self, nvl: int, nv: int, nl: int, B: int, max_L: int,

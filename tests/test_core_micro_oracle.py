@@ -124,6 +124,16 @@ class TestMicroOracle:
         with pytest.raises(ValueError):
             micro_oracle(lv, support, np.zeros((2, 2)), beta=1.0, rho=1.0)
 
+    def test_rejects_support_edge_at_dropped_level(self):
+        """A dropped edge (level -1) has no (vertex, level) cell to load."""
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)], [1000.0, 1e-6, 1000.0])
+        lv = discretize(g, eps=0.25)
+        assert lv.level.tolist() == [12, -1, 12]
+        support = SupportVector(np.arange(3), np.ones(3))
+        zeta = np.zeros((g.n, lv.num_levels))
+        with pytest.raises(ValueError, match="dropped level"):
+            micro_oracle(lv, support, zeta, beta=1.0, rho=1.0)
+
     def test_g_property_on_oddset_route(self):
         """G(us, x): any set with z > 0 has internal mass >= cut mass."""
         edges = [(0, 1), (1, 2), (0, 2), (2, 3)]  # triangle + pendant
@@ -151,8 +161,9 @@ class TestMicroOracle:
 
 
 # ----------------------------------------------------------------------
-# The reference: the solver's batched evaluator at batch size one must
-# equal micro_oracle on every route
+# micro_oracle runs the solver's batched evaluator on a batch of one; a
+# batch built by hand must agree with it on every route, and the packing
+# load the evaluator returns must equal z^T Po x of the step
 # ----------------------------------------------------------------------
 def _triangles():
     edges = []
