@@ -69,7 +69,7 @@ from repro.kernels import tick_pack_arg as _k_tick_pack_arg
 from repro.kernels import tick_pack_post as _k_tick_pack_post
 from repro.kernels import tick_stored_post as _k_tick_stored_post
 from repro.kernels import tick_stored_shift as _k_tick_stored_shift
-from repro.core.witness import extract_witness_matching
+from repro.core.witness import _rescaled_weight, extract_witness_matching
 from repro.matching.augmenting import local_search_matching
 from repro.matching.exact import max_weight_bmatching_exact
 from repro.matching.structures import BMatching
@@ -500,18 +500,6 @@ class DualPrimalMatchingSolver:
         np.maximum.at(dual.x, (g.dst[ids], k), half)
 
     @staticmethod
-    def _rescaled_value(levels: LevelDecomposition, matching: BMatching) -> float:
-        """Matching value in rescaled units (dropped edges contribute 0)."""
-        lv = levels.level[matching.edge_ids]
-        livemask = lv >= 0
-        return float(
-            (
-                levels.level_weight(lv[livemask])
-                * matching.multiplicity[livemask]
-            ).sum()
-        )
-
-    @staticmethod
     def _incidence_mask(levels: LevelDecomposition) -> np.ndarray:
         """Boolean (n, L) mask of the (vertex, level) rows with a live edge.
 
@@ -766,7 +754,7 @@ class _BatchEngine:
         st.best = init.merged
         st.beta = max(
             init.beta0,
-            DualPrimalMatchingSolver._rescaled_value(levels, st.best),
+            _rescaled_weight(levels, st.best),
             1e-12,
         )
         st.history = []
@@ -825,7 +813,7 @@ class _BatchEngine:
                 folded = swapped
         if folded.weight() > st.best.weight():
             st.best = folded
-        st.beta = max(st.beta, solver._rescaled_value(levels, st.best))
+        st.beta = max(st.beta, _rescaled_weight(levels, st.best))
         gap = warm.accept_gap if warm.accept_gap is not None else st.target_gap
         warm_dual = st.dual.copy()
         solver._apply_warm_start(levels, warm_dual, warm)
@@ -907,7 +895,7 @@ class _BatchEngine:
         candidate = self.solver._offline_match(st.graph, pool)
         if candidate.weight() > st.best.weight():
             st.best = candidate
-        beta_prime = DualPrimalMatchingSolver._rescaled_value(st.levels, st.best)
+        beta_prime = _rescaled_weight(st.levels, st.best)
         if beta_prime > st.beta / (1.0 + eps):
             st.beta = beta_prime * (1.0 + eps)
 

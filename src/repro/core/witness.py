@@ -50,6 +50,7 @@ class WitnessReport:
 
 
 def _rescaled_weight(levels: LevelDecomposition, matching: BMatching) -> float:
+    """Matching value in rescaled units (dropped edges contribute 0)."""
     lv = levels.level[matching.edge_ids]
     live = lv >= 0
     return float(
