@@ -260,16 +260,9 @@ class WarmStart:
 
     x: np.ndarray
     pairs: list[tuple[int, int, int]]
-    #: Fast-path acceptance gap.  ``None`` accepts at the config's own
-    #: ``target_gap``; a session that *solves* tighter than it *serves*
-    #: (slack) sets this to the serving gap, so every real solve banks
-    #: certification margin for later warm queries to spend.
-    accept_gap: float | None = None
 
     @classmethod
-    def from_result(
-        cls, result: MatchingResult, accept_gap: float | None = None
-    ) -> "WarmStart":
+    def from_result(cls, result: MatchingResult) -> "WarmStart":
         """Extract the carry-over from a previous :class:`MatchingResult`.
 
         Uses the certificate's *raw* collapsed dual (``dual_x``), not
@@ -285,11 +278,7 @@ class WarmStart:
         ]
         cert = result.certificate
         x = cert.dual_x if cert.dual_x is not None else cert.x
-        return cls(
-            x=np.asarray(x, dtype=np.float64).copy(),
-            pairs=pairs,
-            accept_gap=accept_gap,
-        )
+        return cls(x=np.asarray(x, dtype=np.float64).copy(), pairs=pairs)
 
     def fold_matching(self, graph: Graph) -> BMatching:
         """Surviving previous-matching edges as a b-matching on ``graph``.
@@ -814,7 +803,6 @@ class _BatchEngine:
         if folded.weight() > st.best.weight():
             st.best = folded
         st.beta = max(st.beta, _rescaled_weight(levels, st.best))
-        gap = warm.accept_gap if warm.accept_gap is not None else st.target_gap
         warm_dual = st.dual.copy()
         solver._apply_warm_start(levels, warm_dual, warm)
         cert0 = certify(warm_dual)
@@ -823,7 +811,7 @@ class _BatchEngine:
         cert1 = certify(patched)
         chosen = patched if cert1.upper_bound < cert0.upper_bound else warm_dual
         cert = cert1 if cert1.upper_bound < cert0.upper_bound else cert0
-        if cert.certified_ratio(st.best.weight()) < 1.0 - gap:
+        if cert.certified_ratio(st.best.weight()) < 1.0 - st.target_gap:
             return False
         # carry the UNPATCHED point forward (certify(warm_dual) already
         # collapsed it into cert0): the patch is a per-query shim for

@@ -31,7 +31,7 @@ fingerprint-delta cache invalidation on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,19 +96,15 @@ class DynamicGraphSession:
     warm_start:
         Enable warm-started matching solves (default off: every query
         is then bit-identical to the ``offline`` backend on the current
-        graph -- the mode the turnstile-parity battery pins).
+        graph -- the mode the turnstile-parity battery pins).  Warm and
+        cold solves aim at the same gap, ``config.target_gap`` (``eps``
+        when unset): a warm query ends with zero sampling rounds when
+        the previous duals, lifted, already certify the folded
+        matching within it.
     warm_start_max_edits:
         Edit-distance ceiling for reusing the previous duals; beyond
         it the session solves cold (a large burst invalidates most of
         what the old dual knew anyway).
-    warm_slack:
-        Optional overshoot: how much tighter than the serving target
-        the session's *real* solves aim (``target_gap - warm_slack``),
-        banking certification margin for later warm queries to spend.
-        Default 0 (the 2-opt primal repair usually keeps the fast path
-        hot without it; overshooting makes the occasional real solve
-        pricier).  Only consulted when ``warm_start=True`` -- parity
-        mode never alters the config.
     maintain_sketches:
         Keep the linear sketch battery up to date (required for
         ``query_forest`` / support sampling).
@@ -125,7 +121,6 @@ class DynamicGraphSession:
         seed: int | np.random.Generator | None = None,
         warm_start: bool = False,
         warm_start_max_edits: int = 64,
-        warm_slack: float = 0.0,
         maintain_sketches: bool = True,
         track_weight_classes: bool = True,
         w_min: float = 1.0,
@@ -136,21 +131,6 @@ class DynamicGraphSession:
         self.config = config if config is not None else SolverConfig()
         self.warm_start = bool(warm_start)
         self.warm_start_max_edits = int(warm_start_max_edits)
-        self.warm_slack = float(warm_slack)
-        # serving gap: what every answer is certified against; in warm
-        # mode real solves aim warm_slack tighter to bank margin
-        self._serve_gap = (
-            self.config.target_gap
-            if self.config.target_gap is not None
-            else self.config.eps
-        )
-        if self.warm_start and self.warm_slack > 0.0:
-            self._solve_config = replace(
-                self.config,
-                target_gap=max(self._serve_gap - self.warm_slack, 0.0),
-            )
-        else:
-            self._solve_config = self.config
         self.stats = SessionStats()
         self._state = TurnstileGraphState(n, base_graph=base_graph)
         self._sketches = (
@@ -358,7 +338,7 @@ class DynamicGraphSession:
             self.stats.warm_solves += 1
         else:
             self.stats.cold_solves += 1
-        result = DualPrimalMatchingSolver(self._solve_config).solve(
+        result = DualPrimalMatchingSolver(self.config).solve(
             graph, warm_start=warm
         )
         if warm is not None and result.rounds == 0:
@@ -378,7 +358,7 @@ class DynamicGraphSession:
         memo.result = run_result
         memo.version = self._state.version
         if self.warm_start:
-            self._warm = WarmStart.from_result(result, accept_gap=self._serve_gap)
+            self._warm = WarmStart.from_result(result)
             self._warm_version = self._state.version
         return run_result
 
