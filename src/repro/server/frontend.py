@@ -467,6 +467,14 @@ class MatchingServer:
             )
         except (TypeError, ValueError):
             priority = self.config.default_priority
+        deadline_ms = header.get("deadline_ms", self.config.default_deadline_ms)
+        try:
+            budget_s = float(deadline_ms) / 1e3 if deadline_ms else None
+        except (TypeError, ValueError):
+            st.counters.inc(("responses", "error"))
+            exc = ValueError(f"deadline_ms must be a number, got {deadline_ms!r}")
+            self._spawn(conn.send(_error_header(rid, exc)))
+            return
         if self._stopping:
             self._reject(conn, rid, "shutting_down")
             return
@@ -475,9 +483,8 @@ class MatchingServer:
             return
         st.counters.inc("admitted")
         st.pending += 1
-        deadline_ms = header.get("deadline_ms", self.config.default_deadline_ms)
         now = time.monotonic()
-        deadline = now + float(deadline_ms) / 1e3 if deadline_ms else None
+        deadline = now + budget_s if budget_s is not None else None
         span = None
         if header.get("trace"):
             span = obs.Span(

@@ -282,6 +282,33 @@ class TestAdmissionControl:
         assert header["status"] == "rejected"
         assert header["reason"] == "deadline"
 
+    def test_malformed_deadline_answered_without_taking_a_slot(self):
+        """A non-numeric ``deadline_ms`` gets an error reply; the
+        connection stays open and no admission slot is taken."""
+        from repro.server.codec import encode_problem, join_columns
+
+        problem = make_problem(seed=4)
+        meta, cols = encode_problem(problem)
+        config = ServerConfig(max_pending=4, max_inflight=2)
+        with serve_in_thread(config=config, workers=1, max_delay_s=0.0) as h:
+            for i in range(3):
+                with ServeClient("127.0.0.1", h.port, timeout=60) as c:
+                    frame = {
+                        "op": "solve",
+                        "id": f"bad{i}",
+                        "problem": meta,
+                        "deadline_ms": "soon",
+                    }
+                    c._send(frame, join_columns(cols))
+                    header, _ = c._recv_for(f"bad{i}")
+                    assert header["status"] == "error"
+                    assert "deadline_ms" in header["error"]["message"]
+                    assert c.ping() < 5.0
+            with ServeClient("127.0.0.1", h.port, timeout=60) as c:
+                assert c.stats()["server"]["pending"] == 0
+                result = c.solve(problem)
+        assert result_digest(result) == result_digest(run(problem, "offline"))
+
     def test_late_completion_flagged_not_dropped(self):
         with serve_in_thread(workers=1, max_delay_s=0.0) as h:
             with ServeClient("127.0.0.1", h.port, timeout=120) as c:
