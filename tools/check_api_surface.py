@@ -2,8 +2,9 @@
 """Public-API snapshot gate.
 
 Asserts that the exported surface -- ``repro.__all__``,
-``repro.api.__all__`` and the backend registry contents -- matches the
-checked-in manifest (``tools/api_manifest.json``).  An unreviewed
+``repro.api.__all__``, the ``__all__`` of every ``repro`` subpackage
+and the backend registry contents -- matches the checked-in manifest
+(``tools/api_manifest.json``).  An unreviewed
 export or backend rename fails CI with a diff; an intentional change is
 recorded with ``--update``.
 
@@ -15,7 +16,9 @@ Run from the repo root:
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -25,22 +28,17 @@ MANIFEST_PATH = Path(__file__).resolve().parent / "api_manifest.json"
 def current_surface() -> dict[str, list[str]]:
     import repro
     import repro.api
-    import repro.dynamic
-    import repro.ingest
-    import repro.obs
-    import repro.server
-    import repro.service
 
-    return {
+    surface = {
         "repro.__all__": sorted(repro.__all__),
         "repro.api.__all__": sorted(repro.api.__all__),
-        "repro.dynamic.__all__": sorted(repro.dynamic.__all__),
-        "repro.ingest.__all__": sorted(repro.ingest.__all__),
-        "repro.obs.__all__": sorted(repro.obs.__all__),
-        "repro.server.__all__": sorted(repro.server.__all__),
-        "repro.service.__all__": sorted(repro.service.__all__),
         "backends": repro.api.backend_names(),
     }
+    for info in pkgutil.iter_modules(repro.__path__, "repro."):
+        if info.ispkg:
+            package = importlib.import_module(info.name)
+            surface[f"{info.name}.__all__"] = sorted(package.__all__)
+    return surface
 
 
 def main(argv: list[str]) -> int:
