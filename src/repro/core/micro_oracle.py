@@ -317,9 +317,10 @@ class BatchMicroContext:
         self.eps = eps
 
         # s[i, k] scatter: the dispatched kernel adds all src
-        # contributions first, then all dst.  The VL-sized scratch is cached on the batch: the previous
-        # tick's context (the only holder of the returned buffer) is
-        # dead by the time the next one is built.
+        # contributions first, then all dst.  The VL-sized scratch is
+        # cached on the batch: the previous tick's context (the only
+        # holder of the returned buffer) is dead by the time the next
+        # one is built.
         s_buf = getattr(batch, "_s_scratch", None)
         if s_buf is None or s_buf.size != int(batch.vl_off[-1]):
             s_buf = np.zeros(int(batch.vl_off[-1]), dtype=np.float64)
