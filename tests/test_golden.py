@@ -29,7 +29,9 @@ Cases:
 * the per-edge solver scans on an in-RAM graph that spans two scan
   ranges: discretization, the per-level maximal matchings and their
   merge, the certificate of the initial dual, the audit's violation
-  message, an ``offline`` solve, and a ``semi_streaming`` solve.
+  message, an ``offline`` solve, and a ``semi_streaming`` solve;
+* the two saturating scans whose per-edge multiplicity cap binds: a
+  b-matching initial solution's group merge and a warm start's fold.
 
 The native and numpy kernel backends are bit-identical, so one record
 serves both.  Floats are digested through ``float.hex``; results can
@@ -470,8 +472,87 @@ def scans() -> dict:
     return out
 
 
+def _uncapped_scan(g, order) -> list:
+    """The saturating scan over ``order`` (edge ids, repeats allowed)
+    with no per-edge cap: each visit takes ``min`` of both residuals."""
+    residual = g.b.copy()
+    taken: dict[int, int] = {}
+    for e in order:
+        take = int(min(residual[g.src[e]], residual[g.dst[e]]))
+        if take > 0:
+            taken[e] = taken.get(e, 0) + take
+            residual[g.src[e]] -= take
+            residual[g.dst[e]] -= take
+    return [sorted(taken), [taken[e] for e in sorted(taken)]]
+
+
+def caps() -> dict:
+    """The two scans whose per-edge multiplicity cap binds.
+
+    * The group merge of a b-matching initial solution (Definition 7):
+      each level's matching is merged capped at its multiplicities.
+    * ``WarmStart.fold_matching`` with ``b >= 2``: a carried pair keeps
+      its old multiplicity even where both endpoints could take more.
+
+    Each case asserts that the uncapped scan gives another result, so
+    it fails if its cap is dropped.
+    """
+    from repro.core.initial import build_initial_solution
+    from repro.core.levels import discretize
+    from repro.core.matching_solver import WarmStart
+    from repro.graphgen import (
+        power_law_graph,
+        with_exponential_weights,
+        with_random_capacities,
+    )
+    from repro.util.graph import Graph
+
+    s = 4
+    g = with_random_capacities(
+        with_exponential_weights(power_law_graph(24, seed=s), seed=s + 1),
+        1, 3, seed=s + 2,
+    )
+    init = build_initial_solution(discretize(g, 0.2), seed=3)
+    merged = _bmatching(init.merged)
+    order = [
+        e for k in sorted(init.per_level, reverse=True)
+        for e in init.per_level[k].edge_ids.tolist()
+    ]
+    assert merged != _uncapped_scan(g, order), "merge cap does not bind"
+    out = {
+        "caps:merge": _sha(
+            {
+                "per_level": [[k, _bmatching(mk)] for k, mk in init.per_level.items()],
+                "merged": merged,
+                "beta0": _hex(init.beta0),
+            }
+        )
+    }
+
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)]
+    g = Graph.from_edges(
+        6, edges, [5.0, 4.0, 3.0, 6.0, 2.0, 1.0, 7.0], b=[2, 3, 2, 3, 2, 3]
+    )
+    # (1, 0, 1) is below both residuals (2 and 3); also a pair carried
+    # twice, an oversized multiplicity, a missing edge, an out-of-range
+    # vertex and a self-loop
+    pairs = [(1, 0, 1), (1, 2, 2), (4, 3, 1), (2, 5, 1), (7, 1, 1), (3, 3, 1),
+             (3, 4, 5), (4, 1, 1)]
+    folded = _bmatching(WarmStart(x=np.zeros(6), pairs=pairs).fold_matching(g))
+    eid = {(int(u), int(v)): e for e, (u, v) in enumerate(zip(g.src, g.dst))}
+    order = [
+        eid[key]
+        for key in sorted((min(u, v), max(u, v)) for u, v, _ in pairs)
+        if key in eid
+    ]
+    assert folded != _uncapped_scan(g, order), "fold cap does not bind"
+    out["caps:fold"] = _sha(folded)
+    return out
+
+
 GROUPS = {
     "backends": backends,
+    "caps": caps,
     "file_backed": file_backed,
     "mixed_run_many": mixed_run_many,
     "oracle": oracle,
