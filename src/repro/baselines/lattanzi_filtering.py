@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.matching.maximal import maximal_bmatching_sampled
+from repro.matching.maximal import maximal_bmatching_sampled, summed_bmatching
 from repro.matching.structures import BMatching
 from repro.util.graph import Graph
 from repro.util.instrumentation import ResourceLedger
@@ -64,7 +64,8 @@ def lattanzi_backend_run(
     residual = graph.b.copy()
     if ledger is not None:
         ledger.charge_space(graph.n)  # residual-capacity vector
-    taken: dict[int, int] = {}
+    ids_taken: list[np.ndarray] = []
+    mult_taken: list[np.ndarray] = []
     uniq = np.unique(classes)[::-1]
     children = spawn(rng, len(uniq))
     for t, cls in enumerate(uniq):
@@ -75,18 +76,15 @@ def lattanzi_backend_run(
         if not ((residual[sub.src] > 0) & (residual[sub.dst] > 0)).any():
             continue
         mk = maximal_bmatching_sampled(sub, p=p, seed=children[t], ledger=ledger)
-        for e_sub, mult in zip(mk.edge_ids, mk.multiplicity):
-            e = int(ids[e_sub])
-            i, j = graph.src[e], graph.dst[e]
-            take = min(int(mult), int(residual[i]), int(residual[j]))
-            if take > 0:
-                taken[e] = taken.get(e, 0) + take
-                residual[i] -= take
-                residual[j] -= take
+        # mk is feasible for the residual it was computed against, so it
+        # is taken whole and its loads come off that residual
+        ids_taken.append(ids[mk.edge_ids])
+        mult_taken.append(mk.multiplicity)
+        residual -= mk.vertex_loads()
     if ledger is not None:
         ledger.release_space(graph.n)
-    if not taken:
+    if not ids_taken:
         return BMatching.empty(graph)
-    ids = np.asarray(sorted(taken), dtype=np.int64)
-    mult = np.asarray([taken[int(e)] for e in ids], dtype=np.int64)
-    return BMatching(graph, ids, mult)
+    return summed_bmatching(
+        graph, np.concatenate(ids_taken), np.concatenate(mult_taken)
+    )

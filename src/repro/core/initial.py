@@ -28,7 +28,11 @@ import numpy as np
 
 from repro.core.levels import LevelDecomposition
 from repro.core.relaxations import LayeredDual
-from repro.matching.maximal import maximal_bmatching_sampled
+from repro.matching.maximal import (
+    maximal_bmatching_sampled,
+    saturating_scan,
+    summed_bmatching,
+)
 from repro.matching.structures import BMatching
 from repro.util.instrumentation import ResourceLedger
 from repro.util.rng import make_rng, spawn
@@ -129,10 +133,9 @@ def _per_level_matchings(levels: LevelDecomposition) -> dict[int, BMatching]:
     g = levels.graph
     lvl = levels.level
     level_list = [int(k) for k in levels.nonempty_levels()]
-    residual = {k: g.b.copy() for k in level_list}
-    taken: dict[int, tuple[list[int], list[int]]] = {
-        k: ([], []) for k in level_list
-    }
+    residual = {k: g.b.tolist() for k in level_list}
+    ids: dict[int, list[np.ndarray]] = {k: [] for k in level_list}
+    mult: dict[int, list[np.ndarray]] = {k: [] for k in level_list}
     for start, stop in g.edge_ranges():
         lv_c = lvl[start:stop]
         src_c = np.asarray(g.src[start:stop])
@@ -141,22 +144,11 @@ def _per_level_matchings(levels: LevelDecomposition) -> dict[int, BMatching]:
             sel = np.flatnonzero(lv_c == k)
             if len(sel) == 0:
                 continue
-            res = residual[k]
-            ids_k, mult_k = taken[k]
-            for t in sel.tolist():
-                i, j = src_c[t], dst_c[t]
-                take = min(res[i], res[j])
-                if take > 0:
-                    ids_k.append(start + t)
-                    mult_k.append(int(take))
-                    res[i] -= take
-                    res[j] -= take
+            pos, take = saturating_scan(src_c[sel], dst_c[sel], residual[k])
+            ids[k].append(start + sel[pos])
+            mult[k].append(take)
     return {
-        k: BMatching(
-            g,
-            np.asarray(taken[k][0], dtype=np.int64),
-            np.asarray(taken[k][1], dtype=np.int64),
-        )
+        k: BMatching(g, np.concatenate(ids[k]), np.concatenate(mult[k]))
         for k in level_list
     }
 
@@ -166,25 +158,17 @@ def _merge_by_groups(
 ) -> BMatching:
     """Definitions 6-7: merge per-level matchings, heaviest group first.
 
-    Edges are added while residual capacity remains; the blocking
-    argument (Claim 1) bounds the weight lost to earlier groups.
+    Each edge is added, at most at its level's multiplicity, while
+    residual capacity remains; the blocking argument (Claim 1) bounds
+    the weight lost to earlier groups.
     """
     g = levels.graph
-    residual = g.b.copy()
-    taken: dict[int, int] = {}
-    # iterate levels in descending order (groups are consecutive level
-    # blocks, so descending levels == ascending group index)
-    for k in sorted(per_level, reverse=True):
-        mk = per_level[k]
-        for e, mult in zip(mk.edge_ids, mk.multiplicity):
-            i, j = g.src[e], g.dst[e]
-            take = min(int(mult), int(residual[i]), int(residual[j]))
-            if take > 0:
-                taken[int(e)] = taken.get(int(e), 0) + take
-                residual[i] -= take
-                residual[j] -= take
-    if not taken:
+    if not per_level:
         return BMatching.empty(g)
-    ids = np.asarray(sorted(taken), dtype=np.int64)
-    mult = np.asarray([taken[int(e)] for e in ids], dtype=np.int64)
-    return BMatching(g, ids, mult)
+    # descending levels == ascending group index (groups are consecutive
+    # level blocks)
+    parts = [per_level[k] for k in sorted(per_level, reverse=True)]
+    ids = np.concatenate([mk.edge_ids for mk in parts])
+    cap = np.concatenate([mk.multiplicity for mk in parts])
+    pos, takes = saturating_scan(g.src[ids], g.dst[ids], g.b.tolist(), cap)
+    return summed_bmatching(g, ids[pos], takes)

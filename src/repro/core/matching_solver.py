@@ -72,6 +72,7 @@ from repro.kernels import tick_stored_shift as _k_tick_stored_shift
 from repro.core.witness import _rescaled_weight, extract_witness_matching
 from repro.matching.augmenting import local_search_matching
 from repro.matching.exact import max_weight_bmatching_exact
+from repro.matching.maximal import saturating_scan, summed_bmatching
 from repro.matching.structures import BMatching
 from repro.sparsify.deferred import DeferredSparsifierChain
 from repro.util.graph import Graph, edge_key
@@ -287,33 +288,23 @@ class WarmStart:
         are clipped to the remaining vertex capacities in deterministic
         (canonical edge key) order, so the result is always feasible.
         """
-        if not self.pairs:
+        if graph.m == 0:
             return BMatching.empty(graph)
+        pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 3)
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        ok = (lo >= 0) & (lo < hi) & (hi < graph.n)
+        want = edge_key(lo[ok], hi[ok], graph.n)
+        first = np.argsort(want, kind="stable")
+        want, cap = want[first], pairs[ok, 2][first]
         keys = graph.edge_keys()
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        residual = graph.b.copy()
-        taken: dict[int, int] = {}
-        for u, v, mult in sorted(
-            self.pairs, key=lambda t: (min(t[0], t[1]), max(t[0], t[1]))
-        ):
-            if not (0 <= u < graph.n and 0 <= v < graph.n) or u == v:
-                continue
-            key = int(edge_key(u, v, graph.n))
-            pos = int(np.searchsorted(sorted_keys, key))
-            if pos >= len(sorted_keys) or int(sorted_keys[pos]) != key:
-                continue
-            e = int(order[pos])
-            take = min(int(mult), int(residual[graph.src[e]]), int(residual[graph.dst[e]]))
-            if take > 0:
-                taken[e] = taken.get(e, 0) + take
-                residual[graph.src[e]] -= take
-                residual[graph.dst[e]] -= take
-        if not taken:
-            return BMatching.empty(graph)
-        ids = np.asarray(sorted(taken), dtype=np.int64)
-        mult = np.asarray([taken[int(e)] for e in ids], dtype=np.int64)
-        return BMatching(graph, ids, mult)
+        by_key = np.argsort(keys, kind="stable")
+        at = by_key[np.minimum(np.searchsorted(keys[by_key], want), graph.m - 1)]
+        hit = keys[at] == want
+        ids = at[hit]
+        left = graph.b.tolist()
+        pos, takes = saturating_scan(graph.src[ids], graph.dst[ids], left, cap[hit])
+        return summed_bmatching(graph, ids[pos], takes)
 
 
 class DualPrimalMatchingSolver:
@@ -445,26 +436,14 @@ class DualPrimalMatchingSolver:
         weight before the fast-path certificate is checked.  Only adds
         edges, so feasibility and weight are monotone.
         """
-        residual = graph.b.copy()
-        loads = matching.vertex_loads()
-        residual -= loads
-        taken = {
-            int(e): int(m)
-            for e, m in zip(matching.edge_ids, matching.multiplicity)
-        }
         order = np.argsort(-graph.weight, kind="stable")
-        for e in order.tolist():
-            i, j = graph.src[e], graph.dst[e]
-            take = min(int(residual[i]), int(residual[j]))
-            if take > 0:
-                taken[e] = taken.get(e, 0) + take
-                residual[i] -= take
-                residual[j] -= take
-        if not taken:
-            return BMatching.empty(graph)
-        ids = np.asarray(sorted(taken), dtype=np.int64)
-        mult = np.asarray([taken[int(e)] for e in ids], dtype=np.int64)
-        return BMatching(graph, ids, mult)
+        left = (graph.b - matching.vertex_loads()).tolist()
+        pos, takes = saturating_scan(graph.src[order], graph.dst[order], left)
+        return summed_bmatching(
+            graph,
+            np.concatenate([matching.edge_ids, order[pos]]),
+            np.concatenate([matching.multiplicity, takes]),
+        )
 
     @staticmethod
     def _cover_patch(levels: LevelDecomposition, dual: LayeredDual) -> None:

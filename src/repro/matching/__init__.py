@@ -1,11 +1,6 @@
 """Offline matching substrate: greedy, maximal, local search, exact, verify."""
 
 from repro.matching.augmenting import local_search_matching, two_opt_pass
-from repro.matching.bmatching import (
-    bmatching_local_search,
-    capacitated_bmatching_greedy,
-    round_fractional_bmatching,
-)
 from repro.matching.exact import (
     enumerate_odd_sets,
     max_weight_bmatching_exact,
@@ -33,9 +28,6 @@ __all__ = [
     "is_maximal",
     "local_search_matching",
     "two_opt_pass",
-    "bmatching_local_search",
-    "capacitated_bmatching_greedy",
-    "round_fractional_bmatching",
     "max_weight_matching_exact",
     "max_weight_bmatching_exact",
     "enumerate_odd_sets",

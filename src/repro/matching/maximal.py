@@ -7,6 +7,13 @@ Lattanzi-et-al. filtering baseline [25] and the paper's initial dual
 solution (Lemma 12 via Lemma 20): each level's maximal b-matching tells
 us which vertices must carry dual mass.
 
+:func:`saturating_scan` is the one scan that builds them: the greedy
+and maximal b-matchings, the per-level matchings of the initial
+solution and their group merge (Definition 7), and a warm start's fold
+and completion all call it, the merge and the fold with a per-edge
+multiplicity cap.  :func:`summed_bmatching` turns the takes of such a
+scan into a b-matching when an edge may be visited more than once.
+
 :func:`maximal_bmatching_sampled` implements Lemma 20's iterative
 sampling loop: sample ``O(n^{1+1/p})`` edges uniformly, extend the
 maximal b-matching within the sample, drop edges with both endpoints
@@ -16,6 +23,8 @@ by ``n^{1/p}`` per round, so ``O(p)`` rounds suffice.
 
 from __future__ import annotations
 
+from itertools import count, repeat
+
 import numpy as np
 
 from repro.matching.structures import BMatching
@@ -24,10 +33,52 @@ from repro.util.instrumentation import ResourceLedger
 from repro.util.rng import make_rng
 
 __all__ = [
+    "saturating_scan",
+    "summed_bmatching",
     "maximal_bmatching",
     "is_maximal",
     "maximal_bmatching_sampled",
 ]
+
+
+def saturating_scan(
+    src: np.ndarray,
+    dst: np.ndarray,
+    residual: list[int],
+    cap: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Take the edges ``(src[t], dst[t])`` in order, each as often as fits.
+
+    Edge ``t`` is taken with multiplicity ``min(residual[src[t]],
+    residual[dst[t]])``, lowered to ``cap[t]`` when a cap is given, so
+    an uncapped take saturates at least one endpoint.  ``residual`` is
+    a list of per-vertex residual capacities, updated in place.  Returns
+    the positions ``t`` with a positive take and those takes, in scan
+    order.
+    """
+    caps = repeat(np.inf) if cap is None else np.asarray(cap).tolist()
+    ends = zip(count(), np.asarray(src).tolist(), np.asarray(dst).tolist(), caps)
+    pos: list[int] = []
+    takes: list[int] = []
+    for t, i, j, c in ends:
+        ri, rj = residual[i], residual[j]
+        take = ri if ri < rj else rj
+        if c < take:
+            take = c
+        if take > 0:
+            pos.append(t)
+            takes.append(take)
+            residual[i] -= take
+            residual[j] -= take
+    return np.asarray(pos, dtype=np.int64), np.asarray(takes, dtype=np.int64)
+
+
+def summed_bmatching(graph: Graph, edge_ids: np.ndarray, takes: np.ndarray) -> BMatching:
+    """The b-matching taking each edge the sum of its takes, ids ascending."""
+    ids, slot = np.unique(np.asarray(edge_ids, dtype=np.int64), return_inverse=True)
+    mult = np.zeros(len(ids), dtype=np.int64)
+    np.add.at(mult, slot, np.asarray(takes, dtype=np.int64))
+    return BMatching(graph, ids, mult)
 
 
 def maximal_bmatching(
@@ -38,27 +89,15 @@ def maximal_bmatching(
     """Maximal b-matching by a single scan in the given (or input) order.
 
     ``residual`` optionally continues from an existing partial matching's
-    residual capacities (used by the level-merging of Lemma 21 and by the
-    sampled construction below); it is mutated in place.
+    residual capacities (used by the sampled construction below); it is
+    updated in place.  The matching lists its edges in scan order.
     """
-    if order is None:
-        order = np.arange(graph.m)
-    if residual is None:
-        residual = graph.b.copy()
-    taken: list[int] = []
-    mult: list[int] = []
-    src, dst = graph.src, graph.dst
-    for e in order:
-        i, j = src[e], dst[e]
-        take = min(residual[i], residual[j])
-        if take > 0:
-            taken.append(int(e))
-            mult.append(int(take))
-            residual[i] -= take
-            residual[j] -= take
-    return BMatching(
-        graph, np.asarray(taken, dtype=np.int64), np.asarray(mult, dtype=np.int64)
-    )
+    order = np.arange(graph.m) if order is None else np.asarray(order, dtype=np.int64)
+    left = (graph.b if residual is None else residual).tolist()
+    pos, takes = saturating_scan(graph.src[order], graph.dst[order], left)
+    if residual is not None:
+        residual[:] = left
+    return BMatching(graph, order[pos], takes)
 
 
 def is_maximal(matching: BMatching) -> bool:
