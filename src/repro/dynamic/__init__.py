@@ -11,7 +11,7 @@ opens that workload:
   warm-started from the previous query's verified duals.
 * :class:`~repro.dynamic.state.TurnstileGraphState` /
   :class:`~repro.dynamic.state.DynamicSketchState` -- the exact edge
-  map and the incrementally maintained sketch battery.
+  map and the incrementally maintained incidence sketch.
 * :mod:`~repro.dynamic.updates` -- the canonical, JSON-fingerprintable
   update-log encoding.
 * :class:`~repro.dynamic.backend.DynamicBackend` -- ``dynamic`` in the

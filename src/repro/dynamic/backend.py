@@ -44,11 +44,6 @@ class DynamicBackend(Backend):
     ``updates``
         The canonical update log (default: empty -- the problem then
         degenerates to its base graph).
-
-    The replay session runs lean: weight-class/support sketches are
-    never maintained (the matching task needs the exact map anyway and
-    the forest task only needs the incidence sketches), so arbitrary
-    positive weights are accepted.
     """
 
     tasks = ("matching", "spanning_forest")
@@ -64,8 +59,6 @@ class DynamicBackend(Backend):
             # sketches are the forest task's entire substance; matching
             # runs skip them (the solver needs the exact map anyway)
             maintain_sketches=forest_task,
-            track_weight_classes=False,
-            support_rows=0,
         )
         session.apply(updates)
         if forest_task:

@@ -6,7 +6,7 @@ paper's sketches was always promising: interleave ``insert`` / ``delete``
 ``query_forest()`` at any point, with no stream re-reads.
 
 * Updates are O(1) amortized into the exact edge map and one vectorized
-  ±1 frequency update into the linear sketch battery
+  ±1 frequency update into the linear incidence sketch
   (:class:`~repro.dynamic.state.DynamicSketchState`).
 * ``query_forest`` decodes the *current sketch state* (sketch-Boruvka)
   -- by linearity, bit-identical to a one-shot sketch build over the
@@ -88,7 +88,7 @@ class DynamicGraphSession:
         Vertex count (fixed for the session's lifetime).
     config:
         :class:`~repro.core.matching_solver.SolverConfig` for matching
-        queries; ``config.seed`` also seeds the sketch battery unless
+        queries; ``config.seed`` also seeds the incidence sketch unless
         ``seed`` overrides it.
     base_graph:
         Optional starting graph (its ``b`` vector, if any, carries
@@ -106,10 +106,10 @@ class DynamicGraphSession:
         it the session solves cold (a large burst invalidates most of
         what the old dual knew anyway).
     maintain_sketches:
-        Keep the linear sketch battery up to date (required for
-        ``query_forest`` / support sampling).
-    track_weight_classes, w_min, w_max, repetitions, support_rows:
-        Forwarded to :class:`~repro.dynamic.state.DynamicSketchState`.
+        Keep the linear incidence sketch up to date (required for
+        ``query_forest``).
+
+    Any positive finite edge weight is accepted.
     """
 
     def __init__(
@@ -122,11 +122,6 @@ class DynamicGraphSession:
         warm_start: bool = False,
         warm_start_max_edits: int = 64,
         maintain_sketches: bool = True,
-        track_weight_classes: bool = True,
-        w_min: float = 1.0,
-        w_max: float = 2.0**40,
-        repetitions: int = 8,
-        support_rows: int = 4,
     ):
         self.config = config if config is not None else SolverConfig()
         self.warm_start = bool(warm_start)
@@ -135,13 +130,7 @@ class DynamicGraphSession:
         self._state = TurnstileGraphState(n, base_graph=base_graph)
         self._sketches = (
             DynamicSketchState(
-                n,
-                seed=seed if seed is not None else self.config.seed,
-                repetitions=repetitions,
-                track_weight_classes=track_weight_classes,
-                w_min=w_min,
-                w_max=w_max,
-                support_rows=support_rows,
+                n, seed=seed if seed is not None else self.config.seed
             )
             if maintain_sketches
             else None
@@ -153,13 +142,10 @@ class DynamicGraphSession:
         self._warm: WarmStart | None = None
         self._warm_version: int = -1
         if base_graph is not None and self._sketches is not None and base_graph.m:
-            # one +1 per base edge: the sketch battery starts cell-identical
-            # to a one-shot build over the base graph
+            # one +1 per base edge: the sketch starts cell-identical to a
+            # one-shot build over the base graph
             self._sketches.apply_updates(
-                base_graph.src,
-                base_graph.dst,
-                base_graph.weight,
-                np.ones(base_graph.m, dtype=np.int64),
+                base_graph.src, base_graph.dst, np.ones(base_graph.m, dtype=np.int64)
             )
 
     # ------------------------------------------------------------------
@@ -202,36 +188,20 @@ class DynamicGraphSession:
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def _check_weights(self, w: np.ndarray) -> None:
-        if self._sketches is not None:
-            self._sketches.check_weights(w)
-
     def insert(self, u: int, v: int, w: float = 1.0) -> None:
         """Insert edge ``{u, v}`` (strict: duplicate inserts raise)."""
-        self._check_weights(np.asarray([float(w)]))  # before any mutation
         key = self._state.insert(u, v, w)
         self.stats.inserts += 1
         if self._sketches is not None:
-            self._sketches.apply_updates(
-                np.asarray([key[0]]),
-                np.asarray([key[1]]),
-                np.asarray([float(w)]),
-                np.asarray([1]),
-            )
+            self._sketches.apply_updates([key[0]], [key[1]], [1])
 
     def delete(self, u: int, v: int) -> None:
-        """Delete edge ``{u, v}`` (strict: absent deletes raise).  The
-        stored weight cancels the matching insert in every sketch."""
+        """Delete edge ``{u, v}`` (strict: absent deletes raise)."""
         key = self._state.validate_delete(u, v)  # canonical key, one place
-        w = self._state.delete(*key)
+        self._state.delete(*key)
         self.stats.deletes += 1
         if self._sketches is not None:
-            self._sketches.apply_updates(
-                np.asarray([key[0]]),
-                np.asarray([key[1]]),
-                np.asarray([w]),
-                np.asarray([-1]),
-            )
+            self._sketches.apply_updates([key[0]], [key[1]], [-1])
 
     def insert_many(
         self,
@@ -242,8 +212,8 @@ class DynamicGraphSession:
         """Burst insert: one vectorized sketch update for the burst.
 
         Atomic: the whole burst (strictness, intra-burst duplicates,
-        weight range) is validated before anything mutates, so a
-        failing event cannot leave a half-applied prefix behind.
+        weights) is validated before anything mutates, so a failing
+        event cannot leave a half-applied prefix behind.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -258,21 +228,19 @@ class DynamicGraphSession:
                 raise ValueError(f"edge {key} appears twice in one insert burst")
             seen.add(key)
             keys.append(key)
-        self._check_weights(ww)
         for key, wt in zip(keys, ww):
             self._state.insert(key[0], key[1], float(wt))
         self.stats.inserts += len(keys)
         if self._sketches is not None and keys:
             self._sketches.apply_updates(
-                np.asarray([k[0] for k in keys]),
-                np.asarray([k[1] for k in keys]),
-                ww,
+                [k[0] for k in keys],
+                [k[1] for k in keys],
                 np.ones(len(keys), dtype=np.int64),
             )
 
     def delete_many(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Burst delete: weights looked up per edge, one vectorized
-        negative-frequency sketch update for the whole burst.
+        """Burst delete: one vectorized negative-frequency sketch update
+        for the whole burst.
 
         Atomic, like :meth:`insert_many`: validation precedes mutation.
         """
@@ -288,14 +256,14 @@ class DynamicGraphSession:
                 raise ValueError(f"edge {key} appears twice in one delete burst")
             seen.add(key)
             keys.append(key)
-        removed = [(k[0], k[1], self._state.delete(k[0], k[1])) for k in keys]
-        self.stats.deletes += len(removed)
-        if self._sketches is not None and removed:
+        for key in keys:
+            self._state.delete(*key)
+        self.stats.deletes += len(keys)
+        if self._sketches is not None and keys:
             self._sketches.apply_updates(
-                np.asarray([r[0] for r in removed]),
-                np.asarray([r[1] for r in removed]),
-                np.asarray([r[2] for r in removed]),
-                np.full(len(removed), -1, dtype=np.int64),
+                [k[0] for k in keys],
+                [k[1] for k in keys],
+                np.full(len(keys), -1, dtype=np.int64),
             )
 
     def apply(self, updates) -> None:

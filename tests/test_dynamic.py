@@ -242,14 +242,11 @@ class TestDynamicSketchState:
         st = DynamicSketchState(8, seed=1)
         u = np.asarray([0, 1, 2])
         v = np.asarray([3, 4, 5])
-        w = np.asarray([1.0, 2.0, 4.0])
-        st.apply_updates(u, v, w, np.ones(3, dtype=np.int64))
+        st.apply_updates(u, v, np.ones(3, dtype=np.int64))
         assert not st.looks_empty()
-        st.apply_updates(u, v, w, np.full(3, -1, dtype=np.int64))
+        st.apply_updates(u, v, np.full(3, -1, dtype=np.int64))
         assert st.looks_empty()
         assert st.forest() == []
-        assert st.sample_edge() is None
-        assert st.top_weight_class() is None
 
     def test_forest_matches_fresh_build(self):
         rng = np.random.default_rng(9)
@@ -258,34 +255,19 @@ class TestDynamicSketchState:
         pairs = sorted((min(p), max(p)) for p in pairs)
         u = np.asarray([p[0] for p in pairs])
         v = np.asarray([p[1] for p in pairs])
-        w = np.ones(len(pairs))
         grown = DynamicSketchState(n, seed=42)
         # two waves with an intervening deletion of the first wave
-        grown.apply_updates(u, v, w, np.ones(len(pairs), dtype=np.int64))
-        grown.apply_updates(u[:10], v[:10], w[:10], np.full(10, -1, dtype=np.int64))
-        grown.apply_updates(u[:10], v[:10], w[:10], np.ones(10, dtype=np.int64))
+        grown.apply_updates(u, v, np.ones(len(pairs), dtype=np.int64))
+        grown.apply_updates(u[:10], v[:10], np.full(10, -1, dtype=np.int64))
+        grown.apply_updates(u[:10], v[:10], np.ones(10, dtype=np.int64))
         fresh = DynamicSketchState(n, seed=42)
-        fresh.apply_updates(u, v, w, np.ones(len(pairs), dtype=np.int64))
+        fresh.apply_updates(u, v, np.ones(len(pairs), dtype=np.int64))
         assert grown.forest() == fresh.forest()
 
-    def test_support_sampler_returns_live_edge(self):
-        st = DynamicSketchState(8, seed=2)
-        st.apply_updates(
-            np.asarray([1]), np.asarray([6]), np.asarray([3.0]), np.asarray([1])
-        )
-        assert st.sample_edge() == (1, 6)
-
-    def test_disabled_components_raise(self):
-        st = DynamicSketchState(4, seed=0, track_weight_classes=False, support_rows=0)
-        with pytest.raises(RuntimeError):
-            st.top_weight_class()
-        with pytest.raises(RuntimeError):
-            st.sample_edge()
-
     def test_space_words_accounts_all_components(self):
-        full = DynamicSketchState(8, seed=0)
-        bare = DynamicSketchState(8, seed=0, track_weight_classes=False, support_rows=0)
-        assert full.space_words() > bare.space_words() > 0
+        """The incidence tensor is the state's only component."""
+        st = DynamicSketchState(8, seed=0)
+        assert st.space_words() == st.incidence.space_words() > 0
 
 
 # ======================================================================
@@ -367,17 +349,18 @@ class TestDynamicGraphSession:
         assert sess.sketches.looks_empty()
 
     def test_out_of_range_weight_rejected_before_mutation(self):
-        """With weight classes tracked, a weight outside [w_min, w_max]
-        must fail at the insert (not poison a later deferred flush)."""
-        sess = self.make_session(w_min=1.0, w_max=64.0)
-        with pytest.raises(ValueError, match="declared class range"):
-            sess.insert(0, 1, 0.5)
+        """A weight that is not positive and finite fails at the insert
+        (not at a later deferred flush); any other weight is accepted."""
+        sess = self.make_session()
+        for bad in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                sess.insert(0, 1, bad)
+            with pytest.raises(ValueError, match="positive and finite"):
+                sess.insert_many(np.asarray([2, 0]), np.asarray([3, 1]), [1.0, bad])
         assert sess.m == 0 and sess.version == 0
-        sess.insert(0, 1, 2.0)  # session still fully usable
-        assert sess.query_forest().forest == [(0, 1)]
-        untracked = self.make_session(track_weight_classes=False)
-        untracked.insert(0, 1, 0.5)  # arbitrary positive weights fine
-        assert untracked.query_forest().forest == [(0, 1)]
+        sess.insert(0, 1, 0.5)  # session still fully usable
+        sess.insert(2, 3, 2.0**50)
+        assert sorted(sess.query_forest().forest) == [(0, 1), (2, 3)]
 
     def test_empty_graph_capacities_not_aliased(self):
         base = Graph.empty(3, b=np.asarray([2, 2, 2]))

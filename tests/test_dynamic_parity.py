@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from repro.api import Problem, run
 from repro.core.matching_solver import SolverConfig
 from repro.dynamic import DynamicGraphSession, canonical_updates
+from repro.graphgen import gnm_graph, with_uniform_weights
 from repro.streaming import DynamicEdgeStream, dynamic_stream_spanning_forest
 from repro.util.graph import Graph
 
@@ -302,6 +303,32 @@ class TestDynamicBackend:
             (stream.insert if ev[0] == "+" else stream.delete)(ev[1], ev[2])
         assert res.forest == dynamic_stream_spanning_forest(stream, seed=11)
         assert sorted(res.forest) == [(0, 1), (3, 4)]
+
+    def test_default_session_matches_offline_and_backend_ledgers(self):
+        """A default session keeps only the sketch its queries read: it
+        takes a weight below 1, its matching equals ``offline`` on the
+        final graph, and its forest (ledger included) equals the
+        ``dynamic`` backend's on the same log."""
+        g = with_uniform_weights(gnm_graph(64, 200, seed=5), 1.0, 32.0, seed=6)
+        log = [("+", int(u), int(v), float(w)) for u, v, w in g.edges()]
+        log += [("-", log[0][1], log[0][2]), ("+", log[0][1], log[0][2], 0.5)]
+        cfg = SolverConfig(seed=5, **FAST)
+        sess = DynamicGraphSession(g.n, config=cfg)
+        sess.apply(canonical_updates(log))
+        off = run(Problem(materialize(g.n, log), config=cfg), backend="offline")
+        assert_bit_identical(sess.query_matching(), off)
+        backend = run(
+            Problem(
+                Graph.empty(g.n),
+                config=cfg,
+                task="spanning_forest",
+                options={"updates": canonical_updates(log)},
+            ),
+            backend="dynamic",
+        )
+        forest = sess.query_forest()
+        assert forest.forest == backend.forest
+        assert forest.ledger == backend.ledger
 
     def test_backend_problem_is_fingerprintable(self):
         p1 = Problem(
