@@ -7,9 +7,9 @@ of one): each instance keeps its own control flow (rounds, Lagrangian
 searches, witness aborts), but the elementwise array math of every
 concurrent inner step executes on concatenated buffers, amortizing
 numpy dispatch overhead across the batch.  This module holds the shared
-layout those buffers use, plus the segment reductions that make every
-instance's results *bit-identical* whatever else shares its batch --
-and identical to the standalone-array semantics of
+layout those buffers use; the discipline below keeps every instance's
+results *bit-identical* whatever else shares its batch -- and identical
+to the standalone-array semantics of
 :class:`~repro.core.relaxations.LayeredDual`, whose ``x`` is one
 instance's ``(n, L)`` plane of the VL space.
 :func:`~repro.core.micro_oracle.micro_oracle` evaluates Algorithm 5 on
@@ -64,10 +64,7 @@ from repro import obs
 from repro.core.levels import LevelDecomposition, discretize
 from repro.core.relaxations import LayeredDual, z_cover_add
 from repro.kernels import gather_add2 as _k_gather_add2
-from repro.kernels import seg_max as _k_seg_max
-from repro.kernels import seg_min as _k_seg_min
 from repro.kernels import seg_ratio_min as _k_seg_ratio_min
-from repro.kernels import seg_sum as _k_seg_sum
 from repro.util.graph import Graph
 
 __all__ = [
@@ -75,25 +72,8 @@ __all__ = [
     "DualBatch",
     "StoredBatchLayout",
     "z_cover_add",
-    "seg_sum",
-    "seg_min",
-    "seg_max",
     "expand",
 ]
-
-
-# ----------------------------------------------------------------------
-# Segment primitives
-# ----------------------------------------------------------------------
-# Per-segment reductions with reference-exact rounding, dispatched to
-# the selected kernel backend.  ``seg_sum`` reproduces numpy's pairwise
-# summation tree for a standalone array of each segment's length
-# (``reduceat`` would sum strictly left-to-right and round differently);
-# the min/max reductions are order-independent.  ``idx`` restricts to a
-# subset of segments.
-seg_sum = _k_seg_sum
-seg_min = _k_seg_min
-seg_max = _k_seg_max
 
 
 def expand(per_instance: np.ndarray, counts: np.ndarray) -> np.ndarray:

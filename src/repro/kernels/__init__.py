@@ -73,9 +73,6 @@ pow_from_table = _impl.pow_from_table
 sum_mod_p = _impl.sum_mod_p
 sketch_ingest = _impl.sketch_ingest
 decode_planes = _impl.decode_planes
-seg_sum = _impl.seg_sum
-seg_min = _impl.seg_min
-seg_max = _impl.seg_max
 gather_add2 = _impl.gather_add2
 seg_ratio_min = _impl.seg_ratio_min
 seg_ratio_max = _impl.seg_ratio_max

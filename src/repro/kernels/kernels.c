@@ -227,10 +227,6 @@ static double pw_sum(const double *a, int64_t n) {
     return pw_sum(a, n2) + pw_sum(a + n2, n - n2);
 }
 
-void rk_pairwise_sum(const double *a, const int64_t *off, int64_t nseg, double *out) {
-    for (int64_t s = 0; s < nseg; s++) out[s] = pw_sum(a + off[s], off[s + 1] - off[s]);
-}
-
 /* ------------------------------------------------------------------ */
 /* Segment / scatter / gather primitives                               */
 /* ------------------------------------------------------------------ */
@@ -238,27 +234,6 @@ void rk_pairwise_sum(const double *a, const int64_t *off, int64_t nseg, double *
 void rk_gather_add2(const double *buf, const int64_t *ia, const int64_t *ib,
                     double *out, int64_t n) {
     for (int64_t i = 0; i < n; i++) out[i] = buf[ia[i]] + buf[ib[i]];
-}
-
-void rk_seg_sum(const double *v, const int64_t *off, const int64_t *idx,
-                int64_t nidx, double *out) {
-    for (int64_t t = 0; t < nidx; t++) {
-        int64_t s = idx[t];
-        out[t] = pw_sum(v + off[s], off[s + 1] - off[s]);
-    }
-}
-
-void rk_seg_minmax(const double *v, const int64_t *off, const int64_t *idx,
-                   int64_t nidx, int64_t ismax, double *out) {
-    for (int64_t t = 0; t < nidx; t++) {
-        int64_t s = idx[t];
-        double m = v[off[s]];
-        for (int64_t j = off[s] + 1; j < off[s + 1]; j++) {
-            double x = v[j];
-            if (ismax ? (x > m) : (x < m)) m = x;
-        }
-        out[t] = m;
-    }
 }
 
 /* per-segment min/max of cov/wk; each element's ratio is the exact

@@ -57,8 +57,6 @@ _sig(
     c_int64, c_int64, c_int64, c_int64, c_void_p, c_void_p,
 )
 _sig("rk_gather_add2", None, c_void_p, c_void_p, c_void_p, c_void_p, c_int64)
-_sig("rk_seg_sum", None, c_void_p, c_void_p, c_void_p, c_int64, c_void_p)
-_sig("rk_seg_minmax", None, c_void_p, c_void_p, c_void_p, c_int64, c_int64, c_void_p)
 _sig(
     "rk_seg_ratio_minmax", None,
     c_void_p, c_void_p, c_void_p, c_void_p, c_int64, c_int64, c_void_p,
@@ -222,33 +220,6 @@ def decode_planes(s0, s1, fp, z, universe: int) -> list[tuple[int, int] | None]:
 # ----------------------------------------------------------------------
 # Segment / scatter / gather primitives
 # ----------------------------------------------------------------------
-def _idx_arr(off, idx) -> np.ndarray:
-    if idx is None:
-        return np.arange(len(off) - 1, dtype=_I64)
-    return _c(idx, _I64)
-
-
-def seg_sum(values, off, idx=None) -> np.ndarray:
-    ids = _idx_arr(off, idx)
-    out = np.empty(len(ids), dtype=_F64)
-    _lib.rk_seg_sum(_pm(values), _pm(off), _pm(ids), len(ids), _p(out))
-    return out
-
-
-def seg_min(values, off, idx=None) -> np.ndarray:
-    ids = _idx_arr(off, idx)
-    out = np.empty(len(ids), dtype=_F64)
-    _lib.rk_seg_minmax(_pm(values), _pm(off), _pm(ids), len(ids), 0, _p(out))
-    return out
-
-
-def seg_max(values, off, idx=None) -> np.ndarray:
-    ids = _idx_arr(off, idx)
-    out = np.empty(len(ids), dtype=_F64)
-    _lib.rk_seg_minmax(_pm(values), _pm(off), _pm(ids), len(ids), 1, _p(out))
-    return out
-
-
 def gather_add2(buf, idx_a, idx_b) -> np.ndarray:
     out = np.empty(len(idx_a), dtype=_F64)
     _lib.rk_gather_add2(_pm(buf), _pm(idx_a), _pm(idx_b), _p(out), len(idx_a))

@@ -237,24 +237,6 @@ def decode_planes(
 # ----------------------------------------------------------------------
 # Segment / scatter / gather primitives (batched solver)
 # ----------------------------------------------------------------------
-def seg_sum(values: np.ndarray, off: np.ndarray, idx=None) -> np.ndarray:
-    """Per-segment sums with reference-exact (pairwise) rounding."""
-    ids = range(len(off) - 1) if idx is None else idx
-    return np.array([values[off[i] : off[i + 1]].sum() for i in ids])
-
-
-def seg_min(values: np.ndarray, off: np.ndarray, idx=None) -> np.ndarray:
-    """Per-segment minima (order-independent, safe to take per slice)."""
-    ids = range(len(off) - 1) if idx is None else idx
-    return np.array([values[off[i] : off[i + 1]].min() for i in ids])
-
-
-def seg_max(values: np.ndarray, off: np.ndarray, idx=None) -> np.ndarray:
-    """Per-segment maxima (order-independent)."""
-    ids = range(len(off) - 1) if idx is None else idx
-    return np.array([values[off[i] : off[i + 1]].max() for i in ids])
-
-
 def gather_add2(buf: np.ndarray, idx_a: np.ndarray, idx_b: np.ndarray) -> np.ndarray:
     """``buf[idx_a] + buf[idx_b]`` (edge coverage gather)."""
     return buf[idx_a] + buf[idx_b]

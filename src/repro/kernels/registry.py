@@ -41,9 +41,6 @@ KERNEL_CONTRACTS: dict[str, str] = {
     "decode_planes": "identical decode results (same cell scan order, "
     "python floor-division semantics, same fingerprint check)",
     # segment / scatter / gather primitives
-    "seg_sum": _EXACT_F64_PW,
-    "seg_min": _EXACT_F64,
-    "seg_max": _EXACT_F64,
     "gather_add2": _EXACT_F64,
     "seg_ratio_min": _EXACT_F64,
     "seg_ratio_max": _EXACT_F64,

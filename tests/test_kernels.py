@@ -302,27 +302,6 @@ SEG_LENS = [1, 2, 7, 8, 9, 17, 127, 128, 129, 1000, 4096]
 
 
 @needs_native
-def test_seg_sum_parity():
-    f_np, f_c = impls("seg_sum")
-    rng = np.random.default_rng(41)
-    vals, off = _segments(rng, SEG_LENS + [0, 3])  # trailing empty segment
-    assert_bitequal(f_np(vals, off), f_c(vals, off))
-    idx = np.array([0, 5, 11, 2], dtype=np.int64)
-    assert_bitequal(f_np(vals, off, idx), f_c(vals, off, idx))
-
-
-@needs_native
-def test_seg_min_max_parity():
-    rng = np.random.default_rng(42)
-    vals, off = _segments(rng, SEG_LENS)
-    for name in ("seg_min", "seg_max"):
-        f_np, f_c = impls(name)
-        assert_bitequal(f_np(vals, off), f_c(vals, off))
-        idx = np.array([10, 0, 4], dtype=np.int64)
-        assert_bitequal(f_np(vals, off, idx), f_c(vals, off, idx))
-
-
-@needs_native
 def test_gather_add2_parity():
     f_np, f_c = impls("gather_add2")
     rng = np.random.default_rng(43)

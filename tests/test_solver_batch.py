@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import GraphBatch, seg_max, seg_min, seg_sum
+from repro.core.batch import GraphBatch
 from repro.core.levels import discretize
 from repro.core.matching_solver import DualPrimalMatchingSolver, SolverConfig
 from repro.graphgen import (
@@ -151,17 +151,6 @@ class TestBatchRepresentation:
         for i, lv in enumerate(b.levels):
             expect = lv.level_weight(np.arange(lv.num_levels))
             assert np.array_equal(b.l_view(b.wk_l, i), expect)
-
-    def test_segment_reductions_match_reference(self):
-        rng = np.random.default_rng(0)
-        vals = rng.random(100)
-        off = np.array([0, 13, 13, 60, 100])
-        sums = seg_sum(vals, off, [0, 2, 3])
-        assert sums[0] == vals[0:13].sum()
-        assert sums[1] == vals[13:60].sum()
-        assert sums[2] == vals[60:100].sum()
-        assert seg_min(vals, off, [2])[0] == vals[13:60].min()
-        assert seg_max(vals, off, [2])[0] == vals[13:60].max()
 
     def test_vl_runs_cover_space(self):
         graphs = [gnm_graph(6, 12, seed=1), gnm_graph(9, 20, seed=2)]
