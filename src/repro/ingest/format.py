@@ -177,6 +177,59 @@ def _expected_size(m: int) -> int:
 
 
 # ======================================================================
+# Content check (reader scans and writer appends)
+# ======================================================================
+def _check_chunk(
+    src: np.ndarray,
+    dst: np.ndarray,
+    w: np.ndarray,
+    n: int,
+    start: int,
+    last_key: int,
+    path,
+) -> int:
+    """The content invariants of edges ``[start, start + len(src))``.
+
+    Endpoints canonical and in range, weights finite and positive, keys
+    strictly increasing from ``last_key`` (the key of edge ``start - 1``,
+    ``-1`` for the first edge).  Checked by every reader scan and every
+    writer append; the first offending edge raises :class:`EdgeDataError`
+    with its absolute index.  Returns the key of the chunk's last edge.
+    """
+    bad = np.flatnonzero((src < 0) | (src >= dst) | (dst >= n))
+    if len(bad):
+        i = int(bad[0])
+        raise EdgeDataError(
+            f"edge ({int(src[i])}, {int(dst[i])}) is not canonical "
+            f"0 <= src < dst < n (n={n})",
+            path=path,
+            offset=start + i,
+        )
+    finite = np.isfinite(w)
+    good_w = finite & (w > 0)
+    if not good_w.all():
+        i = int(np.flatnonzero(~good_w)[0])
+        label = "non-finite" if not finite[i] else "non-positive"
+        raise EdgeDataError(f"{label} weight {w[i]!r}", path=path, offset=start + i)
+    keys = src * np.int64(n) + dst
+    ok = np.empty(len(keys), dtype=bool)
+    if len(keys):
+        ok[0] = keys[0] > last_key
+        np.greater(keys[1:], keys[:-1], out=ok[1:])
+    if not ok.all():
+        i = int(np.flatnonzero(~ok)[0])
+        prev = last_key if i == 0 else int(keys[i - 1])
+        kind = "duplicate" if int(keys[i]) == prev else "disordered"
+        raise EdgeDataError(
+            f"{kind} edge key: edge ({int(src[i])}, {int(dst[i])}) breaks the "
+            "strictly increasing canonical key order",
+            path=path,
+            offset=start + i,
+        )
+    return int(keys[-1]) if len(keys) else last_key
+
+
+# ======================================================================
 # Reader
 # ======================================================================
 class EdgeFile:
@@ -306,48 +359,6 @@ class EdgeFile:
         w = self.read_raw_slice(2, start, stop).astype(np.float64)
         return src, dst, w
 
-    def _validate_chunk(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        w: np.ndarray,
-        start: int,
-        last_key: int,
-    ) -> int:
-        bad = np.flatnonzero((src >= dst) | (dst >= self.n))
-        if len(bad):
-            i = int(bad[0])
-            raise EdgeDataError(
-                f"edge ({int(src[i])}, {int(dst[i])}) is not canonical "
-                f"src < dst < n (n={self.n})",
-                path=self.path,
-                offset=start + i,
-            )
-        finite = np.isfinite(w)
-        good_w = finite & (w > 0)
-        if not good_w.all():
-            i = int(np.flatnonzero(~good_w)[0])
-            label = "non-finite" if not finite[i] else "non-positive"
-            raise EdgeDataError(
-                f"{label} weight {w[i]!r}", path=self.path, offset=start + i
-            )
-        keys = src * np.int64(self.n) + dst
-        ok = np.empty(len(keys), dtype=bool)
-        if len(keys):
-            ok[0] = keys[0] > last_key
-            np.greater(keys[1:], keys[:-1], out=ok[1:])
-        if not ok.all():
-            i = int(np.flatnonzero(~ok)[0])
-            prev = last_key if i == 0 else int(keys[i - 1])
-            kind = "duplicate" if int(keys[i]) == prev else "disordered"
-            raise EdgeDataError(
-                f"{kind} edge key: edge ({int(src[i])}, {int(dst[i])}) does "
-                "not strictly follow its predecessor in canonical key order",
-                path=self.path,
-                offset=start + i,
-            )
-        return int(keys[-1]) if len(keys) else last_key
-
     def validate(self, chunk_edges: int = DEFAULT_CHUNK_EDGES) -> None:
         """Full-scan content validation in ``chunk_edges`` slices.
 
@@ -367,7 +378,7 @@ class EdgeFile:
         for start in range(0, self.m, chunk_edges):
             stop = min(start + chunk_edges, self.m)
             src, dst, w = self.read_chunk(start, stop)
-            last_key = self._validate_chunk(src, dst, w, start, last_key)
+            last_key = _check_chunk(src, dst, w, self.n, start, last_key, self.path)
         self._content_validated = True
 
     # ------------------------------------------------------------------
@@ -511,35 +522,7 @@ class EdgeFileWriter:
                 path=self.path,
             )
         start = self._written
-        bad = np.flatnonzero((src < 0) | (src >= dst) | (dst >= self.n))
-        if len(bad):
-            i = int(bad[0])
-            raise EdgeDataError(
-                f"edge ({int(src[i])}, {int(dst[i])}) is not canonical "
-                f"0 <= src < dst < n (n={self.n})",
-                path=self.path,
-                offset=start + i,
-            )
-        good_w = np.isfinite(w) & (w > 0)
-        if not good_w.all():
-            i = int(np.flatnonzero(~good_w)[0])
-            raise EdgeDataError(
-                f"invalid weight {w[i]!r} (must be finite and positive)",
-                path=self.path,
-                offset=start + i,
-            )
-        keys = src * np.int64(self.n) + dst
-        ok = np.empty(k, dtype=bool)
-        ok[0] = keys[0] > self._last_key
-        np.greater(keys[1:], keys[:-1], out=ok[1:])
-        if not ok.all():
-            i = int(np.flatnonzero(~ok)[0])
-            raise EdgeDataError(
-                f"edge ({int(src[i])}, {int(dst[i])}) breaks strictly "
-                "increasing canonical key order (duplicate or unsorted)",
-                path=self.path,
-                offset=start + i,
-            )
+        last_key = _check_chunk(src, dst, w, self.n, start, self._last_key, self.path)
         # three positioned column writes per chunk
         self._fh.seek(HEADER_BYTES + 4 * start)
         self._fh.write(src.astype("<u4").tobytes())
@@ -548,7 +531,7 @@ class EdgeFileWriter:
         self._fh.seek(HEADER_BYTES + 8 * self.m + 8 * start)
         self._fh.write(w.astype("<f8").tobytes())
         self._written += k
-        self._last_key = int(keys[-1])
+        self._last_key = last_key
 
     def finalize(self) -> Path:
         """Patch the finalized marker; the file becomes openable."""

@@ -30,7 +30,7 @@ from repro.ingest import (
     materializations_total,
     write_graph_file,
 )
-from repro.ingest.format import EdgeFile
+from repro.ingest import format as edge_format
 from repro.streaming.stream import EdgeStream
 from repro.streaming.streaming_matching import SemiStreamingMatchingSolver
 
@@ -176,13 +176,13 @@ class TestPassAccounting:
         certifies the content and every later pass skips the per-chunk
         checks entirely."""
         calls = []
-        orig = EdgeFile._validate_chunk
+        orig = edge_format._check_chunk
 
-        def counting(self, *args, **kwargs):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return orig(self, *args, **kwargs)
+            return orig(*args, **kwargs)
 
-        monkeypatch.setattr(EdgeFile, "_validate_chunk", counting)
+        monkeypatch.setattr(edge_format, "_check_chunk", counting)
         fg = FileBackedGraph(edge_file, chunk_edges=16, materialize_policy="forbid")
         stream = EdgeStream(fg)
         for _ in range(3):
