@@ -62,8 +62,9 @@ def local_search_matching(
 ) -> BMatching:
     """Greedy seed + repeated 2-opt passes until no improvement.
 
-    For general ``b`` the greedy seed is returned augmented by residual
-    re-greedy passes (2-opt is specific to ``b = 1``).
+    2-opt is specific to ``b = 1``: for any other ``b`` this returns
+    :func:`~repro.matching.greedy.greedy_bmatching` of ``graph`` and
+    ignores ``rounds`` and ``seed_matching``.
     """
     if not bool(np.all(graph.b == 1)):
         return greedy_bmatching(graph)
