@@ -144,9 +144,9 @@ def _per_level_matchings(levels: LevelDecomposition) -> dict[int, BMatching]:
             sel = np.flatnonzero(lv_c == k)
             if len(sel) == 0:
                 continue
-            pos, take = saturating_scan(src_c[sel], dst_c[sel], residual[k])
+            pos, takes = saturating_scan(src_c[sel], dst_c[sel], residual[k])
             ids[k].append(start + sel[pos])
-            mult[k].append(take)
+            mult[k].append(takes)
     return {
         k: BMatching(g, np.concatenate(ids[k]), np.concatenate(mult[k]))
         for k in level_list

@@ -159,9 +159,6 @@ def maximal_bmatching_sampled(
             ledger.release_space(len(sample))
         # filter: an edge survives iff both endpoints keep residual capacity
         alive = alive[(residual[src[alive]] > 0) & (residual[dst[alive]] > 0)]
-        if len(alive) <= space_budget and len(alive) > 0:
-            # one final exhaustive pass fits in memory
-            continue
     # final exhaustive pass over whatever survives (guaranteed small whp)
     parts.append(maximal_bmatching(graph, order=alive, residual=residual))
     return BMatching(
