@@ -1,11 +1,14 @@
 """Tests for certificates: the dual upper bound must always be rigorous."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.certificates import certify
 from repro.core.initial import build_initial_solution
 from repro.core.levels import discretize
+from repro.core.matching_solver import DualPrimalMatchingSolver
 from repro.core.relaxations import LayeredDual
 from repro.graphgen import gnm_graph, odd_cycle_chain, with_uniform_weights
 from repro.matching.exact import max_weight_matching_exact
@@ -71,3 +74,30 @@ class TestCertify:
         assert cert.scale_factor == pytest.approx(
             (1 + 0.2) * (1 + 1e-9) / cert.lambda_min
         )
+
+
+def odd_set_bound(n: int, big_b: int, eps: float) -> float:
+    """Section 1's bound on the odd sets with ``z_U > 0``, constant 1.
+
+    ``eps^-5 log2(B) log2(n)^2 log2(1/eps)^2``, each logarithm at least 1.
+    """
+    log_b = max(1.0, math.log2(max(2, big_b)))
+    log_n = max(1.0, math.log2(max(2, n)))
+    log_e = max(1.0, math.log2(1.0 / eps))
+    return eps**-5 * log_b * log_n**2 * log_e**2
+
+
+class TestSolverStaysInsideBudget:
+    def test_solver_odd_set_support_sparse(self):
+        g = odd_cycle_chain(4, 5)
+        res = DualPrimalMatchingSolver(eps=0.2, seed=1, inner_steps=150).solve(g)
+        # the final certificate's z support (original-units view)
+        count = len(res.certificate.z)
+        assert count <= odd_set_bound(g.n, g.total_capacity, 0.2)
+        # and the support is genuinely sparse relative to 2^n
+        assert count < 64
+
+    def test_random_graph_support_sparse(self):
+        g = with_uniform_weights(gnm_graph(24, 100, seed=2), 1, 20, seed=3)
+        res = DualPrimalMatchingSolver(eps=0.25, seed=4, inner_steps=100).solve(g)
+        assert len(res.certificate.z) <= odd_set_bound(g.n, g.n, 0.25)

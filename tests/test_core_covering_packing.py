@@ -118,38 +118,6 @@ class TestPackingSolver:
 
 
 class TestLagrangianSearch:
-    def test_immediate_accept_when_budget_met(self):
-        search = LagrangianSearch(
-            micro_oracle=lambda rho: 1.0,  # "solution" with po 0.5
-            po_of=lambda x: 0.5,
-            combine=lambda a, b, s1, s2: s1 * a + s2 * b,
-            qo_budget=1.0,
-            usc=10.0,
-            eps=0.2,
-        )
-        out = search.run()
-        assert not out.combined
-        assert out.invocations == 1
-
-    def test_binary_search_combination_hits_budget(self):
-        """po(x(rho)) = 10/rho: search must land s1 x1 + s2 x2 on the cap."""
-
-        def micro(rho):
-            return 10.0 / rho  # scalar solution whose po equals itself
-
-        search = LagrangianSearch(
-            micro_oracle=micro,
-            po_of=lambda x: x,
-            combine=lambda a, b, s1, s2: s1 * a + s2 * b,
-            qo_budget=1.0,
-            usc=16.0,  # rho_lo = 1 -> po = 10 > cap
-            eps=0.1,
-        )
-        out = search.run()
-        cap = 13.0 / 12.0
-        assert out.combined
-        assert out.x == pytest.approx(cap, rel=1e-6)
-
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError):
             LagrangianSearch(
