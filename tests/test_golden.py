@@ -23,9 +23,8 @@ Cases:
   reach the odd-set/witness tail with nonzero packing multipliers or
   with a lifted violated vertex (step 9);
 * the sketch layer: ℓ0 sampler cells and samples (bulk and per-element
-  update streams, a sampler bank), vertex-incidence cells and cut-edge
-  samples, the max-weight class sketch, and the in-RAM sketch spanning
-  forest with its ledger;
+  update streams), vertex-incidence cells and cut-edge samples, and the
+  in-RAM sketch spanning forest with its ledger;
 * the per-edge solver scans on an in-RAM graph that spans two scan
   ranges: discretization, the per-level maximal matchings and their
   merge, the certificate of the initial dual, the audit's violation
@@ -322,11 +321,10 @@ def _updates(rng, universe: int, count: int):
 
 
 def sketches() -> dict:
-    """ℓ0, incidence and max-weight sketches, and the sketch forest."""
+    """ℓ0 and incidence sketches, and the sketch forest."""
     from repro.graphgen import gnm_graph
     from repro.sketch.graph_sketch import VertexIncidenceSketch
-    from repro.sketch.l0_sampler import L0Sampler, L0SamplerBank
-    from repro.sketch.max_weight import MaxWeightEdgeSketch
+    from repro.sketch.l0_sampler import L0Sampler
     from repro.sketch.support_find import sketch_spanning_forest
     from repro.util.graph import Graph
     from repro.util.instrumentation import ResourceLedger
@@ -353,14 +351,6 @@ def sketches() -> dict:
         out[f"l0_update:{seed}"] = _sha(
             {"cells": _cells(s._tensor), "sample": _pair(s.sample())}
         )
-    bank = L0SamplerBank(400, t=3, seed=8)
-    bank.update_many(*_updates(np.random.default_rng(0), 400, 50))
-    out["l0_bank"] = _sha(
-        {
-            "samples": [_pair(s.sample()) for s in bank.samplers],
-            "space_words": bank.space_words(),
-        }
-    )
     for seed in (0, 5):
         g = gnm_graph(14, 35, seed=seed)
         sk = VertexIncidenceSketch(g, t=3, seed=seed + 7)
@@ -383,19 +373,6 @@ def sketches() -> dict:
     parts = sk.sample_cut_edges(labels, row=1)
     out["incidence_partition"] = _sha(
         [[int(k), _pair(parts[k])] for k in sorted(parts)]
-    )
-    g = gnm_graph(10, 20, seed=2)
-    w = np.random.default_rng(4).uniform(1.0, 100.0, size=g.m)
-    g = g.edge_subgraph(np.arange(g.m), weights=w)
-    mw = MaxWeightEdgeSketch(g.n, w_min=1.0, w_max=128.0, seed=6)
-    mw.ingest(g)
-    t, witness = mw.top_class()
-    out["max_weight"] = _sha(
-        {
-            "top_edge": list(mw.top_edge()),
-            "top_class": [t, _pair(witness)],
-            "space_words": mw.space_words(),
-        }
     )
     gnm = gnm_graph(400, 600, seed=4)
     for name, graph, rows in (
