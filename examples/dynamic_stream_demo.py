@@ -7,17 +7,14 @@ deletions: an edge inserted and later deleted vanishes from every
 sketch.  This demo builds an adversarial insert/delete stream whose
 surviving graph differs completely from its insert-only prefix, then
 
-1. recovers a spanning forest of the *net* graph with ℓ0 sketches,
-2. shows a one-pass greedy (non-linear state) gets fooled, and
-3. estimates the surviving edge count with the F0 sketch.
+1. recovers a spanning forest of the *net* graph with ℓ0 sketches, and
+2. shows a one-pass greedy (non-linear state) gets fooled.
 
 Run:  python examples/dynamic_stream_demo.py
 """
 
 import numpy as np
 
-from repro.sketch.f0 import F0Estimator
-from repro.sketch.graph_sketch import encode_edge
 from repro.streaming import DynamicEdgeStream, dynamic_stream_spanning_forest
 from repro.util.graph import Graph
 
@@ -65,12 +62,6 @@ def main() -> None:
     print(f"greedy matched {len(greedy_taken)} edges, "
           f"{len(ghost)} of them deleted ('ghost') edges")
 
-    # 3. F0 sketch estimates the surviving edge count from the same stream
-    f0 = F0Estimator(stream.n * stream.n, k=64, seed=2)
-    for ev in stream.events:
-        f0.update(int(encode_edge(ev.u, ev.v, stream.n)), ev.delta)
-    est = f0.estimate()
-    print(f"F0 estimate of surviving edges: {est} (true {net.m})")
     assert uf_ok and len(ghost) > 0
     print("OK: linear sketches track the dynamic stream; naive state does not.")
 

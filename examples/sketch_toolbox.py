@@ -1,26 +1,22 @@
 #!/usr/bin/env python
-"""Tour of the linear-sketch toolbox (footnote 1, Definition 2, [3, 4]).
+"""Tour of the ℓ0 sampler, the linear sketch behind every sampling round.
 
-Every primitive here is *linear*: updates are deltas, sketches with
-equal seeds merge by addition, and deletions genuinely cancel.  The
-demo runs the toolbox over one dynamic edge stream:
+The sampler is *linear*: updates are deltas, sketches with equal seeds
+merge by addition, and deletions genuinely cancel.  The demo runs it
+over one dynamic edge stream and shows:
 
-1. ℓ0 sampling       -- a uniform surviving edge (the AGM primitive),
-2. max-weight edge   -- Definition 2's W* search by weight classes,
-3. F0 estimation     -- how many edges survived,
-4. s-sparse recovery -- the exact survivor set once it is small,
-5. CountSketch       -- per-vertex degree estimates from the same pass.
+1. sampling          -- a surviving edge, after most inserts were deleted,
+2. cancellation      -- deleting the survivors too leaves the zero sketch,
+3. merge (linearity) -- two equal-seed sketches of a split stream, merged,
+                        equal the sketch of the whole stream.
 
 Run:  python examples/sketch_toolbox.py
 """
 
 import numpy as np
 
-from repro.sketch.count_sketch import CountSketch, SparseRecovery
-from repro.sketch.f0 import F0Estimator
 from repro.sketch.graph_sketch import decode_edge, encode_edge
 from repro.sketch.l0_sampler import L0Sampler
-from repro.sketch.max_weight import MaxWeightEdgeSketch
 from repro.util.rng import make_rng
 
 
@@ -29,68 +25,52 @@ def main() -> None:
     rng = make_rng(7)
     universe = n * n
 
-    # one shared event stream: inserts, then deletion of most edges
+    # one event stream: inserts, then deletion of most edges
     all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng.shuffle(all_pairs)
     inserted = all_pairs[:200]
-    weights = {e: float(w) for e, w in zip(inserted, rng.uniform(1, 900, 200))}
     deleted = inserted[: 200 - 12]  # only 12 survive
-    survivors = [e for e in inserted if e not in set(deleted)]
+    survivors = set(inserted) - set(deleted)
     print(f"stream: {len(inserted)} inserts, {len(deleted)} deletes, "
           f"{len(survivors)} survivors")
 
+    def codes(edges):
+        return np.array([encode_edge(u, v, n) for u, v in edges], dtype=np.int64)
+
+    ins, dels = codes(inserted), codes(deleted)
+
+    # 1. a surviving edge
     l0 = L0Sampler(universe, seed=1)
-    mw = MaxWeightEdgeSketch(n, w_min=1.0, w_max=1024.0, seed=2)
-    f0 = F0Estimator(universe, k=64, seed=3)
-    sr = SparseRecovery(universe, s=16, seed=4)
-    cs = CountSketch(n, width=64, depth=5, seed=5)
-
-    def apply(e, delta):
-        code = int(encode_edge(e[0], e[1], n))
-        l0.update(code, delta)
-        mw.update(e[0], e[1], weights[e], delta)
-        f0.update(code, delta)
-        sr.update(code, delta)
-        cs.update_many(np.array(e), np.full(2, float(delta)))
-
-    for e in inserted:
-        apply(e, +1)
-    for e in deleted:
-        apply(e, -1)
-
-    # 1. l0: a uniform survivor
+    l0.update_many(ins, np.ones(len(ins), dtype=np.int64))
+    l0.delete_many(dels)
     got = l0.sample()
     assert got is not None
     u, v = decode_edge(got[0], n)
-    print(f"l0 sample            : edge ({u},{v}) "
-          f"{'OK' if (min(u,v),max(u,v)) in set(survivors) else 'WRONG'}")
+    found = (min(u, v), max(u, v)) in survivors
+    print(f"l0 sample            : edge ({u},{v}) {'OK' if found else 'WRONG'}")
 
-    # 2. max-weight among survivors
-    top = mw.top_edge()
-    true_top = max(survivors, key=lambda e: weights[e])
-    print(f"max-weight class     : {top[:2]} vs true top {true_top} "
-          f"(w={weights[true_top]:.1f})")
+    # 2. deleting the survivors as well cancels every cell to zero
+    l0.delete_many(codes(sorted(survivors)))
+    print(f"after all deletes    : zero={l0.is_zero()}, sample={l0.sample()}")
 
-    # 3. F0
-    print(f"F0 estimate          : {f0.estimate()} (true {len(survivors)})")
+    # 3. split the stream in two, sketch each half, merge: the result is
+    #    the sketch of the whole stream, cell for cell
+    half = len(ins) // 2
+    first, second = L0Sampler(universe, seed=1), L0Sampler(universe, seed=1)
+    first.update_many(ins[:half], np.ones(half, dtype=np.int64))
+    second.update_many(ins[half:], np.ones(len(ins) - half, dtype=np.int64))
+    second.delete_many(dels)
+    first.merge(second)
+    same_sample = first.sample() == got
+    # subtracting the whole stream from the merged sketch leaves zero cells
+    first.delete_many(ins)
+    first.update_many(dels, np.ones(len(dels), dtype=np.int64))
+    print(f"merge of two halves  : same sample={same_sample}, "
+          f"minus the whole stream is zero={first.is_zero()}")
 
-    # 4. exact recovery (12 survivors <= s=16)
-    rec = sr.recover()
-    rec_edges = sorted(decode_edge(c, n) for c in rec)
-    print(f"sparse recovery      : {len(rec_edges)} edges, "
-          f"exact={sorted(survivors) == rec_edges}")
-
-    # 5. degree estimates
-    deg = np.zeros(n)
-    for a, b in survivors:
-        deg[a] += 1
-        deg[b] += 1
-    est = np.array([cs.estimate(v) for v in range(n)])
-    err = np.abs(est - deg).max()
-    print(f"CountSketch degrees  : max error {err:.2f} over {n} vertices")
-
-    assert sorted(survivors) == rec_edges
-    print("OK: one linear pass, five different questions answered.")
+    assert found and l0.is_zero() and l0.sample() is None
+    assert same_sample and first.is_zero()
+    print("OK: one linear sketch samples, cancels and merges.")
 
 
 if __name__ == "__main__":
