@@ -16,7 +16,6 @@ Run:  python examples/dynamic_stream_demo.py
 import numpy as np
 
 from repro.streaming import DynamicEdgeStream, dynamic_stream_spanning_forest
-from repro.util.graph import Graph
 
 
 def build_stream(n: int = 24) -> DynamicEdgeStream:

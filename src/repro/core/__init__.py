@@ -1,15 +1,7 @@
 """The paper's contribution: dual-primal framework and the matching solver."""
 
 from repro.core.certificates import Certificate, MatchingResult, certify
-from repro.core.covering import (
-    CoveringResult,
-    covering_multipliers,
-    solve_fractional_covering,
-)
-from repro.core.diagnostics import OddSetInventory, active_odd_sets, odd_set_budget
-from repro.core.framework import AmenabilityReport, DualPrimalSystem, theorem1_driver
 from repro.core.initial import InitialSolution, build_initial_solution
-from repro.core.lagrangian import LagrangianOutcome, LagrangianSearch
 from repro.core.laminar import (
     is_laminar,
     layered_from_flat,
@@ -32,11 +24,6 @@ from repro.core.micro_oracle import (
     micro_oracle,
 )
 from repro.core.odd_sets import OddSetFamily, find_dense_odd_sets, odd_cut_value
-from repro.core.packing import (
-    PackingResult,
-    packing_multipliers,
-    solve_fractional_packing,
-)
 from repro.core.witness import (
     WitnessReport,
     extract_witness_matching,
@@ -56,14 +43,6 @@ __all__ = [
     "PENALTY_WIDTH_BOUND",
     "covering_width_lp2",
     "covering_width_lp4",
-    "CoveringResult",
-    "covering_multipliers",
-    "solve_fractional_covering",
-    "PackingResult",
-    "packing_multipliers",
-    "solve_fractional_packing",
-    "LagrangianSearch",
-    "LagrangianOutcome",
     "OddSetFamily",
     "find_dense_odd_sets",
     "odd_cut_value",
@@ -76,9 +55,6 @@ __all__ = [
     "Certificate",
     "MatchingResult",
     "certify",
-    "DualPrimalSystem",
-    "AmenabilityReport",
-    "theorem1_driver",
     "DualPrimalMatchingSolver",
     "SolverConfig",
     "is_laminar",
@@ -93,7 +69,4 @@ __all__ = [
     "solve_lp2",
     "solve_lp3",
     "solve_lp4",
-    "OddSetInventory",
-    "active_odd_sets",
-    "odd_set_budget",
 ]

@@ -19,47 +19,27 @@ satisfies Inner's covering requirement.
 
 The implementation is generic over the solution type ``X`` (the matching
 solver passes :class:`~repro.core.micro_oracle.OracleDualStep` objects);
-callers supply ``combine``, and ``po_of`` (evaluate ``z^T Po x``) when
-:class:`LagrangianSearch` drives the oracle itself.
+the caller supplies ``combine`` and evaluates the oracle itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Generic, TypeVar
 
-from repro.util.validation import check_epsilon, require
-
-__all__ = ["LagrangianSearch", "LagrangianState", "LagrangianOutcome"]
+__all__ = ["LagrangianState"]
 
 X = TypeVar("X")
-
-
-@dataclass
-class LagrangianOutcome(Generic[X]):
-    """Result of the Lemma 10 search.
-
-    ``x`` satisfies Inner (budget + covering); ``invocations`` counts
-    MicroOracle calls (the tau_i ledger); ``combined`` tells whether the
-    two-point convex combination was needed.
-    """
-
-    x: X
-    invocations: int
-    combined: bool
-    rho_interval: tuple[float, float]
 
 
 class LagrangianState(Generic[X]):
     """Lemma 10's search as a resumable state machine.
 
-    The search is written once, here, and driven two ways:
-    :meth:`LagrangianSearch.run` evaluates the oracle itself, while the
-    matching solver's lockstep engine advances many states at once (one
-    batched Algorithm 5 evaluation per step for every instance still
-    searching).  Protocol: evaluate the oracle at :attr:`pending_rho`,
+    The matching solver's lockstep engine advances many states at once:
+    one batched Algorithm 5 evaluation per step for every instance still
+    searching.  Protocol: evaluate the oracle at :attr:`pending_rho`,
     feed the solution and its packing load to :meth:`advance`, and
-    repeat until :attr:`outcome` is set.
+    repeat until :attr:`outcome` is set.  The caller checks that
+    ``qo_budget`` and ``usc`` are positive.
 
     Stages: ``init`` (the Lemma 10 starting multiplier), ``double``
     (growing ``rho_hi`` until the Po budget holds), ``bisect``
@@ -171,52 +151,3 @@ class LagrangianState(Generic[X]):
         self.combined = True
         self.rho_interval = (self.rho_lo, self.rho_hi)
 
-
-class LagrangianSearch(Generic[X]):
-    """Binary search over the Lagrange multiplier ``rho``.
-
-    Parameters
-    ----------
-    micro_oracle:
-        ``micro_oracle(rho) -> X`` solving LagInner at multiplier ``rho``
-        (never fails: zeroing all variables is always admissible).
-    po_of:
-        Evaluate the packing load ``z^T Po x`` of a solution.
-    combine:
-        ``combine(x1, x2, s1, s2) -> X`` forming ``s1 x1 + s2 x2``.
-    qo_budget:
-        The packing budget ``z^T qo``.
-    usc:
-        The covering mass ``(us)^T c`` (used for ``rho0``).
-    """
-
-    def __init__(
-        self,
-        micro_oracle: Callable[[float], X],
-        po_of: Callable[[X], float],
-        combine: Callable[[X, X, float, float], X],
-        qo_budget: float,
-        usc: float,
-        eps: float,
-    ):
-        self.micro_oracle = micro_oracle
-        self.po_of = po_of
-        self.combine = combine
-        self.qo_budget = float(qo_budget)
-        self.usc = float(usc)
-        self.eps = check_epsilon(eps)
-        require(self.qo_budget > 0, "packing budget must be positive")
-
-    def run(self, max_invocations: int = 80) -> LagrangianOutcome[X]:
-        state = LagrangianState(
-            self.combine, self.qo_budget, self.usc, self.eps, max_invocations
-        )
-        while state.outcome is None:
-            x = self.micro_oracle(state.pending_rho)
-            state.advance(x, self.po_of(x))
-        return LagrangianOutcome(
-            x=state.outcome,
-            invocations=state.invocations,
-            combined=state.combined,
-            rho_interval=state.rho_interval,
-        )

@@ -1,11 +1,8 @@
 """Linear-sketch substrate: hash families, ℓ0 samplers, AGM graph sketches."""
 
-from repro.sketch.count_sketch import CountSketch, SparseRecovery
-from repro.sketch.f0 import F0Estimator
 from repro.sketch.graph_sketch import VertexIncidenceSketch, decode_edge, encode_edge
 from repro.sketch.hashing import MERSENNE_P, PolyHash, uniform_from_hash
-from repro.sketch.l0_sampler import L0Sampler, L0SamplerBank, OneSparseRecovery
-from repro.sketch.max_weight import MaxWeightEdgeSketch, find_max_weight_edge
+from repro.sketch.l0_sampler import L0Sampler
 from repro.sketch.support_find import sketch_connected_components, sketch_spanning_forest
 from repro.sketch.tensor import MergedSketchView, SketchTensor, derive_l0_params
 
@@ -14,18 +11,11 @@ __all__ = [
     "MERSENNE_P",
     "uniform_from_hash",
     "L0Sampler",
-    "L0SamplerBank",
-    "OneSparseRecovery",
     "VertexIncidenceSketch",
     "encode_edge",
     "decode_edge",
     "sketch_spanning_forest",
     "sketch_connected_components",
-    "CountSketch",
-    "SparseRecovery",
-    "F0Estimator",
-    "MaxWeightEdgeSketch",
-    "find_max_weight_edge",
     "SketchTensor",
     "MergedSketchView",
     "derive_l0_params",

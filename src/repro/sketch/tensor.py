@@ -1,13 +1,12 @@
 """Array-backed ℓ0-sketch engine: all sampler cells in flat numpy tensors.
 
 This is the one ℓ0 engine of the package: :class:`~repro.sketch.
-l0_sampler.L0Sampler`, the AGM incidence sketches, the max-weight class
-sketches and every spanning-forest route keep their cells here.
-Storing one Python object per cell (the
-:class:`~repro.sketch.l0_sampler.OneSparseRecovery` form) would
-materialize ``n * t * repetitions * levels`` heap objects for a
-:class:`~repro.sketch.graph_sketch.VertexIncidenceSketch` over ``n``
-vertices with ``t`` rows and update them one scalar ``pow()`` at a time.
+l0_sampler.L0Sampler`, the AGM incidence sketches and every
+spanning-forest route keep their cells here.  Storing one Python object
+per cell would materialize ``n * t * repetitions * levels`` heap objects
+for a :class:`~repro.sketch.graph_sketch.VertexIncidenceSketch` over
+``n`` vertices with ``t`` rows and update them one scalar ``pow()`` at a
+time.
 
 :class:`SketchTensor` stores the linear measurements contiguously:
 

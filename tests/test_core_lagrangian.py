@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.lagrangian import LagrangianSearch, LagrangianState
+from repro.core.lagrangian import LagrangianState
 
 CAP = 13.0 / 12.0  # Upsilon at qo_budget = 1
 
@@ -26,18 +26,6 @@ def drive(oracle, po=float, qo_budget=1.0, usc=1.0, eps=0.1, max_invocations=80)
         x = oracle(state.pending_rho)
         state.advance(x, po(x))
     return state
-
-
-def scalar_search(oracle, qo_budget=1.0, usc=1.0, eps=0.1):
-    """Search over float 'solutions' where po_of is the identity."""
-    return LagrangianSearch(
-        micro_oracle=oracle,
-        po_of=lambda x: float(x),
-        combine=_linear,
-        qo_budget=qo_budget,
-        usc=usc,
-        eps=eps,
-    )
 
 
 class TestImmediateAcceptance:
@@ -105,16 +93,6 @@ class TestBinarySearch:
         out = drive(lambda rho: 10.0 / rho, usc=16.0, eps=0.1)
         assert out.combined
         assert out.outcome == pytest.approx(CAP, rel=1e-6)
-
-
-class TestValidation:
-    def test_zero_budget_rejected(self):
-        with pytest.raises(Exception):
-            scalar_search(lambda rho: 0.0, qo_budget=0.0)
-
-    def test_bad_eps_rejected(self):
-        with pytest.raises(Exception):
-            scalar_search(lambda rho: 0.0, eps=0.0)
 
 
 class TestVectorSolutions:

@@ -22,8 +22,7 @@ from repro.dynamic import (
     normalize_updates,
 )
 from repro.sketch.graph_sketch import VertexIncidenceSketch, encode_edge
-from repro.sketch.l0_sampler import L0Sampler, L0SamplerBank, OneSparseRecovery
-from repro.sketch.max_weight import MaxWeightEdgeSketch
+from repro.sketch.l0_sampler import L0Sampler
 from repro.util.graph import Graph
 
 FAST = dict(eps=0.3, inner_steps=40, offline="local", round_cap_factor=0.6)
@@ -149,19 +148,6 @@ class TestTurnstileGraphState:
 # Turnstile support in the sketch layer (vectorized negative updates)
 # ======================================================================
 class TestSketchDeleteMany:
-    def test_one_sparse_recovery_delete_many_cancels(self):
-        cell = OneSparseRecovery(64, z=12345)
-        idx = np.asarray([3, 9, 14, 3])
-        cell.update_many(idx, np.ones(4, dtype=np.int64))
-        cell.delete_many(idx)
-        assert cell.is_zero()
-
-    def test_one_sparse_recovery_delete_exposes_survivor(self):
-        cell = OneSparseRecovery(64, z=999)
-        cell.update_many(np.asarray([5, 7]), np.asarray([1, 1]))
-        cell.delete_many(np.asarray([7]))
-        assert cell.recover() == (5, 1)
-
     def test_l0_sampler_delete_many(self):
         sk = L0Sampler(256, seed=11)
         sk.update_many(np.arange(40), np.ones(40, dtype=np.int64))
@@ -169,13 +155,6 @@ class TestSketchDeleteMany:
         assert sk.sample() == (0, 1)
         sk.delete_many(np.asarray([0]))
         assert sk.is_zero()
-
-    def test_l0_bank_delete_many(self):
-        bank = L0SamplerBank(128, t=3, seed=5)
-        bank.update_many(np.asarray([7, 9]), np.ones(2, dtype=np.int64))
-        bank.delete_many(np.asarray([9]))
-        for s in bank.samplers:
-            assert s.sample() == (7, 1)
 
     def test_incidence_update_edges_matches_graph_build(self):
         rng = np.random.default_rng(3)
@@ -201,27 +180,6 @@ class TestSketchDeleteMany:
         sk = VertexIncidenceSketch.empty(4, t=1, seed=0)
         with pytest.raises(ValueError, match="self-loop"):
             sk.insert_edges(np.asarray([2]), np.asarray([2]))
-
-    def test_max_weight_delete_many_cancels_class(self):
-        sk = MaxWeightEdgeSketch(8, w_min=1.0, w_max=64.0, seed=4)
-        u = np.asarray([0, 1, 2])
-        v = np.asarray([3, 4, 5])
-        w = np.asarray([2.0, 16.0, 40.0])
-        sk.update_many(u, v, w)
-        # deleting the two heavy edges drops the top class to exponent 1
-        sk.delete_many(u[1:], v[1:], w[1:])
-        t, witness = sk.top_class()
-        assert t == 1
-        assert witness == (0, 3)
-
-    def test_max_weight_delete_requires_matching_weight(self):
-        """A delete with a different announced weight lands in another
-        class: the original class keeps its (now ghost-free) content."""
-        sk = MaxWeightEdgeSketch(8, w_min=1.0, w_max=64.0, seed=4)
-        sk.update(0, 3, 2.0)
-        sk.update(0, 3, 32.0, delta=-1)  # wrong class: does NOT cancel
-        t, _ = sk.top_class()
-        assert t == 5  # the bogus negative mass is the top class
 
     def test_dynamic_edge_stream_bulk_helpers(self):
         from repro.streaming import DynamicEdgeStream

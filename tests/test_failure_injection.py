@@ -17,7 +17,6 @@ from repro.mapreduce.engine import (
     MapReduceJob,
     ReducerMemoryExceeded,
 )
-from repro.sketch.f0 import F0Estimator
 from repro.sketch.graph_sketch import encode_edge
 from repro.sketch.l0_sampler import L0Sampler
 from repro.sparsify.deferred import DeferredSparsifier
@@ -45,13 +44,6 @@ class TestDeletionStorms:
         got = s.sample()
         assert got is not None
         assert got[0] == (1 << 12) - 1
-
-    def test_f0_tracks_partial_cancellation(self):
-        f0 = F0Estimator(4096, k=64, seed=3)
-        f0.update_many(np.arange(100), np.ones(100, dtype=np.int64))
-        f0.update_many(np.arange(50), -np.ones(50, dtype=np.int64))
-        est = f0.estimate()
-        assert 50 / 4 <= est <= 50 * 4
 
     def test_interleaved_insert_delete_on_incidence(self):
         # the net incidence of a vertex whose edges all vanished is zero

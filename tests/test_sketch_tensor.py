@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sketch.graph_sketch import VertexIncidenceSketch
-from repro.sketch.hashing import MERSENNE_P
-from repro.sketch.l0_sampler import L0Sampler, OneSparseRecovery
+from repro.sketch.l0_sampler import L0Sampler
 from repro.sketch.tensor import SketchTensor, decode_planes_many
 from repro.graphgen import gnm_graph
 
@@ -104,23 +103,6 @@ class TestLinearity:
         assert (s1 == single.s1[0, 0]).all()
         assert (fp == single.fp[0, 0]).all()
         assert multi.sample_merged(np.arange(5), 0) == single.sample(0, 0)
-
-
-class TestOneSparseRecoveryVectorized:
-    def test_update_many_fingerprint_matches_loop(self):
-        """The vectorized modpow path reproduces the scalar fingerprint."""
-        rng = np.random.default_rng(7)
-        for z in rng.integers(2, MERSENNE_P - 1, size=5).tolist():
-            a = OneSparseRecovery(100_000, z=z)
-            b = OneSparseRecovery(100_000, z=z)
-            idx = rng.integers(0, 100_000, size=500).astype(np.int64)
-            dlt = rng.integers(-10, 11, size=500).astype(np.int64)
-            a.update_many(idx, dlt)
-            for i, d in zip(idx.tolist(), dlt.tolist()):
-                b.update(i, d)
-            assert a.s0 == b.s0
-            assert a.s1 == b.s1
-            assert a.fingerprint == b.fingerprint
 
 
 class TestCloneNotDeepcopy:
