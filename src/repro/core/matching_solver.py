@@ -582,6 +582,7 @@ class _InstanceState:
         "probs",
         "lag",
         "inner_outcome",
+        "cert",
         "result",
     )
 
@@ -728,6 +729,7 @@ class _BatchEngine:
         st.history = []
         st.rounds = 0
         st.chain = None
+        st.cert = None
         st.result = None
         st.phase = _PHASE_ROUND_START
         if warm is not None and self._warm_fast_path(st, warm):
@@ -897,8 +899,10 @@ class _BatchEngine:
 
     def _round_end(self, st: _InstanceState) -> None:
         eps = self.eps
-        st.lam = st.dual.lambda_min()
-        cert = certify(st.dual)
+        # the round's one certificate: _finalize reuses it, since no exit
+        # (target gap, lambda or the next round's cap check) moves the dual
+        st.cert = cert = certify(st.dual)
+        st.lam = cert.lambda_min
         st.history.append(
             {
                 "round": st.rounds,
@@ -932,10 +936,9 @@ class _BatchEngine:
         st.phase = _PHASE_ROUND_START
 
     def _finalize(self, st: _InstanceState) -> None:
-        cert = certify(st.dual)
         st.result = MatchingResult(
             matching=st.best,
-            certificate=cert,
+            certificate=st.cert,
             rounds=st.rounds,
             lambda_min=st.lam,
             beta_final=st.beta,

@@ -150,3 +150,46 @@ class TestResourceAccounting:
         r2 = DualPrimalMatchingSolver(eps=0.3, seed=42, **FAST).solve(g)
         assert r1.weight == r2.weight
         assert r1.rounds == r2.rounds
+
+
+class TestOneCertificatePerRound:
+    """Each round certifies its dual once, and the result reuses it."""
+
+    @pytest.fixture
+    def certify_calls(self, monkeypatch):
+        import repro.core.matching_solver as ms
+
+        calls = []
+
+        def counting(dual):
+            calls.append(dual)
+            return certify(dual)
+
+        monkeypatch.setattr(ms, "certify", counting)
+        return calls
+
+    @staticmethod
+    def _check(res, calls):
+        assert len(calls) == res.rounds
+        assert res.certificate.upper_bound == res.history[-1]["upper_bound"]
+        assert res.lambda_min == res.certificate.lambda_min
+
+    def test_target_gap_exit(self, certify_calls):
+        g = with_uniform_weights(gnm_graph(20, 60, seed=2), seed=3)
+        cfg = SolverConfig(eps=0.3, seed=1, inner_steps=100, offline="local")
+        res = DualPrimalMatchingSolver(cfg).solve(g)
+        cap = int(np.ceil(cfg.round_cap_factor * cfg.p / cfg.eps))
+        assert 1 <= res.rounds < cap
+        assert res.certified_ratio >= 1.0 - cfg.eps
+        self._check(res, certify_calls)
+
+    def test_round_cap_exit(self, certify_calls):
+        g = with_uniform_weights(gnm_graph(20, 60, seed=2), seed=3)
+        cfg = SolverConfig(
+            eps=0.2, seed=3, inner_steps=40, round_cap_factor=0.2, target_gap=0.001
+        )
+        res = DualPrimalMatchingSolver(cfg).solve(g)
+        assert res.rounds == 2  # max(2, ceil(0.2 * p / eps))
+        assert res.certified_ratio < 1.0 - cfg.target_gap
+        assert res.lambda_min < 1.0 - 3.0 * cfg.eps
+        self._check(res, certify_calls)
