@@ -729,7 +729,6 @@ class _BatchEngine:
         st.history = []
         st.rounds = 0
         st.chain = None
-        st.cert = None
         st.result = None
         st.phase = _PHASE_ROUND_START
         if warm is not None and self._warm_fast_path(st, warm):
