@@ -181,6 +181,16 @@ class TestSketchDeleteMany:
         with pytest.raises(ValueError, match="self-loop"):
             sk.insert_edges(np.asarray([2]), np.asarray([2]))
 
+    @pytest.mark.parametrize(
+        "u, v", [(4, 1), (0, 4), (-1, 2)], ids=["u>=n", "v>=n", "neg"]
+    )
+    def test_incidence_update_edges_rejects_out_of_range_endpoint(self, u, v):
+        sk = VertexIncidenceSketch.empty(4, t=1, seed=0)
+        with pytest.raises(ValueError, match="out of range"):
+            sk.insert_edges(np.asarray([0, u]), np.asarray([3, v]))
+        # the whole batch is rejected before any cell moves
+        assert sk.sample_cut_edge(np.asarray([0]), row=0) is None
+
     def test_dynamic_edge_stream_bulk_helpers(self):
         from repro.streaming import DynamicEdgeStream
 
