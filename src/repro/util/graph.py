@@ -219,7 +219,10 @@ class Graph:
         :mod:`repro.service` result cache and shard router key on.
         """
         if self._fingerprint is None:
-            keys = self.edge_keys()
+            # local, not edge_keys(): the sortedness check is the keys'
+            # only use, and a cached O(m) array would outlive it on every
+            # graph the service's result cache keeps
+            keys = edge_key(self.src, self.dst, self.n)
             # arrays from from_edges are already key-sorted, but a Graph
             # may be constructed directly from any canonical ordering
             if len(keys) and np.any(keys[1:] < keys[:-1]):

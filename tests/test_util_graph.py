@@ -1,5 +1,7 @@
 """Unit tests for the Graph substrate."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -238,3 +240,21 @@ class TestFingerprint:
         first = g.fingerprint()
         assert g.fingerprint() is first  # cached
         assert g.copy().fingerprint() == first
+
+    def test_keeps_no_edge_length_array(self):
+        """Only the digest outlives the call: the O(m) key array of the
+        sortedness check is not cached on the graph."""
+        m = 100_000
+        g = Graph(
+            n=2 * m,
+            src=2 * np.arange(m),
+            dst=2 * np.arange(m) + 1,
+            weight=np.random.default_rng(0).uniform(1.0, 2.0, m),
+        )
+        tracemalloc.start()
+        try:
+            g.fingerprint()
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 8 * m
