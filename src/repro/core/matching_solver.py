@@ -741,7 +741,10 @@ class _BatchEngine:
         st.alpha_p = 2.0 * np.log(max(st.hik_local.size, 2) / delta) / delta
 
         st.m_live = max(2, int(np.count_nonzero(levels.level >= 0)))
-        st.lam = 0.0
+        # the one lambda scan outside certify: each _round_end then sets
+        # st.lam from its certificate, on a dual nothing moves before
+        # the next _round_start reads it
+        st.lam = st.dual.lambda_min()
         st.lam_t = 0.0
         st.alpha = 0.0
         inner_budget = cfg.inner_steps
@@ -789,7 +792,6 @@ class _BatchEngine:
         patched = warm_dual.copy()
         solver._cover_patch(levels, patched)
         cert1 = certify(patched)
-        chosen = patched if cert1.upper_bound < cert0.upper_bound else warm_dual
         cert = cert1 if cert1.upper_bound < cert0.upper_bound else cert0
         if cert.certified_ratio(st.best.weight()) < 1.0 - st.target_gap:
             return False
@@ -802,7 +804,7 @@ class _BatchEngine:
             matching=st.best,
             certificate=replace(cert, dual_x=cert0.dual_x, dual_z=cert0.dual_z),
             rounds=0,
-            lambda_min=chosen.lambda_min(),
+            lambda_min=cert.lambda_min,
             beta_final=st.beta,
             history=[],
             resources=st.ledger.snapshot(),
@@ -841,7 +843,6 @@ class _BatchEngine:
             return
         st.rounds += 1
         # ---- multipliers u on all live edges (Corollary 6) ----
-        st.lam = st.dual.lambda_min()
         st.lam_t = max(st.lam, eps / 512.0)
         st.alpha = 2.0 * np.log(st.m_live / eps) / (st.lam_t * eps)
         promise = _RoundPromise(st.levels, st.dual, st.alpha, st.lam)

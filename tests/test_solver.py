@@ -193,3 +193,47 @@ class TestOneCertificatePerRound:
         assert res.certified_ratio < 1.0 - cfg.target_gap
         assert res.lambda_min < 1.0 - 3.0 * cfg.eps
         self._check(res, certify_calls)
+
+
+class TestLambdaScans:
+    """Certificates carry lambda: the engine scans it once per cold solve."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        import sys
+
+        from repro.core.relaxations import LayeredDual
+
+        callers = []
+        scan = LayeredDual.lambda_min
+
+        def counting(dual):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return scan(dual)
+
+        monkeypatch.setattr(LayeredDual, "lambda_min", counting)
+        return callers
+
+    @staticmethod
+    def outside_certify(callers):
+        return [c for c in callers if c != "certify"]
+
+    def test_cold_solve_scans_once(self, scans):
+        g = with_uniform_weights(gnm_graph(20, 60, seed=2), seed=3)
+        cfg = SolverConfig(
+            eps=0.2, seed=3, inner_steps=40, round_cap_factor=0.1, target_gap=1e-6
+        )
+        res = DualPrimalMatchingSolver(cfg).solve(g)
+        assert res.rounds == 2
+        assert self.outside_certify(scans) == ["_init_state"]
+
+    def test_warm_fast_path_hit_scans_none(self, scans):
+        from repro.core.matching_solver import WarmStart
+
+        g = with_uniform_weights(gnm_graph(20, 60, seed=2), seed=3)
+        solver = DualPrimalMatchingSolver(eps=0.3, seed=1, offline="local")
+        warm = WarmStart.from_result(solver.solve(g))
+        scans.clear()
+        res = solver.solve(g, warm_start=warm)
+        assert res.rounds == 0
+        assert self.outside_certify(scans) == []
