@@ -150,6 +150,12 @@ class LayeredDual:
     def _live_ratio_chunks(self):
         """Yield the live-edge coverage ratios, one edge range at a time.
 
+        Each item is ``(start, stop, live, src, dst, ratios)``: the
+        range, its live-edge mask, and the live edges' endpoints and
+        ratios (ranges without a live edge are skipped).  The endpoints
+        let a caller measure another point on the same edges in the same
+        pass (:func:`~repro.core.certificates.certify` does).
+
         Reads :meth:`~repro.util.graph.Graph.edge_ranges` slices instead
         of gathering every live edge, so file-backed graphs are never
         materialized and no ``O(m)`` id array is allocated.  Per-edge
@@ -168,20 +174,19 @@ class LayeredDual:
             if not live.any():
                 continue
             kl = k[live]
-            cov = (
-                x[np.asarray(g.src[start:stop])[live], kl]
-                + x[np.asarray(g.dst[start:stop])[live], kl]
-            )
+            src = np.asarray(g.src[start:stop])[live]
+            dst = np.asarray(g.dst[start:stop])[live]
+            cov = x[src, kl] + x[dst, kl]
             if self.z:
                 ids = np.flatnonzero(live) + start
                 cov = z_cover_add(g, lv, ids, self.z, cov)
-            yield cov / wk[kl]
+            yield start, stop, live, src, dst, cov / wk[kl]
 
     def lambda_min(self) -> float:
         """``lambda = min_e (Ax)_e / c_e`` over live edges (1.0 if none)."""
         best = np.inf
         found = False
-        for ratios in self._live_ratio_chunks():
+        for *_, ratios in self._live_ratio_chunks():
             found = True
             best = min(best, float(ratios.min()))
         return float(best) if found else 1.0
@@ -190,7 +195,7 @@ class LayeredDual:
         """``max_e (Ax)_e / c_e`` over live edges (0.0 if none)."""
         best = -np.inf
         found = False
-        for ratios in self._live_ratio_chunks():
+        for *_, ratios in self._live_ratio_chunks():
             found = True
             best = max(best, float(ratios.max()))
         return float(best) if found else 0.0

@@ -19,6 +19,34 @@ def approximation_ratio(candidate: BMatching, optimum: BMatching | float) -> flo
     return candidate.weight() / opt
 
 
+def _odd_set_members(n: int, z: dict) -> list[tuple[np.ndarray, float]]:
+    """Each odd set of ``z`` as a length-``n`` membership mask, with its value."""
+    members_z = []
+    for U, zu in z.items():
+        members = np.zeros(n, dtype=bool)
+        members[list(U)] = True
+        members_z.append((members, zu))
+    return members_z
+
+
+def _edge_cover(
+    x: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    members_z: list[tuple[np.ndarray, float]],
+) -> np.ndarray:
+    """LP2 cover ``x_i + x_j + sum_{U ∋ i,j} z_U`` of the edges ``(src, dst)``.
+
+    The audit's arithmetic, shared with the certificate's construction
+    (:mod:`repro.core.certificates`) so both see the same floats.
+    """
+    cover = x[src] + x[dst]
+    for members, zu in members_z:
+        inside = members[src] & members[dst]
+        cover = cover + np.where(inside, zu, 0.0)
+    return cover
+
+
 def verify_dual_upper_bound(
     graph: Graph,
     x: np.ndarray,
@@ -47,21 +75,14 @@ def verify_dual_upper_bound(
     duals = np.concatenate([x, np.fromiter(z.values(), np.float64, len(z))])
     if not np.all(np.isfinite(duals) & (duals >= 0.0)):
         raise ValueError("dual values must be finite and nonnegative")
-    members_z = []
-    for U, zu in z.items():
-        members = np.zeros(graph.n, dtype=bool)
-        members[list(U)] = True
-        members_z.append((members, zu))
+    members_z = _odd_set_members(graph.n, z)
     worst = -np.inf
     worst_edge: tuple[int, int, float, float] | None = None
     for start, stop in graph.edge_ranges():
         src = np.asarray(graph.src[start:stop])
         dst = np.asarray(graph.dst[start:stop])
         w = np.asarray(graph.weight[start:stop])
-        cover = x[src] + x[dst]
-        for members, zu in members_z:
-            inside = members[src] & members[dst]
-            cover = cover + np.where(inside, zu, 0.0)
+        cover = _edge_cover(x, src, dst, members_z)
         deficit = w - cover
         part = float(deficit.max())
         # strictly greater: the reported edge is the first argmax overall

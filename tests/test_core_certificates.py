@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.certificates import certify
 from repro.core.initial import build_initial_solution
@@ -12,6 +14,21 @@ from repro.core.matching_solver import DualPrimalMatchingSolver
 from repro.core.relaxations import LayeredDual
 from repro.graphgen import gnm_graph, odd_cycle_chain, with_uniform_weights
 from repro.matching.exact import max_weight_matching_exact
+from repro.matching.verify import verify_dual_upper_bound
+from repro.util.graph import Graph
+from test_certificates_property import random_dual, random_instance
+
+#: The golden groups whose cases solve (the rest pin the oracle,
+#: sketches and saturating scans, and make no certificate).
+SOLVER_GROUPS = [
+    "backends",
+    "file_backed",
+    "mixed_run_many",
+    "oracle_routes",
+    "scans",
+    "solve_default_tiny",
+    "warm_session",
+]
 
 
 class TestCertify:
@@ -66,14 +83,84 @@ class TestCertify:
         assert cert.certified_ratio(opt) <= 1.0 + 1e-9
 
     def test_scale_factor_reflects_lambda(self):
+        """``scale_factor`` is the exact rescale ``(1 + 1e-9) / rho``, at
+        most the worst-case ``(1 + eps)(1 + 1e-9) / lambda``."""
         g = gnm_graph(10, 20, seed=8)
         lv = discretize(g, eps=0.2)
         d = LayeredDual(lv)
         d.x[:, :] = 0.25
         cert = certify(d)
-        assert cert.scale_factor == pytest.approx(
-            (1 + 0.2) * (1 + 1e-9) / cert.lambda_min
-        )
+        live = lv.live_edges()
+        xs = cert.dual_x
+        rho = ((xs[g.src[live]] + xs[g.dst[live]]) / g.weight[live]).min()
+        assert cert.scale_factor == pytest.approx((1 + 1e-9) / rho)
+        assert cert.scale_factor <= (1 + 0.2) * (1 + 1e-9) / cert.lambda_min
+
+    def test_vertex_without_edges_ends_at_zero(self):
+        g = Graph.from_edges(5, [(0, 1), (1, 2)], [3.0, 2.0])
+        lv = discretize(g, eps=0.2)
+        d = LayeredDual(lv)
+        d.x[:, :] = 5.0  # every vertex, isolated ones too, starts high
+        cert = certify(d)
+        assert cert.x[3] == 0.0 and cert.x[4] == 0.0
+        assert cert.upper_bound >= max_weight_matching_exact(g).weight()
+
+
+def reference_certify(dual: LayeredDual):
+    """The 1.13.0 certificate arithmetic, kept as the reference point:
+    rescale the raw collapse by the worst case ``(1+eps)/lambda`` and
+    pad every vertex by ``scale/2``.  Returns ``(bound, f, x, z)``."""
+    levels = dual.levels
+    lam = dual.lambda_min()
+    f = (1.0 + levels.eps) * (1.0 + 1e-9) / max(lam, 1e-12)
+    xs, zs = dual.lp2_certificate()
+    x = f * xs + 0.5 * levels.scale
+    z = {U: f * v for U, v in zs.items() if v > 0}
+    return verify_dual_upper_bound(levels.graph, x, z), f, x, z
+
+
+def assert_at_or_below_reference(dual: LayeredDual, cert) -> None:
+    """The new point is at or below the reference point entry by entry,
+    so its bound is too."""
+    bound, f, x, z = reference_certify(dual)
+    assert cert.lambda_min == dual.lambda_min()
+    assert cert.upper_bound <= bound
+    assert cert.scale_factor <= f
+    assert np.all(cert.x <= x)
+    assert set(cert.z) <= set(z)
+    assert all(v <= z[U] for U, v in cert.z.items())
+
+
+class TestAgainstReference:
+    """The tight certificate never bounds higher than the 1.13.0 one."""
+
+    @given(st.integers(0, 2**31 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_random_duals(self, seed, with_z):
+        g = random_instance(seed)
+        dual = random_dual(discretize(g, 0.2), seed + 1, with_z=with_z)
+        assert_at_or_below_reference(dual, certify(dual))
+
+    @pytest.mark.parametrize("group", SOLVER_GROUPS)
+    def test_golden_solver_cases(self, group, monkeypatch):
+        """Every certificate made while the golden group's solves run,
+        each round's included."""
+        import repro.core.certificates as certificates
+        import repro.core.matching_solver as ms
+        from test_golden import GROUPS
+
+        made = []
+
+        def checked(dual):
+            cert = certify(dual)
+            assert_at_or_below_reference(dual, cert)
+            made.append(cert)
+            return cert
+
+        monkeypatch.setattr(ms, "certify", checked)
+        monkeypatch.setattr(certificates, "certify", checked)
+        GROUPS[group]()
+        assert made
 
 
 def odd_set_bound(n: int, big_b: int, eps: float) -> float:

@@ -197,8 +197,11 @@ def warm_session() -> dict:
     from repro.dynamic import DynamicGraphSession
     from repro.graphgen import gnm_graph, with_uniform_weights
 
+    # target 0.95: at the default 1 - eps, the warm point certifies the
+    # deleting burst too, and the miss branch would not run
     cfg = SolverConfig(
-        seed=3, eps=0.3, inner_steps=40, offline="local", round_cap_factor=0.6
+        seed=3, eps=0.3, inner_steps=40, offline="local", round_cap_factor=0.6,
+        target_gap=0.05,
     )
     base = with_uniform_weights(gnm_graph(16, 40, seed=2), 1.0, 20.0, seed=3)
     sess = DynamicGraphSession(

@@ -313,8 +313,11 @@ class TestAdmissionControl:
         with serve_in_thread(workers=1, max_delay_s=0.0) as h:
             with ServeClient("127.0.0.1", h.port, timeout=120) as c:
                 problem = make_problem(seed=5, n=150, m=1500)
-                # ~1s of compute; a 100ms deadline comfortably survives
-                # dispatch (sub-ms on an idle server) and expires mid-run
+                # a target no certificate reaches: the solve runs until
+                # the dual converges, ~1s of compute; a 100ms deadline
+                # comfortably survives dispatch (sub-ms on an idle
+                # server) and expires mid-run
+                problem.config.target_gap = 1e-6
                 result, info = c.solve_with_info(
                     problem, deadline_ms=100.0
                 )
