@@ -275,9 +275,10 @@ class LayeredDual:
         """Collapse layers to LP2 variables in *original* weight units.
 
         ``x_i = scale * max_k x_i(k)``; ``z_U = scale * sum_l z_{U,l}``.
-        The result may be slightly infeasible (dropped edges, rounding);
-        callers rescale by the max violation to obtain a rigorous upper
-        bound (see :mod:`repro.core.certificates`).
+        The result may be infeasible (dropped edges, an uncovered live
+        edge, rounding); :func:`~repro.core.certificates.certify`
+        rescales it by the worst live-edge ratio, pads it and audits it
+        to obtain a rigorous upper bound.
         """
         scale = self.levels.scale
         xs = scale * self.vertex_costs()
