@@ -247,22 +247,6 @@ class GraphBatch:
         """Instance ``i``'s per-level segment of a level-space buffer."""
         return buf[self.l_off[i] : self.l_off[i + 1]]
 
-    def edge_vl_gather(self, i: int, edge_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """VL gather indices + ŵ for a set of live local edge ids.
-
-        Returns ``(src_vl, dst_vl, wk_e)`` for instance ``i``; callers
-        concatenate across the batch to build stored-edge layouts.
-        """
-        g, lv = self.graphs[i], self.levels[i]
-        k = lv.level[edge_ids]
-        base = self.vl_off[i]
-        Li = int(self.L[i])
-        return (
-            base + g.src[edge_ids] * Li + k,
-            base + g.dst[edge_ids] * Li + k,
-            self.wk_l[self.l_off[i] + k],
-        )
-
 def _concat_i64(parts: list[np.ndarray]) -> np.ndarray:
     return (
         np.concatenate(parts).astype(np.int64)
@@ -320,12 +304,9 @@ class DualBatch:
             if not z:
                 continue
             sl = slice(int(b.live_off[i]), int(b.live_off[i + 1]))
+            g, ids = b.graphs[i], b.live_ids[sl]
             cov[sl] = z_cover_add(
-                b.graphs[i],
-                b.levels[i],
-                b.live_ids[sl],
-                z,
-                cov[sl],
+                g.n, g.src[ids], g.dst[ids], b.levels[i].level[ids], z, cov[sl]
             )
         return cov
 
@@ -346,12 +327,16 @@ class StoredBatchLayout:
     Rebuilt by the lockstep engine whenever an instance advances to a
     different deferred sparsifier (or enters/leaves the inner phase);
     between rebuilds every inner step reuses the same gather arrays.
-    Inactive instances contribute empty segments.
+    Inactive instances contribute empty segments.  The build reads each
+    stored edge's endpoints once and keeps them (``src``/``dst``), so the
+    odd-set stages of the inner steps read no edge data.
     """
 
     off: np.ndarray  # (B+1,) offsets into the concatenated arrays
     ids: list[np.ndarray | None]  # local stored edge ids per instance
     lvl: list[np.ndarray | None]  # local levels of those edges
+    src: list[np.ndarray | None]  # local endpoints of those edges
+    dst: list[np.ndarray | None]
     src_vl: np.ndarray  # VL gather index of the src endpoint
     dst_vl: np.ndarray
     wk: np.ndarray  # ŵ_{level_e} per stored edge
@@ -367,19 +352,24 @@ class StoredBatchLayout:
         counts = np.zeros(B, dtype=np.int64)
         ids: list[np.ndarray | None] = [None] * B
         lvl: list[np.ndarray | None] = [None] * B
+        src: list[np.ndarray | None] = [None] * B
+        dst: list[np.ndarray | None] = [None] * B
         src_parts, dst_parts, wk_parts, p_parts, l_parts = [], [], [], [], []
         for i in range(B):
             if i not in per_instance:
                 continue
             stored, probs = per_instance[i]
+            g = batch.graphs[i]
             counts[i] = len(stored)
             ids[i] = stored
-            k = batch.levels[i].level[stored]
-            lvl[i] = k
-            s_vl, d_vl, wk_e = batch.edge_vl_gather(i, stored)
-            src_parts.append(s_vl)
-            dst_parts.append(d_vl)
-            wk_parts.append(wk_e)
+            lvl[i] = k = batch.levels[i].level[stored]
+            src[i] = np.asarray(g.src[stored])
+            dst[i] = np.asarray(g.dst[stored])
+            base = batch.vl_off[i]
+            Li = int(batch.L[i])
+            src_parts.append(base + src[i] * Li + k)
+            dst_parts.append(base + dst[i] * Li + k)
+            wk_parts.append(batch.wk_l[batch.l_off[i] + k])
             p_parts.append(probs)
             l_parts.append(batch.l_off[i] + k)
         off = _offsets(counts)
@@ -400,6 +390,8 @@ class StoredBatchLayout:
             off=off,
             ids=ids,
             lvl=lvl,
+            src=src,
+            dst=dst,
             src_vl=_concat_i64(src_parts),
             dst_vl=_concat_i64(dst_parts),
             wk=cat_f(wk_parts),

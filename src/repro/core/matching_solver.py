@@ -161,9 +161,10 @@ class _RoundPromise:
         idl = ids[livemask]
         kl = k[livemask]
         x = self._dual.x
-        cov = x[np.asarray(g.src[idl]), kl] + x[np.asarray(g.dst[idl]), kl]
+        src, dst = np.asarray(g.src[idl]), np.asarray(g.dst[idl])
+        cov = x[src, kl] + x[dst, kl]
         if self._dual.z:
-            cov = z_cover_add(g, lv, idl, self._dual.z, cov)
+            cov = z_cover_add(g.n, src, dst, kl, self._dual.z, cov)
         ratios = cov / self._wk[kl]
         shifted = self._alpha * (ratios - self._lam)
         np.clip(shifted, 0.0, 60.0, out=shifted)
@@ -996,7 +997,8 @@ class _BatchEngine:
                 self._any_z = True
                 sl = slice(soff[st.slot], soff[st.slot + 1])
                 cov[sl] = z_cover_add(
-                    st.graph, st.levels, lay.ids[st.slot], st.dual.z, cov[sl]
+                    st.graph.n, lay.src[st.slot], lay.dst[st.slot],
+                    lay.lvl[st.slot], st.dual.z, cov[sl],
                 )
         shifted = _k_tick_stored_shift(cov, lay.wk, lay.off, soff, st_counts, alphas)
         support_vals, usc_arr = _k_tick_stored_post(

@@ -155,6 +155,8 @@ def _oddset_witness_stage(
     levels: LevelDecomposition,
     support: SupportVector,
     lvl_of_edge: np.ndarray,
+    src_of_edge: np.ndarray,
+    dst_of_edge: np.ndarray,
     us_mass_per_level: np.ndarray,
     zeta_bar: np.ndarray,
     gamma: float,
@@ -169,7 +171,9 @@ def _oddset_witness_stage(
 
     The tail of :meth:`BatchMicroContext.evaluate`.  Evaluations reach
     it rarely (most resolve through the vertex or zero route), so it
-    runs per instance on views of the batch buffers.
+    runs per instance on views of the batch buffers.  The support
+    edges' levels and endpoints come from the stored layout, so the
+    stage reads no edge data.
     """
     g = levels.graph
     n = g.n
@@ -178,7 +182,6 @@ def _oddset_witness_stage(
     families: dict[int, list[tuple[tuple[int, ...], float]]] = {}
     gamma_os = 0.0
     if odd_sets and n >= 3:
-        ids = support.edge_ids
         vals = support.values
         # cumulative edge mass over levels >= l is just "edges with
         # level >= l" since each edge lives at exactly one level
@@ -190,15 +193,16 @@ def _oddset_witness_stage(
             sel = lvl_of_edge >= ell
             if not sel.any():
                 continue
-            e_ids = ids[sel]
+            e_src = src_of_edge[sel]
+            e_dst = dst_of_edge[sel]
             e_val = vals[sel]
             q = scale * e_val
             q_hat = g.b.astype(np.float64) + 2.0 * scale * rho * zeta_bar_cum_rev[:, ell]
             fam = find_dense_odd_sets(
                 n,
                 g.b,
-                g.src[e_ids],
-                g.dst[e_ids],
+                e_src,
+                e_dst,
                 q,
                 q_hat,
                 eps,
@@ -211,7 +215,7 @@ def _oddset_witness_stage(
                 # verify Equation (4): Delta(U, l) >= gamma floor(.)/((1-eps/4) beta)
                 members = np.zeros(n, dtype=bool)
                 members[list(U)] = True
-                inside = members[g.src[e_ids]] & members[g.dst[e_ids]]
+                inside = members[e_src] & members[e_dst]
                 delta_u = float(e_val[inside].sum()) - rho * float(
                     zeta_bar_cum_rev[list(U), ell].sum()
                 )
@@ -446,6 +450,8 @@ class BatchMicroContext:
                 lv,
                 support_i,
                 self.stored.lvl[i],
+                self.stored.src[i],
+                self.stored.dst[i],
                 us_i,
                 zb,
                 float(res.gamma[i]),

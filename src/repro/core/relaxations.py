@@ -39,27 +39,29 @@ __all__ = [
 
 
 def z_cover_add(
-    graph: Graph,
-    levels: LevelDecomposition,
-    ids: np.ndarray,
+    n: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    k: np.ndarray,
     z: dict,
     cov_seg: np.ndarray,
 ) -> np.ndarray:
-    """Odd-set contribution to the edge coverage of the given edge ids.
+    """Odd-set contribution to the coverage of the edges ``(src, dst)``
+    at levels ``k`` (``n`` vertices).
 
     The z-half of :meth:`LayeredDual.edge_cover`, shared with the
     batched engine (which applies it per instance on segments of its
     concatenated buffers); one implementation keeps the bit-parity
-    contract in one place.
+    contract in one place.  Callers pass the endpoints and levels they
+    already hold, so a file-backed graph is not read again.
     """
-    k = levels.level[ids]
     out = cov_seg
     for (U, ell), val in z.items():
         if val == 0.0:
             continue
-        members = np.zeros(graph.n, dtype=bool)
+        members = np.zeros(n, dtype=bool)
         members[list(U)] = True
-        inside = members[graph.src[ids]] & members[graph.dst[ids]] & (k >= ell)
+        inside = members[src] & members[dst] & (k >= ell)
         if inside.any():
             out = out + np.where(inside, val, 0.0)
     return out
@@ -135,9 +137,10 @@ class LayeredDual:
         g = lv.graph
         ids = lv.live_edges() if edge_ids is None else np.asarray(edge_ids)
         k = lv.level[ids]
-        cov = self.x[g.src[ids], k] + self.x[g.dst[ids], k]
+        src, dst = g.src[ids], g.dst[ids]
+        cov = self.x[src, k] + self.x[dst, k]
         if self.z:
-            cov = z_cover_add(g, lv, ids, self.z, cov)
+            cov = z_cover_add(g.n, src, dst, k, self.z, cov)
         return cov
 
     def edge_ratios(self, edge_ids: np.ndarray | None = None) -> np.ndarray:
@@ -178,8 +181,7 @@ class LayeredDual:
             dst = np.asarray(g.dst[start:stop])[live]
             cov = x[src, kl] + x[dst, kl]
             if self.z:
-                ids = np.flatnonzero(live) + start
-                cov = z_cover_add(g, lv, ids, self.z, cov)
+                cov = z_cover_add(g.n, src, dst, kl, self.z, cov)
             yield start, stop, live, src, dst, cov / wk[kl]
 
     def lambda_min(self) -> float:

@@ -155,6 +155,49 @@ class TestZeroMaterializationMatching:
 
 
 # ======================================================================
+# Inner steps read no edge data
+# ======================================================================
+class TestInnerStepsReadNoEdges:
+    @staticmethod
+    def _gather_stacks(monkeypatch):
+        """Record the caller names of every ``EdgeFile.gather_raw`` call."""
+        stacks = []
+        original = edge_format.EdgeFile.gather_raw
+
+        def spying(self, *args, **kwargs):
+            names, frame = [], sys._getframe(1)
+            while frame is not None:
+                names.append(frame.f_code.co_name)
+                frame = frame.f_back
+            stacks.append(names)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(edge_format.EdgeFile, "gather_raw", spying)
+        return stacks
+
+    def test_odd_set_route_gathers_only_for_layout_builds(
+        self, tmp_path, monkeypatch
+    ):
+        """With odd-set mass on the dual, the z cover and the oracle's
+        odd-set stage read the endpoints the stored layout already holds:
+        inside inner steps only the layout builds gather."""
+        from repro.graphgen import odd_cycle_chain
+
+        g = odd_cycle_chain(2, 3)
+        path = tmp_path / "chain.edges"
+        write_graph_file(path, g)
+        cfg = SolverConfig(
+            eps=0.3, p=4.0, inner_steps=150, round_cap_factor=3.0, seed=7
+        )
+        stacks = self._gather_stacks(monkeypatch)
+        fg = FileBackedGraph(path, materialize_policy="forbid")
+        result = SemiStreamingMatchingSolver(cfg).solve(fg)
+        inner = [s for s in stacks if "_inner_tick" in s]
+        assert inner and all(s[1] == "build" for s in inner)
+        assert _digest(result) == _digest(SemiStreamingMatchingSolver(cfg).solve(g))
+
+
+# ======================================================================
 # Pass accounting and validation hoisting
 # ======================================================================
 class TestPassAccounting:
