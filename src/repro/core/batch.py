@@ -15,14 +15,13 @@ instance's ``(n, L)`` plane of the VL space.
 :func:`~repro.core.micro_oracle.micro_oracle` evaluates Algorithm 5 on
 a batch of one.
 
-Layout: four concatenated index spaces
---------------------------------------
+Layout: three concatenated index spaces
+---------------------------------------
 
 Instances are ragged (different ``n``, ``m``, level count ``L``), so
 nothing is padded; instead every per-instance array is a contiguous
 *segment* of one flat buffer, addressed by an offset table:
 
-* **edge space** (``e_off``): per-edge arrays, ``sum m_i`` long;
 * **vertex space** (``v_off``): per-vertex arrays, ``sum n_i`` long;
 * **level space** (``l_off``): per-level arrays (``ŵ_k`` etc.),
   ``sum L_i`` long;
@@ -62,16 +61,13 @@ import numpy as np
 
 from repro import obs
 from repro.core.levels import LevelDecomposition, discretize
-from repro.core.relaxations import LayeredDual, z_cover_add
-from repro.kernels import gather_add2 as _k_gather_add2
-from repro.kernels import seg_ratio_min as _k_seg_ratio_min
+from repro.core.relaxations import LayeredDual
 from repro.util.graph import Graph
 
 __all__ = [
     "GraphBatch",
     "DualBatch",
     "StoredBatchLayout",
-    "z_cover_add",
     "expand",
 ]
 
@@ -96,9 +92,9 @@ class GraphBatch:
 
     Built by the solver's lockstep engine whenever its set of running
     instances changes; every buffer the engine touches is addressed
-    through the offset tables here.  All
-    per-edge index arrays use *local* edge/vertex ids except the
-    ``*_vl`` gather arrays, which point into the flat VL space.
+    through the offset tables here.  The batch holds no per-edge array:
+    the only edge arrays in the engine are the stored edges of the
+    current sparsifiers (:class:`StoredBatchLayout`).
     """
 
     graphs: list[Graph]
@@ -106,10 +102,8 @@ class GraphBatch:
 
     # counts and offset tables (see module docstring)
     n: np.ndarray = field(init=False)
-    m: np.ndarray = field(init=False)
     L: np.ndarray = field(init=False)
     v_off: np.ndarray = field(init=False)
-    e_off: np.ndarray = field(init=False)
     l_off: np.ndarray = field(init=False)
     vl_off: np.ndarray = field(init=False)
     vl_count: np.ndarray = field(init=False)
@@ -126,14 +120,6 @@ class GraphBatch:
     b_vl: np.ndarray = field(init=False)  # float b_i per VL entry
     col_vl: np.ndarray = field(init=False)  # level index per VL entry
 
-    # live-edge gather arrays (concatenated per instance; empty segments
-    # for unmaterialized file-backed graphs)
-    live_off: np.ndarray = field(init=False)
-    live_ids: np.ndarray = field(init=False)  # local edge id
-    live_src_vl: np.ndarray = field(init=False)
-    live_dst_vl: np.ndarray = field(init=False)
-    live_wk: np.ndarray = field(init=False)  # ŵ_{level_e}
-
     @property
     def size(self) -> int:
         return len(self.graphs)
@@ -141,10 +127,8 @@ class GraphBatch:
     def __post_init__(self) -> None:
         B = len(self.graphs)
         self.n = np.array([g.n for g in self.graphs], dtype=np.int64)
-        self.m = np.array([g.m for g in self.graphs], dtype=np.int64)
         self.L = np.array([lv.num_levels for lv in self.levels], dtype=np.int64)
         self.v_off = _offsets(self.n)
-        self.e_off = _offsets(self.m)
         self.l_off = _offsets(self.L)
         self.vl_count = self.n * self.L
         self.vl_off = _offsets(self.vl_count)
@@ -197,31 +181,6 @@ class GraphBatch:
             )
             i = j + 1
 
-        # An unmaterialized file-backed member gets an empty live segment:
-        # these gathers are O(live edges) resident, so the engine reads
-        # that member's lambda and step widths from the ranged
-        # LayeredDual scans instead.
-        live_ids, live_src, live_dst, live_wk = [], [], [], []
-        for i, (g, lv) in enumerate(zip(self.graphs, self.levels)):
-            if getattr(g, "is_materialized", True) is False:
-                ids = np.empty(0, dtype=np.int64)
-            else:
-                ids = lv.live_edges()
-            k = lv.level[ids]
-            live_ids.append(ids)
-            base = self.vl_off[i]
-            Li = lv.num_levels
-            live_src.append(base + g.src[ids] * Li + k)
-            live_dst.append(base + g.dst[ids] * Li + k)
-            live_wk.append(self.wk_l[self.l_off[i] + k])
-        self.live_off = _offsets(np.array([len(x) for x in live_ids], dtype=np.int64))
-        self.live_ids = _concat_i64(live_ids)
-        self.live_src_vl = _concat_i64(live_src)
-        self.live_dst_vl = _concat_i64(live_dst)
-        self.live_wk = (
-            np.concatenate(live_wk) if live_wk else np.empty(0, dtype=np.float64)
-        )
-
     # ------------------------------------------------------------------
     @classmethod
     def from_graphs(cls, graphs: list[Graph], eps: float) -> "GraphBatch":
@@ -246,6 +205,7 @@ class GraphBatch:
     def l_view(self, buf: np.ndarray, i: int) -> np.ndarray:
         """Instance ``i``'s per-level segment of a level-space buffer."""
         return buf[self.l_off[i] : self.l_off[i + 1]]
+
 
 def _concat_i64(parts: list[np.ndarray]) -> np.ndarray:
     return (
@@ -284,37 +244,6 @@ class DualBatch:
         """Recompute the cached z-load plane of instance ``i``."""
         view = self.batch.vl_view(self.zload, i)
         view[:] = self.duals[i].z_load()
-
-    def cover_live(self, idx, x_buf: np.ndarray | None = None, z_of=None) -> np.ndarray:
-        """Edge coverage of every live edge, concatenated across the batch.
-
-        Matches ``LayeredDual.edge_cover`` op-for-op: the ``x`` gather is
-        one batched take; the (rare) odd-set additions run per instance,
-        only for the instances in ``idx`` (other segments are not read
-        by callers).  ``x_buf`` defaults to the dual's own buffer, but
-        any VL buffer (e.g. an oracle step) can be scored against the
-        same layout; ``z_of`` overrides the per-instance ``z`` source
-        (default: this dual's).
-        """
-        b = self.batch
-        buf = self.x if x_buf is None else x_buf
-        cov = _k_gather_add2(buf, b.live_src_vl, b.live_dst_vl)
-        for i in idx:
-            z = self.duals[i].z if z_of is None else z_of(i)
-            if not z:
-                continue
-            sl = slice(int(b.live_off[i]), int(b.live_off[i + 1]))
-            g, ids = b.graphs[i], b.live_ids[sl]
-            cov[sl] = z_cover_add(
-                g.n, g.src[ids], g.dst[ids], b.levels[i].level[ids], z, cov[sl]
-            )
-        return cov
-
-    def lambda_min(self, idx) -> np.ndarray:
-        """Per-instance ``lambda`` for the given instances (batched cover)."""
-        b = self.batch
-        cov = self.cover_live(idx)
-        return _k_seg_ratio_min(cov, b.live_wk, b.live_off, idx)
 
 
 # ----------------------------------------------------------------------

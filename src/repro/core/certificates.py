@@ -122,7 +122,7 @@ def certify(dual: LayeredDual) -> Certificate:
     # and rho, the collapsed point's smallest live cover / weight
     lam = rho = np.inf
     found = False
-    for start, stop, live, src, dst, ratios in dual._live_ratio_chunks():
+    for start, stop, live, src, dst, _kl, ratios in dual._live_ratio_chunks():
         found = True
         lam = min(lam, float(ratios.min()))
         w = np.asarray(g.weight[start:stop])[live]

@@ -64,7 +64,6 @@ from repro.core.relaxations import (
 )
 from repro.kernels import blend as _k_blend
 from repro.kernels import gather_add2 as _k_gather_add2
-from repro.kernels import seg_ratio_max as _k_seg_ratio_max
 from repro.kernels import tick_pack_arg as _k_tick_pack_arg
 from repro.kernels import tick_pack_post as _k_tick_pack_post
 from repro.kernels import tick_stored_post as _k_tick_stored_post
@@ -543,6 +542,10 @@ _PHASE_INNER = "inner"
 _PHASE_ROUND_END = "round_end"
 _PHASE_DONE = "done"
 
+#: Relative float-safety margin of the width bound's test against
+#: ``PENALTY_WIDTH_BOUND`` (the bound and the scan round differently).
+_BOUND_MARGIN = 1e-9
+
 
 class _InstanceState:
     """Everything one instance carries between lockstep ticks."""
@@ -552,7 +555,6 @@ class _InstanceState:
         "slot",
         "graph",
         "levels",
-        "chunked",
         "rng",
         "ledger",
         "m_live",
@@ -570,6 +572,7 @@ class _InstanceState:
         "history",
         "rounds",
         "lam",
+        "lam_edge",
         "lam_t",
         "alpha",
         "phase",
@@ -597,15 +600,16 @@ class _BatchEngine:
     stream and the networkx subroutines); what is batched is the hot
     inner path: stored-edge multipliers, packing multipliers, Algorithm
     5 evaluations (via :class:`~repro.core.micro_oracle.
-    BatchMicroContext`), the covering blend and the ``lambda`` scans.
+    BatchMicroContext`), the covering blend and the bounds below.
 
-    Every other per-edge step reads every graph one edge range at a
-    time.  The inner ``lambda`` and step-width scans are the one fork:
-    in RAM they read the batch's gathered live-edge arrays (about twice
-    as fast as the ranged scans at ``solve_default``'s size), while an
-    unmaterialized file-backed graph (``graph.is_materialized`` is
-    False) keeps no edge-length array in the engine and takes the ranged
-    :meth:`LayeredDual.lambda_min` / :meth:`LayeredDual.live_ratio_max`.
+    Every graph, in RAM or file-backed, takes one code path, and the
+    engine keeps no edge-length array.  Per-edge passes read the graph
+    one edge range at a time, and an inner step makes none: the step
+    width and ``lambda`` are bounded from the O(n L) tables, and the
+    exact ranged scan (:meth:`LayeredDual.live_ratio_max`,
+    :meth:`LayeredDual.lambda_witness`) runs only on a step whose bound
+    cannot decide what the scan would (:meth:`_width_bounds`,
+    :meth:`_lambda_bounds`).
     """
 
     def __init__(
@@ -680,6 +684,7 @@ class _BatchEngine:
             [b.vl_off[st.slot] + st.hik_local for st in self.members]
         )
         self.po3_hik = b.po3_vl[self.hik_idx]
+        self.wk_hik = b.wk_vl[self.hik_idx]
         self.alpha_p_hik = np.repeat(
             np.array([st.alpha_p for st in self.members]), counts
         )
@@ -700,7 +705,6 @@ class _BatchEngine:
         st.slot = -1
         st.graph = graph
         st.levels = levels = discretize(graph, eps)
-        st.chunked = getattr(graph, "is_materialized", True) is False
         st.rng = make_rng(seed)
         st.ledger = ResourceLedger()
 
@@ -744,8 +748,9 @@ class _BatchEngine:
         st.m_live = max(2, int(np.count_nonzero(levels.level >= 0)))
         # the one lambda scan outside certify: each _round_end then sets
         # st.lam from its certificate, on a dual nothing moves before
-        # the next _round_start reads it
-        st.lam = st.dual.lambda_min()
+        # the next _round_start reads it; the edge attaining it bounds
+        # lambda in the inner steps (_lambda_bounds)
+        st.lam, st.lam_edge = st.dual.lambda_witness()
         st.lam_t = 0.0
         st.alpha = 0.0
         inner_budget = cfg.inner_steps
@@ -1106,24 +1111,18 @@ class _BatchEngine:
 
         # ---- effective width, covering blend, lambda (batched) ----
         # Theorem 5 only needs 0 <= A x̃ <= rho c for the step taken, so
-        # each step's own live-ratio max sets its width
+        # each step's own live-ratio max sets its width; sigma reads only
+        # max(PENALTY_WIDTH_BOUND, width), which a box bound of at most
+        # PENALTY_WIDTH_BOUND settles without the scan
         other = b.zeros_vl()
         for st, step in blended:
             b.vl_view(other, st.slot)[:] = step.dual.x
-        gathered = [st.slot for st, _ in blended if not st.chunked]
-        rho_max = {}
-        if gathered:
-            step_z = {st.slot: step.dual.z for st, step in blended}
-            cov_s = self.dualb.cover_live(
-                gathered, x_buf=other, z_of=lambda s: step_z.get(s, {})
-            )
-            seg_max = _k_seg_ratio_max(cov_s, b.live_wk, b.live_off, gathered)
-            rho_max = dict(zip(gathered, seg_max))
-
         sigmas = np.zeros(B)
-        for st, step in blended:
-            rmx = step.dual.live_ratio_max() if st.chunked else rho_max[st.slot]
-            rho_step = max(PENALTY_WIDTH_BOUND, float(rmx))
+        for (st, step), box in zip(blended, self._width_bounds(blended, other)):
+            if box * (1.0 + _BOUND_MARGIN) <= PENALTY_WIDTH_BOUND:
+                rho_step = PENALTY_WIDTH_BOUND
+            else:
+                rho_step = max(PENALTY_WIDTH_BOUND, step.dual.live_ratio_max())
             sigmas[st.slot] = min(
                 0.5, cfg.step_scale * eps / (4.0 * st.alpha * rho_step)
             )
@@ -1132,21 +1131,77 @@ class _BatchEngine:
             if st.dual.z or step.dual.z:
                 self._blend_z(st, step.dual.z, float(sigmas[st.slot]))
 
-        lams = dict(zip(gathered, self.dualb.lambda_min(gathered))) if gathered else {}
-        for st, step in blended:
-            st.lam = st.dual.lambda_min() if st.chunked else float(lams[st.slot])
-            if st.lam >= 2.0 * st.lam_t and st.lam < 1.0 - 3.0 * eps:
-                # phase boundary (Theorem 5): refresh alpha
-                st.lam_t = max(st.lam, eps / 512.0)
-                st.alpha = 2.0 * np.log(st.m_live / eps) / (st.lam_t * eps)
-            if st.lam >= 1.0 - 3.0 * eps:
-                st.phase = _PHASE_ROUND_END
-                self._layout_stale = True
-                continue
+        # lambda is read only by the phase refresh and the 1 - 3 eps
+        # exit; while an upper bound stays below both thresholds neither
+        # can fire, and st.lam is next read after _round_end resets it
+        exit_at = 1.0 - 3.0 * eps
+        for (st, _), bound in zip(blended, self._lambda_bounds(blended)):
+            if not bound < min(2.0 * st.lam_t, exit_at):
+                st.lam, st.lam_edge = st.dual.lambda_witness()
+                if st.lam >= 2.0 * st.lam_t and st.lam < exit_at:
+                    # phase boundary (Theorem 5): refresh alpha
+                    st.lam_t = max(st.lam, eps / 512.0)
+                    st.alpha = 2.0 * np.log(st.m_live / eps) / (st.lam_t * eps)
+                if st.lam >= exit_at:
+                    st.phase = _PHASE_ROUND_END
+                    self._layout_stale = True
+                    continue
             st.step_in_q += 1
             if st.step_in_q >= st.per_sparsifier:
                 if not self._advance_sparsifier(st):
                     st.phase = _PHASE_ROUND_END
+
+    def _width_bounds(self, blended, other: np.ndarray) -> np.ndarray:
+        """An upper bound on each blended step's width, one pass over all.
+
+        A live level-``k`` edge ``(i, j)`` is covered by at most
+        ``max(2 x̃_i(k) + zload_i(k), 2 x̃_j(k) + zload_j(k))``: its odd-set
+        term is at most either endpoint's z-load.  So the largest ``(2 x̃
+        + zload) / ŵ_k`` over the cells ``(i, k)`` with a live level-``k``
+        edge at ``i`` (the ``has_ik`` cells) bounds the width at
+        O(|has_ik|) cost.  ``other`` holds the steps' ``x̃`` planes.
+        """
+        hoff = self.hik_off_list
+        vals = 2.0 * other[self.hik_idx]
+        for st, step in blended:
+            if step.dual.z:
+                sl = slice(hoff[st.slot], hoff[st.slot + 1])
+                vals[sl] += step.dual.z_load().ravel()[st.hik_local]
+        vals /= self.wk_hik
+        # every running member has a live edge, so no segment is empty
+        box = np.maximum.reduceat(vals, self.hik_off[:-1])
+        return box[[st.slot for st, _ in blended]]
+
+    def _lambda_bounds(self, blended) -> np.ndarray:
+        """Each blended instance's witness-edge ratio: an upper bound on
+        its ``lambda``, one gather over all.
+
+        The witness is the edge the last exact scan found at the minimum
+        (:meth:`LayeredDual.lambda_witness`); any live edge bounds
+        ``lambda`` from above, so it stays valid across steps and
+        rounds.  The ratio takes the scan's float operations in the
+        scan's order -- the two ``x`` terms, the odd-set terms in ``z``'s
+        order (:func:`z_cover_add`), then the division by ``ŵ_k`` from
+        the same per-level table -- so it equals that edge's scanned
+        ratio bit for bit and is never below the scanned minimum.
+        """
+        b = self.batch
+        slots = np.array([st.slot for st, _ in blended], dtype=np.int64)
+        i, j, k = (
+            np.array(col, dtype=np.int64)
+            for col in zip(*(st.lam_edge for st, _ in blended))
+        )
+        base = b.vl_off[slots]
+        Ls = b.L[slots]
+        x = self.dualb.x
+        cov = x[base + i * Ls + k] + x[base + j * Ls + k]
+        for pos, (st, _) in enumerate(blended):
+            if st.dual.z:
+                one = slice(pos, pos + 1)
+                cov[one] = z_cover_add(
+                    st.graph.n, i[one], j[one], k[one], st.dual.z, cov[one]
+                )
+        return cov / b.wk_l[b.l_off[slots] + k]
 
     def _blend_z(self, st: _InstanceState, other_z: dict, sigma: float) -> None:
         """The z-half of ``LayeredDual.blend`` (x was blended batched)."""

@@ -153,11 +153,11 @@ class LayeredDual:
     def _live_ratio_chunks(self):
         """Yield the live-edge coverage ratios, one edge range at a time.
 
-        Each item is ``(start, stop, live, src, dst, ratios)``: the
-        range, its live-edge mask, and the live edges' endpoints and
-        ratios (ranges without a live edge are skipped).  The endpoints
-        let a caller measure another point on the same edges in the same
-        pass (:func:`~repro.core.certificates.certify` does).
+        Each item is ``(start, stop, live, src, dst, kl, ratios)``: the
+        range, its live-edge mask, and the live edges' endpoints, levels
+        and ratios (ranges without a live edge are skipped).  The
+        endpoints let a caller measure another point on the same edges
+        in the same pass (:func:`~repro.core.certificates.certify` does).
 
         Reads :meth:`~repro.util.graph.Graph.edge_ranges` slices instead
         of gathering every live edge, so file-backed graphs are never
@@ -182,16 +182,27 @@ class LayeredDual:
             cov = x[src, kl] + x[dst, kl]
             if self.z:
                 cov = z_cover_add(g.n, src, dst, kl, self.z, cov)
-            yield start, stop, live, src, dst, cov / wk[kl]
+            yield start, stop, live, src, dst, kl, cov / wk[kl]
 
     def lambda_min(self) -> float:
         """``lambda = min_e (Ax)_e / c_e`` over live edges (1.0 if none)."""
-        best = np.inf
-        found = False
-        for *_, ratios in self._live_ratio_chunks():
-            found = True
-            best = min(best, float(ratios.min()))
-        return float(best) if found else 1.0
+        return self.lambda_witness()[0]
+
+    def lambda_witness(self) -> tuple[float, tuple[int, int, int] | None]:
+        """``lambda`` and a live edge ``(i, j, k)`` whose ratio attains it.
+
+        Any live edge's ratio bounds ``lambda`` from above at any point,
+        so the solver engine keeps this edge and rescans only when its
+        ratio cannot rule out what a scan would decide.  ``(1.0, None)``
+        without live edges.
+        """
+        lam, edge = 1.0, None
+        for *_, src, dst, kl, ratios in self._live_ratio_chunks():
+            pos = int(ratios.argmin())
+            if edge is None or ratios[pos] < lam:
+                lam = float(ratios[pos])
+                edge = (int(src[pos]), int(dst[pos]), int(kl[pos]))
+        return lam, edge
 
     def live_ratio_max(self) -> float:
         """``max_e (Ax)_e / c_e`` over live edges (0.0 if none)."""

@@ -74,8 +74,6 @@ sum_mod_p = _impl.sum_mod_p
 sketch_ingest = _impl.sketch_ingest
 decode_planes = _impl.decode_planes
 gather_add2 = _impl.gather_add2
-seg_ratio_min = _impl.seg_ratio_min
-seg_ratio_max = _impl.seg_ratio_max
 dual_scatter = _impl.dual_scatter
 index_scatter = _impl.index_scatter
 blend = _impl.blend

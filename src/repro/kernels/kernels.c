@@ -236,23 +236,6 @@ void rk_gather_add2(const double *buf, const int64_t *ia, const int64_t *ib,
     for (int64_t i = 0; i < n; i++) out[i] = buf[ia[i]] + buf[ib[i]];
 }
 
-/* per-segment min/max of cov/wk; each element's ratio is the exact
- * IEEE quotient, so dividing only the consulted segments matches the
- * full-buffer numpy division element for element. */
-void rk_seg_ratio_minmax(const double *cov, const double *wk, const int64_t *off,
-                         const int64_t *idx, int64_t nidx, int64_t ismax,
-                         double *out) {
-    for (int64_t t = 0; t < nidx; t++) {
-        int64_t s = idx[t];
-        double m = cov[off[s]] / wk[off[s]];
-        for (int64_t j = off[s] + 1; j < off[s + 1]; j++) {
-            double x = cov[j] / wk[j];
-            if (ismax ? (x > m) : (x < m)) m = x;
-        }
-        out[t] = m;
-    }
-}
-
 /* out[src[t]] += w[t] for all t, then the same over dst: the exact
  * accumulation order of np.bincount on the concatenated index array. */
 void rk_dual_scatter(double *out, const int64_t *src, const int64_t *dst,

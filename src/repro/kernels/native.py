@@ -57,10 +57,6 @@ _sig(
     c_int64, c_int64, c_int64, c_int64, c_void_p, c_void_p,
 )
 _sig("rk_gather_add2", None, c_void_p, c_void_p, c_void_p, c_void_p, c_int64)
-_sig(
-    "rk_seg_ratio_minmax", None,
-    c_void_p, c_void_p, c_void_p, c_void_p, c_int64, c_int64, c_void_p,
-)
 _sig("rk_dual_scatter", None, c_void_p, c_void_p, c_void_p, c_void_p, c_int64)
 _sig("rk_index_scatter", None, c_void_p, c_void_p, c_void_p, c_int64)
 _sig("rk_blend", None, c_void_p, c_void_p, c_void_p, c_void_p, c_int64)
@@ -223,20 +219,6 @@ def decode_planes(s0, s1, fp, z, universe: int) -> list[tuple[int, int] | None]:
 def gather_add2(buf, idx_a, idx_b) -> np.ndarray:
     out = np.empty(len(idx_a), dtype=_F64)
     _lib.rk_gather_add2(_pm(buf), _pm(idx_a), _pm(idx_b), _p(out), len(idx_a))
-    return out
-
-
-def seg_ratio_min(cov, wk, off, idx) -> np.ndarray:
-    ids = _c(idx, _I64)
-    out = np.empty(len(ids), dtype=_F64)
-    _lib.rk_seg_ratio_minmax(_pm(cov), _pm(wk), _pm(off), _pm(ids), len(ids), 0, _p(out))
-    return out
-
-
-def seg_ratio_max(cov, wk, off, idx) -> np.ndarray:
-    ids = _c(idx, _I64)
-    out = np.empty(len(ids), dtype=_F64)
-    _lib.rk_seg_ratio_minmax(_pm(cov), _pm(wk), _pm(off), _pm(ids), len(ids), 1, _p(out))
     return out
 
 

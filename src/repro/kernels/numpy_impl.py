@@ -242,18 +242,6 @@ def gather_add2(buf: np.ndarray, idx_a: np.ndarray, idx_b: np.ndarray) -> np.nda
     return buf[idx_a] + buf[idx_b]
 
 
-def seg_ratio_min(cov: np.ndarray, wk: np.ndarray, off: np.ndarray, idx) -> np.ndarray:
-    """Per-segment minima of ``cov / wk`` (the lambda_min reduction)."""
-    ratios = cov / wk
-    return np.array([ratios[off[i] : off[i + 1]].min() for i in idx])
-
-
-def seg_ratio_max(cov: np.ndarray, wk: np.ndarray, off: np.ndarray, idx) -> np.ndarray:
-    """Per-segment maxima of ``cov / wk`` (the effective-width bound)."""
-    ratios = cov / wk
-    return np.array([ratios[off[i] : off[i + 1]].max() for i in idx])
-
-
 def dual_scatter(src: np.ndarray, dst: np.ndarray, vals: np.ndarray, size: int,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Scatter-add ``vals`` at ``src`` then at ``dst`` into a fresh buffer.

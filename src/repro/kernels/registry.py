@@ -42,8 +42,6 @@ KERNEL_CONTRACTS: dict[str, str] = {
     "python floor-division semantics, same fingerprint check)",
     # segment / scatter / gather primitives
     "gather_add2": _EXACT_F64,
-    "seg_ratio_min": _EXACT_F64,
-    "seg_ratio_max": _EXACT_F64,
     "dual_scatter": _EXACT_F64 + "; sequential accumulation in np.bincount order",
     "index_scatter": _EXACT_F64 + "; sequential accumulation in index order",
     "blend": _EXACT_F64 + "; in-place on x",

@@ -289,18 +289,6 @@ def test_decode_planes_parity(seed):
 # ----------------------------------------------------------------------
 # Segment / scatter / gather primitives
 # ----------------------------------------------------------------------
-def _segments(rng, lens):
-    off = np.zeros(len(lens) + 1, dtype=np.int64)
-    np.cumsum(lens, out=off[1:])
-    # magnitudes spanning ~15 decades stress the summation order
-    vals = rng.standard_normal(int(off[-1])) * np.exp(rng.uniform(-18, 18, int(off[-1])))
-    return vals, off
-
-
-# lengths straddle numpy's pairwise-summation block size (128)
-SEG_LENS = [1, 2, 7, 8, 9, 17, 127, 128, 129, 1000, 4096]
-
-
 @needs_native
 def test_gather_add2_parity():
     f_np, f_c = impls("gather_add2")
@@ -309,19 +297,6 @@ def test_gather_add2_parity():
     idx_a = rng.integers(0, 500, size=2000).astype(np.int64)
     idx_b = rng.integers(0, 500, size=2000).astype(np.int64)
     assert_bitequal(f_np(buf, idx_a, idx_b), f_c(buf, idx_a, idx_b))
-
-
-@needs_native
-def test_seg_ratio_parity():
-    rng = np.random.default_rng(44)
-    cov, off = _segments(rng, SEG_LENS)
-    wk = np.exp(rng.uniform(-3, 3, cov.size))
-    idx = np.arange(len(SEG_LENS), dtype=np.int64)
-    for name in ("seg_ratio_min", "seg_ratio_max"):
-        f_np, f_c = impls(name)
-        assert_bitequal(f_np(cov, wk, off, idx), f_c(cov, wk, off, idx))
-        sub = np.array([3, 1, 9], dtype=np.int64)
-        assert_bitequal(f_np(cov, wk, off, sub), f_c(cov, wk, off, sub))
 
 
 @needs_native

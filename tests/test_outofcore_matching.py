@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.api import Problem, run
-from repro.core.matching_solver import SolverConfig
+from repro.core.matching_solver import DualPrimalMatchingSolver, SolverConfig
 from repro.graphgen import gnm_graph, with_uniform_weights
 from repro.ingest import (
     FileBackedGraph,
@@ -118,9 +118,10 @@ class TestZeroMaterializationMatching:
         assert _digest(facade.raw) == ram_digest
 
     def test_engine_builds_no_live_edge_array(self, edge_file, graph, monkeypatch):
-        """The solver engine reads an unmaterialized graph's lambda and
-        step widths from chunked scans, so no O(m) live-edge id array is
-        built during the solve (the in-RAM solve does build them)."""
+        """The solver engine bounds lambda and the step widths from its
+        O(n L) tables and scans edge ranges only when a bound cannot
+        decide, so no O(m) live-edge id array is built during a solve,
+        from a file or in RAM."""
         from repro.core.levels import LevelDecomposition
 
         calls = []
@@ -133,9 +134,9 @@ class TestZeroMaterializationMatching:
         monkeypatch.setattr(LevelDecomposition, "live_edges", counting)
         fg = FileBackedGraph(edge_file, materialize_policy="forbid")
         SemiStreamingMatchingSolver(_cfg()).solve(fg)
-        assert calls == []
         SemiStreamingMatchingSolver(_cfg()).solve(graph)
-        assert calls  # the spy sees the gathered path
+        DualPrimalMatchingSolver(_cfg()).solve(graph)
+        assert calls == []
 
     def test_forbid_policy_blocks_explicit_materialize(self, edge_file):
         fg = FileBackedGraph(edge_file, materialize_policy="forbid")
@@ -195,6 +196,33 @@ class TestInnerStepsReadNoEdges:
         inner = [s for s in stacks if "_inner_tick" in s]
         assert inner and all(s[1] == "build" for s in inner)
         assert _digest(result) == _digest(SemiStreamingMatchingSolver(cfg).solve(g))
+
+    @pytest.mark.parametrize("inner_steps", [40, 400])
+    def test_bytes_read_per_round_do_not_grow_with_inner_steps(
+        self, edge_file, inner_steps, monkeypatch
+    ):
+        """A round reads the file a fixed small number of times (chain,
+        harvest, certificate passes), however many inner steps it takes."""
+        read = []
+        for name in ("read_raw_slice", "gather_raw"):
+            original = getattr(edge_format.EdgeFile, name)
+
+            def counting(self, *args, _original=original, **kwargs):
+                out = _original(self, *args, **kwargs)
+                read.append(out.nbytes)
+                return out
+
+            monkeypatch.setattr(edge_format.EdgeFile, name, counting)
+        cfg = SolverConfig(
+            eps=0.3, seed=7, inner_steps=inner_steps, offline="local",
+            round_cap_factor=0.3, target_gap=1e-6,
+        )
+        fg = FileBackedGraph(edge_file, chunk_edges=64, materialize_policy="forbid")
+        result = SemiStreamingMatchingSolver(cfg).solve(fg)
+        assert result.rounds == 2
+        assert result.resources["refinement_steps"] >= result.rounds * inner_steps
+        # the initial solution's passes count as one more round
+        assert sum(read) <= 16 * os.path.getsize(edge_file) * (result.rounds + 1)
 
 
 # ======================================================================

@@ -196,22 +196,38 @@ class TestOneCertificatePerRound:
 
 
 class TestLambdaScans:
-    """Certificates carry lambda: the engine scans it once per cold solve."""
+    """Certificates carry lambda and inner steps bound it: the engine
+    scans it once per cold solve."""
+
+    #: Every full lambda scan, ranged or batched, that the engine has
+    #: had; a name missing from a class is skipped.
+    SCANS = (
+        ("repro.core.relaxations", "LayeredDual", "lambda_min"),
+        ("repro.core.relaxations", "LayeredDual", "lambda_witness"),
+        ("repro.core.batch", "DualBatch", "lambda_min"),
+    )
 
     @pytest.fixture
     def scans(self, monkeypatch):
+        import importlib
         import sys
 
-        from repro.core.relaxations import LayeredDual
-
         callers = []
-        scan = LayeredDual.lambda_min
+        names = {name for *_, name in self.SCANS}
 
-        def counting(dual):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return scan(dual)
+        def spy(scan):
+            def counting(*args):
+                caller = sys._getframe(1).f_code.co_name
+                if caller not in names:  # not one scan entry calling another
+                    callers.append(caller)
+                return scan(*args)
 
-        monkeypatch.setattr(LayeredDual, "lambda_min", counting)
+            return counting
+
+        for module, cls_name, name in self.SCANS:
+            cls = getattr(importlib.import_module(module), cls_name)
+            if hasattr(cls, name):
+                monkeypatch.setattr(cls, name, spy(getattr(cls, name)))
         return callers
 
     @staticmethod
