@@ -100,20 +100,26 @@ def _p(a: np.ndarray) -> int:
 # ``ndarray.ctypes.data`` costs ~2us per access (it builds a ctypes
 # helper object every time).  Entries are keyed by ``id`` and validated
 # by a weakref identity check, so id reuse after an array is freed can
-# never serve a stale pointer.  (An ndarray's buffer address is fixed
-# for its lifetime; nothing in this repo calls ``ndarray.resize``.)
+# never serve a stale pointer; the weakref's callback drops the entry
+# when its array dies, so the memo holds live arrays only.  (An
+# ndarray's buffer address is fixed for its lifetime; nothing in this
+# repo calls ``ndarray.resize``.)
 _ptr_memo: dict[int, tuple] = {}
 
 
 def _pm(a: np.ndarray) -> int:
-    ent = _ptr_memo.get(id(a))
+    key = id(a)
+    ent = _ptr_memo.get(key)
     if ent is not None and ent[0]() is a:
         return ent[1]
     ptr = a.ctypes.data
-    if len(_ptr_memo) > 8192:
-        for k in [k for k, e in _ptr_memo.items() if e[0]() is None]:
-            del _ptr_memo[k]
-    _ptr_memo[id(a)] = (weakref.ref(a), ptr)
+
+    def drop(ref, key=key, memo=_ptr_memo):
+        # a newer array may have taken the id since: keep its entry
+        if memo.get(key, (None,))[0] is ref:
+            del memo[key]
+
+    _ptr_memo[key] = (weakref.ref(a, drop), ptr)
     return ptr
 
 

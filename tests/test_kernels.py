@@ -715,6 +715,26 @@ def test_bmatching_exact_parity_per_implementation(impl, monkeypatch):
         got.check_valid()
 
 
+@needs_native
+def test_pointer_memo_keeps_no_dead_array():
+    """The native wrappers memoize array pointers by id; an entry goes
+    when its array dies, so solves whose results are kept leave no dead
+    entries behind."""
+    from repro.core.matching_solver import DualPrimalMatchingSolver, SolverConfig
+    from repro.graphgen import gnm_graph, with_uniform_weights
+    from repro.kernels import native
+
+    buf, idx = np.arange(4.0), np.array([0, 3], dtype=np.int64)
+    native.gather_add2(buf, idx, idx)
+    solver = DualPrimalMatchingSolver(SolverConfig(eps=0.2, seed=1))
+    kept = [
+        solver.solve(with_uniform_weights(gnm_graph(24, 96, seed=s), 1.0, 100.0, seed=s))
+        for s in range(4)
+    ]
+    assert len(kept) == 4 and native._ptr_memo[id(buf)][0]() is buf
+    assert all(ref() is not None for ref, _ in native._ptr_memo.values())
+
+
 # ----------------------------------------------------------------------
 # Backend dispatch (one subprocess per REPRO_KERNELS mode)
 # ----------------------------------------------------------------------
