@@ -587,6 +587,7 @@ class _InstanceState:
         "lag",
         "inner_outcome",
         "cert",
+        "low_cert",
         "result",
     )
 
@@ -733,6 +734,7 @@ class _BatchEngine:
         )
         st.history = []
         st.rounds = 0
+        st.low_cert = None
         st.chain = None
         st.result = None
         st.phase = _PHASE_ROUND_START
@@ -908,6 +910,10 @@ class _BatchEngine:
         # the round's one certificate: _finalize reuses it, since no exit
         # (target gap, lambda or the next round's cap check) moves the dual
         st.cert = cert = certify(st.dual)
+        # every round's bound is verified, so the result may report the
+        # lowest; the exits below still read this round's own
+        if st.low_cert is None or cert.upper_bound < st.low_cert.upper_bound:
+            st.low_cert = cert
         st.lam = cert.lambda_min
         st.history.append(
             {
@@ -942,9 +948,12 @@ class _BatchEngine:
         st.phase = _PHASE_ROUND_START
 
     def _finalize(self, st: _InstanceState) -> None:
+        # the lowest verified bound, carrying the last round's raw point
+        # for warm starts (as _warm_fast_path does)
+        cert = replace(st.low_cert, dual_x=st.cert.dual_x, dual_z=st.cert.dual_z)
         st.result = MatchingResult(
             matching=st.best,
-            certificate=st.cert,
+            certificate=cert,
             rounds=st.rounds,
             lambda_min=st.lam,
             beta_final=st.beta,

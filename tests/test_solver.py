@@ -162,8 +162,8 @@ class TestOneCertificatePerRound:
         calls = []
 
         def counting(dual):
-            calls.append(dual)
-            return certify(dual)
+            calls.append(certify(dual))
+            return calls[-1]
 
         monkeypatch.setattr(ms, "certify", counting)
         return calls
@@ -171,8 +171,12 @@ class TestOneCertificatePerRound:
     @staticmethod
     def _check(res, calls):
         assert len(calls) == res.rounds
-        assert res.certificate.upper_bound == res.history[-1]["upper_bound"]
-        assert res.lambda_min == res.certificate.lambda_min
+        bounds = [h["upper_bound"] for h in res.history]
+        assert res.certificate.upper_bound == min(bounds)
+        assert res.lambda_min == res.history[-1]["lambda"]
+        # one of the rounds' certificates, with the last round's raw point
+        assert any(res.certificate.x is cert.x for cert in calls)
+        assert res.certificate.dual_x is calls[-1].dual_x
 
     def test_target_gap_exit(self, certify_calls):
         g = with_uniform_weights(gnm_graph(20, 60, seed=2), seed=3)
@@ -193,6 +197,23 @@ class TestOneCertificatePerRound:
         assert res.certified_ratio < 1.0 - cfg.target_gap
         assert res.lambda_min < 1.0 - 3.0 * cfg.eps
         self._check(res, certify_calls)
+
+    def test_result_reports_the_lowest_round_bound(self, certify_calls):
+        """A later round can verify a higher bound than an earlier one;
+        the result keeps the lowest, which still re-verifies edge by edge."""
+        from repro.matching.verify import verify_dual_upper_bound
+
+        g = with_uniform_weights(gnm_graph(16, 40, seed=2), 1.0, 20.0, seed=3)
+        cfg = SolverConfig(
+            seed=3, eps=0.3, inner_steps=40, offline="local",
+            round_cap_factor=0.6, target_gap=0.05,
+        )
+        res = DualPrimalMatchingSolver(cfg).solve(g)
+        bounds = [h["upper_bound"] for h in res.history]
+        assert res.rounds > 1 and bounds[-1] > min(bounds)
+        self._check(res, certify_calls)
+        cert = res.certificate
+        assert verify_dual_upper_bound(g, cert.x, cert.z) == cert.upper_bound
 
 
 class TestLambdaScans:
