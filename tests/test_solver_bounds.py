@@ -21,7 +21,7 @@ from repro.api import Problem, run
 from repro.core import matching_solver as ms
 from repro.core.matching_solver import DualPrimalMatchingSolver, SolverConfig
 from repro.core.relaxations import LayeredDual
-from repro.graphgen import gnm_graph, with_uniform_weights
+from repro.graphgen import gnm_graph, odd_cycle_chain, with_uniform_weights
 from repro.graphgen.ondisk import generate_gnm_file
 from repro.ingest import FileBackedGraph, write_graph_file
 
@@ -130,3 +130,52 @@ def test_natural_fallback_matches_forced_exact(
     assert inner_scans[scan] > 0
     _force_exact(monkeypatch)
     assert solve_digest(DualPrimalMatchingSolver(config).solve(graph)) == default
+
+
+@pytest.mark.parametrize(
+    "graph, config, with_z",
+    [
+        # odd-set mass on the dual
+        (
+            odd_cycle_chain(2, 3),
+            SolverConfig(eps=0.3, p=4.0, inner_steps=150, round_cap_factor=3.0, seed=7),
+            True,
+        ),
+        (
+            with_uniform_weights(gnm_graph(8, 32, seed=0), 1.0, 100.0, seed=7),
+            SolverConfig(eps=0.1, offline="local", seed=0, round_cap_factor=0.2),
+            False,
+        ),
+    ],
+)
+def test_bounds_hold_against_the_scans_at_every_step(graph, config, with_z, monkeypatch):
+    """Every width bound is at least the step's scanned width, and every
+    lambda bound is the witness edge's scanned ratio bit for bit."""
+    widths, lambdas = ms._BatchEngine._width_bounds, ms._BatchEngine._lambda_bounds
+    seen = {"width": 0, "lambda": 0, "z": 0}
+
+    def checked_widths(self, blended, other):
+        out = widths(self, blended, other)
+        for (_st, step), box in zip(blended, out):
+            assert box * (1.0 + 1e-9) >= step.dual.live_ratio_max()
+            seen["width"] += 1
+        return out
+
+    def checked_lambdas(self, blended):
+        out = lambdas(self, blended)
+        for (st, _), bound in zip(blended, out):
+            i, j, k = st.lam_edge
+            hits = [
+                ratios[(src == i) & (dst == j) & (kl == k)]
+                for *_, src, dst, kl, ratios in st.dual._live_ratio_chunks()
+            ]
+            assert np.concatenate(hits).tolist() == [bound]
+            seen["lambda"] += 1
+            seen["z"] += bool(st.dual.z)
+        return out
+
+    monkeypatch.setattr(ms._BatchEngine, "_width_bounds", checked_widths)
+    monkeypatch.setattr(ms._BatchEngine, "_lambda_bounds", checked_lambdas)
+    DualPrimalMatchingSolver(config).solve(graph)
+    assert seen["width"] > 0 and seen["lambda"] > 0
+    assert (seen["z"] > 0) == with_z
