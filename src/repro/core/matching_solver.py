@@ -1196,10 +1196,7 @@ class _BatchEngine:
         """
         b = self.batch
         slots = np.array([st.slot for st, _ in blended], dtype=np.int64)
-        i, j, k = (
-            np.array(col, dtype=np.int64)
-            for col in zip(*(st.lam_edge for st, _ in blended))
-        )
+        i, j, k = np.array([st.lam_edge for st, _ in blended], dtype=np.int64).T
         base = b.vl_off[slots]
         Ls = b.L[slots]
         x = self.dualb.x
