@@ -30,7 +30,11 @@ Cases:
   merge, the certificate of the initial dual, the audit's violation
   message, an ``offline`` solve, and a ``semi_streaming`` solve;
 * the two saturating scans whose per-edge multiplicity cap binds: a
-  b-matching initial solution's group merge and a warm start's fold.
+  b-matching initial solution's group merge and a warm start's fold;
+* the Nagamochi-Ibaraki forests at small ``k``: forest indices on
+  multigraphs with self-loops, connectivity sampling probabilities,
+  Algorithm 6 fed in small chunks, and a ``sparsifier_k=1``
+  semi-streaming solve from an ``.edges`` file.
 
 The native and numpy kernel backends are bit-identical, so one record
 serves both.  Floats are digested through ``float.hex``; results can
@@ -530,10 +534,124 @@ def caps() -> dict:
     return out
 
 
+def _multigraph(rng, n: int, m: int):
+    """Random endpoints with parallel edges and self-loops."""
+    return rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+
+
+class _SparsifierProbe:
+    """Counts, across every :class:`StreamingCutSparsifier` built while
+    it is active, the non-loop edges inserted, the edges stored and the
+    edges extracted."""
+
+    def __init__(self):
+        self.inserted = 0
+        self.stored = 0
+        self.extracted = 0
+
+    def __enter__(self):
+        from repro.sparsify.cut_sparsifier import StreamingCutSparsifier as S
+
+        insert_many, extract = S.insert_many, S.extract
+        probe = self
+
+        def counted_insert(sp, u, v, w=1.0, ids=None):
+            probe.inserted += int((np.asarray(u) != np.asarray(v)).sum())
+            return insert_many(sp, u, v, w, ids)
+
+        def counted_extract(sp):
+            sample = extract(sp)
+            probe.stored += sp.stored_count()
+            probe.extracted += len(sample)
+            return sample
+
+        self._saved = (S, insert_many, extract)
+        S.insert_many, S.extract = counted_insert, counted_extract
+        return self
+
+    def __exit__(self, *exc):
+        S, insert_many, extract = self._saved
+        S.insert_many, S.extract = insert_many, extract
+
+
+def forests() -> dict:
+    """The Nagamochi-Ibaraki forests at small ``k``.
+
+    At the other groups' sizes the default forest count is far above
+    ``n``, so no edge is rejected (index ``k + 1``) and extraction
+    never reads a full ``k``-th forest.  Each case here asserts that
+    both branches ran: some index exceeds ``k``, and extraction finds
+    some edge's first separating level ``i' > 0``.  At ``k >= 2`` such
+    an edge is kept with its weight times ``2**i'``.  At ``k = 1`` it
+    is always dropped: a stored edge joins its endpoints in the one
+    forest of every level it survived to, so ``i'`` exceeds its
+    survival level unless no level separates them (``i' = 0``).
+    """
+    from repro.core.matching_solver import SolverConfig
+    from repro.graphgen import generate_gnm_file, gnm_graph, with_uniform_weights
+    from repro.ingest import FileBackedGraph
+    from repro.sparsify.connectivity import ni_forest_index
+    from repro.sparsify.cut_sparsifier import (
+        StreamingCutSparsifier,
+        connectivity_sampling_probs,
+    )
+    from repro.streaming.streaming_matching import SemiStreamingMatchingSolver
+
+    out = {}
+    rng = np.random.default_rng(26)
+    for n, m in ((12, 200), (40, 600), (150, 3000)):
+        src, dst = _multigraph(rng, n, m)
+        for k in (1, 2, 3, None):
+            idx = ni_forest_index(n, src, dst, k=k)
+            assert (idx > (n if k is None else k)).any(), (n, k)
+            out[f"forests:index:{n}:{k}"] = _sha(idx.tolist())
+
+    g = with_uniform_weights(gnm_graph(300, 3000, seed=31), 1.0, 100.0, seed=32)
+    p = connectivity_sampling_probs(g, g.weight, rho=2.0)
+    assert (p < 1.0).any()
+    out["forests:probs"] = _sha([_hex(v) for v in p])
+
+    g = gnm_graph(200, 4000, seed=33)
+    w = np.random.default_rng(34).uniform(0.5, 4.0, g.m)
+    for k in (1, 2, 3):
+        with _SparsifierProbe() as probe:
+            sp = StreamingCutSparsifier(g.n, xi=0.5, seed=35 + k, k=k)
+            for start in range(0, g.m, 17):
+                stop = start + 17
+                sp.insert_many(g.src[start:stop], g.dst[start:stop], w[start:stop])
+            sample = sp.extract()
+        assert probe.stored < probe.inserted, k
+        if k == 1:
+            assert probe.extracted < probe.stored
+        else:
+            assert (sample.weights > w[sample.edge_ids]).any(), k
+        out[f"forests:streaming:{k}"] = _sha(
+            {
+                "ids": sample.edge_ids.tolist(),
+                "weights": [_hex(v) for v in sample.weights],
+                "stored": sp.stored_count(),
+            }
+        )
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = generate_gnm_file(Path(tmp) / "forests.edges", 256, 4096, seed=36)
+        config = SolverConfig(
+            eps=0.3, seed=7, inner_steps=40, offline="local", target_gap=0.75
+        )
+        fbg = FileBackedGraph(path, chunk_edges=1000, materialize_policy="forbid")
+        with _SparsifierProbe() as probe:
+            res = SemiStreamingMatchingSolver(config, sparsifier_k=1).solve(fbg)
+        out["forests:semi_streaming"] = solve_digest(res)
+        fbg.file.close()
+    assert probe.extracted < probe.stored < probe.inserted
+    return out
+
+
 GROUPS = {
     "backends": backends,
     "caps": caps,
     "file_backed": file_backed,
+    "forests": forests,
     "mixed_run_many": mixed_run_many,
     "oracle": oracle,
     "oracle_routes": oracle_routes,
