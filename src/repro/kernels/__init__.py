@@ -83,6 +83,7 @@ tick_pack_arg = _impl.tick_pack_arg
 tick_pack_post = _impl.tick_pack_post
 oracle_eval = _impl.oracle_eval
 blossom_mates = _impl.blossom_mates
+forest_place = _impl.forest_place
 
 
 def backend() -> str:

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MERSENNE_P", "OracleScratch", "OracleEvalResult", "blossom_input"]
+__all__ = [
+    "MERSENNE_P",
+    "OracleScratch",
+    "OracleEvalResult",
+    "blossom_input",
+    "forest_input",
+]
 
 # canonical definition lives in repro.sketch.hashing; repeated here so
 # the kernel layer has no repro-internal imports (hashing imports us)
@@ -104,3 +110,35 @@ def blossom_input(nv, src, dst, weight) -> tuple[int, np.ndarray, np.ndarray, np
     if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= nv):
         raise ValueError("edge endpoint out of range")
     return nv, src, dst, weight
+
+
+def forest_input(table, count, k, src, dst, out) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """Normalize and check ``forest_place`` arguments (both backends).
+
+    The table and ``out`` are written in place, so they must already
+    have the kernel's layout; endpoints index the table's rows, so one
+    outside ``0..n-1`` must fail here, the same way on both sides.
+    """
+    count, k = int(count), int(k)
+    src = np.ascontiguousarray(src, dtype=np.int64)
+    dst = np.ascontiguousarray(dst, dtype=np.int64)
+    if not (
+        isinstance(table, np.ndarray) and table.ndim == 2
+        and table.dtype == np.int32 and table.flags.c_contiguous
+    ):
+        raise ValueError("table must be a C-contiguous 2-d int32 array")
+    if not (
+        isinstance(out, np.ndarray) and out.ndim == 1
+        and out.dtype == np.int64 and out.flags.c_contiguous
+    ):
+        raise ValueError("out must be a C-contiguous 1-d int64 array")
+    if not (src.ndim == dst.ndim == 1 and len(src) == len(dst) <= len(out)):
+        raise ValueError("src and dst must be 1-d arrays of equal length, "
+                         "no longer than out")
+    if not 0 <= count <= len(table) or k < 1:
+        raise ValueError(f"need 0 <= count <= capacity and k >= 1, got {count}, {k}")
+    # as uint64 a negative endpoint is huge, so one max checks both ends
+    u64 = np.uint64
+    if len(src) and np.maximum(src.view(u64), dst.view(u64)).max() >= table.shape[1]:
+        raise ValueError("edge endpoint out of range")
+    return count, k, src, dst

@@ -18,9 +18,12 @@
  * - `exp` is NOT computed here: libm exp differs from numpy's SIMD exp
  *   in the last ulp on ~5% of inputs, so callers evaluate np.exp on the
  *   shared buffer between the `*_pre`/`*_post` halves of fused kernels.
- * - the blossom matcher (`rk_blossom_mates`, last section) is a port of
- *   networkx's `max_weight_matching` that keeps every iteration order
- *   of the Python code, so its mates equal networkx's mate for mate.
+ * - the blossom matcher (`rk_blossom_mates`) is a port of networkx's
+ *   `max_weight_matching` that keeps every iteration order of the
+ *   Python code, so its mates equal networkx's mate for mate.
+ * - the forest placement (`rk_forest_place`, last section) runs the
+ *   reference's finds and unions in the same order, so both leave
+ *   byte-identical parent tables.
  */
 
 #include <math.h>
@@ -1165,4 +1168,67 @@ int64_t rk_blossom_mates(int64_t nv, int64_t m, const int64_t *src, const int64_
             mate_edge[v] = (S->mate[v] == BL_NONE) ? -1 : (S->mate[v] >> 1);
     bl_release(S);
     return rc;
+}
+
+/* ------------------------------------------------------------------ */
+/* Nagamochi-Ibaraki forest placement (Algorithm 6's inner loop)       */
+/* ------------------------------------------------------------------ */
+
+static inline int32_t rk_uf_find(int32_t *parent, int32_t x) {
+    while (parent[x] != x) {
+        parent[x] = parent[parent[x]]; /* path halving */
+        x = parent[x];
+    }
+    return x;
+}
+
+/* Places edges (src[t], dst[t]), t < m, in order into first-fit forests.
+ * `table` holds `cap` parent rows of n int32 slots; rows < *nf are in
+ * use.  out[t] is the 1-based index of the first forest that separates
+ * the endpoints, found by bisection (connected in forest j + 1 implies
+ * connected in forest j), or k + 1 for a self-loop or an edge that all
+ * k forests connect.  A hit at forest j links find(u) to find(v), with
+ * find(v) run first, as the Python reference's assignment does; a miss
+ * opens forest *nf + 1 with parent[u] = v.  Stops before the first edge
+ * that needs a row beyond `cap` (only when cap < k) and returns the
+ * number of edges placed; *nf is updated.  Endpoints must lie in
+ * 0..n-1 (the Python wrapper checks). */
+int64_t rk_forest_place(int32_t *table, int64_t n, int64_t cap, int64_t k,
+                        int64_t *nf_io, const int64_t *src, const int64_t *dst,
+                        int64_t m, int64_t *out) {
+    int64_t nf = *nf_io;
+    int64_t t = 0;
+    for (; t < m; t++) {
+        const int32_t u = (int32_t)src[t], v = (int32_t)dst[t];
+        if (u == v) {
+            out[t] = k + 1;
+            continue;
+        }
+        int64_t lo = 0, hi = nf;
+        while (lo < hi) {
+            const int64_t mid = (lo + hi) / 2;
+            int32_t *parent = table + mid * n;
+            const int32_t ru = rk_uf_find(parent, u);
+            if (ru == rk_uf_find(parent, v))
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        if (lo < nf) {
+            int32_t *parent = table + lo * n;
+            const int32_t rv = rk_uf_find(parent, v);
+            parent[rk_uf_find(parent, u)] = rv;
+            out[t] = lo + 1;
+        } else if (nf < k) {
+            if (nf == cap) break;
+            int32_t *parent = table + nf * n;
+            for (int64_t i = 0; i < n; i++) parent[i] = (int32_t)i;
+            parent[u] = v;
+            out[t] = ++nf;
+        } else {
+            out[t] = k + 1;
+        }
+    }
+    *nf_io = nf;
+    return t;
 }

@@ -16,12 +16,17 @@ from __future__ import annotations
 
 import ctypes
 import weakref
-from ctypes import c_double, c_int64, c_void_p
+from ctypes import byref, c_double, c_int64, c_void_p
 
 import numpy as np
 
 from repro.kernels.build import load_library
-from repro.kernels.common import OracleEvalResult, OracleScratch, blossom_input
+from repro.kernels.common import (
+    OracleEvalResult,
+    OracleScratch,
+    blossom_input,
+    forest_input,
+)
 
 _lib = load_library()
 
@@ -88,6 +93,10 @@ _sig(
     c_void_p, c_void_p, c_void_p,
 )
 _sig("rk_blossom_mates", c_int64, c_int64, c_int64, c_void_p, c_void_p, c_void_p, c_void_p)
+_sig(
+    "rk_forest_place", c_int64,
+    c_void_p, c_int64, c_int64, c_int64, c_void_p, c_void_p, c_void_p, c_int64, c_void_p,
+)
 
 
 def _p(a: np.ndarray) -> int:
@@ -358,3 +367,16 @@ def blossom_mates(nv, src, dst, weight) -> np.ndarray:
     if _lib.rk_blossom_mates(nv, len(s), _p(s), _p(d), _p(w), _p(mate)) != 0:
         raise MemoryError(f"blossom_mates: out of memory (nv={nv}, m={len(s)})")
     return mate
+
+
+# ----------------------------------------------------------------------
+# Nagamochi-Ibaraki forest placement
+# ----------------------------------------------------------------------
+def forest_place(table, count, k, src, dst, out) -> tuple[int, int]:
+    nf, k, s, d = forest_input(table, count, k, src, dst, out)
+    cap, n = table.shape
+    nfc = c_int64(nf)
+    placed = _lib.rk_forest_place(
+        _p(table), n, cap, k, byref(nfc), _p(s), _p(d), len(s), _p(out)
+    )
+    return placed, nfc.value

@@ -19,7 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.common import MERSENNE_P, OracleEvalResult, OracleScratch, blossom_input
+from repro.kernels.common import (
+    MERSENNE_P,
+    OracleEvalResult,
+    OracleScratch,
+    blossom_input,
+    forest_input,
+)
 
 _MASK32 = np.uint64((1 << 32) - 1)
 _SHIFT32 = np.uint64(32)
@@ -511,3 +517,70 @@ def blossom_mates(nv: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray)
     for i, j in nx.max_weight_matching(g, maxcardinality=False):
         mate[i] = mate[j] = g.edges[i, j]["eid"]
     return mate
+
+
+# ----------------------------------------------------------------------
+# Nagamochi-Ibaraki forest placement (Algorithm 6's inner loop)
+# ----------------------------------------------------------------------
+def _uf_find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]  # path halving
+        x = parent[x]
+    return x
+
+
+def forest_place(table: np.ndarray, count: int, k: int, src: np.ndarray,
+                 dst: np.ndarray, out: np.ndarray) -> tuple[int, int]:
+    """Place edges in order into first-fit forests; ``(placed, count)``.
+
+    ``table`` holds one int32 parent row per forest, rows ``< count`` in
+    use; it is updated in place.  ``out[t]`` gets the 1-based index of
+    the first forest separating ``src[t]`` and ``dst[t]``, found by
+    bisection (first-fit forests nest: connected in forest ``j + 1``
+    implies connected in forest ``j``), or ``k + 1`` for a self-loop or
+    an edge that all ``k`` forests connect.  A miss opens a new forest
+    unless the table is full, in which case the call stops before that
+    edge.  The rows a call reads are Python lists for its length:
+    per-element numpy indexing costs about 10x a list access.
+    """
+    nf, k, src, dst = forest_input(table, count, k, src, dst, out)
+    cap, n = table.shape
+    rows: dict[int, list[int]] = {}
+
+    def row(j: int) -> list[int]:
+        parent = rows.get(j)
+        if parent is None:
+            parent = rows[j] = table[j].tolist()
+        return parent
+
+    find = _uf_find
+    idx: list[int] = []
+    for u, v in zip(src.tolist(), dst.tolist()):
+        if u == v:
+            idx.append(k + 1)
+            continue
+        lo, hi = 0, nf
+        while lo < hi:
+            mid = (lo + hi) // 2
+            parent = row(mid)
+            if find(parent, u) == find(parent, v):
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo < nf:
+            parent = row(lo)
+            parent[find(parent, u)] = find(parent, v)
+            idx.append(lo + 1)
+        elif nf < k:
+            if nf == cap:
+                break
+            parent = rows[nf] = list(range(n))
+            parent[u] = v
+            nf += 1
+            idx.append(nf)
+        else:
+            idx.append(k + 1)
+    for j, parent in rows.items():
+        table[j] = parent
+    out[: len(idx)] = idx
+    return len(idx), nf

@@ -56,6 +56,9 @@ KERNEL_CONTRACTS: dict[str, str] = {
     # offline harvest (Algorithm 2 step 5)
     "blossom_mates": "identical int64 mate arrays (each vertex's matched edge "
     "or -1) to networkx max_weight_matching on simple float-weighted graphs",
+    # Algorithm 6's forest placement
+    "forest_place": "identical forest indices, placed counts, forest counts "
+    "and int32 parent rows (same finds and unions in the same order)",
 }
 
 KERNEL_NAMES: list[str] = list(KERNEL_CONTRACTS)

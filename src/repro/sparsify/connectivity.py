@@ -18,29 +18,29 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels import forest_place
+
 __all__ = ["ni_forest_index", "NIForestDecomposition"]
 
 
 class NIForestDecomposition:
     """Incremental Nagamochi-Ibaraki forest decomposition.
 
-    Maintains up to ``k`` disjoint-set forests.  :meth:`place` returns
-    the 1-based forest index of an edge, or ``k + 1`` if its endpoints
-    are already connected in all ``k`` forests (the edge is "k-heavy" and
-    a sparsifier need not store it).
+    Maintains up to ``k`` disjoint-set forests.  :meth:`place_many`
+    returns the 1-based forest index of each edge, or ``k + 1`` if its
+    endpoints are already connected in all ``k`` forests (the edge is
+    "k-heavy" and a sparsifier need not store it).
 
-    Forests are materialized lazily: forest ``j`` only exists once some
-    edge was connected in forests ``1..j-1``.  An untouched forest
-    separates every pair, so laziness is observationally equivalent to
-    the eager construction (only the *partition* each forest induces is
-    ever queried) while avoiding the ``k * n`` upfront allocation that
-    dominated streaming-sparsifier construction at large ``k``.  The
-    parent tables are plain Python lists with path-halving finds -- the
-    placement loop is the hot path of every chain build, and per-element
-    numpy indexing costs ~10x a list access.  Fresh forests are copies
-    of one shared identity template, so every table aliases the same
-    pool of small-int objects (8 bytes/slot instead of a private int
-    object per slot).
+    The forests live in one int32 table: row ``j`` is forest ``j + 1``'s
+    parent array, and rows below :attr:`count` are in use.  The
+    ``forest_place`` kernel updates the table in place, one call per
+    batch of edges, with path-halving finds.  Forests open lazily:
+    forest ``j`` only exists once some edge was connected in forests
+    ``1..j-1``.  An untouched forest separates every pair, so laziness
+    is observationally equivalent to the eager construction while
+    avoiding the ``k * n`` upfront allocation.  A full table doubles
+    before a batch is placed (never past ``k`` rows), so it holds at
+    most twice the rows in use (one row before the first forest opens).
 
     Placement binary-searches the forests instead of scanning them.
     First-fit NI forests satisfy the *nesting invariant*: at all times,
@@ -59,58 +59,52 @@ class NIForestDecomposition:
     def __init__(self, n: int, k: int):
         if k < 1:
             raise ValueError("need at least one forest")
+        if n >= 2**31:
+            raise ValueError("the int32 parent rows need n < 2^31")
         self.n = int(n)
         self.k = int(k)
-        self._parents: list[list[int]] = []
-        self._template: list[int] | None = None
-
-    def _fresh_parent(self) -> list[int]:
-        if self._template is None:
-            self._template = list(range(self.n))
-        return self._template.copy()
-
-    @staticmethod
-    def _find(parent: list[int], x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+        #: parent rows of the forests, ``(capacity, n)`` int32
+        self.table = np.empty((0, self.n), dtype=np.int32)
+        #: forests opened so far (rows of :attr:`table` in use)
+        self.count = 0
 
     def place(self, u: int, v: int) -> int:
         """Insert edge ``(u, v)``; return its forest index (1-based)."""
-        u, v = int(u), int(v)
-        if u == v:
-            return self.k + 1  # a self-loop is connected everywhere
-        find = self._find
-        parents = self._parents
-        nf = len(parents)
-        # bisect for the first forest separating u and v (see class doc)
-        lo, hi = 0, nf
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if find(parents[mid], u) == find(parents[mid], v):
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < nf:
-            parent = parents[lo]
-            parent[find(parent, u)] = find(parent, v)
-            return lo + 1
-        if nf < self.k:
-            parent = self._fresh_parent()
-            parents.append(parent)
-            parent[u] = v
-            return nf + 1
-        return self.k + 1
+        return int(self.place_many(np.array([u]), np.array([v]))[0])
 
     def place_many(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Insert a batch of edges in order; returns their forest indices."""
+        src = np.ascontiguousarray(src, dtype=np.int64)
+        dst = np.ascontiguousarray(dst, dtype=np.int64)
         out = np.empty(len(src), dtype=np.int64)
-        for t, (u, v) in enumerate(
-            zip(np.asarray(src).tolist(), np.asarray(dst).tolist())
-        ):
-            out[t] = self.place(u, v)
+        done = 0
+        while done < len(src):
+            if self.count == len(self.table) < self.k:
+                # full: double the table, at most k rows.  The kernel
+                # stops before an edge that needs a row past the table.
+                table = np.empty((min(self.k, 2 * self.count or 1), self.n), np.int32)
+                table[: self.count] = self.table[: self.count]
+                self.table = table
+            placed, self.count = forest_place(
+                self.table, self.count, self.k, src[done:], dst[done:], out[done:]
+            )
+            done += placed
         return out
+
+    def last_roots(self) -> np.ndarray | None:
+        """Root of every vertex in the ``k``-th forest, or ``None`` while
+        that forest is untouched (it then separates every pair).
+
+        Pointer jumping on a copy of the row: the table is not changed.
+        """
+        if self.count < self.k:
+            return None
+        roots = self.table[self.k - 1].copy()
+        while True:
+            up = roots[roots]
+            if np.array_equal(up, roots):
+                return roots
+            roots = up
 
     def separated_in_last(self, u: int, v: int) -> bool:
         """True iff the k-th forest still separates u and v.
@@ -118,10 +112,10 @@ class NIForestDecomposition:
         Used by Algorithm 6's final extraction step ("smallest i such
         that UF^i_k.find(u) != UF^i_k.find(v)").
         """
-        if len(self._parents) < self.k:
-            return int(u) != int(v)  # the k-th forest is still untouched
-        parent = self._parents[-1]
-        return self._find(parent, int(u)) != self._find(parent, int(v))
+        roots = self.last_roots()
+        if roots is None:
+            return int(u) != int(v)
+        return bool(roots[int(u)] != roots[int(v)])
 
 
 def ni_forest_index(

@@ -210,19 +210,22 @@ class StreamingCutSparsifier:
     ) -> np.ndarray:
         """Forest placement for a chunk; returns the kept mask.
 
-        Placement stays sequential per edge because each union-find
-        update depends on its predecessors.
+        Each level is its own decomposition and sees its edges in
+        stream order, so the chunk is placed one level at a time: level
+        ``i`` takes the edges that survived to it (``survs >= i``) in
+        one :meth:`~repro.sparsify.connectivity.NIForestDecomposition.
+        place_many` call.  An edge is kept when some level gives it a
+        forest index ``<= k``.
         """
         kept = np.zeros(len(u), dtype=bool)
-        decomp = self._decomp
-        top = self.levels - 1
-        k = self.k
-        for t, (uu, vv, ss) in enumerate(
-            zip(u.tolist(), v.tolist(), survs.tolist())
-        ):
-            for i in range(min(ss, top) + 1):
-                if decomp[i].place(uu, vv) <= k:
-                    kept[t] = True
+        pos = np.arange(len(u))
+        for i, decomp in enumerate(self._decomp):
+            if i:
+                pos = pos[survs[pos] >= i]
+                if len(pos) == 0:
+                    break
+            index = decomp.place_many(u[pos], v[pos])
+            kept[pos[index <= self.k]] = True
         return kept
 
     def insert(self, u: int, v: int, w: float = 1.0) -> None:
@@ -296,30 +299,33 @@ class StreamingCutSparsifier:
         For every stored edge, find the smallest level ``i'`` whose k-th
         forest separates its endpoints; include the edge iff it survived
         to level ``i'`` and rescale its weight by ``2^{i'}`` (the inverse
-        of the level-``i'`` sampling probability).
+        of the level-``i'`` sampling probability).  An edge whose
+        endpoints are k-connected at every level gets ``i' = 0`` and
+        keeps its raw weight, the conservative choice.
+
+        The stored columns are scanned level by level: a level with
+        fewer than k forests separates every stored edge (none is a
+        self-loop); otherwise the edges whose endpoints have different
+        roots in the level's k-th forest are separated there.
         """
-        ids: list[int] = []
-        ws: list[float] = []
-        for cu, cv, cid, csurv, cw in self._chunks:
-            for t, (u, v, eid, surv) in enumerate(
-                zip(cu.tolist(), cv.tolist(), cid.tolist(), csurv.tolist())
-            ):
-                i_prime = self.levels  # sentinel: k-connected everywhere
-                for i in range(self.levels):
-                    if self._decomp[i].separated_in_last(u, v):
-                        i_prime = i
-                        break
-                if i_prime >= self.levels:
-                    # endpoints k-connected at every level: the edge is
-                    # heavy only if it never fails; include at the
-                    # deepest level it survived (contributes with its
-                    # raw weight at level 0 to stay conservative).
-                    i_prime = 0
-                if surv >= i_prime:
-                    ids.append(eid)
-                    w = 1.0 if cw is None else float(cw[t])
-                    ws.append(w * (2.0**i_prime))
+        chunks = self._chunks
+        if not chunks:
+            return EdgeSample(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+        u = np.concatenate([c[0] for c in chunks])
+        v = np.concatenate([c[1] for c in chunks])
+        i_prime = np.zeros(len(u), dtype=np.int64)
+        pos = np.arange(len(u))  # stored edges no level has separated yet
+        for i, decomp in enumerate(self._decomp):
+            roots = decomp.last_roots()
+            a, b = u[pos], v[pos]
+            sep = a != b if roots is None else roots[a] != roots[b]
+            i_prime[pos[sep]] = i
+            pos = pos[~sep]
+            if len(pos) == 0:
+                break
+        keep = np.concatenate([c[3] for c in chunks]) >= i_prime
+        w = np.concatenate([np.ones(len(c[0])) if c[4] is None else c[4] for c in chunks])
         return EdgeSample(
-            edge_ids=np.asarray(ids, dtype=np.int64),
-            weights=np.asarray(ws, dtype=np.float64),
+            edge_ids=np.concatenate([c[2] for c in chunks])[keep],
+            weights=w[keep] * 2.0 ** i_prime[keep],
         )

@@ -715,6 +715,93 @@ def test_bmatching_exact_parity_per_implementation(impl, monkeypatch):
         got.check_valid()
 
 
+# ----------------------------------------------------------------------
+# Nagamochi-Ibaraki forest placement
+# ----------------------------------------------------------------------
+def _drive_forests(fn, n, k, batches, cap):
+    """Place ``batches`` of edges with one ``forest_place`` backend,
+    starting from a ``cap``-row table and doubling it (at most ``k``
+    rows) whenever the kernel stops.  Returns the indices, every call's
+    ``(placed, count)``, the final count and the rows in use."""
+    table = np.zeros((cap, n), dtype=np.int32)
+    count, idx, calls = 0, [], []
+    for src, dst in batches:
+        out = np.full(len(src), -7, dtype=np.int64)
+        done = 0
+        while True:
+            placed, count = fn(table, count, k, src[done:], dst[done:], out[done:])
+            calls.append((placed, count))
+            done += placed
+            if done == len(src):
+                break
+            assert count == len(table) < k
+            grown = np.zeros((min(k, 2 * len(table) or 1), n), dtype=np.int32)
+            grown[:count] = table[:count]
+            table = grown
+        idx.append(out)
+    return np.concatenate(idx), calls, count, table[:count].copy()
+
+
+@needs_native
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_forest_place_parity(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    k = data.draw(st.integers(1, n), label="k")
+    m = data.draw(st.integers(0, 60), label="m")
+    ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    src = np.array(data.draw(ends, label="src"), dtype=np.int64)
+    dst = np.array(data.draw(ends, label="dst"), dtype=np.int64)
+    cuts = sorted(data.draw(st.lists(st.integers(0, m), max_size=3), label="cuts"))
+    bounds = [0, *cuts, m]
+    batches = [(src[a:b], dst[a:b]) for a, b in zip(bounds, bounds[1:])]
+    cap = data.draw(st.integers(0, 2), label="cap")
+    ref_fn, nat_fn = impls("forest_place")
+    want = _drive_forests(ref_fn, n, k, batches, cap)
+    got = _drive_forests(nat_fn, n, k, batches, cap)
+    assert_bitequal(got[0], want[0])
+    assert got[1:3] == want[1:3]
+    assert_bitequal(got[3], want[3])
+    assert want[0].min(initial=1) >= 1 and want[0].max(initial=1) <= k + 1
+
+
+@needs_native
+def test_forest_place_stops_and_grows():
+    """A multigraph with self-loops from a one-row table: the kernel
+    stops at every forest past the table, rejects edges at k + 1, and
+    both backends agree call for call."""
+    rng = np.random.default_rng(11)
+    n, k = 30, 6
+    src, dst = rng.integers(0, n, 400), rng.integers(0, n, 400)
+    batches = [(src[a : a + 50], dst[a : a + 50]) for a in range(0, 400, 50)]
+    ref_fn, nat_fn = impls("forest_place")
+    want = _drive_forests(ref_fn, n, k, batches, 1)
+    got = _drive_forests(nat_fn, n, k, batches, 1)
+    assert_bitequal(got[0], want[0])
+    assert got[1:3] == want[1:3]
+    assert_bitequal(got[3], want[3])
+    assert want[2] == k and (want[0] == k + 1).sum() > (src == dst).sum()
+    assert sum(placed < 50 for placed, _ in want[1]) >= 2  # the stop path ran
+
+
+@pytest.mark.parametrize("impl", ["numpy", "native"])
+def test_forest_place_rejects_bad_input(impl):
+    fn = dict(zip(["numpy", "native"], impls("forest_place")))[impl]
+    if fn is None:
+        pytest.skip("native kernel backend unavailable in this environment")
+    table = np.arange(8, dtype=np.int32).reshape(2, 4) % 4
+    before = table.copy()
+    out = np.empty(2, dtype=np.int64)
+    for u, v in (([0, 4], [1, 2]), ([0, -1], [1, 2])):
+        with pytest.raises(ValueError, match="endpoint out of range"):
+            fn(table, 2, 3, np.array(u), np.array(v), out)
+        assert_bitequal(table, before)  # nothing placed before the check
+    with pytest.raises(ValueError, match="int32"):
+        fn(table.astype(np.int64), 2, 3, np.array([0]), np.array([1]), out)
+    with pytest.raises(ValueError, match="count"):
+        fn(table, 3, 3, np.array([0]), np.array([1]), out)
+
+
 @needs_native
 def test_pointer_memo_keeps_no_dead_array():
     """The native wrappers memoize array pointers by id; an entry goes

@@ -13,7 +13,7 @@ from repro.sparsify.cut_sparsifier import (
 )
 from repro.sparsify.deferred import DeferredSparsifier, DeferredSparsifierChain
 from repro.sparsify.union_find import UnionFind
-from repro.util.graph import Graph
+from repro.util.graph import Graph, edge_key
 from repro.util.rng import make_rng
 
 
@@ -98,6 +98,36 @@ class TestNIIndex:
         with pytest.raises(ValueError):
             NIForestDecomposition(3, k=0)
 
+    def test_table_holds_at_most_twice_the_forests_in_use(self):
+        rng = np.random.default_rng(5)
+        d = NIForestDecomposition(40, k=50)
+        sizes = []
+        for _ in range(30):
+            d.place_many(rng.integers(0, 40, 25), rng.integers(0, 40, 25))
+            assert d.table.shape[1] == 40 and d.table.dtype == np.int32
+            assert d.count <= len(d.table) <= max(1, 2 * d.count)
+            sizes.append(len(d.table))
+        assert len(set(sizes)) > 2  # the table grew more than once
+
+    @pytest.mark.parametrize("k", [1, 2, 3, None])
+    def test_matches_list_forests(self, k):
+        """Indices, the k-th forest's partition, and one-edge ``place``
+        against the pre-kernel parent lists (:class:`ListForests`)."""
+        rng = np.random.default_rng([6, k or 0])
+        n = 25
+        src, dst = rng.integers(0, n, 500), rng.integers(0, n, 500)
+        ref = ListForests(n, n if k is None else k)
+        want = [ref.place(u, v) for u, v in zip(src.tolist(), dst.tolist())]
+        assert ni_forest_index(n, src, dst, k=k).tolist() == want
+        d = NIForestDecomposition(n, ref.k)
+        got = [d.place(u, v) for u, v in zip(src[:250], dst[:250])]
+        got += d.place_many(src[250:], dst[250:]).tolist()
+        assert got == want
+        pairs = [(u, v) for u in range(n) for v in range(n)]
+        assert [d.separated_in_last(u, v) for u, v in pairs] == [
+            ref.separated_in_last(u, v) for u, v in pairs
+        ]
+
 
 def _max_cut_error(graph: Graph, sample, trials: int = 300, seed: int = 0) -> float:
     """Max relative cut error over random cuts (empirical sparsifier check)."""
@@ -155,7 +185,111 @@ class TestOfflineSparsifier:
         assert h.m == len(sample)
 
 
+class ListForests:
+    """The pre-kernel :class:`NIForestDecomposition`: one parent list per
+    forest, path-halving finds, bisection for the first separating
+    forest.  The per-edge reference for the kernel-backed class."""
+
+    def __init__(self, n: int, k: int):
+        self.n, self.k = n, k
+        self.parents: list[list[int]] = []
+
+    @staticmethod
+    def find(parent: list[int], x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def place(self, u: int, v: int) -> int:
+        if u == v:
+            return self.k + 1
+        find, parents = self.find, self.parents
+        lo, hi = 0, len(parents)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if find(parents[mid], u) == find(parents[mid], v):
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo < len(parents):
+            parent = parents[lo]
+            parent[find(parent, u)] = find(parent, v)
+            return lo + 1
+        if len(parents) < self.k:
+            parent = list(range(self.n))
+            parent[u] = v
+            parents.append(parent)
+            return len(parents)
+        return self.k + 1
+
+    def separated_in_last(self, u: int, v: int) -> bool:
+        if len(self.parents) < self.k:
+            return u != v
+        parent = self.parents[-1]
+        return self.find(parent, u) != self.find(parent, v)
+
+
+def list_place_chunk(forests, k, u, v, survs):
+    """The pre-kernel ``_place_chunk``: every level per edge, in order."""
+    kept = np.zeros(len(u), dtype=bool)
+    top = len(forests) - 1
+    for t, (uu, vv, ss) in enumerate(zip(u.tolist(), v.tolist(), survs.tolist())):
+        for i in range(min(ss, top) + 1):
+            if forests[i].place(uu, vv) <= k:
+                kept[t] = True
+    return kept
+
+
+def list_extract(forests, stored):
+    """The pre-kernel ``extract``: each stored ``(u, v, id, surv, w)``
+    takes the first level whose k-th forest separates its endpoints."""
+    ids, ws = [], []
+    for u, v, eid, surv, w in stored:
+        i_prime = next(
+            (i for i, f in enumerate(forests) if f.separated_in_last(u, v)), 0
+        )
+        if surv >= i_prime:
+            ids.append(eid)
+            ws.append(w * (2.0**i_prime))
+    return ids, ws
+
+
 class TestStreamingSparsifier:
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, None])
+    def test_matches_per_edge_reference(self, k):
+        """Kept masks, extracted ids and weights equal the pre-kernel
+        per-edge loops over list forests, on a multigraph with parallel
+        edges and self-loops fed in 13-edge chunks."""
+        rng = np.random.default_rng([7, k or 0])
+        n, m = 60, 900
+        u, v = rng.integers(0, n, m), rng.integers(0, n, m)
+        w = rng.uniform(0.5, 3.0, m)
+        sp = StreamingCutSparsifier(n, xi=0.5, seed=9, k=k)
+        masks = []
+        place_chunk = sp._place_chunk
+
+        def recording(*args):
+            masks.append(place_chunk(*args))
+            return masks[-1]
+
+        sp._place_chunk = recording
+        forests = [ListForests(n, sp.k) for _ in range(sp.levels)]
+        stored = []
+        for start in range(0, m, 13):
+            cu, cv, cw = u[start : start + 13], v[start : start + 13], w[start : start + 13]
+            sp.insert_many(cu, cv, cw)
+            survs = sp._level_hash.level(edge_key(cu, cv, n), sp.levels - 1)
+            kept = list_place_chunk(forests, sp.k, cu, cv, np.atleast_1d(survs))
+            assert np.array_equal(masks[-1], kept)
+            for t in np.flatnonzero(kept).tolist():
+                stored.append((int(cu[t]), int(cv[t]), start + t, int(survs[t]), cw[t]))
+        sample = sp.extract()
+        ids, ws = list_extract(forests, stored)
+        assert sample.edge_ids.tolist() == ids
+        assert sample.weights.tolist() == ws
+        assert sp.stored_count() == len(stored) < m
+
     def test_single_pass_preserves_cuts(self):
         g = gnm_graph(30, 300, seed=13)
         sp = StreamingCutSparsifier(g.n, xi=0.3, seed=14)
