@@ -93,7 +93,7 @@ def build_initial_solution(
     children = spawn(rng, max(1, len(level_list)))
 
     if sampled:
-        per_level = {}
+        per_level, saturated, ends = {}, {}, {}
         for idx, k in enumerate(level_list):
             ids = levels.edges_at(int(k))
             sub = g.edge_subgraph(ids)
@@ -104,22 +104,24 @@ def build_initial_solution(
             per_level[int(k)] = BMatching(
                 g, ids[mk_sub.edge_ids], mk_sub.multiplicity
             )
+            saturated[int(k)] = mk_sub.saturated_vertices()
+            ends[int(k)] = (sub.src[mk_sub.edge_ids], sub.dst[mk_sub.edge_ids])
     else:
-        per_level = _per_level_matchings(levels)
+        per_level, saturated, ends = _per_level_matchings(levels)
 
-    for k, mk in per_level.items():
-        saturated = np.flatnonzero(mk.vertex_loads() == g.b)
-        if len(saturated):
-            dual.x[saturated, int(k)] = r * levels.level_weight(int(k))
+    for k, sat in saturated.items():
+        dual.x[sat, k] = r * levels.level_weight(k)
 
     beta0 = float((g.b * dual.vertex_costs()).sum())
-    merged = _merge_by_groups(levels, per_level)
+    merged = _merge_by_groups(levels, per_level, ends)
     return InitialSolution(
         dual=dual, beta0=beta0, per_level=per_level, merged=merged, r=r
     )
 
 
-def _per_level_matchings(levels: LevelDecomposition) -> dict[int, BMatching]:
+def _per_level_matchings(
+    levels: LevelDecomposition,
+) -> tuple[dict[int, BMatching], dict[int, np.ndarray], dict[int, tuple]]:
     """Per-level maximal b-matchings from one ranged pass over the edges.
 
     For each level this is the greedy scan of :func:`~repro.matching.
@@ -129,13 +131,19 @@ def _per_level_matchings(levels: LevelDecomposition) -> dict[int, BMatching]:
     endpoints at a time (:meth:`~repro.util.graph.Graph.edge_ranges`)
     and keeps an O(n) residual per nonempty level, so no per-level
     subgraph or id array is built.
+
+    Returns the matchings, each level's saturated vertices and the
+    endpoints of each matching's edges, all keyed by level.  A vertex
+    is saturated exactly when its residual is 0 (its load is ``b``
+    minus the residual), and the endpoints serve the merge, so neither
+    reads the graph again: out of core, that would be a gather from
+    the file per level.
     """
     g = levels.graph
     lvl = levels.level
     level_list = [int(k) for k in levels.nonempty_levels()]
     residual = {k: g.b.tolist() for k in level_list}
-    ids: dict[int, list[np.ndarray]] = {k: [] for k in level_list}
-    mult: dict[int, list[np.ndarray]] = {k: [] for k in level_list}
+    parts: dict[int, list[tuple[np.ndarray, ...]]] = {k: [] for k in level_list}
     for start, stop in g.edge_ranges():
         lv_c = lvl[start:stop]
         src_c = np.asarray(g.src[start:stop])
@@ -144,31 +152,39 @@ def _per_level_matchings(levels: LevelDecomposition) -> dict[int, BMatching]:
             sel = np.flatnonzero(lv_c == k)
             if len(sel) == 0:
                 continue
-            pos, takes = saturating_scan(src_c[sel], dst_c[sel], residual[k])
-            ids[k].append(start + sel[pos])
-            mult[k].append(takes)
-    return {
-        k: BMatching(g, np.concatenate(ids[k]), np.concatenate(mult[k]))
-        for k in level_list
-    }
+            src_k, dst_k = src_c[sel], dst_c[sel]
+            pos, takes = saturating_scan(src_k, dst_k, residual[k])
+            parts[k].append((start + sel[pos], takes, src_k[pos], dst_k[pos]))
+    per_level, saturated, ends = {}, {}, {}
+    for k in level_list:
+        ids, mult, src, dst = (np.concatenate(col) for col in zip(*parts[k]))
+        per_level[k] = BMatching(g, ids, mult)
+        saturated[k] = np.flatnonzero(np.asarray(residual[k]) == 0)
+        ends[k] = (src, dst)
+    return per_level, saturated, ends
 
 
 def _merge_by_groups(
-    levels: LevelDecomposition, per_level: dict[int, BMatching]
+    levels: LevelDecomposition,
+    per_level: dict[int, BMatching],
+    ends: dict[int, tuple[np.ndarray, np.ndarray]],
 ) -> BMatching:
     """Definitions 6-7: merge per-level matchings, heaviest group first.
 
     Each edge is added, at most at its level's multiplicity, while
     residual capacity remains; the blocking argument (Claim 1) bounds
-    the weight lost to earlier groups.
+    the weight lost to earlier groups.  ``ends[k]`` holds the endpoints
+    of ``per_level[k]``'s edges.
     """
     g = levels.graph
     if not per_level:
         return BMatching.empty(g)
     # descending levels == ascending group index (groups are consecutive
     # level blocks)
-    parts = [per_level[k] for k in sorted(per_level, reverse=True)]
-    ids = np.concatenate([mk.edge_ids for mk in parts])
-    cap = np.concatenate([mk.multiplicity for mk in parts])
-    pos, takes = saturating_scan(g.src[ids], g.dst[ids], g.b.tolist(), cap)
+    order = sorted(per_level, reverse=True)
+    ids = np.concatenate([per_level[k].edge_ids for k in order])
+    cap = np.concatenate([per_level[k].multiplicity for k in order])
+    src = np.concatenate([ends[k][0] for k in order])
+    dst = np.concatenate([ends[k][1] for k in order])
+    pos, takes = saturating_scan(src, dst, g.b.tolist(), cap)
     return summed_bmatching(g, ids[pos], takes)

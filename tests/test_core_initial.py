@@ -76,3 +76,37 @@ class TestInitialSolution:
         b = build_initial_solution(levels, seed=8)
         assert np.allclose(a.dual.x, b.dual.x)
         assert a.beta0 == b.beta0
+
+
+def test_file_backed_initial_solution_gathers_nothing(tmp_path, monkeypatch):
+    """Out of core, the per-level saturated sets come from the scan's
+    residuals and the merge reuses the scan's endpoints: building the
+    initial solution reads the file in ranges only, never by gather."""
+    from repro.graphgen import generate_gnm_file
+    from repro.ingest import FileBackedGraph
+    from repro.ingest.format import EdgeFile
+
+    path = generate_gnm_file(
+        tmp_path / "g.edges", 200, 1500, seed=4, weights=(1.0, 100.0)
+    )
+    fbg = FileBackedGraph(path, chunk_edges=400, materialize_policy="forbid")
+    levels = discretize(fbg, eps=0.25)
+    assert len(levels.nonempty_levels()) > 2
+    gathers = []
+    gather_raw = EdgeFile.gather_raw
+
+    def counted(self, column, ids):
+        gathers.append(column)
+        return gather_raw(self, column, ids)
+
+    monkeypatch.setattr(EdgeFile, "gather_raw", counted)
+    init = build_initial_solution(levels, seed=9)
+    assert gathers == []
+    monkeypatch.undo()
+    fbg.file.close()
+    ram = FileBackedGraph(path).materialize()
+    want = build_initial_solution(discretize(ram, eps=0.25), seed=9)
+    assert np.array_equal(init.dual.x, want.dual.x) and init.beta0 == want.beta0
+    assert np.array_equal(init.merged.edge_ids, want.merged.edge_ids)
+    assert np.array_equal(init.merged.multiplicity, want.merged.multiplicity)
+    ram.file.close()
