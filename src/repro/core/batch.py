@@ -143,8 +143,7 @@ class GraphBatch:
         self.wk_l = np.concatenate(
             [lv.level_weight(np.arange(lv.num_levels)) for lv in self.levels]
         )
-        # int32: level indices are tiny; halving the traffic matters in
-        # the memory-bound oracle kernels (all integer-exact)
+        # int32: level indices are tiny (all integer-exact)
         self.col_vl = np.concatenate(
             [np.tile(np.arange(lv.num_levels), g.n) for g, lv in zip(self.graphs, self.levels)]
         ).astype(np.int32)

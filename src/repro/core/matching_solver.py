@@ -62,6 +62,7 @@ from repro.core.relaxations import (
     blend_z_dicts,
     z_cover_add,
 )
+from repro.kernels import OracleCells
 from repro.kernels import blend as _k_blend
 from repro.kernels import gather_add2 as _k_gather_add2
 from repro.kernels import tick_pack_arg as _k_tick_pack_arg
@@ -488,14 +489,30 @@ class DualPrimalMatchingSolver:
             mask[np.asarray(g.dst[start:stop])[livemask], kl] = True
         return mask
 
-    def _offline_match(self, graph: Graph, pool: np.ndarray) -> BMatching:
-        """Offline subroutine on the sampled union (Algorithm 2, step 5)."""
+    def _offline_match(
+        self, graph: Graph, pool: np.ndarray, incumbent: BMatching
+    ) -> tuple[BMatching, float, float]:
+        """Offline subroutine on the sampled union (Algorithm 2, step 5).
+
+        Returns the matching, its weight and the weight of ``incumbent``,
+        whose edges are in ``pool``.  Both weights are read from the
+        pool's in-RAM subgraph, in the order ``BMatching.weight`` sums
+        them, so they are its bits; out of core it would gather them
+        from the file.
+        """
         sub = graph.edge_subgraph(pool)
         if self.config.offline == "exact":
             sub_match = max_weight_bmatching_exact(sub)
         else:
             sub_match = local_search_matching(sub)
-        return BMatching(graph, pool[sub_match.edge_ids], sub_match.multiplicity)
+        held = BMatching(
+            sub, np.searchsorted(pool, incumbent.edge_ids), incumbent.multiplicity
+        )
+        return (
+            BMatching(graph, pool[sub_match.edge_ids], sub_match.multiplicity),
+            sub_match.weight(),
+            held.weight(),
+        )
 
     # ------------------------------------------------------------------
     # Batched solving
@@ -568,6 +585,7 @@ class _InstanceState:
         "hik_local",
         "dual",
         "best",
+        "best_w",
         "beta",
         "history",
         "rounds",
@@ -691,7 +709,11 @@ class _BatchEngine:
         )
         self.hik_counts = counts
         self.hik_off_list = self.hik_off.tolist()
+        # the oracle kernel's candidate cells: every stored edge is live,
+        # so both of its cells are has_ik cells and s lives on them too
+        self.cells = OracleCells(b, self.hik_idx)
         self._zeta_scratch = b.zeros_vl()
+        self._other = b.zeros_vl()  # the blended steps' planes
         self._active_flags = np.zeros(b.size, dtype=np.uint8)
 
     # ------------------------------------------------------------------
@@ -727,6 +749,8 @@ class _BatchEngine:
         st.ledger.tick_sampling_round("initial per-level maximal matchings")
         st.dual = init.dual
         st.best = init.merged
+        # read at the first harvest, from the pool's in-RAM copy
+        st.best_w = None
         st.beta = max(
             init.beta0,
             _rescaled_weight(levels, st.best),
@@ -787,12 +811,15 @@ class _BatchEngine:
         # edit burst's heavy inserts land on saturated vertices, where
         # completion cannot reach them but a swap can -- exactly the
         # weight the patched bound charges
+        folded_w = folded.weight()
         if bool(np.all(graph.b == 1)):
             swapped = local_search_matching(graph, rounds=2, seed_matching=folded)
-            if swapped.weight() > folded.weight():
-                folded = swapped
-        if folded.weight() > st.best.weight():
-            st.best = folded
+            swapped_w = swapped.weight()
+            if swapped_w > folded_w:
+                folded, folded_w = swapped, swapped_w
+        st.best_w = st.best.weight()
+        if folded_w > st.best_w:
+            st.best, st.best_w = folded, folded_w
         st.beta = max(st.beta, _rescaled_weight(levels, st.best))
         warm_dual = st.dual.copy()
         solver._apply_warm_start(levels, warm_dual, warm)
@@ -801,7 +828,7 @@ class _BatchEngine:
         solver._cover_patch(levels, patched)
         cert1 = certify(patched)
         cert = cert1 if cert1.upper_bound < cert0.upper_bound else cert0
-        if cert.certified_ratio(st.best.weight()) < 1.0 - st.target_gap:
+        if cert.certified_ratio(st.best_w) < 1.0 - st.target_gap:
             return False
         # carry the UNPATCHED point forward (certify(warm_dual) already
         # collapsed it into cert0): the patch is a per-query shim for
@@ -869,9 +896,11 @@ class _BatchEngine:
 
         # ---- primal harvest (Algorithm 2, step 5) ----
         pool = np.union1d(st.chain.union_edge_ids(), st.best.edge_ids)
-        candidate = self.solver._offline_match(st.graph, pool)
-        if candidate.weight() > st.best.weight():
-            st.best = candidate
+        candidate, cand_w, st.best_w = self.solver._offline_match(
+            st.graph, pool, st.best
+        )
+        if cand_w > st.best_w:
+            st.best, st.best_w = candidate, cand_w
         beta_prime = _rescaled_weight(st.levels, st.best)
         if beta_prime > st.beta / (1.0 + eps):
             st.beta = beta_prime * (1.0 + eps)
@@ -918,7 +947,7 @@ class _BatchEngine:
         st.history.append(
             {
                 "round": st.rounds,
-                "primal": st.best.weight(),
+                "primal": st.best_w,
                 "beta_rescaled": st.beta,
                 "lambda": st.lam,
                 "upper_bound": cert.upper_bound,
@@ -926,7 +955,7 @@ class _BatchEngine:
                 **st.routes,
             }
         )
-        ratio = cert.certified_ratio(st.best.weight())
+        ratio = cert.certified_ratio(st.best_w)
         # guarded: field evaluation costs nothing when no trace is active
         if obs.current_span() is not None:
             obs.span_event(
@@ -935,7 +964,7 @@ class _BatchEngine:
                 round=st.rounds,
                 gap=max(0.0, 1.0 - ratio),
                 lam=st.lam,
-                primal=st.best.weight(),
+                primal=st.best_w,
                 oracle_calls=st.ledger.oracle_calls,
                 witness=st.witness_seen,
             )
@@ -1068,6 +1097,7 @@ class _BatchEngine:
                 use_odd={st.slot: st.use_odd for st in searchers},
                 eps=eps,
                 hik_counts=self.hik_counts,
+                cells=self.cells,
             )
             pending = {st.slot: st for st in searchers}
             while pending:
@@ -1104,8 +1134,9 @@ class _BatchEngine:
                     offline=cfg.offline,
                     strict=False,
                 )
-                if harvested.weight() > st.best.weight():
-                    st.best = harvested
+                harvested_w = harvested.weight()
+                if harvested_w > st.best_w:
+                    st.best, st.best_w = harvested, harvested_w
                 st.phase = _PHASE_ROUND_END
                 self._layout_stale = True
                 continue
@@ -1123,11 +1154,16 @@ class _BatchEngine:
         # each step's own live-ratio max sets its width; sigma reads only
         # max(PENALTY_WIDTH_BOUND, width), which a box bound of at most
         # PENALTY_WIDTH_BOUND settles without the scan
-        other = b.zeros_vl()
-        for st, step in blended:
-            b.vl_view(other, st.slot)[:] = step.dual.x
+        other = self._other
+        steps = {st.slot: step for st, step in blended}
+        for slot in range(B):
+            step = steps.get(slot)
+            if step is None:
+                b.vl_view(other, slot).fill(0.0)
+            else:
+                b.vl_view(other, slot)[:] = step.dual.x
         sigmas = np.zeros(B)
-        for (st, step), box in zip(blended, self._width_bounds(blended, other)):
+        for (st, step), box in zip(blended, self._width_bounds(blended)):
             if box * (1.0 + _BOUND_MARGIN) <= PENALTY_WIDTH_BOUND:
                 rho_step = PENALTY_WIDTH_BOUND
             else:
@@ -1160,7 +1196,7 @@ class _BatchEngine:
                 if not self._advance_sparsifier(st):
                     st.phase = _PHASE_ROUND_END
 
-    def _width_bounds(self, blended, other: np.ndarray) -> np.ndarray:
+    def _width_bounds(self, blended) -> np.ndarray:
         """An upper bound on each blended step's width, one pass over all.
 
         A live level-``k`` edge ``(i, j)`` is covered by at most
@@ -1168,14 +1204,17 @@ class _BatchEngine:
         term is at most either endpoint's z-load.  So the largest ``(2 x̃
         + zload) / ŵ_k`` over the cells ``(i, k)`` with a live level-``k``
         edge at ``i`` (the ``has_ik`` cells) bounds the width at
-        O(|has_ik|) cost.  ``other`` holds the steps' ``x̃`` planes.
+        O(|has_ik|) cost, gathered from each step's own plane.
         """
         hoff = self.hik_off_list
-        vals = 2.0 * other[self.hik_idx]
+        # segments of instances without a step stay 0 and are not read
+        vals = np.zeros(len(self.hik_idx))
         for st, step in blended:
+            sl = slice(hoff[st.slot], hoff[st.slot + 1])
+            seg = 2.0 * step.dual.x.ravel()[st.hik_local]
             if step.dual.z:
-                sl = slice(hoff[st.slot], hoff[st.slot + 1])
-                vals[sl] += step.dual.z_load().ravel()[st.hik_local]
+                seg += step.dual.z_load().ravel()[st.hik_local]
+            vals[sl] = seg
         vals /= self.wk_hik
         # every running member has a live edge, so no segment is empty
         box = np.maximum.reduceat(vals, self.hik_off[:-1])

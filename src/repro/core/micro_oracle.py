@@ -39,7 +39,7 @@ from repro.core.batch import GraphBatch, StoredBatchLayout, expand
 from repro.core.levels import LevelDecomposition
 from repro.core.odd_sets import find_dense_odd_sets
 from repro.core.relaxations import LayeredDual
-from repro.kernels import OracleScratch
+from repro.kernels import OracleCells, OracleScratch
 from repro.kernels import dual_scatter as _k_dual_scatter
 from repro.kernels import index_scatter as _k_index_scatter
 from repro.kernels import oracle_eval as _k_oracle_eval
@@ -290,6 +290,14 @@ class BatchMicroContext:
     batch buffers.  :func:`micro_oracle` is this class at batch size
     one; the ``oracle`` group of ``tests/golden/digests.json`` pins its
     output on every route.
+
+    ``zeta`` is zero off the has_ik cells ``hik_idx`` (strictly
+    increasing VL ids), where it equals ``zmul``.  ``cells`` is the
+    native kernel's candidate-cell list and must hold every cell where
+    the support scatter ``s`` may be nonzero; by default it is the
+    has_ik cells plus both cells of every stored edge.  The solver
+    engine passes its has_ik list alone, built once per batch: every
+    stored edge is live, so its cells are has_ik cells already.
     """
 
     def __init__(
@@ -306,6 +314,7 @@ class BatchMicroContext:
         use_odd: dict[int, bool],
         eps: float,
         hik_counts: np.ndarray | None = None,
+        cells: OracleCells | None = None,
     ):
         self.batch = batch
         self.active = list(active)
@@ -339,24 +348,33 @@ class BatchMicroContext:
 
         # zeta's per-level column sums.  For L >= 2 numpy reduces an
         # (n, L) plane over axis 0 by sequential row accumulation, which
-        # is bit-identical to index_scatter's data-order adds, so the
-        # whole batch collapses into one kernel call (cells of
+        # is bit-identical to index_scatter's data-order adds; zeta is
+        # zero off the has_ik cells (increasing, so in data order) and
+        # adding a zero leaves a sum's bits alone, so one kernel call
+        # over those cells covers the whole batch (cells of
         # non-evaluated instances land in segments the oracle never
         # reads).  L == 1 planes would take numpy's pairwise contiguous
         # reduction instead, so that (unused in practice) shape keeps
         # the per-instance loop.
         if batch.size and int(batch.L.min()) >= 2:
-            lidx = getattr(batch, "_l_idx_vl", None)
-            if lidx is None:
+            cached = getattr(batch, "_hik_l_idx", None)
+            if cached is None or cached[0] is not hik_idx:
                 lidx = expand(batch.l_off[:-1], batch.vl_count) + batch.col_vl
-                lidx = np.ascontiguousarray(lidx, dtype=np.int64)
-                batch._l_idx_vl = lidx
-            zsum = _k_index_scatter(lidx, zeta, int(batch.l_off[-1]))
+                cached = (hik_idx, np.ascontiguousarray(lidx[hik_idx], dtype=np.int64))
+                batch._hik_l_idx = cached
+            zsum = _k_index_scatter(cached[1], zmul, int(batch.l_off[-1]))
         else:
             zsum = np.zeros(int(batch.l_off[-1]), dtype=np.float64)
             for i in self.active:
                 batch.l_view(zsum, i)[:] = batch.vl_view(zeta, i).sum(axis=0)
         self.zsum = zsum
+
+        # the kernel's candidate cells: where s or zeta may be nonzero
+        if cells is None:
+            cells = OracleCells(
+                batch, hik_idx, np.concatenate([stored.src_vl, stored.dst_vl])
+            )
+        self.cells = cells
 
         # reusable kernel scratch (rewritten wholesale every evaluation);
         # cached on the batch layout so the per-tick contexts of one
@@ -400,6 +418,7 @@ class BatchMicroContext:
         res = _k_oracle_eval(
             b, self.s, self.us_mass, self.zsum, self.hik_idx, self.hik_off,
             self.hik_counts, self.zmul, sub, rho_b, beta_b, self.eps, sc,
+            self.cells,
         )
 
         rest: list[int] = []

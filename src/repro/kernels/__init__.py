@@ -26,11 +26,17 @@ from __future__ import annotations
 import os
 
 from repro.kernels import numpy_impl as _numpy_impl
-from repro.kernels.common import MERSENNE_P, OracleEvalResult, OracleScratch
+from repro.kernels.common import (
+    MERSENNE_P,
+    OracleCells,
+    OracleEvalResult,
+    OracleScratch,
+)
 from repro.kernels.registry import KERNEL_NAMES, KernelSpec, build_registry
 
 __all__ = [
     "MERSENNE_P",
+    "OracleCells",
     "OracleEvalResult",
     "OracleScratch",
     "KernelSpec",

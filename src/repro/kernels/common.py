@@ -7,7 +7,9 @@ batch layout, shared by the
 on that layout and reused across every Lagrangian evaluation -- and
 returns an :class:`OracleEvalResult` of views into them.  Callers must
 copy anything they keep (``BatchMicroContext.evaluate`` copies each
-step's plane into its ``LayeredDual``).
+step's plane into its ``LayeredDual``).  The native kernel visits only
+the candidate cells of an :class:`OracleCells` list, built and checked
+once per layout.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "MERSENNE_P",
+    "OracleCells",
     "OracleScratch",
     "OracleEvalResult",
     "blossom_input",
@@ -34,7 +37,12 @@ class OracleScratch:
 
     Sized once from the batch layout; every array is overwritten
     wholesale by each evaluation (stale segments of instances outside
-    the evaluated subset are never read).
+    the evaluated subset are never read).  The native kernel writes
+    ``net`` and ``step_x`` only at the cells of its :class:`OracleCells`
+    list; ``cells`` is the list of its last call, off which both planes
+    hold zeros (its wrapper clears them when the list changes).
+    ``prefix``, ``cs`` and ``row_tot`` serve the numpy reference, ``row``
+    and ``pc`` the native kernel.
     """
 
     def __init__(self, nvl: int, nv: int, nl: int, B: int, max_L: int,
@@ -44,6 +52,9 @@ class OracleScratch:
         self.cs = np.empty(nvl)
         self.row_tot = np.zeros(nv)
         self.step_x = np.empty(nvl)
+        self.cells: OracleCells | None = None
+        self.row = np.zeros(max(1, max_L))  # kept zero between rows
+        self.pc = np.empty(2 * max(1, max_L))
         self.k_star_row = np.empty(nv, dtype=np.int64)
         self.gamma = np.zeros(B)
         self.gamma_v = np.zeros(B)
@@ -69,6 +80,42 @@ class OracleScratch:
             max_rows=int(batch.n.max()) if B else 0,
             max_hik=int(np.diff(hik_off).max()) if B else 0,
         )
+
+
+class OracleCells:
+    """The candidate cells of the native ``oracle_eval`` kernel.
+
+    Built once per batch layout from its has_ik cells ``hik_idx`` (the
+    VL ids where ``zeta`` may be nonzero; strictly increasing, as the
+    solver builds them) plus optional ``extra`` VL ids, which must cover
+    every cell where the support scatter ``s`` may be nonzero.  Holds
+    the sorted, distinct VL ids ``idx``, each vertex row's first cell
+    ``row_ptr`` (row ``r``'s cells are ``idx[row_ptr[r]:row_ptr[r + 1]]``)
+    and each cell's position in ``hik_idx`` (``hik``, ``-1`` off
+    has_ik).  The C kernel indexes through these arrays, so they are
+    checked here, once: sorted, in range, pointers consistent with the
+    layout's rows.  ``row_off`` keeps the layout they were built for;
+    the native wrapper refuses any other.
+    """
+
+    def __init__(self, batch, hik_idx, extra=None):
+        hik_idx = np.ascontiguousarray(hik_idx, dtype=np.int64)
+        if hik_idx.ndim != 1 or not bool((hik_idx[1:] > hik_idx[:-1]).all()):
+            raise ValueError("hik_idx must be a strictly increasing 1-d array")
+        if extra is None:
+            idx = hik_idx.copy()
+        else:
+            extra = np.ascontiguousarray(extra, dtype=np.int64).ravel()
+            idx = np.union1d(hik_idx, extra).astype(np.int64)
+        # sorted and distinct by construction; the range bounds every row
+        if idx.size and not (idx[0] >= 0 and idx[-1] < batch.vl_off[-1]):
+            raise ValueError("cells must be VL ids of the layout")
+        self.idx = idx
+        self.row_ptr = np.searchsorted(idx, batch.row_off).astype(np.int64)
+        self.hik = np.full(idx.size, -1, dtype=np.int64)
+        self.hik[np.searchsorted(idx, hik_idx)] = np.arange(hik_idx.size)
+        self.row_off = batch.row_off
+        self.n_hik = int(hik_idx.size)
 
 
 @dataclass

@@ -345,21 +345,50 @@ void rk_tick_pack_post(const double *e, const double *po3, const int64_t *hik_id
 /* Fused Algorithm 5 (steps 1-8) over the ragged batch layout          */
 /* ------------------------------------------------------------------ */
 
+/* `keep ? v : 0.0` without a branch, by masking v's bits.  The sign
+ * tests of the oracle mispredict as branches: about half of the has_ik
+ * cells have a positive net.  rk_pos(v) is exactly `(v > 0.0) ? v :
+ * 0.0`, NaN and -0.0 included (both give +0.0). */
+static inline double rk_mask(double v, int keep) {
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    bits &= (uint64_t)0 - (uint64_t)keep;
+    memcpy(&v, &bits, sizeof v);
+    return v;
+}
+
+static inline double rk_pos(double v) { return rk_mask(v, v > 0.0); }
+
 /* Returns flags: bit 0 = some instance passed the gamma > 0 gate,
  * bit 1 = some instance took the vertex route.  Outputs follow the
- * full-buffer semantics of the numpy reference: steps 2-3 buffers
- * (pos_net, delta->k_star) are written for every instance (inactive
- * ones see rho = 0), step 5-8 buffers only when a vertex route fires.
+ * full-buffer semantics of the numpy reference: pos_net and k* are
+ * written for every instance (inactive ones see rho = 0), gamma_v and
+ * the route for every go instance, step_x only when a vertex route
+ * fires.
+ *
+ * Each vertex row visits only its candidate cells: the VL ids
+ * cell_vl[cell_ptr[r] .. cell_ptr[r+1]), increasing, with cell_hik[c]
+ * the cell's position in hik_idx/zmul or -1.  The caller guarantees
+ * that s and zeta vanish off those cells, so there net = +0.0 and:
+ * - the running sums P (of wk * pos) and C (of pos) are unchanged by
+ *   the skipped cells, since adding +0.0 to a nonnegative sum is exact;
+ * - the row total is numpy's pairwise sum over all L entries, so the
+ *   row is scattered into the zeroed `row` buffer for pw_sum (dropping
+ *   the zeros would change the pairwise tree), then cleared again;
+ * - pos_net and step_x are written only at the cells: the caller keeps
+ *   them zero elsewhere.
+ * `pc` holds P and C at each cell of the current row; `tmp_l` holds
+ * the gamma terms, then a vertex-route instance's value table.
  */
 int64_t rk_oracle_eval(
-    int64_t B, const int64_t *l_off, const int64_t *vl_off, const int64_t *v_off,
+    int64_t B, const int64_t *l_off, const int64_t *v_off,
     const int64_t *row_off, const int64_t *row_len,
-    const double *wk_l, const double *wk_vl, const double *b_vl,
-    const int32_t *col_vl,
+    const double *wk_l, const double *b_vl,
+    const int64_t *cell_vl, const int64_t *cell_ptr, const int64_t *cell_hik,
     const double *us_mass, const double *zsum, const double *s,
     const int64_t *hik_idx, const int64_t *hik_off, const double *zmul,
     const uint8_t *active, const double *rho, const double *beta, double eps,
-    double *prefix, double *cs, double *tmp_l, double *gath, double *pobuf,
+    double *tmp_l, double *row, double *pc, double *gath, double *pobuf,
     uint8_t *goflag,
     double *gamma, double *gamma_v, int64_t *k_star_row, double *pos_net,
     uint8_t *route, double *step_x, double *po) {
@@ -387,58 +416,53 @@ int64_t rk_oracle_eval(
     }
     if (!any_go) return 0;
 
-    /* Steps 2-3 for every instance (full-buffer numpy semantics). */
+    /* Steps 2-3 for every instance (full-buffer numpy semantics), and
+     * step 4 for the go instances as their rows complete. */
     for (int64_t i = 0; i < B; i++) {
         double r2 = 2.0 * rho[i];
-        int64_t vlo = vl_off[i], vhi = vl_off[i + 1];
-        for (int64_t j = vlo; j < vhi; j++) pos_net[j] = s[j];
-        for (int64_t t = hik_off[i]; t < hik_off[i + 1]; t++) {
-            int64_t j = hik_idx[t];
-            pos_net[j] = s[j] - r2 * zmul[t];
-        }
-        for (int64_t j = vlo; j < vhi; j++) {
-            double v = pos_net[j];
-            v = (v > 0.0) ? v : 0.0;
-            pos_net[j] = v;
-            prefix[j] = wk_vl[j] * v;
-        }
         double gb = goflag[i] ? gamma[i] / beta[i] : 0.0;
+        const double *wk = wk_l + l_off[i];
+        int64_t cnt = 0;
         for (int64_t r = v_off[i]; r < v_off[i + 1]; r++) {
             int64_t base = row_off[r], L = row_len[r];
-            /* sequential scans == np.cumsum */
-            double acc = prefix[base];
-            for (int64_t q = 1; q < L; q++) {
-                acc += prefix[base + q];
-                prefix[base + q] = acc;
+            int64_t c0 = cell_ptr[r], nc = cell_ptr[r + 1] - c0;
+            const int64_t *cv = cell_vl + c0, *ch = cell_hik + c0;
+            double P = 0.0, C = 0.0;
+            for (int64_t c = 0; c < nc; c++) {
+                int64_t j = cv[c], t = ch[c];
+                double v = s[j];
+                if (t >= 0) v = s[j] - r2 * zmul[t];
+                v = rk_pos(v);
+                pos_net[j] = v;
+                row[j - base] = v;
+                P += wk[j - base] * v; /* sequential scans == np.cumsum */
+                C += v;
+                pc[2 * c] = P;
+                pc[2 * c + 1] = C;
             }
-            double row_tot = pw_sum(pos_net + base, L);
-            acc = pos_net[base];
-            cs[base] = acc;
-            for (int64_t q = 1; q < L; q++) {
-                acc += pos_net[base + q];
-                cs[base + q] = acc;
-            }
-            int64_t ks = -1;
-            for (int64_t q = 0; q < L; q++) {
-                int64_t j = base + q;
-                double d = row_tot - cs[j];
-                d = wk_vl[j] * d;
-                d = prefix[j] + d; /* delta(i, l) */
-                cs[j] = d;
-                double th = gb * b_vl[j];
-                th *= wk_vl[j];
-                if (d > th) ks = (int64_t)col_vl[j];
+            double row_tot = pw_sum(row, L);
+            for (int64_t c = 0; c < nc; c++) row[cv[c] - base] = 0.0;
+            /* k* = last column with delta > threshold: scan down from
+             * L - 1 with P and C of the last cell at or left of q */
+            double gbb = gb * b_vl[base];
+            int64_t ks = -1, c = nc - 1;
+            double d = 0.0;
+            for (int64_t q = L - 1; q >= 0; q--) {
+                while (c >= 0 && cv[c] - base > q) c--;
+                double Pq = (c >= 0) ? pc[2 * c] : 0.0;
+                double Cq = (c >= 0) ? pc[2 * c + 1] : 0.0;
+                d = row_tot - Cq;
+                d = wk[q] * d;
+                d = Pq + d; /* delta(i, q) */
+                if (d > gbb * wk[q]) {
+                    ks = q;
+                    break;
+                }
             }
             k_star_row[r] = ks;
+            if (goflag[i] && ks >= 0) gath[cnt++] = d;
         }
-    }
-
-    /* Step 4 + route classification for the go instances. */
-    for (int64_t i = 0; i < B; i++) {
         if (!goflag[i]) continue;
-        int64_t cnt = 0;
-        for (int64_t r = v_off[i]; r < v_off[i + 1]; r++)
-            if (k_star_row[r] >= 0) gath[cnt++] = cs[row_off[r] + k_star_row[r]];
         double gv = (cnt > 0) ? pw_sum(gath, cnt) : 0.0;
         gamma_v[i] = gv;
         double thr = eps * gamma[i];
@@ -452,28 +476,34 @@ int64_t rk_oracle_eval(
     }
     if (!any_vertex) return 1;
 
-    /* Steps 5-8: vertex route; non-vertex segments zero (numpy writes
-     * +0.0 there via the masked multiply). */
+    /* Steps 5-8: vertex route.  The step at column q is
+     * (gamma wk[min(q, k*)]) / Gamma_V, tabulated once per instance;
+     * cells of other instances get +0.0, as numpy's masked multiply
+     * writes there. */
     for (int64_t i = 0; i < B; i++) {
+        int64_t clo = cell_ptr[v_off[i]], chi = cell_ptr[v_off[i + 1]];
         if (!(goflag[i] && route[i] == 1)) {
-            for (int64_t j = vl_off[i]; j < vl_off[i + 1]; j++) step_x[j] = 0.0;
+            for (int64_t c = clo; c < chi; c++) step_x[cell_vl[c]] = 0.0;
             continue;
         }
         double g = gamma[i], gv = gamma_v[i];
+        const double *wk = wk_l + l_off[i];
+        int64_t L = l_off[i + 1] - l_off[i];
+        for (int64_t q = 0; q < L; q++) {
+            double v = g * wk[q];
+            v /= gv;
+            tmp_l[q] = v;
+        }
         for (int64_t r = v_off[i]; r < v_off[i + 1]; r++) {
-            int64_t base = row_off[r], L = row_len[r];
-            int64_t ks = k_star_row[r];
-            double wk_ks = wk_l[l_off[i] + ((ks > 0) ? ks : 0)];
-            for (int64_t q = 0; q < L; q++) {
-                int64_t j = base + q;
-                if (ks >= 0 && pos_net[j] > 0.0) {
-                    double wke = ((int64_t)col_vl[j] <= ks) ? wk_vl[j] : wk_ks;
-                    double v = g * wke;
-                    v /= gv;
-                    step_x[j] = v;
-                } else {
-                    step_x[j] = 0.0;
-                }
+            int64_t base = row_off[r], ks = k_star_row[r];
+            int64_t c0 = cell_ptr[r], c1 = cell_ptr[r + 1];
+            if (ks < 0) {
+                for (int64_t c = c0; c < c1; c++) step_x[cell_vl[c]] = 0.0;
+                continue;
+            }
+            for (int64_t c = c0; c < c1; c++) {
+                int64_t j = cell_vl[c], q = j - base;
+                step_x[j] = rk_mask(tmp_l[q < ks ? q : ks], pos_net[j] > 0.0);
             }
         }
         int64_t cnt = 0;

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.kernels.build import load_library
 from repro.kernels.common import (
+    OracleCells,
     OracleEvalResult,
     OracleScratch,
     blossom_input,
@@ -82,8 +83,9 @@ _sig(
 )
 _sig(
     "rk_oracle_eval", c_int64,
-    c_int64, c_void_p, c_void_p, c_void_p, c_void_p, c_void_p,
-    c_void_p, c_void_p, c_void_p, c_void_p,
+    c_int64, c_void_p, c_void_p, c_void_p, c_void_p,
+    c_void_p, c_void_p,
+    c_void_p, c_void_p, c_void_p,
     c_void_p, c_void_p, c_void_p,
     c_void_p, c_void_p, c_void_p,
     c_void_p, c_void_p, c_void_p, c_double,
@@ -309,30 +311,43 @@ def tick_pack_post(e, po3_hik, hik_idx, off, off_list, zeta):
 # ----------------------------------------------------------------------
 def oracle_eval(batch, s, us_mass, zsum, hik_idx, hik_off, hik_counts, zmul,
                 sub, rho_b, beta_b, eps: float,
-                scratch: OracleScratch) -> OracleEvalResult:
+                scratch: OracleScratch, cells: OracleCells) -> OracleEvalResult:
     del hik_counts
     b = batch
+    # the kernel indexes the layout through the cells: they must be
+    # this layout's (checked when built) and this call's has_ik cells
+    if cells.row_off is not b.row_off or cells.n_hik != len(zmul):
+        raise ValueError("cells were built for another layout or has_ik list")
+    if scratch.cells is not cells:
+        # pos_net and step_x are written only at the cells
+        scratch.net.fill(0.0)
+        scratch.step_x.fill(0.0)
+        scratch.cells = cells
     active = scratch.active
     active.fill(0)
     for i in sub:
         active[i] = 1
-    # the layout and scratch buffers are allocated once and reused for
-    # thousands of evaluations; cache their raw pointers on the objects
-    # so each call only resolves the per-tick arrays (s, zsum, hik, ...)
+    # the layout, cell list and scratch buffers are allocated once and
+    # reused for thousands of evaluations; cache their raw pointers on
+    # the objects so each call only resolves the per-tick arrays
     try:
         bp = b._nat_ptrs
     except AttributeError:
         bp = b._nat_ptrs = (
-            b.size, _p(b.l_off), _p(b.vl_off), _p(b.v_off), _p(b.row_off),
-            _p(b.row_len), _p(b.wk_l), _p(b.wk_vl), _p(b.b_vl), _p(b.col_vl),
+            b.size, _p(b.l_off), _p(b.v_off), _p(b.row_off), _p(b.row_len),
+            _p(b.wk_l), _p(b.b_vl),
         )
+    try:
+        cp = cells._nat_ptrs
+    except AttributeError:
+        cp = cells._nat_ptrs = (_p(cells.idx), _p(cells.row_ptr), _p(cells.hik))
     try:
         sp = scratch._nat_ptrs
     except AttributeError:
         sp = scratch._nat_ptrs = (
             (_p(active),),
             (
-                _p(scratch.prefix), _p(scratch.cs), _p(scratch.tmp_l),
+                _p(scratch.tmp_l), _p(scratch.row), _p(scratch.pc),
                 _p(scratch.gath), _p(scratch.pobuf), _p(scratch.goflag),
                 _p(scratch.gamma), _p(scratch.gamma_v), _p(scratch.k_star_row),
                 _p(scratch.net), _p(scratch.route), _p(scratch.step_x),
@@ -340,7 +355,7 @@ def oracle_eval(batch, s, us_mass, zsum, hik_idx, hik_off, hik_counts, zmul,
             ),
         )
     flags = _lib.rk_oracle_eval(
-        *bp,
+        *bp, *cp,
         _pm(us_mass), _pm(zsum), _pm(s),
         _pm(hik_idx), _pm(hik_off), _pm(zmul),
         *sp[0], _pm(rho_b), _pm(beta_b), eps,

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.kernels.common import (
     MERSENNE_P,
+    OracleCells,
     OracleEvalResult,
     OracleScratch,
     blossom_input,
@@ -373,14 +374,16 @@ def oracle_eval(batch, s: np.ndarray, us_mass: np.ndarray, zsum: np.ndarray,
                 hik_idx: np.ndarray, hik_off: np.ndarray, hik_counts: np.ndarray,
                 zmul: np.ndarray, sub: list[int], rho_b: np.ndarray,
                 beta_b: np.ndarray, eps: float,
-                scratch: OracleScratch) -> OracleEvalResult:
+                scratch: OracleScratch, cells: OracleCells) -> OracleEvalResult:
     """Steps 1-8 of Algorithm 5 for the instances in ``sub``.
 
     The historical body of ``BatchMicroContext.evaluate`` up to the
     vertex route, op for op (see that class for the parity rules); the
     caller handles the zero/vertex result assembly and the rare
-    odd-set/witness tail from the returned buffers.
+    odd-set/witness tail from the returned buffers.  Works on the whole
+    plane: ``cells`` (the native kernel's candidate cells) is ignored.
     """
+    del cells
     b = batch
     B = b.size
     gamma, gamma_v, route = scratch.gamma, scratch.gamma_v, scratch.route

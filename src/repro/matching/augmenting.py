@@ -25,33 +25,38 @@ from repro.util.graph import Graph
 __all__ = ["local_search_matching", "two_opt_pass"]
 
 
-def _conflicts(graph: Graph, matched_at: list[set[int]], e: int) -> set[int]:
-    """Matched edge ids that share an endpoint with edge ``e``."""
-    return matched_at[graph.src[e]] | matched_at[graph.dst[e]]
-
-
 def two_opt_pass(graph: Graph, matching: BMatching) -> BMatching:
-    """One swap-in pass over all edges (weight-descending).  b=1 only."""
-    matched = set(int(e) for e in matching.edge_ids)
+    """One swap-in pass over all edges (weight-descending).  b=1 only.
+
+    The pass runs over Python lists: indexing a numpy array one scalar
+    at a time costs several times a list access.  Each conflict weight
+    is summed left to right in a plain loop; ``sum()`` over Python
+    floats is compensated on Python 3.12+ and would move swap decisions.
+    """
+    src = np.asarray(graph.src).tolist()
+    dst = np.asarray(graph.dst).tolist()
+    w = np.asarray(graph.weight).tolist()
+    matched = set(matching.edge_ids.tolist())
     matched_at: list[set[int]] = [set() for _ in range(graph.n)]
     for e in matched:
-        matched_at[graph.src[e]].add(e)
-        matched_at[graph.dst[e]].add(e)
-    order = np.argsort(-graph.weight, kind="stable")
-    w = graph.weight
-    for e in order:
-        e = int(e)
+        matched_at[src[e]].add(e)
+        matched_at[dst[e]].add(e)
+    for e in np.argsort(-graph.weight, kind="stable").tolist():
         if e in matched:
             continue
-        conf = _conflicts(graph, matched_at, e)
-        if w[e] > sum(w[c] for c in conf):
+        # matched edges sharing an endpoint with e
+        conf = matched_at[src[e]] | matched_at[dst[e]]
+        total = 0.0
+        for c in conf:
+            total += w[c]
+        if w[e] > total:
             for c in conf:
                 matched.discard(c)
-                matched_at[graph.src[c]].discard(c)
-                matched_at[graph.dst[c]].discard(c)
+                matched_at[src[c]].discard(c)
+                matched_at[dst[c]].discard(c)
             matched.add(e)
-            matched_at[graph.src[e]].add(e)
-            matched_at[graph.dst[e]].add(e)
+            matched_at[src[e]].add(e)
+            matched_at[dst[e]].add(e)
     return BMatching(graph, np.asarray(sorted(matched), dtype=np.int64))
 
 

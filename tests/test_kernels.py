@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 import repro.kernels as K
 from repro.kernels import MERSENNE_P, REGISTRY
 from repro.kernels import numpy_impl as ref
-from repro.kernels.common import OracleScratch
+from repro.kernels.common import OracleCells, OracleScratch
 from repro.kernels.registry import KERNEL_NAMES
 from repro.util.graph import Graph
 
@@ -468,12 +468,18 @@ def test_oracle_eval_parity(seed, rho_scale, sub):
     f_np, f_c = impls("oracle_eval")
     case = _oracle_case(seed, rho_scale)
     b, s, us_mass, zsum, hik_idx, hik_off, hik_counts, zmul, rho_b, beta_b = case
+    # s is dense: every cell of the plane is a candidate
+    cells = OracleCells(b, hik_idx, np.arange(int(b.vl_off[-1])))
     sc_np = OracleScratch.for_batch(b, hik_off)
     sc_c = OracleScratch.for_batch(b, hik_off)
     r_np = f_np(b, s, us_mass, zsum, hik_idx, hik_off, hik_counts, zmul,
-                list(sub), rho_b, beta_b, 0.25, sc_np)
+                list(sub), rho_b, beta_b, 0.25, sc_np, cells)
     r_c = f_c(b, s, us_mass, zsum, hik_idx, hik_off, hik_counts, zmul,
-              list(sub), rho_b, beta_b, 0.25, sc_c)
+              list(sub), rho_b, beta_b, 0.25, sc_c, cells)
+    _assert_oracle_equal(r_np, r_c)
+
+
+def _assert_oracle_equal(r_np, r_c):
     assert r_np.any_go == r_c.any_go
     assert_bitequal(r_np.gamma, r_c.gamma)
     assert_bitequal(r_np.route, r_c.route)
@@ -497,9 +503,159 @@ def test_oracle_eval_routes_covered():
         b, s, us_mass, zsum, hik_idx, hik_off, hik_counts, zmul, rho_b, beta_b = case
         sc = OracleScratch.for_batch(b, hik_off)
         r = f_np(b, s, us_mass, zsum, hik_idx, hik_off, hik_counts, zmul,
-                 [0, 1, 2], rho_b, beta_b, 0.25, sc)
+                 [0, 1, 2], rho_b, beta_b, 0.25, sc, None)
         seen.update(int(r.route[i]) for i in range(b.size))
     assert 0 in seen and 1 in seen
+
+
+#: eps per instance of the sparse cases: on 2-10 vertices with b <= 3,
+#: 0.9 gives fewer than 8 levels, 0.3 and 0.1 between 8 and 128, and
+#: 0.02 more than 128 (pw_sum's recursive branch)
+ORACLE_EPS = (0.9, 0.3, 0.1, 0.02)
+
+
+def _sparse_oracle_case(shapes, seed, density):
+    """A batch whose ``s`` and ``zeta`` live on random cells.
+
+    ``shapes`` holds ``(n, eps, b_max)`` per instance.  Each cell is a
+    has_ik cell, and independently an ``s`` cell, with probability
+    ``density``; the cell list is their union (the tight list), so rows
+    without a cell are common at low density.
+    """
+    from repro.core.batch import GraphBatch
+    from repro.core.levels import discretize
+
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for n, _eps, b_max in shapes:
+        m = int(rng.integers(1, 2 * n + 1))
+        src = rng.integers(0, n - 1, size=m)
+        dst = rng.integers(src + 1, n)
+        graphs.append(Graph(
+            n=n, src=src, dst=dst, weight=rng.uniform(1.0, 50.0, m),
+            b=rng.integers(1, b_max + 1, size=n),
+        ))
+    b = GraphBatch(
+        graphs=graphs,
+        levels=[discretize(g, eps) for g, (_n, eps, _b) in zip(graphs, shapes)],
+    )
+    nvl, nl = int(b.vl_off[-1]), int(b.l_off[-1])
+    hik_idx = np.flatnonzero(rng.random(nvl) < density)
+    s_idx = np.flatnonzero(rng.random(nvl) < density)
+    s = np.zeros(nvl)
+    s[s_idx] = rng.exponential(1.0, s_idx.size) * 10.0 ** rng.uniform(-1, 1, s_idx.size)
+    hik_off = np.searchsorted(hik_idx, b.vl_off).astype(np.int64)
+    zmul = rng.exponential(1.0, hik_idx.size)
+    us_mass = rng.exponential(3.0, nl)
+    zsum = rng.exponential(1.0, nl)
+    cells = OracleCells(b, hik_idx, s_idx)
+    return b, s, us_mass, zsum, hik_idx, hik_off, np.diff(hik_off), zmul, cells
+
+
+def _sparse_eval(f, case, sub, rho_b, beta_b, scratch):
+    b, s, us_mass, zsum, hik_idx, hik_off, hik_counts, zmul, cells = case
+    return f(b, s, us_mass, zsum, hik_idx, hik_off, hik_counts, zmul,
+             list(sub), rho_b, beta_b, 0.25, scratch, cells)
+
+
+@needs_native
+@settings(max_examples=200, deadline=None)
+@given(
+    shapes=st.lists(
+        st.tuples(st.integers(2, 10), st.sampled_from(ORACLE_EPS), st.integers(1, 3)),
+        min_size=1, max_size=3,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]),
+    data=st.data(),
+)
+def test_oracle_eval_sparse_parity(shapes, seed, density, data):
+    """The cell-walking kernel equals the dense reference bit for bit.
+
+    Two evaluations share each backend's scratch, so the second also
+    sees the buffers the first left behind.
+    """
+    f_np, f_c = impls("oracle_eval")
+    case = _sparse_oracle_case(shapes, seed, density)
+    b = case[0]
+    sc_np = OracleScratch.for_batch(b, case[5])
+    sc_c = OracleScratch.for_batch(b, case[5])
+    B = b.size
+    for _ in range(2):
+        order = data.draw(st.permutations(range(B)))
+        sub = order[: data.draw(st.integers(1, B))]
+        rho_b = 10.0 ** np.array(data.draw(st.lists(
+            st.floats(-3.0, 1.5), min_size=B, max_size=B)))
+        beta_b = 10.0 ** np.array(data.draw(st.lists(
+            st.floats(-3.0, 3.0), min_size=B, max_size=B)))
+        r_np = _sparse_eval(f_np, case, sub, rho_b, beta_b, sc_np)
+        r_c = _sparse_eval(f_c, case, sub, rho_b, beta_b, sc_c)
+        _assert_oracle_equal(r_np, r_c)
+
+
+def test_sparse_oracle_cases_reach_what_the_battery_claims():
+    """The sparse cases reach every route, all three level-count
+    ranges, rows without a cell, and b > 1."""
+    f_np, _ = impls("oracle_eval")
+    routes, level_counts = set(), set()
+    empty_row = b_above_one = False
+    rng = np.random.default_rng(5)
+    for seed in range(40):
+        shapes = [(int(rng.integers(2, 11)), eps, 3) for eps in ORACLE_EPS[seed % 4:][:3]]
+        case = _sparse_oracle_case(shapes, seed, (0.05, 0.3, 0.7)[seed % 3])
+        b, cells = case[0], case[-1]
+        level_counts.update(b.L.tolist())
+        empty_row |= bool((np.diff(cells.row_ptr) == 0).any())
+        b_above_one |= bool((b.b_vl > 1).any())
+        for log_beta in (-3.0, 0.0, 3.0):
+            rho_b = np.full(b.size, 10.0 ** rng.uniform(-3.0, 1.5))
+            beta_b = np.full(b.size, 10.0 ** log_beta)
+            sc = OracleScratch.for_batch(b, case[5])
+            r = _sparse_eval(f_np, case, range(b.size), rho_b, beta_b, sc)
+            routes.update(int(x) for x in r.route)
+    assert routes == {0, 1, 2}
+    assert min(level_counts) < 8 and max(level_counts) > 128
+    assert any(8 <= L <= 128 for L in level_counts)
+    assert empty_row and b_above_one
+
+
+def test_oracle_cells_layout():
+    """Sorted distinct cells, row pointers over the layout's rows, and
+    has_ik positions; bad input fails where the list is built."""
+    case = _sparse_oracle_case([(6, 0.3, 2), (4, 0.9, 1)], 3, 0.3)
+    b, cells = case[0], case[-1]
+    hik_idx, s = case[4], case[1]
+    idx = cells.idx
+    assert (np.diff(idx) > 0).all() and idx[0] >= 0 and idx[-1] < b.vl_off[-1]
+    assert set(idx.tolist()) == set(hik_idx.tolist()) | set(np.flatnonzero(s).tolist())
+    for r in range(int(b.v_off[-1])):
+        row = idx[cells.row_ptr[r] : cells.row_ptr[r + 1]]
+        assert ((row >= b.row_off[r]) & (row < b.row_off[r + 1])).all()
+    assert cells.row_ptr[0] == 0 and cells.row_ptr[-1] == idx.size
+    on = cells.hik >= 0
+    assert np.array_equal(idx[on], hik_idx[cells.hik[on]])
+    assert np.array_equal(np.sort(cells.hik[on]), np.arange(hik_idx.size))
+    nvl = int(b.vl_off[-1])
+    assert hik_idx.size >= 2
+    for bad_hik, extra in (
+        (hik_idx[::-1], None),              # not increasing
+        (hik_idx[::-1], np.arange(nvl)),
+        (np.append(hik_idx, nvl), None),    # past the plane
+        (hik_idx, np.array([-1])),          # negative extra cell
+        (hik_idx, np.array([nvl])),
+    ):
+        with pytest.raises(ValueError):
+            OracleCells(b, bad_hik, extra)
+
+
+@needs_native
+def test_oracle_eval_refuses_cells_of_another_layout():
+    f_np, f_c = impls("oracle_eval")
+    case = _sparse_oracle_case([(5, 0.3, 1)], 1, 0.5)
+    other = _sparse_oracle_case([(5, 0.3, 1)], 2, 0.5)
+    sc = OracleScratch.for_batch(case[0], case[5])
+    with pytest.raises(ValueError):
+        _sparse_eval(f_c, case[:-1] + (other[-1],), [0], np.ones(1), np.ones(1), sc)
 
 
 # ----------------------------------------------------------------------

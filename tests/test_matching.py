@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphgen import (
     crown_graph,
@@ -249,6 +251,71 @@ class TestLocalSearch:
         g = with_random_capacities(gnm_graph(10, 30, seed=9), 2, 3, seed=10)
         m = local_search_matching(g)
         assert m.is_valid()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 16),
+        m_frac=st.floats(0.0, 1.0),
+        weights=st.lists(
+            st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 2.0, 3.0]), min_size=1, max_size=4
+        ),
+        seed=st.integers(0, 2**31 - 1),
+        start=st.sampled_from(["empty", "greedy", "random"]),
+    )
+    def test_two_opt_pass_matches_the_numpy_scalar_pass(self, n, m_frac, weights, seed, start):
+        """The list-based pass picks the same edges as the pass it
+        replaced, on graphs whose tied weights make conflict sums such
+        as 0.1 + 0.2 against 0.3 decide swaps."""
+        rng = np.random.default_rng(seed)
+        m = int(m_frac * n * (n - 1) / 2)
+        g = gnm_graph(n, m, seed=seed)
+        g = Graph(n=n, src=g.src, dst=g.dst, weight=rng.choice(weights, size=g.m))
+        if start == "empty":
+            cur = BMatching.empty(g)
+        elif start == "greedy":
+            cur = greedy_matching(g)
+        else:  # any maximal matching, scanned in a random order
+            order = rng.permutation(g.m)
+            free, ids = np.ones(n, dtype=bool), []
+            for e in order.tolist():
+                if free[g.src[e]] and free[g.dst[e]]:
+                    free[g.src[e]] = free[g.dst[e]] = False
+                    ids.append(e)
+            cur = BMatching(g, np.asarray(sorted(ids), dtype=np.int64))
+        for _ in range(2):
+            got, want = two_opt_pass(g, cur), _two_opt_pass_reference(g, cur)
+            assert np.array_equal(got.edge_ids, want.edge_ids)
+            cur = got
+
+
+def _two_opt_pass_reference(graph, matching):
+    """``two_opt_pass`` as it was over numpy arrays, indexed per scalar,
+    with ``sum()`` over numpy floats (never compensated)."""
+
+    def conflicts(e):
+        return matched_at[graph.src[e]] | matched_at[graph.dst[e]]
+
+    matched = set(int(e) for e in matching.edge_ids)
+    matched_at = [set() for _ in range(graph.n)]
+    for e in matched:
+        matched_at[graph.src[e]].add(e)
+        matched_at[graph.dst[e]].add(e)
+    order = np.argsort(-graph.weight, kind="stable")
+    w = graph.weight
+    for e in order:
+        e = int(e)
+        if e in matched:
+            continue
+        conf = conflicts(e)
+        if w[e] > sum(w[c] for c in conf):
+            for c in conf:
+                matched.discard(c)
+                matched_at[graph.src[c]].discard(c)
+                matched_at[graph.dst[c]].discard(c)
+            matched.add(e)
+            matched_at[graph.src[e]].add(e)
+            matched_at[graph.dst[e]].add(e)
+    return BMatching(graph, np.asarray(sorted(matched), dtype=np.int64))
 
 
 class TestVerify:

@@ -225,6 +225,37 @@ class TestInnerStepsReadNoEdges:
         assert sum(read) <= 16 * os.path.getsize(edge_file) * (result.rounds + 1)
 
 
+class TestIncumbentWeight:
+    def test_file_backed_solve_gathers_no_weight(
+        self, edge_file, ram_digest, monkeypatch
+    ):
+        """The engine keeps the incumbent's weight beside it and reads a
+        harvest's weights from the pool's in-RAM subgraph, so no
+        ``BMatching.weight`` call inside a solve gathers the weight
+        column from the file."""
+        from repro.matching.structures import BMatching
+
+        weight_code = BMatching.weight.__code__
+        from_weight = []
+        original = edge_format.EdgeFile.gather_raw
+
+        def spying(self, *args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not weight_code:
+                frame = frame.f_back
+            from_weight.append(frame is not None)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(edge_format.EdgeFile, "gather_raw", spying)
+        fg = FileBackedGraph(edge_file, chunk_edges=64, materialize_policy="forbid")
+        result = SemiStreamingMatchingSolver(_cfg()).solve(fg)
+        monkeypatch.undo()
+        assert result.rounds >= 1 and from_weight  # harvests did gather
+        assert not any(from_weight)
+        assert result.history[-1]["primal"] == result.matching.weight()
+        assert _digest(result) == ram_digest
+
+
 # ======================================================================
 # Pass accounting and validation hoisting
 # ======================================================================

@@ -7,6 +7,10 @@ the engine's O(n L) tables.  The exact ranged scan runs only on a step
 whose bound cannot decide.  Forcing the scan on every step must leave
 every result bit-identical, and the natural fallbacks must agree with
 the forced ones.
+
+The oracle kernel's cell list rests on the same has_ik cells: the
+engine passes them alone, because both cells of every stored edge are
+among them.  That precondition is checked here on the same cases.
 """
 
 from __future__ import annotations
@@ -70,6 +74,31 @@ def test_forced_exact_scans_keep_the_golden_digests(group, monkeypatch, inner_sc
     got = GROUPS[group]()
     assert inner_scans["width"] > 0 and inner_scans["lambda"] > 0
     assert got == json.loads(GOLDEN.read_text())["digests"][group]
+
+
+@pytest.mark.parametrize("group", SOLVER_GROUPS)
+def test_stored_edge_cells_are_has_ik_cells(group, monkeypatch):
+    """In every golden solver case, both cells of each stored edge are
+    has_ik cells, so the engine's cell list (has_ik alone) holds every
+    cell where the support scatter ``s`` or ``zeta`` is nonzero."""
+    checked = []
+
+    class Checked(ms.BatchMicroContext):
+        def __init__(self, batch, active, stored, support_vals, zeta, zmul,
+                     hik_idx, hik_off, **kw):
+            assert np.isin(stored.src_vl, hik_idx).all()
+            assert np.isin(stored.dst_vl, hik_idx).all()
+            super().__init__(batch, active, stored, support_vals, zeta, zmul,
+                             hik_idx, hik_off, **kw)
+            assert np.array_equal(self.cells.idx, hik_idx)
+            off = np.ones(len(self.s), dtype=bool)
+            off[self.cells.idx] = False
+            assert not self.s[off].any() and not zeta[off].any()
+            checked.append(len(stored.src_vl))
+
+    monkeypatch.setattr(ms, "BatchMicroContext", Checked)
+    GROUPS[group]()
+    assert checked and max(checked) > 0
 
 
 def _tiny_files(tmp_path) -> list:
@@ -154,8 +183,8 @@ def test_bounds_hold_against_the_scans_at_every_step(graph, config, with_z, monk
     widths, lambdas = ms._BatchEngine._width_bounds, ms._BatchEngine._lambda_bounds
     seen = {"width": 0, "lambda": 0, "z": 0}
 
-    def checked_widths(self, blended, other):
-        out = widths(self, blended, other)
+    def checked_widths(self, blended):
+        out = widths(self, blended)
         for (_st, step), box in zip(blended, out):
             assert box * (1.0 + 1e-9) >= step.dual.live_ratio_max()
             seen["width"] += 1
