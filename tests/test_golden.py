@@ -34,7 +34,10 @@ Cases:
 * the Nagamochi-Ibaraki forests at small ``k``: forest indices on
   multigraphs with self-loops, connectivity sampling probabilities,
   Algorithm 6 fed in small chunks, and a ``sparsifier_k=1``
-  semi-streaming solve from an ``.edges`` file.
+  semi-streaming solve from an ``.edges`` file;
+* an instance with ``b = 0`` vertices, whose initial dual is nonzero
+  off the has_ik cells, solved alone and inside a ``solve_many`` batch
+  with ``b >= 1`` instances.
 
 The native and numpy kernel backends are bit-identical, so one record
 serves both.  Floats are digested through ``float.hex``; results can
@@ -647,6 +650,47 @@ def forests() -> dict:
     return out
 
 
+def zero_capacity() -> dict:
+    """Solves with ``b = 0`` vertices, alone and in a ``solve_many`` batch.
+
+    A vertex with ``b = 0`` counts as saturated at every nonempty level,
+    so the initial dual is nonzero at its cells of levels where it has
+    no live edge: the one cold-start input whose ``x`` lives off the
+    has_ik cells.  The case asserts that such cells exist.  The batch
+    puts the instance between a plain matching and a b-matching with
+    ``b`` in {1, 2, 3}, each on its own seed.
+    """
+    from repro.core.initial import build_initial_solution
+    from repro.core.levels import discretize
+    from repro.core.matching_solver import DualPrimalMatchingSolver, SolverConfig
+    from repro.graphgen import (
+        gnm_graph,
+        power_law_graph,
+        with_random_capacities,
+        with_uniform_weights,
+    )
+
+    g = with_uniform_weights(gnm_graph(40, 120, seed=1), 1.0, 50.0, seed=2)
+    b = np.ones(g.n, dtype=np.int64)
+    b[np.random.default_rng(1).choice(g.n, size=5, replace=False)] = 0
+    g = g.with_b(b)
+    levels = discretize(g, 0.2)
+    x0 = build_initial_solution(levels, seed=0).dual.x
+    has_ik = DualPrimalMatchingSolver._incidence_mask(levels)
+    assert ((x0 != 0) & ~has_ik).sum() > 0
+
+    plain = with_uniform_weights(gnm_graph(30, 90, seed=3), 1.0, 50.0, seed=4)
+    capped = with_random_capacities(
+        with_uniform_weights(power_law_graph(36, seed=5), 1.0, 50.0, seed=6),
+        1, 3, seed=7,
+    )
+    solver = DualPrimalMatchingSolver(SolverConfig(eps=0.2, seed=3))
+    out = {"b0:solve": solve_digest(solver.solve(g))}
+    batch = solver.solve_many([plain, g, capped], seeds=[11, 3, 12])
+    out.update({f"b0:solve_many:{i}": solve_digest(r) for i, r in enumerate(batch)})
+    return out
+
+
 GROUPS = {
     "backends": backends,
     "caps": caps,
@@ -659,6 +703,7 @@ GROUPS = {
     "sketches": sketches,
     "solve_default_tiny": solve_default_tiny,
     "warm_session": warm_session,
+    "zero_capacity": zero_capacity,
 }
 
 

@@ -40,6 +40,7 @@ SOLVER_GROUPS = (
     "scans",
     "solve_default_tiny",
     "warm_session",
+    "zero_capacity",
 )
 
 
