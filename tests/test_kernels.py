@@ -1037,6 +1037,45 @@ def test_dispatch_auto_falls_back_cleanly(tmp_path):
     assert "REPRO_KERNELS=native" in r2.stderr
 
 
+def test_library_name_hashes_source_compiler_and_flags(monkeypatch, tmp_path):
+    """A change to the flags, the compiler path or the source names
+    another library, so a cache never serves a build made another way."""
+    from repro.kernels import build
+
+    base = build.library_name("/usr/bin/cc")
+    assert base.startswith("librepro-kernels-") and base.endswith(".so")
+    assert build.library_name("/usr/bin/cc") == base
+    assert build.library_name("/usr/bin/clang") != base
+    with monkeypatch.context() as m:
+        m.setattr(build, "_CFLAGS", [*build._CFLAGS, "-g"])
+        assert build.library_name("/usr/bin/cc") != base
+    edited = tmp_path / "kernels.c"
+    edited.write_bytes(build._SOURCE.read_bytes() + b"\n")
+    monkeypatch.setattr(build, "_SOURCE", edited)
+    assert build.library_name("/usr/bin/cc") != base
+
+
+@needs_native
+def test_build_script_prints_what_the_loader_uses():
+    """``python src/repro/kernels/build.py name`` (what CI's sanitizer
+    step builds under) is the file this process loaded, and ``flags``
+    are the loader's flags."""
+    from repro.kernels import build
+
+    script = REPO / "src" / "repro" / "kernels" / "build.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    ask = lambda q: subprocess.run(  # noqa: E731
+        [sys.executable, str(script), q], capture_output=True, text=True,
+        env=env, check=True, timeout=60,
+    ).stdout.strip()
+    assert ask("name") == build.library_name()
+    assert ask("flags").split() == build._CFLAGS
+    assert ask("compiler") == build._find_compiler()
+    assert (build.cache_dir() / build.library_name()).exists()
+    loaded = sys.modules["repro.kernels.native"]._lib._name
+    assert Path(loaded).name == build.library_name()
+
+
 # ----------------------------------------------------------------------
 # End-to-end digest equality across backends
 # ----------------------------------------------------------------------
