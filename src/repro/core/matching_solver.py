@@ -69,6 +69,7 @@ from repro.kernels import tick_pack_arg as _k_tick_pack_arg
 from repro.kernels import tick_pack_post as _k_tick_pack_post
 from repro.kernels import tick_stored_post as _k_tick_stored_post
 from repro.kernels import tick_stored_shift as _k_tick_stored_shift
+from repro.kernels import width_box as _k_width_box
 from repro.core.witness import _rescaled_weight, extract_witness_matching
 from repro.matching.augmenting import local_search_matching
 from repro.matching.exact import max_weight_bmatching_exact
@@ -710,10 +711,16 @@ class _BatchEngine:
         self.hik_counts = counts
         self.hik_off_list = self.hik_off.tolist()
         # the oracle kernel's candidate cells: every stored edge is live,
-        # so both of its cells are has_ik cells and s lives on them too
+        # so both of its cells are has_ik cells and s lives on them too;
+        # s and zeta are written only there
         self.cells = OracleCells(b, self.hik_idx)
+        # the blend's cells: the has_ik cells, where every step lives,
+        # and every cell where x is nonzero now (a vertex with b = 0 is
+        # saturated at every nonempty level, so its initial dual reaches
+        # levels where it has no live edge).  Only blends write x until
+        # the next rebuild, so x stays zero off this list.
+        self.blend_cells = OracleCells(b, self.hik_idx, np.flatnonzero(dualb.x))
         self._zeta_scratch = b.zeros_vl()
-        self._other = b.zeros_vl()  # the blended steps' planes
         self._active_flags = np.zeros(b.size, dtype=np.uint8)
 
     # ------------------------------------------------------------------
@@ -1154,14 +1161,6 @@ class _BatchEngine:
         # each step's own live-ratio max sets its width; sigma reads only
         # max(PENALTY_WIDTH_BOUND, width), which a box bound of at most
         # PENALTY_WIDTH_BOUND settles without the scan
-        other = self._other
-        steps = {st.slot: step for st, step in blended}
-        for slot in range(B):
-            step = steps.get(slot)
-            if step is None:
-                b.vl_view(other, slot).fill(0.0)
-            else:
-                b.vl_view(other, slot)[:] = step.dual.x
         sigmas = np.zeros(B)
         for (st, step), box in zip(blended, self._width_bounds(blended)):
             if box * (1.0 + _BOUND_MARGIN) <= PENALTY_WIDTH_BOUND:
@@ -1171,7 +1170,12 @@ class _BatchEngine:
             sigmas[st.slot] = min(
                 0.5, cfg.step_scale * eps / (4.0 * st.alpha * rho_step)
             )
-        _k_blend(x, other, sigmas, b.vl_off, b.vl_count)
+        # each step is read where it lies: a vertex-route step in the
+        # oracle kernel's plane, unless a later evaluation made it move
+        steps: list = [None] * B
+        for st, step in blended:
+            steps[st.slot] = step.dual.x
+        _k_blend(x, steps, sigmas, self.blend_cells)
         for st, step in blended:
             if st.dual.z or step.dual.z:
                 self._blend_z(st, step.dual.z, float(sigmas[st.slot]))
@@ -1204,20 +1208,19 @@ class _BatchEngine:
         term is at most either endpoint's z-load.  So the largest ``(2 x̃
         + zload) / ŵ_k`` over the cells ``(i, k)`` with a live level-``k``
         edge at ``i`` (the ``has_ik`` cells) bounds the width at
-        O(|has_ik|) cost, gathered from each step's own plane.
+        O(|has_ik|) cost: one kernel pass reads each step's has_ik cells
+        from the step's own plane.
         """
-        hoff = self.hik_off_list
-        # segments of instances without a step stay 0 and are not read
-        vals = np.zeros(len(self.hik_idx))
+        B = self.batch.size
+        steps: list = [None] * B
+        zloads: list | None = None
         for st, step in blended:
-            sl = slice(hoff[st.slot], hoff[st.slot + 1])
-            seg = 2.0 * step.dual.x.ravel()[st.hik_local]
+            steps[st.slot] = step.dual.x
             if step.dual.z:
-                seg += step.dual.z_load().ravel()[st.hik_local]
-            vals[sl] = seg
-        vals /= self.wk_hik
-        # every running member has a live edge, so no segment is empty
-        box = np.maximum.reduceat(vals, self.hik_off[:-1])
+                if zloads is None:
+                    zloads = [None] * B
+                zloads[st.slot] = step.dual.z_load()
+        box = _k_width_box(steps, zloads, self.cells, self.wk_hik)
         return box[[st.slot for st, _ in blended]]
 
     def _lambda_bounds(self, blended) -> np.ndarray:

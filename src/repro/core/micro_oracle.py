@@ -329,18 +329,26 @@ class BatchMicroContext:
         self.use_odd = use_odd
         self.eps = eps
 
+        # the kernel's candidate cells: where s or zeta may be nonzero
+        if cells is None:
+            cells = OracleCells(
+                batch, hik_idx, np.concatenate([stored.src_vl, stored.dst_vl])
+            )
+        self.cells = cells
+
         # s[i, k] scatter: the dispatched kernel adds all src
         # contributions first, then all dst.  The VL-sized scratch is
-        # cached on the batch: the previous tick's context (the only
-        # holder of the returned buffer) is dead by the time the next
-        # one is built.
-        s_buf = getattr(batch, "_s_scratch", None)
-        if s_buf is None or s_buf.size != int(batch.vl_off[-1]):
-            s_buf = np.zeros(int(batch.vl_off[-1]), dtype=np.float64)
-            batch._s_scratch = s_buf
+        # cached on the batch with the cell list: the previous tick's
+        # context (the only holder of the returned buffer) is dead by
+        # the time the next one is built, and the buffer is zero off the
+        # cells, so only they are cleared (a new list gets a new buffer).
+        nvl = int(batch.vl_off[-1])
+        s_cache = getattr(batch, "_s_scratch", None)
+        if s_cache is None or s_cache[0] is not cells:
+            s_cache = batch._s_scratch = (cells, np.zeros(nvl, dtype=np.float64))
         self.s = _k_dual_scatter(
-            stored.src_vl, stored.dst_vl, support_vals, int(batch.vl_off[-1]),
-            out=s_buf,
+            stored.src_vl, stored.dst_vl, support_vals, nvl,
+            out=s_cache[1], clear=cells.idx,
         )
         self.us_mass = _k_index_scatter(
             stored.l_idx, support_vals, int(batch.l_off[-1])
@@ -369,13 +377,6 @@ class BatchMicroContext:
                 batch.l_view(zsum, i)[:] = batch.vl_view(zeta, i).sum(axis=0)
         self.zsum = zsum
 
-        # the kernel's candidate cells: where s or zeta may be nonzero
-        if cells is None:
-            cells = OracleCells(
-                batch, hik_idx, np.concatenate([stored.src_vl, stored.dst_vl])
-            )
-        self.cells = cells
-
         # reusable kernel scratch (rewritten wholesale every evaluation);
         # cached on the batch layout so the per-tick contexts of one
         # lockstep round share one allocation -- only the hik-sized
@@ -386,6 +387,7 @@ class BatchMicroContext:
             sc = OracleScratch.for_batch(batch, hik_off)
             batch._oracle_scratch = sc
         self._scratch = sc
+        self._in_scratch: list[LayeredDual] = []
 
     # ------------------------------------------------------------------
     def evaluate(self, sub: list[int], rho: dict[int, float]):
@@ -395,7 +397,10 @@ class BatchMicroContext:
         ``OracleDualStep | OracleWitness`` and ``po[i]`` the packing
         load of the step (absent for witnesses).  Buffers are sized by
         the compact batch; segments of instances outside ``sub`` hold
-        stale values and are never read.
+        stale values and are never read.  A vertex-route step's ``x`` is
+        a view of the kernel's step plane where the native kernel wrote
+        it; the next call on this context copies it out before the
+        plane is overwritten, so the step keeps its values either way.
         """
         b = self.batch
         B = b.size
@@ -406,6 +411,9 @@ class BatchMicroContext:
         # fills the per-call multiplier buffers, assembles the results by
         # route, and runs the rare odd-set/witness tail.
         sc = self._scratch
+        for d in self._in_scratch:
+            d.x = d.x.copy()
+        self._in_scratch = []
         rho_b = sc.rho
         rho_b.fill(0.0)
         for i in sub:
@@ -421,6 +429,7 @@ class BatchMicroContext:
             self.cells,
         )
 
+        in_scratch = res.step_x is sc.step_x
         rest: list[int] = []
         for i in sub:
             r = int(res.route[i])
@@ -433,7 +442,9 @@ class BatchMicroContext:
                 # reference: (zeta[has_ik] * (2*0 + 0)[has_ik]).sum() == 0.0
                 po[i] = 0.0
             elif r == 1:
-                d = LayeredDual._wrap(b.levels[i], b.vl_view(res.step_x, i).copy())
+                d = LayeredDual._wrap(b.levels[i], b.vl_view(res.step_x, i))
+                if in_scratch:
+                    self._in_scratch.append(d)
                 out[i] = OracleDualStep(
                     dual=d, route="vertex", gamma=float(res.gamma[i])
                 )

@@ -83,6 +83,7 @@ gather_add2 = _impl.gather_add2
 dual_scatter = _impl.dual_scatter
 index_scatter = _impl.index_scatter
 blend = _impl.blend
+width_box = _impl.width_box
 tick_stored_shift = _impl.tick_stored_shift
 tick_stored_post = _impl.tick_stored_post
 tick_pack_arg = _impl.tick_pack_arg

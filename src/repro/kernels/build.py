@@ -9,8 +9,8 @@ flags (:func:`library_name`), so changing any of them builds anew.
 
 Flags matter for parity: ``-ffp-contract=off`` forbids fused
 multiply-add contraction (gcc contracts by default, which would change
-float results), and ``-ffast-math`` is never used, so the optimizer
-may vectorize a loop but never reorder its float operations.  Every failure
+float results), and ``-ffast-math`` is never used, so ``-O3`` may
+vectorize a loop but never reorder its float operations.  Every failure
 mode (no compiler, sandboxed cc, unwritable cache) raises
 :class:`NativeBuildError`; the dispatch layer in ``__init__`` turns that
 into a clean numpy fallback under ``REPRO_KERNELS=auto``.
@@ -37,7 +37,7 @@ from pathlib import Path
 __all__ = ["NativeBuildError", "load_library", "cache_dir", "library_name"]
 
 _SOURCE = Path(__file__).resolve().parent / "kernels.c"
-_CFLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"]
+_CFLAGS = ["-O3", "-ffp-contract=off", "-fPIC", "-shared"]
 
 
 class NativeBuildError(RuntimeError):

@@ -6,10 +6,10 @@ batch layout, shared by the
 :class:`~repro.core.micro_oracle.BatchMicroContext` of every inner step
 on that layout and reused across every Lagrangian evaluation -- and
 returns an :class:`OracleEvalResult` of views into them.  Callers must
-copy anything they keep (``BatchMicroContext.evaluate`` copies each
-step's plane into its ``LayeredDual``).  The native kernel visits only
-the candidate cells of an :class:`OracleCells` list, built and checked
-once per layout.
+copy what they keep past the next evaluation (``BatchMicroContext.
+evaluate`` hands out each step as a view of ``step_x`` and copies it
+out before evaluating again).  The native kernels visit only the cells
+of an :class:`OracleCells` list, built and checked once per layout.
 """
 
 from __future__ import annotations
@@ -83,19 +83,22 @@ class OracleScratch:
 
 
 class OracleCells:
-    """The candidate cells of the native ``oracle_eval`` kernel.
+    """A cell list of a batch layout: the cells a native kernel visits.
 
     Built once per batch layout from its has_ik cells ``hik_idx`` (the
     VL ids where ``zeta`` may be nonzero; strictly increasing, as the
-    solver builds them) plus optional ``extra`` VL ids, which must cover
-    every cell where the support scatter ``s`` may be nonzero.  Holds
-    the sorted, distinct VL ids ``idx``, each vertex row's first cell
-    ``row_ptr`` (row ``r``'s cells are ``idx[row_ptr[r]:row_ptr[r + 1]]``)
-    and each cell's position in ``hik_idx`` (``hik``, ``-1`` off
-    has_ik).  The C kernel indexes through these arrays, so they are
-    checked here, once: sorted, in range, pointers consistent with the
-    layout's rows.  ``row_off`` keeps the layout they were built for;
-    the native wrapper refuses any other.
+    solver builds them) plus optional ``extra`` VL ids.  For the native
+    ``oracle_eval`` they must cover every cell where the support scatter
+    ``s`` may be nonzero; for ``blend``, every cell where ``x`` or a step
+    may be nonzero.  Holds the sorted, distinct VL ids ``idx``, each
+    vertex row's first cell ``row_ptr`` (row ``r``'s cells are
+    ``idx[row_ptr[r]:row_ptr[r + 1]]``, so instance ``i``'s start at
+    ``row_ptr[v_off[i]]``) and each cell's position in ``hik_idx``
+    (``hik``, ``-1`` off has_ik).  The C kernels index through these
+    arrays, so they are checked here, once: sorted, in range, pointers
+    consistent with the layout's rows.  The layout's offset tables
+    (``row_off``, ``v_off``, ``vl_off``) stay with the list; the native
+    wrappers refuse a list built for another layout.
     """
 
     def __init__(self, batch, hik_idx, extra=None):
@@ -115,6 +118,9 @@ class OracleCells:
         self.hik = np.full(idx.size, -1, dtype=np.int64)
         self.hik[np.searchsorted(idx, hik_idx)] = np.arange(hik_idx.size)
         self.row_off = batch.row_off
+        self.v_off = batch.v_off
+        self.vl_off = batch.vl_off
+        self.vl_count = batch.vl_count.tolist()
         self.n_hik = int(hik_idx.size)
 
 

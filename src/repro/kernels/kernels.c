@@ -1,9 +1,10 @@
 /* Native kernels for the sketch and solver hot loops.
  *
  * Compiled on demand by repro/kernels/build.py with the system C
- * toolchain (`cc -O2 -ffp-contract=off -shared -fPIC`) and loaded via
- * ctypes; repro/kernels/numpy_impl.py holds the bit-parity reference
- * for every function here.
+ * toolchain and the flags listed there (`_CFLAGS`: always
+ * -ffp-contract=off, never -ffast-math) and loaded via ctypes;
+ * repro/kernels/numpy_impl.py holds the bit-parity reference for every
+ * function here.
  *
  * Parity rules (see docs/kernels.md):
  *
@@ -239,10 +240,13 @@ void rk_gather_add2(const double *buf, const int64_t *ia, const int64_t *ib,
     for (int64_t i = 0; i < n; i++) out[i] = buf[ia[i]] + buf[ib[i]];
 }
 
-/* out[src[t]] += w[t] for all t, then the same over dst: the exact
- * accumulation order of np.bincount on the concatenated index array. */
-void rk_dual_scatter(double *out, const int64_t *src, const int64_t *dst,
+/* out[clear[c]] = 0 for the nclear listed entries, then out[src[t]] +=
+ * w[t] for all t, then the same over dst: the exact accumulation order
+ * of np.bincount on the concatenated index array. */
+void rk_dual_scatter(double *out, const int64_t *clear, int64_t nclear,
+                     const int64_t *src, const int64_t *dst,
                      const double *w, int64_t n) {
+    for (int64_t c = 0; c < nclear; c++) out[clear[c]] = 0.0;
     for (int64_t t = 0; t < n; t++) out[src[t]] += w[t];
     for (int64_t t = 0; t < n; t++) out[dst[t]] += w[t];
 }
@@ -251,13 +255,58 @@ void rk_index_scatter(double *out, const int64_t *idx, const double *w, int64_t 
     for (int64_t t = 0; t < n; t++) out[idx[t]] += w[t];
 }
 
-/* x = x * (1 - sigma_i) + sigma_i * other, per instance segment. */
-void rk_blend(double *x, const double *other, const double *sig,
-              const int64_t *vl_off, int64_t B) {
+/* Step planes arrive as addresses: steps[i] is instance i's (n_i, L_i)
+ * plane, whose entry j - vl_off[i] belongs to VL cell j, or 0 for none. */
+static inline const double *rk_plane(const int64_t *planes, int64_t i) {
+    return (const double *)(intptr_t)planes[i];
+}
+
+/* x = x * (1 - sigma_i) + sigma_i * step_i at the cells of each
+ * instance with a step, cell_vl[cell_ptr[v_off[i]] .. cell_ptr[v_off[i+1]]).
+ * The caller keeps x and every step zero off the cells, where the blend
+ * would leave 0 * (1 - sigma) + sigma * 0 = +0.0 anyway. */
+void rk_blend(double *x, const int64_t *steps, const double *sig,
+              const int64_t *cell_vl, const int64_t *cell_ptr,
+              const int64_t *v_off, const int64_t *vl_off, int64_t B) {
     for (int64_t i = 0; i < B; i++) {
+        const double *o = rk_plane(steps, i);
+        if (!o) continue;
         double s = sig[i], t = 1.0 - s;
-        for (int64_t j = vl_off[i]; j < vl_off[i + 1]; j++)
-            x[j] = x[j] * t + s * other[j];
+        int64_t base = vl_off[i];
+        for (int64_t c = cell_ptr[v_off[i]]; c < cell_ptr[v_off[i + 1]]; c++) {
+            int64_t j = cell_vl[c];
+            x[j] = x[j] * t + s * o[j - base];
+        }
+    }
+}
+
+/* box_i = max over instance i's has_ik cells (cell_hik[c] >= 0) of
+ * (2 step_i (+ zload_i)) / wk_hik; 0.0 for an instance without a step
+ * or without such cells, NaN if any term is.  The max is taken as
+ * `(f > m) ? f : m`, which compiles to a branch-free maxsd, and NaNs
+ * are counted apart. */
+void rk_width_box(const int64_t *steps, const int64_t *zloads,
+                  const int64_t *cell_vl, const int64_t *cell_ptr,
+                  const int64_t *cell_hik, const int64_t *v_off,
+                  const int64_t *vl_off, const double *wk_hik, int64_t B,
+                  double *box) {
+    for (int64_t i = 0; i < B; i++) {
+        const double *o = rk_plane(steps, i);
+        const double *zl = zloads ? rk_plane(zloads, i) : NULL;
+        double m = -INFINITY;
+        int64_t seen = 0, nan = 0, base = vl_off[i];
+        for (int64_t c = cell_ptr[v_off[i]]; o && c < cell_ptr[v_off[i + 1]]; c++) {
+            int64_t t = cell_hik[c];
+            if (t < 0) continue;
+            int64_t j = cell_vl[c] - base;
+            double f = 2.0 * o[j];
+            if (zl) f += zl[j];
+            f /= wk_hik[t];
+            m = (f > m) ? f : m;
+            nan |= (f != f);
+            seen = 1;
+        }
+        box[i] = nan ? NAN : (seen ? m : 0.0);
     }
 }
 
@@ -324,19 +373,20 @@ void rk_tick_pack_arg(const double *x, const double *zload, int64_t any_z,
     }
 }
 
-/* zmul = e/po3; zeta.fill(0); zeta[hik] = zmul; qo_i = pw(zmul*po3) */
+/* zmul = e/po3; zeta[hik] = zmul; qo_i = pw(zmul*po3).  zeta is written
+ * at the has_ik cells only: the caller keeps it zero elsewhere. */
 void rk_tick_pack_post(const double *e, const double *po3, const int64_t *hik_idx,
-                       const int64_t *off, int64_t B, double *zeta, int64_t nvl,
+                       const int64_t *off, int64_t B, double *zeta,
                        double *zmul, double *scratch, double *qo) {
-    memset(zeta, 0, (size_t)nvl * sizeof(double));
     for (int64_t i = 0; i < B; i++) {
         int64_t lo = off[i], hi = off[i + 1];
+        /* the scatter in a loop of its own, so that this one vectorizes */
         for (int64_t t = lo; t < hi; t++) {
             double zm = e[t] / po3[t];
             zmul[t] = zm;
-            zeta[hik_idx[t]] = zm;
             scratch[t] = zm * po3[t];
         }
+        for (int64_t t = lo; t < hi; t++) zeta[hik_idx[t]] = zmul[t];
         qo[i] = pw_sum(scratch + lo, hi - lo);
     }
 }

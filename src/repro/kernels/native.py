@@ -63,9 +63,17 @@ _sig(
     c_int64, c_int64, c_int64, c_int64, c_void_p, c_void_p,
 )
 _sig("rk_gather_add2", None, c_void_p, c_void_p, c_void_p, c_void_p, c_int64)
-_sig("rk_dual_scatter", None, c_void_p, c_void_p, c_void_p, c_void_p, c_int64)
+_sig("rk_dual_scatter", None, c_void_p, c_void_p, c_int64, c_void_p, c_void_p, c_void_p, c_int64)
 _sig("rk_index_scatter", None, c_void_p, c_void_p, c_void_p, c_int64)
-_sig("rk_blend", None, c_void_p, c_void_p, c_void_p, c_void_p, c_int64)
+_sig(
+    "rk_blend", None,
+    c_void_p, c_void_p, c_void_p, c_void_p, c_void_p, c_void_p, c_void_p, c_int64,
+)
+_sig(
+    "rk_width_box", None,
+    c_void_p, c_void_p, c_void_p, c_void_p, c_void_p, c_void_p, c_void_p, c_void_p,
+    c_int64, c_void_p,
+)
 _sig("rk_tick_stored_shift", None, c_void_p, c_void_p, c_void_p, c_int64, c_void_p, c_void_p)
 _sig(
     "rk_tick_stored_post", None,
@@ -78,7 +86,7 @@ _sig(
 )
 _sig(
     "rk_tick_pack_post", None,
-    c_void_p, c_void_p, c_void_p, c_void_p, c_int64, c_void_p, c_int64,
+    c_void_p, c_void_p, c_void_p, c_void_p, c_int64, c_void_p,
     c_void_p, c_void_p, c_void_p,
 )
 _sig(
@@ -102,19 +110,27 @@ _sig(
 
 
 def _p(a: np.ndarray) -> int:
-    """Raw data pointer of a (known C-contiguous, right-dtype) array."""
-    return a.ctypes.data
+    """Raw data pointer of a (known C-contiguous, right-dtype) array.
+
+    The address of a ctypes view of the buffer costs a third of
+    ``ndarray.ctypes.data``, which builds a ctypes helper object on
+    every access.  A read-only, empty or non-contiguous array cannot
+    lend a writable buffer and takes the slow path.
+    """
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError, BufferError):
+        return a.ctypes.data
 
 
 # Pointer memo for the solver-hot wrappers: each inner tick passes the
-# same long-lived layout/scratch arrays dozens of times, and
-# ``ndarray.ctypes.data`` costs ~2us per access (it builds a ctypes
-# helper object every time).  Entries are keyed by ``id`` and validated
-# by a weakref identity check, so id reuse after an array is freed can
-# never serve a stale pointer; the weakref's callback drops the entry
-# when its array dies, so the memo holds live arrays only.  (An
-# ndarray's buffer address is fixed for its lifetime; nothing in this
-# repo calls ``ndarray.resize``.)
+# same long-lived layout/scratch arrays dozens of times, and even
+# ``_p`` costs about 1us per access.  Entries are keyed by ``id`` and
+# validated by a weakref identity check, so id reuse after an array is
+# freed can never serve a stale pointer; the weakref's callback drops
+# the entry when its array dies, so the memo holds live arrays only.
+# (An ndarray's buffer address is fixed for its lifetime; nothing in
+# this repo calls ``ndarray.resize``.)
 _ptr_memo: dict[int, tuple] = {}
 
 
@@ -123,7 +139,7 @@ def _pm(a: np.ndarray) -> int:
     ent = _ptr_memo.get(key)
     if ent is not None and ent[0]() is a:
         return ent[1]
-    ptr = a.ctypes.data
+    ptr = _p(a)
 
     def drop(ref, key=key, memo=_ptr_memo):
         # a newer array may have taken the id since: keep its entry
@@ -137,6 +153,41 @@ def _pm(a: np.ndarray) -> int:
 def _c(a, dtype) -> np.ndarray:
     """Normalize to a C-contiguous array of the given dtype."""
     return np.ascontiguousarray(a, dtype=dtype)
+
+
+def _cell_ptrs(cells: OracleCells) -> tuple:
+    """Raw pointers of a cell list (checked and fixed once it is built):
+    ``idx``, ``row_ptr``, ``hik``, then the layout's ``v_off`` and
+    ``vl_off``."""
+    try:
+        return cells._nat_ptrs
+    except AttributeError:
+        cells._nat_ptrs = tuple(
+            _p(a) for a in (cells.idx, cells.row_ptr, cells.hik, cells.v_off, cells.vl_off)
+        )
+        return cells._nat_ptrs
+
+
+def _plane_ptrs(planes, cells: OracleCells) -> np.ndarray:
+    """Addresses of per-instance ``(n_i, L_i)`` float64 planes (0 for
+    None), each checked to span exactly its instance's VL segment, so a
+    kernel that reads a plane at its cells stays inside it."""
+    count = cells.vl_count
+    if len(planes) != len(count):
+        raise ValueError(f"need one plane (or None) per instance, got {len(planes)}")
+    ptrs = np.zeros(len(count), dtype=_I64)
+    for i, p in enumerate(planes):
+        if p is None:
+            continue
+        if not (
+            isinstance(p, np.ndarray) and p.dtype == _F64
+            and p.flags.c_contiguous and p.size == count[i]
+        ):
+            raise ValueError(
+                f"plane {i} must be a C-contiguous float64 array of {count[i]} entries"
+            )
+        ptrs[i] = _p(p)
+    return ptrs
 
 
 # ----------------------------------------------------------------------
@@ -239,13 +290,20 @@ def gather_add2(buf, idx_a, idx_b) -> np.ndarray:
     return out
 
 
-def dual_scatter(src, dst, vals, size: int, out=None) -> np.ndarray:
+def dual_scatter(src, dst, vals, size: int, out=None, clear=None) -> np.ndarray:
     sc, dc, vc = _c(src, _I64), _c(dst, _I64), _c(vals, _F64)
+    cl, ncl = None, 0
     if out is not None and out.size == size and out.dtype == _F64 and out.flags.c_contiguous:
-        out.fill(0.0)
+        if clear is None:
+            out.fill(0.0)
+        else:
+            cl = _c(clear, _I64)
+            ncl = len(cl)
     else:
         out = np.zeros(size, dtype=_F64)
-    _lib.rk_dual_scatter(_pm(out), _pm(sc), _pm(dc), _pm(vc), len(vc))
+    _lib.rk_dual_scatter(
+        _pm(out), None if cl is None else _pm(cl), ncl, _pm(sc), _pm(dc), _pm(vc), len(vc)
+    )
     return out
 
 
@@ -256,9 +314,31 @@ def index_scatter(idx, vals, size: int) -> np.ndarray:
     return out
 
 
-def blend(x, other, sigmas, vl_off, vl_count) -> None:
-    del vl_count
-    _lib.rk_blend(_pm(x), _pm(other), _pm(sigmas), _pm(vl_off), len(sigmas))
+def blend(x, steps, sigmas, cells) -> None:
+    planes = _plane_ptrs(steps, cells)
+    sig = _c(sigmas, _F64)
+    if not (
+        x.dtype == _F64 and x.flags.c_contiguous and x.size == cells.vl_off[-1]
+        and len(sig) == len(planes)
+    ):
+        raise ValueError("x and sigmas must match the cell list's layout")
+    idx, row_ptr, _hik, v_off, vl_off = _cell_ptrs(cells)
+    _lib.rk_blend(_pm(x), _p(planes), _pm(sig), idx, row_ptr, v_off, vl_off, len(planes))
+
+
+def width_box(steps, zloads, cells, wk_hik) -> np.ndarray:
+    planes = _plane_ptrs(steps, cells)
+    zplanes = None if zloads is None else _plane_ptrs(zloads, cells)
+    wk = _c(wk_hik, _F64)
+    if len(wk) != cells.n_hik:
+        raise ValueError("wk_hik must have one entry per has_ik cell of the list")
+    box = np.empty(len(planes), dtype=_F64)
+    idx, row_ptr, hik, v_off, vl_off = _cell_ptrs(cells)
+    _lib.rk_width_box(
+        _p(planes), None if zplanes is None else _p(zplanes),
+        idx, row_ptr, hik, v_off, vl_off, _pm(wk), len(planes), _p(box),
+    )
+    return box
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +380,7 @@ def tick_pack_post(e, po3_hik, hik_idx, off, off_list, zeta):
     scratch = np.empty(len(e), dtype=_F64)
     qo = np.zeros(B, dtype=_F64)
     _lib.rk_tick_pack_post(
-        _pm(e), _pm(po3_hik), _pm(hik_idx), _pm(off), B, _pm(zeta), zeta.size,
+        _pm(e), _pm(po3_hik), _pm(hik_idx), _pm(off), B, _pm(zeta),
         _p(zmul), _p(scratch), _p(qo),
     )
     return zmul, qo
@@ -337,10 +417,7 @@ def oracle_eval(batch, s, us_mass, zsum, hik_idx, hik_off, hik_counts, zmul,
             b.size, _p(b.l_off), _p(b.v_off), _p(b.row_off), _p(b.row_len),
             _p(b.wk_l), _p(b.b_vl),
         )
-    try:
-        cp = cells._nat_ptrs
-    except AttributeError:
-        cp = cells._nat_ptrs = (_p(cells.idx), _p(cells.row_ptr), _p(cells.hik))
+    cp = _cell_ptrs(cells)[:3]
     try:
         sp = scratch._nat_ptrs
     except AttributeError:

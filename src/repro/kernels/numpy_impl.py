@@ -250,7 +250,8 @@ def gather_add2(buf: np.ndarray, idx_a: np.ndarray, idx_b: np.ndarray) -> np.nda
 
 
 def dual_scatter(src: np.ndarray, dst: np.ndarray, vals: np.ndarray, size: int,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None,
+                 clear: np.ndarray | None = None) -> np.ndarray:
     """Scatter-add ``vals`` at ``src`` then at ``dst`` into a fresh buffer.
 
     All src contributions accumulate first, then all dst, sequentially
@@ -262,8 +263,11 @@ def dual_scatter(src: np.ndarray, dst: np.ndarray, vals: np.ndarray, size: int,
     allocating (the native backend does -- zeroing a warm buffer beats
     faulting in a fresh one every inner tick).  The result is always
     the returned array; callers must not rely on ``out`` aliasing it.
+    ``clear`` optionally lists the entries a backend zeroes in ``out``
+    instead of the whole buffer: ``out`` must then be zero off them,
+    and every ``src`` and ``dst`` must be among them.
     """
-    del out  # the numpy reference keeps its allocation behavior
+    del out, clear  # the numpy reference keeps its allocation behavior
     return np.bincount(
         np.concatenate([src, dst]),
         weights=np.concatenate([vals, vals]),
@@ -276,13 +280,51 @@ def index_scatter(idx: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(idx, weights=vals, minlength=size)
 
 
-def blend(x: np.ndarray, other: np.ndarray, sigmas: np.ndarray,
-          vl_off: np.ndarray, vl_count: np.ndarray) -> None:
-    """In-place covering blend ``x = (1 - sigma_i) x + sigma_i * other``."""
-    del vl_off  # the numpy path broadcasts; the native path segments
-    sig_vl = np.repeat(sigmas, vl_count)
-    x *= 1.0 - sig_vl
-    x += sig_vl * other
+def blend(x: np.ndarray, steps: list, sigmas: np.ndarray,
+          cells: OracleCells) -> None:
+    """In-place covering blend ``x_i = (1 - sigma_i) x_i + sigma_i step_i``.
+
+    ``steps[i]`` is instance ``i``'s ``(n_i, L_i)`` step plane, read
+    where it lies, or None to leave the instance's segment of ``x``
+    alone.  ``cells`` is a cell list of ``x``'s layout: the reference
+    blends every cell of each stepped segment (``cells.vl_off``), the
+    native kernel only the listed ones, so ``x`` and every step must
+    vanish off the list there.
+    """
+    off = cells.vl_off
+    for i, step in enumerate(steps):
+        if step is not None:
+            seg = x[off[i] : off[i + 1]]
+            seg *= 1.0 - sigmas[i]
+            seg += sigmas[i] * step.ravel()
+
+
+def width_box(steps: list, zloads: list | None, cells: OracleCells,
+              wk_hik: np.ndarray) -> np.ndarray:
+    """Each step's box: the max of ``(2 step + zload) / ŵ_k`` over its
+    instance's has_ik cells.
+
+    ``steps`` and ``zloads`` hold per-instance ``(n_i, L_i)`` planes or
+    None (``zloads`` None: no z-load anywhere); ``cells`` is a cell list
+    of the layout, whose has_ik cells (``cells.hik >= 0``) are read, and
+    ``wk_hik[t]`` is ``ŵ_k`` at has_ik cell ``t``.  Instances without a
+    step, or without has_ik cells, get 0.0.
+    """
+    box = np.zeros(len(steps))
+    for i, step in enumerate(steps):
+        if step is None:
+            continue
+        lo, hi = cells.row_ptr[cells.v_off[i]], cells.row_ptr[cells.v_off[i + 1]]
+        pos = cells.hik[lo:hi]
+        on = pos >= 0
+        local = cells.idx[lo:hi][on] - cells.vl_off[i]
+        seg = 2.0 * step.ravel()[local]
+        if zloads is not None and zloads[i] is not None:
+            seg += zloads[i].ravel()[local]
+        seg /= wk_hik[pos[on]]
+        if seg.size:
+            box[i] = seg.max()
+    return box
 
 
 # ----------------------------------------------------------------------
@@ -352,7 +394,12 @@ def tick_pack_arg(x: np.ndarray, zload: np.ndarray | None, hik_idx: np.ndarray,
 def tick_pack_post(e: np.ndarray, po3_hik: np.ndarray, hik_idx: np.ndarray,
                    off: np.ndarray, off_list: list[int],
                    zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Post-exp half: zeta scatter plus per-instance packing budget."""
+    """Post-exp half: zeta scatter plus per-instance packing budget.
+
+    The reference clears all of ``zeta`` before writing the has_ik
+    cells; the native kernel writes those cells only, so callers keep
+    ``zeta`` zero elsewhere.
+    """
     del off
     B = len(off_list) - 1
     zmul = e / po3_hik

@@ -42,14 +42,18 @@ KERNEL_CONTRACTS: dict[str, str] = {
     "python floor-division semantics, same fingerprint check)",
     # segment / scatter / gather primitives
     "gather_add2": _EXACT_F64,
-    "dual_scatter": _EXACT_F64 + "; sequential accumulation in np.bincount order",
+    "dual_scatter": _EXACT_F64 + "; sequential accumulation in np.bincount order; "
+    "with clear=, native zeroes only those entries of out",
     "index_scatter": _EXACT_F64 + "; sequential accumulation in index order",
-    "blend": _EXACT_F64 + "; in-place on x",
+    "blend": _EXACT_F64 + "; in-place on x; native visits only the cell list, "
+    "off which x and the steps must vanish",
+    "width_box": _EXACT_F64 + "; max over the has_ik cells, NaN-propagating",
     # inner-tick fused stages (exp happens in numpy between halves)
     "tick_stored_shift": _EXACT_F64,
     "tick_stored_post": _EXACT_F64_PW,
     "tick_pack_arg": _EXACT_F64,
-    "tick_pack_post": _EXACT_F64_PW,
+    "tick_pack_post": _EXACT_F64_PW + "; native writes zeta at the has_ik cells "
+    "only, so it must be zero elsewhere",
     # fused Algorithm 5 steps 1-8
     "oracle_eval": _EXACT_F64_PW + "; route/k* integer-identical, scans "
     "sequential per row like np.cumsum",

@@ -345,17 +345,21 @@ def _vl_layout(rng, Ls):
 @needs_native
 def test_blend_parity():
     f_np, f_c = impls("blend")
+    b, cells = _cell_layout([(6, 0.3, 2), (4, 0.9, 1), (9, 0.1, 3), (5, 0.3, 1)], 47)
     rng = np.random.default_rng(47)
-    Ls = np.array([1, 3, 4, 2, 6], dtype=np.int64)
-    _, vl_count, vl_off = _vl_layout(rng, Ls)
-    nvl = int(vl_off[-1])
+    nvl = int(b.vl_off[-1])
+    # dense list: every cell may be nonzero, so any values will do
+    cells = OracleCells(b, cells.idx[cells.hik >= 0], np.arange(nvl))
     x0 = rng.standard_normal(nvl)
-    other = rng.standard_normal(nvl)
-    sigmas = rng.uniform(0, 1, len(Ls))
+    steps = [rng.standard_normal((int(n), int(L))) for n, L in zip(b.n, b.L)]
+    steps[2] = None
+    sigmas = rng.uniform(0, 1, b.size)
     x_np, x_c = x0.copy(), x0.copy()
-    assert f_np(x_np, other, sigmas, vl_off, vl_count) is None
-    assert f_c(x_c, other, sigmas, vl_off, vl_count) is None
+    assert f_np(x_np, steps, sigmas, cells) is None
+    assert f_c(x_c, steps, sigmas, cells) is None
     assert_bitequal(x_np, x_c)
+    seg = slice(int(b.vl_off[2]), int(b.vl_off[3]))
+    assert_bitequal(x_c[seg], x0[seg])  # no step: the segment is untouched
 
 
 # ----------------------------------------------------------------------
@@ -412,7 +416,9 @@ def test_tick_pack_parity(with_zload):
     a_c = arg_c(x, zload, hik_idx, po3, alpha_p, off, off_list, counts, active)
     assert_bitequal(a_np, a_c)
     e = np.exp(a_np)
-    z_np, z_c = np.full(nvl, 3.5), np.full(nvl, 3.5)  # dirty zeta: must be cleared
+    # zeta dirty where it is written; the native kernel writes nothing else
+    z_np, z_c = np.zeros(nvl), np.zeros(nvl)
+    z_np[hik_idx] = z_c[hik_idx] = 3.5
     zm_np, qo_np = post_np(e, po3, hik_idx, off, off_list, z_np)
     zm_c, qo_c = post_c(e, po3, hik_idx, off, off_list, z_c)
     assert_bitequal(zm_np, zm_c)
@@ -656,6 +662,180 @@ def test_oracle_eval_refuses_cells_of_another_layout():
     sc = OracleScratch.for_batch(case[0], case[5])
     with pytest.raises(ValueError):
         _sparse_eval(f_c, case[:-1] + (other[-1],), [0], np.ones(1), np.ones(1), sc)
+
+
+# ----------------------------------------------------------------------
+# The inner tick on the has_ik cells: s, zeta, the width box, the blend
+# ----------------------------------------------------------------------
+def _cell_layout(shapes, seed, density=0.3, extra_density=0.1):
+    """A batch with random has_ik cells and a blend-style cell list:
+    has_ik plus random extra cells (``hik == -1`` there)."""
+    case = _sparse_oracle_case(shapes, seed, density)
+    b, hik_idx = case[0], case[4]
+    rng = np.random.default_rng(seed + 1)
+    extra = np.flatnonzero(rng.random(int(b.vl_off[-1])) < extra_density)
+    return b, OracleCells(b, hik_idx, extra)
+
+
+def _tick_case(data, shapes, seed, density, extra_density):
+    """Cells, ``x`` (nonnegative, zero off the list, nonzero at some
+    extra cells) and per-instance steps (None, or nonnegative and zero
+    off has_ik), with some sigmas 0."""
+    b, cells = _cell_layout(shapes, seed, density, extra_density)
+    rng = np.random.default_rng(seed + 2)
+    nvl = int(b.vl_off[-1])
+    x = np.zeros(nvl)
+    x[cells.idx] = rng.exponential(1.0, cells.idx.size) * (rng.random(cells.idx.size) < 0.7)
+    on_hik = np.zeros(nvl, dtype=bool)
+    on_hik[cells.idx[cells.hik >= 0]] = True
+    steps, sigmas = [], np.zeros(b.size)
+    for i in range(b.size):
+        if not data.draw(st.booleans()):
+            steps.append(None)
+            continue
+        lo, hi = int(b.vl_off[i]), int(b.vl_off[i + 1])
+        plane = rng.exponential(2.0, hi - lo) * (rng.random(hi - lo) < 0.5) * on_hik[lo:hi]
+        steps.append(plane.reshape(int(b.n[i]), int(b.L[i])))
+        sigmas[i] = data.draw(st.sampled_from([0.0, 0.5, float(rng.uniform(0, 0.5))]))
+    return b, cells, x, steps, sigmas
+
+
+TICK_SHAPES = st.lists(
+    st.tuples(st.integers(2, 10), st.sampled_from(ORACLE_EPS), st.integers(1, 3)),
+    min_size=1, max_size=4,
+)
+
+
+@needs_native
+@settings(max_examples=150, deadline=None)
+@given(
+    shapes=TICK_SHAPES, seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    extra_density=st.sampled_from([0.0, 0.1, 0.5]), data=st.data(),
+)
+def test_blend_cell_list_parity(shapes, seed, density, extra_density, data):
+    """The cell-list blend equals the numpy reference and the dense
+    blend it replaced: every plane blended whole against a buffer that
+    holds the steps and zeros, at sigma 0 where no step is."""
+    f_np, f_c = impls("blend")
+    b, cells, x, steps, sigmas = _tick_case(data, shapes, seed, density, extra_density)
+    x_np, x_c, x_dense = x.copy(), x.copy(), x.copy()
+    f_np(x_np, steps, sigmas, cells)
+    f_c(x_c, steps, sigmas, cells)
+    assert_bitequal(x_np, x_c)
+    other = np.zeros_like(x)
+    for i, step in enumerate(steps):
+        if step is not None:
+            other[b.vl_off[i] : b.vl_off[i + 1]] = step.ravel()
+    sig_vl = np.repeat(sigmas, b.vl_count)
+    x_dense *= 1.0 - sig_vl
+    x_dense += sig_vl * other
+    assert_bitequal(x_dense, x_c)
+
+
+@needs_native
+@settings(max_examples=150, deadline=None)
+@given(
+    shapes=TICK_SHAPES, seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    extra_density=st.sampled_from([0.0, 0.1, 0.5]), data=st.data(),
+)
+def test_width_box_parity(shapes, seed, density, extra_density, data):
+    """The native box equals the reference over the has_ik cells, with
+    and without z-loads, on a has_ik-only list and on one with extra
+    cells (which the box skips)."""
+    f_np, f_c = impls("width_box")
+    b, cells, _x, steps, _sigmas = _tick_case(data, shapes, seed, density, extra_density)
+    hik_idx = cells.idx[cells.hik >= 0][np.argsort(cells.hik[cells.hik >= 0])]
+    wk_hik = b.wk_vl[hik_idx]
+    rng = np.random.default_rng(seed + 3)
+    zloads = [
+        None if step is None or rng.random() < 0.5
+        else rng.exponential(1.0, step.shape) for step in steps
+    ]
+    for lst in (cells, OracleCells(b, hik_idx)):
+        for zl in (None, zloads):
+            box_np = f_np(steps, zl, lst, wk_hik)
+            assert_bitequal(box_np, f_c(steps, zl, lst, wk_hik))
+            for i, step in enumerate(steps):
+                lo, hi = int(b.vl_off[i]), int(b.vl_off[i + 1])
+                mine = hik_idx[(hik_idx >= lo) & (hik_idx < hi)]
+                if step is None or mine.size == 0:
+                    assert box_np[i] == 0.0
+                    continue
+                num = 2.0 * step.ravel()[mine - lo]
+                if zl is not None and zl[i] is not None:
+                    num += zl[i].ravel()[mine - lo]
+                assert box_np[i] == (num / b.wk_vl[mine]).max()
+
+
+@needs_native
+@settings(max_examples=150, deadline=None)
+@given(
+    shapes=TICK_SHAPES, seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.05, 0.3, 1.0]), data=st.data(),
+)
+def test_has_ik_clears_of_s_and_zeta_parity(shapes, seed, density, data):
+    """Clearing and writing ``s`` and ``zeta`` only at the cells gives
+    the dense references' planes, when the reused buffers are dirty at
+    those cells only, as the engine's are."""
+    b, cells = _cell_layout(shapes, seed, density, extra_density=0.0)
+    nvl = int(b.vl_off[-1])
+    if cells.idx.size == 0:
+        return
+    rng = np.random.default_rng(seed + 4)
+    dirty = np.zeros(nvl)
+    dirty[cells.idx] = rng.standard_normal(cells.idx.size)
+    # s: the support scatter of stored edges whose cells are has_ik cells
+    m = data.draw(st.integers(1, 40))
+    src = rng.choice(cells.idx, size=m)
+    dst = rng.choice(cells.idx, size=m)
+    vals = rng.exponential(1.0, m)
+    ds_np, ds_c = impls("dual_scatter")
+    want = ds_np(src, dst, vals, nvl)
+    out = dirty.copy()
+    got = ds_c(src, dst, vals, nvl, out=out, clear=cells.idx)
+    assert got is out
+    assert_bitequal(want, got)
+    # zeta: every has_ik cell is written
+    hik_idx = cells.idx
+    off = np.searchsorted(hik_idx, b.vl_off).astype(np.int64)
+    po3 = b.po3_vl[hik_idx]
+    e = rng.exponential(1.0, hik_idx.size)
+    post_np, post_c = impls("tick_pack_post")
+    z_np, z_c = dirty.copy(), dirty.copy()
+    r_np = post_np(e, po3, hik_idx, off, off.tolist(), z_np)
+    r_c = post_c(e, po3, hik_idx, off, off.tolist(), z_c)
+    assert_bitequal(z_np, z_c)
+    for a, c in zip(r_np, r_c):
+        assert_bitequal(a, c)
+
+
+@needs_native
+def test_tick_kernels_refuse_planes_and_lists_that_do_not_fit():
+    """The native wrappers read steps through raw pointers: a plane of
+    the wrong size, dtype or layout, or a list of another length, fails
+    before any pointer reaches C."""
+    _np, f_c = impls("blend")
+    _np, box_c = impls("width_box")
+    b, cells = _cell_layout([(5, 0.3, 1), (4, 0.3, 2)], 9)
+    nvl = int(b.vl_off[-1])
+    good = [np.zeros((int(n), int(L))) for n, L in zip(b.n, b.L)]
+    wk_hik = np.ones(cells.n_hik)
+    for steps in (
+        [good[0]],                                   # one instance missing
+        [good[0], np.zeros((int(b.n[1]), int(b.L[1]) + 1))],  # wrong size
+        [good[0], good[1].astype(np.float32)],       # wrong dtype
+        [good[0], np.asfortranarray(np.zeros((int(b.L[1]), int(b.n[1]))).T)],
+    ):
+        with pytest.raises(ValueError):
+            f_c(np.zeros(nvl), steps, np.zeros(b.size), cells)
+        with pytest.raises(ValueError):
+            box_c(steps, None, cells, wk_hik)
+    with pytest.raises(ValueError):
+        f_c(np.zeros(nvl + 1), good, np.zeros(b.size), cells)
+    with pytest.raises(ValueError):
+        box_c(good, None, cells, np.ones(cells.n_hik + 1))
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,10 @@ the forced ones.
 
 The oracle kernel's cell list rests on the same has_ik cells: the
 engine passes them alone, because both cells of every stored edge are
-among them.  That precondition is checked here on the same cases.
+among them.  The blend walks the has_ik cells plus the cells where
+``x`` was nonzero when the batch was built, and reads each step where
+the oracle wrote it.  Those preconditions are checked here on the same
+cases.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import pytest
 from repro.api import Problem, run
 from repro.core import matching_solver as ms
 from repro.core.matching_solver import DualPrimalMatchingSolver, SolverConfig
+from repro.core.micro_oracle import OracleDualStep
 from repro.core.relaxations import LayeredDual
 from repro.graphgen import gnm_graph, odd_cycle_chain, with_uniform_weights
 from repro.graphgen.ondisk import generate_gnm_file
@@ -100,6 +104,67 @@ def test_stored_edge_cells_are_has_ik_cells(group, monkeypatch):
     monkeypatch.setattr(ms, "BatchMicroContext", Checked)
     GROUPS[group]()
     assert checked and max(checked) > 0
+
+
+@pytest.mark.parametrize("group", SOLVER_GROUPS)
+def test_blend_reads_steps_where_the_oracle_wrote_them(group, monkeypatch):
+    """At every tick, ``x`` and each blended step vanish off the blend's
+    cell list, and each step, read where the oracle wrote it (or where
+    a later evaluation of its search moved it), equals a copy taken when
+    the oracle returned it, as the engine used to blend."""
+    copies = {}  # id(step dual) -> (dual, copy at return, context, evaluation)
+    seen = {"blends": 0, "steps": 0, "reevaluated": 0}
+    evaluate = ms.BatchMicroContext.evaluate
+
+    def recording(ctx, sub, rho):
+        ctx._evals = getattr(ctx, "_evals", 0) + 1
+        out, po = evaluate(ctx, sub, rho)
+        for step in out.values():
+            if isinstance(step, OracleDualStep) and step.route == "vertex":
+                copies[id(step.dual)] = (step.dual, step.dual.x.copy(), ctx, ctx._evals)
+        return out, po
+
+    combine = ms._combine_steps
+
+    def recorded_combine(a, b, s1, s2):
+        for step in (a, b):
+            entry = copies.get(id(step.dual))
+            if entry is not None and entry[0] is step.dual:
+                dual, copy, ctx, n_eval = entry
+                assert dual.x.tobytes() == copy.tobytes()
+                seen["reevaluated"] += ctx is not None and ctx._evals > n_eval
+        mixed = combine(a, b, s1, s2)
+        copies[id(mixed.dual)] = (mixed.dual, mixed.dual.x.copy(), None, 0)
+        return mixed
+
+    blend = ms._k_blend
+
+    def checked_blend(x, steps, sigmas, cells):
+        off = np.ones(x.size, dtype=bool)
+        off[cells.idx] = False
+        assert not x[off].any()
+        for i, plane in enumerate(steps):
+            if plane is None:
+                continue
+            lo, hi = int(cells.vl_off[i]), int(cells.vl_off[i + 1])
+            assert not plane.ravel()[off[lo:hi]].any()
+            found = [e for e in copies.values() if e[0].x is plane]
+            if found:
+                assert plane.tobytes() == found[0][1].tobytes()
+                seen["steps"] += 1
+        blend(x, steps, sigmas, cells)
+        assert not x[off].any()
+        seen["blends"] += 1
+
+    monkeypatch.setattr(ms.BatchMicroContext, "evaluate", recording)
+    monkeypatch.setattr(ms, "_combine_steps", recorded_combine)
+    monkeypatch.setattr(ms, "_k_blend", checked_blend)
+    assert GROUPS[group]() == json.loads(GOLDEN.read_text())["digests"][group]
+    assert seen["blends"] > 0 and seen["steps"] > 0
+    if group in ("mixed_run_many", "oracle_routes"):
+        # multi-evaluation searches: steps outlived a later evaluation
+        # of their context and still entered the combination intact
+        assert seen["reevaluated"] > 0
 
 
 def _tiny_files(tmp_path) -> list:
