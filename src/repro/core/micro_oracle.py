@@ -348,7 +348,7 @@ class BatchMicroContext:
             s_cache = batch._s_scratch = (cells, np.zeros(nvl, dtype=np.float64))
         self.s = _k_dual_scatter(
             stored.src_vl, stored.dst_vl, support_vals, nvl,
-            out=s_cache[1], clear=cells.idx,
+            out=s_cache[1], cells=cells,
         )
         self.us_mass = _k_index_scatter(
             stored.l_idx, support_vals, int(batch.l_off[-1])

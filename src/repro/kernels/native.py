@@ -290,20 +290,19 @@ def gather_add2(buf, idx_a, idx_b) -> np.ndarray:
     return out
 
 
-def dual_scatter(src, dst, vals, size: int, out=None, clear=None) -> np.ndarray:
+def dual_scatter(src, dst, vals, size: int, out=None, cells=None) -> np.ndarray:
     sc, dc, vc = _c(src, _I64), _c(dst, _I64), _c(vals, _F64)
-    cl, ncl = None, 0
+    clear, nclear = None, 0
     if out is not None and out.size == size and out.dtype == _F64 and out.flags.c_contiguous:
-        if clear is None:
+        if cells is None:
             out.fill(0.0)
+        elif cells.vl_off[-1] != size:
+            raise ValueError("cells were built for a layout of another size")
         else:
-            cl = _c(clear, _I64)
-            ncl = len(cl)
+            clear, nclear = _cell_ptrs(cells)[0], len(cells.idx)
     else:
         out = np.zeros(size, dtype=_F64)
-    _lib.rk_dual_scatter(
-        _pm(out), None if cl is None else _pm(cl), ncl, _pm(sc), _pm(dc), _pm(vc), len(vc)
-    )
+    _lib.rk_dual_scatter(_pm(out), clear, nclear, _pm(sc), _pm(dc), _pm(vc), len(vc))
     return out
 
 

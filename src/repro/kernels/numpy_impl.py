@@ -251,7 +251,7 @@ def gather_add2(buf: np.ndarray, idx_a: np.ndarray, idx_b: np.ndarray) -> np.nda
 
 def dual_scatter(src: np.ndarray, dst: np.ndarray, vals: np.ndarray, size: int,
                  out: np.ndarray | None = None,
-                 clear: np.ndarray | None = None) -> np.ndarray:
+                 cells: OracleCells | None = None) -> np.ndarray:
     """Scatter-add ``vals`` at ``src`` then at ``dst`` into a fresh buffer.
 
     All src contributions accumulate first, then all dst, sequentially
@@ -263,11 +263,12 @@ def dual_scatter(src: np.ndarray, dst: np.ndarray, vals: np.ndarray, size: int,
     allocating (the native backend does -- zeroing a warm buffer beats
     faulting in a fresh one every inner tick).  The result is always
     the returned array; callers must not rely on ``out`` aliasing it.
-    ``clear`` optionally lists the entries a backend zeroes in ``out``
-    instead of the whole buffer: ``out`` must then be zero off them,
-    and every ``src`` and ``dst`` must be among them.
+    ``cells`` optionally gives a cell list of ``size`` VL ids whose cells
+    a backend zeroes in ``out`` instead of the whole buffer: ``out``
+    must then be zero off them, and every ``src`` and ``dst`` must be
+    among them.
     """
-    del out, clear  # the numpy reference keeps its allocation behavior
+    del out, cells  # the numpy reference keeps its allocation behavior
     return np.bincount(
         np.concatenate([src, dst]),
         weights=np.concatenate([vals, vals]),

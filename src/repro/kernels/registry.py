@@ -43,7 +43,7 @@ KERNEL_CONTRACTS: dict[str, str] = {
     # segment / scatter / gather primitives
     "gather_add2": _EXACT_F64,
     "dual_scatter": _EXACT_F64 + "; sequential accumulation in np.bincount order; "
-    "with clear=, native zeroes only those entries of out",
+    "with cells=, native zeroes only the list's cells of out",
     "index_scatter": _EXACT_F64 + "; sequential accumulation in index order",
     "blend": _EXACT_F64 + "; in-place on x; native visits only the cell list, "
     "off which x and the steps must vanish",

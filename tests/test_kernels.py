@@ -794,7 +794,7 @@ def test_has_ik_clears_of_s_and_zeta_parity(shapes, seed, density, data):
     ds_np, ds_c = impls("dual_scatter")
     want = ds_np(src, dst, vals, nvl)
     out = dirty.copy()
-    got = ds_c(src, dst, vals, nvl, out=out, clear=cells.idx)
+    got = ds_c(src, dst, vals, nvl, out=out, cells=cells)
     assert got is out
     assert_bitequal(want, got)
     # zeta: every has_ik cell is written
@@ -813,9 +813,10 @@ def test_has_ik_clears_of_s_and_zeta_parity(shapes, seed, density, data):
 
 @needs_native
 def test_tick_kernels_refuse_planes_and_lists_that_do_not_fit():
-    """The native wrappers read steps through raw pointers: a plane of
-    the wrong size, dtype or layout, or a list of another length, fails
-    before any pointer reaches C."""
+    """The native wrappers read steps and cells through raw pointers: a
+    plane of the wrong size, dtype or layout, a plane list of another
+    length, or a cell list of another layout, fails before any pointer
+    reaches C."""
     _np, f_c = impls("blend")
     _np, box_c = impls("width_box")
     b, cells = _cell_layout([(5, 0.3, 1), (4, 0.3, 2)], 9)
@@ -836,6 +837,10 @@ def test_tick_kernels_refuse_planes_and_lists_that_do_not_fit():
         f_c(np.zeros(nvl + 1), good, np.zeros(b.size), cells)
     with pytest.raises(ValueError):
         box_c(good, None, cells, np.ones(cells.n_hik + 1))
+    _np, scatter_c = impls("dual_scatter")
+    one = np.zeros(1, dtype=np.int64)
+    with pytest.raises(ValueError):  # a list of another layout's size
+        scatter_c(one, one, np.ones(1), nvl + 1, out=np.zeros(nvl + 1), cells=cells)
 
 
 # ----------------------------------------------------------------------
