@@ -400,7 +400,10 @@ class BatchMicroContext:
         stale values and are never read.  A vertex-route step's ``x`` is
         a view of the kernel's step plane where the native kernel wrote
         it; the next call on this context copies it out before the
-        plane is overwritten, so the step keeps its values either way.
+        plane is overwritten.  The plane is shared by every context of
+        the batch, so a step lasts until a newer context evaluates: the
+        solver engine builds one context per tick and is done with its
+        steps by the next.
         """
         b = self.batch
         B = b.size

@@ -263,10 +263,10 @@ def dual_scatter(src: np.ndarray, dst: np.ndarray, vals: np.ndarray, size: int,
     allocating (the native backend does -- zeroing a warm buffer beats
     faulting in a fresh one every inner tick).  The result is always
     the returned array; callers must not rely on ``out`` aliasing it.
-    ``cells`` optionally gives a cell list of ``size`` VL ids whose cells
-    a backend zeroes in ``out`` instead of the whole buffer: ``out``
-    must then be zero off them, and every ``src`` and ``dst`` must be
-    among them.
+    ``cells`` is an optional cell list of a layout with ``size`` VL
+    ids; a backend may then zero only its cells of ``out`` instead of
+    the whole buffer, so ``out`` must be zero off them and every ``src``
+    and ``dst`` must be among them.
     """
     del out, cells  # the numpy reference keeps its allocation behavior
     return np.bincount(
