@@ -120,6 +120,10 @@ class GraphBatch:
     b_vl: np.ndarray = field(init=False)  # float b_i per VL entry
     col_vl: np.ndarray = field(init=False)  # level index per VL entry
 
+    # python-side tables for the oracle's per-instance loops
+    l_off_list: list[int] = field(init=False)
+    vl_runs: list[tuple[int, int, int, int, int]] = field(init=False)
+
     @property
     def size(self) -> int:
         return len(self.graphs)
@@ -163,7 +167,7 @@ class GraphBatch:
         # Runs of consecutive same-L instances: their stacked VL segments
         # reshape to one (rows, L) block, so per-row scans/sums cover a
         # whole run in one call with unchanged per-row rounding.
-        self.vl_runs: list[tuple[int, int, int, int, int]] = []
+        self.vl_runs = []
         i = 0
         while i < B:
             j = i

@@ -62,7 +62,7 @@ from repro.core.relaxations import (
     blend_z_dicts,
     z_cover_add,
 )
-from repro.kernels import OracleCells
+from repro.kernels import OracleCells, OracleScratch
 from repro.kernels import blend as _k_blend
 from repro.kernels import gather_add2 as _k_gather_add2
 from repro.kernels import tick_pack_arg as _k_tick_pack_arg
@@ -695,31 +695,28 @@ class _BatchEngine:
             if dual.z:
                 dualb.refresh_zload(slot)
         self.dualb = dualb
-        # has_ik gather tables over the active members
-        counts = np.array([len(st.hik_local) for st in self.members], dtype=np.int64)
-        self.hik_off = np.zeros(len(self.members) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.hik_off[1:])
-        # self.members is non-empty here (the early return above)
-        self.hik_idx = np.concatenate(
-            [b.vl_off[st.slot] + st.hik_local for st in self.members]
+        # the has_ik cells of the active members (self.members is
+        # non-empty here, the early return above), which are the oracle
+        # kernel's candidate cells: every stored edge is live, so both
+        # of its cells are has_ik cells and s lives on them too; s and
+        # zeta are written only there
+        self.cells = OracleCells(
+            b, np.concatenate([b.vl_off[st.slot] + st.hik_local for st in self.members])
         )
-        self.po3_hik = b.po3_vl[self.hik_idx]
-        self.wk_hik = b.wk_vl[self.hik_idx]
+        self.scratch = OracleScratch(b, self.cells)
+        # has_ik gather tables
+        hik_idx = self.cells.hik_idx
+        self.po3_hik = b.po3_vl[hik_idx]
+        self.wk_hik = b.wk_vl[hik_idx]
         self.alpha_p_hik = np.repeat(
-            np.array([st.alpha_p for st in self.members]), counts
+            np.array([st.alpha_p for st in self.members]), np.diff(self.cells.hik_off)
         )
-        self.hik_counts = counts
-        self.hik_off_list = self.hik_off.tolist()
-        # the oracle kernel's candidate cells: every stored edge is live,
-        # so both of its cells are has_ik cells and s lives on them too;
-        # s and zeta are written only there
-        self.cells = OracleCells(b, self.hik_idx)
         # the blend's cells: the has_ik cells, where every step lives,
         # and every cell where x is nonzero now (a vertex with b = 0 is
         # saturated at every nonempty level, so its initial dual reaches
         # levels where it has no live edge).  Only blends write x until
         # the next rebuild, so x stays zero off this list.
-        self.blend_cells = OracleCells(b, self.hik_idx, np.flatnonzero(dualb.x))
+        self.blend_cells = OracleCells(b, hik_idx, np.flatnonzero(dualb.x))
         self._zeta_scratch = b.zeros_vl()
         self._active_flags = np.zeros(b.size, dtype=np.uint8)
 
@@ -1024,9 +1021,8 @@ class _BatchEngine:
             )
             self._layout_stale = False
         lay = self.layout
-        st_counts = lay.counts
         soff = lay.off_list
-        hoff = self.hik_off_list
+        cells = self.cells
 
         # ---- Corollary 6 multipliers over the stored edges ----
         # The elementwise chains run in the dispatched kernels; ``exp``
@@ -1050,9 +1046,9 @@ class _BatchEngine:
                     st.graph.n, lay.src[st.slot], lay.dst[st.slot],
                     lay.lvl[st.slot], st.dual.z, cov[sl],
                 )
-        shifted = _k_tick_stored_shift(cov, lay.wk, lay.off, soff, st_counts, alphas)
+        shifted = _k_tick_stored_shift(cov, lay.wk, lay.off, alphas)
         support_vals, usc_arr = _k_tick_stored_post(
-            np.exp(-shifted), lay.wk, lay.probs, lay.off, soff
+            np.exp(-shifted), lay.wk, lay.probs, lay.off
         )
 
         # ---- packing multipliers zeta over the Po box ----
@@ -1061,17 +1057,15 @@ class _BatchEngine:
         arg = _k_tick_pack_arg(
             x,
             self.dualb.zload if self._any_z else None,
-            self.hik_idx,
+            cells.hik_idx,
             self.po3_hik,
             self.alpha_p_hik,
-            self.hik_off,
-            hoff,
-            self.hik_counts,
+            cells.hik_off,
             act,
         )
         zeta = self._zeta_scratch
         zmul, qo_arr = _k_tick_pack_post(
-            np.exp(arg), self.po3_hik, self.hik_idx, self.hik_off, hoff, zeta
+            np.exp(arg), self.po3_hik, cells.hik_idx, cells.hik_off, zeta
         )
 
         searchers: list[_InstanceState] = []
@@ -1092,19 +1086,15 @@ class _BatchEngine:
         # ---- Lemma 10 searches in lockstep, batched Algorithm 5 ----
         if searchers:
             ctx = BatchMicroContext(
-                b,
+                self.scratch,
                 [st.slot for st in searchers],
                 lay,
                 support_vals,
                 zeta,
                 zmul,
-                self.hik_idx,
-                self.hik_off,
                 beta={st.slot: st.beta for st in searchers},
                 use_odd={st.slot: st.use_odd for st in searchers},
                 eps=eps,
-                hik_counts=self.hik_counts,
-                cells=self.cells,
             )
             pending = {st.slot: st for st in searchers}
             while pending:

@@ -142,9 +142,12 @@ def micro_oracle(
     stored = StoredBatchLayout.build(batch, {0: (ids, np.ones(ids.size))})
     flat_zeta = np.ascontiguousarray(zeta).ravel()
     hik_idx = np.flatnonzero(flat_zeta != 0.0)
+    # the kernel's candidate cells: where zeta or the support scatter s
+    # may be nonzero
+    cells = OracleCells(batch, hik_idx, np.concatenate([stored.src_vl, stored.dst_vl]))
     ctx = BatchMicroContext(
-        batch, [0], stored, np.ascontiguousarray(support.values), flat_zeta,
-        flat_zeta[hik_idx], hik_idx, np.array([0, hik_idx.size], dtype=np.int64),
+        OracleScratch(batch, cells), [0], stored,
+        np.ascontiguousarray(support.values), flat_zeta, flat_zeta[hik_idx],
         beta={0: beta}, use_odd={0: odd_sets}, eps=eps,
     )
     results, _po = ctx.evaluate([0], {0: rho})
@@ -291,64 +294,46 @@ class BatchMicroContext:
     one; the ``oracle`` group of ``tests/golden/digests.json`` pins its
     output on every route.
 
-    ``zeta`` is zero off the has_ik cells ``hik_idx`` (strictly
-    increasing VL ids), where it equals ``zmul``.  ``cells`` is the
-    native kernel's candidate-cell list and must hold every cell where
-    the support scatter ``s`` may be nonzero; by default it is the
-    has_ik cells plus both cells of every stored edge.  The solver
-    engine passes its has_ik list alone, built once per batch: every
-    stored edge is live, so its cells are has_ik cells already.
+    ``scratch`` is the batch's :class:`~repro.kernels.OracleScratch`,
+    built once per batch for a cell list that holds every cell where
+    the support scatter ``s`` or ``zeta`` may be nonzero.  ``zeta`` is
+    zero off the list's has_ik cells (``scratch.cells.hik_idx``), where
+    it equals ``zmul``.  The solver engine's list is its has_ik cells
+    alone: every stored edge is live, so its cells are has_ik cells
+    already.  :func:`micro_oracle` adds both cells of every support
+    edge.
     """
 
     def __init__(
         self,
-        batch,
+        scratch: OracleScratch,
         active: list[int],
         stored,
         support_vals: np.ndarray,
         zeta: np.ndarray,
         zmul: np.ndarray,
-        hik_idx: np.ndarray,
-        hik_off: np.ndarray,
         beta: dict[int, float],
         use_odd: dict[int, bool],
         eps: float,
-        hik_counts: np.ndarray | None = None,
-        cells: OracleCells | None = None,
     ):
+        batch = scratch.batch
+        self.scratch = scratch
         self.batch = batch
         self.active = list(active)
         self.stored = stored
         self.support_vals = support_vals
         self.zeta = zeta
         self.zmul = zmul
-        self.hik_idx = hik_idx
-        self.hik_off = hik_off
-        self.hik_counts = np.diff(hik_off) if hik_counts is None else hik_counts
         self.beta = beta
         self.use_odd = use_odd
         self.eps = eps
 
-        # the kernel's candidate cells: where s or zeta may be nonzero
-        if cells is None:
-            cells = OracleCells(
-                batch, hik_idx, np.concatenate([stored.src_vl, stored.dst_vl])
-            )
-        self.cells = cells
-
-        # s[i, k] scatter: the dispatched kernel adds all src
-        # contributions first, then all dst.  The VL-sized scratch is
-        # cached on the batch with the cell list: the previous tick's
-        # context (the only holder of the returned buffer) is dead by
-        # the time the next one is built, and the buffer is zero off the
-        # cells, so only they are cleared (a new list gets a new buffer).
-        nvl = int(batch.vl_off[-1])
-        s_cache = getattr(batch, "_s_scratch", None)
-        if s_cache is None or s_cache[0] is not cells:
-            s_cache = batch._s_scratch = (cells, np.zeros(nvl, dtype=np.float64))
-        self.s = _k_dual_scatter(
-            stored.src_vl, stored.dst_vl, support_vals, nvl,
-            out=s_cache[1], cells=cells,
+        # s[i, k] scatter into the scratch's buffer: the dispatched
+        # kernel adds all src contributions first, then all dst.  The
+        # previous tick's context, the only other reader of the buffer,
+        # is done with it by the time the next one is built.
+        _k_dual_scatter(
+            stored.src_vl, stored.dst_vl, support_vals, scratch.s, scratch.cells
         )
         self.us_mass = _k_index_scatter(
             stored.l_idx, support_vals, int(batch.l_off[-1])
@@ -364,29 +349,13 @@ class BatchMicroContext:
         # reads).  L == 1 planes would take numpy's pairwise contiguous
         # reduction instead, so that (unused in practice) shape keeps
         # the per-instance loop.
-        if batch.size and int(batch.L.min()) >= 2:
-            cached = getattr(batch, "_hik_l_idx", None)
-            if cached is None or cached[0] is not hik_idx:
-                lidx = expand(batch.l_off[:-1], batch.vl_count) + batch.col_vl
-                cached = (hik_idx, np.ascontiguousarray(lidx[hik_idx], dtype=np.int64))
-                batch._hik_l_idx = cached
-            zsum = _k_index_scatter(cached[1], zmul, int(batch.l_off[-1]))
+        if scratch.hik_l_idx is not None:
+            zsum = _k_index_scatter(scratch.hik_l_idx, zmul, int(batch.l_off[-1]))
         else:
             zsum = np.zeros(int(batch.l_off[-1]), dtype=np.float64)
             for i in self.active:
                 batch.l_view(zsum, i)[:] = batch.vl_view(zeta, i).sum(axis=0)
         self.zsum = zsum
-
-        # reusable kernel scratch (rewritten wholesale every evaluation);
-        # cached on the batch layout so the per-tick contexts of one
-        # lockstep round share one allocation -- only the hik-sized
-        # buffer can force a regrow when zeta's support widens
-        need_hik = int(self.hik_counts.max()) if batch.size else 0
-        sc = getattr(batch, "_oracle_scratch", None)
-        if sc is None or sc.pobuf.shape[0] < max(1, need_hik):
-            sc = OracleScratch.for_batch(batch, hik_off)
-            batch._oracle_scratch = sc
-        self._scratch = sc
         self._in_scratch: list[LayeredDual] = []
 
     # ------------------------------------------------------------------
@@ -398,10 +367,10 @@ class BatchMicroContext:
         load of the step (absent for witnesses).  Buffers are sized by
         the compact batch; segments of instances outside ``sub`` hold
         stale values and are never read.  A vertex-route step's ``x`` is
-        a view of the kernel's step plane where the native kernel wrote
-        it; the next call on this context copies it out before the
-        plane is overwritten.  The plane is shared by every context of
-        the batch, so a step lasts until a newer context evaluates: the
+        a view of the scratch's step plane, where the kernel wrote it;
+        the next call on this context copies it out before the plane is
+        overwritten.  The plane is shared by every context of the
+        batch, so a step lasts until a newer context evaluates: the
         solver engine builds one context per tick and is done with its
         steps by the next.
         """
@@ -413,7 +382,7 @@ class BatchMicroContext:
         # Steps 1-8 run in the dispatched fused kernel; this method only
         # fills the per-call multiplier buffers, assembles the results by
         # route, and runs the rare odd-set/witness tail.
-        sc = self._scratch
+        sc = self.scratch
         for d in self._in_scratch:
             d.x = d.x.copy()
         self._in_scratch = []
@@ -426,47 +395,41 @@ class BatchMicroContext:
         for i in sub:
             beta_b[i] = self.beta[i]
 
-        res = _k_oracle_eval(
-            b, self.s, self.us_mass, self.zsum, self.hik_idx, self.hik_off,
-            self.hik_counts, self.zmul, sub, rho_b, beta_b, self.eps, sc,
-            self.cells,
-        )
+        _k_oracle_eval(self.us_mass, self.zsum, self.zmul, sub, self.eps, sc)
 
-        in_scratch = res.step_x is sc.step_x
         rest: list[int] = []
         for i in sub:
-            r = int(res.route[i])
+            r = int(sc.route[i])
             if r == 0:
                 out[i] = OracleDualStep(
                     dual=LayeredDual(b.levels[i]),
                     route="zero",
-                    gamma=float(res.gamma[i]),
+                    gamma=float(sc.gamma[i]),
                 )
                 # reference: (zeta[has_ik] * (2*0 + 0)[has_ik]).sum() == 0.0
                 po[i] = 0.0
             elif r == 1:
-                d = LayeredDual._wrap(b.levels[i], b.vl_view(res.step_x, i))
-                if in_scratch:
-                    self._in_scratch.append(d)
+                d = LayeredDual._wrap(b.levels[i], b.vl_view(sc.step_x, i))
+                self._in_scratch.append(d)
                 out[i] = OracleDualStep(
-                    dual=d, route="vertex", gamma=float(res.gamma[i])
+                    dual=d, route="vertex", gamma=float(sc.gamma[i])
                 )
-                po[i] = float(res.po[i])
+                po[i] = float(sc.po[i])
             else:
                 rest.append(i)
         if not rest:
             return out, po
 
         # Step 9: lift zeta for violated vertices of the remaining instances
-        pos_mask = res.pos_net > 0.0
-        ks_vl = expand(res.k_star_row, b.row_len)
+        pos_mask = sc.net > 0.0
+        ks_vl = expand(sc.k_star_row, b.row_len)
         viol_vl = ks_vl >= 0
         inst_rest = np.zeros(B, dtype=bool)
         inst_rest[rest] = True
         rest_vl = expand(inst_rest, b.vl_count)
         cond = (b.col_vl <= ks_vl) & viol_vl & rest_vl & pos_mask
         with np.errstate(divide="ignore", invalid="ignore"):
-            lifted = self.s / expand(2.0 * rho_b, b.vl_count)
+            lifted = sc.s / expand(2.0 * rho_b, b.vl_count)
         zeta_bar = np.where(cond, lifted, self.zeta)
 
         # Steps 10-21 per instance (rare)
@@ -487,7 +450,7 @@ class BatchMicroContext:
                 self.stored.dst[i],
                 us_i,
                 zb,
-                float(res.gamma[i]),
+                float(sc.gamma[i]),
                 gamma_p,
                 self.beta[i],
                 rho_i,
@@ -509,6 +472,8 @@ class BatchMicroContext:
             lhs = 2.0 * step.dual.x + sload
         else:
             lhs = 2.0 * step.dual.x
-        hik_local = self.hik_idx[self.hik_off[i] : self.hik_off[i + 1]] - b.vl_off[i]
-        zmul_seg = self.zmul[self.hik_off[i] : self.hik_off[i + 1]]
+        cells = self.scratch.cells
+        lo, hi = cells.hik_off[i], cells.hik_off[i + 1]
+        hik_local = cells.hik_idx[lo:hi] - b.vl_off[i]
+        zmul_seg = self.zmul[lo:hi]
         return float((zmul_seg * lhs.ravel()[hik_local]).sum())

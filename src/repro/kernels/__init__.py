@@ -26,18 +26,12 @@ from __future__ import annotations
 import os
 
 from repro.kernels import numpy_impl as _numpy_impl
-from repro.kernels.common import (
-    MERSENNE_P,
-    OracleCells,
-    OracleEvalResult,
-    OracleScratch,
-)
+from repro.kernels.common import MERSENNE_P, OracleCells, OracleScratch
 from repro.kernels.registry import KERNEL_NAMES, KernelSpec, build_registry
 
 __all__ = [
     "MERSENNE_P",
     "OracleCells",
-    "OracleEvalResult",
     "OracleScratch",
     "KernelSpec",
     "REGISTRY",
@@ -74,8 +68,6 @@ REGISTRY: dict[str, KernelSpec] = build_registry(_native_mod)
 # dispatched symbols -- one per registry entry, bound once at import
 mod_mersenne = _impl.mod_mersenne
 mulmod = _impl.mulmod
-powmod = _impl.powmod
-pow_from_table = _impl.pow_from_table
 sum_mod_p = _impl.sum_mod_p
 sketch_ingest = _impl.sketch_ingest
 decode_planes = _impl.decode_planes

@@ -1,20 +1,16 @@
 """Backend-neutral types shared by both kernel implementations.
 
-The fused Algorithm 5 kernel writes into preallocated scratch buffers
-(:class:`OracleScratch`) owned by the caller -- one allocation per
-batch layout, shared by the
+The fused Algorithm 5 kernel reads and writes the buffers of one
+:class:`OracleScratch`, built once per batch layout beside the
+:class:`OracleCells` list its native form visits, and shared by the
 :class:`~repro.core.micro_oracle.BatchMicroContext` of every inner step
-on that layout and reused across every Lagrangian evaluation -- and
-returns an :class:`OracleEvalResult` of views into them.  Callers must
-copy what they keep past the next evaluation (``BatchMicroContext.
+on that layout.  Each evaluation overwrites the scratch's outputs, so
+callers copy what they keep past the next one (``BatchMicroContext.
 evaluate`` hands out each step as a view of ``step_x`` and copies it
-out before evaluating again).  The native kernels visit only the cells
-of an :class:`OracleCells` list, built and checked once per layout.
+out before evaluating again).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +18,6 @@ __all__ = [
     "MERSENNE_P",
     "OracleCells",
     "OracleScratch",
-    "OracleEvalResult",
     "blossom_input",
     "forest_input",
 ]
@@ -30,56 +25,6 @@ __all__ = [
 # canonical definition lives in repro.sketch.hashing; repeated here so
 # the kernel layer has no repro-internal imports (hashing imports us)
 MERSENNE_P = (1 << 61) - 1
-
-
-class OracleScratch:
-    """Reusable buffers for the fused Algorithm 5 kernel.
-
-    Sized once from the batch layout; every array is overwritten
-    wholesale by each evaluation (stale segments of instances outside
-    the evaluated subset are never read).  The native kernel writes
-    ``net`` and ``step_x`` only at the cells of its :class:`OracleCells`
-    list; ``cells`` is the list of its last call, off which both planes
-    hold zeros (its wrapper clears them when the list changes).
-    ``prefix``, ``cs`` and ``row_tot`` serve the numpy reference, ``row``
-    and ``pc`` the native kernel.
-    """
-
-    def __init__(self, nvl: int, nv: int, nl: int, B: int, max_L: int,
-                 max_rows: int, max_hik: int):
-        self.net = np.empty(nvl)
-        self.prefix = np.empty(nvl)
-        self.cs = np.empty(nvl)
-        self.row_tot = np.zeros(nv)
-        self.step_x = np.empty(nvl)
-        self.cells: OracleCells | None = None
-        self.row = np.zeros(max(1, max_L))  # kept zero between rows
-        self.pc = np.empty(2 * max(1, max_L))
-        self.k_star_row = np.empty(nv, dtype=np.int64)
-        self.gamma = np.zeros(B)
-        self.gamma_v = np.zeros(B)
-        self.po = np.zeros(B)
-        self.rho = np.zeros(B)
-        self.beta = np.ones(B)
-        self.route = np.zeros(B, dtype=np.uint8)
-        self.active = np.zeros(B, dtype=np.uint8)
-        self.goflag = np.zeros(B, dtype=np.uint8)
-        self.tmp_l = np.empty(max(1, max_L))
-        self.gath = np.empty(max(1, max_rows))
-        self.pobuf = np.empty(max(1, max_hik))
-
-    @classmethod
-    def for_batch(cls, batch, hik_off: np.ndarray) -> "OracleScratch":
-        B = batch.size
-        return cls(
-            nvl=int(batch.vl_off[-1]),
-            nv=int(batch.v_off[-1]),
-            nl=int(batch.l_off[-1]),
-            B=B,
-            max_L=int(batch.L.max()) if B else 0,
-            max_rows=int(batch.n.max()) if B else 0,
-            max_hik=int(np.diff(hik_off).max()) if B else 0,
-        )
 
 
 class OracleCells:
@@ -93,12 +38,13 @@ class OracleCells:
     may be nonzero.  Holds the sorted, distinct VL ids ``idx``, each
     vertex row's first cell ``row_ptr`` (row ``r``'s cells are
     ``idx[row_ptr[r]:row_ptr[r + 1]]``, so instance ``i``'s start at
-    ``row_ptr[v_off[i]]``) and each cell's position in ``hik_idx``
-    (``hik``, ``-1`` off has_ik).  The C kernels index through these
-    arrays, so they are checked here, once: sorted, in range, pointers
-    consistent with the layout's rows.  The layout's offset tables
-    (``row_off``, ``v_off``, ``vl_off``) stay with the list; the native
-    wrappers refuse a list built for another layout.
+    ``row_ptr[v_off[i]]``), each cell's position in ``hik_idx``
+    (``hik``, ``-1`` off has_ik), and ``hik_idx`` itself with each
+    instance's first position in it (``hik_off``).  The C kernels index
+    through these arrays, so they are checked here, once: sorted, in
+    range, pointers consistent with the layout's rows.  The layout's
+    offset tables (``row_off``, ``v_off``, ``vl_off``) stay with the
+    list; the native wrappers read them from here.
     """
 
     def __init__(self, batch, hik_idx, extra=None):
@@ -117,33 +63,66 @@ class OracleCells:
         self.row_ptr = np.searchsorted(idx, batch.row_off).astype(np.int64)
         self.hik = np.full(idx.size, -1, dtype=np.int64)
         self.hik[np.searchsorted(idx, hik_idx)] = np.arange(hik_idx.size)
+        self.hik_idx = hik_idx
+        # strictly increasing and in range: the per-instance counts
+        self.hik_off = np.searchsorted(hik_idx, batch.vl_off).astype(np.int64)
         self.row_off = batch.row_off
         self.v_off = batch.v_off
         self.vl_off = batch.vl_off
         self.vl_count = batch.vl_count.tolist()
-        self.n_hik = int(hik_idx.size)
+        self.ptrs: tuple | None = None  # the native wrappers' raw pointers
 
 
-@dataclass
-class OracleEvalResult:
-    """Outputs of one fused Algorithm 5 evaluation (views into scratch).
+class OracleScratch:
+    """The fused Algorithm 5 kernel's per-batch state.
 
-    ``route[i]`` for evaluated instances: 0 = zero route, 1 = vertex
-    route, 2 = needs the odd-set/witness tail (steps 9-21, run by the
-    caller in Python).  ``step_x``/``po`` are populated only when some
-    instance took the vertex route (``step_x is None`` otherwise);
-    ``k_star_row``/``pos_net`` follow the reference's full-buffer
-    semantics and are valid whenever ``any_go`` is True.
+    Built once per batch layout for one cell list of that layout, and
+    reused by every evaluation on it.  Holds the support scatter ``s``
+    (zero off the cells, where ``dual_scatter`` clears and writes it),
+    the has_ik cells' level-space ids ``hik_l_idx`` (None when an
+    instance has fewer than two levels), the per-call multipliers
+    ``rho`` and ``beta``, the kernel's outputs (``gamma``, ``gamma_v``,
+    ``route``, ``k_star_row``, ``net`` -- the positive net -- ``step_x``
+    and ``po``) and its work buffers: ``prefix``, ``cs`` and
+    ``row_tot`` serve the numpy reference, ``row``, ``pc``, ``tmp_l``,
+    ``gath``, ``pobuf``, ``active`` and ``goflag`` the native kernel.
+    The native kernel writes ``net`` and ``step_x`` only at the cells,
+    so both start zeroed.  Segments of instances outside an
+    evaluation's subset hold stale values and are never read.
     """
 
-    any_go: bool
-    gamma: np.ndarray
-    gamma_v: np.ndarray
-    route: np.ndarray
-    k_star_row: np.ndarray
-    pos_net: np.ndarray
-    step_x: np.ndarray | None
-    po: np.ndarray
+    def __init__(self, batch, cells: OracleCells):
+        if cells.row_off is not batch.row_off:
+            raise ValueError("cells were built for another batch")
+        self.batch = batch
+        self.cells = cells
+        B, nv, nvl = batch.size, int(batch.v_off[-1]), int(batch.vl_off[-1])
+        max_L = int(batch.L.max(initial=1))
+        self.s = np.zeros(nvl)
+        self.hik_l_idx = None
+        if B and int(batch.L.min()) >= 2:
+            lidx = np.repeat(batch.l_off[:-1], batch.vl_count) + batch.col_vl
+            self.hik_l_idx = np.ascontiguousarray(lidx[cells.hik_idx], dtype=np.int64)
+        self.rho = np.zeros(B)
+        self.beta = np.ones(B)
+        self.gamma = np.zeros(B)
+        self.gamma_v = np.zeros(B)
+        self.route = np.zeros(B, dtype=np.uint8)
+        self.k_star_row = np.empty(nv, dtype=np.int64)
+        self.net = np.zeros(nvl)
+        self.step_x = np.zeros(nvl)
+        self.po = np.zeros(B)
+        self.prefix = np.empty(nvl)
+        self.cs = np.empty(nvl)
+        self.row_tot = np.zeros(nv)
+        self.row = np.zeros(max_L)  # kept zero between rows
+        self.pc = np.empty(2 * max_L)
+        self.tmp_l = np.empty(max_L)
+        self.gath = np.empty(int(batch.n.max(initial=1)))
+        self.pobuf = np.empty(int(np.diff(cells.hik_off).max(initial=1)))
+        self.active = np.zeros(B, dtype=np.uint8)
+        self.goflag = np.zeros(B, dtype=np.uint8)
+        self.ptrs: tuple | None = None  # the native wrapper's raw pointers
 
 
 def blossom_input(nv, src, dst, weight) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:

@@ -70,24 +70,6 @@ void rk_mulmod(const uint64_t *a, const uint64_t *b, uint64_t *out, int64_t n) {
     for (int64_t i = 0; i < n; i++) out[i] = rk_mulmod1(a[i], b[i]);
 }
 
-void rk_powmod(const uint64_t *base, const uint64_t *e, uint64_t *out, int64_t n) {
-    for (int64_t i = 0; i < n; i++) out[i] = rk_powmod1(base[i], e[i]);
-}
-
-void rk_pow_from_table(const uint64_t *table, int64_t bits, const uint64_t *exps,
-                       uint64_t *out, int64_t n) {
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t e = exps[i], r = 1;
-        int64_t j = 0;
-        while (e && j < bits) {
-            if (e & 1) r = rk_mulmod1(r, table[j]);
-            e >>= 1;
-            j++;
-        }
-        out[i] = r;
-    }
-}
-
 /* sum mod p along axis 0 of a C-contiguous (k, rest) view; values < p,
  * k < 2^32 so the 32-bit split sums cannot wrap. */
 void rk_sum_mod_p_axis0(const uint64_t *v, int64_t k, int64_t rest, uint64_t *out) {
@@ -314,18 +296,23 @@ void rk_width_box(const int64_t *steps, const int64_t *zloads,
 /* Inner-tick fused stages (exp stays in numpy between pre and post)   */
 /* ------------------------------------------------------------------ */
 
-/* shifted = clip(alpha_i * (cov/wk - min_i(cov/wk)), 0, 60) */
+/* shifted = clip(alpha_i * (cov/wk - min_i(cov/wk)), 0, 60).  The min
+ * is NaN if any ratio is, as numpy's .min() is: the compare skips a
+ * NaN, so NaNs are counted apart, in the same pass. */
 void rk_tick_stored_shift(const double *cov, const double *wk, const int64_t *off,
                           int64_t B, const double *alphas, double *shifted) {
     for (int64_t i = 0; i < B; i++) {
         int64_t lo = off[i], hi = off[i + 1];
         if (hi <= lo) continue;
         double rmin = cov[lo] / wk[lo];
+        int64_t nan = 0;
         for (int64_t j = lo; j < hi; j++) {
             double r = cov[j] / wk[j];
             shifted[j] = r;
             if (r < rmin) rmin = r;
+            nan |= (r != r);
         }
+        if (nan) rmin = NAN;
         double a = alphas[i];
         for (int64_t j = lo; j < hi; j++) {
             double t = a * (shifted[j] - rmin);
@@ -353,7 +340,8 @@ void rk_tick_stored_post(const double *e, const double *wk, const double *probs,
 }
 
 /* arg = alpha_p * ((2x[g] (+ zload[g])) / po3 - max_i(...)), max only
- * for flagged instances (numpy leaves fmax = 0 elsewhere). */
+ * for flagged instances (numpy leaves fmax = 0 elsewhere).  Like
+ * numpy's .max(), the max is NaN if any term is (NaNs counted apart). */
 void rk_tick_pack_arg(const double *x, const double *zload, int64_t any_z,
                       const int64_t *hik_idx, const double *po3,
                       const double *alpha_p, const int64_t *off, int64_t B,
@@ -362,13 +350,16 @@ void rk_tick_pack_arg(const double *x, const double *zload, int64_t any_z,
         int64_t lo = off[i], hi = off[i + 1];
         if (hi <= lo) continue;
         double fmax = 0.0;
+        int64_t nan = 0;
         for (int64_t t = lo; t < hi; t++) {
             double f = 2.0 * x[hik_idx[t]];
             if (any_z) f += zload[hik_idx[t]];
             f /= po3[t];
             arg[t] = f;
             if (active[i] && (t == lo || f > fmax)) fmax = f;
+            nan |= (f != f);
         }
+        if (active[i] && nan) fmax = NAN;
         for (int64_t t = lo; t < hi; t++) arg[t] = alpha_p[t] * (arg[t] - fmax);
     }
 }

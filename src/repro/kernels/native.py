@@ -15,7 +15,6 @@ under ``REPRO_KERNELS=auto``.
 from __future__ import annotations
 
 import ctypes
-import weakref
 from ctypes import byref, c_double, c_int64, c_void_p
 
 import numpy as np
@@ -23,7 +22,6 @@ import numpy as np
 from repro.kernels.build import load_library
 from repro.kernels.common import (
     OracleCells,
-    OracleEvalResult,
     OracleScratch,
     blossom_input,
     forest_input,
@@ -46,8 +44,6 @@ def _sig(name: str, restype, *argtypes) -> None:
 # the contiguity/dtype normalization, so no per-call ctypes inspection
 _sig("rk_mod_mersenne", None, c_void_p, c_void_p, c_int64)
 _sig("rk_mulmod", None, c_void_p, c_void_p, c_void_p, c_int64)
-_sig("rk_powmod", None, c_void_p, c_void_p, c_void_p, c_int64)
-_sig("rk_pow_from_table", None, c_void_p, c_int64, c_void_p, c_void_p, c_int64)
 _sig("rk_sum_mod_p_axis0", None, c_void_p, c_int64, c_int64, c_void_p)
 _sig(
     "rk_sketch_ingest", None,
@@ -123,49 +119,21 @@ def _p(a: np.ndarray) -> int:
         return a.ctypes.data
 
 
-# Pointer memo for the solver-hot wrappers: each inner tick passes the
-# same long-lived layout/scratch arrays dozens of times, and even
-# ``_p`` costs about 1us per access.  Entries are keyed by ``id`` and
-# validated by a weakref identity check, so id reuse after an array is
-# freed can never serve a stale pointer; the weakref's callback drops
-# the entry when its array dies, so the memo holds live arrays only.
-# (An ndarray's buffer address is fixed for its lifetime; nothing in
-# this repo calls ``ndarray.resize``.)
-_ptr_memo: dict[int, tuple] = {}
-
-
-def _pm(a: np.ndarray) -> int:
-    key = id(a)
-    ent = _ptr_memo.get(key)
-    if ent is not None and ent[0]() is a:
-        return ent[1]
-    ptr = _p(a)
-
-    def drop(ref, key=key, memo=_ptr_memo):
-        # a newer array may have taken the id since: keep its entry
-        if memo.get(key, (None,))[0] is ref:
-            del memo[key]
-
-    _ptr_memo[key] = (weakref.ref(a, drop), ptr)
-    return ptr
-
-
 def _c(a, dtype) -> np.ndarray:
     """Normalize to a C-contiguous array of the given dtype."""
     return np.ascontiguousarray(a, dtype=dtype)
 
 
 def _cell_ptrs(cells: OracleCells) -> tuple:
-    """Raw pointers of a cell list (checked and fixed once it is built):
-    ``idx``, ``row_ptr``, ``hik``, then the layout's ``v_off`` and
-    ``vl_off``."""
-    try:
-        return cells._nat_ptrs
-    except AttributeError:
-        cells._nat_ptrs = tuple(
+    """Raw pointers of a cell list (checked and fixed once it is built),
+    cached on it: ``idx``, ``row_ptr``, ``hik``, then the layout's
+    ``v_off`` and ``vl_off``.  An ndarray's buffer address is fixed for
+    its lifetime, and the list keeps its arrays alive."""
+    if cells.ptrs is None:
+        cells.ptrs = tuple(
             _p(a) for a in (cells.idx, cells.row_ptr, cells.hik, cells.v_off, cells.vl_off)
         )
-        return cells._nat_ptrs
+    return cells.ptrs
 
 
 def _plane_ptrs(planes, cells: OracleCells) -> np.ndarray:
@@ -207,31 +175,6 @@ def mulmod(a, b) -> np.ndarray:
     aa, bb = _c(aa, _U64), _c(bb, _U64)
     out = np.empty(shape, dtype=_U64)
     _lib.rk_mulmod(_p(aa), _p(bb), _p(out), aa.size)
-    return out
-
-
-def powmod(base, exp):
-    scalar = np.isscalar(base) and np.isscalar(exp)
-    b = np.atleast_1d(np.asarray(base, dtype=_U64))
-    e = np.atleast_1d(np.asarray(exp, dtype=_U64))
-    b, e = np.broadcast_arrays(b, e)
-    b, e = _c(b, _U64), _c(e, _U64)
-    out = np.empty(b.shape, dtype=_U64)
-    _lib.rk_powmod(_p(b), _p(e), _p(out), b.size)
-    return int(out.flat[0]) if scalar else out
-
-
-def pow_from_table(table, exps) -> np.ndarray:
-    t = _c(table, _U64)
-    e = np.asarray(exps, dtype=_U64)
-    ec = _c(e, _U64)
-    if e.size and int(e.max()).bit_length() > t.size:
-        # the numpy reference indexes past the table and raises
-        raise IndexError(
-            f"exponent needs {int(e.max()).bit_length()} squarings, table has {t.size}"
-        )
-    out = np.empty(e.shape, dtype=_U64)
-    _lib.rk_pow_from_table(_p(t), t.size, _p(ec), _p(out), e.size)
     return out
 
 
@@ -286,30 +229,26 @@ def decode_planes(s0, s1, fp, z, universe: int) -> list[tuple[int, int] | None]:
 # ----------------------------------------------------------------------
 def gather_add2(buf, idx_a, idx_b) -> np.ndarray:
     out = np.empty(len(idx_a), dtype=_F64)
-    _lib.rk_gather_add2(_pm(buf), _pm(idx_a), _pm(idx_b), _p(out), len(idx_a))
+    _lib.rk_gather_add2(_p(buf), _p(idx_a), _p(idx_b), _p(out), len(idx_a))
     return out
 
 
-def dual_scatter(src, dst, vals, size: int, out=None, cells=None) -> np.ndarray:
+def dual_scatter(src, dst, vals, out, cells) -> None:
     sc, dc, vc = _c(src, _I64), _c(dst, _I64), _c(vals, _F64)
-    clear, nclear = None, 0
-    if out is not None and out.size == size and out.dtype == _F64 and out.flags.c_contiguous:
-        if cells is None:
-            out.fill(0.0)
-        elif cells.vl_off[-1] != size:
-            raise ValueError("cells were built for a layout of another size")
-        else:
-            clear, nclear = _cell_ptrs(cells)[0], len(cells.idx)
-    else:
-        out = np.zeros(size, dtype=_F64)
-    _lib.rk_dual_scatter(_pm(out), clear, nclear, _pm(sc), _pm(dc), _pm(vc), len(vc))
-    return out
+    if not (
+        isinstance(out, np.ndarray) and out.dtype == _F64 and out.flags.c_contiguous
+        and out.size == cells.vl_off[-1]
+    ):
+        raise ValueError("out must be a C-contiguous float64 array of the cell list's layout")
+    _lib.rk_dual_scatter(
+        _p(out), _cell_ptrs(cells)[0], len(cells.idx), _p(sc), _p(dc), _p(vc), len(vc)
+    )
 
 
 def index_scatter(idx, vals, size: int) -> np.ndarray:
     ic, vc = _c(idx, _I64), _c(vals, _F64)
     out = np.zeros(size, dtype=_F64)
-    _lib.rk_index_scatter(_p(out), _pm(ic), _pm(vc), len(vc))
+    _lib.rk_index_scatter(_p(out), _p(ic), _p(vc), len(vc))
     return out
 
 
@@ -322,20 +261,20 @@ def blend(x, steps, sigmas, cells) -> None:
     ):
         raise ValueError("x and sigmas must match the cell list's layout")
     idx, row_ptr, _hik, v_off, vl_off = _cell_ptrs(cells)
-    _lib.rk_blend(_pm(x), _p(planes), _pm(sig), idx, row_ptr, v_off, vl_off, len(planes))
+    _lib.rk_blend(_p(x), _p(planes), _p(sig), idx, row_ptr, v_off, vl_off, len(planes))
 
 
 def width_box(steps, zloads, cells, wk_hik) -> np.ndarray:
     planes = _plane_ptrs(steps, cells)
     zplanes = None if zloads is None else _plane_ptrs(zloads, cells)
     wk = _c(wk_hik, _F64)
-    if len(wk) != cells.n_hik:
+    if len(wk) != len(cells.hik_idx):
         raise ValueError("wk_hik must have one entry per has_ik cell of the list")
     box = np.empty(len(planes), dtype=_F64)
     idx, row_ptr, hik, v_off, vl_off = _cell_ptrs(cells)
     _lib.rk_width_box(
         _p(planes), None if zplanes is None else _p(zplanes),
-        idx, row_ptr, hik, v_off, vl_off, _pm(wk), len(planes), _p(box),
+        idx, row_ptr, hik, v_off, vl_off, _p(wk), len(planes), _p(box),
     )
     return box
 
@@ -343,43 +282,41 @@ def width_box(steps, zloads, cells, wk_hik) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Inner-tick fused stages
 # ----------------------------------------------------------------------
-def tick_stored_shift(cov, wk, off, off_list, counts, alphas) -> np.ndarray:
-    del off_list
+def tick_stored_shift(cov, wk, off, alphas) -> np.ndarray:
     shifted = np.empty(len(cov), dtype=_F64)
-    _lib.rk_tick_stored_shift(_pm(cov), _pm(wk), _pm(off), len(counts), _pm(alphas), _p(shifted))
+    _lib.rk_tick_stored_shift(_p(cov), _p(wk), _p(off), len(off) - 1, _p(alphas), _p(shifted))
     return shifted
 
 
-def tick_stored_post(e, wk, probs, off, off_list):
-    B = len(off_list) - 1
+def tick_stored_post(e, wk, probs, off):
+    B = len(off) - 1
     support_vals = np.empty(len(e), dtype=_F64)
     scratch = np.empty(len(e), dtype=_F64)
     usc = np.zeros(B, dtype=_F64)
     _lib.rk_tick_stored_post(
-        _pm(e), _pm(wk), _pm(probs), _pm(off), B, _p(support_vals), _p(scratch), _p(usc)
+        _p(e), _p(wk), _p(probs), _p(off), B, _p(support_vals), _p(scratch), _p(usc)
     )
     return support_vals, usc
 
 
-def tick_pack_arg(x, zload, hik_idx, po3_hik, alpha_p_hik, off, off_list, counts, active):
-    del off_list
+def tick_pack_arg(x, zload, hik_idx, po3_hik, alpha_p_hik, off, active):
     arg = np.empty(len(hik_idx), dtype=_F64)
     any_z = 0 if zload is None else 1
     z = x if zload is None else zload  # dummy pointer when unused
     _lib.rk_tick_pack_arg(
-        _pm(x), _pm(z), any_z, _pm(hik_idx), _pm(po3_hik), _pm(alpha_p_hik),
-        _pm(off), len(counts), _pm(active), _p(arg),
+        _p(x), _p(z), any_z, _p(hik_idx), _p(po3_hik), _p(alpha_p_hik),
+        _p(off), len(off) - 1, _p(active), _p(arg),
     )
     return arg
 
 
-def tick_pack_post(e, po3_hik, hik_idx, off, off_list, zeta):
-    B = len(off_list) - 1
+def tick_pack_post(e, po3_hik, hik_idx, off, zeta):
+    B = len(off) - 1
     zmul = np.empty(len(e), dtype=_F64)
     scratch = np.empty(len(e), dtype=_F64)
     qo = np.zeros(B, dtype=_F64)
     _lib.rk_tick_pack_post(
-        _pm(e), _pm(po3_hik), _pm(hik_idx), _pm(off), B, _pm(zeta),
+        _p(e), _p(po3_hik), _p(hik_idx), _p(off), B, _p(zeta),
         _p(zmul), _p(scratch), _p(qo),
     )
     return zmul, qo
@@ -388,64 +325,37 @@ def tick_pack_post(e, po3_hik, hik_idx, off, off_list, zeta):
 # ----------------------------------------------------------------------
 # Fused Algorithm 5
 # ----------------------------------------------------------------------
-def oracle_eval(batch, s, us_mass, zsum, hik_idx, hik_off, hik_counts, zmul,
-                sub, rho_b, beta_b, eps: float,
-                scratch: OracleScratch, cells: OracleCells) -> OracleEvalResult:
-    del hik_counts
-    b = batch
-    # the kernel indexes the layout through the cells: they must be
-    # this layout's (checked when built) and this call's has_ik cells
-    if cells.row_off is not b.row_off or cells.n_hik != len(zmul):
-        raise ValueError("cells were built for another layout or has_ik list")
-    if scratch.cells is not cells:
-        # pos_net and step_x are written only at the cells
-        scratch.net.fill(0.0)
-        scratch.step_x.fill(0.0)
-        scratch.cells = cells
+def _scratch_ptrs(sc: OracleScratch) -> tuple:
+    """``rk_oracle_eval``'s fixed arguments, in four runs around the
+    per-call ones: the layout and its cells, then ``s`` and the has_ik
+    tables, then ``active``, ``rho`` and ``beta``, then the outputs and
+    work buffers.  The scratch keeps every array alive."""
+    b, c = sc.batch, sc.cells
+    return (
+        (b.size, *map(_p, (b.l_off, b.v_off, b.row_off, b.row_len, b.wk_l, b.b_vl)),
+         *_cell_ptrs(c)[:3]),
+        tuple(map(_p, (sc.s, c.hik_idx, c.hik_off))),
+        tuple(map(_p, (sc.active, sc.rho, sc.beta))),
+        tuple(map(_p, (
+            sc.tmp_l, sc.row, sc.pc, sc.gath, sc.pobuf, sc.goflag,
+            sc.gamma, sc.gamma_v, sc.k_star_row, sc.net, sc.route, sc.step_x, sc.po,
+        ))),
+    )
+
+
+def oracle_eval(us_mass, zsum, zmul, sub, eps: float, scratch: OracleScratch) -> int:
+    # the kernel reads zmul at the has_ik positions of the scratch's list
+    if len(zmul) != len(scratch.cells.hik_idx):
+        raise ValueError("zmul must have one entry per has_ik cell of the scratch's list")
     active = scratch.active
     active.fill(0)
     for i in sub:
         active[i] = 1
-    # the layout, cell list and scratch buffers are allocated once and
-    # reused for thousands of evaluations; cache their raw pointers on
-    # the objects so each call only resolves the per-tick arrays
-    try:
-        bp = b._nat_ptrs
-    except AttributeError:
-        bp = b._nat_ptrs = (
-            b.size, _p(b.l_off), _p(b.v_off), _p(b.row_off), _p(b.row_len),
-            _p(b.wk_l), _p(b.b_vl),
-        )
-    cp = _cell_ptrs(cells)[:3]
-    try:
-        sp = scratch._nat_ptrs
-    except AttributeError:
-        sp = scratch._nat_ptrs = (
-            (_p(active),),
-            (
-                _p(scratch.tmp_l), _p(scratch.row), _p(scratch.pc),
-                _p(scratch.gath), _p(scratch.pobuf), _p(scratch.goflag),
-                _p(scratch.gamma), _p(scratch.gamma_v), _p(scratch.k_star_row),
-                _p(scratch.net), _p(scratch.route), _p(scratch.step_x),
-                _p(scratch.po),
-            ),
-        )
-    flags = _lib.rk_oracle_eval(
-        *bp, *cp,
-        _pm(us_mass), _pm(zsum), _pm(s),
-        _pm(hik_idx), _pm(hik_off), _pm(zmul),
-        *sp[0], _pm(rho_b), _pm(beta_b), eps,
-        *sp[1],
-    )
-    return OracleEvalResult(
-        any_go=bool(flags & 1),
-        gamma=scratch.gamma,
-        gamma_v=scratch.gamma_v,
-        route=scratch.route,
-        k_star_row=scratch.k_star_row,
-        pos_net=scratch.net,
-        step_x=scratch.step_x if flags & 2 else None,
-        po=scratch.po,
+    if scratch.ptrs is None:
+        scratch.ptrs = _scratch_ptrs(scratch)
+    layout, s_hik, state, outs = scratch.ptrs
+    return _lib.rk_oracle_eval(
+        *layout, _p(us_mass), _p(zsum), *s_hik, _p(zmul), *state, eps, *outs
     )
 
 

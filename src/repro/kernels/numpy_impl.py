@@ -22,7 +22,6 @@ import numpy as np
 from repro.kernels.common import (
     MERSENNE_P,
     OracleCells,
-    OracleEvalResult,
     OracleScratch,
     blossom_input,
     forest_input,
@@ -72,8 +71,9 @@ def mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return mod_mersenne(t_hh + t_mid + t_ll)
 
 
-def powmod(base: np.ndarray | int, exp: np.ndarray | int) -> np.ndarray | int:
-    """Vectorized ``base**exp mod 2^61-1`` by binary exponentiation."""
+def _powmod(base: np.ndarray | int, exp: np.ndarray | int) -> np.ndarray | int:
+    """Vectorized ``base**exp mod 2^61-1`` by binary exponentiation
+    (the fingerprint check of :func:`decode_planes`)."""
     scalar = np.isscalar(base) and np.isscalar(exp)
     b = mod_mersenne(np.atleast_1d(np.asarray(base, dtype=np.uint64)))
     e = np.atleast_1d(np.asarray(exp, dtype=np.uint64))
@@ -90,8 +90,9 @@ def powmod(base: np.ndarray | int, exp: np.ndarray | int) -> np.ndarray | int:
     return int(result[0]) if scalar else result
 
 
-def pow_from_table(table: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """Evaluate ``z^e mod p`` from a repeated-squares table row.
+def _pow_from_table(table: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """Evaluate ``z^e mod p`` from a repeated-squares table row (the
+    fingerprint update of :func:`sketch_ingest`).
 
     ``table`` is the 1-D table of a single base ``z``; exponents must
     satisfy ``e < 2^len(table)``.
@@ -180,7 +181,7 @@ def sketch_ingest(
                         break
                 sl = slot_arr[mask]
                 exps = (indices[mask] + 1).astype(np.uint64)
-                zp = pow_from_table(ztab[ri, rep, l], exps)
+                zp = _pow_from_table(ztab[ri, rep, l], exps)
                 contrib = mulmod(dmod[mask], zp)
                 lo = np.zeros(slots, dtype=np.uint64)
                 hi = np.zeros(slots, dtype=np.uint64)
@@ -225,7 +226,7 @@ def decode_planes(
     zz = np.broadcast_to(z, (groups, reps, levels))[g, r, l]
     expect = mulmod(
         (s0v % MERSENNE_P).astype(np.uint64),
-        powmod(zz, (qv + 1).astype(np.uint64)),
+        _powmod(zz, (qv + 1).astype(np.uint64)),
     )
     ok = expect == fp[g, r, l]
     if not ok.any():
@@ -249,30 +250,25 @@ def gather_add2(buf: np.ndarray, idx_a: np.ndarray, idx_b: np.ndarray) -> np.nda
     return buf[idx_a] + buf[idx_b]
 
 
-def dual_scatter(src: np.ndarray, dst: np.ndarray, vals: np.ndarray, size: int,
-                 out: np.ndarray | None = None,
-                 cells: OracleCells | None = None) -> np.ndarray:
-    """Scatter-add ``vals`` at ``src`` then at ``dst`` into a fresh buffer.
+def dual_scatter(src: np.ndarray, dst: np.ndarray, vals: np.ndarray,
+                 out: np.ndarray, cells: OracleCells) -> None:
+    """Scatter-add ``vals`` at ``src`` then at ``dst`` into ``out``.
 
     All src contributions accumulate first, then all dst, sequentially
     in element order -- the accumulation order of two sequential
     ``np.add.at`` calls and of ``np.bincount`` over the concatenation.
 
-    ``out`` is an optional reusable scratch buffer of ``size`` float64
-    entries; backends *may* write the result there instead of
-    allocating (the native backend does -- zeroing a warm buffer beats
-    faulting in a fresh one every inner tick).  The result is always
-    the returned array; callers must not rely on ``out`` aliasing it.
-    ``cells`` is an optional cell list of a layout with ``size`` VL
-    ids; a backend may then zero only its cells of ``out`` instead of
-    the whole buffer, so ``out`` must be zero off them and every ``src``
-    and ``dst`` must be among them.
+    ``out`` is the layout's reusable VL-sized buffer and ``cells`` a
+    cell list of that layout: the native kernel zeroes only the list's
+    cells of ``out`` before scattering, so ``out`` must be zero off
+    them and every ``src`` and ``dst`` must be among them.  The
+    reference rewrites all of ``out``.
     """
-    del out, cells  # the numpy reference keeps its allocation behavior
-    return np.bincount(
+    del cells
+    out[:] = np.bincount(
         np.concatenate([src, dst]),
         weights=np.concatenate([vals, vals]),
-        minlength=size,
+        minlength=out.size,
     )
 
 
@@ -332,14 +328,14 @@ def width_box(steps: list, zloads: list | None, cells: OracleCells,
 # Inner-tick fused stages (exp stays a shared numpy call between halves)
 # ----------------------------------------------------------------------
 def tick_stored_shift(cov: np.ndarray, wk: np.ndarray, off: np.ndarray,
-                      off_list: list[int], counts: np.ndarray,
                       alphas: np.ndarray) -> np.ndarray:
     """Corollary 6 pre-exp chain over the stored-edge layout.
 
     ``clip(alpha_i * (cov/wk - min_i(cov/wk)), 0, 60)`` with the
-    per-instance minimum over each (non-empty) segment.
+    per-instance minimum over each (non-empty) segment
+    ``off[i]:off[i + 1]``.
     """
-    del off
+    off_list, counts = off.tolist(), np.diff(off)
     B = len(counts)
     ratios = cov / wk
     rmin = np.zeros(B)
@@ -353,9 +349,9 @@ def tick_stored_shift(cov: np.ndarray, wk: np.ndarray, off: np.ndarray,
 
 
 def tick_stored_post(e: np.ndarray, wk: np.ndarray, probs: np.ndarray,
-                     off: np.ndarray, off_list: list[int]) -> tuple[np.ndarray, np.ndarray]:
+                     off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Post-exp half: support values and per-instance support mass."""
-    del off
+    off_list = off.tolist()
     B = len(off_list) - 1
     u_stored = e / wk
     support_vals = u_stored / probs
@@ -370,15 +366,15 @@ def tick_stored_post(e: np.ndarray, wk: np.ndarray, probs: np.ndarray,
 
 def tick_pack_arg(x: np.ndarray, zload: np.ndarray | None, hik_idx: np.ndarray,
                   po3_hik: np.ndarray, alpha_p_hik: np.ndarray,
-                  off: np.ndarray, off_list: list[int], counts: np.ndarray,
-                  active: np.ndarray) -> np.ndarray:
+                  off: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Packing-multiplier pre-exp chain over the has_ik gather tables.
 
     ``alpha_p * (flat - fmax_i)`` with ``flat = (2 x (+ zload)) / po3``;
-    ``fmax`` is taken only over instances flagged ``active`` (the numpy
-    reference leaves 0.0 elsewhere).
+    ``fmax`` is taken over each instance's segment ``off[i]:off[i + 1]``
+    only where ``active`` flags it (the numpy reference leaves 0.0
+    elsewhere).
     """
-    del off
+    off_list, counts = off.tolist(), np.diff(off)
     B = len(counts)
     flat = 2.0 * x[hik_idx]
     if zload is not None:
@@ -393,15 +389,14 @@ def tick_pack_arg(x: np.ndarray, zload: np.ndarray | None, hik_idx: np.ndarray,
 
 
 def tick_pack_post(e: np.ndarray, po3_hik: np.ndarray, hik_idx: np.ndarray,
-                   off: np.ndarray, off_list: list[int],
-                   zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   off: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Post-exp half: zeta scatter plus per-instance packing budget.
 
     The reference clears all of ``zeta`` before writing the has_ik
     cells; the native kernel writes those cells only, so callers keep
     ``zeta`` zero elsewhere.
     """
-    del off
+    off_list = off.tolist()
     B = len(off_list) - 1
     zmul = e / po3_hik
     zeta.fill(0.0)
@@ -418,22 +413,25 @@ def tick_pack_post(e: np.ndarray, po3_hik: np.ndarray, hik_idx: np.ndarray,
 # ----------------------------------------------------------------------
 # Fused Algorithm 5 (steps 1-8) over the ragged batch layout
 # ----------------------------------------------------------------------
-def oracle_eval(batch, s: np.ndarray, us_mass: np.ndarray, zsum: np.ndarray,
-                hik_idx: np.ndarray, hik_off: np.ndarray, hik_counts: np.ndarray,
-                zmul: np.ndarray, sub: list[int], rho_b: np.ndarray,
-                beta_b: np.ndarray, eps: float,
-                scratch: OracleScratch, cells: OracleCells) -> OracleEvalResult:
+def oracle_eval(us_mass: np.ndarray, zsum: np.ndarray, zmul: np.ndarray,
+                sub: list[int], eps: float, scratch: OracleScratch) -> int:
     """Steps 1-8 of Algorithm 5 for the instances in ``sub``.
 
     The historical body of ``BatchMicroContext.evaluate`` up to the
-    vertex route, op for op (see that class for the parity rules); the
-    caller handles the zero/vertex result assembly and the rare
-    odd-set/witness tail from the returned buffers.  Works on the whole
-    plane: ``cells`` (the native kernel's candidate cells) is ignored.
+    vertex route, op for op (see that class for the parity rules), on
+    the scratch's batch at its ``s``, ``rho`` and ``beta``, with
+    ``zmul`` the multipliers at its cell list's has_ik cells.  Writes
+    the outputs into the scratch and returns the native kernel's flags:
+    bit 0 when some instance passed the ``gamma > 0`` gate (``net`` and
+    ``k_star_row`` are then valid), bit 1 when some took the vertex
+    route (``step_x`` is then valid).  The caller handles the
+    zero/vertex result assembly and the rare odd-set/witness tail.
+    Works on the whole plane, not on the cells.
     """
-    del cells
-    b = batch
+    b = scratch.batch
     B = b.size
+    s, rho_b, beta_b = scratch.s, scratch.rho, scratch.beta
+    hik_idx, hik_off = scratch.cells.hik_idx, scratch.cells.hik_off
     gamma, gamma_v, route = scratch.gamma, scratch.gamma_v, scratch.route
 
     # Step 1: gamma per instance
@@ -450,10 +448,7 @@ def oracle_eval(batch, s: np.ndarray, us_mass: np.ndarray, zsum: np.ndarray,
         else:
             go.append(i)
     if not go:
-        return OracleEvalResult(
-            False, gamma, gamma_v, route, scratch.k_star_row, scratch.net,
-            None, scratch.po,
-        )
+        return 0
 
     # Step 2: net, Pos, Delta(i, l).  Row scans and row sums run per
     # *run* of consecutive same-L instances (identical per-row rounding,
@@ -462,7 +457,7 @@ def oracle_eval(batch, s: np.ndarray, us_mass: np.ndarray, zsum: np.ndarray,
     # so the dense subtraction reduces to a copy plus a scatter.
     net = scratch.net
     prefix, cs = scratch.prefix, scratch.cs
-    rho2_hik = np.repeat(2.0 * rho_b, hik_counts)
+    rho2_hik = np.repeat(2.0 * rho_b, np.diff(hik_off))
     np.multiply(rho2_hik, zmul, out=rho2_hik)
     np.copyto(net, s)
     net[hik_idx] = s[hik_idx] - rho2_hik
@@ -510,7 +505,6 @@ def oracle_eval(batch, s: np.ndarray, us_mass: np.ndarray, zsum: np.ndarray,
             route[i] = 2
 
     # Steps 5-8: vertex route (batched over the choosing instances)
-    step_x = None
     if vertex_set:
         pos_mask = pos_net > 0.0
         ks_vl = np.repeat(k_star_row, b.row_len)
@@ -531,8 +525,7 @@ def oracle_eval(batch, s: np.ndarray, us_mass: np.ndarray, zsum: np.ndarray,
         mask = pos_mask & viol_vl
         # step values: val where masked, else 0 -- val is finite and
         # nonnegative, so the boolean multiply equals np.where
-        np.multiply(val, mask, out=val)
-        step_x = val
+        step_x = np.multiply(val, mask, out=scratch.step_x)
         # packing load of the z-free steps, one batched gather:
         # reference po_of computes (zeta[has_ik] * (2 x̃)[has_ik]).sum()
         po_flat = step_x[hik_idx]
@@ -541,9 +534,7 @@ def oracle_eval(batch, s: np.ndarray, us_mass: np.ndarray, zsum: np.ndarray,
         for i in vertex_set:
             scratch.po[i] = po_flat[int(hik_off[i]) : int(hik_off[i + 1])].sum()
 
-    return OracleEvalResult(
-        True, gamma, gamma_v, route, k_star_row, pos_net, step_x, scratch.po
-    )
+    return 3 if vertex_set else 1
 
 
 # ----------------------------------------------------------------------

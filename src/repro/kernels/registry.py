@@ -31,9 +31,6 @@ KERNEL_CONTRACTS: dict[str, str] = {
     # Mersenne-prime arithmetic
     "mod_mersenne": _EXACT_U64,
     "mulmod": _EXACT_U64 + "; operands < 2^61",
-    "powmod": _EXACT_U64 + "; scalar in -> python int out, like the reference",
-    "pow_from_table": _EXACT_U64 + "; raises IndexError when an exponent "
-    "exceeds the table (reference walks off the table)",
     "sum_mod_p": _EXACT_U64 + "; values < p, axis length < 2^32",
     # fused sketch kernels
     "sketch_ingest": "exact int64/uint64 equality of the s0/s1/fingerprint "
@@ -42,8 +39,8 @@ KERNEL_CONTRACTS: dict[str, str] = {
     "python floor-division semantics, same fingerprint check)",
     # segment / scatter / gather primitives
     "gather_add2": _EXACT_F64,
-    "dual_scatter": _EXACT_F64 + "; sequential accumulation in np.bincount order; "
-    "with cells=, native zeroes only the list's cells of out",
+    "dual_scatter": _EXACT_F64 + "; sequential accumulation in np.bincount order "
+    "into out; native zeroes only the list's cells of out",
     "index_scatter": _EXACT_F64 + "; sequential accumulation in index order",
     "blend": _EXACT_F64 + "; in-place on x; native visits only the cell list, "
     "off which x and the steps must vanish",
@@ -56,7 +53,7 @@ KERNEL_CONTRACTS: dict[str, str] = {
     "only, so it must be zero elsewhere",
     # fused Algorithm 5 steps 1-8
     "oracle_eval": _EXACT_F64_PW + "; route/k* integer-identical, scans "
-    "sequential per row like np.cumsum",
+    "sequential per row like np.cumsum; outputs written into the scratch",
     # offline harvest (Algorithm 2 step 5)
     "blossom_mates": "identical int64 mate arrays (each vertex's matched edge "
     "or -1) to networkx max_weight_matching on simple float-weighted graphs",

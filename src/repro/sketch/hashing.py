@@ -10,72 +10,45 @@ division.
 All evaluation is vectorized uint64 arithmetic; Python-level loops only
 run over the (constant) polynomial degree.
 
-The arithmetic kernels themselves (``mod_mersenne``/``mulmod``/
-``powmod``/``pow_from_table``/``sum_mod_p``) live in
-:mod:`repro.kernels` and are dispatched there between the pure-numpy
-reference and the compiled native backend (``REPRO_KERNELS``); this
-module re-exports them under their historical names so call sites and
-tests are backend-agnostic.
+The arithmetic kernels themselves (``mod_mersenne``, ``mulmod``,
+``sum_mod_p``) live in :mod:`repro.kernels`, dispatched there between
+the pure-numpy reference and the compiled native backend
+(``REPRO_KERNELS``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import (
-    mod_mersenne as _k_mod_mersenne,
-    mulmod as _k_mulmod,
-    pow_from_table as _k_pow_from_table,
-    powmod as _k_powmod,
-    sum_mod_p as _k_sum_mod_p,
-)
+from repro.kernels import mod_mersenne as _k_mod_mersenne
+from repro.kernels import mulmod as _k_mulmod
 from repro.util.rng import make_rng
 
 __all__ = [
     "MERSENNE_P",
     "PolyHash",
     "uniform_from_hash",
-    "mod_mersenne",
-    "mulmod",
-    "powmod",
     "pow_table",
-    "pow_from_table",
-    "sum_mod_p",
 ]
 
 MERSENNE_P = (1 << 61) - 1
 
 
-# Dispatched kernels under their historical names.  `_mod_mersenne` /
-# `_mulmod` are the module-private spellings the sketch engine and the
-# property tests have always used; `powmod`/`pow_from_table`/`sum_mod_p`
-# are the public ones.  Semantics (broadcasting, scalar handling, error
-# behavior) are identical on both backends -- see docs/kernels.md.
-_mod_mersenne = _k_mod_mersenne
-_mulmod = _k_mulmod
-powmod = _k_powmod
-
-
 def pow_table(z: np.ndarray | int, bits: int) -> np.ndarray:
     """Table of repeated squares ``z^(2^j) mod p`` for ``j in [0, bits)``.
 
-    Output shape is ``shape(z) + (bits,)``; feeding a slice to
-    :func:`pow_from_table` evaluates ``z^e`` for whole exponent arrays
-    with one batched multiply per set bit -- the precomputed-z-powers
-    fast path used by the array-backed sketch engine for fingerprint
-    updates.
+    Output shape is ``shape(z) + (bits,)``; the ``sketch_ingest`` kernel
+    evaluates ``z^e`` from a slice for whole exponent arrays with one
+    multiply per set bit -- the precomputed-z-powers fast path of the
+    array-backed sketch engine's fingerprint updates.
     """
     z = np.asarray(z, dtype=np.uint64)
     out = np.empty(z.shape + (int(bits),), dtype=np.uint64)
-    cur = _mod_mersenne(z)
+    cur = _k_mod_mersenne(z)
     for j in range(int(bits)):
         out[..., j] = cur
-        cur = _mulmod(cur, cur)
+        cur = _k_mulmod(cur, cur)
     return out
-
-
-pow_from_table = _k_pow_from_table
-sum_mod_p = _k_sum_mod_p
 
 
 class PolyHash:
@@ -105,10 +78,10 @@ class PolyHash:
         """Evaluate the hash on (an array of) nonnegative integer keys."""
         scalar = np.isscalar(x)
         xs = np.atleast_1d(np.asarray(x, dtype=np.uint64))
-        xs = _mod_mersenne(xs)
+        xs = _k_mod_mersenne(xs)
         acc = np.full(xs.shape, self.coeffs[0], dtype=np.uint64)
         for c in self.coeffs[1:]:
-            acc = _mod_mersenne(_mulmod(acc, xs) + c)
+            acc = _k_mod_mersenne(_k_mulmod(acc, xs) + c)
         return int(acc[0]) if scalar else acc
 
     def uniform(self, x: np.ndarray | int) -> np.ndarray | float:
@@ -136,8 +109,3 @@ class PolyHash:
 def uniform_from_hash(h: np.ndarray) -> np.ndarray:
     """Map hash values in ``[0, 2^61-1)`` to floats in ``[0, 1)``."""
     return np.asarray(h, dtype=np.float64) / float(MERSENNE_P)
-
-
-# public aliases: the array-backed sketch engine builds on these kernels
-mod_mersenne = _k_mod_mersenne
-mulmod = _k_mulmod

@@ -36,8 +36,8 @@ accumulated by an exact-level ``np.add.at`` followed by a reverse cumsum
 over the level axis (an index at level ``lv`` feeds all cells
 ``0..lv``), and fingerprints use precomputed ``z``-power tables
 (:func:`repro.sketch.hashing.pow_table`) with an overflow-safe split
-scatter (:func:`repro.sketch.hashing.sum_mod_p` logic inlined for the
-scatter case).
+scatter (the ``sum_mod_p`` kernel's logic inlined for the scatter
+case).
 
 Cell values and samples are pinned by the ``sketches`` group of
 ``tests/golden/digests.json``.
@@ -51,15 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.kernels import decode_planes as _k_decode_planes
+from repro.kernels import mod_mersenne, mulmod, sum_mod_p
 from repro.kernels import sketch_ingest as _k_sketch_ingest
-from repro.sketch.hashing import (
-    MERSENNE_P,
-    PolyHash,
-    mod_mersenne,
-    mulmod,
-    pow_table,
-    sum_mod_p,
-)
+from repro.sketch.hashing import MERSENNE_P, PolyHash, pow_table
 from repro.util.rng import make_rng
 
 __all__ = [

@@ -210,6 +210,7 @@ def _route(out) -> str:
 def test_batch_of_one_equals_micro_oracle(case):
     from repro.core.batch import GraphBatch, StoredBatchLayout
     from repro.core.micro_oracle import BatchMicroContext
+    from repro.kernels import OracleCells, OracleScratch
 
     make, offset, beta, odd_sets, route = REFERENCE_CASES[case]
     lv, support = make()
@@ -224,9 +225,9 @@ def test_batch_of_one_equals_micro_oracle(case):
     flat_zeta = np.ascontiguousarray(zeta).ravel()
     hik_idx = np.flatnonzero(flat_zeta != 0.0)
     zmul = flat_zeta[hik_idx]
+    cells = OracleCells(batch, hik_idx, np.concatenate([stored.src_vl, stored.dst_vl]))
     ctx = BatchMicroContext(
-        batch, [0], stored, support.values, flat_zeta, zmul, hik_idx,
-        np.array([0, hik_idx.size], dtype=np.int64),
+        OracleScratch(batch, cells), [0], stored, support.values, flat_zeta, zmul,
         beta={0: beta}, use_odd={0: odd_sets}, eps=lv.eps,
     )
     results, po = ctx.evaluate([0], {0: 1.0})

@@ -144,48 +144,6 @@ def test_mulmod_parity():
 
 
 @needs_native
-def test_powmod_parity():
-    f_np, f_c = impls("powmod")
-    rng = np.random.default_rng(13)
-    base = rng.integers(0, 1 << 64, size=512, dtype=np.uint64)
-    exp = rng.integers(0, 1 << 64, size=512, dtype=np.uint64)
-    assert_bitequal(f_np(base, exp), f_c(base, exp))
-    for b, e in [(0, 0), (0, 5), (3, 0), (P, 10), (P - 1, P - 1),
-                 (2, 61), (2, (1 << 64) - 1), ((1 << 64) - 1, (1 << 64) - 1)]:
-        got_np, got_c = f_np(b, e), f_c(b, e)
-        assert isinstance(got_np, int) and isinstance(got_c, int)
-        assert got_np == got_c == pow(b % P, e, P)
-
-
-@needs_native
-def test_pow_from_table_parity():
-    f_np, f_c = impls("pow_from_table")
-    rng = np.random.default_rng(14)
-    for z in (3, P - 2, int(rng.integers(1, P))):
-        table = np.empty(64, dtype=np.uint64)
-        cur = np.uint64(z % P)
-        for j in range(64):
-            table[j] = cur
-            cur = ref.mulmod(cur, cur)
-        exps = rng.integers(0, 1 << 64, size=1024, dtype=np.uint64)
-        exps[:4] = [0, 1, P, (1 << 64) - 1]
-        assert_bitequal(f_np(table, exps), f_c(table, exps))
-        assert int(f_c(table, exps)[2]) == pow(z % P, P, P)
-        # short table + in-range exponents
-        short = table[:8]
-        small = rng.integers(0, 1 << 8, size=256, dtype=np.uint64)
-        assert_bitequal(f_np(short, small), f_c(short, small))
-
-
-@needs_native
-def test_pow_from_table_native_rejects_wide_exponent():
-    _, f_c = impls("pow_from_table")
-    table = np.ones(4, dtype=np.uint64)
-    with pytest.raises(IndexError):
-        f_c(table, np.array([1 << 5], dtype=np.uint64))
-
-
-@needs_native
 def test_sum_mod_p_parity():
     f_np, f_c = impls("sum_mod_p")
     rng = np.random.default_rng(15)
@@ -258,7 +216,7 @@ def _decode_case(seed, groups=12, reps=2, levels=4, universe=64):
         c = int(rng.integers(1, 5))
         s0[g, r, l] = c
         s1[g, r, l] = c * q
-        fp[g, r, l] = ref.mulmod(np.uint64(c % P), ref.powmod(z[r, l], np.uint64(q + 1)))
+        fp[g, r, l] = ref.mulmod(np.uint64(c % P), ref._powmod(z[r, l], np.uint64(q + 1)))
         if g % 4 == 1:
             fp[g, r, l] += np.uint64(1)  # fingerprint mismatch
         if g % 4 == 2:
@@ -268,7 +226,7 @@ def _decode_case(seed, groups=12, reps=2, levels=4, universe=64):
             s0[g, r, l2] = 1
             s1[g, r, l2] = universe - 1
             fp[g, r, l2] = ref.mulmod(
-                np.uint64(1), ref.powmod(z[r, l2], np.uint64(universe))
+                np.uint64(1), ref._powmod(z[r, l2], np.uint64(universe))
             )
     s0[groups - 1, 0, 0] = -2  # negative count: quot < 0 rejected
     s1[groups - 1, 0, 0] = 2
@@ -299,24 +257,32 @@ def test_gather_add2_parity():
     assert_bitequal(f_np(buf, idx_a, idx_b), f_c(buf, idx_a, idx_b))
 
 
+def _scatter(f, src, dst, vals, out, cells):
+    f(src, dst, vals, out, cells)
+    return out
+
+
 @needs_native
 def test_dual_scatter_parity():
     f_np, f_c = impls("dual_scatter")
     rng = np.random.default_rng(45)
-    size = 300
+    b = _sparse_oracle_case([(10, 0.3, 2), (9, 0.1, 1), (6, 0.9, 3)], 45, 0.3)[0]
+    size = int(b.vl_off[-1])
+    # every cell listed, so any cell may be hit and any buffer is dirty
+    cells = OracleCells(b, np.arange(size))
     m = 5000  # heavy collisions: accumulation order must match
     src = rng.integers(0, size, size=m).astype(np.int64)
     dst = rng.integers(0, size, size=m).astype(np.int64)
     vals = rng.standard_normal(m) * np.exp(rng.uniform(-12, 12, m))
-    want = f_np(src, dst, vals, size)
-    assert_bitequal(want, f_c(src, dst, vals, size))
-    # out= is a scratch hint: result identical, dirty buffer ignored
-    scratch = np.full(size, 7.25)
-    got = f_c(src, dst, vals, size, out=scratch)
+    want = _scatter(f_np, src, dst, vals, np.zeros(size), cells)
+    assert_bitequal(want, _scatter(f_c, src, dst, vals, np.zeros(size), cells))
+    # a reused buffer: the result is identical, the dirt at the cells cleared
+    got = _scatter(f_c, src, dst, vals, np.full(size, 7.25), cells)
     assert_bitequal(want, got)
-    assert_bitequal(want, f_np(src, dst, vals, size, out=np.full(size, -1.0)))
-    # wrong-size scratch must not corrupt the result either
-    assert_bitequal(want, f_c(src, dst, vals, size, out=np.zeros(3)))
+    assert_bitequal(want, _scatter(f_np, src, dst, vals, np.full(size, -1.0), cells))
+    # a buffer of another size is refused before any pointer reaches C
+    with pytest.raises(ValueError):
+        f_c(src, dst, vals, np.zeros(3), cells)
 
 
 @needs_native
@@ -371,7 +337,7 @@ def _stored_layout(rng, lens):
     n = int(off[-1])
     cov = np.abs(rng.standard_normal(n)) * 40.0
     wk = rng.uniform(1.0, 50.0, n)
-    return cov, wk, off, off.tolist(), np.asarray(lens, dtype=np.int64)
+    return cov, wk, off
 
 
 @needs_native
@@ -380,17 +346,29 @@ def test_tick_stored_parity():
     post_np, post_c = impls("tick_stored_post")
     rng = np.random.default_rng(51)
     # includes an empty instance and a singleton
-    cov, wk, off, off_list, counts = _stored_layout(rng, [5, 0, 1, 130, 17])
-    alphas = rng.uniform(0.1, 8.0, len(counts))
-    a_np = shift_np(cov, wk, off, off_list, counts, alphas)
-    a_c = shift_c(cov, wk, off, off_list, counts, alphas)
-    assert_bitequal(a_np, a_c)
-    e = np.exp(a_np)  # exp stays a shared numpy call on both backends
+    cov, wk, off = _stored_layout(rng, [5, 0, 1, 130, 17])
+    alphas = rng.uniform(0.1, 8.0, len(off) - 1)
     probs = rng.uniform(0.05, 1.0, cov.size)
-    sv_np, usc_np = post_np(e, wk, probs, off, off_list)
-    sv_c, usc_c = post_c(e, wk, probs, off, off_list)
-    assert_bitequal(sv_np, sv_c)
-    assert_bitequal(usc_np, usc_c)
+    # NaN first in a segment and later in one: the segment's minimum,
+    # and so every entry of it, is NaN; -inf alone in the singleton;
+    # +inf past a finite minimum clips to 60
+    special = cov.copy()
+    special[off[0]] = np.nan
+    special[off[3] + 40] = np.nan
+    special[off[2]] = -np.inf
+    special[off[4] + 3] = np.inf
+    for c in (cov, special):
+        with np.errstate(invalid="ignore"):
+            a_np = shift_np(c, wk, off, alphas)
+        a_c = shift_c(c, wk, off, alphas)
+        assert_bitequal(a_np, a_c)
+        e = np.exp(a_np)  # exp stays a shared numpy call on both backends
+        sv_np, usc_np = post_np(e, wk, probs, off)
+        sv_c, usc_c = post_c(e, wk, probs, off)
+        assert_bitequal(sv_np, sv_c)
+        assert_bitequal(usc_np, usc_c)
+    assert np.isnan(a_c[off[0] : off[1]]).all() and np.isnan(a_c[off[3] : off[4]]).all()
+    assert a_c[off[4] + 3] == 60.0 and np.isfinite(a_c[off[4] : off[5]]).all()
 
 
 @needs_native
@@ -403,8 +381,6 @@ def test_tick_pack_parity(with_zload):
     lens = [7, 0, 60, 1, 140]
     off = np.zeros(len(lens) + 1, dtype=np.int64)
     np.cumsum(lens, out=off[1:])
-    off_list = off.tolist()
-    counts = np.asarray(lens, dtype=np.int64)
     nh = int(off[-1])
     x = rng.standard_normal(nvl) * 10.0
     zload = rng.standard_normal(nvl) if with_zload else None
@@ -412,18 +388,31 @@ def test_tick_pack_parity(with_zload):
     po3 = rng.uniform(0.2, 9.0, nh)
     alpha_p = rng.uniform(0.1, 4.0, nh)
     active = np.array([1, 1, 0, 1, 1], dtype=np.uint8)  # inactive: fmax stays 0
-    a_np = arg_np(x, zload, hik_idx, po3, alpha_p, off, off_list, counts, active)
-    a_c = arg_c(x, zload, hik_idx, po3, alpha_p, off, off_list, counts, active)
-    assert_bitequal(a_np, a_c)
-    e = np.exp(a_np)
-    # zeta dirty where it is written; the native kernel writes nothing else
-    z_np, z_c = np.zeros(nvl), np.zeros(nvl)
-    z_np[hik_idx] = z_c[hik_idx] = 3.5
-    zm_np, qo_np = post_np(e, po3, hik_idx, off, off_list, z_np)
-    zm_c, qo_c = post_c(e, po3, hik_idx, off, off_list, z_c)
-    assert_bitequal(zm_np, zm_c)
-    assert_bitequal(qo_np, qo_c)
-    assert_bitequal(z_np, z_c)
+    # on distinct cells: NaN first in a segment, and later in one whose
+    # first entry is -inf (the max, so the whole segment, is NaN); NaN
+    # in the inactive segment (fmax stays 0, so only that entry is);
+    # +inf alone in the singleton
+    special_idx = rng.permutation(nvl)[:nh].astype(np.int64)
+    special = x.copy()
+    for t, v in ((off[0], np.nan), (off[4], -np.inf), (off[4] + 70, np.nan),
+                 (off[2] + 10, np.nan), (off[3], np.inf)):
+        special[special_idx[t]] = v
+    for xs, idx in ((x, hik_idx), (special, special_idx)):
+        with np.errstate(invalid="ignore"):
+            a_np = arg_np(xs, zload, idx, po3, alpha_p, off, active)
+        a_c = arg_c(xs, zload, idx, po3, alpha_p, off, active)
+        assert_bitequal(a_np, a_c)
+        e = np.exp(a_np)
+        # zeta dirty where it is written; the native kernel writes nothing else
+        z_np, z_c = np.zeros(nvl), np.zeros(nvl)
+        z_np[idx] = z_c[idx] = 3.5
+        zm_np, qo_np = post_np(e, po3, idx, off, z_np)
+        zm_c, qo_c = post_c(e, po3, idx, off, z_c)
+        assert_bitequal(zm_np, zm_c)
+        assert_bitequal(qo_np, qo_c)
+        assert_bitequal(z_np, z_c)
+    assert np.isnan(a_c[off[0] : off[1]]).all() and np.isnan(a_c[off[4] : off[5]]).all()
+    assert np.isnan(a_c[off[2] : off[3]]).sum() == 1
 
 
 # ----------------------------------------------------------------------
@@ -442,17 +431,13 @@ def _oracle_case(seed, rho_scale):
     b = GraphBatch.from_graphs(graphs, eps=0.3)
     nvl, nl = int(b.vl_off[-1]), int(b.l_off[-1])
     # synthetic has_ik tables: a sorted subset of each instance's vl range
-    hik_parts, counts = [], []
+    hik_parts = []
     for i in range(b.size):
         lo, hi = int(b.vl_off[i]), int(b.vl_off[i + 1])
         take = max(1, (hi - lo) // 2)
         sel = np.sort(rng.choice(np.arange(lo, hi), size=take, replace=False))
         hik_parts.append(sel.astype(np.int64))
-        counts.append(take)
     hik_idx = np.ascontiguousarray(np.concatenate(hik_parts), dtype=np.int64)
-    hik_off = np.zeros(b.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=hik_off[1:])
-    hik_counts = np.diff(hik_off)
     s = np.abs(rng.standard_normal(nvl)) * 5.0
     us_mass = np.abs(rng.standard_normal(nl)) * 3.0
     zsum = np.abs(rng.standard_normal(nl))
@@ -460,7 +445,20 @@ def _oracle_case(seed, rho_scale):
     rho_b = np.full(b.size, rho_scale)
     rho_b[1] *= 40.0  # push one instance toward the zero route
     beta_b = np.ones(b.size)
-    return b, s, us_mass, zsum, hik_idx, hik_off, hik_counts, zmul, rho_b, beta_b
+    return b, s, us_mass, zsum, hik_idx, zmul, rho_b, beta_b
+
+
+def _oracle_scratch(b, s, cells):
+    """A scratch for ``cells`` whose support scatter holds ``s``."""
+    sc = OracleScratch(b, cells)
+    sc.s[:] = s
+    return sc
+
+
+def _eval(f, us_mass, zsum, zmul, sub, rho_b, beta_b, scratch):
+    scratch.rho[:] = rho_b
+    scratch.beta[:] = beta_b
+    return f(us_mass, zsum, zmul, list(sub), 0.25, scratch)
 
 
 @needs_native
@@ -471,32 +469,31 @@ def _oracle_case(seed, rho_scale):
     (64, 0.01, [2, 0]),     # strict subset, out of order
 ])
 def test_oracle_eval_parity(seed, rho_scale, sub):
+    """Two evaluations share each backend's scratch, so the second also
+    sees the buffers the first left behind."""
     f_np, f_c = impls("oracle_eval")
-    case = _oracle_case(seed, rho_scale)
-    b, s, us_mass, zsum, hik_idx, hik_off, hik_counts, zmul, rho_b, beta_b = case
+    b, s, us_mass, zsum, hik_idx, zmul, rho_b, beta_b = _oracle_case(seed, rho_scale)
     # s is dense: every cell of the plane is a candidate
     cells = OracleCells(b, hik_idx, np.arange(int(b.vl_off[-1])))
-    sc_np = OracleScratch.for_batch(b, hik_off)
-    sc_c = OracleScratch.for_batch(b, hik_off)
-    r_np = f_np(b, s, us_mass, zsum, hik_idx, hik_off, hik_counts, zmul,
-                list(sub), rho_b, beta_b, 0.25, sc_np, cells)
-    r_c = f_c(b, s, us_mass, zsum, hik_idx, hik_off, hik_counts, zmul,
-              list(sub), rho_b, beta_b, 0.25, sc_c, cells)
-    _assert_oracle_equal(r_np, r_c)
+    sc_np, sc_c = _oracle_scratch(b, s, cells), _oracle_scratch(b, s, cells)
+    for sub_k, rho_k in ((sub, rho_b), ([1, 0, 2], rho_b * 0.1)):
+        fl_np = _eval(f_np, us_mass, zsum, zmul, sub_k, rho_k, beta_b, sc_np)
+        fl_c = _eval(f_c, us_mass, zsum, zmul, sub_k, rho_k, beta_b, sc_c)
+        _assert_oracle_equal(fl_np, sc_np, fl_c, sc_c)
 
 
-def _assert_oracle_equal(r_np, r_c):
-    assert r_np.any_go == r_c.any_go
-    assert_bitequal(r_np.gamma, r_c.gamma)
-    assert_bitequal(r_np.route, r_c.route)
-    assert_bitequal(r_np.po, r_c.po)
-    if r_np.any_go:
-        assert_bitequal(r_np.gamma_v, r_c.gamma_v)
-        assert_bitequal(r_np.k_star_row, r_c.k_star_row)
-        assert_bitequal(r_np.pos_net, r_c.pos_net)
-    assert (r_np.step_x is None) == (r_c.step_x is None)
-    if r_np.step_x is not None:
-        assert_bitequal(r_np.step_x, r_c.step_x)
+def _assert_oracle_equal(fl_np, sc_np, fl_c, sc_c):
+    """The flags and the outputs they declare valid are bit-equal."""
+    assert fl_np == fl_c
+    assert_bitequal(sc_np.gamma, sc_c.gamma)
+    assert_bitequal(sc_np.route, sc_c.route)
+    assert_bitequal(sc_np.po, sc_c.po)
+    if fl_np & 1:
+        assert_bitequal(sc_np.gamma_v, sc_c.gamma_v)
+        assert_bitequal(sc_np.k_star_row, sc_c.k_star_row)
+        assert_bitequal(sc_np.net, sc_c.net)
+    if fl_np & 2:
+        assert_bitequal(sc_np.step_x, sc_c.step_x)
 
 
 @needs_native
@@ -505,12 +502,10 @@ def test_oracle_eval_routes_covered():
     f_np, _ = impls("oracle_eval")
     seen = set()
     for seed, rho_scale in [(61, 0.01), (62, 0.5), (63, 5.0)]:
-        case = _oracle_case(seed, rho_scale)
-        b, s, us_mass, zsum, hik_idx, hik_off, hik_counts, zmul, rho_b, beta_b = case
-        sc = OracleScratch.for_batch(b, hik_off)
-        r = f_np(b, s, us_mass, zsum, hik_idx, hik_off, hik_counts, zmul,
-                 [0, 1, 2], rho_b, beta_b, 0.25, sc, None)
-        seen.update(int(r.route[i]) for i in range(b.size))
+        b, s, us_mass, zsum, hik_idx, zmul, rho_b, beta_b = _oracle_case(seed, rho_scale)
+        sc = _oracle_scratch(b, s, OracleCells(b, hik_idx, np.arange(int(b.vl_off[-1]))))
+        _eval(f_np, us_mass, zsum, zmul, [0, 1, 2], rho_b, beta_b, sc)
+        seen.update(int(r) for r in sc.route)
     assert 0 in seen and 1 in seen
 
 
@@ -550,18 +545,16 @@ def _sparse_oracle_case(shapes, seed, density):
     s_idx = np.flatnonzero(rng.random(nvl) < density)
     s = np.zeros(nvl)
     s[s_idx] = rng.exponential(1.0, s_idx.size) * 10.0 ** rng.uniform(-1, 1, s_idx.size)
-    hik_off = np.searchsorted(hik_idx, b.vl_off).astype(np.int64)
     zmul = rng.exponential(1.0, hik_idx.size)
     us_mass = rng.exponential(3.0, nl)
     zsum = rng.exponential(1.0, nl)
     cells = OracleCells(b, hik_idx, s_idx)
-    return b, s, us_mass, zsum, hik_idx, hik_off, np.diff(hik_off), zmul, cells
+    return b, s, us_mass, zsum, zmul, cells
 
 
 def _sparse_eval(f, case, sub, rho_b, beta_b, scratch):
-    b, s, us_mass, zsum, hik_idx, hik_off, hik_counts, zmul, cells = case
-    return f(b, s, us_mass, zsum, hik_idx, hik_off, hik_counts, zmul,
-             list(sub), rho_b, beta_b, 0.25, scratch, cells)
+    _b, _s, us_mass, zsum, zmul, _cells = case
+    return _eval(f, us_mass, zsum, zmul, sub, rho_b, beta_b, scratch)
 
 
 @needs_native
@@ -583,9 +576,8 @@ def test_oracle_eval_sparse_parity(shapes, seed, density, data):
     """
     f_np, f_c = impls("oracle_eval")
     case = _sparse_oracle_case(shapes, seed, density)
-    b = case[0]
-    sc_np = OracleScratch.for_batch(b, case[5])
-    sc_c = OracleScratch.for_batch(b, case[5])
+    b, s, cells = case[0], case[1], case[-1]
+    sc_np, sc_c = _oracle_scratch(b, s, cells), _oracle_scratch(b, s, cells)
     B = b.size
     for _ in range(2):
         order = data.draw(st.permutations(range(B)))
@@ -594,9 +586,9 @@ def test_oracle_eval_sparse_parity(shapes, seed, density, data):
             st.floats(-3.0, 1.5), min_size=B, max_size=B)))
         beta_b = 10.0 ** np.array(data.draw(st.lists(
             st.floats(-3.0, 3.0), min_size=B, max_size=B)))
-        r_np = _sparse_eval(f_np, case, sub, rho_b, beta_b, sc_np)
-        r_c = _sparse_eval(f_c, case, sub, rho_b, beta_b, sc_c)
-        _assert_oracle_equal(r_np, r_c)
+        fl_np = _sparse_eval(f_np, case, sub, rho_b, beta_b, sc_np)
+        fl_c = _sparse_eval(f_c, case, sub, rho_b, beta_b, sc_c)
+        _assert_oracle_equal(fl_np, sc_np, fl_c, sc_c)
 
 
 def test_sparse_oracle_cases_reach_what_the_battery_claims():
@@ -616,9 +608,9 @@ def test_sparse_oracle_cases_reach_what_the_battery_claims():
         for log_beta in (-3.0, 0.0, 3.0):
             rho_b = np.full(b.size, 10.0 ** rng.uniform(-3.0, 1.5))
             beta_b = np.full(b.size, 10.0 ** log_beta)
-            sc = OracleScratch.for_batch(b, case[5])
-            r = _sparse_eval(f_np, case, range(b.size), rho_b, beta_b, sc)
-            routes.update(int(x) for x in r.route)
+            sc = _oracle_scratch(b, case[1], cells)
+            _sparse_eval(f_np, case, range(b.size), rho_b, beta_b, sc)
+            routes.update(int(x) for x in sc.route)
     assert routes == {0, 1, 2}
     assert min(level_counts) < 8 and max(level_counts) > 128
     assert any(8 <= L <= 128 for L in level_counts)
@@ -626,11 +618,12 @@ def test_sparse_oracle_cases_reach_what_the_battery_claims():
 
 
 def test_oracle_cells_layout():
-    """Sorted distinct cells, row pointers over the layout's rows, and
-    has_ik positions; bad input fails where the list is built."""
+    """Sorted distinct cells, row pointers over the layout's rows,
+    has_ik positions and each instance's first has_ik position; bad
+    input fails where the list is built."""
     case = _sparse_oracle_case([(6, 0.3, 2), (4, 0.9, 1)], 3, 0.3)
     b, cells = case[0], case[-1]
-    hik_idx, s = case[4], case[1]
+    hik_idx, s = cells.hik_idx, case[1]
     idx = cells.idx
     assert (np.diff(idx) > 0).all() and idx[0] >= 0 and idx[-1] < b.vl_off[-1]
     assert set(idx.tolist()) == set(hik_idx.tolist()) | set(np.flatnonzero(s).tolist())
@@ -641,6 +634,11 @@ def test_oracle_cells_layout():
     on = cells.hik >= 0
     assert np.array_equal(idx[on], hik_idx[cells.hik[on]])
     assert np.array_equal(np.sort(cells.hik[on]), np.arange(hik_idx.size))
+    per_instance = [
+        int(((hik_idx >= b.vl_off[i]) & (hik_idx < b.vl_off[i + 1])).sum())
+        for i in range(b.size)
+    ]
+    assert cells.hik_off.tolist() == [0, *np.cumsum(per_instance).tolist()]
     nvl = int(b.vl_off[-1])
     assert hik_idx.size >= 2
     for bad_hik, extra in (
@@ -654,14 +652,25 @@ def test_oracle_cells_layout():
             OracleCells(b, bad_hik, extra)
 
 
-@needs_native
-def test_oracle_eval_refuses_cells_of_another_layout():
-    f_np, f_c = impls("oracle_eval")
+def test_oracle_scratch_refuses_cells_of_another_batch():
+    """The kernel indexes the scratch's batch through its cell list, so
+    the scratch refuses a list built for another batch."""
     case = _sparse_oracle_case([(5, 0.3, 1)], 1, 0.5)
     other = _sparse_oracle_case([(5, 0.3, 1)], 2, 0.5)
-    sc = OracleScratch.for_batch(case[0], case[5])
+    with pytest.raises(ValueError, match="another batch"):
+        OracleScratch(case[0], other[-1])
+    assert OracleScratch(case[0], case[-1]).cells is case[-1]
+
+
+@needs_native
+def test_oracle_eval_refuses_cells_of_another_layout():
+    """The native kernel reads ``zmul`` at the has_ik positions of the
+    scratch's list, so the wrapper refuses one built for another list."""
+    _np, f_c = impls("oracle_eval")
+    b, s, us_mass, zsum, zmul, cells = _sparse_oracle_case([(5, 0.3, 1)], 1, 0.5)
+    sc = _oracle_scratch(b, s, cells)
     with pytest.raises(ValueError):
-        _sparse_eval(f_c, case[:-1] + (other[-1],), [0], np.ones(1), np.ones(1), sc)
+        _eval(f_c, us_mass, zsum, np.append(zmul, 1.0), [0], np.ones(1), np.ones(1), sc)
 
 
 # ----------------------------------------------------------------------
@@ -671,7 +680,7 @@ def _cell_layout(shapes, seed, density=0.3, extra_density=0.1):
     """A batch with random has_ik cells and a blend-style cell list:
     has_ik plus random extra cells (``hik == -1`` there)."""
     case = _sparse_oracle_case(shapes, seed, density)
-    b, hik_idx = case[0], case[4]
+    b, hik_idx = case[0], case[-1].hik_idx
     rng = np.random.default_rng(seed + 1)
     extra = np.flatnonzero(rng.random(int(b.vl_off[-1])) < extra_density)
     return b, OracleCells(b, hik_idx, extra)
@@ -792,10 +801,8 @@ def test_has_ik_clears_of_s_and_zeta_parity(shapes, seed, density, data):
     dst = rng.choice(cells.idx, size=m)
     vals = rng.exponential(1.0, m)
     ds_np, ds_c = impls("dual_scatter")
-    want = ds_np(src, dst, vals, nvl)
-    out = dirty.copy()
-    got = ds_c(src, dst, vals, nvl, out=out, cells=cells)
-    assert got is out
+    want = _scatter(ds_np, src, dst, vals, np.zeros(nvl), cells)
+    got = _scatter(ds_c, src, dst, vals, dirty.copy(), cells)
     assert_bitequal(want, got)
     # zeta: every has_ik cell is written
     hik_idx = cells.idx
@@ -804,8 +811,8 @@ def test_has_ik_clears_of_s_and_zeta_parity(shapes, seed, density, data):
     e = rng.exponential(1.0, hik_idx.size)
     post_np, post_c = impls("tick_pack_post")
     z_np, z_c = dirty.copy(), dirty.copy()
-    r_np = post_np(e, po3, hik_idx, off, off.tolist(), z_np)
-    r_c = post_c(e, po3, hik_idx, off, off.tolist(), z_c)
+    r_np = post_np(e, po3, hik_idx, off, z_np)
+    r_c = post_c(e, po3, hik_idx, off, z_c)
     assert_bitequal(z_np, z_c)
     for a, c in zip(r_np, r_c):
         assert_bitequal(a, c)
@@ -822,7 +829,7 @@ def test_tick_kernels_refuse_planes_and_lists_that_do_not_fit():
     b, cells = _cell_layout([(5, 0.3, 1), (4, 0.3, 2)], 9)
     nvl = int(b.vl_off[-1])
     good = [np.zeros((int(n), int(L))) for n, L in zip(b.n, b.L)]
-    wk_hik = np.ones(cells.n_hik)
+    wk_hik = np.ones(len(cells.hik_idx))
     for steps in (
         [good[0]],                                   # one instance missing
         [good[0], np.zeros((int(b.n[1]), int(b.L[1]) + 1))],  # wrong size
@@ -836,11 +843,11 @@ def test_tick_kernels_refuse_planes_and_lists_that_do_not_fit():
     with pytest.raises(ValueError):
         f_c(np.zeros(nvl + 1), good, np.zeros(b.size), cells)
     with pytest.raises(ValueError):
-        box_c(good, None, cells, np.ones(cells.n_hik + 1))
+        box_c(good, None, cells, np.ones(len(cells.hik_idx) + 1))
     _np, scatter_c = impls("dual_scatter")
     one = np.zeros(1, dtype=np.int64)
     with pytest.raises(ValueError):  # a list of another layout's size
-        scatter_c(one, one, np.ones(1), nvl + 1, out=np.zeros(nvl + 1), cells=cells)
+        scatter_c(one, one, np.ones(1), np.zeros(nvl + 1), cells)
 
 
 # ----------------------------------------------------------------------
@@ -1141,26 +1148,6 @@ def test_forest_place_rejects_bad_input(impl):
         fn(table.astype(np.int64), 2, 3, np.array([0]), np.array([1]), out)
     with pytest.raises(ValueError, match="count"):
         fn(table, 3, 3, np.array([0]), np.array([1]), out)
-
-
-@needs_native
-def test_pointer_memo_keeps_no_dead_array():
-    """The native wrappers memoize array pointers by id; an entry goes
-    when its array dies, so solves whose results are kept leave no dead
-    entries behind."""
-    from repro.core.matching_solver import DualPrimalMatchingSolver, SolverConfig
-    from repro.graphgen import gnm_graph, with_uniform_weights
-    from repro.kernels import native
-
-    buf, idx = np.arange(4.0), np.array([0, 3], dtype=np.int64)
-    native.gather_add2(buf, idx, idx)
-    solver = DualPrimalMatchingSolver(SolverConfig(eps=0.2, seed=1))
-    kept = [
-        solver.solve(with_uniform_weights(gnm_graph(24, 96, seed=s), 1.0, 100.0, seed=s))
-        for s in range(4)
-    ]
-    assert len(kept) == 4 and native._ptr_memo[id(buf)][0]() is buf
-    assert all(ref() is not None for ref, _ in native._ptr_memo.values())
 
 
 # ----------------------------------------------------------------------

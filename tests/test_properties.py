@@ -5,10 +5,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.levels import discretize
+from repro.kernels import mulmod
 from repro.matching.greedy import greedy_bmatching
 from repro.matching.maximal import is_maximal, maximal_bmatching
 from repro.matching.structures import BMatching
-from repro.sketch.hashing import MERSENNE_P, PolyHash, _mulmod
+from repro.sketch.hashing import MERSENNE_P, PolyHash
 from repro.sketch.l0_sampler import L0Sampler
 from repro.sparsify.union_find import UnionFind
 from repro.util.graph import Graph, merge_parallel_edges
@@ -55,7 +56,7 @@ class TestHashProperties:
     def test_mulmod_exact(self, a, b):
         a %= MERSENNE_P
         b %= MERSENNE_P
-        assert int(_mulmod(np.uint64(a), np.uint64(b))) == (a * b) % MERSENNE_P
+        assert int(mulmod(np.uint64(a), np.uint64(b))) == (a * b) % MERSENNE_P
 
     @SETTINGS
     @given(st.integers(0, 2**40), st.integers(1, 2**31))

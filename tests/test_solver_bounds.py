@@ -13,11 +13,13 @@ engine passes them alone, because both cells of every stored edge are
 among them.  The blend walks the has_ik cells plus the cells where
 ``x`` was nonzero when the batch was built, and reads each step where
 the oracle wrote it.  Those preconditions are checked here on the same
-cases.
+cases, and so is where the oracle's per-batch state lives: in the
+engine's scratch, not on the batch.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 
@@ -89,21 +91,40 @@ def test_stored_edge_cells_are_has_ik_cells(group, monkeypatch):
     checked = []
 
     class Checked(ms.BatchMicroContext):
-        def __init__(self, batch, active, stored, support_vals, zeta, zmul,
-                     hik_idx, hik_off, **kw):
+        def __init__(self, scratch, active, stored, support_vals, zeta, zmul, **kw):
+            hik_idx = scratch.cells.hik_idx
             assert np.isin(stored.src_vl, hik_idx).all()
             assert np.isin(stored.dst_vl, hik_idx).all()
-            super().__init__(batch, active, stored, support_vals, zeta, zmul,
-                             hik_idx, hik_off, **kw)
-            assert np.array_equal(self.cells.idx, hik_idx)
-            off = np.ones(len(self.s), dtype=bool)
-            off[self.cells.idx] = False
-            assert not self.s[off].any() and not zeta[off].any()
+            super().__init__(scratch, active, stored, support_vals, zeta, zmul, **kw)
+            assert np.array_equal(scratch.cells.idx, hik_idx)
+            off = np.ones(len(scratch.s), dtype=bool)
+            off[scratch.cells.idx] = False
+            assert not scratch.s[off].any() and not zeta[off].any()
             checked.append(len(stored.src_vl))
 
     monkeypatch.setattr(ms, "BatchMicroContext", Checked)
     GROUPS[group]()
     assert checked and max(checked) > 0
+
+
+def test_batches_hold_only_their_fields(monkeypatch):
+    """The oracle's per-batch state lives in the engine's
+    ``OracleScratch``: every ``GraphBatch`` the engine builds, for a
+    solve and for a ``solve_many``, holds its dataclass fields and
+    nothing else once the solves are done."""
+    built = []
+
+    class Recording(ms.GraphBatch):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
+
+    monkeypatch.setattr(ms, "GraphBatch", Recording)
+    group = "zero_capacity"  # one solve, then a solve_many of three
+    assert GROUPS[group]() == json.loads(GOLDEN.read_text())["digests"][group]
+    assert max(b.size for b in built) == 3 and min(b.size for b in built) == 1
+    for b in built:
+        assert set(vars(b)) == {f.name for f in dataclasses.fields(b)}
 
 
 @pytest.mark.parametrize("group", SOLVER_GROUPS)
