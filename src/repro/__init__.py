@@ -74,7 +74,7 @@ from repro.dynamic import DynamicGraphSession
 from repro.ingest import FileBackedGraph
 from repro.service import MatchingService, ServiceStats
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "Graph",

@@ -68,13 +68,7 @@ __all__ = [
     "GraphBatch",
     "DualBatch",
     "StoredBatchLayout",
-    "expand",
 ]
-
-
-def expand(per_instance: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Broadcast one value per instance across its segment (``np.repeat``)."""
-    return np.repeat(per_instance, counts)
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -116,7 +110,6 @@ class GraphBatch:
     # constant per-entry gathers
     wk_l: np.ndarray = field(init=False)  # ŵ_k per level-space entry
     wk_vl: np.ndarray = field(init=False)  # ŵ_k per VL entry
-    po3_vl: np.ndarray = field(init=False)  # 3 ŵ_k per VL entry (Po RHS)
     b_vl: np.ndarray = field(init=False)  # float b_i per VL entry
     col_vl: np.ndarray = field(init=False)  # level index per VL entry
 
@@ -154,7 +147,6 @@ class GraphBatch:
         self.wk_vl = np.concatenate(
             [np.tile(self.wk_l[self.l_off[i] : self.l_off[i + 1]], self.graphs[i].n) for i in range(B)]
         )
-        self.po3_vl = 3.0 * self.wk_vl
         self.b_vl = np.concatenate(
             [np.repeat(g.b.astype(np.float64), lv.num_levels) for g, lv in zip(self.graphs, self.levels)]
         )
@@ -262,6 +254,11 @@ class StoredBatchLayout:
     Inactive instances contribute empty segments.  The build reads each
     stored edge's endpoints once and keeps them (``src``/``dst``), so the
     odd-set stages of the inner steps read no edge data.
+
+    The inner tick's kernels index the batch's VL and level spaces
+    through the concatenated arrays, so every construction checks them:
+    ``off`` must span them, and each id must lie in the batch's VL space
+    (``nvl`` entries) or level space (``nl``).
     """
 
     off: np.ndarray  # (B+1,) offsets into the concatenated arrays
@@ -274,8 +271,36 @@ class StoredBatchLayout:
     wk: np.ndarray  # ŵ_{level_e} per stored edge
     probs: np.ndarray  # inflated sampling probabilities
     l_idx: np.ndarray  # level-space scatter index
-    counts: np.ndarray  # per-instance stored-edge counts (= diff(off))
-    off_list: list[int]  # off as python ints (hot-loop indexing)
+    nvl: int  # the batch's VL-space size
+    nl: int  # the batch's level-space size
+    off_list: list[int] = field(init=False)  # off as python ints (hot-loop indexing)
+    ptrs: tuple | None = field(init=False, default=None)  # the native wrappers' raw pointers
+
+    def __post_init__(self) -> None:
+        i64, f64 = np.int64, np.float64
+        self.off = np.ascontiguousarray(self.off, dtype=i64)
+        self.src_vl = np.ascontiguousarray(self.src_vl, dtype=i64)
+        self.dst_vl = np.ascontiguousarray(self.dst_vl, dtype=i64)
+        self.l_idx = np.ascontiguousarray(self.l_idx, dtype=i64)
+        self.wk = np.ascontiguousarray(self.wk, dtype=f64)
+        self.probs = np.ascontiguousarray(self.probs, dtype=f64)
+        self.nvl, self.nl = int(self.nvl), int(self.nl)
+        off, n = self.off, len(self.src_vl)
+        arrays = (self.src_vl, self.dst_vl, self.l_idx, self.wk, self.probs)
+        if not (
+            off.ndim == 1 and off.size >= 1 and off[0] == 0 and off[-1] == n
+            and bool((off[1:] >= off[:-1]).all())
+            and all(a.ndim == 1 and len(a) == n for a in arrays)
+        ):
+            raise ValueError("off must run from 0 to the length of the stored-edge arrays")
+        # as uint64 a negative id is huge, so one max checks both ends
+        u64 = np.uint64
+        if n and (
+            np.maximum(self.src_vl.view(u64), self.dst_vl.view(u64)).max() >= self.nvl
+            or self.l_idx.view(u64).max() >= self.nl
+        ):
+            raise ValueError("stored-edge ids must lie in the batch's VL and level spaces")
+        self.off_list = off.tolist()
 
     @classmethod
     def build(cls, batch: GraphBatch, per_instance: dict[int, tuple[np.ndarray, np.ndarray]]) -> "StoredBatchLayout":
@@ -304,7 +329,6 @@ class StoredBatchLayout:
             wk_parts.append(batch.wk_l[batch.l_off[i] + k])
             p_parts.append(probs)
             l_parts.append(batch.l_off[i] + k)
-        off = _offsets(counts)
         # guarded: layout rebuilds are per-phase, not per-tick, but the
         # field sums still must cost nothing when no trace is active
         _sp = obs.current_span()
@@ -319,7 +343,7 @@ class StoredBatchLayout:
             np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
         )
         return cls(
-            off=off,
+            off=_offsets(counts),
             ids=ids,
             lvl=lvl,
             src=src,
@@ -329,6 +353,6 @@ class StoredBatchLayout:
             wk=cat_f(wk_parts),
             probs=cat_f(p_parts),
             l_idx=_concat_i64(l_parts),
-            counts=counts,
-            off_list=off.tolist(),
+            nvl=int(batch.vl_off[-1]),
+            nl=int(batch.l_off[-1]),
         )

@@ -698,26 +698,19 @@ class _BatchEngine:
         # the has_ik cells of the active members (self.members is
         # non-empty here, the early return above), which are the oracle
         # kernel's candidate cells: every stored edge is live, so both
-        # of its cells are has_ik cells and s lives on them too; s and
-        # zeta are written only there
+        # of its cells are has_ik cells and s lives on them too; s is
+        # written only there, and zeta is zmul there and zero elsewhere
         self.cells = OracleCells(
             b, np.concatenate([b.vl_off[st.slot] + st.hik_local for st in self.members])
         )
         self.scratch = OracleScratch(b, self.cells)
-        # has_ik gather tables
-        hik_idx = self.cells.hik_idx
-        self.po3_hik = b.po3_vl[hik_idx]
-        self.wk_hik = b.wk_vl[hik_idx]
-        self.alpha_p_hik = np.repeat(
-            np.array([st.alpha_p for st in self.members]), np.diff(self.cells.hik_off)
-        )
+        self.alpha_p = np.array([st.alpha_p for st in self.members])
         # the blend's cells: the has_ik cells, where every step lives,
         # and every cell where x is nonzero now (a vertex with b = 0 is
         # saturated at every nonempty level, so its initial dual reaches
         # levels where it has no live edge).  Only blends write x until
         # the next rebuild, so x stays zero off this list.
-        self.blend_cells = OracleCells(b, hik_idx, np.flatnonzero(dualb.x))
-        self._zeta_scratch = b.zeros_vl()
+        self.blend_cells = OracleCells(b, self.cells.hik_idx, np.flatnonzero(dualb.x))
         self._active_flags = np.zeros(b.size, dtype=np.uint8)
 
     # ------------------------------------------------------------------
@@ -1022,7 +1015,6 @@ class _BatchEngine:
             self._layout_stale = False
         lay = self.layout
         soff = lay.off_list
-        cells = self.cells
 
         # ---- Corollary 6 multipliers over the stored edges ----
         # The elementwise chains run in the dispatched kernels; ``exp``
@@ -1036,7 +1028,7 @@ class _BatchEngine:
             act[st.slot] = 1
             st.ledger.tick_refinement()
         x = self.dualb.x
-        cov = _k_gather_add2(x, lay.src_vl, lay.dst_vl)
+        cov = _k_gather_add2(x, lay)
         self._any_z = False
         for st in active:
             if st.dual.z:
@@ -1046,27 +1038,16 @@ class _BatchEngine:
                     st.graph.n, lay.src[st.slot], lay.dst[st.slot],
                     lay.lvl[st.slot], st.dual.z, cov[sl],
                 )
-        shifted = _k_tick_stored_shift(cov, lay.wk, lay.off, alphas)
-        support_vals, usc_arr = _k_tick_stored_post(
-            np.exp(-shifted), lay.wk, lay.probs, lay.off
-        )
+        shifted = _k_tick_stored_shift(cov, alphas, lay)
+        support_vals, usc_arr = _k_tick_stored_post(np.exp(-shifted), lay)
 
         # ---- packing multipliers zeta over the Po box ----
         # gather-first: the Po ratios are only ever read at the has_ik
-        # cells, so evaluate 2 x + zload there instead of over the plane
-        arg = _k_tick_pack_arg(
-            x,
-            self.dualb.zload if self._any_z else None,
-            cells.hik_idx,
-            self.po3_hik,
-            self.alpha_p_hik,
-            cells.hik_off,
-            act,
-        )
-        zeta = self._zeta_scratch
-        zmul, qo_arr = _k_tick_pack_post(
-            np.exp(arg), self.po3_hik, cells.hik_idx, cells.hik_off, zeta
-        )
+        # cells, so evaluate 2 x + zload there instead of over the plane;
+        # zeta is zmul there and zero elsewhere
+        zload = self.dualb.zload if self._any_z else None
+        arg = _k_tick_pack_arg(x, zload, self.alpha_p, act, self.cells)
+        zmul, qo_arr = _k_tick_pack_post(np.exp(arg), self.cells)
 
         searchers: list[_InstanceState] = []
         for st in active:
@@ -1090,7 +1071,6 @@ class _BatchEngine:
                 [st.slot for st in searchers],
                 lay,
                 support_vals,
-                zeta,
                 zmul,
                 beta={st.slot: st.beta for st in searchers},
                 use_odd={st.slot: st.use_odd for st in searchers},
@@ -1147,12 +1127,17 @@ class _BatchEngine:
             return
 
         # ---- effective width, covering blend, lambda (batched) ----
+        # each step is read where it lies: a vertex-route step in the
+        # oracle kernel's plane, unless a later evaluation made it move
+        steps: list = [None] * B
+        for st, step in blended:
+            steps[st.slot] = step.dual.x
         # Theorem 5 only needs 0 <= A x̃ <= rho c for the step taken, so
         # each step's own live-ratio max sets its width; sigma reads only
         # max(PENALTY_WIDTH_BOUND, width), which a box bound of at most
         # PENALTY_WIDTH_BOUND settles without the scan
         sigmas = np.zeros(B)
-        for (st, step), box in zip(blended, self._width_bounds(blended)):
+        for (st, step), box in zip(blended, self._width_bounds(blended, steps)):
             if box * (1.0 + _BOUND_MARGIN) <= PENALTY_WIDTH_BOUND:
                 rho_step = PENALTY_WIDTH_BOUND
             else:
@@ -1160,11 +1145,6 @@ class _BatchEngine:
             sigmas[st.slot] = min(
                 0.5, cfg.step_scale * eps / (4.0 * st.alpha * rho_step)
             )
-        # each step is read where it lies: a vertex-route step in the
-        # oracle kernel's plane, unless a later evaluation made it move
-        steps: list = [None] * B
-        for st, step in blended:
-            steps[st.slot] = step.dual.x
         _k_blend(x, steps, sigmas, self.blend_cells)
         for st, step in blended:
             if st.dual.z or step.dual.z:
@@ -1190,7 +1170,7 @@ class _BatchEngine:
                 if not self._advance_sparsifier(st):
                     st.phase = _PHASE_ROUND_END
 
-    def _width_bounds(self, blended) -> np.ndarray:
+    def _width_bounds(self, blended, steps: list) -> np.ndarray:
         """An upper bound on each blended step's width, one pass over all.
 
         A live level-``k`` edge ``(i, j)`` is covered by at most
@@ -1199,18 +1179,15 @@ class _BatchEngine:
         + zload) / ŵ_k`` over the cells ``(i, k)`` with a live level-``k``
         edge at ``i`` (the ``has_ik`` cells) bounds the width at
         O(|has_ik|) cost: one kernel pass reads each step's has_ik cells
-        from the step's own plane.
+        from the step's own plane, ``steps[slot]`` (the blend's list).
         """
-        B = self.batch.size
-        steps: list = [None] * B
         zloads: list | None = None
         for st, step in blended:
-            steps[st.slot] = step.dual.x
             if step.dual.z:
                 if zloads is None:
-                    zloads = [None] * B
+                    zloads = [None] * len(steps)
                 zloads[st.slot] = step.dual.z_load()
-        box = _k_width_box(steps, zloads, self.cells, self.wk_hik)
+        box = _k_width_box(steps, zloads, self.cells)
         return box[[st.slot for st, _ in blended]]
 
     def _lambda_bounds(self, blended) -> np.ndarray:

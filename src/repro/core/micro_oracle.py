@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.batch import GraphBatch, StoredBatchLayout, expand
+from repro.core.batch import GraphBatch, StoredBatchLayout
 from repro.core.levels import LevelDecomposition
 from repro.core.odd_sets import find_dense_odd_sets
 from repro.core.relaxations import LayeredDual
@@ -140,14 +140,14 @@ def micro_oracle(
     batch = GraphBatch(graphs=[g], levels=[levels])
     # the oracle reads no sampling probabilities: unit placeholders
     stored = StoredBatchLayout.build(batch, {0: (ids, np.ones(ids.size))})
-    flat_zeta = np.ascontiguousarray(zeta).ravel()
+    flat_zeta = zeta.ravel()
     hik_idx = np.flatnonzero(flat_zeta != 0.0)
     # the kernel's candidate cells: where zeta or the support scatter s
     # may be nonzero
     cells = OracleCells(batch, hik_idx, np.concatenate([stored.src_vl, stored.dst_vl]))
     ctx = BatchMicroContext(
         OracleScratch(batch, cells), [0], stored,
-        np.ascontiguousarray(support.values), flat_zeta, flat_zeta[hik_idx],
+        np.ascontiguousarray(support.values), flat_zeta[hik_idx],
         beta={0: beta}, use_odd={0: odd_sets}, eps=eps,
     )
     results, _po = ctx.evaluate([0], {0: rho})
@@ -297,11 +297,12 @@ class BatchMicroContext:
     ``scratch`` is the batch's :class:`~repro.kernels.OracleScratch`,
     built once per batch for a cell list that holds every cell where
     the support scatter ``s`` or ``zeta`` may be nonzero.  ``zeta`` is
-    zero off the list's has_ik cells (``scratch.cells.hik_idx``), where
-    it equals ``zmul``.  The solver engine's list is its has_ik cells
-    alone: every stored edge is live, so its cells are has_ik cells
-    already.  :func:`micro_oracle` adds both cells of every support
-    edge.
+    ``zmul`` at the list's has_ik cells (``scratch.cells.hik_idx``) and
+    zero elsewhere; the plane itself is built only where it is read,
+    in the odd-set/witness tail and for instances with a single level.
+    The solver engine's list is its has_ik cells alone: every stored
+    edge is live, so its cells are has_ik cells already.
+    :func:`micro_oracle` adds both cells of every support edge.
     """
 
     def __init__(
@@ -310,7 +311,6 @@ class BatchMicroContext:
         active: list[int],
         stored,
         support_vals: np.ndarray,
-        zeta: np.ndarray,
         zmul: np.ndarray,
         beta: dict[int, float],
         use_odd: dict[int, bool],
@@ -322,7 +322,6 @@ class BatchMicroContext:
         self.active = list(active)
         self.stored = stored
         self.support_vals = support_vals
-        self.zeta = zeta
         self.zmul = zmul
         self.beta = beta
         self.use_odd = use_odd
@@ -332,12 +331,8 @@ class BatchMicroContext:
         # kernel adds all src contributions first, then all dst.  The
         # previous tick's context, the only other reader of the buffer,
         # is done with it by the time the next one is built.
-        _k_dual_scatter(
-            stored.src_vl, stored.dst_vl, support_vals, scratch.s, scratch.cells
-        )
-        self.us_mass = _k_index_scatter(
-            stored.l_idx, support_vals, int(batch.l_off[-1])
-        )
+        _k_dual_scatter(support_vals, scratch.s, stored, scratch.cells)
+        self.us_mass = _k_index_scatter(stored.l_idx, support_vals, stored.nl)
 
         # zeta's per-level column sums.  For L >= 2 numpy reduces an
         # (n, L) plane over axis 0 by sequential row accumulation, which
@@ -349,10 +344,11 @@ class BatchMicroContext:
         # reads).  L == 1 planes would take numpy's pairwise contiguous
         # reduction instead, so that (unused in practice) shape keeps
         # the per-instance loop.
-        if scratch.hik_l_idx is not None:
-            zsum = _k_index_scatter(scratch.hik_l_idx, zmul, int(batch.l_off[-1]))
+        if scratch.cells.l_idx is not None:
+            zsum = _k_index_scatter(scratch.cells.l_idx, zmul, stored.nl)
         else:
-            zsum = np.zeros(int(batch.l_off[-1]), dtype=np.float64)
+            zsum = np.zeros(stored.nl, dtype=np.float64)
+            zeta = self._zeta()
             for i in self.active:
                 batch.l_view(zsum, i)[:] = batch.vl_view(zeta, i).sum(axis=0)
         self.zsum = zsum
@@ -422,15 +418,15 @@ class BatchMicroContext:
 
         # Step 9: lift zeta for violated vertices of the remaining instances
         pos_mask = sc.net > 0.0
-        ks_vl = expand(sc.k_star_row, b.row_len)
+        ks_vl = np.repeat(sc.k_star_row, b.row_len)
         viol_vl = ks_vl >= 0
         inst_rest = np.zeros(B, dtype=bool)
         inst_rest[rest] = True
-        rest_vl = expand(inst_rest, b.vl_count)
+        rest_vl = np.repeat(inst_rest, b.vl_count)
         cond = (b.col_vl <= ks_vl) & viol_vl & rest_vl & pos_mask
         with np.errstate(divide="ignore", invalid="ignore"):
-            lifted = sc.s / expand(2.0 * rho_b, b.vl_count)
-        zeta_bar = np.where(cond, lifted, self.zeta)
+            lifted = sc.s / np.repeat(2.0 * rho_b, b.vl_count)
+        zeta_bar = np.where(cond, lifted, self._zeta())
 
         # Steps 10-21 per instance (rare)
         for i in rest:
@@ -462,6 +458,13 @@ class BatchMicroContext:
             if isinstance(tail, OracleDualStep):
                 po[i] = self._po_single(i, tail)
         return out, po
+
+    def _zeta(self) -> np.ndarray:
+        """The packing multipliers as a VL plane: ``zmul`` at the has_ik
+        cells, zero elsewhere."""
+        zeta = self.batch.zeros_vl()
+        zeta[self.scratch.cells.hik_idx] = self.zmul
+        return zeta
 
     # ------------------------------------------------------------------
     def _po_single(self, i: int, step: OracleDualStep) -> float:

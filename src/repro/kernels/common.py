@@ -7,7 +7,11 @@ The fused Algorithm 5 kernel reads and writes the buffers of one
 on that layout.  Each evaluation overwrites the scratch's outputs, so
 callers copy what they keep past the next one (``BatchMicroContext.
 evaluate`` hands out each step as a view of ``step_x`` and copies it
-out before evaluating again).
+out before evaluating again).  The inner tick's other kernels read
+their indices, offsets and per-cell constants from the cell list and
+from the stored-edge layout
+(:class:`~repro.core.batch.StoredBatchLayout`), which check them when
+they are built.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ __all__ = [
     "OracleScratch",
     "blossom_input",
     "forest_input",
+    "scatter_input",
 ]
 
 # canonical definition lives in repro.sketch.hashing; repeated here so
@@ -40,9 +45,11 @@ class OracleCells:
     ``idx[row_ptr[r]:row_ptr[r + 1]]``, so instance ``i``'s start at
     ``row_ptr[v_off[i]]``), each cell's position in ``hik_idx``
     (``hik``, ``-1`` off has_ik), and ``hik_idx`` itself with each
-    instance's first position in it (``hik_off``).  The C kernels index
-    through these arrays, so they are checked here, once: sorted, in
-    range, pointers consistent with the layout's rows.  The layout's
+    instance's first position in it (``hik_off``).  Each has_ik cell
+    also gets its ``ŵ_k`` (``wk``) and its level-space id (``l_idx``;
+    None when an instance has fewer than two levels).  The C kernels
+    index through these arrays, so they are checked here, once: sorted,
+    in range, pointers consistent with the layout's rows.  The layout's
     offset tables (``row_off``, ``v_off``, ``vl_off``) stay with the
     list; the native wrappers read them from here.
     """
@@ -66,6 +73,11 @@ class OracleCells:
         self.hik_idx = hik_idx
         # strictly increasing and in range: the per-instance counts
         self.hik_off = np.searchsorted(hik_idx, batch.vl_off).astype(np.int64)
+        self.wk = batch.wk_vl[hik_idx]
+        self.l_idx = None
+        if batch.size and int(batch.L.min()) >= 2:
+            inst_l_off = np.repeat(batch.l_off[:-1], np.diff(self.hik_off))
+            self.l_idx = inst_l_off + batch.col_vl[hik_idx]
         self.row_off = batch.row_off
         self.v_off = batch.v_off
         self.vl_off = batch.vl_off
@@ -79,13 +91,12 @@ class OracleScratch:
     Built once per batch layout for one cell list of that layout, and
     reused by every evaluation on it.  Holds the support scatter ``s``
     (zero off the cells, where ``dual_scatter`` clears and writes it),
-    the has_ik cells' level-space ids ``hik_l_idx`` (None when an
-    instance has fewer than two levels), the per-call multipliers
-    ``rho`` and ``beta``, the kernel's outputs (``gamma``, ``gamma_v``,
-    ``route``, ``k_star_row``, ``net`` -- the positive net -- ``step_x``
-    and ``po``) and its work buffers: ``prefix``, ``cs`` and
-    ``row_tot`` serve the numpy reference, ``row``, ``pc``, ``tmp_l``,
-    ``gath``, ``pobuf``, ``active`` and ``goflag`` the native kernel.
+    the per-call multipliers ``rho`` and ``beta``, the kernel's outputs
+    (``gamma``, ``gamma_v``, ``route``, ``k_star_row``, ``net`` -- the
+    positive net -- ``step_x`` and ``po``) and its work buffers:
+    ``prefix``, ``cs`` and ``row_tot`` serve the numpy reference,
+    ``row``, ``pc``, ``tmp_l``, ``gath``, ``pobuf``, ``active`` and
+    ``goflag`` the native kernel.
     The native kernel writes ``net`` and ``step_x`` only at the cells,
     so both start zeroed.  Segments of instances outside an
     evaluation's subset hold stale values and are never read.
@@ -99,10 +110,6 @@ class OracleScratch:
         B, nv, nvl = batch.size, int(batch.v_off[-1]), int(batch.vl_off[-1])
         max_L = int(batch.L.max(initial=1))
         self.s = np.zeros(nvl)
-        self.hik_l_idx = None
-        if B and int(batch.L.min()) >= 2:
-            lidx = np.repeat(batch.l_off[:-1], batch.vl_count) + batch.col_vl
-            self.hik_l_idx = np.ascontiguousarray(lidx[cells.hik_idx], dtype=np.int64)
         self.rho = np.zeros(B)
         self.beta = np.ones(B)
         self.gamma = np.zeros(B)
@@ -142,6 +149,24 @@ def blossom_input(nv, src, dst, weight) -> tuple[int, np.ndarray, np.ndarray, np
     if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= nv):
         raise ValueError("edge endpoint out of range")
     return nv, src, dst, weight
+
+
+def scatter_input(idx, vals, size) -> tuple[np.ndarray, np.ndarray, int]:
+    """Normalize and check ``index_scatter`` arguments (both backends).
+
+    The result has ``size`` entries and the native kernel adds into it
+    at ``idx``, so an id outside ``0..size-1`` must fail here, the same
+    way on both sides.
+    """
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    vals = np.ascontiguousarray(vals, dtype=np.float64)
+    size = int(size)
+    if not (idx.ndim == vals.ndim == 1 and len(idx) == len(vals)) or size < 0:
+        raise ValueError("idx and vals must be 1-d arrays of equal length, size >= 0")
+    # as uint64 a negative id is huge, so one max checks both ends
+    if len(idx) and idx.view(np.uint64).max() >= size:
+        raise ValueError(f"scatter id out of range for size {size}")
+    return idx, vals, size
 
 
 def forest_input(table, count, k, src, dst, out) -> tuple[int, int, np.ndarray, np.ndarray]:

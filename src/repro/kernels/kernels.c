@@ -263,14 +263,14 @@ void rk_blend(double *x, const int64_t *steps, const double *sig,
 }
 
 /* box_i = max over instance i's has_ik cells (cell_hik[c] >= 0) of
- * (2 step_i (+ zload_i)) / wk_hik; 0.0 for an instance without a step
+ * (2 step_i (+ zload_i)) / wk; 0.0 for an instance without a step
  * or without such cells, NaN if any term is.  The max is taken as
  * `(f > m) ? f : m`, which compiles to a branch-free maxsd, and NaNs
  * are counted apart. */
 void rk_width_box(const int64_t *steps, const int64_t *zloads,
                   const int64_t *cell_vl, const int64_t *cell_ptr,
                   const int64_t *cell_hik, const int64_t *v_off,
-                  const int64_t *vl_off, const double *wk_hik, int64_t B,
+                  const int64_t *vl_off, const double *wk, int64_t B,
                   double *box) {
     for (int64_t i = 0; i < B; i++) {
         const double *o = rk_plane(steps, i);
@@ -283,7 +283,7 @@ void rk_width_box(const int64_t *steps, const int64_t *zloads,
             int64_t j = cell_vl[c] - base;
             double f = 2.0 * o[j];
             if (zl) f += zl[j];
-            f /= wk_hik[t];
+            f /= wk[t];
             m = (f > m) ? f : m;
             nan |= (f != f);
             seen = 1;
@@ -339,11 +339,11 @@ void rk_tick_stored_post(const double *e, const double *wk, const double *probs,
     }
 }
 
-/* arg = alpha_p * ((2x[g] (+ zload[g])) / po3 - max_i(...)), max only
- * for flagged instances (numpy leaves fmax = 0 elsewhere).  Like
+/* arg = alpha_p_i * ((2x[g] (+ zload[g])) / (3 wk) - max_i(...)), max
+ * only for flagged instances (numpy leaves fmax = 0 elsewhere).  Like
  * numpy's .max(), the max is NaN if any term is (NaNs counted apart). */
 void rk_tick_pack_arg(const double *x, const double *zload, int64_t any_z,
-                      const int64_t *hik_idx, const double *po3,
+                      const int64_t *hik_idx, const double *wk,
                       const double *alpha_p, const int64_t *off, int64_t B,
                       const uint8_t *active, double *arg) {
     for (int64_t i = 0; i < B; i++) {
@@ -354,30 +354,28 @@ void rk_tick_pack_arg(const double *x, const double *zload, int64_t any_z,
         for (int64_t t = lo; t < hi; t++) {
             double f = 2.0 * x[hik_idx[t]];
             if (any_z) f += zload[hik_idx[t]];
-            f /= po3[t];
+            f /= 3.0 * wk[t];
             arg[t] = f;
             if (active[i] && (t == lo || f > fmax)) fmax = f;
             nan |= (f != f);
         }
         if (active[i] && nan) fmax = NAN;
-        for (int64_t t = lo; t < hi; t++) arg[t] = alpha_p[t] * (arg[t] - fmax);
+        double a = alpha_p[i];
+        for (int64_t t = lo; t < hi; t++) arg[t] = a * (arg[t] - fmax);
     }
 }
 
-/* zmul = e/po3; zeta[hik] = zmul; qo_i = pw(zmul*po3).  zeta is written
- * at the has_ik cells only: the caller keeps it zero elsewhere. */
-void rk_tick_pack_post(const double *e, const double *po3, const int64_t *hik_idx,
-                       const int64_t *off, int64_t B, double *zeta,
-                       double *zmul, double *scratch, double *qo) {
+/* zmul = e / (3 wk); qo_i = pw(zmul * (3 wk)) */
+void rk_tick_pack_post(const double *e, const double *wk, const int64_t *off,
+                       int64_t B, double *zmul, double *scratch, double *qo) {
     for (int64_t i = 0; i < B; i++) {
         int64_t lo = off[i], hi = off[i + 1];
-        /* the scatter in a loop of its own, so that this one vectorizes */
         for (int64_t t = lo; t < hi; t++) {
-            double zm = e[t] / po3[t];
+            double po3 = 3.0 * wk[t];
+            double zm = e[t] / po3;
             zmul[t] = zm;
-            scratch[t] = zm * po3[t];
+            scratch[t] = zm * po3;
         }
-        for (int64_t t = lo; t < hi; t++) zeta[hik_idx[t]] = zmul[t];
         qo[i] = pw_sum(scratch + lo, hi - lo);
     }
 }
@@ -409,8 +407,9 @@ static inline double rk_pos(double v) { return rk_mask(v, v > 0.0); }
  *
  * Each vertex row visits only its candidate cells: the VL ids
  * cell_vl[cell_ptr[r] .. cell_ptr[r+1]), increasing, with cell_hik[c]
- * the cell's position in hik_idx/zmul or -1.  The caller guarantees
- * that s and zeta vanish off those cells, so there net = +0.0 and:
+ * the cell's position in hik_idx/zmul or -1.  zeta is zmul at the
+ * has_ik cells and zero elsewhere, and the caller guarantees that s
+ * vanishes off the cells, so there net = +0.0 and:
  * - the running sums P (of wk * pos) and C (of pos) are unchanged by
  *   the skipped cells, since adding +0.0 to a nonnegative sum is exact;
  * - the row total is numpy's pairwise sum over all L entries, so the

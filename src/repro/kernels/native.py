@@ -25,6 +25,7 @@ from repro.kernels.common import (
     OracleScratch,
     blossom_input,
     forest_input,
+    scatter_input,
 )
 
 _lib = load_library()
@@ -82,8 +83,7 @@ _sig(
 )
 _sig(
     "rk_tick_pack_post", None,
-    c_void_p, c_void_p, c_void_p, c_void_p, c_int64, c_void_p,
-    c_void_p, c_void_p, c_void_p,
+    c_void_p, c_void_p, c_void_p, c_int64, c_void_p, c_void_p, c_void_p,
 )
 _sig(
     "rk_oracle_eval", c_int64,
@@ -126,14 +126,45 @@ def _c(a, dtype) -> np.ndarray:
 
 def _cell_ptrs(cells: OracleCells) -> tuple:
     """Raw pointers of a cell list (checked and fixed once it is built),
-    cached on it: ``idx``, ``row_ptr``, ``hik``, then the layout's
-    ``v_off`` and ``vl_off``.  An ndarray's buffer address is fixed for
-    its lifetime, and the list keeps its arrays alive."""
+    cached on it: ``idx``, ``row_ptr``, ``hik``, the layout's ``v_off``
+    and ``vl_off``, then ``hik_idx``, ``hik_off`` and ``wk``.  An
+    ndarray's buffer address is fixed for its lifetime, and the list
+    keeps its arrays alive."""
     if cells.ptrs is None:
-        cells.ptrs = tuple(
-            _p(a) for a in (cells.idx, cells.row_ptr, cells.hik, cells.v_off, cells.vl_off)
-        )
+        cells.ptrs = tuple(_p(a) for a in (
+            cells.idx, cells.row_ptr, cells.hik, cells.v_off, cells.vl_off,
+            cells.hik_idx, cells.hik_off, cells.wk,
+        ))
     return cells.ptrs
+
+
+def _layout_ptrs(lay) -> tuple:
+    """Raw pointers of a stored-edge layout (checked when it is built),
+    cached on it: ``src_vl``, ``dst_vl``, ``off``, ``wk`` and
+    ``probs``."""
+    if lay.ptrs is None:
+        lay.ptrs = tuple(_p(a) for a in (lay.src_vl, lay.dst_vl, lay.off, lay.wk, lay.probs))
+    return lay.ptrs
+
+
+def _buffer(a, size: int, name: str) -> np.ndarray:
+    """``a`` if it is a C-contiguous float64 array of ``size`` entries,
+    which a kernel may read or write through its address."""
+    if not (
+        isinstance(a, np.ndarray) and a.dtype == _F64
+        and a.flags.c_contiguous and a.size == size
+    ):
+        raise ValueError(f"{name} must be a C-contiguous float64 array of {size} entries")
+    return a
+
+
+def _values(a, size: int, name: str, dtype=_F64) -> np.ndarray:
+    """``a`` as a C-contiguous array of ``dtype``, refused unless it has
+    ``size`` entries."""
+    v = _c(a, dtype)
+    if v.size != size:
+        raise ValueError(f"{name} must have {size} entries, got {v.size}")
+    return v
 
 
 def _plane_ptrs(planes, cells: OracleCells) -> np.ndarray:
@@ -227,26 +258,26 @@ def decode_planes(s0, s1, fp, z, universe: int) -> list[tuple[int, int] | None]:
 # ----------------------------------------------------------------------
 # Segment / scatter / gather primitives
 # ----------------------------------------------------------------------
-def gather_add2(buf, idx_a, idx_b) -> np.ndarray:
-    out = np.empty(len(idx_a), dtype=_F64)
-    _lib.rk_gather_add2(_p(buf), _p(idx_a), _p(idx_b), _p(out), len(idx_a))
+def gather_add2(buf, lay) -> np.ndarray:
+    _buffer(buf, lay.nvl, "buf")
+    src, dst, *_ = _layout_ptrs(lay)
+    out = np.empty(lay.off_list[-1], dtype=_F64)
+    _lib.rk_gather_add2(_p(buf), src, dst, _p(out), len(out))
     return out
 
 
-def dual_scatter(src, dst, vals, out, cells) -> None:
-    sc, dc, vc = _c(src, _I64), _c(dst, _I64), _c(vals, _F64)
-    if not (
-        isinstance(out, np.ndarray) and out.dtype == _F64 and out.flags.c_contiguous
-        and out.size == cells.vl_off[-1]
-    ):
-        raise ValueError("out must be a C-contiguous float64 array of the cell list's layout")
-    _lib.rk_dual_scatter(
-        _p(out), _cell_ptrs(cells)[0], len(cells.idx), _p(sc), _p(dc), _p(vc), len(vc)
-    )
+def dual_scatter(vals, out, lay, cells) -> None:
+    n = lay.off_list[-1]
+    vc = _values(vals, n, "vals")
+    if cells.vl_off[-1] != lay.nvl:
+        raise ValueError("the cell list and the stored-edge layout are of different batches")
+    _buffer(out, lay.nvl, "out")
+    src, dst, *_ = _layout_ptrs(lay)
+    _lib.rk_dual_scatter(_p(out), _cell_ptrs(cells)[0], len(cells.idx), src, dst, _p(vc), n)
 
 
 def index_scatter(idx, vals, size: int) -> np.ndarray:
-    ic, vc = _c(idx, _I64), _c(vals, _F64)
+    ic, vc, size = scatter_input(idx, vals, size)
     out = np.zeros(size, dtype=_F64)
     _lib.rk_index_scatter(_p(out), _p(ic), _p(vc), len(vc))
     return out
@@ -260,21 +291,18 @@ def blend(x, steps, sigmas, cells) -> None:
         and len(sig) == len(planes)
     ):
         raise ValueError("x and sigmas must match the cell list's layout")
-    idx, row_ptr, _hik, v_off, vl_off = _cell_ptrs(cells)
+    idx, row_ptr, _hik, v_off, vl_off, *_ = _cell_ptrs(cells)
     _lib.rk_blend(_p(x), _p(planes), _p(sig), idx, row_ptr, v_off, vl_off, len(planes))
 
 
-def width_box(steps, zloads, cells, wk_hik) -> np.ndarray:
+def width_box(steps, zloads, cells) -> np.ndarray:
     planes = _plane_ptrs(steps, cells)
     zplanes = None if zloads is None else _plane_ptrs(zloads, cells)
-    wk = _c(wk_hik, _F64)
-    if len(wk) != len(cells.hik_idx):
-        raise ValueError("wk_hik must have one entry per has_ik cell of the list")
     box = np.empty(len(planes), dtype=_F64)
-    idx, row_ptr, hik, v_off, vl_off = _cell_ptrs(cells)
+    idx, row_ptr, hik, v_off, vl_off, _hik_idx, _hik_off, wk = _cell_ptrs(cells)
     _lib.rk_width_box(
         _p(planes), None if zplanes is None else _p(zplanes),
-        idx, row_ptr, hik, v_off, vl_off, _p(wk), len(planes), _p(box),
+        idx, row_ptr, hik, v_off, vl_off, wk, len(planes), _p(box),
     )
     return box
 
@@ -282,43 +310,50 @@ def width_box(steps, zloads, cells, wk_hik) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Inner-tick fused stages
 # ----------------------------------------------------------------------
-def tick_stored_shift(cov, wk, off, alphas) -> np.ndarray:
+def tick_stored_shift(cov, alphas, lay) -> np.ndarray:
+    B = len(lay.off_list) - 1
+    cov = _values(cov, lay.off_list[-1], "cov")
+    alphas = _values(alphas, B, "alphas")
+    _src, _dst, off, wk, _probs = _layout_ptrs(lay)
     shifted = np.empty(len(cov), dtype=_F64)
-    _lib.rk_tick_stored_shift(_p(cov), _p(wk), _p(off), len(off) - 1, _p(alphas), _p(shifted))
+    _lib.rk_tick_stored_shift(_p(cov), wk, off, B, _p(alphas), _p(shifted))
     return shifted
 
 
-def tick_stored_post(e, wk, probs, off):
-    B = len(off) - 1
+def tick_stored_post(e, lay):
+    B = len(lay.off_list) - 1
+    e = _values(e, lay.off_list[-1], "e")
+    _src, _dst, off, wk, probs = _layout_ptrs(lay)
     support_vals = np.empty(len(e), dtype=_F64)
     scratch = np.empty(len(e), dtype=_F64)
     usc = np.zeros(B, dtype=_F64)
-    _lib.rk_tick_stored_post(
-        _p(e), _p(wk), _p(probs), _p(off), B, _p(support_vals), _p(scratch), _p(usc)
-    )
+    _lib.rk_tick_stored_post(_p(e), wk, probs, off, B, _p(support_vals), _p(scratch), _p(usc))
     return support_vals, usc
 
 
-def tick_pack_arg(x, zload, hik_idx, po3_hik, alpha_p_hik, off, active):
-    arg = np.empty(len(hik_idx), dtype=_F64)
-    any_z = 0 if zload is None else 1
-    z = x if zload is None else zload  # dummy pointer when unused
+def tick_pack_arg(x, zload, alpha_p, active, cells):
+    nvl, B = int(cells.vl_off[-1]), len(cells.vl_count)
+    _buffer(x, nvl, "x")
+    z = x if zload is None else _buffer(zload, nvl, "zload")  # dummy pointer when unused
+    alpha_p = _values(alpha_p, B, "alpha_p")
+    act = _values(active, B, "active", np.uint8)
+    *_, hik_idx, hik_off, wk = _cell_ptrs(cells)
+    arg = np.empty(len(cells.hik_idx), dtype=_F64)
     _lib.rk_tick_pack_arg(
-        _p(x), _p(z), any_z, _p(hik_idx), _p(po3_hik), _p(alpha_p_hik),
-        _p(off), len(off) - 1, _p(active), _p(arg),
+        _p(x), _p(z), int(zload is not None), hik_idx, wk, _p(alpha_p),
+        hik_off, B, _p(act), _p(arg),
     )
     return arg
 
 
-def tick_pack_post(e, po3_hik, hik_idx, off, zeta):
-    B = len(off) - 1
+def tick_pack_post(e, cells):
+    B = len(cells.vl_count)
+    e = _values(e, len(cells.hik_idx), "e")
+    *_, hik_off, wk = _cell_ptrs(cells)
     zmul = np.empty(len(e), dtype=_F64)
     scratch = np.empty(len(e), dtype=_F64)
     qo = np.zeros(B, dtype=_F64)
-    _lib.rk_tick_pack_post(
-        _p(e), _p(po3_hik), _p(hik_idx), _p(off), B, _p(zeta),
-        _p(zmul), _p(scratch), _p(qo),
-    )
+    _lib.rk_tick_pack_post(_p(e), wk, hik_off, B, _p(zmul), _p(scratch), _p(qo))
     return zmul, qo
 
 
@@ -330,11 +365,12 @@ def _scratch_ptrs(sc: OracleScratch) -> tuple:
     per-call ones: the layout and its cells, then ``s`` and the has_ik
     tables, then ``active``, ``rho`` and ``beta``, then the outputs and
     work buffers.  The scratch keeps every array alive."""
-    b, c = sc.batch, sc.cells
+    b = sc.batch
+    idx, row_ptr, hik, _v_off, _vl_off, hik_idx, hik_off, _wk = _cell_ptrs(sc.cells)
     return (
         (b.size, *map(_p, (b.l_off, b.v_off, b.row_off, b.row_len, b.wk_l, b.b_vl)),
-         *_cell_ptrs(c)[:3]),
-        tuple(map(_p, (sc.s, c.hik_idx, c.hik_off))),
+         idx, row_ptr, hik),
+        (_p(sc.s), hik_idx, hik_off),
         tuple(map(_p, (sc.active, sc.rho, sc.beta))),
         tuple(map(_p, (
             sc.tmp_l, sc.row, sc.pc, sc.gath, sc.pobuf, sc.goflag,
@@ -344,9 +380,11 @@ def _scratch_ptrs(sc: OracleScratch) -> tuple:
 
 
 def oracle_eval(us_mass, zsum, zmul, sub, eps: float, scratch: OracleScratch) -> int:
-    # the kernel reads zmul at the has_ik positions of the scratch's list
-    if len(zmul) != len(scratch.cells.hik_idx):
-        raise ValueError("zmul must have one entry per has_ik cell of the scratch's list")
+    # the kernel reads us_mass and zsum over the level space, and zmul
+    # at the has_ik positions of the scratch's list
+    nl = scratch.batch.l_off_list[-1]
+    us_mass, zsum = _values(us_mass, nl, "us_mass"), _values(zsum, nl, "zsum")
+    zmul = _values(zmul, len(scratch.cells.hik_idx), "zmul")
     active = scratch.active
     active.fill(0)
     for i in sub:

@@ -25,6 +25,7 @@ from repro.kernels.common import (
     OracleScratch,
     blossom_input,
     forest_input,
+    scatter_input,
 )
 
 _MASK32 = np.uint64((1 << 32) - 1)
@@ -245,28 +246,29 @@ def decode_planes(
 # ----------------------------------------------------------------------
 # Segment / scatter / gather primitives (batched solver)
 # ----------------------------------------------------------------------
-def gather_add2(buf: np.ndarray, idx_a: np.ndarray, idx_b: np.ndarray) -> np.ndarray:
-    """``buf[idx_a] + buf[idx_b]`` (edge coverage gather)."""
-    return buf[idx_a] + buf[idx_b]
+def gather_add2(buf: np.ndarray, lay) -> np.ndarray:
+    """``buf[src_vl] + buf[dst_vl]`` over the stored-edge layout ``lay``
+    (edge coverage gather)."""
+    return buf[lay.src_vl] + buf[lay.dst_vl]
 
 
-def dual_scatter(src: np.ndarray, dst: np.ndarray, vals: np.ndarray,
-                 out: np.ndarray, cells: OracleCells) -> None:
-    """Scatter-add ``vals`` at ``src`` then at ``dst`` into ``out``.
+def dual_scatter(vals: np.ndarray, out: np.ndarray, lay, cells: OracleCells) -> None:
+    """Scatter-add ``vals`` at the layout's ``src_vl`` then at its
+    ``dst_vl`` into ``out``.
 
     All src contributions accumulate first, then all dst, sequentially
     in element order -- the accumulation order of two sequential
     ``np.add.at`` calls and of ``np.bincount`` over the concatenation.
 
-    ``out`` is the layout's reusable VL-sized buffer and ``cells`` a
-    cell list of that layout: the native kernel zeroes only the list's
+    ``out`` is the batch's reusable VL-sized buffer and ``cells`` a
+    cell list of that batch: the native kernel zeroes only the list's
     cells of ``out`` before scattering, so ``out`` must be zero off
-    them and every ``src`` and ``dst`` must be among them.  The
+    them and every stored edge's cells must be among them.  The
     reference rewrites all of ``out``.
     """
     del cells
     out[:] = np.bincount(
-        np.concatenate([src, dst]),
+        np.concatenate([lay.src_vl, lay.dst_vl]),
         weights=np.concatenate([vals, vals]),
         minlength=out.size,
     )
@@ -274,6 +276,7 @@ def dual_scatter(src: np.ndarray, dst: np.ndarray, vals: np.ndarray,
 
 def index_scatter(idx: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
     """Sequential scatter-add into a fresh buffer of ``size`` entries."""
+    idx, vals, size = scatter_input(idx, vals, size)
     return np.bincount(idx, weights=vals, minlength=size)
 
 
@@ -296,16 +299,15 @@ def blend(x: np.ndarray, steps: list, sigmas: np.ndarray,
             seg += sigmas[i] * step.ravel()
 
 
-def width_box(steps: list, zloads: list | None, cells: OracleCells,
-              wk_hik: np.ndarray) -> np.ndarray:
+def width_box(steps: list, zloads: list | None, cells: OracleCells) -> np.ndarray:
     """Each step's box: the max of ``(2 step + zload) / ŵ_k`` over its
     instance's has_ik cells.
 
     ``steps`` and ``zloads`` hold per-instance ``(n_i, L_i)`` planes or
     None (``zloads`` None: no z-load anywhere); ``cells`` is a cell list
-    of the layout, whose has_ik cells (``cells.hik >= 0``) are read, and
-    ``wk_hik[t]`` is ``ŵ_k`` at has_ik cell ``t``.  Instances without a
-    step, or without has_ik cells, get 0.0.
+    of the layout, whose has_ik cells (``cells.hik >= 0``) are read with
+    their ``ŵ_k`` (``cells.wk``).  Instances without a step, or without
+    has_ik cells, get 0.0.
     """
     box = np.zeros(len(steps))
     for i, step in enumerate(steps):
@@ -318,7 +320,7 @@ def width_box(steps: list, zloads: list | None, cells: OracleCells,
         seg = 2.0 * step.ravel()[local]
         if zloads is not None and zloads[i] is not None:
             seg += zloads[i].ravel()[local]
-        seg /= wk_hik[pos[on]]
+        seg /= cells.wk[pos[on]]
         if seg.size:
             box[i] = seg.max()
     return box
@@ -327,17 +329,16 @@ def width_box(steps: list, zloads: list | None, cells: OracleCells,
 # ----------------------------------------------------------------------
 # Inner-tick fused stages (exp stays a shared numpy call between halves)
 # ----------------------------------------------------------------------
-def tick_stored_shift(cov: np.ndarray, wk: np.ndarray, off: np.ndarray,
-                      alphas: np.ndarray) -> np.ndarray:
-    """Corollary 6 pre-exp chain over the stored-edge layout.
+def tick_stored_shift(cov: np.ndarray, alphas: np.ndarray, lay) -> np.ndarray:
+    """Corollary 6 pre-exp chain over the stored-edge layout ``lay``.
 
     ``clip(alpha_i * (cov/wk - min_i(cov/wk)), 0, 60)`` with the
     per-instance minimum over each (non-empty) segment
     ``off[i]:off[i + 1]``.
     """
-    off_list, counts = off.tolist(), np.diff(off)
+    off_list, counts = lay.off_list, np.diff(lay.off)
     B = len(counts)
-    ratios = cov / wk
+    ratios = cov / lay.wk
     rmin = np.zeros(B)
     for s in range(B):
         lo, hi = off_list[s], off_list[s + 1]
@@ -348,14 +349,13 @@ def tick_stored_shift(cov: np.ndarray, wk: np.ndarray, off: np.ndarray,
     return shifted
 
 
-def tick_stored_post(e: np.ndarray, wk: np.ndarray, probs: np.ndarray,
-                     off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def tick_stored_post(e: np.ndarray, lay) -> tuple[np.ndarray, np.ndarray]:
     """Post-exp half: support values and per-instance support mass."""
-    off_list = off.tolist()
+    off_list = lay.off_list
     B = len(off_list) - 1
-    u_stored = e / wk
-    support_vals = u_stored / probs
-    usc_all = support_vals * wk
+    u_stored = e / lay.wk
+    support_vals = u_stored / lay.probs
+    usc_all = support_vals * lay.wk
     usc = np.zeros(B)
     for s in range(B):
         lo, hi = off_list[s], off_list[s + 1]
@@ -364,44 +364,38 @@ def tick_stored_post(e: np.ndarray, wk: np.ndarray, probs: np.ndarray,
     return support_vals, usc
 
 
-def tick_pack_arg(x: np.ndarray, zload: np.ndarray | None, hik_idx: np.ndarray,
-                  po3_hik: np.ndarray, alpha_p_hik: np.ndarray,
-                  off: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Packing-multiplier pre-exp chain over the has_ik gather tables.
+def tick_pack_arg(x: np.ndarray, zload: np.ndarray | None, alpha_p: np.ndarray,
+                  active: np.ndarray, cells: OracleCells) -> np.ndarray:
+    """Packing-multiplier pre-exp chain over the has_ik cells of ``cells``.
 
-    ``alpha_p * (flat - fmax_i)`` with ``flat = (2 x (+ zload)) / po3``;
-    ``fmax`` is taken over each instance's segment ``off[i]:off[i + 1]``
-    only where ``active`` flags it (the numpy reference leaves 0.0
-    elsewhere).
+    ``alpha_p_i * (flat - fmax_i)`` with ``flat = (2 x (+ zload)) / (3
+    ŵ_k)`` at the has_ik cells; ``fmax`` is taken over each instance's
+    cells only where ``active`` flags it (the numpy reference leaves
+    0.0 elsewhere).
     """
+    off = cells.hik_off
     off_list, counts = off.tolist(), np.diff(off)
     B = len(counts)
-    flat = 2.0 * x[hik_idx]
+    flat = 2.0 * x[cells.hik_idx]
     if zload is not None:
-        flat += zload[hik_idx]
-    flat /= po3_hik
+        flat += zload[cells.hik_idx]
+    flat /= 3.0 * cells.wk
     fmax = np.zeros(B)
     for s in range(B):
         lo, hi = off_list[s], off_list[s + 1]
         if active[s] and hi > lo:
             fmax[s] = flat[lo:hi].max()
-    return alpha_p_hik * (flat - np.repeat(fmax, counts))
+    return np.repeat(alpha_p, counts) * (flat - np.repeat(fmax, counts))
 
 
-def tick_pack_post(e: np.ndarray, po3_hik: np.ndarray, hik_idx: np.ndarray,
-                   off: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Post-exp half: zeta scatter plus per-instance packing budget.
-
-    The reference clears all of ``zeta`` before writing the has_ik
-    cells; the native kernel writes those cells only, so callers keep
-    ``zeta`` zero elsewhere.
-    """
-    off_list = off.tolist()
+def tick_pack_post(e: np.ndarray, cells: OracleCells) -> tuple[np.ndarray, np.ndarray]:
+    """Post-exp half: the multipliers ``zmul`` at the has_ik cells of
+    ``cells`` plus the per-instance packing budget."""
+    off_list = cells.hik_off.tolist()
     B = len(off_list) - 1
-    zmul = e / po3_hik
-    zeta.fill(0.0)
-    zeta[hik_idx] = zmul
-    qo_all = zmul * po3_hik
+    po3 = 3.0 * cells.wk
+    zmul = e / po3
+    qo_all = zmul * po3
     qo = np.zeros(B)
     for s in range(B):
         lo, hi = off_list[s], off_list[s + 1]

@@ -120,13 +120,13 @@ def _worker_main(conn) -> None:
     Runs in the child.  Messages: ``None`` -> clean shutdown;
     ``("group", backend, shm_name, metas, group_meta)`` -> decode, run,
     reply with ``("ok", [(meta, arrays), ...], trace_or_None)`` or
-    ``("exc", exception)``.  ``group_meta`` (absent in pre-trace
-    messages) currently carries one flag: ``{"trace": bool}`` -- when
-    set, the worker roots a ``"worker"`` span over the group and ships
-    it back as the third reply element (:func:`~repro.server.codec.
-    encode_trace` form), where the parent grafts it into the request
-    tree.  Trace data rides *next to* the encoded results, never inside
-    them, so result digests are unaffected.
+    ``("exc", exception)``.  ``group_meta`` carries one flag,
+    ``{"trace": bool}`` -- when set, the worker roots a ``"worker"``
+    span over the group and ships it back as the third reply element
+    (:func:`~repro.server.codec.encode_trace` form), where the parent
+    grafts it into the request tree.  Trace data rides *next to* the
+    encoded results, never inside them, so result digests are
+    unaffected.
     """
     executor = LocalExecutor()
     # decided once, before the first attach lazily starts anything
@@ -138,8 +138,7 @@ def _worker_main(conn) -> None:
             return
         if msg is None:
             return
-        _, backend, shm_name, metas = msg[:4]
-        group_meta = msg[4] if len(msg) > 4 else {}
+        _, backend, shm_name, metas, group_meta = msg
         root = None
         if group_meta.get("trace"):
             root = obs.Span(
@@ -239,7 +238,7 @@ class _WorkerChannel:
         status, payload = reply[0], reply[1]
         if status == "exc":
             raise payload
-        if cur is not None and len(reply) > 2 and reply[2] is not None:
+        if cur is not None and reply[2] is not None:
             cur.graft(decode_trace(reply[2]))
         with obs.span("shm_decode", results=len(payload)):
             return [

@@ -217,6 +217,8 @@ class SketchTensor:
         row.  The batch may mix slots, repeat indices, and carry
         negative deltas (deletions).
         """
+        if row is not None and not 0 <= int(row) < self.rows:
+            raise IndexError("row out of range")
         indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
         deltas = np.atleast_1d(np.asarray(deltas, dtype=np.int64))
         slot_arr = np.broadcast_to(

@@ -81,9 +81,6 @@ class StreamingDeferredSparsifier:
         self._classes: dict[int, StreamingCutSparsifier] = {}
         self._finalized: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _class_of(self, promise: float) -> int:
-        return int(np.floor(np.log2(max(promise, 1e-300))))
-
     def _class_sparsifier(self, cls: int) -> StreamingCutSparsifier:
         sp = self._classes.get(cls)
         if sp is None:

@@ -4,10 +4,8 @@ from repro.util.graph import CSRAdjacency, Graph, edge_key, merge_parallel_edges
 from repro.util.instrumentation import ResourceLedger, SpaceHighWater
 from repro.util.rng import derive_seed, make_rng, spawn
 from repro.util.validation import (
-    check_capacities,
     check_epsilon,
     check_positive_weights,
-    check_probability,
     require,
 )
 
@@ -23,7 +21,5 @@ __all__ = [
     "derive_seed",
     "check_epsilon",
     "check_positive_weights",
-    "check_capacities",
-    "check_probability",
     "require",
 ]

@@ -1,8 +1,8 @@
 """Validation helpers shared across the library.
 
 Centralizes the argument checks that many public entry points need
-(epsilon ranges, positive weights, capacity vectors), so error messages
-are uniform and the checks are tested once.
+(epsilon ranges, positive weights), so error messages are uniform and
+the checks are tested once.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import numpy as np
 __all__ = [
     "check_epsilon",
     "check_positive_weights",
-    "check_capacities",
-    "check_probability",
     "require",
 ]
 
@@ -31,23 +29,9 @@ def check_epsilon(eps: float, upper: float = 1.0) -> float:
     return eps
 
 
-def check_probability(p: float, name: str = "probability") -> float:
-    p = float(p)
-    require(0.0 <= p <= 1.0, f"{name} must be in [0, 1], got {p}")
-    return p
-
-
 def check_positive_weights(w: np.ndarray) -> np.ndarray:
     """Validate strictly positive, finite edge weights."""
     w = np.asarray(w, dtype=np.float64)
     require(bool(np.all(np.isfinite(w))), "weights must be finite")
     require(bool(np.all(w > 0)), "weights must be strictly positive")
     return w
-
-
-def check_capacities(b: np.ndarray) -> np.ndarray:
-    """Validate integer capacities ``b_i >= 1``."""
-    b = np.asarray(b)
-    require(np.issubdtype(b.dtype, np.integer), "capacities must be integers")
-    require(bool(np.all(b >= 1)), "capacities must be >= 1")
-    return b.astype(np.int64)

@@ -227,7 +227,7 @@ def test_batch_of_one_equals_micro_oracle(case):
     zmul = flat_zeta[hik_idx]
     cells = OracleCells(batch, hik_idx, np.concatenate([stored.src_vl, stored.dst_vl]))
     ctx = BatchMicroContext(
-        OracleScratch(batch, cells), [0], stored, support.values, flat_zeta, zmul,
+        OracleScratch(batch, cells), [0], stored, support.values, zmul,
         beta={0: beta}, use_odd={0: odd_sets}, eps=lv.eps,
     )
     results, po = ctx.evaluate([0], {0: 1.0})

@@ -247,65 +247,88 @@ def test_decode_planes_parity(seed):
 # ----------------------------------------------------------------------
 # Segment / scatter / gather primitives
 # ----------------------------------------------------------------------
+def _stored_case(lens, seed, n=8, m=20):
+    """A real batch of ``len(lens)`` instances and the stored-edge
+    layout of ``lens[i]`` live edges of instance ``i``, drawn with
+    replacement (so many stored edges share their cells), with random
+    sampling probabilities; ``lens[i] == 0`` leaves instance ``i`` out,
+    an empty segment."""
+    from repro.core.batch import GraphBatch, StoredBatchLayout
+    from repro.graphgen import gnm_graph, with_uniform_weights
+
+    rng = np.random.default_rng(seed)
+    graphs = [
+        with_uniform_weights(gnm_graph(n, m, seed=seed + i), 1.0, 50.0, seed=seed + 100 + i)
+        for i in range(len(lens))
+    ]
+    b = GraphBatch.from_graphs(graphs, eps=0.3)
+    per = {}
+    for i, count in enumerate(lens):
+        if count:
+            live = np.flatnonzero(b.levels[i].level >= 0)
+            per[i] = (rng.choice(live, size=count), rng.uniform(0.05, 1.0, count))
+    return b, StoredBatchLayout.build(b, per)
+
+
 @needs_native
 def test_gather_add2_parity():
     f_np, f_c = impls("gather_add2")
     rng = np.random.default_rng(43)
-    buf = rng.standard_normal(500)
-    idx_a = rng.integers(0, 500, size=2000).astype(np.int64)
-    idx_b = rng.integers(0, 500, size=2000).astype(np.int64)
-    assert_bitequal(f_np(buf, idx_a, idx_b), f_c(buf, idx_a, idx_b))
-
-
-def _scatter(f, src, dst, vals, out, cells):
-    f(src, dst, vals, out, cells)
-    return out
+    b, lay = _stored_case([700, 0, 1, 1300], 43)
+    buf = rng.standard_normal(int(b.vl_off[-1]))
+    assert_bitequal(f_np(buf, lay), f_c(buf, lay))
+    assert_bitequal(f_c(buf, lay), buf[lay.src_vl] + buf[lay.dst_vl])
 
 
 @needs_native
 def test_dual_scatter_parity():
     f_np, f_c = impls("dual_scatter")
     rng = np.random.default_rng(45)
-    b = _sparse_oracle_case([(10, 0.3, 2), (9, 0.1, 1), (6, 0.9, 3)], 45, 0.3)[0]
-    size = int(b.vl_off[-1])
+    # heavy collisions (thousands of edges on a few dozen cells):
+    # accumulation order must match; an empty instance and a singleton
+    b, lay = _stored_case([3000, 0, 1, 2000], 45)
+    size = lay.nvl
     # every cell listed, so any cell may be hit and any buffer is dirty
     cells = OracleCells(b, np.arange(size))
-    m = 5000  # heavy collisions: accumulation order must match
-    src = rng.integers(0, size, size=m).astype(np.int64)
-    dst = rng.integers(0, size, size=m).astype(np.int64)
+    m = len(lay.src_vl)
     vals = rng.standard_normal(m) * np.exp(rng.uniform(-12, 12, m))
-    want = _scatter(f_np, src, dst, vals, np.zeros(size), cells)
-    assert_bitequal(want, _scatter(f_c, src, dst, vals, np.zeros(size), cells))
-    # a reused buffer: the result is identical, the dirt at the cells cleared
-    got = _scatter(f_c, src, dst, vals, np.full(size, 7.25), cells)
+    want = np.zeros(size)
+    f_np(vals, want, lay, cells)
+    got = np.zeros(size)
+    f_c(vals, got, lay, cells)
     assert_bitequal(want, got)
-    assert_bitequal(want, _scatter(f_np, src, dst, vals, np.full(size, -1.0), cells))
-    # a buffer of another size is refused before any pointer reaches C
-    with pytest.raises(ValueError):
-        f_c(src, dst, vals, np.zeros(3), cells)
+    # a reused buffer: the result is identical, the dirt at the cells cleared
+    got = np.full(size, 7.25)
+    f_c(vals, got, lay, cells)
+    assert_bitequal(want, got)
+    dirty = np.full(size, -1.0)
+    f_np(vals, dirty, lay, cells)
+    assert_bitequal(want, dirty)
 
 
-@needs_native
 def test_index_scatter_parity():
     f_np, f_c = impls("index_scatter")
-    rng = np.random.default_rng(46)
-    idx = rng.integers(0, 64, size=3000).astype(np.int64)
-    vals = rng.standard_normal(3000) * np.exp(rng.uniform(-10, 10, 3000))
-    assert_bitequal(f_np(idx, vals, 64), f_c(idx, vals, 64))
-    # empty input: values must agree; dtypes may not (np.bincount returns
-    # int64 when the weights array is empty, the native kernel float64)
-    got_np = f_np(np.zeros(0, np.int64), np.zeros(0), 8)
-    got_c = f_c(np.zeros(0, np.int64), np.zeros(0), 8)
-    assert np.array_equal(got_np.astype(np.float64), got_c.astype(np.float64))
-
-
-def _vl_layout(rng, Ls):
-    """Per-instance (n_i, L_i) blocks flattened the way GraphBatch lays them."""
-    ns = rng.integers(2, 9, size=len(Ls))
-    vl_count = (ns * Ls).astype(np.int64)
-    vl_off = np.zeros(len(Ls) + 1, dtype=np.int64)
-    np.cumsum(vl_count, out=vl_off[1:])
-    return ns, vl_count, vl_off
+    if f_c is not None:
+        rng = np.random.default_rng(46)
+        idx = rng.integers(0, 64, size=3000).astype(np.int64)
+        vals = rng.standard_normal(3000) * np.exp(rng.uniform(-10, 10, 3000))
+        assert_bitequal(f_np(idx, vals, 64), f_c(idx, vals, 64))
+        # empty input: values must agree; dtypes may not (np.bincount
+        # returns int64 when the weights array is empty, the native
+        # kernel float64)
+        got_np = f_np(np.zeros(0, np.int64), np.zeros(0), 8)
+        got_c = f_c(np.zeros(0, np.int64), np.zeros(0), 8)
+        assert np.array_equal(got_np.astype(np.float64), got_c.astype(np.float64))
+    # the result has exactly `size` entries on both backends: an id
+    # outside it, or values of another length, fail before any scatter
+    for f in (f_np, f_c):
+        if f is None:
+            continue
+        for bad in ([4], [-1], [2**26], [0, 3, 4]):
+            with pytest.raises(ValueError):
+                f(np.array(bad), np.ones(len(bad)), 4)
+        with pytest.raises(ValueError):
+            f(np.array([0, 1]), np.ones(3), 4)
 
 
 @needs_native
@@ -331,24 +354,16 @@ def test_blend_parity():
 # ----------------------------------------------------------------------
 # Inner-tick fused stages
 # ----------------------------------------------------------------------
-def _stored_layout(rng, lens):
-    off = np.zeros(len(lens) + 1, dtype=np.int64)
-    np.cumsum(lens, out=off[1:])
-    n = int(off[-1])
-    cov = np.abs(rng.standard_normal(n)) * 40.0
-    wk = rng.uniform(1.0, 50.0, n)
-    return cov, wk, off
-
-
 @needs_native
 def test_tick_stored_parity():
     shift_np, shift_c = impls("tick_stored_shift")
     post_np, post_c = impls("tick_stored_post")
     rng = np.random.default_rng(51)
     # includes an empty instance and a singleton
-    cov, wk, off = _stored_layout(rng, [5, 0, 1, 130, 17])
+    _b, lay = _stored_case([5, 0, 1, 130, 17], 51)
+    off = lay.off
+    cov = np.abs(rng.standard_normal(int(off[-1]))) * 40.0
     alphas = rng.uniform(0.1, 8.0, len(off) - 1)
-    probs = rng.uniform(0.05, 1.0, cov.size)
     # NaN first in a segment and later in one: the segment's minimum,
     # and so every entry of it, is NaN; -inf alone in the singleton;
     # +inf past a finite minimum clips to 60
@@ -359,16 +374,35 @@ def test_tick_stored_parity():
     special[off[4] + 3] = np.inf
     for c in (cov, special):
         with np.errstate(invalid="ignore"):
-            a_np = shift_np(c, wk, off, alphas)
-        a_c = shift_c(c, wk, off, alphas)
+            a_np = shift_np(c, alphas, lay)
+        a_c = shift_c(c, alphas, lay)
         assert_bitequal(a_np, a_c)
         e = np.exp(a_np)  # exp stays a shared numpy call on both backends
-        sv_np, usc_np = post_np(e, wk, probs, off)
-        sv_c, usc_c = post_c(e, wk, probs, off)
+        sv_np, usc_np = post_np(e, lay)
+        sv_c, usc_c = post_c(e, lay)
         assert_bitequal(sv_np, sv_c)
         assert_bitequal(usc_np, usc_c)
     assert np.isnan(a_c[off[0] : off[1]]).all() and np.isnan(a_c[off[3] : off[4]]).all()
     assert a_c[off[4] + 3] == 60.0 and np.isfinite(a_c[off[4] : off[5]]).all()
+
+
+def _hik_cells(counts, seed):
+    """A real batch with ``counts[i]`` random has_ik cells in instance
+    ``i`` (each instance has 760 VL cells) and their cell list."""
+    from repro.core.batch import GraphBatch
+    from repro.graphgen import gnm_graph, with_uniform_weights
+
+    graphs = [
+        with_uniform_weights(gnm_graph(40, 80, seed=seed + i), 1.0, 50.0, seed=seed + 100 + i)
+        for i in range(len(counts))
+    ]
+    b = GraphBatch.from_graphs(graphs, eps=0.3)
+    rng = np.random.default_rng(seed)
+    hik_idx = np.concatenate([
+        np.sort(rng.choice(np.arange(b.vl_off[i], b.vl_off[i + 1]), size=c, replace=False))
+        for i, c in enumerate(counts)
+    ])
+    return b, OracleCells(b, hik_idx)
 
 
 @needs_native
@@ -377,40 +411,30 @@ def test_tick_pack_parity(with_zload):
     arg_np, arg_c = impls("tick_pack_arg")
     post_np, post_c = impls("tick_pack_post")
     rng = np.random.default_rng(52 + with_zload)
-    nvl = 400
-    lens = [7, 0, 60, 1, 140]
-    off = np.zeros(len(lens) + 1, dtype=np.int64)
-    np.cumsum(lens, out=off[1:])
-    nh = int(off[-1])
+    b, cells = _hik_cells([7, 0, 60, 1, 140], 52)
+    nvl, off, hik_idx = int(b.vl_off[-1]), cells.hik_off, cells.hik_idx
     x = rng.standard_normal(nvl) * 10.0
     zload = rng.standard_normal(nvl) if with_zload else None
-    hik_idx = rng.integers(0, nvl, size=nh).astype(np.int64)
-    po3 = rng.uniform(0.2, 9.0, nh)
-    alpha_p = rng.uniform(0.1, 4.0, nh)
+    alpha_p = rng.uniform(0.1, 4.0, b.size)
     active = np.array([1, 1, 0, 1, 1], dtype=np.uint8)  # inactive: fmax stays 0
-    # on distinct cells: NaN first in a segment, and later in one whose
-    # first entry is -inf (the max, so the whole segment, is NaN); NaN
-    # in the inactive segment (fmax stays 0, so only that entry is);
-    # +inf alone in the singleton
-    special_idx = rng.permutation(nvl)[:nh].astype(np.int64)
+    # NaN first in a segment, and later in one whose first entry is
+    # -inf (the max, so the whole segment, is NaN); NaN in the inactive
+    # segment (fmax stays 0, so only that entry is); +inf alone in the
+    # singleton
     special = x.copy()
     for t, v in ((off[0], np.nan), (off[4], -np.inf), (off[4] + 70, np.nan),
                  (off[2] + 10, np.nan), (off[3], np.inf)):
-        special[special_idx[t]] = v
-    for xs, idx in ((x, hik_idx), (special, special_idx)):
+        special[hik_idx[t]] = v
+    for xs in (x, special):
         with np.errstate(invalid="ignore"):
-            a_np = arg_np(xs, zload, idx, po3, alpha_p, off, active)
-        a_c = arg_c(xs, zload, idx, po3, alpha_p, off, active)
+            a_np = arg_np(xs, zload, alpha_p, active, cells)
+        a_c = arg_c(xs, zload, alpha_p, active, cells)
         assert_bitequal(a_np, a_c)
         e = np.exp(a_np)
-        # zeta dirty where it is written; the native kernel writes nothing else
-        z_np, z_c = np.zeros(nvl), np.zeros(nvl)
-        z_np[idx] = z_c[idx] = 3.5
-        zm_np, qo_np = post_np(e, po3, idx, off, z_np)
-        zm_c, qo_c = post_c(e, po3, idx, off, z_c)
+        zm_np, qo_np = post_np(e, cells)
+        zm_c, qo_c = post_c(e, cells)
         assert_bitequal(zm_np, zm_c)
         assert_bitequal(qo_np, qo_c)
-        assert_bitequal(z_np, z_c)
     assert np.isnan(a_c[off[0] : off[1]]).all() and np.isnan(a_c[off[4] : off[5]]).all()
     assert np.isnan(a_c[off[2] : off[3]]).sum() == 1
 
@@ -755,8 +779,7 @@ def test_width_box_parity(shapes, seed, density, extra_density, data):
     cells (which the box skips)."""
     f_np, f_c = impls("width_box")
     b, cells, _x, steps, _sigmas = _tick_case(data, shapes, seed, density, extra_density)
-    hik_idx = cells.idx[cells.hik >= 0][np.argsort(cells.hik[cells.hik >= 0])]
-    wk_hik = b.wk_vl[hik_idx]
+    hik_idx = cells.hik_idx
     rng = np.random.default_rng(seed + 3)
     zloads = [
         None if step is None or rng.random() < 0.5
@@ -764,8 +787,8 @@ def test_width_box_parity(shapes, seed, density, extra_density, data):
     ]
     for lst in (cells, OracleCells(b, hik_idx)):
         for zl in (None, zloads):
-            box_np = f_np(steps, zl, lst, wk_hik)
-            assert_bitequal(box_np, f_c(steps, zl, lst, wk_hik))
+            box_np = f_np(steps, zl, lst)
+            assert_bitequal(box_np, f_c(steps, zl, lst))
             for i, step in enumerate(steps):
                 lo, hi = int(b.vl_off[i]), int(b.vl_off[i + 1])
                 mine = hik_idx[(hik_idx >= lo) & (hik_idx < hi)]
@@ -785,37 +808,51 @@ def test_width_box_parity(shapes, seed, density, extra_density, data):
     density=st.sampled_from([0.05, 0.3, 1.0]), data=st.data(),
 )
 def test_has_ik_clears_of_s_and_zeta_parity(shapes, seed, density, data):
-    """Clearing and writing ``s`` and ``zeta`` only at the cells gives
-    the dense references' planes, when the reused buffers are dirty at
-    those cells only, as the engine's are."""
-    b, cells = _cell_layout(shapes, seed, density, extra_density=0.0)
-    nvl = int(b.vl_off[-1])
+    """Clearing and writing ``s`` only at the cells gives the dense
+    reference's plane when the reused buffer is dirty at those cells
+    only, as the engine's is; and ``zeta``, kept as one ``zmul`` per
+    has_ik cell, gives the dense plane and its column sums."""
+    from repro.core.batch import StoredBatchLayout
+
+    case = _sparse_oracle_case(shapes, seed, density)
+    b = case[0]
+    rng = np.random.default_rng(seed + 4)
+    # the support scatter of stored edges whose cells are has_ik cells
+    per = {}
+    for i in range(b.size):
+        live = np.flatnonzero(b.levels[i].level >= 0)
+        if live.size and data.draw(st.booleans()):
+            m = data.draw(st.integers(1, 40))
+            per[i] = (rng.choice(live, size=m), np.ones(m))
+    lay = StoredBatchLayout.build(b, per)
+    cells = OracleCells(b, np.union1d(case[-1].hik_idx, np.union1d(lay.src_vl, lay.dst_vl)))
+    nvl = lay.nvl
     if cells.idx.size == 0:
         return
-    rng = np.random.default_rng(seed + 4)
     dirty = np.zeros(nvl)
     dirty[cells.idx] = rng.standard_normal(cells.idx.size)
-    # s: the support scatter of stored edges whose cells are has_ik cells
-    m = data.draw(st.integers(1, 40))
-    src = rng.choice(cells.idx, size=m)
-    dst = rng.choice(cells.idx, size=m)
-    vals = rng.exponential(1.0, m)
+    vals = rng.exponential(1.0, len(lay.src_vl))
     ds_np, ds_c = impls("dual_scatter")
-    want = _scatter(ds_np, src, dst, vals, np.zeros(nvl), cells)
-    got = _scatter(ds_c, src, dst, vals, dirty.copy(), cells)
+    want, got = np.zeros(nvl), dirty.copy()
+    ds_np(vals, want, lay, cells)
+    ds_c(vals, got, lay, cells)
     assert_bitequal(want, got)
-    # zeta: every has_ik cell is written
-    hik_idx = cells.idx
-    off = np.searchsorted(hik_idx, b.vl_off).astype(np.int64)
-    po3 = b.po3_vl[hik_idx]
-    e = rng.exponential(1.0, hik_idx.size)
+    # zeta: zmul at every has_ik cell, the dense plane zero elsewhere
+    e = rng.exponential(1.0, cells.hik_idx.size)
     post_np, post_c = impls("tick_pack_post")
-    z_np, z_c = dirty.copy(), dirty.copy()
-    r_np = post_np(e, po3, hik_idx, off, z_np)
-    r_c = post_c(e, po3, hik_idx, off, z_c)
-    assert_bitequal(z_np, z_c)
+    r_np, r_c = post_np(e, cells), post_c(e, cells)
     for a, c in zip(r_np, r_c):
         assert_bitequal(a, c)
+    zeta = np.zeros(nvl)
+    zeta[cells.hik_idx] = e / (3.0 * b.wk_vl)[cells.hik_idx]
+    plane = np.zeros(nvl)
+    plane[cells.hik_idx] = r_c[0]
+    assert_bitequal(zeta, plane)
+    # the one-call column sums over the has_ik cells (L >= 2 everywhere)
+    if cells.l_idx is not None:
+        zsum = impls("index_scatter")[1](cells.l_idx, r_c[0], int(b.l_off[-1]))
+        for i in range(b.size):
+            assert_bitequal(b.l_view(zsum, i), b.vl_view(plane, i).sum(axis=0))
 
 
 @needs_native
@@ -829,7 +866,6 @@ def test_tick_kernels_refuse_planes_and_lists_that_do_not_fit():
     b, cells = _cell_layout([(5, 0.3, 1), (4, 0.3, 2)], 9)
     nvl = int(b.vl_off[-1])
     good = [np.zeros((int(n), int(L))) for n, L in zip(b.n, b.L)]
-    wk_hik = np.ones(len(cells.hik_idx))
     for steps in (
         [good[0]],                                   # one instance missing
         [good[0], np.zeros((int(b.n[1]), int(b.L[1]) + 1))],  # wrong size
@@ -839,15 +875,110 @@ def test_tick_kernels_refuse_planes_and_lists_that_do_not_fit():
         with pytest.raises(ValueError):
             f_c(np.zeros(nvl), steps, np.zeros(b.size), cells)
         with pytest.raises(ValueError):
-            box_c(steps, None, cells, wk_hik)
+            box_c(steps, None, cells)
+        with pytest.raises(ValueError):  # the same planes as z-loads
+            box_c(good, steps, cells)
     with pytest.raises(ValueError):
         f_c(np.zeros(nvl + 1), good, np.zeros(b.size), cells)
-    with pytest.raises(ValueError):
-        box_c(good, None, cells, np.ones(len(cells.hik_idx) + 1))
     _np, scatter_c = impls("dual_scatter")
-    one = np.zeros(1, dtype=np.int64)
-    with pytest.raises(ValueError):  # a list of another layout's size
-        scatter_c(one, one, np.ones(1), np.zeros(nvl + 1), cells)
+    _b, other = _stored_case([3, 2, 1], 9)  # a layout of another batch
+    with pytest.raises(ValueError):
+        scatter_c(np.ones(len(other.src_vl)), np.zeros(other.nvl), other, cells)
+
+
+@needs_native
+def test_tick_kernels_refuse_values_and_buffers_of_another_layout():
+    """Each tick kernel reads its indices, offsets and constants from
+    the layout or cell list it is given, and checks every per-call
+    array against that owner: a value array of another length, or a
+    buffer of another size or dtype, fails before any pointer reaches
+    C."""
+    fn = {name: impls(name)[1] for name in (
+        "gather_add2", "dual_scatter", "tick_stored_shift", "tick_stored_post",
+        "tick_pack_arg", "tick_pack_post",
+    )}
+    b, lay = _stored_case([5, 0, 3], 7)
+    cells = OracleCells(b, np.union1d(lay.src_vl, lay.dst_vl))
+    nvl, ns, nh, B = lay.nvl, len(lay.src_vl), len(cells.hik_idx), b.size
+    x, act = np.zeros(nvl), np.ones(B, dtype=np.uint8)
+    # the good calls run
+    fn["gather_add2"](x, lay)
+    fn["dual_scatter"](np.ones(ns), np.zeros(nvl), lay, cells)
+    fn["tick_stored_shift"](np.ones(ns), np.ones(B), lay)
+    fn["tick_stored_post"](np.ones(ns), lay)
+    fn["tick_pack_arg"](x, x.copy(), np.ones(B), act, cells)
+    fn["tick_pack_post"](np.ones(nh), cells)
+    bad_calls = [
+        lambda: fn["gather_add2"](np.zeros(nvl + 1), lay),
+        lambda: fn["gather_add2"](np.zeros(nvl, dtype=np.float32), lay),
+        lambda: fn["dual_scatter"](np.ones(ns + 1), np.zeros(nvl), lay, cells),
+        lambda: fn["dual_scatter"](np.ones(ns), np.zeros(nvl + 1), lay, cells),
+        lambda: fn["dual_scatter"](np.ones(ns), np.zeros(nvl)[::2].copy(), lay, cells),
+        lambda: fn["tick_stored_shift"](np.ones(ns - 1), np.ones(B), lay),
+        lambda: fn["tick_stored_shift"](np.ones(ns), np.ones(B + 1), lay),
+        lambda: fn["tick_stored_post"](np.ones(ns + 1), lay),
+        lambda: fn["tick_pack_arg"](np.zeros(nvl - 1), None, np.ones(B), act, cells),
+        lambda: fn["tick_pack_arg"](x, np.zeros(nvl + 1), np.ones(B), act, cells),
+        lambda: fn["tick_pack_arg"](x, None, np.ones(B - 1), act, cells),
+        lambda: fn["tick_pack_arg"](x, None, np.ones(B), act[:-1], cells),
+        lambda: fn["tick_pack_post"](np.ones(nh + 1), cells),
+    ]
+    for call in bad_calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_stored_layout_refuses_ids_outside_the_batch_and_offsets_that_do_not_span():
+    """The tick kernels index the batch's VL and level spaces through
+    the layout's arrays, so every construction checks them."""
+    from dataclasses import replace
+
+    _b, lay = _stored_case([5, 0, 3], 8)
+    n, at = len(lay.src_vl), np.arange(len(lay.src_vl))
+    assert lay.off.tolist() == [0, 5, 5, 8] == replace(lay).off_list  # a copy checks clean
+    for bad in (
+        {"src_vl": np.where(at == 2, lay.nvl, lay.src_vl)},    # past the plane
+        {"dst_vl": np.where(at == 0, -1, lay.dst_vl)},         # negative
+        {"src_vl": np.full(n, 2**26)},
+        {"l_idx": np.where(at == n - 1, lay.nl, lay.l_idx)},   # past the levels
+        {"off": lay.off[:-1]},                                 # short of the arrays
+        {"off": lay.off + 1},                                  # not from 0
+        {"off": np.array([0, 6, 5, 8])},                       # decreasing
+        {"wk": lay.wk[:-1]},                                   # arrays of unequal length
+        {"probs": np.ones(n + 1)},
+    ):
+        with pytest.raises(ValueError):
+            replace(lay, **bad)
+
+
+def test_ids_past_the_batch_fail_where_they_enter():
+    """Three inputs that crashed the native kernels fail with
+    ValueError: a stored edge's VL id of 2^26 at the layout that
+    ``dual_scatter`` reads, a has_ik id of 2^26 at the cell list that
+    ``tick_pack_post`` reads, and an id of 2^26 at ``index_scatter``."""
+    from dataclasses import replace
+
+    b, lay = _stored_case([2, 1], 10)
+    with pytest.raises(ValueError):
+        replace(lay, src_vl=np.array([0, 1, 2**26]))
+    with pytest.raises(ValueError):
+        OracleCells(b, np.array([0, 2**26]))
+    for f in impls("index_scatter"):
+        if f is not None:
+            with pytest.raises(ValueError):
+                f(np.array([2**26]), np.ones(1), 4)
+
+
+def test_oracle_eval_refuses_level_arrays_of_another_length():
+    """``us_mass`` and ``zsum`` span the level space on both backends."""
+    b, s, us_mass, zsum, zmul, cells = _sparse_oracle_case([(5, 0.3, 1), (4, 0.3, 2)], 1, 0.5)
+    for f in impls("oracle_eval"):
+        if f is None:
+            continue
+        sc = _oracle_scratch(b, s, cells)
+        for u, z in ((us_mass[:-1], zsum), (us_mass, zsum[:-1]), (us_mass, np.append(zsum, 1.0))):
+            with pytest.raises(ValueError):
+                _eval(f, u, z, zmul, [0, 1], np.ones(2), np.ones(2), sc)
 
 
 # ----------------------------------------------------------------------

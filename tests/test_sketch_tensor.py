@@ -42,6 +42,26 @@ class TestScalarTensorParity:
         with pytest.raises(IndexError):
             L0Sampler(10, seed=0).update(10, 1)
 
+    @pytest.mark.parametrize("leg", ["numpy", "native"])
+    def test_out_of_range_row_is_refused_before_ingest(self, leg, monkeypatch):
+        """The ingest kernel indexes the cell tensors by row, so a row
+        outside ``[0, rows)`` fails before it runs and no cell moves."""
+        import repro.kernels as K
+        import repro.sketch.tensor as tensor_mod
+
+        ingest = getattr(K.REGISTRY["sketch_ingest"], f"{leg}_impl")
+        if ingest is None:
+            pytest.skip("native kernel backend unavailable in this environment")
+        monkeypatch.setattr(tensor_mod, "_k_sketch_ingest", ingest)
+        t = SketchTensor(64, [1, 2], repetitions=2, slots=2)
+        t.update_many([0, 1], [3, 5], [1, 2], row=1)
+        before = [a.copy() for a in (t.s0, t.s1, t.fp)]
+        for row in (t.rows, -1, 2**20):
+            with pytest.raises(IndexError):
+                t.update_many([0, 1], [3, 5], [1, 2], row=row)
+        for a, b in zip(before, (t.s0, t.s1, t.fp)):
+            assert np.array_equal(a, b)
+
     def test_vertex_incidence_grouped_matches_per_component(self):
         g = gnm_graph(12, 30, seed=3)
         sk = VertexIncidenceSketch(g, t=2, seed=5)

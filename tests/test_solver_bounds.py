@@ -87,19 +87,24 @@ def test_forced_exact_scans_keep_the_golden_digests(group, monkeypatch, inner_sc
 def test_stored_edge_cells_are_has_ik_cells(group, monkeypatch):
     """In every golden solver case, both cells of each stored edge are
     has_ik cells, so the engine's cell list (has_ik alone) holds every
-    cell where the support scatter ``s`` or ``zeta`` is nonzero."""
+    cell where the support scatter ``s`` or ``zeta`` is nonzero: ``s``
+    vanishes off the list, and ``zeta`` is one ``zmul`` per has_ik cell
+    (zero elsewhere)."""
     checked = []
 
     class Checked(ms.BatchMicroContext):
-        def __init__(self, scratch, active, stored, support_vals, zeta, zmul, **kw):
+        def __init__(self, scratch, active, stored, support_vals, zmul, **kw):
             hik_idx = scratch.cells.hik_idx
             assert np.isin(stored.src_vl, hik_idx).all()
             assert np.isin(stored.dst_vl, hik_idx).all()
-            super().__init__(scratch, active, stored, support_vals, zeta, zmul, **kw)
+            assert len(zmul) == len(hik_idx)
+            super().__init__(scratch, active, stored, support_vals, zmul, **kw)
             assert np.array_equal(scratch.cells.idx, hik_idx)
             off = np.ones(len(scratch.s), dtype=bool)
             off[scratch.cells.idx] = False
-            assert not scratch.s[off].any() and not zeta[off].any()
+            assert not scratch.s[off].any()
+            zeta = self._zeta()
+            assert not zeta[off].any() and np.array_equal(zeta[hik_idx], zmul)
             checked.append(len(stored.src_vl))
 
     monkeypatch.setattr(ms, "BatchMicroContext", Checked)
@@ -270,8 +275,8 @@ def test_bounds_hold_against_the_scans_at_every_step(graph, config, with_z, monk
     widths, lambdas = ms._BatchEngine._width_bounds, ms._BatchEngine._lambda_bounds
     seen = {"width": 0, "lambda": 0, "z": 0}
 
-    def checked_widths(self, blended):
-        out = widths(self, blended)
+    def checked_widths(self, blended, steps):
+        out = widths(self, blended, steps)
         for (_st, step), box in zip(blended, out):
             assert box * (1.0 + 1e-9) >= step.dual.live_ratio_max()
             seen["width"] += 1

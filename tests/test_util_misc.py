@@ -6,10 +6,8 @@ import pytest
 from repro.util.instrumentation import ResourceLedger, SpaceHighWater
 from repro.util.rng import derive_seed, make_rng, spawn
 from repro.util.validation import (
-    check_capacities,
     check_epsilon,
     check_positive_weights,
-    check_probability,
     require,
 )
 
@@ -52,12 +50,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_epsilon(0.2, upper=1 / 16)
 
-    def test_probability(self):
-        assert check_probability(0.0) == 0.0
-        assert check_probability(1.0) == 1.0
-        with pytest.raises(ValueError):
-            check_probability(1.2)
-
     def test_positive_weights(self):
         w = check_positive_weights([1.0, 2.0])
         assert w.dtype == np.float64
@@ -65,14 +57,6 @@ class TestValidation:
             check_positive_weights([1.0, 0.0])
         with pytest.raises(ValueError):
             check_positive_weights([1.0, np.inf])
-
-    def test_capacities(self):
-        b = check_capacities(np.array([1, 2, 3]))
-        assert b.dtype == np.int64
-        with pytest.raises(ValueError):
-            check_capacities(np.array([0, 1]))
-        with pytest.raises(ValueError):
-            check_capacities(np.array([1.5, 2.0]))
 
     def test_require(self):
         require(True, "fine")
