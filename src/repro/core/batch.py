@@ -258,7 +258,8 @@ class StoredBatchLayout:
     The inner tick's kernels index the batch's VL and level spaces
     through the concatenated arrays, so every construction checks them:
     ``off`` must span them, and each id must lie in the batch's VL space
-    (``nvl`` entries) or level space (``nl``).
+    (``nvl`` entries) or level space (``nl``).  :meth:`build` also
+    refuses an edge at a dropped level (-1), which has no cell.
     """
 
     off: np.ndarray  # (B+1,) offsets into the concatenated arrays
@@ -320,6 +321,8 @@ class StoredBatchLayout:
             counts[i] = len(stored)
             ids[i] = stored
             lvl[i] = k = batch.levels[i].level[stored]
+            if (k < 0).any():
+                raise ValueError("stored edge at a dropped level (level -1)")
             src[i] = np.asarray(g.src[stored])
             dst[i] = np.asarray(g.dst[stored])
             base = batch.vl_off[i]

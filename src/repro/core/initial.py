@@ -88,26 +88,26 @@ def build_initial_solution(
     r = eps / 256.0
 
     dual = LayeredDual(levels)
-    level_list = levels.nonempty_levels()
+    level_list = levels.nonempty_levels().tolist()
     # spawned on both routes: the caller's generator advances the same way
     children = spawn(rng, max(1, len(level_list)))
 
     if sampled:
         per_level, saturated, ends = {}, {}, {}
         for idx, k in enumerate(level_list):
-            ids = levels.edges_at(int(k))
+            ids = levels.edges_at(k)
             sub = g.edge_subgraph(ids)
             mk_sub = maximal_bmatching_sampled(
                 sub, p=p, seed=children[idx], ledger=ledger
             )
             # translate back to parent edge ids
-            per_level[int(k)] = BMatching(
+            per_level[k] = BMatching(
                 g, ids[mk_sub.edge_ids], mk_sub.multiplicity
             )
-            saturated[int(k)] = mk_sub.saturated_vertices()
-            ends[int(k)] = (sub.src[mk_sub.edge_ids], sub.dst[mk_sub.edge_ids])
+            saturated[k] = mk_sub.saturated_vertices()
+            ends[k] = (sub.src[mk_sub.edge_ids], sub.dst[mk_sub.edge_ids])
     else:
-        per_level, saturated, ends = _per_level_matchings(levels)
+        per_level, saturated, ends = _per_level_matchings(levels, level_list)
 
     for k, sat in saturated.items():
         dual.x[sat, k] = r * levels.level_weight(k)
@@ -120,7 +120,7 @@ def build_initial_solution(
 
 
 def _per_level_matchings(
-    levels: LevelDecomposition,
+    levels: LevelDecomposition, level_list: list[int],
 ) -> tuple[dict[int, BMatching], dict[int, np.ndarray], dict[int, tuple]]:
     """Per-level maximal b-matchings from one ranged pass over the edges.
 
@@ -141,7 +141,6 @@ def _per_level_matchings(
     """
     g = levels.graph
     lvl = levels.level
-    level_list = [int(k) for k in levels.nonempty_levels()]
     residual = {k: g.b.tolist() for k in level_list}
     parts: dict[int, list[tuple[np.ndarray, ...]]] = {k: [] for k in level_list}
     for start, stop in g.edge_ranges():

@@ -68,9 +68,13 @@ class LevelDecomposition:
         return np.flatnonzero(self.level >= 0)
 
     def nonempty_levels(self) -> np.ndarray:
-        """Levels that actually contain edges, ascending."""
-        live = self.level[self.level >= 0]
-        return np.unique(live)
+        """Levels that actually contain edges, ascending; one ranged pass
+        into ``num_levels`` flags, so no O(m) copy is gathered or sorted."""
+        present = np.zeros(self.num_levels, dtype=bool)
+        for start, stop in self.graph.edge_ranges():
+            lv = self.level[start:stop]
+            present[lv[lv >= 0]] = True
+        return np.flatnonzero(present)
 
     # ------------------------------------------------------------------
     # Definition 6: groups of ceil(log_{1+eps} 2) consecutive levels,

@@ -913,20 +913,16 @@ class _BatchEngine:
             st.phase = _PHASE_ROUND_END
 
     def _advance_sparsifier(self, st: _InstanceState) -> bool:
-        """Move to the next sparsifier with live stored edges, if any."""
+        """Move to the next sparsifier that stores edges, if any (all live:
+        a dropped edge's round promise is 0)."""
         self._layout_stale = True
         while st.q + 1 < len(st.chain):
             st.q += 1
             sp = st.chain[st.q]
-            stored = sp.stored_edge_ids
-            probs = sp.stored_probs
-            stored_live = st.levels.level[stored] >= 0
-            stored = stored[stored_live]
-            probs = probs[stored_live]
-            if len(stored) == 0:
+            if len(sp.stored_edge_ids) == 0:
                 continue
-            st.stored = stored
-            st.probs = probs
+            st.stored = sp.stored_edge_ids
+            st.probs = sp.stored_probs
             st.step_in_q = 0
             return True
         return False
@@ -1029,10 +1025,10 @@ class _BatchEngine:
             st.ledger.tick_refinement()
         x = self.dualb.x
         cov = _k_gather_add2(x, lay)
-        self._any_z = False
+        zload = None
         for st in active:
             if st.dual.z:
-                self._any_z = True
+                zload = self.dualb.zload
                 sl = slice(soff[st.slot], soff[st.slot + 1])
                 cov[sl] = z_cover_add(
                     st.graph.n, lay.src[st.slot], lay.dst[st.slot],
@@ -1045,9 +1041,8 @@ class _BatchEngine:
         # gather-first: the Po ratios are only ever read at the has_ik
         # cells, so evaluate 2 x + zload there instead of over the plane;
         # zeta is zmul there and zero elsewhere
-        zload = self.dualb.zload if self._any_z else None
         arg = _k_tick_pack_arg(x, zload, self.alpha_p, act, self.cells)
-        zmul, qo_arr = _k_tick_pack_post(np.exp(arg), self.cells)
+        zmul, qo_arr, zsum = _k_tick_pack_post(np.exp(arg), self.cells)
 
         searchers: list[_InstanceState] = []
         for st in active:
@@ -1072,6 +1067,7 @@ class _BatchEngine:
                 lay,
                 support_vals,
                 zmul,
+                zsum,
                 beta={st.slot: st.beta for st in searchers},
                 use_odd={st.slot: st.use_odd for st in searchers},
                 eps=eps,

@@ -41,7 +41,6 @@ from repro.core.odd_sets import find_dense_odd_sets
 from repro.core.relaxations import LayeredDual
 from repro.kernels import OracleCells, OracleScratch
 from repro.kernels import dual_scatter as _k_dual_scatter
-from repro.kernels import index_scatter as _k_index_scatter
 from repro.kernels import oracle_eval as _k_oracle_eval
 from repro.util.validation import check_epsilon
 
@@ -114,7 +113,7 @@ def micro_oracle(
     ----------
     support:
         Sampled edges and their multipliers.  Every edge must sit at a
-        kept level (``levels.level[e] >= 0``).
+        kept level (``levels.level[e] >= 0``), or the layout refuses it.
     zeta:
         Packing multipliers, shape ``(n, L)`` (zeros where unused).
     beta:
@@ -134,8 +133,6 @@ def micro_oracle(
     if zeta.shape != (n, L):
         raise ValueError(f"zeta must be shape {(n, L)}")
     ids = support.edge_ids
-    if (levels.level[ids] < 0).any():
-        raise ValueError("support has an edge at a dropped level (level -1)")
 
     batch = GraphBatch(graphs=[g], levels=[levels])
     # the oracle reads no sampling probabilities: unit placeholders
@@ -147,7 +144,7 @@ def micro_oracle(
     cells = OracleCells(batch, hik_idx, np.concatenate([stored.src_vl, stored.dst_vl]))
     ctx = BatchMicroContext(
         OracleScratch(batch, cells), [0], stored,
-        np.ascontiguousarray(support.values), flat_zeta[hik_idx],
+        np.ascontiguousarray(support.values), flat_zeta[hik_idx], None,
         beta={0: beta}, use_odd={0: odd_sets}, eps=eps,
     )
     results, _po = ctx.evaluate([0], {0: rho})
@@ -299,7 +296,9 @@ class BatchMicroContext:
     the support scatter ``s`` or ``zeta`` may be nonzero.  ``zeta`` is
     ``zmul`` at the list's has_ik cells (``scratch.cells.hik_idx``) and
     zero elsewhere; the plane itself is built only where it is read,
-    in the odd-set/witness tail and for instances with a single level.
+    in the odd-set/witness tail and, when ``zsum`` (its level sums from
+    ``tick_pack_post``) is None, for those sums (:func:`micro_oracle`
+    always passes None).
     The solver engine's list is its has_ik cells alone: every stored
     edge is live, so its cells are has_ik cells already.
     :func:`micro_oracle` adds both cells of every support edge.
@@ -312,6 +311,7 @@ class BatchMicroContext:
         stored,
         support_vals: np.ndarray,
         zmul: np.ndarray,
+        zsum: np.ndarray | None,
         beta: dict[int, float],
         use_odd: dict[int, bool],
         eps: float,
@@ -327,26 +327,17 @@ class BatchMicroContext:
         self.use_odd = use_odd
         self.eps = eps
 
-        # s[i, k] scatter into the scratch's buffer: the dispatched
-        # kernel adds all src contributions first, then all dst.  The
+        # s[i, k] scatter into the scratch's buffer (all src contributions
+        # first, then all dst) and the per-level support mass.  The
         # previous tick's context, the only other reader of the buffer,
         # is done with it by the time the next one is built.
-        _k_dual_scatter(support_vals, scratch.s, stored, scratch.cells)
-        self.us_mass = _k_index_scatter(stored.l_idx, support_vals, stored.nl)
+        self.us_mass = _k_dual_scatter(support_vals, scratch.s, stored, scratch.cells)
 
-        # zeta's per-level column sums.  For L >= 2 numpy reduces an
-        # (n, L) plane over axis 0 by sequential row accumulation, which
-        # is bit-identical to index_scatter's data-order adds; zeta is
-        # zero off the has_ik cells (increasing, so in data order) and
-        # adding a zero leaves a sum's bits alone, so one kernel call
-        # over those cells covers the whole batch (cells of
-        # non-evaluated instances land in segments the oracle never
-        # reads).  L == 1 planes would take numpy's pairwise contiguous
-        # reduction instead, so that (unused in practice) shape keeps
-        # the per-instance loop.
-        if scratch.cells.l_idx is not None:
-            zsum = _k_index_scatter(scratch.cells.l_idx, zmul, stored.nl)
-        else:
+        # tick_pack_post's data-order sums are numpy's axis-0 sums of the
+        # plane when L >= 2 (docs/kernels.md, "The inner tick's cell
+        # lists"); an L == 1 plane is summed pairwise, so a batch with one
+        # passes None, and the plane is summed here.
+        if zsum is None:
             zsum = np.zeros(stored.nl, dtype=np.float64)
             zeta = self._zeta()
             for i in self.active:

@@ -73,7 +73,6 @@ sketch_ingest = _impl.sketch_ingest
 decode_planes = _impl.decode_planes
 gather_add2 = _impl.gather_add2
 dual_scatter = _impl.dual_scatter
-index_scatter = _impl.index_scatter
 blend = _impl.blend
 width_box = _impl.width_box
 tick_stored_shift = _impl.tick_stored_shift

@@ -24,7 +24,6 @@ __all__ = [
     "OracleScratch",
     "blossom_input",
     "forest_input",
-    "scatter_input",
 ]
 
 # canonical definition lives in repro.sketch.hashing; repeated here so
@@ -46,8 +45,9 @@ class OracleCells:
     ``row_ptr[v_off[i]]``), each cell's position in ``hik_idx``
     (``hik``, ``-1`` off has_ik), and ``hik_idx`` itself with each
     instance's first position in it (``hik_off``).  Each has_ik cell
-    also gets its ``ŵ_k`` (``wk``) and its level-space id (``l_idx``;
-    None when an instance has fewer than two levels).  The C kernels
+    also gets its ``ŵ_k`` (``wk``) and its id in the layout's level
+    space of ``nl`` entries (``l_idx``; None when an instance has fewer
+    than two levels).  The C kernels
     index through these arrays, so they are checked here, once: sorted,
     in range, pointers consistent with the layout's rows.  The layout's
     offset tables (``row_off``, ``v_off``, ``vl_off``) stay with the
@@ -74,6 +74,7 @@ class OracleCells:
         # strictly increasing and in range: the per-instance counts
         self.hik_off = np.searchsorted(hik_idx, batch.vl_off).astype(np.int64)
         self.wk = batch.wk_vl[hik_idx]
+        self.nl = int(batch.l_off[-1])
         self.l_idx = None
         if batch.size and int(batch.L.min()) >= 2:
             inst_l_off = np.repeat(batch.l_off[:-1], np.diff(self.hik_off))
@@ -149,24 +150,6 @@ def blossom_input(nv, src, dst, weight) -> tuple[int, np.ndarray, np.ndarray, np
     if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= nv):
         raise ValueError("edge endpoint out of range")
     return nv, src, dst, weight
-
-
-def scatter_input(idx, vals, size) -> tuple[np.ndarray, np.ndarray, int]:
-    """Normalize and check ``index_scatter`` arguments (both backends).
-
-    The result has ``size`` entries and the native kernel adds into it
-    at ``idx``, so an id outside ``0..size-1`` must fail here, the same
-    way on both sides.
-    """
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
-    vals = np.ascontiguousarray(vals, dtype=np.float64)
-    size = int(size)
-    if not (idx.ndim == vals.ndim == 1 and len(idx) == len(vals)) or size < 0:
-        raise ValueError("idx and vals must be 1-d arrays of equal length, size >= 0")
-    # as uint64 a negative id is huge, so one max checks both ends
-    if len(idx) and idx.view(np.uint64).max() >= size:
-        raise ValueError(f"scatter id out of range for size {size}")
-    return idx, vals, size
 
 
 def forest_input(table, count, k, src, dst, out) -> tuple[int, int, np.ndarray, np.ndarray]:

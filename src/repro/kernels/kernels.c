@@ -223,18 +223,17 @@ void rk_gather_add2(const double *buf, const int64_t *ia, const int64_t *ib,
 }
 
 /* out[clear[c]] = 0 for the nclear listed entries, then out[src[t]] +=
- * w[t] for all t, then the same over dst: the exact accumulation order
- * of np.bincount on the concatenated index array. */
+ * w[t] and lsum[l_idx[t]] += w[t] (lsum zeroed) for all t, then over
+ * dst: np.bincount's order on the concatenated index array and on l_idx. */
 void rk_dual_scatter(double *out, const int64_t *clear, int64_t nclear,
-                     const int64_t *src, const int64_t *dst,
-                     const double *w, int64_t n) {
+                     const int64_t *src, const int64_t *dst, const int64_t *l_idx,
+                     const double *w, int64_t n, double *lsum) {
     for (int64_t c = 0; c < nclear; c++) out[clear[c]] = 0.0;
-    for (int64_t t = 0; t < n; t++) out[src[t]] += w[t];
+    for (int64_t t = 0; t < n; t++) {
+        out[src[t]] += w[t];
+        lsum[l_idx[t]] += w[t];
+    }
     for (int64_t t = 0; t < n; t++) out[dst[t]] += w[t];
-}
-
-void rk_index_scatter(double *out, const int64_t *idx, const double *w, int64_t n) {
-    for (int64_t t = 0; t < n; t++) out[idx[t]] += w[t];
 }
 
 /* Step planes arrive as addresses: steps[i] is instance i's (n_i, L_i)
@@ -365,9 +364,12 @@ void rk_tick_pack_arg(const double *x, const double *zload, int64_t any_z,
     }
 }
 
-/* zmul = e / (3 wk); qo_i = pw(zmul * (3 wk)) */
+/* zmul = e / (3 wk); qo_i = pw(zmul * (3 wk)); zsum[l_idx[t]] += zmul[t]
+ * in data order unless l_idx is NULL (zsum starts zeroed).  The scatter
+ * has a loop of its own, so the divisions still vectorize. */
 void rk_tick_pack_post(const double *e, const double *wk, const int64_t *off,
-                       int64_t B, double *zmul, double *scratch, double *qo) {
+                       const int64_t *l_idx, int64_t B, double *zmul,
+                       double *scratch, double *qo, double *zsum) {
     for (int64_t i = 0; i < B; i++) {
         int64_t lo = off[i], hi = off[i + 1];
         for (int64_t t = lo; t < hi; t++) {
@@ -378,6 +380,8 @@ void rk_tick_pack_post(const double *e, const double *wk, const int64_t *off,
         }
         qo[i] = pw_sum(scratch + lo, hi - lo);
     }
+    if (l_idx)
+        for (int64_t t = 0; t < off[B]; t++) zsum[l_idx[t]] += zmul[t];
 }
 
 /* ------------------------------------------------------------------ */

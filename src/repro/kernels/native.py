@@ -25,7 +25,6 @@ from repro.kernels.common import (
     OracleScratch,
     blossom_input,
     forest_input,
-    scatter_input,
 )
 
 _lib = load_library()
@@ -60,8 +59,10 @@ _sig(
     c_int64, c_int64, c_int64, c_int64, c_void_p, c_void_p,
 )
 _sig("rk_gather_add2", None, c_void_p, c_void_p, c_void_p, c_void_p, c_int64)
-_sig("rk_dual_scatter", None, c_void_p, c_void_p, c_int64, c_void_p, c_void_p, c_void_p, c_int64)
-_sig("rk_index_scatter", None, c_void_p, c_void_p, c_void_p, c_int64)
+_sig(
+    "rk_dual_scatter", None,
+    c_void_p, c_void_p, c_int64, c_void_p, c_void_p, c_void_p, c_void_p, c_int64, c_void_p,
+)
 _sig(
     "rk_blend", None,
     c_void_p, c_void_p, c_void_p, c_void_p, c_void_p, c_void_p, c_void_p, c_int64,
@@ -83,7 +84,7 @@ _sig(
 )
 _sig(
     "rk_tick_pack_post", None,
-    c_void_p, c_void_p, c_void_p, c_int64, c_void_p, c_void_p, c_void_p,
+    c_void_p, c_void_p, c_void_p, c_void_p, c_int64, c_void_p, c_void_p, c_void_p, c_void_p,
 )
 _sig(
     "rk_oracle_eval", c_int64,
@@ -127,23 +128,23 @@ def _c(a, dtype) -> np.ndarray:
 def _cell_ptrs(cells: OracleCells) -> tuple:
     """Raw pointers of a cell list (checked and fixed once it is built),
     cached on it: ``idx``, ``row_ptr``, ``hik``, the layout's ``v_off``
-    and ``vl_off``, then ``hik_idx``, ``hik_off`` and ``wk``.  An
-    ndarray's buffer address is fixed for its lifetime, and the list
-    keeps its arrays alive."""
+    and ``vl_off``, then ``hik_idx``, ``hik_off``, ``wk`` and ``l_idx``
+    (None without level ids).  An ndarray's buffer address is fixed for
+    its lifetime, and the list keeps its arrays alive."""
     if cells.ptrs is None:
-        cells.ptrs = tuple(_p(a) for a in (
+        cells.ptrs = tuple(None if a is None else _p(a) for a in (
             cells.idx, cells.row_ptr, cells.hik, cells.v_off, cells.vl_off,
-            cells.hik_idx, cells.hik_off, cells.wk,
+            cells.hik_idx, cells.hik_off, cells.wk, cells.l_idx,
         ))
     return cells.ptrs
 
 
 def _layout_ptrs(lay) -> tuple:
     """Raw pointers of a stored-edge layout (checked when it is built),
-    cached on it: ``src_vl``, ``dst_vl``, ``off``, ``wk`` and
-    ``probs``."""
+    cached on it: ``src_vl``, ``dst_vl``, ``off``, ``wk``, ``probs`` and
+    ``l_idx``."""
     if lay.ptrs is None:
-        lay.ptrs = tuple(_p(a) for a in (lay.src_vl, lay.dst_vl, lay.off, lay.wk, lay.probs))
+        lay.ptrs = tuple(map(_p, (lay.src_vl, lay.dst_vl, lay.off, lay.wk, lay.probs, lay.l_idx)))
     return lay.ptrs
 
 
@@ -266,21 +267,18 @@ def gather_add2(buf, lay) -> np.ndarray:
     return out
 
 
-def dual_scatter(vals, out, lay, cells) -> None:
+def dual_scatter(vals, out, lay, cells) -> np.ndarray:
     n = lay.off_list[-1]
     vc = _values(vals, n, "vals")
     if cells.vl_off[-1] != lay.nvl:
         raise ValueError("the cell list and the stored-edge layout are of different batches")
     _buffer(out, lay.nvl, "out")
-    src, dst, *_ = _layout_ptrs(lay)
-    _lib.rk_dual_scatter(_p(out), _cell_ptrs(cells)[0], len(cells.idx), src, dst, _p(vc), n)
-
-
-def index_scatter(idx, vals, size: int) -> np.ndarray:
-    ic, vc, size = scatter_input(idx, vals, size)
-    out = np.zeros(size, dtype=_F64)
-    _lib.rk_index_scatter(_p(out), _p(ic), _p(vc), len(vc))
-    return out
+    src, dst, *_, l_idx = _layout_ptrs(lay)
+    us_mass = np.zeros(lay.nl, dtype=_F64)
+    _lib.rk_dual_scatter(
+        _p(out), _cell_ptrs(cells)[0], len(cells.idx), src, dst, l_idx, _p(vc), n, _p(us_mass),
+    )
+    return us_mass
 
 
 def blend(x, steps, sigmas, cells) -> None:
@@ -299,7 +297,7 @@ def width_box(steps, zloads, cells) -> np.ndarray:
     planes = _plane_ptrs(steps, cells)
     zplanes = None if zloads is None else _plane_ptrs(zloads, cells)
     box = np.empty(len(planes), dtype=_F64)
-    idx, row_ptr, hik, v_off, vl_off, _hik_idx, _hik_off, wk = _cell_ptrs(cells)
+    idx, row_ptr, hik, v_off, vl_off, _hik_idx, _hik_off, wk, _l_idx = _cell_ptrs(cells)
     _lib.rk_width_box(
         _p(planes), None if zplanes is None else _p(zplanes),
         idx, row_ptr, hik, v_off, vl_off, wk, len(planes), _p(box),
@@ -314,7 +312,7 @@ def tick_stored_shift(cov, alphas, lay) -> np.ndarray:
     B = len(lay.off_list) - 1
     cov = _values(cov, lay.off_list[-1], "cov")
     alphas = _values(alphas, B, "alphas")
-    _src, _dst, off, wk, _probs = _layout_ptrs(lay)
+    _src, _dst, off, wk, *_ = _layout_ptrs(lay)
     shifted = np.empty(len(cov), dtype=_F64)
     _lib.rk_tick_stored_shift(_p(cov), wk, off, B, _p(alphas), _p(shifted))
     return shifted
@@ -323,7 +321,7 @@ def tick_stored_shift(cov, alphas, lay) -> np.ndarray:
 def tick_stored_post(e, lay):
     B = len(lay.off_list) - 1
     e = _values(e, lay.off_list[-1], "e")
-    _src, _dst, off, wk, probs = _layout_ptrs(lay)
+    _src, _dst, off, wk, probs, _ = _layout_ptrs(lay)
     support_vals = np.empty(len(e), dtype=_F64)
     scratch = np.empty(len(e), dtype=_F64)
     usc = np.zeros(B, dtype=_F64)
@@ -337,7 +335,7 @@ def tick_pack_arg(x, zload, alpha_p, active, cells):
     z = x if zload is None else _buffer(zload, nvl, "zload")  # dummy pointer when unused
     alpha_p = _values(alpha_p, B, "alpha_p")
     act = _values(active, B, "active", np.uint8)
-    *_, hik_idx, hik_off, wk = _cell_ptrs(cells)
+    *_, hik_idx, hik_off, wk, _l_idx = _cell_ptrs(cells)
     arg = np.empty(len(cells.hik_idx), dtype=_F64)
     _lib.rk_tick_pack_arg(
         _p(x), _p(z), int(zload is not None), hik_idx, wk, _p(alpha_p),
@@ -349,12 +347,13 @@ def tick_pack_arg(x, zload, alpha_p, active, cells):
 def tick_pack_post(e, cells):
     B = len(cells.vl_count)
     e = _values(e, len(cells.hik_idx), "e")
-    *_, hik_off, wk = _cell_ptrs(cells)
+    *_, hik_off, wk, l_idx = _cell_ptrs(cells)
     zmul = np.empty(len(e), dtype=_F64)
     scratch = np.empty(len(e), dtype=_F64)
     qo = np.zeros(B, dtype=_F64)
-    _lib.rk_tick_pack_post(_p(e), wk, hik_off, B, _p(zmul), _p(scratch), _p(qo))
-    return zmul, qo
+    zsum = np.zeros(cells.nl, dtype=_F64)
+    _lib.rk_tick_pack_post(_p(e), wk, hik_off, l_idx, B, _p(zmul), _p(scratch), _p(qo), _p(zsum))
+    return zmul, qo, None if l_idx is None else zsum
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +365,7 @@ def _scratch_ptrs(sc: OracleScratch) -> tuple:
     tables, then ``active``, ``rho`` and ``beta``, then the outputs and
     work buffers.  The scratch keeps every array alive."""
     b = sc.batch
-    idx, row_ptr, hik, _v_off, _vl_off, hik_idx, hik_off, _wk = _cell_ptrs(sc.cells)
+    idx, row_ptr, hik, _v_off, _vl_off, hik_idx, hik_off, *_ = _cell_ptrs(sc.cells)
     return (
         (b.size, *map(_p, (b.l_off, b.v_off, b.row_off, b.row_len, b.wk_l, b.b_vl)),
          idx, row_ptr, hik),

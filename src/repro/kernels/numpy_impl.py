@@ -25,7 +25,6 @@ from repro.kernels.common import (
     OracleScratch,
     blossom_input,
     forest_input,
-    scatter_input,
 )
 
 _MASK32 = np.uint64((1 << 32) - 1)
@@ -252,9 +251,10 @@ def gather_add2(buf: np.ndarray, lay) -> np.ndarray:
     return buf[lay.src_vl] + buf[lay.dst_vl]
 
 
-def dual_scatter(vals: np.ndarray, out: np.ndarray, lay, cells: OracleCells) -> None:
+def dual_scatter(vals: np.ndarray, out: np.ndarray, lay, cells: OracleCells) -> np.ndarray:
     """Scatter-add ``vals`` at the layout's ``src_vl`` then at its
-    ``dst_vl`` into ``out``.
+    ``dst_vl`` into ``out``; return ``us_mass``, the values added at its
+    ``l_idx`` over the level space.
 
     All src contributions accumulate first, then all dst, sequentially
     in element order -- the accumulation order of two sequential
@@ -272,12 +272,8 @@ def dual_scatter(vals: np.ndarray, out: np.ndarray, lay, cells: OracleCells) -> 
         weights=np.concatenate([vals, vals]),
         minlength=out.size,
     )
-
-
-def index_scatter(idx: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
-    """Sequential scatter-add into a fresh buffer of ``size`` entries."""
-    idx, vals, size = scatter_input(idx, vals, size)
-    return np.bincount(idx, weights=vals, minlength=size)
+    # float64 also without values, where np.bincount returns int64
+    return np.bincount(lay.l_idx, weights=vals, minlength=lay.nl).astype(np.float64)
 
 
 def blend(x: np.ndarray, steps: list, sigmas: np.ndarray,
@@ -388,9 +384,10 @@ def tick_pack_arg(x: np.ndarray, zload: np.ndarray | None, alpha_p: np.ndarray,
     return np.repeat(alpha_p, counts) * (flat - np.repeat(fmax, counts))
 
 
-def tick_pack_post(e: np.ndarray, cells: OracleCells) -> tuple[np.ndarray, np.ndarray]:
+def tick_pack_post(e: np.ndarray, cells: OracleCells) -> tuple:
     """Post-exp half: the multipliers ``zmul`` at the has_ik cells of
-    ``cells`` plus the per-instance packing budget."""
+    ``cells``, the per-instance packing budget, and ``zmul`` added at
+    the cells' ``l_idx`` in element order (None without level ids)."""
     off_list = cells.hik_off.tolist()
     B = len(off_list) - 1
     po3 = 3.0 * cells.wk
@@ -401,7 +398,9 @@ def tick_pack_post(e: np.ndarray, cells: OracleCells) -> tuple[np.ndarray, np.nd
         lo, hi = off_list[s], off_list[s + 1]
         if hi > lo:
             qo[s] = qo_all[lo:hi].sum()
-    return zmul, qo
+    if cells.l_idx is None:
+        return zmul, qo, None
+    return zmul, qo, np.bincount(cells.l_idx, weights=zmul, minlength=cells.nl).astype(np.float64)
 
 
 # ----------------------------------------------------------------------

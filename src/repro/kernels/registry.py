@@ -40,9 +40,7 @@ KERNEL_CONTRACTS: dict[str, str] = {
     # segment / scatter / gather primitives
     "gather_add2": _EXACT_F64,
     "dual_scatter": _EXACT_F64 + "; sequential accumulation in np.bincount order "
-    "into out; native zeroes only the list's cells of out",
-    "index_scatter": _EXACT_F64 + "; sequential accumulation in index order; "
-    "ids outside [0, size) refused",
+    "into out and the returned level sums; native zeroes only the list's cells of out",
     "blend": _EXACT_F64 + "; in-place on x; native visits only the cell list, "
     "off which x and the steps must vanish",
     "width_box": _EXACT_F64 + "; max over the has_ik cells, NaN-propagating",
@@ -50,7 +48,7 @@ KERNEL_CONTRACTS: dict[str, str] = {
     "tick_stored_shift": _EXACT_F64,
     "tick_stored_post": _EXACT_F64_PW,
     "tick_pack_arg": _EXACT_F64,
-    "tick_pack_post": _EXACT_F64_PW,
+    "tick_pack_post": _EXACT_F64_PW + "; zsum in np.bincount order, None without level ids",
     # fused Algorithm 5 steps 1-8
     "oracle_eval": _EXACT_F64_PW + "; route/k* integer-identical, scans "
     "sequential per row like np.cumsum; outputs written into the scratch",

@@ -226,8 +226,12 @@ def test_batch_of_one_equals_micro_oracle(case):
     hik_idx = np.flatnonzero(flat_zeta != 0.0)
     zmul = flat_zeta[hik_idx]
     cells = OracleCells(batch, hik_idx, np.concatenate([stored.src_vl, stored.dst_vl]))
+    # zeta's level sums as the engine's tick_pack_post adds them at the
+    # has_ik cells; micro_oracle sums the dense plane instead
+    assert cells.l_idx is not None
+    zsum = np.bincount(cells.l_idx, zmul, minlength=cells.nl)
     ctx = BatchMicroContext(
-        OracleScratch(batch, cells), [0], stored, support.values, zmul,
+        OracleScratch(batch, cells), [0], stored, support.values, zmul, zsum,
         beta={0: beta}, use_odd={0: odd_sets}, eps=lv.eps,
     )
     results, po = ctx.evaluate([0], {0: 1.0})

@@ -293,42 +293,21 @@ def test_dual_scatter_parity():
     m = len(lay.src_vl)
     vals = rng.standard_normal(m) * np.exp(rng.uniform(-12, 12, m))
     want = np.zeros(size)
-    f_np(vals, want, lay, cells)
+    us_np = f_np(vals, want, lay, cells)
     got = np.zeros(size)
-    f_c(vals, got, lay, cells)
+    us_c = f_c(vals, got, lay, cells)
     assert_bitequal(want, got)
+    # the returned level sums add each value at l_idx in element order
+    us_want = np.bincount(lay.l_idx, vals, minlength=lay.nl)
+    assert_bitequal(us_np, us_want)
+    assert_bitequal(us_c, us_want)
     # a reused buffer: the result is identical, the dirt at the cells cleared
     got = np.full(size, 7.25)
-    f_c(vals, got, lay, cells)
+    assert_bitequal(f_c(vals, got, lay, cells), us_want)
     assert_bitequal(want, got)
     dirty = np.full(size, -1.0)
     f_np(vals, dirty, lay, cells)
     assert_bitequal(want, dirty)
-
-
-def test_index_scatter_parity():
-    f_np, f_c = impls("index_scatter")
-    if f_c is not None:
-        rng = np.random.default_rng(46)
-        idx = rng.integers(0, 64, size=3000).astype(np.int64)
-        vals = rng.standard_normal(3000) * np.exp(rng.uniform(-10, 10, 3000))
-        assert_bitequal(f_np(idx, vals, 64), f_c(idx, vals, 64))
-        # empty input: values must agree; dtypes may not (np.bincount
-        # returns int64 when the weights array is empty, the native
-        # kernel float64)
-        got_np = f_np(np.zeros(0, np.int64), np.zeros(0), 8)
-        got_c = f_c(np.zeros(0, np.int64), np.zeros(0), 8)
-        assert np.array_equal(got_np.astype(np.float64), got_c.astype(np.float64))
-    # the result has exactly `size` entries on both backends: an id
-    # outside it, or values of another length, fail before any scatter
-    for f in (f_np, f_c):
-        if f is None:
-            continue
-        for bad in ([4], [-1], [2**26], [0, 3, 4]):
-            with pytest.raises(ValueError):
-                f(np.array(bad), np.ones(len(bad)), 4)
-        with pytest.raises(ValueError):
-            f(np.array([0, 1]), np.ones(3), 4)
 
 
 @needs_native
@@ -431,12 +410,32 @@ def test_tick_pack_parity(with_zload):
         a_c = arg_c(xs, zload, alpha_p, active, cells)
         assert_bitequal(a_np, a_c)
         e = np.exp(a_np)
-        zm_np, qo_np = post_np(e, cells)
-        zm_c, qo_c = post_c(e, cells)
+        zm_np, qo_np, zs_np = post_np(e, cells)
+        zm_c, qo_c, zs_c = post_c(e, cells)
         assert_bitequal(zm_np, zm_c)
         assert_bitequal(qo_np, qo_c)
+        assert_bitequal(zs_np, zs_c)
+        # zsum: the column sums of the dense zeta plane, per instance
+        plane = np.zeros(nvl)
+        plane[hik_idx] = zm_c
+        for i in range(b.size):
+            assert_bitequal(b.l_view(zs_c, i), b.vl_view(plane, i).sum(axis=0))
     assert np.isnan(a_c[off[0] : off[1]]).all() and np.isnan(a_c[off[4] : off[5]]).all()
     assert np.isnan(a_c[off[2] : off[3]]).sum() == 1
+    # an instance with a single level: the list has no level ids, and
+    # neither backend returns level sums
+    from repro.core.batch import GraphBatch
+    from repro.core.levels import discretize
+
+    one = Graph.from_edges(3, [(0, 1), (1, 2)], [2.0, 5.0], b=[1, 0, 0])
+    b1 = GraphBatch([b.graphs[0], one], [b.levels[0], discretize(one, 0.7)])
+    assert b1.L[1] == 1
+    cells1 = OracleCells(b1, np.arange(0, int(b1.vl_off[-1]), 3))
+    e1 = rng.uniform(0.1, 1.0, len(cells1.hik_idx))
+    r_np, r_c = post_np(e1, cells1), post_c(e1, cells1)
+    assert cells1.l_idx is None and r_np[2] is None and r_c[2] is None
+    assert_bitequal(r_np[0], r_c[0])
+    assert_bitequal(r_np[1], r_c[1])
 
 
 # ----------------------------------------------------------------------
@@ -834,25 +833,28 @@ def test_has_ik_clears_of_s_and_zeta_parity(shapes, seed, density, data):
     vals = rng.exponential(1.0, len(lay.src_vl))
     ds_np, ds_c = impls("dual_scatter")
     want, got = np.zeros(nvl), dirty.copy()
-    ds_np(vals, want, lay, cells)
-    ds_c(vals, got, lay, cells)
+    us_np = ds_np(vals, want, lay, cells)
+    us_c = ds_c(vals, got, lay, cells)
     assert_bitequal(want, got)
+    assert_bitequal(us_np, us_c)
     # zeta: zmul at every has_ik cell, the dense plane zero elsewhere
     e = rng.exponential(1.0, cells.hik_idx.size)
     post_np, post_c = impls("tick_pack_post")
     r_np, r_c = post_np(e, cells), post_c(e, cells)
-    for a, c in zip(r_np, r_c):
+    for a, c in zip(r_np[:2], r_c[:2]):
         assert_bitequal(a, c)
     zeta = np.zeros(nvl)
     zeta[cells.hik_idx] = e / (3.0 * b.wk_vl)[cells.hik_idx]
     plane = np.zeros(nvl)
     plane[cells.hik_idx] = r_c[0]
     assert_bitequal(zeta, plane)
-    # the one-call column sums over the has_ik cells (L >= 2 everywhere)
+    # the column sums over the has_ik cells, returned unless some
+    # instance has a single level
+    assert (r_np[2] is None) == (r_c[2] is None) == (cells.l_idx is None)
     if cells.l_idx is not None:
-        zsum = impls("index_scatter")[1](cells.l_idx, r_c[0], int(b.l_off[-1]))
+        assert_bitequal(r_np[2], r_c[2])
         for i in range(b.size):
-            assert_bitequal(b.l_view(zsum, i), b.vl_view(plane, i).sum(axis=0))
+            assert_bitequal(b.l_view(r_c[2], i), b.vl_view(plane, i).sum(axis=0))
 
 
 @needs_native
@@ -952,10 +954,10 @@ def test_stored_layout_refuses_ids_outside_the_batch_and_offsets_that_do_not_spa
 
 
 def test_ids_past_the_batch_fail_where_they_enter():
-    """Three inputs that crashed the native kernels fail with
-    ValueError: a stored edge's VL id of 2^26 at the layout that
-    ``dual_scatter`` reads, a has_ik id of 2^26 at the cell list that
-    ``tick_pack_post`` reads, and an id of 2^26 at ``index_scatter``."""
+    """Two inputs that crashed the native kernels fail with ValueError:
+    a stored edge's VL id of 2^26 at the layout that ``dual_scatter``
+    reads, and a has_ik id of 2^26 at the cell list that
+    ``tick_pack_post`` reads."""
     from dataclasses import replace
 
     b, lay = _stored_case([2, 1], 10)
@@ -963,10 +965,6 @@ def test_ids_past_the_batch_fail_where_they_enter():
         replace(lay, src_vl=np.array([0, 1, 2**26]))
     with pytest.raises(ValueError):
         OracleCells(b, np.array([0, 2**26]))
-    for f in impls("index_scatter"):
-        if f is not None:
-            with pytest.raises(ValueError):
-                f(np.array([2**26]), np.ones(1), 4)
 
 
 def test_oracle_eval_refuses_level_arrays_of_another_length():

@@ -112,6 +112,37 @@ class TestBatchParity:
         (got,) = DualPrimalMatchingSolver(eps=0.3, **FAST).solve_many([g], seeds=[5])
         assert_results_equal(ref, got)
 
+    def test_single_level_instance_in_batch(self, monkeypatch):
+        """An instance with one level (total capacity 1 at eps 0.7: the
+        top weight over the rescale unit, B / eps, is below 1 + eps)
+        gives the batch's cell list no level ids, so the tick passes no
+        ``zsum`` and the context sums each instance's ``zeta`` plane;
+        the results still equal looped solves."""
+        import repro.core.matching_solver as ms
+
+        g = with_uniform_weights(gnm_graph(12, 30, seed=7), 1, 30, seed=8)
+        one = g.with_b(np.eye(1, g.n, dtype=np.int64)[0])
+        other = with_uniform_weights(gnm_graph(16, 50, seed=9), 1, 40, seed=10)
+        assert one.total_capacity == 1 and discretize(one, 0.7).num_levels == 1
+        graphs, seeds = [one, other], [1, 2]
+        ref = [
+            DualPrimalMatchingSolver(eps=0.7, seed=s, **FAST).solve(h)
+            for h, s in zip(graphs, seeds)
+        ]
+        fallbacks = []
+
+        class Recording(ms.BatchMicroContext):
+            def __init__(self, scratch, active, stored, support_vals, zmul, zsum, **kw):
+                if zsum is None:
+                    fallbacks.append(len(active))
+                super().__init__(scratch, active, stored, support_vals, zmul, zsum, **kw)
+
+        monkeypatch.setattr(ms, "BatchMicroContext", Recording)
+        got = DualPrimalMatchingSolver(eps=0.7, **FAST).solve_many(graphs, seeds=seeds)
+        assert fallbacks and fallbacks[0] == 2  # the first tick, both instances
+        for r, g2 in zip(ref, got):
+            assert_results_equal(r, g2)
+
     def test_shared_config_seed(self):
         """Without explicit seeds, every instance uses config.seed."""
         graphs = [triangle_gadget(0.1), with_uniform_weights(gnm_graph(14, 40, seed=12), seed=13)]

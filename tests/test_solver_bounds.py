@@ -93,18 +93,23 @@ def test_stored_edge_cells_are_has_ik_cells(group, monkeypatch):
     checked = []
 
     class Checked(ms.BatchMicroContext):
-        def __init__(self, scratch, active, stored, support_vals, zmul, **kw):
+        def __init__(self, scratch, active, stored, support_vals, zmul, zsum, **kw):
             hik_idx = scratch.cells.hik_idx
             assert np.isin(stored.src_vl, hik_idx).all()
             assert np.isin(stored.dst_vl, hik_idx).all()
             assert len(zmul) == len(hik_idx)
-            super().__init__(scratch, active, stored, support_vals, zmul, **kw)
+            super().__init__(scratch, active, stored, support_vals, zmul, zsum, **kw)
             assert np.array_equal(scratch.cells.idx, hik_idx)
             off = np.ones(len(scratch.s), dtype=bool)
             off[scratch.cells.idx] = False
             assert not scratch.s[off].any()
             zeta = self._zeta()
             assert not zeta[off].any() and np.array_equal(zeta[hik_idx], zmul)
+            # the tick's level sums are the plane's column sums, bit for bit
+            b = scratch.batch
+            for i in active:
+                want = b.vl_view(zeta, i).sum(axis=0)
+                assert b.l_view(self.zsum, i).tobytes() == want.tobytes()
             checked.append(len(stored.src_vl))
 
     monkeypatch.setattr(ms, "BatchMicroContext", Checked)
